@@ -10,12 +10,10 @@ use std::sync::{Arc, Mutex};
 
 use charm_core::prelude::*;
 use charm_core::Runtime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use charm_wire::SplitMix64;
 
 /// Sort parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistoParams {
     /// Number of sorter chares.
     pub chares: usize,
@@ -28,6 +26,7 @@ pub struct HistoParams {
     /// RNG seed.
     pub seed: u64,
 }
+wire_struct! { HistoParams { chares, keys_per_chare, bins, key_max, seed } }
 
 impl HistoParams {
     /// A small default configuration.
@@ -58,14 +57,14 @@ pub struct HistoResult {
     pub report: charm_core::RunReport,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Histogram,
     Exchange,
 }
+wire_enum! { Phase { Histogram, Exchange } }
 
 /// One sorter chare.
-#[derive(Serialize, Deserialize)]
 pub struct Sorter {
     params: HistoParams,
     keys: Vec<u64>,
@@ -74,9 +73,9 @@ pub struct Sorter {
     recv_count: usize,
     done: Option<Future<RedData>>,
 }
+wire_struct! { Sorter { params, keys, phase, splitters, recv_count, done } }
 
 /// Sorter entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum SorterMsg {
     /// Begin: histogram, exchange, sort, report.
     Start {
@@ -89,6 +88,7 @@ pub enum SorterMsg {
         keys: Vec<u64>,
     },
 }
+wire_enum! { SorterMsg { Start { done }, Keys { keys } } }
 
 const TAG_HISTOGRAM: u32 = 1;
 const TAG_SUMMARY: u32 = 2;
@@ -166,12 +166,12 @@ impl Chare for Sorter {
 
     fn create(params: HistoParams, ctx: &mut Ctx) -> Self {
         let me = ctx.my_index().first() as u64;
-        let mut rng = StdRng::seed_from_u64(params.seed ^ me.wrapping_mul(0x9E3779B9));
+        let mut rng = SplitMix64::new(params.seed ^ me.wrapping_mul(0x9E3779B9));
         // A skewed distribution (quadratic) so uniform splitters would be
         // badly unbalanced — the histogram has to earn its keep.
         let keys: Vec<u64> = (0..params.keys_per_chare)
             .map(|_| {
-                let u: f64 = rng.gen();
+                let u = rng.next_f64();
                 ((u * u) * params.key_max as f64) as u64
             })
             .collect();

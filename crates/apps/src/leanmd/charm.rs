@@ -6,7 +6,6 @@ use std::sync::{Arc, Mutex};
 
 use charm_core::prelude::*;
 use charm_core::Runtime;
-use serde::{Deserialize, Serialize};
 
 use super::physics::{self, Particle};
 use super::{Cell, MdParams, MdResult};
@@ -27,25 +26,26 @@ fn pair_index(p: (Cell, Cell)) -> Index {
 }
 
 /// Which step phase a cell is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Waiting for force contributions from the pair computes.
     Forces,
     /// Waiting for migrant-particle lists from neighbor cells.
     Migrate,
 }
+wire_enum! { Phase { Forces, Migrate } }
 
 /// Constructor argument of a cell.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct CellInit {
     /// Simulation parameters.
     pub params: MdParams,
     /// The sparse pair-compute array.
     pub computes: Proxy<ComputeChare>,
 }
+wire_struct! { CellInit { params, computes } }
 
 /// A spatial cell holding particles.
-#[derive(Serialize, Deserialize)]
 pub struct CellChare {
     params: MdParams,
     computes: Proxy<ComputeChare>,
@@ -62,9 +62,14 @@ pub struct CellChare {
     started: bool,
     done: Option<Future<RedData>>,
 }
+wire_struct! {
+    CellChare {
+        params, computes, c, particles, iter, phase, forces, forces_got, expected_computes,
+        migr_got, expected_neighbors, potential, started, done
+    }
+}
 
 /// Cell entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum CellMsg {
     /// Begin the simulation.
     Start {
@@ -87,6 +92,13 @@ pub enum CellMsg {
         /// The particles (possibly none).
         particles: Vec<Particle>,
     },
+}
+wire_enum! {
+    CellMsg {
+        Start { done },
+        Forces { iter, forces, energy },
+        Migrants { iter, particles },
+    }
 }
 
 impl CellChare {
@@ -282,13 +294,14 @@ impl Chare for CellChare {
 }
 
 /// Constructor argument of a pair compute.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct ComputeInit {
     /// Simulation parameters.
     pub params: MdParams,
     /// The cell array, for returning forces.
     pub cells: Proxy<CellChare>,
 }
+wire_struct! { ComputeInit { params, cells } }
 
 /// A pair compute: evaluates LJ forces between two adjacent cells (or
 /// within one, for self-pairs).
@@ -303,7 +316,6 @@ pub struct ComputeChare {
 }
 
 /// Compute entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum ComputeMsg {
     /// One cell's particle positions for a step.
     Positions {
@@ -315,6 +327,7 @@ pub enum ComputeMsg {
         pos: Vec<[f64; 3]>,
     },
 }
+wire_enum! { ComputeMsg { Positions { iter, which, pos } } }
 
 impl Chare for ComputeChare {
     type Msg = ComputeMsg;

@@ -13,7 +13,7 @@
 pub mod charm;
 pub mod physics;
 
-use serde::{Deserialize, Serialize};
+use charm_wire::{wire_struct, SplitMix64};
 
 pub use physics::Particle;
 
@@ -21,7 +21,7 @@ pub use physics::Particle;
 pub type Cell = [usize; 3];
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdParams {
     /// Cell grid extent.
     pub cells: [usize; 3],
@@ -40,6 +40,7 @@ pub struct MdParams {
     /// RNG seed for initial velocities.
     pub seed: u64,
 }
+wire_struct! { MdParams { cells, per_cell, cell_size, cutoff, dt, steps, migrate_every, seed } }
 
 impl MdParams {
     /// A small, stable default configuration.
@@ -151,10 +152,8 @@ impl MdParams {
     /// with small pseudo-random velocities (net momentum exactly zero per
     /// particle pair, so the global momentum starts at zero).
     pub fn init_particles(&self, c: Cell) -> Vec<Particle> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let lin = (c[0] * self.cells[1] + c[1]) * self.cells[2] + c[2];
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (lin as u64).wrapping_mul(0x9E3779B9));
+        let mut rng = SplitMix64::new(self.seed ^ (lin as u64).wrapping_mul(0x9E3779B9));
         let base = [
             c[0] as f64 * self.cell_size,
             c[1] as f64 * self.cell_size,
@@ -174,13 +173,13 @@ impl MdParams {
                     if placed >= self.per_cell {
                         break 'outer;
                     }
-                    let mut jitter = || (rng.gen::<f64>() - 0.5) * spacing * 0.1;
+                    let mut jitter = || (rng.next_f64() - 0.5) * spacing * 0.1;
                     let pos = [
                         base[0] + (i as f64 + 0.5) * spacing + jitter(),
                         base[1] + (j as f64 + 0.5) * spacing + jitter(),
                         base[2] + (l as f64 + 0.5) * spacing + jitter(),
                     ];
-                    let mut vel = || (rng.gen::<f64>() - 0.5) * 0.2;
+                    let mut vel = || (rng.next_f64() - 0.5) * 0.2;
                     out.push(Particle {
                         id: (lin * self.per_cell + placed) as u64,
                         pos,

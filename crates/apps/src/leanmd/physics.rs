@@ -3,10 +3,10 @@
 //! computation the paper describes as mimicking NAMD's short-range
 //! non-bonded force kernel (the Numba-compiled part of LeanMD).
 
-use serde::{Deserialize, Serialize};
+use charm_wire::wire_struct;
 
 /// One particle (unit mass).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle {
     /// Stable identity (for conservation checks).
     pub id: u64,
@@ -15,6 +15,7 @@ pub struct Particle {
     /// Velocity.
     pub vel: [f64; 3],
 }
+wire_struct! { Particle { id, pos, vel } }
 
 /// Minimum-image displacement `a - b` in a periodic box.
 #[inline]

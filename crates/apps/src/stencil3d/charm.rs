@@ -8,13 +8,11 @@ use std::time::{Duration, Instant};
 use charm_core::prelude::*;
 use charm_core::Runtime;
 use charm_wire::Buf;
-use serde::{Deserialize, Serialize};
 
 use super::kernel::{Block, Face, FACES};
 use super::{alpha, init_value, StencilParams, StencilResult};
 
 /// One grid block.
-#[derive(Serialize, Deserialize)]
 pub struct BlockChare {
     params: StencilParams,
     coords: [usize; 3],
@@ -33,9 +31,13 @@ pub struct BlockChare {
     t_kernel_ewma: f64,
     done: Option<Future<RedData>>,
 }
+wire_struct! {
+    BlockChare {
+        params, coords, block, iter, got, expected, started, waiting_sync, t_kernel_ewma, done
+    }
+}
 
 /// Block entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum BlockMsg {
     /// Begin iterating; `done` receives the final `[sum, wsum]` checksum.
     Start {
@@ -52,6 +54,7 @@ pub enum BlockMsg {
         data: Buf<f64>,
     },
 }
+wire_enum! { BlockMsg { Start { done }, Ghost { iter, face, data } } }
 
 impl BlockChare {
     fn neighbors(&self) -> Vec<(Face, [usize; 3])> {

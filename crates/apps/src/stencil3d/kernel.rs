@@ -5,10 +5,10 @@
 //! fastest. The kernel is what Numba JIT-compiles in the paper — here it is
 //! plain Rust, the same "machine-optimized code" end state.
 
-use serde::{Deserialize, Serialize};
+use charm_wire::{wire_enum, wire_struct};
 
 /// The six faces of a block, in the fixed exchange order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Face {
     /// −x neighbor.
     XM = 0,
@@ -23,6 +23,7 @@ pub enum Face {
     /// +z neighbor.
     ZP = 5,
 }
+wire_enum! { Face { XM, XP, YM, YP, ZM, ZP } }
 
 /// All faces, in order.
 pub const FACES: [Face; 6] = [Face::XM, Face::XP, Face::YM, Face::YP, Face::ZM, Face::ZP];
@@ -59,7 +60,7 @@ impl Face {
 }
 
 /// A block with ghost layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Interior extent in x.
     pub nx: usize,
@@ -70,6 +71,7 @@ pub struct Block {
     /// `(nx+2)(ny+2)(nz+2)` values, ghosts included.
     pub data: Vec<f64>,
 }
+wire_struct! { Block { nx, ny, nz, data } }
 
 impl Block {
     /// A zero block of the given interior size.

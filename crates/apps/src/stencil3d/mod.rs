@@ -13,12 +13,12 @@ pub mod charm;
 pub mod kernel;
 pub mod mpi;
 
-use serde::{Deserialize, Serialize};
+use charm_wire::wire_struct;
 
 pub use kernel::{Block, Face, FACES};
 
 /// Parameters shared by both implementations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StencilParams {
     /// Global grid extent.
     pub grid: [usize; 3],
@@ -43,6 +43,11 @@ pub struct StencilParams {
     /// times (used by the LB figure, where measured-noise × alpha would
     /// otherwise dominate).
     pub nominal_kernel_s: Option<f64>,
+}
+wire_struct! {
+    StencilParams {
+        grid, chares, iters, lb_every, imbalance, sync_every, nominal_kernel_s
+    }
 }
 
 impl StencilParams {

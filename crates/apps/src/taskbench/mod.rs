@@ -22,13 +22,12 @@ use std::time::Duration;
 
 use charm_core::prelude::*;
 use charm_core::Runtime;
-use serde::{Deserialize, Serialize};
 
 pub use patterns::Pattern;
 use patterns::{dependents, indegree, task_value};
 
 /// Task Bench parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskBenchParams {
     /// Dependency pattern between consecutive steps.
     pub pattern: Pattern,
@@ -44,6 +43,7 @@ pub struct TaskBenchParams {
     /// Seed for the random pattern's draws and the value mixing.
     pub seed: u64,
 }
+wire_struct! { TaskBenchParams { pattern, width, steps, grain_ns, fanout, seed } }
 
 impl TaskBenchParams {
     /// A small stencil configuration (tests, smoke runs).
@@ -84,7 +84,6 @@ pub struct TaskBenchResult {
 }
 
 /// One column of the task grid.
-#[derive(Serialize, Deserialize)]
 pub struct TaskCol {
     params: TaskBenchParams,
     /// Arrival ledger per step: `(messages received, wrapping value sum)`.
@@ -98,9 +97,9 @@ pub struct TaskCol {
     final_val: Option<u64>,
     done: Option<Future<RedData>>,
 }
+wire_struct! { TaskCol { params, pending, executed, final_val, done } }
 
 /// Task column entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum TaskMsg {
     /// Kick off step 0 and register the completion future.
     Start {
@@ -115,6 +114,7 @@ pub enum TaskMsg {
         val: u64,
     },
 }
+wire_enum! { TaskMsg { Start { done }, Dep { step, val } } }
 
 impl TaskCol {
     fn col(&self, ctx: &Ctx) -> u32 {

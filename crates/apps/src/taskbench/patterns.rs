@@ -6,11 +6,11 @@
 //! the sequential oracle and the tests: the runtime never gets a chance to
 //! disagree with the oracle about the graph.
 
-use serde::{Deserialize, Serialize};
+use charm_wire::{splitmix64, wire_enum};
 
 /// A Task Bench dependency pattern. The graph is `width` columns by
 /// `steps` rows; edges always go from step `s` to step `s+1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
     /// Each column chains to itself — no cross-task communication. The
     /// floor: pure per-message scheduling overhead on the same-PE path.
@@ -27,6 +27,7 @@ pub enum Pattern {
     /// the root also feeds itself so every column has a producer.
     Tree,
 }
+wire_enum! { Pattern { Trivial, Stencil, Fft, Random, Tree } }
 
 impl Pattern {
     /// All patterns, in the order the benches sweep them.
@@ -53,15 +54,6 @@ impl Pattern {
     pub fn parse(s: &str) -> Option<Pattern> {
         Pattern::ALL.into_iter().find(|p| p.name() == s)
     }
-}
-
-/// SplitMix64 — the deterministic mixer behind task values and the random
-/// pattern's target draws.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The value task `(step, col)` produces from the wrapping sum `acc` of its

@@ -13,14 +13,13 @@ fn sim(npes: usize) -> Runtime {
 
 fn input_key_sum(params: &HistoParams) -> (u64, u64) {
     // Recompute the deterministic input directly.
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use charm_wire::SplitMix64;
     let mut total = 0u64;
     let mut sum = 0u64;
     for c in 0..params.chares as u64 {
-        let mut rng = StdRng::seed_from_u64(params.seed ^ c.wrapping_mul(0x9E3779B9));
+        let mut rng = SplitMix64::new(params.seed ^ c.wrapping_mul(0x9E3779B9));
         for _ in 0..params.keys_per_chare {
-            let u: f64 = rng.gen();
+            let u = rng.next_f64();
             let k = ((u * u) * params.key_max as f64) as u64;
             total += 1;
             sum = sum.wrapping_add(k);

@@ -1,4 +1,4 @@
-//! Property-based tests of the mini-apps: randomized decompositions of the
+//! Seeded property tests of the mini-apps: randomized decompositions of the
 //! distributed stencil always match the naive reference, and LeanMD
 //! conserves particles and momentum for arbitrary (sane) parameters.
 
@@ -6,7 +6,10 @@ use charm_apps::leanmd::{charm::run_charm as run_leanmd, MdParams};
 use charm_apps::stencil3d::{charm::run_charm as run_stencil, kernel, StencilParams};
 use charm_core::{Backend, Runtime};
 use charm_sim::MachineModel;
-use proptest::prelude::*;
+use charm_wire::SplitMix64;
+
+// Each case runs a full simulated parallel job; keep the count modest.
+const CASES: u64 = 10;
 
 fn sim_rt(npes: usize) -> Runtime {
     Runtime::new(npes)
@@ -45,56 +48,52 @@ fn reference_checksum(params: &StencilParams) -> (f64, f64) {
     (s_total, w_total)
 }
 
-proptest! {
-    // Each case runs a full simulated parallel job; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn any_decomposition_matches_reference(
-        bx in 1usize..4,
-        by in 1usize..3,
-        bz in 1usize..3,
-        block in 2usize..5,
-        iters in 0u32..7,
-        npes in 1usize..5,
-    ) {
-        let params = StencilParams::new(
-            [bx * block, by * block, bz * block],
-            [bx, by, bz],
-            iters,
-        );
+#[test]
+fn any_decomposition_matches_reference() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let mut draw = |lo: u64, hi: u64| (lo + rng.below(hi - lo)) as usize;
+        let (bx, by, bz) = (draw(1, 4), draw(1, 3), draw(1, 3));
+        let block = draw(2, 5);
+        let iters = draw(0, 7) as u32;
+        let npes = draw(1, 5);
+        let params = StencilParams::new([bx * block, by * block, bz * block], [bx, by, bz], iters);
         let want = reference_checksum(&params);
         let got = run_stencil(params, sim_rt(npes)).checksum;
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-        prop_assert!(close(got.0, want.0) && close(got.1, want.1),
-            "got {got:?}, want {want:?}");
+        assert!(
+            close(got.0, want.0) && close(got.1, want.1),
+            "seed {seed}: got {got:?}, want {want:?}"
+        );
     }
+}
 
-    #[test]
-    fn leanmd_conserves_for_random_params(
-        cells in 2usize..4,
-        per_cell in 1usize..10,
-        steps in 1u32..12,
-        migrate_every in 1u32..5,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn leanmd_conserves_for_random_params() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let mut draw = |lo: u64, hi: u64| lo + rng.below(hi - lo);
+        let cells = draw(2, 4) as usize;
         let params = MdParams {
             cells: [cells, cells, cells],
-            per_cell,
+            per_cell: draw(1, 10) as usize,
             cell_size: 4.0,
             cutoff: 4.0,
             dt: 0.004,
-            steps,
-            migrate_every,
-            seed,
+            steps: draw(1, 12) as u32,
+            migrate_every: draw(1, 5) as u32,
+            seed: draw(0, u64::MAX),
         };
         let n0 = params.num_particles() as u64;
         let r = run_leanmd(params, sim_rt(2));
-        prop_assert_eq!(r.particles, n0, "particles conserved");
+        assert_eq!(r.particles, n0, "seed {seed}: particles conserved");
         for k in 0..3 {
-            prop_assert!(r.momentum[k].abs() < 1e-9,
-                "momentum conserved: {:?}", r.momentum);
+            assert!(
+                r.momentum[k].abs() < 1e-9,
+                "seed {seed}: momentum conserved: {:?}",
+                r.momentum
+            );
         }
-        prop_assert!(r.kinetic.is_finite());
+        assert!(r.kinetic.is_finite(), "seed {seed}");
     }
 }

@@ -15,6 +15,11 @@ fn sim_rt(npes: usize) -> Runtime {
         .meter_compute(false)
 }
 
+/// Held by the tests that are sensitive to host load: the harness runs
+/// tests on parallel threads, and metered virtual time is host wall-clock
+/// per handler, so a second compute-heavy test inflates the measurement.
+static QUIET_HOST: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn reference_checksum(params: &StencilParams) -> (f64, f64) {
     // Build the global grid, run the naive solver, checksum per-block in
     // the same order the distributed versions do.
@@ -146,19 +151,22 @@ fn load_balancing_preserves_results() {
 
 #[test]
 fn imbalanced_run_slower_than_balanced_and_lb_recovers() {
-    // The §V-B shape on a small scale, in virtual time with metering on.
-    // Blocks are sized so the (alpha-scaled) kernel dominates messaging.
-    let base = StencilParams::new([32, 32, 32], [2, 2, 1], 12);
-    let balanced = run_charm(
-        base.clone(),
-        Runtime::new(4).backend(Backend::Sim(MachineModel::local(4))),
-    );
+    let _quiet = QUIET_HOST.lock().unwrap_or_else(|e| e.into_inner());
+    // The §V-B shape on a small scale, in deterministic virtual time: the
+    // kernel cost is charged, not measured (as in the LB figure — measured
+    // noise x alpha would otherwise decide the outcome), and sized so the
+    // (alpha-scaled) kernel dominates messaging.
+    let rt = || sim_rt(4);
+    let modeled = |grid, chares, iters| {
+        let mut p = StencilParams::new(grid, chares, iters);
+        p.nominal_kernel_s = Some(200e-6);
+        p
+    };
+    let base = modeled([32, 32, 32], [2, 2, 1], 12);
+    let balanced = run_charm(base.clone(), rt());
     let mut imb = base.clone();
     imb.imbalance = Some(4); // one coarse block per PE, alpha in {10, 45}
-    let imbalanced = run_charm(
-        imb.clone(),
-        Runtime::new(4).backend(Backend::Sim(MachineModel::local(4))),
-    );
+    let imbalanced = run_charm(imb.clone(), rt());
     assert!(
         imbalanced.total_time_s > 3.0 * balanced.total_time_s,
         "synthetic imbalance must dominate: {} vs {}",
@@ -168,19 +176,11 @@ fn imbalanced_run_slower_than_balanced_and_lb_recovers() {
     // With a 4-blocks-per-PE decomposition + greedy LB tracking the moving
     // hotspot, time drops substantially (paper: 1.9x-2.27x at scale; this
     // 4-PE miniature reaches ~1.4x — assert a conservative 1.25x).
-    let mut fine = StencilParams::new([32, 32, 32], [4, 2, 2], 16);
+    let mut fine = modeled([32, 32, 32], [4, 2, 2], 16);
     fine.imbalance = Some(16);
-    let fine_nolb = run_charm(
-        fine.clone(),
-        Runtime::new(4).backend(Backend::Sim(MachineModel::local(4))),
-    );
+    let fine_nolb = run_charm(fine.clone(), rt());
     fine.lb_every = Some(4);
-    let lb = run_charm(
-        fine,
-        Runtime::new(4)
-            .backend(Backend::Sim(MachineModel::local(4)))
-            .lb_strategy(Arc::new(GreedyLb)),
-    );
+    let lb = run_charm(fine, rt().lb_strategy(Arc::new(GreedyLb)));
     let speedup = fine_nolb.total_time_s / lb.total_time_s;
     assert!(
         speedup > 1.25,
@@ -193,6 +193,7 @@ fn imbalanced_run_slower_than_balanced_and_lb_recovers() {
 
 #[test]
 fn weak_scaling_time_roughly_flat_in_virtual_time() {
+    let _quiet = QUIET_HOST.lock().unwrap_or_else(|e| e.into_inner());
     // Fixed block per PE; more PEs → similar time per step (Fig 1's shape).
     let t = |npes: usize, chares: [usize; 3]| {
         // Best of three runs: this test shares the host with the rest of

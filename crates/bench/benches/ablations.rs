@@ -16,7 +16,6 @@ use charm_core::prelude::*;
 use charm_core::{LbStrategy, Runtime};
 use charm_lb::{GreedyLb, RandLb, RefineLb, RotateLb};
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 fn main() {
     ablation_same_pe_byref();
@@ -72,10 +71,10 @@ struct BarrierBounce {
     done: Option<Future<i64>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum BounceMsg {
     Start { rounds: u32, done: Future<i64> },
 }
+wire_enum! { BounceMsg { Start { rounds, done } } }
 
 const TAG_ROUND: u32 = 1;
 

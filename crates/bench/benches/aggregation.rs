@@ -13,10 +13,9 @@
 //! fewer messages were delivered.
 
 use charm_apps::histo::{run_histo, HistoParams};
+use charm_bench::bench;
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use serde::{Deserialize, Serialize};
 
 const NPES: usize = 4;
 const TOKENS: u32 = 64;
@@ -56,11 +55,11 @@ struct Collector {
     notify: Option<Future<()>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CollectorMsg {
     Arm { expect: u32, notify: Future<()> },
     Done,
 }
+wire_enum! { CollectorMsg { Arm { expect, notify }, Done } }
 
 impl Chare for Collector {
     type Msg = CollectorMsg;
@@ -90,13 +89,13 @@ impl Chare for Collector {
 
 struct Hop;
 
-#[derive(Serialize, Deserialize)]
 enum HopMsg {
     Token {
         hops_left: u32,
         collector: Proxy<Collector>,
     },
 }
+wire_enum! { HopMsg { Token { hops_left, collector } } }
 
 impl Chare for Hop {
     type Msg = HopMsg;
@@ -150,16 +149,16 @@ fn run_ping_ring(rt: Runtime) {
     });
 }
 
-fn ping_ring_benches(c: &mut Criterion) {
+/// Timed samples per point: each one is a whole runtime launch.
+const REPS: usize = 10;
+
+fn ping_ring_benches() {
     for (backend, sim) in [("sim", true), ("threads", false)] {
-        let mut g = c.benchmark_group(format!("agg_ping_ring_{backend}"));
-        g.throughput(Throughput::Elements(u64::from(TOKENS * HOPS_PER_TOKEN)));
         for (name, agg) in agg_points() {
-            g.bench_with_input(BenchmarkId::from_parameter(name), &agg, |b, &agg| {
-                b.iter(|| run_ping_ring(make_rt(sim, agg)))
+            bench(&format!("agg_ping_ring_{backend}/{name}"), REPS, || {
+                run_ping_ring(make_rt(sim, agg))
             });
         }
-        g.finish();
     }
 }
 
@@ -167,31 +166,20 @@ fn ping_ring_benches(c: &mut Criterion) {
 // Histogram sort: fine-grained all-to-all key exchange.
 // ---------------------------------------------------------------------------
 
-fn histo_benches(c: &mut Criterion) {
+fn histo_benches() {
     let params = HistoParams::small();
-    let keys = params.chares as u64 * params.keys_per_chare as u64;
     for (backend, sim) in [("sim", true), ("threads", false)] {
-        let mut g = c.benchmark_group(format!("agg_histo_{backend}"));
-        g.throughput(Throughput::Elements(keys));
         for (name, agg) in agg_points() {
-            g.bench_with_input(BenchmarkId::from_parameter(name), &agg, |b, &agg| {
-                b.iter(|| {
-                    let r = run_histo(params.clone(), make_rt(sim, agg));
-                    assert!(r.sorted);
-                    r.key_sum
-                })
+            bench(&format!("agg_histo_{backend}/{name}"), REPS, || {
+                let r = run_histo(params.clone(), make_rt(sim, agg));
+                assert!(r.sorted);
+                r.key_sum
             });
         }
-        g.finish();
     }
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500));
-    targets = ping_ring_benches, histo_benches
+fn main() {
+    ping_ring_benches();
+    histo_benches();
 }
-criterion_main!(benches);

@@ -10,14 +10,13 @@
 //! ```
 //!
 //! The benchmark id carries the feature state (`detector_off` /
-//! `detector_on`), so the two runs land side by side in criterion's
+//! `detector_on`), so the two runs land side by side in the printed
 //! reports; the ratio is the cost of vector-clock stamping, delivered-set
 //! bookkeeping and the per-channel FIFO checks on every envelope.
 
+use charm_bench::bench;
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use criterion::{criterion_group, criterion_main, Criterion};
-use serde::{Deserialize, Serialize};
 
 const NPES: usize = 8;
 const PER_PE: i64 = 32;
@@ -30,11 +29,11 @@ struct Sink {
     notify: Option<Future<i64>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum SinkMsg {
     Push(i64),
     WhenDone { expect: usize, notify: Future<i64> },
 }
+wire_enum! { SinkMsg { Push(a), WhenDone { expect, notify } } }
 
 impl Chare for Sink {
     type Msg = SinkMsg;
@@ -68,10 +67,10 @@ impl Chare for Sink {
 
 struct Spray;
 
-#[derive(Serialize, Deserialize)]
 enum SprayMsg {
     Go { sink: Proxy<Sink>, per_pe: i64 },
 }
+wire_enum! { SprayMsg { Go { sink, per_pe } } }
 
 impl Chare for Spray {
     type Msg = SprayMsg;
@@ -118,14 +117,11 @@ fn fan_in_run() {
     assert!(report.clean_exit);
 }
 
-fn detector_overhead(c: &mut Criterion) {
+fn main() {
     let label = if cfg!(feature = "analyze") {
         "detector_on"
     } else {
         "detector_off"
     };
-    c.bench_function(&format!("fan_in_sim/{label}"), |b| b.iter(fan_in_run));
+    bench(&format!("fan_in_sim/{label}"), 20, fan_in_run);
 }
-
-criterion_group!(benches, detector_overhead);
-criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! single chare, one quiescence wait per round — three ways: no
 //! checkpointing, buddy in-memory checkpoints every round, and disk
 //! checkpoints every round. The benchmark ids land side by side in
-//! criterion's reports; the ratios are the cost of the quiescence-time
+//! the printed report; the ratios are the cost of the quiescence-time
 //! snapshot (encode + buddy ship, or encode + atomic write/fsync) relative
 //! to the bare application:
 //!
@@ -12,26 +12,25 @@
 //! cargo bench -p charm-bench --bench ft_overhead
 //! ```
 
+use charm_bench::bench;
 use charm_core::prelude::*;
 use charm_core::Store;
 use charm_sim::MachineModel;
-use criterion::{criterion_group, criterion_main, Criterion};
-use serde::{Deserialize, Serialize};
 
 const NPES: usize = 8;
 const PER_PE: i64 = 32;
 const ROUNDS: usize = 4;
 
-#[derive(Serialize, Deserialize)]
 struct Sink {
     sum: i64,
     hist: Vec<i64>,
 }
+wire_struct! { Sink { sum, hist } }
 
-#[derive(Serialize, Deserialize)]
 enum SinkMsg {
     Push(i64),
 }
+wire_enum! { SinkMsg { Push(a) } }
 
 impl Chare for Sink {
     type Msg = SinkMsg;
@@ -49,13 +48,13 @@ impl Chare for Sink {
     }
 }
 
-#[derive(Serialize, Deserialize)]
 struct Spray;
+wire_struct! { Spray {} }
 
-#[derive(Serialize, Deserialize)]
 enum SprayMsg {
     Go { sink: Proxy<Sink>, per_pe: i64 },
 }
+wire_enum! { SprayMsg { Go { sink, per_pe } } }
 
 impl Chare for Spray {
     type Msg = SprayMsg;
@@ -102,17 +101,15 @@ fn qd_fan_in_run(store: Option<Store>) {
     assert!(report.clean_exit);
 }
 
-fn ckpt_overhead(c: &mut Criterion) {
-    c.bench_function("qd_fan_in/ckpt_off", |b| b.iter(|| qd_fan_in_run(None)));
-    c.bench_function("qd_fan_in/ckpt_buddy_mem", |b| {
-        b.iter(|| qd_fan_in_run(Some(Store::Memory)))
+fn main() {
+    const REPS: usize = 20;
+    bench("qd_fan_in/ckpt_off", REPS, || qd_fan_in_run(None));
+    bench("qd_fan_in/ckpt_buddy_mem", REPS, || {
+        qd_fan_in_run(Some(Store::Memory))
     });
     let dir = std::env::temp_dir().join(format!("charmrs-ft-bench-{}", std::process::id()));
-    c.bench_function("qd_fan_in/ckpt_disk", |b| {
-        b.iter(|| qd_fan_in_run(Some(Store::Disk(dir.clone()))))
+    bench("qd_fan_in/ckpt_disk", REPS, || {
+        qd_fan_in_run(Some(Store::Disk(dir.clone())))
     });
     let _ = std::fs::remove_dir_all(dir);
 }
-
-criterion_group!(benches, ckpt_overhead);
-criterion_main!(benches);

@@ -1,30 +1,33 @@
-//! Criterion micro-benchmarks of the serialization substrate (paper §IV-B):
+//! Micro-benchmarks of the serialization substrate (paper §IV-B):
 //! fast vs pickle codecs, the `Buf` zero-copy path vs per-element encoding
 //! — the mechanism behind "NumPy arrays bypass pickling" — plus the
 //! shared-payload fan-out, encode-pool, and guard-drain hot paths.
 
+use charm_bench::bench;
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
 use charm_wire::{Buf, Codec, EncodePool, WireBytes};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use serde::{Deserialize, Serialize};
 
-#[derive(Serialize, Deserialize, Clone)]
+/// Timed samples per benchmark.
+const REPS: usize = 20;
+
+#[derive(Clone)]
 struct GhostMsg {
     iter: u32,
     face: u8,
     data: Vec<f64>,
 }
+wire_struct! { GhostMsg { iter, face, data } }
 
-#[derive(Serialize, Deserialize, Clone)]
+#[derive(Clone)]
 struct GhostMsgBuf {
     iter: u32,
     face: u8,
     data: Buf<f64>,
 }
+wire_struct! { GhostMsgBuf { iter, face, data } }
 
-fn codec_benches(c: &mut Criterion) {
-    let mut g = c.benchmark_group("codec_roundtrip");
+fn codec_benches() {
     for n in [64usize, 1024, 16384] {
         let vec_msg = GhostMsg {
             iter: 7,
@@ -36,97 +39,74 @@ fn codec_benches(c: &mut Criterion) {
             face: 3,
             data: Buf::from_vec((0..n).map(|i| i as f64).collect()),
         };
-        g.throughput(Throughput::Bytes((n * 8) as u64));
-        g.bench_with_input(BenchmarkId::new("fast_vec", n), &vec_msg, |b, m| {
-            b.iter(|| {
-                let bytes = Codec::Fast.encode(m).unwrap();
-                Codec::Fast.decode::<GhostMsg>(&bytes).unwrap()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("pickle_vec", n), &vec_msg, |b, m| {
-            b.iter(|| {
-                let bytes = Codec::Pickle.encode(m).unwrap();
-                Codec::Pickle.decode::<GhostMsg>(&bytes).unwrap()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("fast_buf", n), &buf_msg, |b, m| {
-            b.iter(|| {
-                let bytes = Codec::Fast.encode(m).unwrap();
-                Codec::Fast.decode::<GhostMsgBuf>(&bytes).unwrap()
-            })
-        });
-        // The "NumPy bypass": Buf stays memcpy-fast even under pickle.
-        g.bench_with_input(BenchmarkId::new("pickle_buf", n), &buf_msg, |b, m| {
-            b.iter(|| {
-                let bytes = Codec::Pickle.encode(m).unwrap();
-                Codec::Pickle.decode::<GhostMsgBuf>(&bytes).unwrap()
-            })
-        });
+        for (name, codec) in [("fast", Codec::Fast), ("pickle", Codec::Pickle)] {
+            bench(&format!("codec_roundtrip/{name}_vec/{n}"), REPS, || {
+                let bytes = codec.encode(&vec_msg).unwrap();
+                codec.decode::<GhostMsg>(&bytes).unwrap()
+            });
+            // The "NumPy bypass": Buf stays memcpy-fast even under pickle.
+            bench(&format!("codec_roundtrip/{name}_buf/{n}"), REPS, || {
+                let bytes = codec.encode(&buf_msg).unwrap();
+                codec.decode::<GhostMsgBuf>(&bytes).unwrap()
+            });
+        }
     }
-    g.finish();
 }
 
-fn varint_benches(c: &mut Criterion) {
-    c.bench_function("varint_roundtrip_mixed", |b| {
-        let values: Vec<u64> = (0..256)
-            .map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15))
-            .collect();
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(2600);
-            for &v in &values {
-                charm_wire::varint::write_u64(&mut buf, v);
-            }
-            let mut off = 0;
-            let mut acc = 0u64;
-            while off < buf.len() {
-                let (v, used) = charm_wire::varint::read_u64(&buf[off..]).unwrap();
-                acc = acc.wrapping_add(v);
-                off += used;
-            }
-            acc
-        })
+fn varint_benches() {
+    let values: Vec<u64> = (0..256)
+        .map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15))
+        .collect();
+    bench("varint_roundtrip_mixed", REPS, || {
+        let mut buf = Vec::with_capacity(2600);
+        for &v in &values {
+            charm_wire::varint::write_u64(&mut buf, v);
+        }
+        let mut off = 0;
+        let mut acc = 0u64;
+        while off < buf.len() {
+            let (v, used) = charm_wire::varint::read_u64(&buf[off..]).unwrap();
+            acc = acc.wrapping_add(v);
+            off += used;
+        }
+        acc
     });
 }
 
 /// The fan-out cost a broadcast/multicast pays per same-PE member: the old
 /// scheme deep-copied the encoded payload into an owned buffer per member;
 /// the shared scheme bumps a refcount per member.
-fn fanout_benches(c: &mut Criterion) {
-    let mut g = c.benchmark_group("broadcast_payload_fanout");
+fn fanout_benches() {
     let payload: Vec<u8> = vec![0xA5; 16 * 1024];
-    for members in [8usize, 64] {
-        g.throughput(Throughput::Bytes((payload.len() * members) as u64));
-        g.bench_with_input(BenchmarkId::new("deep_copy", members), &members, |b, &m| {
-            b.iter(|| {
-                let fan: Vec<Vec<u8>> = (0..m).map(|_| payload.clone()).collect();
-                std::hint::black_box(fan)
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("shared", members), &members, |b, &m| {
-            let shared = WireBytes::from_vec(payload.clone());
-            b.iter(|| {
-                let fan: Vec<WireBytes> = (0..m).map(|_| shared.clone()).collect();
-                std::hint::black_box(fan)
-            })
-        });
+    for m in [8usize, 64] {
+        bench(
+            &format!("broadcast_payload_fanout/deep_copy/{m}"),
+            REPS,
+            || (0..m).map(|_| payload.clone()).collect::<Vec<Vec<u8>>>(),
+        );
+        let shared = WireBytes::from_vec(payload.clone());
+        bench(
+            &format!("broadcast_payload_fanout/shared/{m}"),
+            REPS,
+            || (0..m).map(|_| shared.clone()).collect::<Vec<WireBytes>>(),
+        );
     }
-    g.finish();
 }
 
 /// Steady-state encode cost: a fresh growth-reallocating `Vec` per message
 /// vs a pooled scratch buffer drained into one exact-size allocation.
-fn encode_pool_benches(c: &mut Criterion) {
+fn encode_pool_benches() {
     let msg = GhostMsg {
         iter: 7,
         face: 3,
         data: (0..1024).map(|i| i as f64).collect(),
     };
-    c.bench_function("encode_fresh_vec", |b| {
-        b.iter(|| std::hint::black_box(Codec::Fast.encode(&msg).unwrap()))
+    bench("encode_fresh_vec", REPS, || {
+        Codec::Fast.encode(&msg).unwrap()
     });
-    c.bench_function("encode_pooled_shared", |b| {
-        let mut pool = EncodePool::new();
-        b.iter(|| std::hint::black_box(Codec::Fast.encode_shared_with(&mut pool, &msg).unwrap()))
+    let mut pool = EncodePool::new();
+    bench("encode_pooled_shared", REPS, || {
+        Codec::Fast.encode_shared_with(&mut pool, &msg).unwrap()
     });
 }
 
@@ -135,12 +115,12 @@ struct DrainGate {
     acc: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum DrainMsg {
     Tick(i64),
     Open,
     Report { done: Future<i64> },
 }
+wire_enum! { DrainMsg { Tick(a), Open, Report { done } } }
 
 impl Chare for DrainGate {
     type Msg = DrainMsg;
@@ -169,31 +149,30 @@ impl Chare for DrainGate {
 /// 1k messages pile up behind a when-guard, then the guard opens and the
 /// whole buffer drains — the `after_state_change` retry loop end to end
 /// (a `Vec::remove` drain was quadratic here; the deque drain is linear).
-fn guard_drain_bench(c: &mut Criterion) {
+fn guard_drain_bench() {
     const N: i64 = 1000;
-    c.bench_function("guard_drain_1k_buffered", |b| {
-        b.iter(|| {
-            Runtime::new(1)
-                .backend(Backend::Sim(MachineModel::local(1)))
-                .register::<DrainGate>()
-                .run(|co| {
-                    let gate = co.ctx().create_chare::<DrainGate>((), Some(0));
-                    for i in 0..N {
-                        gate.send(co.ctx(), DrainMsg::Tick(i));
-                    }
-                    gate.send(co.ctx(), DrainMsg::Open);
-                    let done = co.ctx().create_future::<i64>();
-                    gate.send(co.ctx(), DrainMsg::Report { done });
-                    assert_eq!(co.get(&done), N * (N - 1) / 2);
-                    co.ctx().exit();
-                });
-        })
+    bench("guard_drain_1k_buffered", REPS, || {
+        Runtime::new(1)
+            .backend(Backend::Sim(MachineModel::local(1)))
+            .register::<DrainGate>()
+            .run(|co| {
+                let gate = co.ctx().create_chare::<DrainGate>((), Some(0));
+                for i in 0..N {
+                    gate.send(co.ctx(), DrainMsg::Tick(i));
+                }
+                gate.send(co.ctx(), DrainMsg::Open);
+                let done = co.ctx().create_future::<i64>();
+                gate.send(co.ctx(), DrainMsg::Report { done });
+                assert_eq!(co.get(&done), N * (N - 1) / 2);
+                co.ctx().exit();
+            });
     });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = codec_benches, varint_benches, fanout_benches, encode_pool_benches, guard_drain_bench
+fn main() {
+    codec_benches();
+    varint_benches();
+    fanout_benches();
+    encode_pool_benches();
+    guard_drain_bench();
 }
-criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Net-backend transport overhead (DESIGN.md §13).
 //!
 //! Runs the same QD-cadenced fan-in workload (the ft_overhead stencil)
-//! two ways and lands the ids side by side in criterion's reports:
+//! two ways and prints the two timings side by side:
 //!
 //! * `qd_fan_in/sim` — virtual-time backend, one process, zero transport.
 //! * `qd_fan_in/net` — `Backend::Net`: one OS process per PE over
@@ -16,27 +16,25 @@
 //!
 //! The worker processes re-enter this binary's `main`; the
 //! `is_net_worker` guard routes them straight into the run (they exit
-//! inside `run()`) so criterion only ever executes on the root.
+//! inside `run()`) so the timing loop only ever executes on the root.
 
+use charm_bench::bench;
 use charm_core::prelude::*;
 use charm_core::{is_net_worker, NetCfg};
-use criterion::Criterion;
-use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 const NPES: usize = 4;
 const PER_PE: i64 = 16;
 const ROUNDS: usize = 2;
 
-#[derive(Serialize, Deserialize)]
 struct Sink {
     sum: i64,
 }
+wire_struct! { Sink { sum } }
 
-#[derive(Serialize, Deserialize)]
 enum SinkMsg {
     Push(i64),
 }
+wire_enum! { SinkMsg { Push(a) } }
 
 impl Chare for Sink {
     type Msg = SinkMsg;
@@ -50,13 +48,13 @@ impl Chare for Sink {
     }
 }
 
-#[derive(Serialize, Deserialize)]
 struct Spray;
+wire_struct! { Spray {} }
 
-#[derive(Serialize, Deserialize)]
 enum SprayMsg {
     Go { sink: Proxy<Sink>, per_pe: i64 },
 }
+wire_enum! { SprayMsg { Go { sink, per_pe } } }
 
 impl Chare for Spray {
     type Msg = SprayMsg;
@@ -72,7 +70,7 @@ impl Chare for Spray {
     }
 }
 
-fn program(co: &mut Co) {
+fn program(co: &mut Co<Main>) {
     let sink = co.ctx().create_chare::<Sink>((), Some(0));
     let group = co.ctx().create_group::<Spray>(());
     for _ in 0..ROUNDS {
@@ -109,23 +107,15 @@ fn net_run() {
     assert_eq!(report.recoveries, 0);
 }
 
-fn net_overhead(c: &mut Criterion) {
-    // Each net iteration forks NPES-1 processes and tears the mesh down
-    // again; keep the sample count low so the suite stays in CI budget.
-    let mut g = c.benchmark_group("qd_fan_in");
-    g.sample_size(10).measurement_time(Duration::from_secs(8));
-    g.bench_function("sim", |b| b.iter(sim_run));
-    g.bench_function("net", |b| b.iter(net_run));
-    g.finish();
-}
-
 fn main() {
     if is_net_worker() {
-        // Spawned worker process: serve the run, never reach criterion.
+        // Spawned worker process: serve the run, never reach the timing loop.
         net_run();
         return;
     }
-    let mut c = Criterion::default().configure_from_args();
-    net_overhead(&mut c);
-    c.final_summary();
+    // Each net iteration forks NPES-1 processes and tears the mesh down
+    // again; keep the sample count low so the suite stays in CI budget.
+    const REPS: usize = 10;
+    bench("qd_fan_in/sim", REPS, sim_run);
+    bench("qd_fan_in/net", REPS, net_run);
 }

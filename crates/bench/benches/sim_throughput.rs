@@ -18,30 +18,30 @@ use std::sync::{Arc, Mutex};
 use charm_core::prelude::*;
 use charm_core::Runtime;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PulseParams {
     tokens: u32,
     hops: u32,
 }
+wire_struct! { PulseParams { tokens, hops } }
 
 /// One member per PE; forwards tokens around the PE ring.
-#[derive(Serialize, Deserialize)]
 struct Pulse {
     params: PulseParams,
     handled: u64,
     deaths: u32,
     done: Option<Future<RedData>>,
 }
+wire_struct! { Pulse { params, handled, deaths, done } }
 
-#[derive(Serialize, Deserialize)]
 enum PulseMsg {
     /// Broadcast: seed this member's tokens.
     Start { done: Future<RedData> },
     /// A ring token with `ttl` forwards left before it dies.
     Token { ttl: u32 },
 }
+wire_enum! { PulseMsg { Start { done }, Token { ttl } } }
 
 impl Pulse {
     /// Each seeded token dies `hops` PEs to the right, so every PE sees

@@ -22,10 +22,9 @@
 //! + frame merge up the spanning tree + held QD waiters); every_qd is the
 //! worst case of one sweep per quiescence round.
 
+use charm_bench::bench;
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use criterion::{criterion_group, criterion_main, Criterion};
-use serde::{Deserialize, Serialize};
 
 const NPES: usize = 8;
 const PER_PE: i64 = 32;
@@ -38,11 +37,11 @@ struct Sink {
     notify: Option<Future<i64>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum SinkMsg {
     Push(i64),
     WhenDone { expect: usize, notify: Future<i64> },
 }
+wire_enum! { SinkMsg { Push(a), WhenDone { expect, notify } } }
 
 impl Chare for Sink {
     type Msg = SinkMsg;
@@ -76,10 +75,10 @@ impl Chare for Sink {
 
 struct Spray;
 
-#[derive(Serialize, Deserialize)]
 enum SprayMsg {
     Go { sink: Proxy<Sink>, per_pe: i64 },
 }
+wire_enum! { SprayMsg { Go { sink, per_pe } } }
 
 impl Chare for Spray {
     type Msg = SprayMsg;
@@ -171,7 +170,10 @@ fn fan_in_qd_run(sim: bool, telemetry: Option<TelemetryCfg>) -> charm_core::RunR
 
 const QD_ROUNDS: usize = 10;
 
-fn trace_overhead(c: &mut Criterion) {
+/// Timed samples per configuration.
+const REPS: usize = 20;
+
+fn trace_overhead() {
     let levels = [
         ("trace_off", TraceConfig::off()),
         ("counters_only", TraceConfig::counters()),
@@ -179,13 +181,11 @@ fn trace_overhead(c: &mut Criterion) {
         ("full_capture", TraceConfig::full()),
     ];
     for (label, cfg) in levels {
-        c.bench_function(&format!("fan_in_sim/{label}"), |b| {
-            b.iter(|| fan_in_run(cfg))
-        });
+        bench(&format!("fan_in_sim/{label}"), REPS, || fan_in_run(cfg));
     }
 }
 
-fn telemetry_cadence(c: &mut Criterion) {
+fn telemetry_cadence() {
     let cadences: [(&str, Option<u64>); 3] = [
         ("off", None),
         ("every_10_qd", Some(10)),
@@ -193,34 +193,27 @@ fn telemetry_cadence(c: &mut Criterion) {
     ];
     for (backend, sim) in [("telemetry_sim", true), ("telemetry_threads", false)] {
         for (label, every) in cadences {
-            c.bench_function(&format!("{backend}/{label}"), |b| {
-                b.iter(|| {
-                    let r = fan_in_qd_run(sim, every.map(TelemetryCfg::every));
-                    // A sweep per `every`-th QD round must actually have run;
-                    // keeps the ablation honest if the cadence plumbing moves.
-                    let want = every.map_or(0, |e| QD_ROUNDS / e as usize);
-                    assert!(
-                        r.telemetry.len() >= want,
-                        "{backend}/{label}: {} frames < {want}",
-                        r.telemetry.len()
-                    );
-                    r
-                })
+            bench(&format!("{backend}/{label}"), REPS, || {
+                let r = fan_in_qd_run(sim, every.map(TelemetryCfg::every));
+                // A sweep per `every`-th QD round must actually have run;
+                // keeps the ablation honest if the cadence plumbing moves.
+                let want = every.map_or(0, |e| QD_ROUNDS / e as usize);
+                assert!(
+                    r.telemetry.len() >= want,
+                    "{backend}/{label}: {} frames < {want}",
+                    r.telemetry.len()
+                );
+                r
             });
         }
     }
 }
 
-criterion_group!(benches, trace_overhead, telemetry_cadence);
-
-// Expanded `criterion_main!` so the run can also drop a trace artifact:
-// CHARMRS_TRACE_DIR=<dir> writes the fan-in workload's Chrome trace +
-// utilization summary after the timing passes.
+// CHARMRS_TRACE_DIR=<dir> also drops a trace artifact: the fan-in
+// workload's Chrome trace + utilization summary, after the timing passes.
 fn main() {
-    benches();
-    criterion::Criterion::default()
-        .configure_from_args()
-        .final_summary();
+    trace_overhead();
+    telemetry_cadence();
     if charm_bench::trace_dir().is_some() {
         let r = fan_in_run(TraceConfig::full());
         charm_bench::emit_trace("micro_fan_in", &r);

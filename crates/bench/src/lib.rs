@@ -11,7 +11,52 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Shortest timed sample [`bench`] accepts: bodies faster than this are
+/// looped inside one sample, since a single call would sit below the
+/// clock's resolution.
+const MIN_SAMPLE: Duration = Duration::from_millis(2);
+
+/// Time `f` with the std clock and print `min / median / p90` per call.
+/// The warm-up doubles as calibration — the inner loop grows until one
+/// sample spans [`MIN_SAMPLE`] — then `reps` samples are timed.
+pub fn bench<R>(name: &str, reps: usize, mut f: impl FnMut() -> R) {
+    let mut time = |inner: u32| {
+        let t = Instant::now();
+        for _ in 0..inner {
+            black_box(f());
+        }
+        t.elapsed()
+    };
+    let mut inner = 1u32;
+    while time(inner) < MIN_SAMPLE && inner < 1 << 24 {
+        inner *= 2;
+    }
+    let mut ns: Vec<f64> = (0..reps.max(1))
+        .map(|_| time(inner).as_secs_f64() * 1e9 / f64::from(inner))
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let at = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
+    println!(
+        "{name:<44} min {:>12}  median {:>12}  p90 {:>12}  ({} x {inner} calls)",
+        fmt_ns(ns[0]),
+        fmt_ns(at(0.5)),
+        fmt_ns(at(0.9)),
+        ns.len()
+    );
+}
+
+/// Nanoseconds with a readable unit.
+fn fmt_ns(ns: f64) -> String {
+    match ns {
+        n if n < 1e3 => format!("{n:.1} ns"),
+        n if n < 1e6 => format!("{:.2} us", n / 1e3),
+        n if n < 1e9 => format!("{:.2} ms", n / 1e6),
+        n => format!("{:.3} s", n / 1e9),
+    }
+}
 
 /// Read a positive integer knob from the environment.
 pub fn env_usize(name: &str, default: usize) -> usize {

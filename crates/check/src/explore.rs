@@ -35,6 +35,12 @@ pub struct Execution {
     /// Every delivery, in order: the prescribed prefix followed by the
     /// default extension.
     pub steps: Vec<StepInfo>,
+    /// `Some` when the final step ended the run by exiting the program
+    /// (`None`: every queue drained): the channel heads still undelivered
+    /// at that point, each with its sender's vector clock at ship time.
+    /// Exit disables them, so each is a transition some other schedule
+    /// takes and this one did not.
+    pub exit: Option<Vec<(Chan, Vec<u64>)>>,
     /// A violation description (detector finding, panic, typed run error,
     /// oracle mismatch), if the execution failed.
     pub failure: Option<String>,
@@ -108,29 +114,46 @@ struct Node {
     /// Channels proven redundant here: inherited sleep set plus choices
     /// whose subtrees are already fully explored.
     sleep: BTreeSet<Chan>,
+    /// Choices seen to end the run from this state. An exit disables every
+    /// other transition, so it is independent of none of them.
+    exits: BTreeSet<Chan>,
 }
 
 impl Node {
     /// Sleep set for the child state reached by taking `self.chosen`:
-    /// sleeping transitions independent of the chosen one stay asleep.
+    /// sleeping transitions independent of the chosen one stay asleep —
+    /// deliveries at other PEs, except an exit (dependent with everything:
+    /// "exit, then the chosen step" is not an execution at all).
     fn child_sleep(&self) -> BTreeSet<Chan> {
         self.sleep
             .iter()
-            .filter(|z| z.1 != self.chosen.1)
+            .filter(|z| z.1 != self.chosen.1 && !self.exits.contains(z))
             .copied()
             .collect()
     }
 }
 
-/// Did delivery step `j` happen-before the *send* of step `i`'s message?
-/// Step `j` executed at PE `dj`; its per-PE clock component after executing
-/// is `clock_after[dj]`. The send saw it iff the sender's clock already
-/// includes that component.
-fn hb_step_to_send(step_j: &StepInfo, step_i: &StepInfo) -> bool {
+/// Did delivery step `j` happen-before the *send* of a message shipped
+/// with `send_clock`? Step `j` executed at PE `dj`; its per-PE clock
+/// component after executing is `clock_after[dj]`. The send saw it iff the
+/// sender's clock already includes that component.
+fn hb_step_to_send(step_j: &StepInfo, send_clock: &[u64]) -> bool {
     let dj = step_j.chan.1;
-    match (step_j.clock_after.get(dj), step_i.send_clock.get(dj)) {
+    match (step_j.clock_after.get(dj), send_clock.get(dj)) {
         (Some(a), Some(s)) => s >= a,
         _ => false,
+    }
+}
+
+/// State `node` must also try `chan`, or — if `chan` had no deliverable
+/// head there (its message was still in flight) — conservatively every
+/// alternative.
+fn seed_backtrack(node: &mut Node, chan: Chan) {
+    if node.enabled.contains(&chan) {
+        node.backtrack.insert(chan);
+    } else {
+        let all: Vec<Chan> = node.enabled.clone();
+        node.backtrack.extend(all);
     }
 }
 
@@ -241,31 +264,41 @@ where
                 enabled: step.enabled.clone(),
                 backtrack,
                 sleep,
+                exits: BTreeSet::new(),
             });
+        }
+        if let (Some(last), Some(_)) = (stack.last_mut(), &exec.exit) {
+            last.exits.insert(last.chosen);
         }
 
         // Seed backtrack points from races: for each step i, the *last*
-        // earlier same-PE delivery on a different channel that is not
+        // earlier dependent delivery on a different channel that is not
         // happens-before the send of i's message is a race — some
         // interleaving delivers i's message first, so state j must also try
         // i's channel (or, if it is not yet enabled there, everything).
+        // Deliveries depend on each other when they share a PE; the exit
+        // step disables every channel, so it depends on all of them.
         if cfg.dpor {
+            let exit_step = exec.exit.as_ref().and(exec.steps.len().checked_sub(1));
             for i in 0..exec.steps.len() {
                 let (dst_i, chan_i) = (exec.steps[i].chan.1, exec.steps[i].chan);
                 let race = (0..i).rev().find(|&j| {
-                    exec.steps[j].chan.1 == dst_i
+                    (exec.steps[j].chan.1 == dst_i || Some(i) == exit_step)
                         && exec.steps[j].chan != chan_i
-                        && !hb_step_to_send(&exec.steps[j], &exec.steps[i])
+                        && !hb_step_to_send(&exec.steps[j], &exec.steps[i].send_clock)
                 });
                 if let Some(j) = race {
-                    if stack[j].enabled.contains(&chan_i) {
-                        stack[j].backtrack.insert(chan_i);
-                    } else {
-                        // The racing channel had no deliverable head at
-                        // state j (its message was still in flight):
-                        // conservatively schedule every alternative.
-                        let all: Vec<Chan> = stack[j].enabled.clone();
-                        stack[j].backtrack.extend(all);
+                    seed_backtrack(&mut stack[j], chan_i);
+                }
+            }
+            // A message stranded by the exit races with the exit itself
+            // unless the exit handler sent it: some schedule delivers it
+            // first. Once it is a delivered step, the loop above finds its
+            // same-PE races.
+            if let (Some(last), Some(stranded)) = (exit_step, &exec.exit) {
+                for (chan, send_clock) in stranded {
+                    if !hb_step_to_send(&exec.steps[last], send_clock) {
+                        seed_backtrack(&mut stack[last], *chan);
                     }
                 }
             }
@@ -359,6 +392,9 @@ mod tests {
         initial: Vec<Chan>,
         /// Failure predicate over the delivered (chan, k) sequence.
         fail: fn(&[(Chan, usize)]) -> Option<String>,
+        /// Delivering this (chan, k) ends the run with whatever is still
+        /// pending left undelivered (the program called `exit`).
+        exit_on: Option<(Chan, usize)>,
     }
 
     struct Pending {
@@ -383,6 +419,7 @@ mod tests {
             let mut chan_count: BTreeMap<Chan, usize> = BTreeMap::new();
             let mut steps = Vec::new();
             let mut prefix_iter = prefix.iter().copied();
+            let mut exit = None;
             loop {
                 // Enabled channels: those with pending messages, default
                 // priority = smallest front seq (FIFO arrival order).
@@ -429,9 +466,19 @@ mod tests {
                     send_clock: msg.send_clock,
                     clock_after: clocks[dst].clone(),
                 });
+                if self.exit_on == Some((chosen, k)) {
+                    exit = Some(
+                        pending
+                            .iter()
+                            .filter_map(|(c, q)| q.front().map(|m| (*c, m.send_clock.clone())))
+                            .collect(),
+                    );
+                    break;
+                }
             }
             Execution {
                 steps,
+                exit,
                 failure: (self.fail)(&delivered),
             }
         }
@@ -450,6 +497,7 @@ mod tests {
             effects: vec![],
             initial: vec![(0, 1), (2, 1), (0, 2), (1, 2)],
             fail: no_fail,
+            exit_on: None,
         }
     }
 
@@ -490,10 +538,41 @@ mod tests {
             effects: vec![(((0, 1), 0), vec![(1, 2)])],
             initial: vec![(0, 1), (0, 2)],
             fail: no_fail,
+            exit_on: None,
         };
         let report = explore(&ExploreCfg::default(), |p| toy.run(p));
         assert_eq!(report.equivalence_classes, 2);
         assert!(!report.truncated);
+    }
+
+    /// PE 0 exits on its second self-message while PE 1 and PE 2 each
+    /// have a message in flight to it (one of them the reply to a request
+    /// PE 0's first step made): which of them land before the exit is
+    /// part of the class, and DPOR must find every class naive does.
+    #[test]
+    fn early_exit_strands_messages_dpor_still_covers_every_class() {
+        let toy = Toy {
+            npes: 3,
+            effects: vec![
+                (((0, 0), 0), vec![(0, 1), (0, 0)]),
+                (((0, 1), 0), vec![(1, 0)]),
+            ],
+            initial: vec![(0, 0), (2, 0), (2, 1)],
+            fail: no_fail,
+            exit_on: Some(((0, 0), 1)),
+        };
+        let naive = explore(
+            &ExploreCfg {
+                dpor: false,
+                ..Default::default()
+            },
+            |p| toy.run(p),
+        );
+        let dpor = explore(&ExploreCfg::default(), |p| toy.run(p));
+        assert!(!naive.truncated && !dpor.truncated);
+        assert!(naive.equivalence_classes > 2, "{naive:?}");
+        assert_eq!(dpor.equivalence_classes, naive.equivalence_classes);
+        assert!(dpor.executions <= naive.executions);
     }
 
     #[test]
@@ -521,6 +600,7 @@ mod tests {
                 (1, 3),
             ],
             fail,
+            exit_on: None,
         };
         let report = explore(&ExploreCfg::default(), |p| toy.run(p));
         let cx = report.counterexample.expect("bug must be found");
@@ -566,6 +646,7 @@ mod tests {
             effects: vec![],
             initial: vec![(0, 1), (0, 1), (0, 1)],
             fail: no_fail,
+            exit_on: None,
         };
         let report = explore(&ExploreCfg::default(), |p| toy.run(p));
         assert_eq!(report.executions, 1);

@@ -49,7 +49,7 @@ use crate::ids::{ChareId, Pe};
 /// constituent's trace through the wire frame: batching must be invisible
 /// to the detector, so the trace minted at emit time travels with the
 /// record and is restored verbatim on split.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnvTrace {
     /// Globally unique envelope id:
     /// `epoch << 56 | (pe + 1) << 40 | seq` (epoch 0 — no recovery yet —
@@ -58,6 +58,7 @@ pub struct EnvTrace {
     /// Sender's vector clock (length = npes) at the moment of send.
     pub clock: Vec<u64>,
 }
+charm_wire::wire_struct! { EnvTrace { id, clock } }
 
 /// Shared sink for detector findings. Installed via
 /// `Runtime::analyze_probe`/`analyze_inject`; when present, violations are

@@ -6,8 +6,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
 use charm_wire::Codec;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use charm_wire::Wire;
 
 use crate::ctx::Ctx;
 use crate::ids::ChareTypeId;
@@ -181,7 +180,7 @@ fn construct_impl<T: Chare>(init: BoxMsg, ctx: &mut Ctx, tid: ChareTypeId) -> Bo
         pack_fn: None,
     })
 }
-fn construct_mig_impl<T: Chare + Serialize + DeserializeOwned>(
+fn construct_mig_impl<T: Chare + Wire>(
     init: BoxMsg,
     ctx: &mut Ctx,
     tid: ChareTypeId,
@@ -195,7 +194,7 @@ fn construct_mig_impl<T: Chare + Serialize + DeserializeOwned>(
         pack_fn: Some(|c, codec| codec.encode(c)),
     })
 }
-fn unpack_impl<T: Chare + Serialize + DeserializeOwned>(
+fn unpack_impl<T: Chare + Wire>(
     codec: Codec,
     bytes: &[u8],
     tid: ChareTypeId,
@@ -276,9 +275,9 @@ impl Registry {
         })
     }
 
-    /// Register a migratable chare type (requires serde on the chare state,
+    /// Register a migratable chare type (requires `Wire` on the chare state,
     /// the analog of being pickleable in CharmPy §II-I).
-    pub fn register_migratable<T: Chare + Serialize + DeserializeOwned>(&mut self) -> ChareTypeId {
+    pub fn register_migratable<T: Chare + Wire>(&mut self) -> ChareTypeId {
         self.insert::<T>(ChareVTable {
             name: std::any::type_name::<T>(),
             rust_type: TypeId::of::<T>(),

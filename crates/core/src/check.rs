@@ -298,6 +298,7 @@ pub(crate) fn run_replay(driver: Driver, schedule: &Schedule) -> ReplayOutcome {
     let exec = if schedule.npes != driver.npes {
         Execution {
             steps: Vec::new(),
+            exit: None,
             failure: Some(format!(
                 "schedule was recorded for {} PEs but the runtime has {}",
                 schedule.npes, driver.npes
@@ -343,9 +344,10 @@ pub(crate) fn run_replay(driver: Driver, schedule: &Schedule) -> ReplayOutcome {
 /// panics (a panic *is* a counterexample) and classifying the outcome.
 fn run_once(driver: &Driver, prefix: &[Chan], oracle: Option<&CheckOracle>) -> Execution {
     let mut steps: Vec<StepInfo> = Vec::new();
+    let mut exit = None;
     let probe = FaultProbe::new();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        controlled_run(driver, prefix, &mut steps, &probe)
+        controlled_run(driver, prefix, &mut steps, &mut exit, &probe)
     }));
     let failure = match outcome {
         Ok(Ok(report)) => {
@@ -361,7 +363,11 @@ fn run_once(driver: &Driver, prefix: &[Chan], oracle: Option<&CheckOracle>) -> E
         Ok(Err(e)) => Some(format!("run error: {e}")),
         Err(p) => Some(format!("panic: {}", crate::runtime::panic_msg(p))),
     };
-    Execution { steps, failure }
+    Execution {
+        steps,
+        exit,
+        failure,
+    }
 }
 
 /// Ship one drained outbox into the channel queues: fault injection, delay
@@ -442,6 +448,7 @@ fn controlled_run(
     driver: &Driver,
     prefix: &[Chan],
     steps: &mut Vec<StepInfo>,
+    exit: &mut Option<Vec<(Chan, Vec<u64>)>>,
     probe: &FaultProbe,
 ) -> Result<RunReport, String> {
     let npes = driver.npes;
@@ -661,6 +668,13 @@ fn controlled_run(
         });
         if exited {
             clean_exit = true;
+            // Whatever is still in flight is never delivered; the explorer
+            // needs the heads to see the schedules where it would have been.
+            let stranded = pending.iter().filter_map(|(c, q)| {
+                // analyze: allow(payload-copy, "vector-clock u64 snapshot, not a wire payload")
+                q.front().map(|m| (*c, m.send_clock.to_vec()))
+            });
+            *exit = Some(stranded.collect());
             break;
         }
     }

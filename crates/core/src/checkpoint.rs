@@ -32,13 +32,13 @@
 
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use charm_wire::wire_struct;
 
 use crate::collections::CollSpec;
 use crate::ids::{CollectionId, FutureId, Index};
 
 /// One serialized chare in a checkpoint.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct CkptChare {
     /// Its collection.
     pub coll: CollectionId,
@@ -54,9 +54,10 @@ pub struct CkptChare {
     /// with none pending.)
     pub buffered: Vec<(Vec<u8>, Option<FutureId>, Option<u32>)>,
 }
+wire_struct! { CkptChare { coll, index, data, red_seq, buffered } }
 
 /// One PE's checkpoint file.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct CkptFile {
     /// Format version.
     pub version: u32,
@@ -71,6 +72,7 @@ pub struct CkptFile {
     /// This PE's local chares.
     pub chares: Vec<CkptChare>,
 }
+wire_struct! { CkptFile { version, npes, epoch, specs, chares } }
 
 /// Current checkpoint format version (2 added the recovery epoch).
 pub const CKPT_VERSION: u32 = 2;

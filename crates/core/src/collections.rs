@@ -10,12 +10,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use charm_wire::{wire_enum, wire_struct};
 
 use crate::ids::{ChareTypeId, CollectionId, Index, Pe};
 
 /// What shape of collection this is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CollKind {
     /// A single chare living on one PE.
     Singleton {
@@ -32,9 +32,10 @@ pub enum CollKind {
     /// Sparse array: members inserted dynamically (`ckInsert`).
     Sparse,
 }
+wire_enum! { CollKind { Singleton { pe }, Group, Dense { dims }, Sparse } }
 
 /// How array elements map to PEs — the `ArrayMap` mechanism (§II-G1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Contiguous blocks of the (row-major) index space per PE.
     Block,
@@ -46,6 +47,7 @@ pub enum Placement {
     /// (the analog of a custom `ArrayMap` chare).
     Custom(u32),
 }
+wire_enum! { Placement { Block, RoundRobin, Hash, Custom(a) } }
 
 /// Signature of a custom placement function: `(index, num_pes) -> pe`.
 pub type PlacementFn = dyn Fn(&Index, usize) -> Pe + Send + Sync;
@@ -77,7 +79,7 @@ impl Placements {
 }
 
 /// Collection metadata replicated to every PE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollSpec {
     /// The collection's id.
     pub id: CollectionId,
@@ -90,6 +92,7 @@ pub struct CollSpec {
     /// Whether members participate in at-sync load balancing.
     pub use_lb: bool,
 }
+wire_struct! { CollSpec { id, ctype, kind, placement, use_lb } }
 
 impl CollSpec {
     /// Row-major enumeration of all indices of a dense array.

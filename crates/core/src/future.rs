@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use charm_wire::{Reader, Wire, Writer};
 
 use crate::ids::{CoroId, FutureId};
 use crate::msg::{Message, Payload};
@@ -63,15 +63,12 @@ impl<V: Message> fmt::Debug for Future<V> {
     }
 }
 
-impl<V: Message> Serialize for Future<V> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.id.serialize(s)
+impl<V: Message> Wire for Future<V> {
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+        self.id.encode(w)
     }
-}
-
-impl<'de, V: Message> Deserialize<'de> for Future<V> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(Future::new(FutureId::deserialize(d)?))
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        FutureId::decode(r).map(Future::new)
     }
 }
 

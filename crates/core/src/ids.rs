@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use charm_wire::wire_struct;
 
 /// A processing element number (`0..num_pes`).
 pub type Pe = usize;
@@ -11,13 +11,14 @@ pub type Pe = usize;
 ///
 /// Allocated deterministically as `(creator_pe, creator_sequence)`, so any
 /// PE can mint new ids without coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CollectionId {
     /// PE that created the collection.
     pub creator: u32,
     /// Creation sequence number on that PE.
     pub seq: u32,
 }
+wire_struct! { CollectionId { creator, seq } }
 
 impl fmt::Display for CollectionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -32,11 +33,12 @@ pub const MAX_DIMS: usize = 6;
 /// Index of a chare within its collection: an N-dimensional integer tuple
 /// (N ≤ [`MAX_DIMS`]). Singletons use the empty index; groups use the
 /// 1-tuple of their PE number.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Index {
     len: u8,
     v: [i32; MAX_DIMS],
 }
+wire_struct! { Index { len, v } }
 
 impl Index {
     /// The empty index used by singleton chares.
@@ -171,13 +173,14 @@ impl From<[i32; 6]> for Index {
 }
 
 /// Fully qualified identity of one chare: its collection plus its index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChareId {
     /// The collection this chare belongs to.
     pub coll: CollectionId,
     /// The chare's index within the collection.
     pub index: Index,
 }
+wire_struct! { ChareId { coll, index } }
 
 impl fmt::Display for ChareId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -186,13 +189,14 @@ impl fmt::Display for ChareId {
 }
 
 /// Identifier of a distributed future; minted on the waiting PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FutureId {
     /// PE where the future was created (and where its value is delivered).
     pub pe: u32,
     /// Per-PE sequence number.
     pub seq: u64,
 }
+wire_struct! { FutureId { pe, seq } }
 
 /// Per-PE identifier of a running coroutine (threaded entry method).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,8 +204,9 @@ pub struct CoroId(pub u64);
 
 /// Identifier of the chare type in the registry (dense, assigned by
 /// registration order, identical on every PE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChareTypeId(pub u32);
+wire_struct! { ChareTypeId(a) }
 
 #[cfg(test)]
 mod tests {

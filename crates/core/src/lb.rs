@@ -10,7 +10,7 @@
 //! Strategies themselves live in the `charm-lb` crate; this module defines
 //! the interface and the per-PE/central protocol state.
 
-use serde::{Deserialize, Serialize};
+use charm_wire::wire_struct;
 
 use crate::ids::{ChareId, Pe};
 use crate::tree::TreeShape;
@@ -57,7 +57,7 @@ impl LbMode {
 }
 
 /// Measured load of one chare over the last LB epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbChareStat {
     /// Which chare.
     pub id: ChareId,
@@ -68,15 +68,17 @@ pub struct LbChareStat {
     /// Whether the runtime can move it (registered migratable).
     pub migratable: bool,
 }
+wire_struct! { LbChareStat { id, pe, load_ns, migratable } }
 
 /// The global picture handed to a strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbStats {
     /// Number of PEs.
     pub npes: usize,
     /// Every participating chare in the system.
     pub chares: Vec<LbChareStat>,
 }
+wire_struct! { LbStats { npes, chares } }
 
 impl LbStats {
     /// Per-PE total load implied by current placement, seconds.
@@ -164,7 +166,7 @@ pub struct LbCentral {
 /// ([`LbMode::Tree`]). Everything a parent needs: subtree totals for the
 /// average, a bounded list of placement targets, and the bounded spill of
 /// chares the subtree could not place under the limit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbTreeReport {
     /// PEs in the subtree (drives the load average).
     pub pe_count: u64,
@@ -181,6 +183,7 @@ pub struct LbTreeReport {
     /// or the root lets them stay put).
     pub spill: Vec<LbChareStat>,
 }
+wire_struct! { LbTreeReport { pe_count, chare_count, total_load_ns, ordered, acceptors, spill } }
 
 /// Per-PE protocol state for one hierarchical LB epoch. Buffers are
 /// cleared, not dropped, between epochs.

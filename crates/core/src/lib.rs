@@ -52,7 +52,6 @@ pub mod ids;
 pub mod lb;
 pub mod msg;
 pub(crate) mod net;
-pub(crate) mod netmsg;
 pub mod pe;
 pub mod proxy;
 pub mod quiescence;
@@ -95,6 +94,11 @@ pub use charm_net::{is_net_worker, BackoffCfg, NetCfg, Spawn};
 // re-exported so applications configure and consume traces through one crate.
 pub use charm_trace::{MetricFrame, PePerf, PeTrace, TraceConfig, TraceLevel, TraceReport};
 
+// The message contract (DESIGN.md §5) — the trait and its declarative
+// impl macros live in `charm-wire`; re-exported so applications declare
+// their messages through one crate.
+pub use charm_wire::{wire_enum, wire_struct, Wire};
+
 /// Everything an application usually needs.
 pub mod prelude {
     pub use crate::chare::Chare;
@@ -114,4 +118,5 @@ pub mod prelude {
     };
     pub use crate::tree::TreeShape;
     pub use charm_trace::{MetricFrame, TraceConfig, TraceLevel};
+    pub use charm_wire::{wire_enum, wire_struct, Wire};
 }

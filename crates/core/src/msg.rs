@@ -10,9 +10,9 @@
 
 use std::any::Any;
 
-use charm_wire::{Codec, EncodePool, WireBytes};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use charm_wire::{
+    wire_enum, wire_struct, Codec, EncodePool, Reader, Wire, WireBytes, WireError, Writer,
+};
 
 use crate::collections::CollSpec;
 use crate::ids::{ChareId, CollectionId, FutureId, Index, Pe};
@@ -20,9 +20,9 @@ use crate::lb::LbChareStat;
 use crate::reduction::{RedData, RedTarget, Reducer};
 
 /// Marker for types usable as entry-method arguments, constructor arguments
-/// and future values. Blanket-implemented: any serde-able `Send` type works.
-pub trait Message: Serialize + DeserializeOwned + Send + 'static {}
-impl<T: Serialize + DeserializeOwned + Send + 'static> Message for T {}
+/// and future values. Blanket-implemented: any [`Wire`] `Send` type works.
+pub trait Message: Wire + Send + 'static {}
+impl<T: Wire + Send + 'static> Message for T {}
 
 /// A type-erased message value.
 pub type BoxMsg = Box<dyn Any + Send>;
@@ -60,6 +60,25 @@ impl Payload {
                 )
             }),
         }
+    }
+}
+
+/// A payload crosses a process boundary as one raw byte block, written
+/// straight from the shared allocation. A [`Payload::Local`] box reaching
+/// an encoder means the scheduler classified a remote destination as
+/// same-PE — a runtime bug that surfaces as a typed error, never as a
+/// silent drop of the box.
+impl Wire for Payload {
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+        match self {
+            Payload::Local(_) => Err(WireError::Unsupported(
+                "Payload::Local at a process boundary",
+            )),
+            Payload::Wire(b) => b.encode(w),
+        }
+    }
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        WireBytes::decode(r).map(Payload::Wire)
     }
 }
 
@@ -149,6 +168,28 @@ pub struct MigrateMsg {
     /// sending every trail PE (and the home) a `LocationUpdate`.
     pub trail: Vec<Pe>,
 }
+wire_struct! { MigrateMsg { coll, index, data, buffered, load_ns, red_seq, for_lb, trail } }
+
+/// The body of a [`EnvKind::TelemetryFrame`]: boxed — a frame carries two
+/// dense histograms and would otherwise dominate the enum size. Telemetry
+/// frames are in-process only (the Net backend rejects telemetry at
+/// configuration time), so both directions of the wire form are the typed
+/// "not wire-representable" error.
+#[derive(Debug)]
+pub struct TelemetryBody(pub Box<charm_trace::MetricFrame>);
+
+impl TelemetryBody {
+    const NO_WIRE_FORM: WireError = WireError::Unsupported("telemetry frames on the Net backend");
+}
+
+impl Wire for TelemetryBody {
+    fn encode<W: Writer>(&self, _: &mut W) -> charm_wire::Result<()> {
+        Err(Self::NO_WIRE_FORM)
+    }
+    fn decode<R: Reader>(_: &mut R) -> charm_wire::Result<Self> {
+        Err(Self::NO_WIRE_FORM)
+    }
+}
 
 /// A unit of inter-PE communication.
 #[derive(Debug)]
@@ -172,6 +213,10 @@ pub struct Envelope {
     #[cfg(feature = "analyze")]
     pub trace: crate::analyze::EnvTrace,
 }
+#[cfg(not(feature = "analyze"))]
+wire_struct! { Envelope { src, kind, epoch, sent_ns } }
+#[cfg(feature = "analyze")]
+wire_struct! { Envelope { src, kind, epoch, sent_ns, trace } }
 
 impl Envelope {
     /// Build an envelope; the trace (when the `analyze` feature is on)
@@ -469,9 +514,8 @@ pub enum EnvKind {
     TelemetryFrame {
         /// Sweep sequence number this frame answers.
         seq: u64,
-        /// The (partially merged) metric frame; boxed — it carries two
-        /// dense histograms and would otherwise dominate the enum size.
-        frame: Box<charm_trace::MetricFrame>,
+        /// The (partially merged) metric frame.
+        frame: TelemetryBody,
     },
     /// Start the main chare (delivered once, to PE 0).
     Bootstrap,
@@ -481,6 +525,46 @@ pub enum EnvKind {
     /// scheduler loop without treating it as an application exit. Unlike
     /// every other kind, `Halt` is honored regardless of its epoch stamp.
     Halt,
+}
+// The Net backend's wire form (DESIGN.md §13.1). The match this expands to
+// is exhaustive, so a new variant without an entry here is a compile
+// error, not a silent wire gap.
+wire_enum! {
+    EnvKind {
+        Entry { to, payload, reply, guard },
+        Batch { count, frame },
+        BroadcastEntry { coll, bytes, root },
+        CreateCollection { spec, init, root },
+        InsertElem { coll, index, init, on_pe, placed },
+        DoneInserting { coll },
+        FutureValue { fid, payload },
+        RedPartial { coll, redno, count, data, reducer, target },
+        RedDeliver { to, tag, data },
+        RedBroadcast { coll, tag, data, root },
+        MigrateChare { msg },
+        LocationUpdate { id, pe },
+        SubtreeAdd { coll, delta },
+        LbPoll,
+        LbStats { stats, at_sync },
+        LbDoMigrate { moves, total },
+        LbMigrated,
+        LbResume { root },
+        LbKick { epoch },
+        LbTreePoll { epoch, root },
+        LbTreeReport { report },
+        QdProbe { round, root },
+        QdCounts { round, sent, done, pes },
+        CkptSave { dir, epoch, buddy },
+        CkptBuddy { owner, initiator, epoch, saved, image },
+        CkptAck { saved },
+        RestoreColl { spec, root },
+        QdRequest { fid },
+        TelemetryProbe { seq, root },
+        TelemetryFrame { seq, frame },
+        Bootstrap,
+        Exit,
+        Halt,
+    }
 }
 
 impl EnvKind {
@@ -629,7 +713,6 @@ impl EnvKind {
 /// Per-record header inside an [`EnvKind::Batch`] frame: everything an
 /// `Entry` envelope carries besides its payload bytes. `src` and `epoch`
 /// are batch-level — one sender, one incarnation per frame.
-#[derive(serde::Serialize, serde::Deserialize)]
 struct BatchHdr {
     to: ChareId,
     reply: Option<FutureId>,
@@ -642,6 +725,10 @@ struct BatchHdr {
     #[cfg(feature = "analyze")]
     trace: crate::analyze::EnvTrace,
 }
+#[cfg(not(feature = "analyze"))]
+wire_struct! { BatchHdr { to, reply, guard, sent_ns } }
+#[cfg(feature = "analyze")]
+wire_struct! { BatchHdr { to, reply, guard, sent_ns, trace } }
 
 /// Append one entry record to a batch frame:
 /// `varint(hdr_len) ++ codec(BatchHdr) ++ varint(payload_len) ++ payload`.
@@ -756,9 +843,10 @@ mod tests {
             std::mem::size_of::<EnvKind>(),
             floor
         );
-        // Boxing keeps the fat bodies out of every in-flight envelope:
-        // the migration body alone outweighs the whole enum.
-        assert!(std::mem::size_of::<MigrateMsg>() > std::mem::size_of::<EnvKind>());
+        // Boxing keeps the fat bodies out of every in-flight envelope: the
+        // telemetry frame alone outweighs the whole enum, and a boxed body
+        // costs one pointer.
+        assert!(std::mem::size_of::<charm_trace::MetricFrame>() > std::mem::size_of::<EnvKind>());
         assert!(std::mem::size_of::<Box<MigrateMsg>>() == std::mem::size_of::<usize>());
     }
 }

@@ -13,7 +13,8 @@
 //! The scheduler itself is unchanged — the same `PeState`, the same
 //! epoch-stamped envelopes, the same stale-epoch discard rule. This driver
 //! only moves envelopes: local ones loop through an in-process queue,
-//! remote ones cross the socket via the [`crate::netmsg`] mirror.
+//! remote ones cross the socket as their own [`Wire`] encoding under the
+//! run's codec (§13.1).
 //!
 //! Documented v1 limits (see DESIGN.md §13.5): the root process itself is
 //! not recoverable, recovery requires [`Store::Disk`] on a filesystem all
@@ -24,12 +25,12 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use charm_net::{Launcher, NetCfg, NetEvent, NetNode, WorkerEnv};
-use charm_trace::PeTrace;
+use charm_trace::{PePerf, PeTrace};
+use charm_wire::{Reader, Wire, WireError, Writer};
 
 use crate::checkpoint::Store;
 use crate::ids::Pe;
 use crate::msg::{EnvKind, Envelope};
-use crate::netmsg::{decode_env, encode_env, WirePerf};
 use crate::pe::PeState;
 use crate::runtime::{finish_report, panic_msg, Launch, RunError, RunReport};
 
@@ -61,8 +62,38 @@ enum DriveEnd {
     RootLost { incarnation: u64 },
 }
 
+/// A worker's end-of-run statistics block — its [`PePerf`] plus the LB
+/// epochs it participated in — shipped to the root at shutdown so the
+/// [`RunReport`] covers every process. On the wire it is the counters in
+/// declaration order; the destructuring below makes a new `PePerf` field a
+/// compile error here rather than a silently dropped statistic.
+struct WirePerf(PePerf, u64);
+
+macro_rules! wire_perf {
+    ($($f:ident),*) => {
+        impl Wire for WirePerf {
+            fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+                let WirePerf(PePerf { $($f),* }, lb_epochs) = self;
+                vec![$(*$f as u64,)* *lb_epochs].encode(w)
+            }
+            fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+                let mut words = Vec::<u64>::decode(r)?.into_iter();
+                let mut next = || words.next().ok_or(WireError::Eof);
+                Ok(WirePerf(PePerf { $($f: next()? as _),* }, next()?))
+            }
+        }
+    };
+}
+wire_perf! {
+    pe, wall_ns, busy_ns, idle_ns, overhead_ns, msgs_sent, msgs_processed, sent_remote,
+    sent_local, bytes_sent_remote, bytes_sent_local, bytes_recv, bytes_encoded, entries,
+    migrations, guard_buffered, guard_drained, red_contributes, red_delivers, bcast_relays,
+    ckpt_bytes, stale_discarded, batches_sent, batch_msgs, slab_hits, slab_misses,
+    inline_payloads, dispatch_hits, dispatch_misses, events_dropped, fwd_hops, lb_peak_stats
+}
+
 /// Envelope-level drop counters (distinct from the transport's frame
-/// counters): mirror-unrepresentable outbound envelopes and undecodable
+/// counters): outbound envelopes with no wire form and undecodable
 /// inbound ones. Both are defects worth surfacing, not panics.
 #[derive(Default)]
 struct DropCounts {
@@ -87,6 +118,10 @@ fn drive(
     #[cfg(feature = "analyze")] kill: Option<(Pe, u64)>,
 ) -> DriveEnd {
     let codec = state.cfg.codec;
+    // One encode buffer for the incarnation: an outbound envelope is
+    // written once, payload bytes straight from their shared allocation,
+    // and handed to the transport as a slice.
+    let mut wire = Vec::new();
     let mut last_progress = now();
     // Children that exited without a clean goodbye get a short grace
     // window for the goodbye frame to arrive before they are declared
@@ -99,7 +134,10 @@ fn drive(
             env
         } else {
             match node.events().recv_timeout(Duration::from_millis(10)) {
-                Ok(NetEvent::Payload { src: _, bytes }) => match decode_env(codec, &bytes) {
+                // The bytes passed framing CRCs, but the decode is still
+                // fallible: a peer built with different features must
+                // yield a typed error, not a panic.
+                Ok(NetEvent::Payload { src: _, bytes }) => match codec.decode(&bytes) {
                     Ok(env) => env,
                     Err(_) => {
                         drops.decode += 1;
@@ -147,7 +185,7 @@ fn drive(
                     // Idle tick: flush parked aggregation buffers (nobody
                     // else will move traffic we sit on), then supervise.
                     if state.flush_aggregation() {
-                        ship(state, me, node, local, drops);
+                        ship(state, me, node, local, &mut wire, drops);
                         last_progress = now();
                         continue;
                     }
@@ -198,7 +236,7 @@ fn drive(
             }
         }
         state.handle(env);
-        ship(state, me, node, local, drops);
+        ship(state, me, node, local, &mut wire, drops);
         last_progress = now();
         if state.exited {
             return DriveEnd::Exited;
@@ -207,14 +245,15 @@ fn drive(
 }
 
 /// Move the scheduler's outbox: same-PE envelopes loop through the local
-/// queue; remote ones are serialized onto the mesh. Send failures are the
-/// transport's problem (its loss path reports them) — the driver only
-/// counts envelopes that could not even be represented.
+/// queue; remote ones are serialized into `wire` and onto the mesh. Send
+/// failures are the transport's problem (its loss path reports them) — the
+/// driver only counts envelopes that could not even be represented.
 fn ship(
     state: &mut PeState,
     me: Pe,
     node: &NetNode,
     local: &mut VecDeque<Envelope>,
+    wire: &mut Vec<u8>,
     drops: &mut DropCounts,
 ) {
     for (dst, env) in state.outbox.drain(..) {
@@ -222,9 +261,10 @@ fn ship(
             local.push_back(env);
             continue;
         }
-        match encode_env(state.cfg.codec, env) {
-            Ok(bytes) => {
-                let _ = node.send_payload(dst, &bytes);
+        wire.clear();
+        match state.cfg.codec.encode_into(wire, &env) {
+            Ok(()) => {
+                let _ = node.send_payload(dst, wire);
             }
             Err(_) => drops.encode += 1,
         }
@@ -368,8 +408,7 @@ fn run_root(
                 let mut missing = Vec::new();
                 for (pe, slot) in stats.iter_mut().enumerate().skip(1) {
                     match slot.take() {
-                        Some(w) => {
-                            let (perf, lb) = w.into_perf();
+                        Some(WirePerf(perf, lb)) => {
                             lb_total += lb;
                             traces.push(PeTrace {
                                 perf,
@@ -467,7 +506,7 @@ fn run_root(
                     if let Ok(NetEvent::Payload { src: _, bytes }) =
                         node.events().recv_timeout(Duration::from_millis(10))
                     {
-                        match decode_env(state.cfg.codec, &bytes) {
+                        match state.cfg.codec.decode(&bytes) {
                             Ok(env) => local.push_back(env),
                             Err(_) => drops.decode += 1,
                         }
@@ -552,7 +591,7 @@ fn run_worker(
             DriveEnd::Exited => {
                 let trace = state.finish_trace();
                 let lb = state.lb_epochs();
-                if let Ok(bytes) = state.cfg.codec.encode(&WirePerf::of(&trace.perf, lb)) {
+                if let Ok(bytes) = state.cfg.codec.encode(&WirePerf(trace.perf, lb)) {
                     let _ = node.send_stats(&bytes);
                 }
                 match node.drain(netcfg.drain_timeout) {
@@ -585,6 +624,31 @@ fn run_worker(
             }
             // Only the root turns peer loss into a failure verdict.
             DriveEnd::PeerFailed { .. } => unreachable!("worker drive never fails a peer"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use charm_wire::Codec;
+
+    #[test]
+    fn wire_perf_round_trips_through_both_codecs() {
+        let perf = PePerf {
+            pe: 2,
+            msgs_sent: 10,
+            bytes_recv: 1234,
+            stale_discarded: 5,
+            lb_peak_stats: 7,
+            ..PePerf::default()
+        };
+        for codec in [Codec::Fast, Codec::Pickle] {
+            let bytes = codec.encode(&WirePerf(perf.clone(), 3)).unwrap();
+            let WirePerf(back, lb) = codec.decode(&bytes).unwrap();
+            assert_eq!((&back, lb), (&perf, 3));
+            // A block cut short is a typed error, not a zero-filled report.
+            assert!(codec.decode::<WirePerf>(&bytes[..bytes.len() - 1]).is_err());
         }
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use charm_sim::MachineModel;
-use charm_trace::{EntryKind, EventKind, PeTracer, TraceConfig, WorkClass};
+use charm_trace::{EntryKind, PeTracer, TraceConfig, WorkClass};
 use charm_wire::{Codec, EncodePool, WireBytes};
 
 use crate::chare::{MsgGuards, Registry};
@@ -29,7 +29,7 @@ use crate::lb::{
     LbChareStat, LbMode, LbPeState, LbStats, LbStrategy, LbTreePe, LbTreeReport,
     REFINE_THRESHOLD_PERMILLE,
 };
-use crate::msg::{BoxMsg, EnvKind, Envelope, MigrateMsg, OutPayload, Payload};
+use crate::msg::{BoxMsg, EnvKind, Envelope, MigrateMsg, OutPayload, Payload, TelemetryBody};
 use crate::quiescence::{QdCentral, QdPeState};
 use crate::reduction::{combine, CustomReducers, RedData, RedTable, RedTarget, Reducer};
 use crate::tree::TreeShape;
@@ -959,10 +959,14 @@ impl PeState {
             }
             EnvKind::MigrateChare { msg } => self.migrate_in(msg),
             EnvKind::LocationUpdate { id, pe } => {
+                // "It lives on you" is never news: either the chare is
+                // here (routing checks that first and no entry exists), or
+                // it has left again and the entry is the forwarding stub
+                // its departure wrote — fresher than this update, and the
+                // only thing keeping later messages from parking here for
+                // good.
                 if pe != self.pe {
                     self.locations.insert(id, pe);
-                } else {
-                    self.locations.remove(&id);
                 }
                 self.flush_pending_chare(id);
             }
@@ -1034,7 +1038,7 @@ impl PeState {
             } => self.qd_counts(round, sent, done, pes),
             EnvKind::QdRequest { fid } => self.qd_request(fid),
             EnvKind::TelemetryProbe { seq, root } => self.telemetry_probe(seq, root),
-            EnvKind::TelemetryFrame { seq, frame } => self.telemetry_frame(seq, frame),
+            EnvKind::TelemetryFrame { seq, frame } => self.telemetry_frame(seq, frame.0),
             EnvKind::Bootstrap => self.bootstrap(),
             EnvKind::Exit => {
                 self.exited = true;
@@ -3066,6 +3070,7 @@ impl PeState {
             ),
             None => {
                 // Root evaluates.
+                let stuck = self.qd_central.last == Some((sent, done));
                 if self.qd_central.round_complete(sent, done) {
                     self.qd_central.active = false;
                     self.qd_completions += 1;
@@ -3091,6 +3096,15 @@ impl PeState {
                     }
                     self.complete_qd_waiters(waiters);
                 } else {
+                    // Two identical rounds mean nothing moved in between;
+                    // if they also show more processed than sent, some
+                    // message was delivered twice and no later round can
+                    // ever balance. Fail loudly instead of probing forever.
+                    assert!(
+                        !(stuck && done > sent),
+                        "quiescence is unreachable: {done} messages processed but only {sent} \
+                         sent, stable across probe rounds — a message was delivered twice"
+                    );
                     self.qd_start_round();
                 }
             }
@@ -3200,7 +3214,13 @@ impl PeState {
             return;
         };
         match self.cfg.tree.parent(self.pe, self.tel_root, self.npes) {
-            Some(parent) => self.emit(parent, EnvKind::TelemetryFrame { seq, frame }),
+            Some(parent) => self.emit(
+                parent,
+                EnvKind::TelemetryFrame {
+                    seq,
+                    frame: TelemetryBody(frame),
+                },
+            ),
             None => self.tel_root_complete(*frame),
         }
     }

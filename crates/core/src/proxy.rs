@@ -8,7 +8,7 @@
 use std::fmt;
 use std::marker::PhantomData;
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use charm_wire::{wire_struct, Reader, Wire, Writer};
 
 use crate::chare::{Chare, MsgGuard};
 use crate::ctx::{Ctx, Op};
@@ -217,28 +217,25 @@ impl<T: Chare> fmt::Debug for Proxy<T> {
     }
 }
 
-#[derive(Serialize, Deserialize)]
 struct ProxyWire {
     coll: CollectionId,
     index: Option<Index>,
 }
+wire_struct! { ProxyWire { coll, index } }
 
-impl<T: Chare> Serialize for Proxy<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+impl<T: Chare> Wire for Proxy<T> {
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
         ProxyWire {
             coll: self.coll,
             index: self.index,
         }
-        .serialize(s)
+        .encode(w)
     }
-}
-
-impl<'de, T: Chare> Deserialize<'de> for Proxy<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let w = ProxyWire::deserialize(d)?;
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        let ProxyWire { coll, index } = ProxyWire::decode(r)?;
         Ok(Proxy {
-            coll: w.coll,
-            index: w.index,
+            coll,
+            index,
             _ph: PhantomData,
         })
     }
@@ -298,28 +295,25 @@ impl<T: Chare> fmt::Debug for Section<T> {
     }
 }
 
-#[derive(Serialize, Deserialize)]
 struct SectionWire {
     coll: CollectionId,
     members: Vec<Index>,
 }
+wire_struct! { SectionWire { coll, members } }
 
-impl<T: Chare> Serialize for Section<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+impl<T: Chare> Wire for Section<T> {
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
         SectionWire {
             coll: self.coll,
             members: self.members.clone(),
         }
-        .serialize(s)
+        .encode(w)
     }
-}
-
-impl<'de, T: Chare> Deserialize<'de> for Section<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let w = SectionWire::deserialize(d)?;
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        let SectionWire { coll, members } = SectionWire::decode(r)?;
         Ok(Section {
-            coll: w.coll,
-            members: w.members,
+            coll,
+            members,
             _ph: PhantomData,
         })
     }

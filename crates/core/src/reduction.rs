@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use charm_wire::wire_enum;
 
 use crate::ids::{ChareId, CollectionId, FutureId, Index};
 
@@ -18,7 +18,7 @@ use crate::ids::{ChareId, CollectionId, FutureId, Index};
 ///
 /// Built-in reducers understand the numeric variants; `Bytes` carries
 /// opaque user values for custom reducers and gathers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RedData {
     /// No data: the empty reduction, used as a barrier (paper §II-F).
     Unit,
@@ -37,6 +37,7 @@ pub enum RedData {
     /// Per-contributor values keyed by member index, kept sorted by index.
     Gather(Vec<(Index, Vec<u8>)>),
 }
+wire_enum! { RedData { Unit, I64(a), F64(a), Bool(a), VecI64(a), VecF64(a), Bytes(a), Gather(a) } }
 
 impl RedData {
     /// Short name of the variant, for error messages.
@@ -104,7 +105,7 @@ impl RedData {
 }
 
 /// The reduction function applied to contributed data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reducer {
     /// Discard data; used for empty (barrier) reductions.
     Nop,
@@ -125,6 +126,7 @@ pub enum Reducer {
     /// A user-registered reducer (paper §II-F1), by registration id.
     Custom(u32),
 }
+wire_enum! { Reducer { Nop, Sum, Product, Max, Min, And, Or, Gather, Custom(a) } }
 
 /// Signature of a user-defined reducer: combines ≥1 contributions.
 pub type CustomReduceFn = dyn Fn(Vec<RedData>) -> RedData + Send + Sync;
@@ -250,7 +252,7 @@ pub fn combine(reducer: Reducer, mut parts: Vec<RedData>, custom: &CustomReducer
 }
 
 /// Where the final reduced value is delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RedTarget {
     /// Complete a future with the value.
     Future(FutureId),
@@ -259,6 +261,7 @@ pub enum RedTarget {
     /// Invoke `reduced(tag, data)` on every member of a collection.
     Broadcast(CollectionId, u32),
 }
+wire_enum! { RedTarget { Future(a), Element(a, b), Broadcast(a, b) } }
 
 /// Per-PE state of one in-flight reduction `(collection, redno)`.
 #[derive(Default)]

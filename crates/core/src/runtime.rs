@@ -15,7 +15,7 @@
 //! Two backends share every line of model semantics and differ only in how
 //! PEs are driven:
 //!
-//! * [`Backend::Threads`] — one OS thread per PE, crossbeam channels as the
+//! * [`Backend::Threads`] — one OS thread per PE, `std::sync::mpsc` channels as the
 //!   interconnect. The "real" runtime for multicore hosts.
 //! * [`Backend::Sim`] — all PEs multiplexed on a deterministic virtual-time
 //!   event loop, with message delays from a [`MachineModel`]. This is the
@@ -44,7 +44,7 @@ use crate::collections::{Placement, Placements};
 use crate::coro::{install_quiet_shutdown_hook, run_coroutine, Co};
 use crate::ctx::Ctx;
 use crate::ids::Pe;
-use crate::lb::LbStrategy;
+use crate::lb::{LbMode, LbStrategy};
 use crate::msg::{EnvKind, Envelope};
 use crate::pe::{CkptStore, PeState, RestoreFrom, SchedCfg};
 use crate::reduction::{CustomReducers, RedData, Reducer};
@@ -569,10 +569,8 @@ impl Runtime {
         self
     }
 
-    /// Register a *migratable* chare type (state must be serde-able).
-    pub fn register_migratable<T: Chare + serde::Serialize + serde::de::DeserializeOwned>(
-        mut self,
-    ) -> Self {
+    /// Register a *migratable* chare type (state must be [`Wire`](charm_wire::Wire)).
+    pub fn register_migratable<T: Chare + charm_wire::Wire>(mut self) -> Self {
         self.registry.register_migratable::<T>();
         self
     }
@@ -1042,7 +1040,7 @@ fn run_threads(
     entry_fn: crate::pe::CoroLauncher,
     #[cfg(feature = "analyze")] inject: Option<crate::analyze::InjectFault>,
 ) -> Result<RunReport, RunError> {
-    use crossbeam::channel;
+    use std::sync::mpsc as channel;
 
     let npes = launch.npes;
     let mut entry_slot = Some(entry_fn);
@@ -1070,7 +1068,7 @@ fn run_threads(
         let mut senders = Vec::with_capacity(npes);
         let mut receivers = Vec::with_capacity(npes);
         for _ in 0..npes {
-            let (tx, rx) = channel::unbounded::<Envelope>();
+            let (tx, rx) = channel::channel::<Envelope>();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -1079,7 +1077,7 @@ fn run_threads(
         senders[0].send(boot).expect("bootstrap send failed");
 
         type Status = (Pe, PeEnd, PeTrace, u64, CkptStore);
-        let (status_tx, status_rx) = channel::unbounded::<Status>();
+        let (status_tx, status_rx) = channel::channel::<Status>();
         for (pe, rx) in receivers.into_iter().enumerate() {
             let mut state = launch.mk_pe(pe, if pe == 0 { entry.take() } else { None }, &cfg);
             if pe == 0 && epoch > 0 && state.tracer.full() {

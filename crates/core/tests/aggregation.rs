@@ -16,7 +16,6 @@ use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
 use charm_core::{CollectionId, RunReport};
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Fan-in workload: every PE floods one chare with fine-grained messages —
@@ -30,11 +29,11 @@ struct Fan {
     notify: Option<Future<i64>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum FanMsg {
     Push(i64),
     WhenDone { expect: usize, notify: Future<i64> },
 }
+wire_enum! { FanMsg { Push(a), WhenDone { expect, notify } } }
 
 impl Chare for Fan {
     type Msg = FanMsg;
@@ -68,10 +67,10 @@ impl Chare for Fan {
 
 struct Pusher;
 
-#[derive(Serialize, Deserialize)]
 enum PusherMsg {
     Go { fan: Proxy<Fan>, per_pe: i64 },
 }
+wire_enum! { PusherMsg { Go { fan, per_pe } } }
 
 impl Chare for Pusher {
     type Msg = PusherMsg;
@@ -312,11 +311,11 @@ struct Counter {
     total: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CounterMsg {
     Bump(i64),
     Total,
 }
+wire_enum! { CounterMsg { Bump(a), Total } }
 
 impl Chare for Counter {
     type Msg = CounterMsg;
@@ -376,7 +375,6 @@ fn quiescence_flushes_parked_messages() {
 const RING_N: i32 = 8;
 const ROUNDS: i64 = 6;
 
-#[derive(Serialize, Deserialize)]
 struct Ring {
     cur: i64,
     rounds_done: i64,
@@ -384,14 +382,15 @@ struct Ring {
     sent: bool,
     recv: Option<i64>,
 }
+wire_struct! { Ring { cur, rounds_done, hist, sent, recv } }
 
-#[derive(Serialize, Deserialize)]
 enum RingMsg {
     DoRound,
     Shift(i64),
     RoundsDone,
     Hist,
 }
+wire_enum! { RingMsg { DoRound, Shift(a), RoundsDone, Hist } }
 
 impl Chare for Ring {
     type Msg = RingMsg;

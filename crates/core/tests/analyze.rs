@@ -15,7 +15,6 @@
 use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // A counter chare: fire-and-forget bumps, then a called total.
@@ -25,11 +24,11 @@ struct Counter {
     total: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CounterMsg {
     Bump(i64),
     Total,
 }
+wire_enum! { CounterMsg { Bump(a), Total } }
 
 impl Chare for Counter {
     type Msg = CounterMsg;
@@ -120,11 +119,11 @@ struct Fan {
     notify: Option<Future<i64>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum FanMsg {
     Push(i64),
     WhenDone { expect: usize, notify: Future<i64> },
 }
+wire_enum! { FanMsg { Push(a), WhenDone { expect, notify } } }
 
 impl Chare for Fan {
     type Msg = FanMsg;
@@ -158,10 +157,10 @@ impl Chare for Fan {
 
 struct Pusher;
 
-#[derive(Serialize, Deserialize)]
 enum PusherMsg {
     Go { fan: Proxy<Fan>, per_pe: i64 },
 }
+wire_enum! { PusherMsg { Go { fan, per_pe } } }
 
 impl Chare for Pusher {
     type Msg = PusherMsg;

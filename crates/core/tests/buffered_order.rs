@@ -5,7 +5,6 @@
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 fn both_backends() -> Vec<Backend> {
     vec![Backend::Threads, Backend::Sim(MachineModel::local(2))]
@@ -16,12 +15,12 @@ struct Hold {
     log: Vec<i64>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum HoldMsg {
     Tick(i64),
     Open,
     Report { done: Future<Vec<i64>> },
 }
+wire_enum! { HoldMsg { Tick(a), Open, Report { done } } }
 
 impl Chare for Hold {
     type Msg = HoldMsg;
@@ -74,19 +73,19 @@ fn buffered_burst_drains_in_arrival_order() {
 // ...and the order survives migration (the buffer travels with the chare).
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
 struct MHold {
     open: bool,
     log: Vec<i64>,
 }
+wire_struct! { MHold { open, log } }
 
-#[derive(Serialize, Deserialize)]
 enum MHoldMsg {
     Tick(i64),
     Hop(usize),
     Open,
     Report { done: Future<(Vec<i64>, i64)> },
 }
+wire_enum! { MHoldMsg { Tick(a), Hop(a), Open, Report { done } } }
 
 impl Chare for MHold {
     type Msg = MHoldMsg;

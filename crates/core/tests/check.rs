@@ -18,7 +18,6 @@ use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
 use charm_core::CheckCfg;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 const NPES: usize = 2;
 
@@ -36,7 +35,6 @@ struct Hist {
     notify: Option<Future<Vec<i64>>>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum HistMsg {
     Sample(i64),
     WhenDone {
@@ -44,6 +42,7 @@ enum HistMsg {
         notify: Future<Vec<i64>>,
     },
 }
+wire_enum! { HistMsg { Sample(a), WhenDone { expect, notify } } }
 
 impl Chare for Hist {
     type Msg = HistMsg;
@@ -78,10 +77,10 @@ impl Chare for Hist {
 
 struct Src;
 
-#[derive(Serialize, Deserialize)]
 enum SrcMsg {
     Go { hist: Proxy<Hist>, per_src: i64 },
 }
+wire_enum! { SrcMsg { Go { hist, per_src } } }
 
 impl Chare for Src {
     type Msg = SrcMsg;
@@ -171,11 +170,11 @@ struct Counter {
     total: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CounterMsg {
     Bump(i64),
     Total,
 }
+wire_enum! { CounterMsg { Bump(a), Total } }
 
 impl Chare for Counter {
     type Msg = CounterMsg;

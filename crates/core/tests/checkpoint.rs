@@ -3,20 +3,19 @@
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
-#[derive(Serialize, Deserialize)]
 struct Counter {
     count: i64,
     history: Vec<i64>,
 }
+wire_struct! { Counter { count, history } }
 
-#[derive(Serialize, Deserialize)]
 enum CounterMsg {
     Add(i64),
     Sum { done: Future<RedData> },
     WherePe { done: Future<RedData> },
 }
+wire_enum! { CounterMsg { Add(a), Sum { done }, WherePe { done } } }
 
 impl Chare for Counter {
     type Msg = CounterMsg;

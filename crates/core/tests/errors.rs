@@ -3,15 +3,14 @@
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 struct Plain;
 
-#[derive(Serialize, Deserialize)]
 enum PlainMsg {
     Move(usize),
     Noop,
 }
+wire_enum! { PlainMsg { Move(a), Noop } }
 
 impl Chare for Plain {
     type Msg = PlainMsg;
@@ -92,10 +91,10 @@ fn zero_pes_rejected() {
 #[should_panic(expected = "awaited on the PE that created them")]
 fn future_get_on_wrong_pe_panics() {
     struct Waiter2;
-    #[derive(Serialize, Deserialize)]
     enum W2 {
         TryGet { f: Future<i64> },
     }
+    wire_enum! { W2 { TryGet { f } } }
     impl Chare for Waiter2 {
         type Msg = W2;
         type Init = ();

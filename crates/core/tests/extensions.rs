@@ -3,7 +3,6 @@
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 fn both_backends() -> Vec<Backend> {
     vec![Backend::Threads, Backend::Sim(MachineModel::local(4))]
@@ -17,11 +16,11 @@ struct Member {
     pokes: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum MemberMsg {
     Poke,
     Count { done: Future<RedData> },
 }
+wire_enum! { MemberMsg { Poke, Count { done } } }
 
 impl Chare for Member {
     type Msg = MemberMsg;
@@ -67,10 +66,10 @@ fn section_multicast_hits_exactly_the_members() {
 #[test]
 fn section_is_serializable_and_usable_remotely() {
     struct Relay;
-    #[derive(Serialize, Deserialize)]
     enum RelayMsg {
         PokeThese { section: Section<Member> },
     }
+    wire_enum! { RelayMsg { PokeThese { section } } }
     impl Chare for Relay {
         type Msg = RelayMsg;
         type Init = ();
@@ -116,12 +115,12 @@ struct Gate {
     log: Vec<i64>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum GateMsg {
     Raise(i64),
     Deliver(i64),
     Report { done: Future<Vec<i64>> },
 }
+wire_enum! { GateMsg { Raise(a), Deliver(a), Report { done } } }
 
 impl Chare for Gate {
     type Msg = GateMsg;
@@ -177,12 +176,12 @@ fn send_when_combines_with_receiver_guard() {
         level: i64,
         got: Vec<i64>,
     }
-    #[derive(Serialize, Deserialize)]
     enum PickyMsg {
         Set(i64),
         Value(i64),
         Report { done: Future<Vec<i64>> },
     }
+    wire_enum! { PickyMsg { Set(a), Value(a), Report { done } } }
     impl Chare for Picky {
         type Msg = PickyMsg;
         type Init = ();
@@ -227,18 +226,18 @@ fn send_when_combines_with_receiver_guard() {
 
 #[test]
 fn guarded_messages_survive_migration() {
-    #[derive(Serialize, Deserialize)]
     struct MGate {
         level: i64,
         log: Vec<i64>,
     }
-    #[derive(Serialize, Deserialize)]
+    wire_struct! { MGate { level, log } }
     enum MGateMsg {
         Raise(i64),
         Deliver(i64),
         Hop(usize),
         Report { done: Future<(Vec<i64>, i64)> },
     }
+    wire_enum! { MGateMsg { Raise(a), Deliver(a), Hop(a), Report { done } } }
     impl Chare for MGate {
         type Msg = MGateMsg;
         type Init = ();

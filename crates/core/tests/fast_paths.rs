@@ -7,25 +7,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use charm_wire::{Reader, Writer};
 
-/// Payload that counts its own `Serialize` invocations: a local ping that
-/// serializes even once is an encode/decode round-trip regression.
+/// Payload that counts its own `encode` invocations: a local ping that
+/// encodes even once is an encode/decode round-trip regression.
 static PING_ENCODES: AtomicUsize = AtomicUsize::new(0);
 
 #[derive(Clone, Copy)]
 struct CountedVal(i64);
 
-impl Serialize for CountedVal {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+impl Wire for CountedVal {
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
         PING_ENCODES.fetch_add(1, Ordering::SeqCst);
-        s.serialize_i64(self.0)
+        self.0.encode(w)
     }
-}
-
-impl<'de> Deserialize<'de> for CountedVal {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        i64::deserialize(d).map(CountedVal)
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        i64::decode(r).map(CountedVal)
     }
 }
 
@@ -33,7 +30,6 @@ struct Pinger {
     sum: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum PingMsg {
     Ping {
         x: CountedVal,
@@ -41,6 +37,7 @@ enum PingMsg {
         done: Future<i64>,
     },
 }
+wire_enum! { PingMsg { Ping { x, left, done } } }
 
 impl Chare for Pinger {
     type Msg = PingMsg;
@@ -73,6 +70,12 @@ const PINGS: u32 = 64;
 fn run_pings(rt: Runtime) -> charm_core::RunReport {
     rt.register::<Pinger>().run(|co| {
         let p = co.ctx().create_chare::<Pinger>((), Some(0));
+        // Let the creation land before the kick-off: a send to a chare
+        // that does not exist yet has no known route, so the scheduler
+        // conservatively serializes it (it may have to be forwarded).
+        let created = co.ctx().create_future::<()>();
+        co.ctx().start_quiescence(&created);
+        co.get(&created);
         let done = co.ctx().create_future::<i64>();
         p.send(
             co.ctx(),

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 fn both_backends() -> Vec<(&'static str, Backend)> {
     vec![
@@ -24,10 +23,10 @@ struct Ordered {
     log: Vec<u32>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum OrderedMsg {
     Step { iter: u32, done: Future<i64> },
 }
+wire_enum! { OrderedMsg { Step { iter, done } } }
 
 impl Chare for Ordered {
     type Msg = OrderedMsg;
@@ -82,11 +81,11 @@ struct Waiter {
     received: Vec<i64>,
 }
 
-#[derive(Serialize, Deserialize)]
 enum WaiterMsg {
     Start { expect: usize, done: Future<i64> },
     RecvData(i64),
 }
+wire_enum! { WaiterMsg { Start { expect, done }, RecvData(a) } }
 
 impl Chare for Waiter {
     type Msg = WaiterMsg;
@@ -140,18 +139,18 @@ fn threaded_wait_construct() {
 // Manual migration: state survives, messages keep arriving (§II-I)
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
 struct Mover {
     hops: Vec<usize>,
     counter: i64,
 }
+wire_struct! { Mover { hops, counter } }
 
-#[derive(Serialize, Deserialize)]
 enum MoverMsg {
     Bump(i64),
     Hop(usize),
     Report { done: Future<(Vec<i64>, i64)> },
 }
+wire_enum! { MoverMsg { Bump(a), Hop(a), Report { done } } }
 
 impl Chare for Mover {
     type Msg = MoverMsg;
@@ -207,10 +206,10 @@ fn manual_migration_preserves_state_and_routing() {
 
 struct SparseCell;
 
-#[derive(Serialize, Deserialize)]
 enum SparseMsg {
     Where,
 }
+wire_enum! { SparseMsg { Where } }
 
 impl Chare for SparseCell {
     type Msg = SparseMsg;
@@ -252,7 +251,6 @@ fn sparse_array_insert_and_address() {
 
 struct RedWorker;
 
-#[derive(Serialize, Deserialize)]
 enum RedWorkerMsg {
     GatherUp {
         target: Future<RedData>,
@@ -262,6 +260,7 @@ enum RedWorkerMsg {
         reducer_id: u32,
     },
 }
+wire_enum! { RedWorkerMsg { GatherUp { target }, Hypot { target, reducer_id } } }
 
 impl Chare for RedWorker {
     type Msg = RedWorkerMsg;
@@ -351,12 +350,12 @@ struct RedSink {
     bcast_seen: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum RedSinkMsg {
     Arm { done: Future<i64> },
     ContributeAll { to_collection: bool },
     Check { done: Future<i64> },
 }
+wire_enum! { RedSinkMsg { Arm { done }, ContributeAll { to_collection }, Check { done } } }
 
 impl Chare for RedSink {
     type Msg = RedSinkMsg;
@@ -456,10 +455,10 @@ fn reduction_broadcast_to_collection() {
 
 struct Chain;
 
-#[derive(Serialize, Deserialize)]
 enum ChainMsg {
     Pass(u32),
 }
+wire_enum! { ChainMsg { Pass(a) } }
 
 impl Chare for Chain {
     type Msg = ChainMsg;
@@ -517,16 +516,16 @@ impl LbStrategy for AllToZero {
     }
 }
 
-#[derive(Serialize, Deserialize)]
 struct LbWorker {
     resumed: bool,
 }
+wire_struct! { LbWorker { resumed } }
 
-#[derive(Serialize, Deserialize)]
 enum LbWorkerMsg {
     Sync,
     WhereNow { done: Future<RedData> },
 }
+wire_enum! { LbWorkerMsg { Sync, WhereNow { done } } }
 
 impl Chare for LbWorker {
     type Msg = LbWorkerMsg;

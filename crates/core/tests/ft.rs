@@ -16,7 +16,6 @@ use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
 use charm_core::{CollectionId, RunError, Store};
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 const N: i32 = 8;
 const NPES: usize = 4;
@@ -26,7 +25,6 @@ const ROUNDS: i64 = 6;
 // The ring stencil chare.
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
 struct Ring {
     cur: i64,
     rounds_done: i64,
@@ -34,8 +32,8 @@ struct Ring {
     sent: bool,
     recv: Option<i64>,
 }
+wire_struct! { Ring { cur, rounds_done, hist, sent, recv } }
 
-#[derive(Serialize, Deserialize)]
 enum RingMsg {
     /// One stencil round: ship `cur` to the right neighbor.
     DoRound,
@@ -46,6 +44,7 @@ enum RingMsg {
     /// Reply with the committed per-round history.
     Hist,
 }
+wire_enum! { RingMsg { DoRound, Shift(a), RoundsDone, Hist } }
 
 impl Chare for Ring {
     type Msg = RingMsg;
@@ -209,7 +208,6 @@ fn killed_pe_recovers_bit_identical() {
 /// A two-element ring for the model checker: same stencil rule as `Ring`,
 /// sized so the checkpoint/kill/recovery protocol's full schedule space
 /// fits in an exhaustive exploration.
-#[derive(Serialize, Deserialize)]
 struct MiniRing {
     cur: i64,
     rounds_done: i64,
@@ -217,6 +215,7 @@ struct MiniRing {
     sent: bool,
     recv: Option<i64>,
 }
+wire_struct! { MiniRing { cur, rounds_done, hist, sent, recv } }
 
 impl Chare for MiniRing {
     type Msg = RingMsg;
@@ -357,16 +356,16 @@ fn kill_without_checkpointing_is_recovery_impossible() {
 // Threads backend: a panicking PE thread is caught and recovered.
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
 struct Bump {
     total: i64,
 }
+wire_struct! { Bump { total } }
 
-#[derive(Serialize, Deserialize)]
 enum BumpMsg {
     Add(i64),
     Total,
 }
+wire_enum! { BumpMsg { Add(a), Total } }
 
 impl Chare for Bump {
     type Msg = BumpMsg;

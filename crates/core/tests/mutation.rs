@@ -16,20 +16,19 @@ use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
 use charm_core::{CheckCfg, Store};
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 const NPES: usize = 2;
 
-#[derive(Serialize, Deserialize)]
 struct Bump {
     total: i64,
 }
+wire_struct! { Bump { total } }
 
-#[derive(Serialize, Deserialize)]
 enum BumpMsg {
     Add(i64),
     Total,
 }
+wire_enum! { BumpMsg { Add(a), Total } }
 
 impl Chare for Bump {
     type Msg = BumpMsg;

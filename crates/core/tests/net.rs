@@ -29,7 +29,6 @@ use std::time::Duration;
 use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
 use charm_core::{is_net_worker, CollectionId, NetCfg, RunError, Store, TelemetryCfg};
-use serde::{Deserialize, Serialize};
 
 const N: i32 = 8;
 const NPES: usize = 4;
@@ -61,7 +60,6 @@ fn shared_dir(tag: &str) -> std::path::PathBuf {
 // The ring stencil (same computation as ft.rs).
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
 struct Ring {
     cur: i64,
     rounds_done: i64,
@@ -69,14 +67,15 @@ struct Ring {
     sent: bool,
     recv: Option<i64>,
 }
+wire_struct! { Ring { cur, rounds_done, hist, sent, recv } }
 
-#[derive(Serialize, Deserialize)]
 enum RingMsg {
     DoRound,
     Shift(i64),
     RoundsDone,
     Hist,
 }
+wire_enum! { RingMsg { DoRound, Shift(a), RoundsDone, Hist } }
 
 impl Chare for Ring {
     type Msg = RingMsg;

@@ -1,101 +1,118 @@
-//! Property-based tests of core invariants: spanning trees, placement,
+//! Seeded property tests of core invariants: spanning trees, placement,
 //! reduction algebra, index encoding, and simulated-backend determinism.
 
 use charm_core::prelude::*;
 use charm_core::reduction::{combine, CustomReducers};
 use charm_core::Index;
 use charm_sim::MachineModel;
-use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use charm_wire::SplitMix64;
 
 // ---------------------------------------------------------------------------
 // Spanning trees
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Run `check` once per seed with a generator for that seed.
+fn for_each_seed(cases: u64, mut check: impl FnMut(u64, &mut SplitMix64)) {
+    for seed in 0..cases {
+        check(seed, &mut SplitMix64::new(seed));
+    }
+}
 
-    #[test]
-    fn trees_span_and_agree(
-        arity in 1usize..9,
-        npes in 1usize..70,
-        root_k in 0usize..1000,
-        cpn in prop::option::of(1usize..9),
-    ) {
-        let root = root_k % npes;
-        let shape = TreeShape { arity, cores_per_node: cpn };
+/// Uniform draw from `lo..hi`.
+fn range(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    lo + rng.below((hi - lo) as u64) as i64
+}
+
+#[test]
+fn trees_span_and_agree() {
+    for_each_seed(64, |seed, rng| {
+        let arity = range(rng, 1, 9) as usize;
+        let npes = range(rng, 1, 70) as usize;
+        let root = rng.below(npes as u64) as usize;
+        let cpn = (rng.below(2) == 1).then(|| range(rng, 1, 9) as usize);
+        let shape = TreeShape {
+            arity,
+            cores_per_node: cpn,
+        };
         // Every non-root has a parent that lists it as a child; sizes add up.
         let mut visited = 0usize;
         let mut stack = vec![root];
         while let Some(pe) = stack.pop() {
             visited += 1;
             for c in shape.children(pe, root, npes) {
-                prop_assert_eq!(shape.parent(c, root, npes), Some(pe));
+                assert_eq!(shape.parent(c, root, npes), Some(pe), "seed {seed}");
                 stack.push(c);
             }
         }
-        prop_assert_eq!(visited, npes, "tree must span all PEs exactly once");
-        prop_assert_eq!(shape.parent(root, root, npes), None);
-    }
-
-    // -----------------------------------------------------------------------
-    // Reduction algebra: tree combining in any grouping equals a flat fold.
-    // -----------------------------------------------------------------------
-
-    #[test]
-    fn reduction_grouping_invariance(
-        values in prop::collection::vec(-1000i64..1000, 1..24),
-        split in 1usize..23,
-        op_pick in 0usize..4,
-    ) {
-        let ops = [Reducer::Sum, Reducer::Max, Reducer::Min, Reducer::Product];
-        let op = ops[op_pick];
-        let c = CustomReducers::default();
-        let flat = combine(
-            op,
-            values.iter().map(|&v| RedData::I64(v)).collect(),
-            &c,
+        assert_eq!(
+            visited, npes,
+            "seed {seed}: tree must span all PEs exactly once"
         );
-        // Split into two subtrees combined separately, then merged — the
-        // shape the PE tree produces.
-        let k = split.min(values.len() - 1).max(1);
-        let (a, b) = values.split_at(k.min(values.len()-1).max(1));
-        if a.is_empty() || b.is_empty() {
-            return Ok(());
-        }
-        let pa = combine(op, a.iter().map(|&v| RedData::I64(v)).collect(), &c);
-        let pb = combine(op, b.iter().map(|&v| RedData::I64(v)).collect(), &c);
-        let tree = combine(op, vec![pa, pb], &c);
-        prop_assert_eq!(flat, tree);
-    }
+        assert_eq!(shape.parent(root, root, npes), None, "seed {seed}");
+    });
+}
 
-    // -----------------------------------------------------------------------
-    // Index
-    // -----------------------------------------------------------------------
+// ---------------------------------------------------------------------------
+// Reduction algebra: tree combining in any grouping equals a flat fold.
+// ---------------------------------------------------------------------------
 
-    #[test]
-    fn index_roundtrips_and_orders(coords in prop::collection::vec(-1000i32..1000, 0..7)) {
+#[test]
+fn reduction_grouping_invariance() {
+    for_each_seed(64, |seed, rng| {
+        let values: Vec<i64> = (0..range(rng, 2, 24))
+            .map(|_| range(rng, -1000, 1000))
+            .collect();
+        let ops = [Reducer::Sum, Reducer::Max, Reducer::Min, Reducer::Product];
+        let op = ops[rng.below(4) as usize];
+        let c = CustomReducers::default();
+        let fold = |vs: &[i64]| combine(op, vs.iter().map(|&v| RedData::I64(v)).collect(), &c);
+        // Split into two non-empty subtrees combined separately, then
+        // merged — the shape the PE tree produces.
+        let (a, b) = values.split_at(range(rng, 1, values.len() as i64) as usize);
+        let tree = combine(op, vec![fold(a), fold(b)], &c);
+        assert_eq!(fold(&values), tree, "seed {seed}");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Index
+// ---------------------------------------------------------------------------
+
+#[test]
+fn index_roundtrips_and_orders() {
+    for_each_seed(64, |seed, rng| {
+        let coords: Vec<i32> = (0..rng.below(7))
+            .map(|_| range(rng, -1000, 1000) as i32)
+            .collect();
         let ix = Index::new(&coords);
-        prop_assert_eq!(ix.coords(), &coords[..]);
-        prop_assert_eq!(ix.dims(), coords.len());
-        // Serde roundtrip under both codecs.
+        assert_eq!(ix.coords(), &coords[..], "seed {seed}");
+        assert_eq!(ix.dims(), coords.len(), "seed {seed}");
+        // Wire roundtrip under both codecs.
         for codec in [charm_wire::Codec::Fast, charm_wire::Codec::Pickle] {
             let bytes = codec.encode(&ix).unwrap();
             let back: Index = codec.decode(&bytes).unwrap();
-            prop_assert_eq!(back, ix);
+            assert_eq!(back, ix, "seed {seed} {codec:?}");
         }
         // Hash is deterministic.
-        prop_assert_eq!(ix.stable_hash(), Index::new(&coords).stable_hash());
-    }
+        assert_eq!(
+            ix.stable_hash(),
+            Index::new(&coords).stable_hash(),
+            "seed {seed}"
+        );
+    });
+}
 
-    #[test]
-    fn index_ordering_is_lexicographic_on_equal_dims(
-        a in prop::collection::vec(-50i32..50, 3),
-        b in prop::collection::vec(-50i32..50, 3),
-    ) {
-        let (ia, ib) = (Index::new(&a), Index::new(&b));
-        prop_assert_eq!(ia.cmp(&ib), a.cmp(&b));
-    }
+#[test]
+fn index_ordering_is_lexicographic_on_equal_dims() {
+    for_each_seed(64, |seed, rng| {
+        let mut triple = || -> Vec<i32> { (0..3).map(|_| range(rng, -50, 50) as i32).collect() };
+        let (a, b) = (triple(), triple());
+        assert_eq!(
+            Index::new(&a).cmp(&Index::new(&b)),
+            a.cmp(&b),
+            "seed {seed}"
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -106,11 +123,11 @@ struct Chaos {
     acc: u64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum ChaosMsg {
     Kick { hops: u32, seed: u64 },
     Tally { done: Future<RedData> },
 }
+wire_enum! { ChaosMsg { Kick { hops, seed }, Tally { done } } }
 
 impl Chare for Chaos {
     type Msg = ChaosMsg;

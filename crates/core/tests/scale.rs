@@ -3,13 +3,11 @@
 //! the 65,536-PE weak-scaling check is `#[ignore]` — run it with
 //! `cargo test -p charm-core --test scale -- --ignored`).
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use charm_core::prelude::*;
 use charm_core::Runtime;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Home-PE hashing stays uniform at cluster scale
@@ -46,12 +44,11 @@ fn home_hash_spreads_uniformly_at_64k_pes() {
 /// forwarding stub behind; the self-sent `Tour` message chases the chare
 /// through them, and the trail-collapse path (every `MAX_FWD_HOPS`
 /// arrivals) rewrites the stale stubs.
-#[derive(Serialize, Deserialize)]
 struct Tourist {
     visits: u64,
 }
+wire_struct! { Tourist { visits } }
 
-#[derive(Serialize, Deserialize)]
 enum TouristMsg {
     Tour {
         stops: Vec<u64>,
@@ -60,6 +57,7 @@ enum TouristMsg {
     },
     Ping,
 }
+wire_enum! { TouristMsg { Tour { stops, k, done }, Ping } }
 
 impl Chare for Tourist {
     type Msg = TouristMsg;
@@ -144,16 +142,16 @@ fn forwarding_chains_collapse_on_long_tours() {
 /// AtSync worker whose load depends only on its index, heavy in the first
 /// sixteenth of the index space (Block placement stacks those on the
 /// first PEs, forcing a real migration wave).
-#[derive(Serialize, Deserialize)]
 struct Worker {
     nchares: u32,
     done: Option<Future<RedData>>,
 }
+wire_struct! { Worker { nchares, done } }
 
-#[derive(Serialize, Deserialize)]
 enum WorkerMsg {
     Go { done: Future<RedData> },
 }
+wire_enum! { WorkerMsg { Go { done } } }
 
 impl Chare for Worker {
     type Msg = WorkerMsg;
@@ -235,21 +233,21 @@ fn sim_smoke_4096_pes_tree_lb() {
 
 /// Ring token group: every PE forwards `HOPS` tokens once around its
 /// neighborhood; completion sums handled hops.
-#[derive(Serialize, Deserialize)]
 struct Ring {
     handled: u64,
     deaths: u32,
     done: Option<Future<RedData>>,
 }
+wire_struct! { Ring { handled, deaths, done } }
 
 const RING_TOKENS: u32 = 1;
 const RING_HOPS: u32 = 2;
 
-#[derive(Serialize, Deserialize)]
 enum RingMsg {
     Start { done: Future<RedData> },
     Token { ttl: u32 },
 }
+wire_enum! { RingMsg { Start { done }, Token { ttl } } }
 
 impl Chare for Ring {
     type Msg = RingMsg;

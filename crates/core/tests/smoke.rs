@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 fn both_backends() -> Vec<(&'static str, Backend)> {
     vec![
@@ -40,10 +39,10 @@ fn hello_world_single_chare() {
 
 struct Echo;
 
-#[derive(Serialize, Deserialize)]
 enum EchoMsg {
     Greet(String),
 }
+wire_enum! { EchoMsg { Greet(a) } }
 
 impl Chare for Echo {
     type Msg = EchoMsg;
@@ -91,10 +90,10 @@ struct Counter {
     pe_value: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CounterMsg {
     Report { target: Future<RedData> },
 }
+wire_enum! { CounterMsg { Report { target } } }
 
 impl Chare for Counter {
     type Msg = CounterMsg;
@@ -139,10 +138,10 @@ struct Cell {
     my_lin: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CellMsg {
     WhoAmI,
 }
+wire_enum! { CellMsg { WhoAmI } }
 
 impl Chare for Cell {
     type Msg = CellMsg;
@@ -183,10 +182,10 @@ fn dense_2d_array_elements_addressable() {
 
 struct BarrierChare;
 
-#[derive(Serialize, Deserialize)]
 enum BarrierMsg {
     Go { done: Future<RedData> },
 }
+wire_enum! { BarrierMsg { Go { done } } }
 
 impl Chare for BarrierChare {
     type Msg = BarrierMsg;
@@ -222,10 +221,10 @@ fn empty_reduction_barrier() {
 
 struct Worker2;
 
-#[derive(Serialize, Deserialize)]
 enum W2Msg {
     DoWork { f1: Future<i64>, f2: Future<i64> },
 }
+wire_enum! { W2Msg { DoWork { f1, f2 } } }
 
 impl Chare for Worker2 {
     type Msg = W2Msg;

@@ -4,24 +4,23 @@
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Migration storm: chares hop around while being hammered with increments;
 // nothing may be lost.
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
 struct Nomad {
     count: i64,
 }
+wire_struct! { Nomad { count } }
 
-#[derive(Serialize, Deserialize)]
 enum NomadMsg {
     Inc,
     HopThenInc { to: usize, remaining: u32 },
     Total { done: Future<RedData> },
 }
+wire_enum! { NomadMsg { Inc, HopThenInc { to, remaining }, Total { done } } }
 
 impl Chare for Nomad {
     type Msg = NomadMsg;
@@ -107,10 +106,10 @@ fn migration_storm_loses_nothing() {
 
 struct Pipeliner;
 
-#[derive(Serialize, Deserialize)]
 enum PipeMsg {
     Burst { count: u32, base: Future<RedData> },
 }
+wire_enum! { PipeMsg { Burst { count, base } } }
 
 impl Chare for Pipeliner {
     type Msg = PipeMsg;
@@ -168,11 +167,11 @@ struct Swarm {
     tokens: usize,
 }
 
-#[derive(Serialize, Deserialize)]
 enum SwarmMsg {
     Go { done: Future<RedData> },
     Token,
 }
+wire_enum! { SwarmMsg { Go { done }, Token } }
 
 impl Chare for Swarm {
     type Msg = SwarmMsg;

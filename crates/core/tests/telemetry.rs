@@ -14,7 +14,6 @@ use std::time::Duration;
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Workload: a Pusher group floods a Fan chare on PE 0; every push charges
@@ -28,12 +27,14 @@ struct Fan {
     expect: usize,
     notify: Option<Future<i64>>,
 }
+// Migratable, so the auto-checkpoint composition test can snapshot it.
+wire_struct! { Fan { sum, got, expect, notify } }
 
-#[derive(Serialize, Deserialize)]
 enum FanMsg {
     Push(i64),
     WhenDone { expect: usize, notify: Future<i64> },
 }
+wire_enum! { FanMsg { Push(a), WhenDone { expect, notify } } }
 
 impl Chare for Fan {
     type Msg = FanMsg;
@@ -69,11 +70,12 @@ impl Chare for Fan {
 }
 
 struct Pusher;
+wire_struct! { Pusher {} }
 
-#[derive(Serialize, Deserialize)]
 enum PusherMsg {
     Go { fan: Proxy<Fan>, per_pe: i64 },
 }
+wire_enum! { PusherMsg { Go { fan, per_pe } } }
 
 impl Chare for Pusher {
     type Msg = PusherMsg;
@@ -322,7 +324,7 @@ fn telemetry_frames_reach_report_and_sink() {
         .unwrap()
         .top
         .iter()
-        .any(|t| t.label.starts_with("Fan"));
+        .any(|t| t.label.contains("Fan"));
     assert!(
         fan_is_hot,
         "Fan dominates charged work: {:?}",
@@ -363,12 +365,12 @@ fn charm_perf_parses_the_telemetry_artifact() {
 #[test]
 fn telemetry_composes_with_auto_checkpoint() {
     let out = Arc::new(AtomicI64::new(0));
-    let r = Runtime::new(2)
-        .simulated(MachineModel::local(2))
+    let r = Runtime::new(NPES)
+        .simulated(MachineModel::local(NPES))
         .auto_checkpoint(1, Store::Memory)
         .telemetry(TelemetryCfg::every(1))
-        .register::<Fan>()
-        .register::<Pusher>()
+        .register_migratable::<Fan>()
+        .register_migratable::<Pusher>()
         .run(flood_then_quiesce(4, 2, Arc::clone(&out)));
     assert!(r.clean_exit);
     assert!(
@@ -377,7 +379,7 @@ fn telemetry_composes_with_auto_checkpoint() {
         r.telemetry.len()
     );
     for f in &r.telemetry {
-        assert_eq!(f.pes, 2);
+        assert_eq!(f.pes, NPES as u64);
     }
 }
 

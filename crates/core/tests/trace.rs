@@ -10,7 +10,6 @@
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
 use charm_trace::json::{parse, Value};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Workload: a counter on PE 1, bumped from main on PE 0 — every bump is a
@@ -21,11 +20,11 @@ struct Counter {
     total: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum CounterMsg {
     Bump(i64),
     Total,
 }
+wire_enum! { CounterMsg { Bump(a), Total } }
 
 impl Chare for Counter {
     type Msg = CounterMsg;

@@ -1,13 +1,13 @@
 //! Zero-copy fan-out: a broadcast or section multicast to N members must
 //! serialize its payload exactly once, however many members (and PEs) the
-//! fan-out reaches. The encode count is observed from inside `Serialize`,
+//! fan-out reaches. The encode count is observed from inside `Wire::encode`,
 //! so any regression to per-member (or per-hop) encoding fails here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use charm_core::prelude::*;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use charm_wire::{Reader, Writer};
 
 fn both_backends() -> Vec<Backend> {
     vec![Backend::Threads, Backend::Sim(MachineModel::local(2))]
@@ -22,16 +22,13 @@ macro_rules! counted {
         #[derive(Clone, Copy)]
         struct $name(i64);
 
-        impl Serialize for $name {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        impl Wire for $name {
+            fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
                 $counter.fetch_add(1, Ordering::SeqCst);
-                s.serialize_i64(self.0)
+                self.0.encode(w)
             }
-        }
-
-        impl<'de> Deserialize<'de> for $name {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                i64::deserialize(d).map($name)
+            fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+                i64::decode(r).map($name)
             }
         }
     };
@@ -47,13 +44,13 @@ struct Echo {
     sum: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum EchoMsg {
     Ping {
         x: BcastPayload,
         done: Future<RedData>,
     },
 }
+wire_enum! { EchoMsg { Ping { x, done } } }
 
 impl Chare for Echo {
     type Msg = EchoMsg;
@@ -110,11 +107,11 @@ struct SecMember {
     got: i64,
 }
 
-#[derive(Serialize, Deserialize)]
 enum SecMsg {
     Ping(McastPayload),
     Count { done: Future<RedData> },
 }
+wire_enum! { SecMsg { Ping(a), Count { done } } }
 
 impl Chare for SecMember {
     type Msg = SecMsg;

@@ -23,8 +23,7 @@ use std::collections::BinaryHeap;
 use charm_core::{
     greedy_refine_place, refine_limit, ChareId, LbStats, LbStrategy, Pe, REFINE_THRESHOLD_PERMILLE,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use charm_wire::SplitMix64;
 
 /// Order floats for heaps without NaN concerns (loads are finite, ≥ 0).
 fn total(f: f64) -> u64 {
@@ -203,12 +202,12 @@ impl Default for RandLb {
 
 impl LbStrategy for RandLb {
     fn assign(&self, stats: &LbStats) -> Vec<(ChareId, Pe)> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ stats.chares.len() as u64);
+        let mut rng = SplitMix64::new(self.seed ^ stats.chares.len() as u64);
         stats
             .chares
             .iter()
             .filter(|c| c.migratable)
-            .map(|c| (c.id, rng.gen_range(0..stats.npes)))
+            .map(|c| (c.id, rng.below(stats.npes as u64) as Pe))
             .collect()
     }
     fn name(&self) -> &'static str {

@@ -1,9 +1,12 @@
-//! Property tests of the LB strategies: validity invariants and
-//! improvement guarantees over arbitrary load distributions.
+//! Seeded property tests of the LB strategies: validity invariants and
+//! improvement guarantees over arbitrary load distributions. Every
+//! assertion names its seed.
 
 use charm_core::{ChareId, CollectionId, Index, LbChareStat, LbStats, LbStrategy, Pe};
 use charm_lb::{loads_after, GreedyLb, RandLb, RefineLb, RotateLb};
-use proptest::prelude::*;
+use charm_wire::SplitMix64;
+
+const CASES: u64 = 128;
 
 fn stats_from(npes: usize, chares: Vec<(Pe, u64, bool)>) -> LbStats {
     LbStats {
@@ -24,51 +27,72 @@ fn stats_from(npes: usize, chares: Vec<(Pe, u64, bool)>) -> LbStats {
     }
 }
 
-fn check_valid(stats: &LbStats, moves: &[(ChareId, Pe)]) -> Result<(), TestCaseError> {
-    let mut seen = std::collections::HashSet::new();
-    for (id, pe) in moves {
-        prop_assert!(*pe < stats.npes, "destination out of range");
-        let c = stats.chares.iter().find(|c| c.id == *id);
-        prop_assert!(c.is_some(), "moved unknown chare");
-        prop_assert!(c.unwrap().migratable, "moved pinned chare");
-        prop_assert!(seen.insert(*id), "chare moved twice");
-    }
-    Ok(())
+/// Arbitrary LB input: `npes` from `min_pes..9`, up to 40 chares with
+/// loads from `min_load..10_000` µs, each migratable with probability
+/// `movable_pct`%.
+fn arb_stats(
+    rng: &mut SplitMix64,
+    min_pes: u64,
+    min_chares: u64,
+    min_load: u64,
+    movable_pct: u64,
+) -> LbStats {
+    let npes = (min_pes + rng.below(9 - min_pes)) as usize;
+    let n = min_chares + rng.below(40 - min_chares);
+    let chares = (0..n)
+        .map(|_| {
+            (
+                rng.below(8) as usize,
+                min_load + rng.below(10_000 - min_load),
+                rng.below(100) < movable_pct,
+            )
+        })
+        .collect();
+    stats_from(npes, chares)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn check_valid(seed: u64, stats: &LbStats, moves: &[(ChareId, Pe)]) {
+    let mut seen = std::collections::HashSet::new();
+    for (id, pe) in moves {
+        assert!(*pe < stats.npes, "seed {seed}: destination out of range");
+        let c = stats.chares.iter().find(|c| c.id == *id);
+        assert!(c.is_some(), "seed {seed}: moved unknown chare");
+        assert!(c.unwrap().migratable, "seed {seed}: moved pinned chare");
+        assert!(seen.insert(*id), "seed {seed}: chare moved twice");
+    }
+}
 
-    #[test]
-    fn all_strategies_produce_valid_moves(
-        npes in 1usize..9,
-        chares in prop::collection::vec((0usize..8, 0u64..10_000, any::<bool>()), 0..40),
-    ) {
-        let stats = stats_from(npes, chares);
+fn max_of(loads: &[f64]) -> f64 {
+    loads.iter().cloned().fold(0.0f64, f64::max)
+}
+
+#[test]
+fn all_strategies_produce_valid_moves() {
+    for seed in 0..CASES {
+        let stats = arb_stats(&mut SplitMix64::new(seed), 1, 0, 0, 50);
         for strategy in [
             &GreedyLb as &dyn LbStrategy,
             &RefineLb::default(),
             &RotateLb,
             &RandLb::default(),
         ] {
-            let moves = strategy.assign(&stats);
-            check_valid(&stats, &moves)?;
+            check_valid(seed, &stats, &strategy.assign(&stats));
         }
     }
+}
 
-    #[test]
-    fn greedy_meets_the_lpt_guarantee_with_pinned_loads(
-        npes in 2usize..9,
-        chares in prop::collection::vec((0usize..8, 1u64..10_000, any::<bool>()), 1..40),
-    ) {
+#[test]
+fn greedy_meets_the_lpt_guarantee_with_pinned_loads() {
+    for seed in 0..CASES {
         // LPT (greedy) is a 4/3-approximation, so it may be *slightly*
         // worse than a lucky status quo; its true guarantee is
         //   max_after <= max(pinned_max, avg + biggest_movable).
-        let stats = stats_from(npes, chares);
+        let stats = arb_stats(&mut SplitMix64::new(seed), 2, 1, 1, 50);
+        let npes = stats.npes;
         let moves = GreedyLb.assign(&stats);
-        check_valid(&stats, &moves)?;
+        check_valid(seed, &stats, &moves);
         let after = loads_after(&stats, &moves);
-        let max_after = after.iter().cloned().fold(0.0f64, f64::max);
+        let max_after = max_of(&after);
         let total: f64 = after.iter().sum();
         let avg = total / npes as f64;
         let mut pinned = vec![0.0f64; npes];
@@ -81,41 +105,49 @@ proptest! {
                 pinned[c.pe] += l;
             }
         }
-        let pinned_max = pinned.iter().cloned().fold(0.0f64, f64::max);
-        let bound = (avg + biggest_movable).max(pinned_max + biggest_movable);
-        prop_assert!(max_after <= bound + 1e-9, "max {max_after} > bound {bound}");
+        let bound = (avg + biggest_movable).max(max_of(&pinned) + biggest_movable);
+        assert!(
+            max_after <= bound + 1e-9,
+            "seed {seed}: max {max_after} > bound {bound}"
+        );
     }
+}
 
-    #[test]
-    fn refine_reduces_or_keeps_max_load(
-        npes in 2usize..9,
-        chares in prop::collection::vec((0usize..8, 1u64..10_000, prop::bool::weighted(0.8)), 1..40),
-    ) {
-        let stats = stats_from(npes, chares);
+#[test]
+fn refine_reduces_or_keeps_max_load() {
+    for seed in 0..CASES {
+        let stats = arb_stats(&mut SplitMix64::new(seed), 2, 1, 1, 80);
         let moves = RefineLb::default().assign(&stats);
-        check_valid(&stats, &moves)?;
-        let max_before = stats.pe_loads().iter().cloned().fold(0.0f64, f64::max);
-        let max_after = loads_after(&stats, &moves)
-            .iter()
-            .cloned()
-            .fold(0.0f64, f64::max);
-        prop_assert!(max_after <= max_before + 1e-9, "{max_before} -> {max_after}");
+        check_valid(seed, &stats, &moves);
+        let max_before = max_of(&stats.pe_loads());
+        let max_after = max_of(&loads_after(&stats, &moves));
+        assert!(
+            max_after <= max_before + 1e-9,
+            "seed {seed}: {max_before} -> {max_after}"
+        );
     }
+}
 
-    #[test]
-    fn greedy_with_all_migratable_achieves_lpt_bound(
-        npes in 2usize..7,
-        loads in prop::collection::vec(1u64..10_000, 2..30),
-    ) {
+#[test]
+fn greedy_with_all_migratable_achieves_lpt_bound() {
+    for seed in 0..CASES {
         // Classic LPT guarantee: max <= avg * (4/3 - 1/(3m)) ... we assert
         // the weaker, always-true bound max <= avg + largest_job.
+        let mut rng = SplitMix64::new(seed);
+        let npes = 2 + rng.below(5) as usize;
+        let loads: Vec<u64> = (0..2 + rng.below(28))
+            .map(|_| 1 + rng.below(9_999))
+            .collect();
         let stats = stats_from(npes, loads.iter().map(|&l| (0, l, true)).collect());
         let moves = GreedyLb.assign(&stats);
         let after = loads_after(&stats, &moves);
         let total: f64 = after.iter().sum();
         let avg = total / npes as f64;
         let biggest = *loads.iter().max().unwrap() as f64 * 1e-6;
-        let max = after.iter().cloned().fold(0.0f64, f64::max);
-        prop_assert!(max <= avg + biggest + 1e-9, "max {max}, avg {avg}, big {biggest}");
+        let max = max_of(&after);
+        assert!(
+            max <= avg + biggest + 1e-9,
+            "seed {seed}: max {max}, avg {avg}, big {biggest}"
+        );
     }
 }

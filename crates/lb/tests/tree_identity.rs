@@ -14,29 +14,29 @@ use charm_core::prelude::*;
 use charm_core::{LbMode, RunReport, Runtime};
 use charm_lb::GreedyRefineLb;
 use charm_sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 /// AtSync worker with a deterministic, skewed, placement-independent load:
 /// `load(index, round)` depends only on the chare and the round, so both
 /// LB modes see identical stats every epoch regardless of where the
 /// balancer put the chare in earlier rounds.
-#[derive(Serialize, Deserialize)]
 struct Skew {
     round: u32,
     init: SkewInit,
 }
+wire_struct! { Skew { round, init } }
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct SkewInit {
     rounds: u32,
     nchares: u32,
     done: Future<RedData>,
 }
+wire_struct! { SkewInit { rounds, nchares, done } }
 
-#[derive(Serialize, Deserialize)]
 enum SkewMsg {
     Go,
 }
+wire_enum! { SkewMsg { Go } }
 
 impl Skew {
     fn work(&mut self, ctx: &mut Ctx) {
@@ -132,7 +132,11 @@ fn run_skew(npes: usize, nchares: u32, rounds: u32, mode: Option<LbMode>) -> (Ve
 /// placements, same epoch count.
 #[test]
 fn tree_spanning_all_pes_matches_central() {
-    let (npes, nchares, rounds) = (8, 32, 2);
+    // Eight chares per PE, so the per-PE refine limit (1.05 x average)
+    // exceeds the heaviest single chare: a chare heavier than the limit
+    // fits nowhere and stays put, and with only such chares overloading a
+    // PE neither mode would order a single migration.
+    let (npes, nchares, rounds) = (8, 64, 2);
     let (central, central_report) = run_skew(npes, nchares, rounds, None);
     let (tree, tree_report) = run_skew(
         npes,

@@ -32,7 +32,6 @@ use charm_core::prelude::*;
 use charm_core::RunReport;
 use charm_core::Runtime;
 use charm_wire::Codec;
-use serde::{Deserialize, Serialize};
 
 /// Wildcard for `recv` source (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Option<usize> = None;
@@ -69,7 +68,6 @@ pub struct RankChare {
 }
 
 /// Rank-to-rank traffic and control.
-#[derive(Serialize, Deserialize)]
 pub enum RankMsg {
     /// Launch the rank main.
     Start {
@@ -89,6 +87,7 @@ pub enum RankMsg {
         bytes: Vec<u8>,
     },
 }
+wire_enum! { RankMsg { Start { fn_idx, done }, Data { src, tag, bytes } } }
 
 const TAG_COLLECTIVE: u32 = 0xC011;
 

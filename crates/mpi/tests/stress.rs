@@ -3,8 +3,7 @@
 
 use charm_core::{Backend, RedData, Reducer, Runtime};
 use charm_sim::MachineModel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use charm_wire::SplitMix64;
 
 fn rt(npes: usize, sim: bool) -> Runtime {
     let rt = Runtime::new(npes);
@@ -23,13 +22,13 @@ fn random_all_pairs_traffic_matches_oracle() {
             let me = rank.rank();
             // Every rank derives the same global traffic plan from the seed:
             // a list of (src, dst, value) triples.
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64::new(seed);
             let plan: Vec<(usize, usize, u64)> = (0..60)
                 .map(|_| {
                     (
-                        rng.gen_range(0..n),
-                        rng.gen_range(0..n),
-                        rng.gen_range(1..1000u64),
+                        rng.below(n as u64) as usize,
+                        rng.below(n as u64) as usize,
+                        1 + rng.below(999),
                     )
                 })
                 .collect();

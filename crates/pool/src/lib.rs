@@ -33,7 +33,6 @@ use std::sync::{Mutex, OnceLock};
 
 use charm_core::prelude::*;
 use charm_wire::Codec;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Task functions
@@ -98,7 +97,6 @@ pub struct PoolWorker {
 }
 
 /// Worker entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum WorkerMsg {
     /// Start working on a job: stash the task list, request a first task.
     Start {
@@ -117,6 +115,7 @@ pub enum WorkerMsg {
         task_id: u64,
     },
 }
+wire_enum! { WorkerMsg { Start { job_id, func, tasks, master }, Apply { task_id } } }
 
 impl Chare for PoolWorker {
     type Msg = WorkerMsg;
@@ -210,7 +209,6 @@ pub struct MapManager {
 }
 
 /// Master entry methods.
-#[derive(Serialize, Deserialize)]
 pub enum ManagerMsg {
     /// Start a new map job (the paper's `map_async`).
     MapAsync {
@@ -234,6 +232,12 @@ pub enum ManagerMsg {
         /// Its encoded result.
         prev_result: Option<Vec<u8>>,
     },
+}
+wire_enum! {
+    ManagerMsg {
+        MapAsync { func, num_procs, tasks, future },
+        GetTask { src, job_id, prev_task, prev_result },
+    }
 }
 
 impl Chare for MapManager {
@@ -319,7 +323,13 @@ impl Chare for MapManager {
                 prev_task,
                 prev_result,
             } => {
-                let job = self.jobs.get_mut(&job_id).expect("task for unknown job");
+                // A worker that was slow to start can ask for its first
+                // task after its peers already finished the whole job (and
+                // the job released it): nothing left to hand out.
+                let Some(job) = self.jobs.get_mut(&job_id) else {
+                    debug_assert!(prev_task.is_none(), "result for unknown job {job_id}");
+                    return;
+                };
                 if let Some(t) = prev_task {
                     job.results[t as usize] = Some(prev_result.expect("result missing"));
                     job.done_count += 1;

@@ -10,12 +10,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::Topology;
 
 /// Cost parameters of the simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// PEs per node; PEs `[k*cpn, (k+1)*cpn)` share node `k`.
     pub cores_per_node: usize,

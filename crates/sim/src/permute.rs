@@ -3,16 +3,15 @@
 //! The dynamic race detector (charm-core `--features analyze`, DESIGN.md
 //! §6) replays one program under many delivery orders and diffs the final
 //! state. This module supplies the delivery-order permutation: a seeded
-//! xorshift64* stream jitters each message's arrival time, while a
+//! [`SplitMix64`] stream jitters each message's arrival time, while a
 //! per-channel clamp keeps every (src → dst) channel FIFO — the ordering
 //! real interconnects (and the threads backend's per-PE queues) guarantee,
 //! so only *legal* reorderings are explored: cross-channel interleavings
 //! and the arrival order of concurrent messages at one PE.
-//!
-//! No external RNG dependency: xorshift64* is four lines, deterministic,
-//! and plenty for schedule exploration.
 
 use std::collections::HashMap;
+
+use charm_wire::SplitMix64;
 
 use crate::time::VTime;
 
@@ -23,34 +22,18 @@ const MAX_JITTER_NS: u64 = 50_000;
 
 /// Deterministic, FIFO-preserving delivery-time permuter.
 pub struct PermuteSchedule {
-    state: u64,
+    rng: SplitMix64,
     /// Latest arrival time handed out per (src, dst) channel.
     last: HashMap<(usize, usize), u64>,
 }
 
 impl PermuteSchedule {
-    /// A permuter for one seed. Seed 0 is mapped to a fixed non-zero value
-    /// (xorshift has a zero fixed point); distinct seeds give distinct
-    /// schedules.
+    /// A permuter for one seed; distinct seeds give distinct schedules.
     pub fn new(seed: u64) -> PermuteSchedule {
         PermuteSchedule {
-            state: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
+            rng: SplitMix64::new(seed),
             last: HashMap::new(),
         }
-    }
-
-    /// Next raw pseudo-random value (xorshift64*).
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
     /// Jittered arrival time for a message on `(src → dst)` nominally
@@ -58,7 +41,7 @@ impl PermuteSchedule {
     /// strictly after the channel's previous arrival so per-channel FIFO
     /// order is preserved.
     pub fn delivery_time(&mut self, src: usize, dst: usize, nominal: VTime) -> VTime {
-        let jitter = self.next() % MAX_JITTER_NS;
+        let jitter = self.rng.below(MAX_JITTER_NS);
         let mut t = nominal.as_nanos() + jitter;
         let last = self.last.entry((src, dst)).or_insert(0);
         if t <= *last {

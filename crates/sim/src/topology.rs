@@ -5,10 +5,8 @@
 //! charges per-hop latency from these models; the reduction framework also
 //! uses hop counts when building topology-aware spanning trees (§IV-D).
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect topology over *nodes* (PEs map to nodes elsewhere).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
     /// Every pair of distinct nodes is one hop apart.
     Flat,

@@ -1,14 +1,22 @@
-//! Property tests of the simulation substrate: event-queue ordering and
-//! topology metric laws.
+//! Seeded property tests of the simulation substrate: event-queue ordering
+//! and topology metric laws. Every assertion names its seed.
 
 use charm_sim::{EventQueue, MachineModel, Topology, VTime};
-use proptest::prelude::*;
+use charm_wire::SplitMix64;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u64 = 128;
 
-    #[test]
-    fn queue_pops_sorted_stable(times in prop::collection::vec(0u64..1000, 0..200)) {
+/// Run `check` once per seed with a generator for that seed.
+fn for_each_seed(check: impl Fn(u64, &mut SplitMix64)) {
+    for seed in 0..CASES {
+        check(seed, &mut SplitMix64::new(seed));
+    }
+}
+
+#[test]
+fn queue_pops_sorted_stable() {
+    for_each_seed(|seed, rng| {
+        let times: Vec<u64> = (0..rng.below(200)).map(|_| rng.below(1000)).collect();
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(VTime(t), i);
@@ -17,64 +25,76 @@ proptest! {
         while let Some((t, i)) = q.pop() {
             popped.push((t, i));
         }
-        prop_assert_eq!(popped.len(), times.len());
+        assert_eq!(popped.len(), times.len(), "seed {seed}");
         // Sorted by time, FIFO within equal times.
         for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
+            assert!(w[0].0 <= w[1].0, "seed {seed}");
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "ties must pop in insertion order");
+                assert!(
+                    w[0].1 < w[1].1,
+                    "seed {seed}: ties must pop in insertion order"
+                );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn torus_hops_is_a_metric(
-        dims in (1usize..6, 1usize..6, 1usize..6),
-        a in 0usize..200,
-        b in 0usize..200,
-        c in 0usize..200,
-    ) {
-        let t = Topology::Torus3D { dims: [dims.0, dims.1, dims.2] };
-        let n = dims.0 * dims.1 * dims.2;
-        let (a, b, c) = (a % n, b % n, c % n);
+#[test]
+fn torus_hops_is_a_metric() {
+    for_each_seed(|seed, rng| {
+        let mut dim = || 1 + rng.below(5) as usize;
+        let dims = [dim(), dim(), dim()];
+        let t = Topology::Torus3D { dims };
+        let n = (dims[0] * dims[1] * dims[2]) as u64;
+        let mut node = || rng.below(n) as usize;
+        let (a, b, c) = (node(), node(), node());
         // Identity, symmetry, triangle inequality.
-        prop_assert_eq!(t.hops(a, a), 0);
-        prop_assert_eq!(t.hops(a, b), t.hops(b, a));
-        prop_assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
+        assert_eq!(t.hops(a, a), 0, "seed {seed}");
+        assert_eq!(t.hops(a, b), t.hops(b, a), "seed {seed}");
+        assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c), "seed {seed}");
         if a != b {
-            prop_assert!(t.hops(a, b) >= 1);
+            assert!(t.hops(a, b) >= 1, "seed {seed}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn dragonfly_hops_is_a_metric(
-        group in 1usize..12,
-        a in 0usize..500,
-        b in 0usize..500,
-        c in 0usize..500,
-    ) {
-        let t = Topology::Dragonfly { group_size: group };
-        prop_assert_eq!(t.hops(a, a), 0);
-        prop_assert_eq!(t.hops(a, b), t.hops(b, a));
-        prop_assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
-    }
+#[test]
+fn dragonfly_hops_is_a_metric() {
+    for_each_seed(|seed, rng| {
+        let t = Topology::Dragonfly {
+            group_size: 1 + rng.below(11) as usize,
+        };
+        let mut node = || rng.below(500) as usize;
+        let (a, b, c) = (node(), node(), node());
+        assert_eq!(t.hops(a, a), 0, "seed {seed}");
+        assert_eq!(t.hops(a, b), t.hops(b, a), "seed {seed}");
+        assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c), "seed {seed}");
+    });
+}
 
-    #[test]
-    fn msg_delay_monotone_in_size(
-        src in 0usize..64,
-        dst in 0usize..64,
-        s1 in 0usize..100_000,
-        s2 in 0usize..100_000,
-    ) {
-        let m = MachineModel::bluewaters(8);
+#[test]
+fn msg_delay_monotone_in_size() {
+    let m = MachineModel::bluewaters(8);
+    for_each_seed(|seed, rng| {
+        let (src, dst) = (rng.below(64) as usize, rng.below(64) as usize);
+        let (s1, s2) = (rng.below(100_000) as usize, rng.below(100_000) as usize);
         let (lo, hi) = (s1.min(s2), s1.max(s2));
-        prop_assert!(m.msg_delay(src, dst, lo) <= m.msg_delay(src, dst, hi));
-    }
+        assert!(
+            m.msg_delay(src, dst, lo) <= m.msg_delay(src, dst, hi),
+            "seed {seed}"
+        );
+    });
+}
 
-    #[test]
-    fn dynamic_overhead_monotone(bytes1 in 0usize..1_000_000, bytes2 in 0usize..1_000_000) {
-        let m = MachineModel::cori_knl();
-        let (lo, hi) = (bytes1.min(bytes2), bytes1.max(bytes2));
-        prop_assert!(m.dynamic_overhead(lo) <= m.dynamic_overhead(hi));
-    }
+#[test]
+fn dynamic_overhead_monotone() {
+    let m = MachineModel::cori_knl();
+    for_each_seed(|seed, rng| {
+        let (b1, b2) = (rng.below(1_000_000) as usize, rng.below(1_000_000) as usize);
+        let (lo, hi) = (b1.min(b2), b1.max(b2));
+        assert!(
+            m.dynamic_overhead(lo) <= m.dynamic_overhead(hi),
+            "seed {seed}"
+        );
+    });
 }

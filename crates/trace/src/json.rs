@@ -1,11 +1,12 @@
 //! Minimal strict JSON: an escaper for the Chrome exporter and a
 //! recursive-descent parser used by the round-trip tests.
 //!
-//! The container image has no crates-io access, so the usual `serde_json`
-//! round-trip check is performed against this parser instead. It accepts
+//! The workspace takes no registry crates, so the round-trip check runs
+//! against this parser instead of an off-the-shelf one. It accepts
 //! exactly RFC 8259 JSON (objects, arrays, strings with full escape
 //! handling including surrogate pairs, numbers, booleans, null) and
-//! rejects trailing garbage — anything it parses, `serde_json` parses too.
+//! rejects trailing garbage — anything it parses, any conforming parser
+//! parses too.
 
 use std::collections::BTreeMap;
 

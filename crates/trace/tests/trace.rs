@@ -120,9 +120,13 @@ fn chrome_export_round_trips_with_one_track_per_pe() {
     let mut kinds = std::collections::BTreeSet::new();
     for o in arr {
         let name = o.get("name").and_then(Value::as_str).unwrap_or_default();
-        if name == "thread_name" {
-            tracks.insert(o.get("tid").and_then(Value::as_f64).unwrap_or(-1.0) as i64);
-        } else if name != "process_name" {
+        // Metadata rows (`"ph":"M"`: process/thread names, `charm_stats`)
+        // carry no timestamp.
+        if o.get("ph").and_then(Value::as_str) == Some("M") {
+            if name == "thread_name" {
+                tracks.insert(o.get("tid").and_then(Value::as_f64).unwrap_or(-1.0) as i64);
+            }
+        } else {
             kinds.insert(name.to_string());
             // Every real event sits on a PE track with a µs timestamp.
             assert!(o.get("ts").and_then(Value::as_f64).is_some());

@@ -14,8 +14,8 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use serde::de::{self, Visitor};
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use crate::codec::{Reader, Wire, Writer};
+use crate::error::{Result, WireError};
 
 mod sealed {
     pub trait Sealed {}
@@ -139,34 +139,14 @@ impl<T: Scalar + fmt::Debug> fmt::Debug for Buf<T> {
     }
 }
 
-impl<T: Scalar> Serialize for Buf<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self.as_bytes())
+impl<T: Scalar> Wire for Buf<T> {
+    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+        w.put_bytes(self.as_bytes());
+        Ok(())
     }
-}
-
-struct BufVisitor<T: Scalar>(std::marker::PhantomData<T>);
-
-impl<'de, T: Scalar> Visitor<'de> for BufVisitor<T> {
-    type Value = Buf<T>;
-    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "a raw byte block holding Buf elements")
-    }
-    fn visit_bytes<E: de::Error>(self, v: &[u8]) -> Result<Buf<T>, E> {
-        Buf::from_bytes(v)
-            .ok_or_else(|| E::custom(format!("byte block of {} not element-aligned", v.len())))
-    }
-    fn visit_borrowed_bytes<E: de::Error>(self, v: &'de [u8]) -> Result<Buf<T>, E> {
-        self.visit_bytes(v)
-    }
-    fn visit_byte_buf<E: de::Error>(self, v: Vec<u8>) -> Result<Buf<T>, E> {
-        self.visit_bytes(&v)
-    }
-}
-
-impl<'de, T: Scalar> Deserialize<'de> for Buf<T> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_bytes(BufVisitor(std::marker::PhantomData))
+    fn decode<R: Reader>(r: &mut R) -> Result<Self> {
+        let bytes = r.get_bytes()?;
+        Buf::from_bytes(bytes).ok_or(WireError::InvalidLength(bytes.len() as u64))
     }
 }
 
@@ -343,6 +323,19 @@ impl fmt::Debug for WireBytes {
         } else {
             write!(f, "WireBytes({}B, {} refs)", self.len(), self.ref_count())
         }
+    }
+}
+
+/// One raw byte block under both formats, like [`Buf`]: an envelope that
+/// crosses a process boundary writes its payload straight from the shared
+/// allocation, and the receiver rebuilds one exact-size allocation.
+impl Wire for WireBytes {
+    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+        w.put_bytes(self.as_slice());
+        Ok(())
+    }
+    fn decode<R: Reader>(r: &mut R) -> Result<Self> {
+        r.get_bytes().map(WireBytes::copy_from_slice)
     }
 }
 

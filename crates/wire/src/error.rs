@@ -26,10 +26,15 @@ pub enum WireError {
     },
     /// Trailing bytes remained after decoding a complete value.
     TrailingBytes(usize),
-    /// The codec does not support this serde feature.
+    /// The value has no wire representation (a process-local handle at a
+    /// process boundary), or the input nests deeper than a reader will walk.
     Unsupported(&'static str),
-    /// Error message propagated from serde itself.
-    Custom(String),
+    /// A struct field the reading type requires was absent from the input
+    /// (self-describing format only).
+    MissingField(&'static str),
+    /// The input named a variant the reading enum (named here) does not
+    /// declare (self-describing format only).
+    UnknownVariant(&'static str),
     /// A framing-layer failure on an untrusted byte stream (bad magic,
     /// checksum mismatch, torn read, over-cap length).
     Frame(crate::frame::FrameError),
@@ -48,8 +53,9 @@ impl fmt::Display for WireError {
                 write!(f, "type mismatch: found {found}, expected {expected}")
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
-            WireError::Unsupported(what) => write!(f, "unsupported serde feature: {what}"),
-            WireError::Custom(msg) => write!(f, "{msg}"),
+            WireError::Unsupported(what) => write!(f, "not wire-representable: {what}"),
+            WireError::MissingField(name) => write!(f, "missing field `{name}`"),
+            WireError::UnknownVariant(ty) => write!(f, "unknown variant of enum `{ty}`"),
             WireError::Frame(e) => write!(f, "framing error: {e}"),
         }
     }
@@ -60,18 +66,6 @@ impl std::error::Error for WireError {}
 impl From<crate::frame::FrameError> for WireError {
     fn from(e: crate::frame::FrameError) -> Self {
         WireError::Frame(e)
-    }
-}
-
-impl serde::ser::Error for WireError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        WireError::Custom(msg.to_string())
-    }
-}
-
-impl serde::de::Error for WireError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        WireError::Custom(msg.to_string())
     }
 }
 

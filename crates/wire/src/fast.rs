@@ -1,320 +1,113 @@
-//! The *fast* codec: a compact, schema-static binary format.
+//! The *fast* format: compact and schema-static.
 //!
 //! This is the analog of Charm++'s native message packing: both sides know
 //! the message type, so nothing self-describing is written — no field names,
 //! no type tags. Integers are varint/zigzag encoded, floats are little-endian,
-//! enum variants are encoded by index.
+//! enum variants are encoded by index, struct fields are positional.
 //!
 //! The format is not self-describing: decoding with the wrong type is
 //! detected only probabilistically (usually as `Eof` or `InvalidLength`).
 
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
-
-use crate::buffer::WireBytes;
+use crate::codec::{Reader, Writer};
 use crate::error::{Result, WireError};
-use crate::pool::EncodePool;
 use crate::varint;
 
-/// Encode `value` with the fast codec.
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(64);
-    to_writer(&mut out, value)?;
-    Ok(out)
-}
-
-/// Encode `value` with the fast codec into a shared, refcounted payload.
-/// The transient encode goes through `pool`'s scratch buffer (reused across
-/// calls, so steady state pays no growth reallocation); the result is
-/// published by the pool — inline for small payloads (zero allocations),
-/// one exact-size shared allocation otherwise.
-pub fn to_shared<T: Serialize + ?Sized>(pool: &mut EncodePool, value: &T) -> Result<WireBytes> {
-    let mut scratch = pool.take();
-    let encoded = to_writer(&mut scratch, value).map(|()| pool.publish(&scratch));
-    pool.put(scratch);
-    encoded
-}
-
-/// Encode `value` with the fast codec, appending to `out`.
-pub fn to_writer<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
-    let mut ser = FastSerializer { out };
-    value.serialize(&mut ser)
-}
-
-/// Decode a value of type `T` from `bytes`, requiring all input be consumed.
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
-    let mut de = FastDeserializer { input: bytes };
-    let value = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(WireError::TrailingBytes(de.input.len()));
-    }
-    Ok(value)
-}
-
-/// Decode a value of type `T` from the front of `bytes`; returns the value
-/// and the number of bytes consumed.
-pub fn from_bytes_prefix<T: DeserializeOwned>(bytes: &[u8]) -> Result<(T, usize)> {
-    let mut de = FastDeserializer { input: bytes };
-    let value = T::deserialize(&mut de)?;
-    Ok((value, bytes.len() - de.input.len()))
-}
-
-struct FastSerializer<'a> {
+/// [`Writer`] for the fast format, appending to a byte vector.
+pub struct FastWriter<'a> {
     out: &'a mut Vec<u8>,
 }
 
-impl<'a> FastSerializer<'a> {
+impl<'a> FastWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> FastWriter<'a> {
+        FastWriter { out }
+    }
+}
+
+impl Writer for FastWriter<'_> {
     #[inline]
-    fn put_u64(&mut self, v: u64) {
+    fn put_bool(&mut self, v: bool) {
+        self.out.push(v as u8);
+    }
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.out.push(v);
+    }
+    #[inline]
+    fn put_i8(&mut self, v: i8) {
+        self.out.push(v as u8);
+    }
+    #[inline]
+    fn put_uint(&mut self, v: u64) {
         varint::write_u64(self.out, v);
     }
     #[inline]
-    fn put_i64(&mut self, v: i64) {
+    fn put_int(&mut self, v: i64) {
         varint::write_u64(self.out, varint::zigzag(v));
     }
+    fn put_u128(&mut self, v: u128) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_i128(&mut self, v: i128) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
     #[inline]
-    fn put_len(&mut self, len: usize) {
-        varint::write_u64(self.out, len as u64);
-    }
-}
-
-impl<'a, 'b> ser::Serializer for &'b mut FastSerializer<'a> {
-    type Ok = ();
-    type Error = WireError;
-    type SerializeSeq = Compound<'a, 'b>;
-    type SerializeTuple = Compound<'a, 'b>;
-    type SerializeTupleStruct = Compound<'a, 'b>;
-    type SerializeTupleVariant = Compound<'a, 'b>;
-    type SerializeMap = Compound<'a, 'b>;
-    type SerializeStruct = Compound<'a, 'b>;
-    type SerializeStructVariant = Compound<'a, 'b>;
-
-    fn serialize_bool(self, v: bool) -> Result<()> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<()> {
-        self.out.push(v as u8);
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<()> {
-        self.put_i64(v as i64);
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<()> {
-        self.put_i64(v as i64);
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<()> {
-        self.put_i64(v);
-        Ok(())
-    }
-    fn serialize_i128(self, v: i128) -> Result<()> {
+    fn put_f32(&mut self, v: f32) {
         self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
     }
-    fn serialize_u8(self, v: u8) -> Result<()> {
-        self.out.push(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<()> {
-        self.put_u64(v as u64);
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<()> {
-        self.put_u64(v as u64);
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<()> {
-        self.put_u64(v);
-        Ok(())
-    }
-    fn serialize_u128(self, v: u128) -> Result<()> {
+    #[inline]
+    fn put_f64(&mut self, v: f64) {
         self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
     }
-    fn serialize_f32(self, v: f32) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
+    fn put_char(&mut self, v: char) {
+        self.put_uint(v as u64);
     }
-    fn serialize_f64(self, v: f64) -> Result<()> {
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
+    fn put_str(&mut self, v: &str) {
+        self.put_bytes(v.as_bytes());
     }
-    fn serialize_char(self, v: char) -> Result<()> {
-        self.put_u64(v as u64);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<()> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.put_len(v.len());
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.put_uint(v.len() as u64);
         self.out.extend_from_slice(v);
-        Ok(())
     }
-    fn serialize_none(self) -> Result<()> {
-        self.out.push(0);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<()> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<()> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<()> {
-        self.put_u64(variant_index as u64);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        self.put_u64(variant_index as u64);
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Compound<'a, 'b>> {
-        let len = len.ok_or(WireError::Unsupported("seq with unknown length"))?;
-        self.put_len(len);
-        Ok(Compound { ser: self })
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a, 'b>> {
-        Ok(Compound { ser: self })
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a, 'b>> {
-        Ok(Compound { ser: self })
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a, 'b>> {
-        self.put_u64(variant_index as u64);
-        Ok(Compound { ser: self })
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Compound<'a, 'b>> {
-        let len = len.ok_or(WireError::Unsupported("map with unknown length"))?;
-        self.put_len(len);
-        Ok(Compound { ser: self })
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a, 'b>> {
-        Ok(Compound { ser: self })
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a, 'b>> {
-        self.put_u64(variant_index as u64);
-        Ok(Compound { ser: self })
-    }
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-/// Compound serializer shared by all sequence-like shapes.
-pub struct Compound<'a, 'b> {
-    ser: &'b mut FastSerializer<'a>,
-}
-
-macro_rules! impl_compound {
-    ($trait:ident, $method:ident) => {
-        impl<'a, 'b> ser::$trait for Compound<'a, 'b> {
-            type Ok = ();
-            type Error = WireError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-                value.serialize(&mut *self.ser)
-            }
-            fn end(self) -> Result<()> {
-                Ok(())
-            }
-        }
-    };
-}
-
-impl_compound!(SerializeSeq, serialize_element);
-impl_compound!(SerializeTuple, serialize_element);
-impl_compound!(SerializeTupleStruct, serialize_field);
-impl_compound!(SerializeTupleVariant, serialize_field);
-
-impl<'a, 'b> ser::SerializeMap for Compound<'a, 'b> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
-        key.serialize(&mut *self.ser)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl<'a, 'b> ser::SerializeStruct for Compound<'a, 'b> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl<'a, 'b> ser::SerializeStructVariant for Compound<'a, 'b> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
-}
-
-struct FastDeserializer<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> FastDeserializer<'de> {
     #[inline]
-    fn take(&mut self, n: usize) -> Result<&'de [u8]> {
+    fn put_unit(&mut self) {}
+    #[inline]
+    fn put_option(&mut self, some: bool) {
+        self.out.push(some as u8);
+    }
+    #[inline]
+    fn begin_seq(&mut self, len: usize) {
+        self.put_uint(len as u64);
+    }
+    #[inline]
+    fn begin_tuple(&mut self, _len: usize) {}
+    #[inline]
+    fn begin_map(&mut self, len: usize) {
+        self.put_uint(len as u64);
+    }
+    #[inline]
+    fn begin_struct(&mut self, _name: &'static str, _fields: usize) {}
+    #[inline]
+    fn field(&mut self, _name: &'static str) {}
+    #[inline]
+    fn begin_variant(&mut self, _ty: &'static str, index: u32, _variant: &'static str) {
+        self.put_uint(index as u64);
+    }
+}
+
+/// [`Reader`] for the fast format over a borrowed byte slice.
+pub struct FastReader<'a> {
+    input: &'a [u8],
+}
+
+impl<'a> FastReader<'a> {
+    /// A reader over `input`.
+    pub fn new(input: &'a [u8]) -> FastReader<'a> {
+        FastReader { input }
+    }
+
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.input.len() < n {
             return Err(WireError::Eof);
         }
@@ -322,19 +115,17 @@ impl<'de> FastDeserializer<'de> {
         self.input = tail;
         Ok(head)
     }
+
     #[inline]
-    fn get_u64(&mut self) -> Result<u64> {
-        let (v, used) = varint::read_u64(self.input)?;
-        self.input = &self.input[used..];
-        Ok(v)
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
-    #[inline]
-    fn get_i64(&mut self) -> Result<i64> {
-        Ok(varint::unzigzag(self.get_u64()?))
-    }
+
     #[inline]
     fn get_len(&mut self) -> Result<usize> {
-        let v = self.get_u64()?;
+        let v = self.get_uint()?;
         // Lengths may never exceed the remaining input (1 byte per element
         // minimum does not hold for unit-element seqs, but a sanity cap of
         // the full input length plus slack catches corrupt frames early).
@@ -343,283 +134,98 @@ impl<'de> FastDeserializer<'de> {
         }
         Ok(v as usize)
     }
+}
+
+impl Reader for FastReader<'_> {
     #[inline]
-    fn get_byte(&mut self) -> Result<u8> {
+    fn remaining(&self) -> usize {
+        self.input.len()
+    }
+    fn get_bool(&mut self) -> Result<bool> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::BadTag(other)),
+        }
+    }
+    #[inline]
+    fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
-}
-
-impl<'de> de::Deserializer<'de> for &mut FastDeserializer<'de> {
-    type Error = WireError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(WireError::Unsupported(
-            "fast codec is not self-describing (deserialize_any)",
-        ))
+    #[inline]
+    fn get_i8(&mut self) -> Result<i8> {
+        Ok(self.get_u8()? as i8)
     }
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.get_byte()? {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
-            other => Err(WireError::BadTag(other)),
-        }
+    #[inline]
+    fn get_uint(&mut self) -> Result<u64> {
+        let (v, used) = varint::read_u64(self.input)?;
+        self.input = &self.input[used..];
+        Ok(v)
     }
-    fn deserialize_i8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_i8(self.get_byte()? as i8)
+    #[inline]
+    fn get_int(&mut self) -> Result<i64> {
+        Ok(varint::unzigzag(self.get_uint()?))
     }
-    fn deserialize_i16<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_i64()?;
-        visitor.visit_i16(v.try_into().map_err(|_| WireError::TypeMismatch {
-            found: "i64 out of range",
-            expected: "i16",
-        })?)
+    fn get_u128(&mut self) -> Result<u128> {
+        Ok(u128::from_le_bytes(self.take_array()?))
     }
-    fn deserialize_i32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_i64()?;
-        visitor.visit_i32(v.try_into().map_err(|_| WireError::TypeMismatch {
-            found: "i64 out of range",
-            expected: "i32",
-        })?)
+    fn get_i128(&mut self) -> Result<i128> {
+        Ok(i128::from_le_bytes(self.take_array()?))
     }
-    fn deserialize_i64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_i64()?;
-        visitor.visit_i64(v)
+    #[inline]
+    fn get_f32(&mut self) -> Result<f32> {
+        Ok(f32::from_le_bytes(self.take_array()?))
     }
-    fn deserialize_i128<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let bytes = self.take(16)?;
-        visitor.visit_i128(i128::from_le_bytes(bytes.try_into().unwrap()))
+    #[inline]
+    fn get_f64(&mut self) -> Result<f64> {
+        Ok(f64::from_le_bytes(self.take_array()?))
     }
-    fn deserialize_u8<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_u8(self.get_byte()?)
-    }
-    fn deserialize_u16<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_u64()?;
-        visitor.visit_u16(v.try_into().map_err(|_| WireError::TypeMismatch {
-            found: "u64 out of range",
-            expected: "u16",
-        })?)
-    }
-    fn deserialize_u32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_u64()?;
-        visitor.visit_u32(v.try_into().map_err(|_| WireError::TypeMismatch {
-            found: "u64 out of range",
-            expected: "u32",
-        })?)
-    }
-    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let v = self.get_u64()?;
-        visitor.visit_u64(v)
-    }
-    fn deserialize_u128<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let bytes = self.take(16)?;
-        visitor.visit_u128(u128::from_le_bytes(bytes.try_into().unwrap()))
-    }
-    fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let bytes = self.take(4)?;
-        visitor.visit_f32(f32::from_le_bytes(bytes.try_into().unwrap()))
-    }
-    fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let bytes = self.take(8)?;
-        visitor.visit_f64(f64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let raw = self.get_u64()?;
+    fn get_char(&mut self) -> Result<char> {
+        let raw = self.get_uint()?;
         let raw32 = u32::try_from(raw).map_err(|_| WireError::BadChar(u32::MAX))?;
-        let c = char::from_u32(raw32).ok_or(WireError::BadChar(raw32))?;
-        visitor.visit_char(c)
+        char::from_u32(raw32).ok_or(WireError::BadChar(raw32))
     }
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
+    fn get_str(&mut self) -> Result<&str> {
+        std::str::from_utf8(self.get_bytes()?).map_err(|_| WireError::Utf8)
+    }
+    fn get_bytes(&mut self) -> Result<&[u8]> {
         let len = self.get_len()?;
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| WireError::Utf8)?;
-        visitor.visit_borrowed_str(s)
+        self.take(len)
     }
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        self.deserialize_str(visitor)
-    }
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.get_len()?;
-        let bytes = self.take(len)?;
-        visitor.visit_borrowed_bytes(bytes)
-    }
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        self.deserialize_bytes(visitor)
-    }
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.get_byte()? {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
-            other => Err(WireError::BadTag(other)),
-        }
-    }
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        visitor.visit_unit()
-    }
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_unit()
-    }
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_newtype_struct(self)
-    }
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.get_len()?;
-        visitor.visit_seq(SeqAccess {
-            de: self,
-            left: len,
-        })
-    }
-    fn deserialize_tuple<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
-        visitor.visit_seq(SeqAccess {
-            de: self,
-            left: len,
-        })
-    }
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_seq(SeqAccess {
-            de: self,
-            left: len,
-        })
-    }
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let len = self.get_len()?;
-        visitor.visit_map(MapAccess {
-            de: self,
-            left: len,
-        })
-    }
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_seq(SeqAccess {
-            de: self,
-            left: fields.len(),
-        })
-    }
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(WireError::Unsupported("identifier in fast codec"))
-    }
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
-        Err(WireError::Unsupported(
-            "ignored_any in fast codec (non-self-describing)",
-        ))
-    }
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-struct SeqAccess<'de, 'a> {
-    de: &'a mut FastDeserializer<'de>,
-    left: usize,
-}
-
-impl<'de, 'a> de::SeqAccess<'de> for SeqAccess<'de, 'a> {
-    type Error = WireError;
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-struct MapAccess<'de, 'a> {
-    de: &'a mut FastDeserializer<'de>,
-    left: usize,
-}
-
-impl<'de, 'a> de::MapAccess<'de> for MapAccess<'de, 'a> {
-    type Error = WireError;
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(&mut self, seed: K) -> Result<Option<K::Value>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value> {
-        seed.deserialize(&mut *self.de)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-struct EnumAccess<'de, 'a> {
-    de: &'a mut FastDeserializer<'de>,
-}
-
-impl<'de, 'a> de::EnumAccess<'de> for EnumAccess<'de, 'a> {
-    type Error = WireError;
-    type Variant = VariantAccess<'de, 'a>;
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self::Variant)> {
-        let index = self.de.get_u64()?;
-        let index = u32::try_from(index).map_err(|_| WireError::InvalidLength(index))?;
-        let value = seed.deserialize(IntoDeserializer::<WireError>::into_deserializer(index))?;
-        Ok((value, VariantAccess { de: self.de }))
-    }
-}
-
-struct VariantAccess<'de, 'a> {
-    de: &'a mut FastDeserializer<'de>,
-}
-
-impl<'de, 'a> de::VariantAccess<'de> for VariantAccess<'de, 'a> {
-    type Error = WireError;
-    fn unit_variant(self) -> Result<()> {
+    #[inline]
+    fn get_unit(&mut self) -> Result<()> {
         Ok(())
     }
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
-        seed.deserialize(self.de)
+    fn get_option(&mut self) -> Result<bool> {
+        self.get_bool()
     }
-    fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
-        visitor.visit_seq(SeqAccess {
-            de: self.de,
-            left: len,
-        })
+    fn begin_seq(&mut self) -> Result<usize> {
+        self.get_len()
     }
-    fn struct_variant<V: Visitor<'de>>(
-        self,
+    #[inline]
+    fn begin_tuple(&mut self, _len: usize) -> Result<()> {
+        Ok(())
+    }
+    fn begin_map(&mut self) -> Result<usize> {
+        self.get_len()
+    }
+    #[inline]
+    fn begin_struct(
+        &mut self,
+        _name: &'static str,
         fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_seq(SeqAccess {
-            de: self.de,
-            left: fields.len(),
-        })
+    ) -> Result<usize> {
+        Ok(fields.len())
+    }
+    #[inline]
+    fn field(&mut self, i: usize, _fields: &'static [&'static str]) -> Result<Option<usize>> {
+        Ok(Some(i))
+    }
+    fn variant(&mut self, _ty: &'static str, variants: &'static [&'static str]) -> Result<u32> {
+        let index = self.get_uint()?;
+        if index >= variants.len() as u64 {
+            return Err(WireError::InvalidLength(index));
+        }
+        Ok(index as u32)
     }
 }

@@ -1,20 +1,17 @@
-//! The *pickle* codec: a self-describing tagged binary format.
+//! The *pickle* format: self-describing and name-carrying.
 //!
 //! This is the analog of Python's pickle as used by CharmPy for arbitrary
 //! method arguments (paper §IV-B): every value carries a type tag, structs
 //! carry their type and field names, and enums carry variant names. Decoding
-//! allocates and compares those names, which makes this codec genuinely
-//! slower than [`crate::fast`] — the same relationship pickle has to
-//! Charm++'s native packing. The dynamic dispatch mode of the runtime uses
-//! this codec; the ablation benches compare the two directly.
+//! compares those names (so a reader may declare fields in another order,
+//! or not at all), which makes this format genuinely slower than
+//! [`crate::fast`] — the same relationship pickle has to Charm++'s native
+//! packing. The dynamic dispatch mode of the runtime uses this format; the
+//! ablation benches compare the two directly.
 
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
-
-use crate::buffer::WireBytes;
+use crate::codec::{Reader, Writer};
 use crate::error::{Result, WireError};
-use crate::pool::EncodePool;
-use crate::varint;
+use crate::fast::{FastReader, FastWriter};
 
 // Type tags. Every serialized value begins with one of these.
 const T_UNIT: u8 = 0x00;
@@ -36,647 +33,312 @@ const T_NONE: u8 = 0x0f;
 const T_I128: u8 = 0x10; // 16 LE bytes
 const T_U128: u8 = 0x11; // 16 LE bytes
 
-/// Encode `value` with the pickle codec.
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(128);
-    to_writer(&mut out, value)?;
-    Ok(out)
+/// Human name of each tag, indexed by tag value (for `TypeMismatch`).
+const TAG_NAMES: [&str; 18] = [
+    "unit", "bool", "bool", "int", "uint", "f32", "f64", "char", "str", "bytes", "list", "map",
+    "struct", "enum", "some", "none", "i128", "u128",
+];
+
+/// Deepest nesting [`PickleReader`] will walk while skipping a value the
+/// reading type does not declare; hostile nesting ends in a typed error
+/// instead of exhausting the stack.
+const MAX_SKIP_DEPTH: u32 = 64;
+
+/// [`Writer`] for the pickle format, appending to a byte vector: a tag,
+/// then the value exactly as the fast format writes it.
+pub struct PickleWriter<'a> {
+    raw: FastWriter<'a>,
 }
 
-/// Encode `value` with the pickle codec, appending to `out`.
-pub fn to_writer<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<()> {
-    let mut ser = PickleSerializer { out };
-    value.serialize(&mut ser)
-}
-
-/// Encode `value` with the pickle codec into a shared, refcounted payload,
-/// serializing through `pool`'s reusable scratch buffer. The pool publishes
-/// the result: inline when small, one shared allocation otherwise.
-pub fn to_shared<T: Serialize + ?Sized>(pool: &mut EncodePool, value: &T) -> Result<WireBytes> {
-    let mut scratch = pool.take();
-    let encoded = to_writer(&mut scratch, value).map(|()| pool.publish(&scratch));
-    pool.put(scratch);
-    encoded
-}
-
-/// Decode a value of type `T` from `bytes`, requiring all input be consumed.
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
-    let mut de = PickleDeserializer { input: bytes };
-    let value = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(WireError::TrailingBytes(de.input.len()));
-    }
-    Ok(value)
-}
-
-fn write_raw_str(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct PickleSerializer<'a> {
-    out: &'a mut Vec<u8>,
-}
-
-impl<'a, 'b> ser::Serializer for &'b mut PickleSerializer<'a> {
-    type Ok = ();
-    type Error = WireError;
-    type SerializeSeq = PCompound<'a, 'b>;
-    type SerializeTuple = PCompound<'a, 'b>;
-    type SerializeTupleStruct = PCompound<'a, 'b>;
-    type SerializeTupleVariant = PCompound<'a, 'b>;
-    type SerializeMap = PCompound<'a, 'b>;
-    type SerializeStruct = PCompound<'a, 'b>;
-    type SerializeStructVariant = PCompound<'a, 'b>;
-
-    fn serialize_bool(self, v: bool) -> Result<()> {
-        self.out.push(if v { T_TRUE } else { T_FALSE });
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<()> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i16(self, v: i16) -> Result<()> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i32(self, v: i32) -> Result<()> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i64(self, v: i64) -> Result<()> {
-        self.out.push(T_INT);
-        varint::write_u64(self.out, varint::zigzag(v));
-        Ok(())
-    }
-    fn serialize_i128(self, v: i128) -> Result<()> {
-        self.out.push(T_I128);
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<()> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u16(self, v: u16) -> Result<()> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u32(self, v: u32) -> Result<()> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u64(self, v: u64) -> Result<()> {
-        self.out.push(T_UINT);
-        varint::write_u64(self.out, v);
-        Ok(())
-    }
-    fn serialize_u128(self, v: u128) -> Result<()> {
-        self.out.push(T_U128);
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<()> {
-        self.out.push(T_F32);
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<()> {
-        self.out.push(T_F64);
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<()> {
-        self.out.push(T_CHAR);
-        varint::write_u64(self.out, v as u64);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<()> {
-        self.out.push(T_STR);
-        write_raw_str(self.out, v);
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.out.push(T_BYTES);
-        varint::write_u64(self.out, v.len() as u64);
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<()> {
-        self.out.push(T_NONE);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.out.push(T_SOME);
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<()> {
-        self.out.push(T_UNIT);
-        Ok(())
-    }
-    fn serialize_unit_struct(self, name: &'static str) -> Result<()> {
-        self.out.push(T_STRUCT);
-        write_raw_str(self.out, name);
-        varint::write_u64(self.out, 0);
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-    ) -> Result<()> {
-        self.out.push(T_ENUM);
-        write_raw_str(self.out, name);
-        write_raw_str(self.out, variant);
-        self.out.push(T_UNIT);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        self.out.push(T_ENUM);
-        write_raw_str(self.out, name);
-        write_raw_str(self.out, variant);
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<PCompound<'a, 'b>> {
-        let len = len.ok_or(WireError::Unsupported("seq with unknown length"))?;
-        self.out.push(T_LIST);
-        varint::write_u64(self.out, len as u64);
-        Ok(PCompound { ser: self })
-    }
-    fn serialize_tuple(self, len: usize) -> Result<PCompound<'a, 'b>> {
-        self.out.push(T_LIST);
-        varint::write_u64(self.out, len as u64);
-        Ok(PCompound { ser: self })
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, len: usize) -> Result<PCompound<'a, 'b>> {
-        self.serialize_tuple(len)
-    }
-    fn serialize_tuple_variant(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<PCompound<'a, 'b>> {
-        self.out.push(T_ENUM);
-        write_raw_str(self.out, name);
-        write_raw_str(self.out, variant);
-        self.out.push(T_LIST);
-        varint::write_u64(self.out, len as u64);
-        Ok(PCompound { ser: self })
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<PCompound<'a, 'b>> {
-        let len = len.ok_or(WireError::Unsupported("map with unknown length"))?;
-        self.out.push(T_MAP);
-        varint::write_u64(self.out, len as u64);
-        Ok(PCompound { ser: self })
-    }
-    fn serialize_struct(self, name: &'static str, len: usize) -> Result<PCompound<'a, 'b>> {
-        self.out.push(T_STRUCT);
-        write_raw_str(self.out, name);
-        varint::write_u64(self.out, len as u64);
-        Ok(PCompound { ser: self })
-    }
-    fn serialize_struct_variant(
-        self,
-        name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<PCompound<'a, 'b>> {
-        self.out.push(T_ENUM);
-        write_raw_str(self.out, name);
-        write_raw_str(self.out, variant);
-        // Struct-variant payload reuses the struct encoding with the variant
-        // name standing in for the struct name.
-        self.out.push(T_STRUCT);
-        write_raw_str(self.out, variant);
-        varint::write_u64(self.out, len as u64);
-        Ok(PCompound { ser: self })
-    }
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-/// Compound serializer shared by all pickle container shapes.
-pub struct PCompound<'a, 'b> {
-    ser: &'b mut PickleSerializer<'a>,
-}
-
-macro_rules! impl_pcompound {
-    ($trait:ident, $method:ident) => {
-        impl<'a, 'b> ser::$trait for PCompound<'a, 'b> {
-            type Ok = ();
-            type Error = WireError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-                value.serialize(&mut *self.ser)
-            }
-            fn end(self) -> Result<()> {
-                Ok(())
-            }
+impl<'a> PickleWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> PickleWriter<'a> {
+        PickleWriter {
+            raw: FastWriter::new(out),
         }
-    };
-}
-
-impl_pcompound!(SerializeSeq, serialize_element);
-impl_pcompound!(SerializeTuple, serialize_element);
-impl_pcompound!(SerializeTupleStruct, serialize_field);
-impl_pcompound!(SerializeTupleVariant, serialize_field);
-
-impl<'a, 'b> ser::SerializeMap for PCompound<'a, 'b> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
-        key.serialize(&mut *self.ser)
     }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<()> {
-        Ok(())
+
+    fn tag(&mut self, tag: u8) -> &mut FastWriter<'a> {
+        self.raw.put_u8(tag);
+        &mut self.raw
     }
 }
 
-impl<'a, 'b> ser::SerializeStruct for PCompound<'a, 'b> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        write_raw_str(self.ser.out, key);
-        value.serialize(&mut *self.ser)
+impl Writer for PickleWriter<'_> {
+    fn put_bool(&mut self, v: bool) {
+        self.tag(if v { T_TRUE } else { T_FALSE });
     }
-    fn end(self) -> Result<()> {
-        Ok(())
+    fn put_u8(&mut self, v: u8) {
+        self.put_uint(v as u64);
+    }
+    fn put_i8(&mut self, v: i8) {
+        self.put_int(v as i64);
+    }
+    fn put_uint(&mut self, v: u64) {
+        self.tag(T_UINT).put_uint(v);
+    }
+    fn put_int(&mut self, v: i64) {
+        self.tag(T_INT).put_int(v);
+    }
+    fn put_u128(&mut self, v: u128) {
+        self.tag(T_U128).put_u128(v);
+    }
+    fn put_i128(&mut self, v: i128) {
+        self.tag(T_I128).put_i128(v);
+    }
+    fn put_f32(&mut self, v: f32) {
+        self.tag(T_F32).put_f32(v);
+    }
+    fn put_f64(&mut self, v: f64) {
+        self.tag(T_F64).put_f64(v);
+    }
+    fn put_char(&mut self, v: char) {
+        self.tag(T_CHAR).put_char(v);
+    }
+    fn put_str(&mut self, v: &str) {
+        self.tag(T_STR).put_str(v);
+    }
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.tag(T_BYTES).put_bytes(v);
+    }
+    fn put_unit(&mut self) {
+        self.tag(T_UNIT);
+    }
+    fn put_option(&mut self, some: bool) {
+        self.tag(if some { T_SOME } else { T_NONE });
+    }
+    fn begin_seq(&mut self, len: usize) {
+        self.tag(T_LIST).put_uint(len as u64);
+    }
+    fn begin_tuple(&mut self, len: usize) {
+        self.begin_seq(len);
+    }
+    fn begin_map(&mut self, len: usize) {
+        self.tag(T_MAP).put_uint(len as u64);
+    }
+    fn begin_struct(&mut self, name: &'static str, fields: usize) {
+        // Names (struct, field, enum, variant) are untagged strings.
+        self.tag(T_STRUCT).put_str(name);
+        self.raw.put_uint(fields as u64);
+    }
+    fn field(&mut self, name: &'static str) {
+        self.raw.put_str(name);
+    }
+    fn begin_variant(&mut self, ty: &'static str, _index: u32, variant: &'static str) {
+        self.tag(T_ENUM).put_str(ty);
+        self.raw.put_str(variant);
     }
 }
 
-impl<'a, 'b> ser::SerializeStructVariant for PCompound<'a, 'b> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<()> {
-        write_raw_str(self.ser.out, key);
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<()> {
-        Ok(())
-    }
+/// [`Reader`] for the pickle format over a borrowed byte slice: checks the
+/// tag, then reads the value exactly as the fast format does.
+pub struct PickleReader<'a> {
+    raw: FastReader<'a>,
 }
 
-struct PickleDeserializer<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> PickleDeserializer<'de> {
-    #[inline]
-    fn take(&mut self, n: usize) -> Result<&'de [u8]> {
-        if self.input.len() < n {
-            return Err(WireError::Eof);
+impl<'a> PickleReader<'a> {
+    /// A reader over `input`.
+    pub fn new(input: &'a [u8]) -> PickleReader<'a> {
+        PickleReader {
+            raw: FastReader::new(input),
         }
-        let (head, tail) = self.input.split_at(n);
-        self.input = tail;
-        Ok(head)
-    }
-    #[inline]
-    fn get_u64(&mut self) -> Result<u64> {
-        let (v, used) = varint::read_u64(self.input)?;
-        self.input = &self.input[used..];
-        Ok(v)
-    }
-    #[inline]
-    fn get_byte(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    #[inline]
-    fn peek_byte(&self) -> Result<u8> {
-        self.input.first().copied().ok_or(WireError::Eof)
-    }
-    fn get_raw_str(&mut self) -> Result<&'de str> {
-        let len = self.get_u64()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| WireError::Utf8)
     }
 
-    /// Parse one tagged value and feed it to `visitor`. This is the heart of
-    /// the self-describing decoder; all typed entry points delegate here.
-    fn parse_value<V: Visitor<'de>>(&mut self, visitor: V) -> Result<V::Value> {
-        let tag = self.get_byte()?;
-        match tag {
-            T_UNIT => visitor.visit_unit(),
-            T_FALSE => visitor.visit_bool(false),
-            T_TRUE => visitor.visit_bool(true),
-            T_INT => {
-                let v = varint::unzigzag(self.get_u64()?);
-                visitor.visit_i64(v)
-            }
-            T_UINT => {
-                let v = self.get_u64()?;
-                visitor.visit_u64(v)
-            }
-            T_F32 => {
-                let bytes = self.take(4)?;
-                visitor.visit_f32(f32::from_le_bytes(bytes.try_into().unwrap()))
-            }
-            T_F64 => {
-                let bytes = self.take(8)?;
-                visitor.visit_f64(f64::from_le_bytes(bytes.try_into().unwrap()))
+    /// A count of things that each occupy at least one input byte, so a
+    /// count past the remaining input is a lie, not a big value.
+    fn len(&mut self) -> Result<usize> {
+        let v = self.raw.get_uint()?;
+        if v > self.raw.remaining() as u64 {
+            return Err(WireError::InvalidLength(v));
+        }
+        Ok(v as usize)
+    }
+
+    fn tag(&mut self) -> Result<u8> {
+        let t = self.raw.get_u8()?;
+        if t as usize >= TAG_NAMES.len() {
+            return Err(WireError::BadTag(t));
+        }
+        Ok(t)
+    }
+
+    /// Consume the tag `want` (or report what was there instead) and hand
+    /// back the untagged reader for the value.
+    fn expect(&mut self, want: u8) -> Result<&mut FastReader<'a>> {
+        let t = self.tag()?;
+        if t != want {
+            return Err(WireError::TypeMismatch {
+                found: TAG_NAMES[t as usize],
+                expected: TAG_NAMES[want as usize],
+            });
+        }
+        Ok(&mut self.raw)
+    }
+
+    /// Walk past one tagged value of any shape.
+    fn skip(&mut self, depth: u32) -> Result<()> {
+        if depth > MAX_SKIP_DEPTH {
+            return Err(WireError::Unsupported("value nested too deeply to skip"));
+        }
+        match self.tag()? {
+            T_UNIT | T_FALSE | T_TRUE | T_NONE => {}
+            T_INT | T_UINT => {
+                self.raw.get_uint()?;
             }
             T_CHAR => {
-                let raw = self.get_u64()?;
-                let raw32 = u32::try_from(raw).map_err(|_| WireError::BadChar(u32::MAX))?;
-                let c = char::from_u32(raw32).ok_or(WireError::BadChar(raw32))?;
-                visitor.visit_char(c)
+                self.raw.get_char()?;
+            }
+            T_F32 => {
+                self.raw.take(4)?;
+            }
+            T_F64 => {
+                self.raw.take(8)?;
+            }
+            T_I128 | T_U128 => {
+                self.raw.take(16)?;
             }
             T_STR => {
-                let s = self.get_raw_str()?;
-                visitor.visit_borrowed_str(s)
+                self.raw.get_str()?;
             }
             T_BYTES => {
-                let len = self.get_u64()? as usize;
-                let bytes = self.take(len)?;
-                visitor.visit_borrowed_bytes(bytes)
+                self.raw.get_bytes()?;
             }
+            T_SOME => self.skip(depth + 1)?,
             T_LIST => {
-                let len = self.get_u64()? as usize;
-                visitor.visit_seq(PSeqAccess {
-                    de: self,
-                    left: len,
-                })
+                for _ in 0..self.len()? {
+                    self.skip(depth + 1)?;
+                }
             }
             T_MAP => {
-                let len = self.get_u64()? as usize;
-                visitor.visit_map(PMapAccess {
-                    de: self,
-                    left: len,
-                    struct_mode: false,
-                })
+                for _ in 0..self.len()? {
+                    self.skip(depth + 1)?;
+                    self.skip(depth + 1)?;
+                }
             }
             T_STRUCT => {
-                let _name = self.get_raw_str()?;
-                let len = self.get_u64()? as usize;
-                visitor.visit_map(PMapAccess {
-                    de: self,
-                    left: len,
-                    struct_mode: true,
-                })
+                self.raw.get_str()?;
+                for _ in 0..self.len()? {
+                    self.raw.get_str()?;
+                    self.skip(depth + 1)?;
+                }
             }
             T_ENUM => {
-                let _name = self.get_raw_str()?;
-                visitor.visit_enum(PEnumAccess { de: self })
+                self.raw.get_str()?;
+                self.raw.get_str()?;
+                self.skip(depth + 1)?;
             }
-            T_SOME => visitor.visit_some(self),
-            T_NONE => visitor.visit_none(),
-            T_I128 => {
-                let bytes = self.take(16)?;
-                visitor.visit_i128(i128::from_le_bytes(bytes.try_into().unwrap()))
-            }
-            T_U128 => {
-                let bytes = self.take(16)?;
-                visitor.visit_u128(u128::from_le_bytes(bytes.try_into().unwrap()))
-            }
-            other => Err(WireError::BadTag(other)),
+            // `tag()` admits only the tags named above.
+            other => return Err(WireError::BadTag(other)),
+        }
+        Ok(())
+    }
+}
+
+impl Reader for PickleReader<'_> {
+    fn remaining(&self) -> usize {
+        self.raw.remaining()
+    }
+    fn get_bool(&mut self) -> Result<bool> {
+        match self.tag()? {
+            T_FALSE => Ok(false),
+            T_TRUE => Ok(true),
+            t => Err(WireError::TypeMismatch {
+                found: TAG_NAMES[t as usize],
+                expected: "bool",
+            }),
         }
     }
-}
-
-macro_rules! forward_to_parse_value {
-    ($($method:ident)*) => {
-        $(fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-            self.parse_value(visitor)
-        })*
-    };
-}
-
-impl<'de> de::Deserializer<'de> for &mut PickleDeserializer<'de> {
-    type Error = WireError;
-
-    forward_to_parse_value! {
-        deserialize_any deserialize_bool
-        deserialize_i8 deserialize_i16 deserialize_i32 deserialize_i64 deserialize_i128
-        deserialize_u8 deserialize_u16 deserialize_u32 deserialize_u64 deserialize_u128
-        deserialize_f32 deserialize_f64 deserialize_char
-        deserialize_str deserialize_string
-        deserialize_bytes deserialize_byte_buf
-        deserialize_unit deserialize_seq deserialize_map
-        deserialize_ignored_any
+    fn get_u8(&mut self) -> Result<u8> {
+        u8::try_from(self.get_uint()?).map_err(|_| WireError::TypeMismatch {
+            found: "integer out of range",
+            expected: "u8",
+        })
     }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        match self.peek_byte()? {
-            T_NONE => {
-                self.get_byte()?;
-                visitor.visit_none()
-            }
-            T_SOME => {
-                self.get_byte()?;
-                visitor.visit_some(self)
-            }
-            _ => Err(WireError::TypeMismatch {
-                found: "non-option tag",
+    fn get_i8(&mut self) -> Result<i8> {
+        i8::try_from(self.get_int()?).map_err(|_| WireError::TypeMismatch {
+            found: "integer out of range",
+            expected: "i8",
+        })
+    }
+    fn get_uint(&mut self) -> Result<u64> {
+        self.expect(T_UINT)?.get_uint()
+    }
+    fn get_int(&mut self) -> Result<i64> {
+        self.expect(T_INT)?.get_int()
+    }
+    fn get_u128(&mut self) -> Result<u128> {
+        self.expect(T_U128)?.get_u128()
+    }
+    fn get_i128(&mut self) -> Result<i128> {
+        self.expect(T_I128)?.get_i128()
+    }
+    fn get_f32(&mut self) -> Result<f32> {
+        self.expect(T_F32)?.get_f32()
+    }
+    fn get_f64(&mut self) -> Result<f64> {
+        self.expect(T_F64)?.get_f64()
+    }
+    fn get_char(&mut self) -> Result<char> {
+        self.expect(T_CHAR)?.get_char()
+    }
+    fn get_str(&mut self) -> Result<&str> {
+        self.expect(T_STR)?.get_str()
+    }
+    fn get_bytes(&mut self) -> Result<&[u8]> {
+        self.expect(T_BYTES)?.get_bytes()
+    }
+    fn get_unit(&mut self) -> Result<()> {
+        self.expect(T_UNIT).map(drop)
+    }
+    fn get_option(&mut self) -> Result<bool> {
+        match self.tag()? {
+            T_NONE => Ok(false),
+            T_SOME => Ok(true),
+            t => Err(WireError::TypeMismatch {
+                found: TAG_NAMES[t as usize],
                 expected: "option",
             }),
         }
     }
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        // Encoded as an empty struct; accept it and yield unit.
-        let tag = self.get_byte()?;
-        if tag != T_STRUCT {
-            return Err(WireError::TypeMismatch {
-                found: "non-struct tag",
-                expected: "unit struct",
-            });
-        }
-        let _name = self.get_raw_str()?;
-        let len = self.get_u64()?;
-        if len != 0 {
-            return Err(WireError::InvalidLength(len));
-        }
-        visitor.visit_unit()
+    fn begin_seq(&mut self) -> Result<usize> {
+        self.expect(T_LIST)?;
+        self.len()
     }
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value> {
-        visitor.visit_newtype_struct(self)
-    }
-    fn deserialize_tuple<V: Visitor<'de>>(self, _len: usize, visitor: V) -> Result<V::Value> {
-        self.parse_value(visitor)
-    }
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _len: usize,
-        visitor: V,
-    ) -> Result<V::Value> {
-        self.parse_value(visitor)
-    }
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        self.parse_value(visitor)
-    }
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        let tag = self.get_byte()?;
-        if tag != T_ENUM {
-            return Err(WireError::TypeMismatch {
-                found: "non-enum tag",
-                expected: "enum",
-            });
-        }
-        let _name = self.get_raw_str()?;
-        visitor.visit_enum(PEnumAccess { de: self })
-    }
-    fn deserialize_identifier<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let s = self.get_raw_str()?;
-        visitor.visit_borrowed_str(s)
-    }
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-struct PSeqAccess<'de, 'a> {
-    de: &'a mut PickleDeserializer<'de>,
-    left: usize,
-}
-
-impl<'de, 'a> de::SeqAccess<'de> for PSeqAccess<'de, 'a> {
-    type Error = WireError;
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-struct PMapAccess<'de, 'a> {
-    de: &'a mut PickleDeserializer<'de>,
-    left: usize,
-    /// In struct mode keys are raw (untagged) field-name strings.
-    struct_mode: bool,
-}
-
-impl<'de, 'a> de::MapAccess<'de> for PMapAccess<'de, 'a> {
-    type Error = WireError;
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(&mut self, seed: K) -> Result<Option<K::Value>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        if self.struct_mode {
-            seed.deserialize(FieldNameDeserializer { de: &mut *self.de })
-                .map(Some)
-        } else {
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-    }
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value> {
-        seed.deserialize(&mut *self.de)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
-    }
-}
-
-/// Deserializer for raw (untagged) field-name strings inside structs.
-struct FieldNameDeserializer<'de, 'a> {
-    de: &'a mut PickleDeserializer<'de>,
-}
-
-impl<'de, 'a> de::Deserializer<'de> for FieldNameDeserializer<'de, 'a> {
-    type Error = WireError;
-    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
-        let s = self.de.get_raw_str()?;
-        visitor.visit_borrowed_str(s)
-    }
-    serde::forward_to_deserialize_any! {
-        bool i8 i16 i32 i64 i128 u8 u16 u32 u64 u128 f32 f64 char str string
-        bytes byte_buf option unit unit_struct newtype_struct seq tuple
-        tuple_struct map struct enum identifier ignored_any
-    }
-}
-
-struct PEnumAccess<'de, 'a> {
-    de: &'a mut PickleDeserializer<'de>,
-}
-
-impl<'de, 'a> de::EnumAccess<'de> for PEnumAccess<'de, 'a> {
-    type Error = WireError;
-    type Variant = PVariantAccess<'de, 'a>;
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self::Variant)> {
-        let variant = self.de.get_raw_str()?;
-        let value = seed.deserialize(IntoDeserializer::<WireError>::into_deserializer(variant))?;
-        Ok((value, PVariantAccess { de: self.de }))
-    }
-}
-
-struct PVariantAccess<'de, 'a> {
-    de: &'a mut PickleDeserializer<'de>,
-}
-
-impl<'de, 'a> de::VariantAccess<'de> for PVariantAccess<'de, 'a> {
-    type Error = WireError;
-    fn unit_variant(self) -> Result<()> {
-        let tag = self.de.get_byte()?;
-        if tag != T_UNIT {
-            return Err(WireError::TypeMismatch {
-                found: "non-unit payload",
-                expected: "unit variant",
-            });
+    fn begin_tuple(&mut self, len: usize) -> Result<()> {
+        let found = self.expect(T_LIST)?.get_uint()?;
+        if found != len as u64 {
+            return Err(WireError::InvalidLength(found));
         }
         Ok(())
     }
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
-        seed.deserialize(self.de)
+    fn begin_map(&mut self) -> Result<usize> {
+        self.expect(T_MAP)?;
+        self.len()
     }
-    fn tuple_variant<V: Visitor<'de>>(self, _len: usize, visitor: V) -> Result<V::Value> {
-        self.de.parse_value(visitor)
-    }
-    fn struct_variant<V: Visitor<'de>>(
-        self,
+    fn begin_struct(
+        &mut self,
+        _name: &'static str,
         _fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value> {
-        self.de.parse_value(visitor)
+    ) -> Result<usize> {
+        // Like pickle's dict-based state, the struct name is informational.
+        self.expect(T_STRUCT)?.get_str()?;
+        self.len()
+    }
+    fn field(&mut self, _i: usize, fields: &'static [&'static str]) -> Result<Option<usize>> {
+        let name = self.raw.get_str()?;
+        let found = fields.iter().position(|f| *f == name);
+        if found.is_none() {
+            self.skip(0)?;
+        }
+        Ok(found)
+    }
+    fn variant(&mut self, ty: &'static str, variants: &'static [&'static str]) -> Result<u32> {
+        self.expect(T_ENUM)?.get_str()?;
+        let name = self.raw.get_str()?;
+        variants
+            .iter()
+            .position(|v| *v == name)
+            .map(|i| i as u32)
+            .ok_or(WireError::UnknownVariant(ty))
     }
 }

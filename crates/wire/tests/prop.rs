@@ -1,12 +1,13 @@
-//! Property-based tests: arbitrary values roundtrip through both codecs,
-//! and arbitrary byte soup never panics the decoders.
+//! Seeded property tests: arbitrary values roundtrip through both codecs,
+//! and arbitrary byte soup never panics the decoders. Every assertion
+//! names the seed that produced its input.
 
-use charm_wire::{Buf, Codec};
-use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use charm_wire::{wire_enum, Buf, Codec, SplitMix64};
 use std::collections::BTreeMap;
 
-#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+const CASES: u64 = 256;
+
+#[derive(PartialEq, Debug, Clone)]
 enum ArbMsg {
     Unit,
     Num(i64),
@@ -21,86 +22,160 @@ enum ArbMsg {
     Table(BTreeMap<String, i32>),
     Opt(Option<Box<ArbMsg>>),
 }
-
-fn arb_msg() -> impl Strategy<Value = ArbMsg> {
-    let leaf = prop_oneof![
-        Just(ArbMsg::Unit),
-        any::<i64>().prop_map(ArbMsg::Num),
-        // Avoid NaN: PartialEq comparison would fail spuriously.
-        prop::num::f64::NORMAL.prop_map(ArbMsg::Float),
-        ".{0,24}".prop_map(ArbMsg::Text),
-        (
-            any::<u32>(),
-            prop::collection::vec(any::<u8>(), 0..32),
-            any::<bool>()
-        )
-            .prop_map(|(id, payload, flag)| ArbMsg::Record { id, payload, flag }),
-        prop::collection::btree_map("[a-z]{0,6}", any::<i32>(), 0..6).prop_map(ArbMsg::Table),
-    ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..4).prop_map(ArbMsg::List),
-            prop::option::of(inner.prop_map(Box::new)).prop_map(ArbMsg::Opt),
-        ]
-    })
+wire_enum! {
+    ArbMsg {
+        Unit,
+        Num(a),
+        Float(a),
+        Text(a),
+        List(a),
+        Record { id, payload, flag },
+        Table(a),
+        Opt(a),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// A finite, non-NaN float of any magnitude (NaN would fail `PartialEq`
+/// spuriously).
+fn arb_f64(rng: &mut SplitMix64) -> f64 {
+    loop {
+        let f = f64::from_bits(rng.next_u64());
+        if f.is_finite() {
+            return f;
+        }
+    }
+}
 
-    #[test]
-    fn roundtrip_fast(msg in arb_msg()) {
+fn arb_text(rng: &mut SplitMix64, max: u64) -> String {
+    (0..rng.below(max + 1))
+        .map(|_| char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{1F980}'))
+        .collect()
+}
+
+fn arb_bytes(rng: &mut SplitMix64, max: u64) -> Vec<u8> {
+    (0..rng.below(max)).map(|_| rng.next_u64() as u8).collect()
+}
+
+fn arb_msg(rng: &mut SplitMix64, depth: u32) -> ArbMsg {
+    // Leaves only at the depth limit; containers otherwise share the draw.
+    match rng.below(if depth == 0 { 6 } else { 8 }) {
+        0 => ArbMsg::Unit,
+        1 => ArbMsg::Num(rng.next_u64() as i64),
+        2 => ArbMsg::Float(arb_f64(rng)),
+        3 => ArbMsg::Text(arb_text(rng, 24)),
+        4 => ArbMsg::Record {
+            id: rng.next_u64() as u32,
+            payload: arb_bytes(rng, 32),
+            flag: rng.below(2) == 1,
+        },
+        5 => ArbMsg::Table(
+            (0..rng.below(6))
+                .map(|_| {
+                    let key = (0..rng.below(7))
+                        .map(|_| (b'a' + rng.below(26) as u8) as char)
+                        .collect();
+                    (key, rng.next_u64() as i32)
+                })
+                .collect(),
+        ),
+        6 => ArbMsg::List((0..rng.below(4)).map(|_| arb_msg(rng, depth - 1)).collect()),
+        _ => ArbMsg::Opt(match rng.below(2) {
+            0 => None,
+            _ => Some(Box::new(arb_msg(rng, depth - 1))),
+        }),
+    }
+}
+
+/// Run `check` on one generated message per seed.
+fn for_each_msg(check: impl Fn(u64, ArbMsg)) {
+    for seed in 0..CASES {
+        check(seed, arb_msg(&mut SplitMix64::new(seed), 3));
+    }
+}
+
+#[test]
+fn roundtrip_fast() {
+    for_each_msg(|seed, msg| {
         let bytes = Codec::Fast.encode(&msg).unwrap();
         let back: ArbMsg = Codec::Fast.decode(&bytes).unwrap();
-        prop_assert_eq!(back, msg);
-    }
+        assert_eq!(back, msg, "seed {seed}");
+    });
+}
 
-    #[test]
-    fn roundtrip_pickle(msg in arb_msg()) {
+#[test]
+fn roundtrip_pickle() {
+    for_each_msg(|seed, msg| {
         let bytes = Codec::Pickle.encode(&msg).unwrap();
         let back: ArbMsg = Codec::Pickle.decode(&bytes).unwrap();
-        prop_assert_eq!(back, msg);
-    }
+        assert_eq!(back, msg, "seed {seed}");
+    });
+}
 
-    #[test]
-    fn fast_never_larger_than_pickle(msg in arb_msg()) {
+#[test]
+fn fast_never_larger_than_pickle() {
+    for_each_msg(|seed, msg| {
         let f = Codec::Fast.encode(&msg).unwrap();
         let p = Codec::Pickle.encode(&msg).unwrap();
-        prop_assert!(f.len() <= p.len(),
-            "fast {} > pickle {} for {:?}", f.len(), p.len(), msg);
-    }
+        assert!(
+            f.len() <= p.len(),
+            "seed {seed}: fast {} > pickle {} for {msg:?}",
+            f.len(),
+            p.len()
+        );
+    });
+}
 
-    #[test]
-    fn decoder_never_panics_on_garbage_fast(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Codec::Fast.decode::<ArbMsg>(&bytes);
+#[test]
+fn decoder_never_panics_on_garbage() {
+    for seed in 0..CASES {
+        let bytes = arb_bytes(&mut SplitMix64::new(seed), 256);
+        // A panic here aborts the test; the harness reports the seed via
+        // the loop variable in the backtrace-free message below.
+        for codec in [Codec::Fast, Codec::Pickle] {
+            let r = std::panic::catch_unwind(|| {
+                let _ = codec.decode::<ArbMsg>(&bytes);
+            });
+            assert!(r.is_ok(), "seed {seed}: {codec:?} decoder panicked");
+        }
     }
+}
 
-    #[test]
-    fn decoder_never_panics_on_garbage_pickle(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Codec::Pickle.decode::<ArbMsg>(&bytes);
-    }
-
-    #[test]
-    fn varint_roundtrip(v in any::<u64>()) {
+#[test]
+fn varint_roundtrip() {
+    let mut rng = SplitMix64::new(0x5EED);
+    for case in 0..CASES {
+        // Spread magnitudes so every encoded width is hit.
+        let v = rng.next_u64() >> rng.below(64);
         let mut buf = Vec::new();
         charm_wire::varint::write_u64(&mut buf, v);
         let (got, used) = charm_wire::varint::read_u64(&buf).unwrap();
-        prop_assert_eq!(got, v);
-        prop_assert_eq!(used, buf.len());
+        assert_eq!((got, used), (v, buf.len()), "seed 0x5EED case {case}");
     }
+}
 
-    #[test]
-    fn zigzag_roundtrip(v in any::<i64>()) {
-        prop_assert_eq!(charm_wire::varint::unzigzag(charm_wire::varint::zigzag(v)), v);
+#[test]
+fn zigzag_roundtrip() {
+    let mut rng = SplitMix64::new(0x5EED);
+    for case in 0..CASES {
+        let v = (rng.next_u64() >> rng.below(64)) as i64 * if rng.below(2) == 0 { 1 } else { -1 };
+        assert_eq!(
+            charm_wire::varint::unzigzag(charm_wire::varint::zigzag(v)),
+            v,
+            "seed 0x5EED case {case}"
+        );
     }
+}
 
-    #[test]
-    fn buf_roundtrip(v in prop::collection::vec(prop::num::f64::NORMAL, 0..128)) {
+#[test]
+fn buf_roundtrip() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let v: Vec<f64> = (0..rng.below(128)).map(|_| arb_f64(&mut rng)).collect();
         let b = Buf::from_vec(v.clone());
         for codec in [Codec::Fast, Codec::Pickle] {
             let bytes = codec.encode(&b).unwrap();
             let back: Buf<f64> = codec.decode(&bytes).unwrap();
-            prop_assert_eq!(&*back, &v[..]);
+            assert_eq!(&*back, &v[..], "seed {seed} {codec:?}");
         }
     }
 }

@@ -2,13 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use charm_wire::{fast, pickle, Buf, Codec, WireError};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use charm_wire::fast::FastReader;
+use charm_wire::{wire_enum, wire_struct, Buf, Codec, Reader, Wire, WireError};
 
 fn roundtrip_both<T>(value: &T)
 where
-    T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
+    T: Wire + PartialEq + std::fmt::Debug,
 {
     for codec in [Codec::Fast, Codec::Pickle] {
         let bytes = codec.encode(value).unwrap();
@@ -17,22 +16,24 @@ where
     }
 }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+#[derive(PartialEq, Debug, Clone)]
 struct GhostMsg {
     iter: u32,
     face: u8,
     data: Vec<f64>,
 }
+wire_struct! { GhostMsg { iter, face, data } }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+#[derive(PartialEq, Debug, Clone)]
 enum StencilMsg {
     Start,
     Ghost(GhostMsg),
     Converged { residual: f64, iter: u64 },
     Pair(i32, String),
 }
+wire_enum! { StencilMsg { Start, Ghost(a), Converged { residual, iter }, Pair(a, b) } }
 
-#[derive(Serialize, Deserialize, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 struct Nested {
     opt: Option<Box<Nested>>,
     name: String,
@@ -41,6 +42,7 @@ struct Nested {
     unit: (),
     list: Vec<Option<bool>>,
 }
+wire_struct! { Nested { opt, name, tags, tuple, unit, list } }
 
 #[test]
 fn primitives() {
@@ -158,8 +160,8 @@ fn buf_is_zero_copyish_in_pickle_mode() {
     // while a Vec<f64> under pickle pays a tag per element.
     let n = 1000usize;
     let vals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let buf_bytes = pickle::to_bytes(&Buf::from_vec(vals.clone())).unwrap();
-    let vec_bytes = pickle::to_bytes(&vals).unwrap();
+    let buf_bytes = Codec::Pickle.encode(&Buf::from_vec(vals.clone())).unwrap();
+    let vec_bytes = Codec::Pickle.encode(&vals).unwrap();
     assert!(buf_bytes.len() <= 8 * n + 16, "buf={}", buf_bytes.len());
     assert!(
         vec_bytes.len() >= 9 * n,
@@ -175,8 +177,8 @@ fn fast_is_smaller_than_pickle_for_structs() {
         face: 1,
         data: vec![0.5; 16],
     };
-    let f = fast::to_bytes(&g).unwrap();
-    let p = pickle::to_bytes(&g).unwrap();
+    let f = Codec::Fast.encode(&g).unwrap();
+    let p = Codec::Pickle.encode(&g).unwrap();
     assert!(
         f.len() < p.len(),
         "fast ({}) should be smaller than pickle ({})",
@@ -190,22 +192,24 @@ fn pickle_tolerates_field_reordering_like_pickle() {
     // The pickle codec keys struct fields by name, so a reader whose struct
     // declares fields in a different order still decodes correctly —
     // mirroring pickle's dict-based state.
-    #[derive(Serialize)]
     struct WriterSide {
         a: u32,
         b: String,
     }
-    #[derive(Deserialize, Debug, PartialEq)]
+    wire_struct! { WriterSide { a, b } }
+    #[derive(Debug, PartialEq)]
     struct ReaderSide {
         b: String,
         a: u32,
     }
-    let bytes = pickle::to_bytes(&WriterSide {
-        a: 9,
-        b: "hi".into(),
-    })
-    .unwrap();
-    let r: ReaderSide = pickle::from_bytes(&bytes).unwrap();
+    wire_struct! { ReaderSide { b, a } }
+    let bytes = Codec::Pickle
+        .encode(&WriterSide {
+            a: 9,
+            b: "hi".into(),
+        })
+        .unwrap();
+    let r: ReaderSide = Codec::Pickle.decode(&bytes).unwrap();
     assert_eq!(
         r,
         ReaderSide {
@@ -233,8 +237,7 @@ fn truncated_input_is_eof_not_panic() {
                 | WireError::InvalidLength(_)
                 | WireError::VarintOverflow
                 | WireError::TypeMismatch { .. }
-                | WireError::Utf8
-                | WireError::Custom(_) => {}
+                | WireError::Utf8 => {}
                 other => panic!("unexpected error {other:?} at cut {cut}"),
             }
         }
@@ -253,63 +256,68 @@ fn trailing_bytes_detected() {
 
 #[test]
 fn wrong_enum_variant_name_fails_cleanly_in_pickle() {
-    #[derive(Serialize)]
     enum A {
         OnlyInA(u8),
     }
-    #[derive(Deserialize, Debug)]
+    wire_enum! { A { OnlyInA(a) } }
+    #[derive(Debug)]
     enum B {
         #[allow(dead_code)]
         OnlyInB(u8),
     }
-    let bytes = pickle::to_bytes(&A::OnlyInA(1)).unwrap();
-    assert!(pickle::from_bytes::<B>(&bytes).is_err());
+    wire_enum! { B { OnlyInB(a) } }
+    let bytes = Codec::Pickle.encode(&A::OnlyInA(1)).unwrap();
+    assert!(Codec::Pickle.decode::<B>(&bytes).is_err());
 }
 
 #[test]
 fn fast_prefix_decoding() {
-    let mut bytes = fast::to_bytes(&42u32).unwrap();
-    let tail = fast::to_bytes(&"rest").unwrap();
+    let mut bytes = Codec::Fast.encode(&42u32).unwrap();
+    let tail = Codec::Fast.encode(&String::from("rest")).unwrap();
     bytes.extend_from_slice(&tail);
-    let (v, used) = fast::from_bytes_prefix::<u32>(&bytes).unwrap();
-    assert_eq!(v, 42);
-    let s: String = fast::from_bytes(&bytes[used..]).unwrap();
+    let mut r = FastReader::new(&bytes);
+    assert_eq!(u32::decode(&mut r).unwrap(), 42);
+    let used = bytes.len() - r.remaining();
+    let s: String = Codec::Fast.decode(&bytes[used..]).unwrap();
     assert_eq!(s, "rest");
 }
 
 #[test]
-fn pickle_skips_unknown_values_via_ignored_any() {
-    // Reader ignores a field the writer sent: requires deserialize_ignored_any.
-    #[derive(Serialize)]
+fn pickle_skips_unknown_fields() {
+    // Reader ignores a field the writer sent: the value is walked past by tag.
     struct W {
         keep: u32,
         extra: Vec<String>,
     }
-    #[derive(Deserialize)]
+    wire_struct! { W { keep, extra } }
     struct R {
         keep: u32,
     }
-    let bytes = pickle::to_bytes(&W {
-        keep: 5,
-        extra: vec!["a".into(), "b".into()],
-    })
-    .unwrap();
-    let r: R = pickle::from_bytes(&bytes).unwrap();
+    wire_struct! { R { keep } }
+    let bytes = Codec::Pickle
+        .encode(&W {
+            keep: 5,
+            extra: vec!["a".into(), "b".into()],
+        })
+        .unwrap();
+    let r: R = Codec::Pickle.decode(&bytes).unwrap();
     assert_eq!(r.keep, 5);
 }
 
 #[test]
 fn deeply_nested_enums_roundtrip() {
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(PartialEq, Debug)]
     enum Inner {
         A,
         B(Vec<u8>),
     }
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    wire_enum! { Inner { A, B(a) } }
+    #[derive(PartialEq, Debug)]
     enum Outer {
         Wrap(Inner),
         Pair { left: Inner, right: Option<Inner> },
     }
+    wire_enum! { Outer { Wrap(a), Pair { left, right } } }
     roundtrip_both(&Outer::Wrap(Inner::A));
     roundtrip_both(&Outer::Pair {
         left: Inner::B(vec![1, 2, 3]),
@@ -348,12 +356,15 @@ fn all_buf_scalar_types_roundtrip() {
 
 #[test]
 fn unit_struct_and_newtype_shapes() {
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(PartialEq, Debug)]
     struct Marker;
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    wire_struct! { Marker {} }
+    #[derive(PartialEq, Debug)]
     struct Wrapper(u64);
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    wire_struct! { Wrapper(a) }
+    #[derive(PartialEq, Debug)]
     struct TupleS(u8, String, Vec<i32>);
+    wire_struct! { TupleS(a, b, c) }
     roundtrip_both(&Marker);
     roundtrip_both(&Wrapper(u64::MAX));
     roundtrip_both(&TupleS(9, "x".into(), vec![-1, 0, 1]));

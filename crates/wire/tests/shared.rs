@@ -1,15 +1,15 @@
 //! Shared-payload (`WireBytes`) behavior: fan-out shares one allocation,
 //! pooled encodes round-trip under both codecs.
 
-use charm_wire::{Codec, EncodePool, WireBytes};
-use serde::{Deserialize, Serialize};
+use charm_wire::{wire_struct, Codec, EncodePool, WireBytes};
 
-#[derive(Serialize, Deserialize, PartialEq, Debug, Clone)]
+#[derive(PartialEq, Debug, Clone)]
 struct Payload {
     a: u64,
     b: Vec<i32>,
     s: String,
 }
+wire_struct! { Payload { a, b, s } }
 
 fn sample() -> Payload {
     Payload {

@@ -7,23 +7,22 @@
 
 use charm_rs::core::prelude::*;
 use charm_rs::core::{CollectionId, Runtime};
-use serde::{Deserialize, Serialize};
 
 const WORKERS: i32 = 12;
 const TARGET: u32 = 10;
 
 /// A worker iterating toward `TARGET`, accumulating state as it goes.
-#[derive(Serialize, Deserialize)]
 struct Worker {
     iter: u32,
     acc: i64,
 }
+wire_struct! { Worker { iter, acc } }
 
-#[derive(Serialize, Deserialize)]
 enum WorkerMsg {
     /// Run until `upto`, then contribute the accumulated state.
     Run { upto: u32, done: Future<RedData> },
 }
+wire_enum! { WorkerMsg { Run { upto, done } } }
 
 impl Chare for Worker {
     type Msg = WorkerMsg;

@@ -8,16 +8,15 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use charm_rs::core::prelude::*;
-use serde::{Deserialize, Serialize};
 
 // --- class MyChare(Chare): def SayHi(self, msg) ---------------------------
 
 struct MyChare;
 
-#[derive(Serialize, Deserialize)]
 enum MyChareMsg {
     SayHi(String),
 }
+wire_enum! { MyChareMsg { SayHi(a) } }
 
 impl Chare for MyChare {
     type Msg = MyChareMsg;
@@ -36,10 +35,10 @@ impl Chare for MyChare {
 
 struct Worker;
 
-#[derive(Serialize, Deserialize)]
 enum WorkerMsg {
     Work { result: Future<RedData> },
 }
+wire_enum! { WorkerMsg { Work { result } } }
 
 impl Chare for Worker {
     type Msg = WorkerMsg;

@@ -7,14 +7,12 @@
 
 use charm_rs::core::prelude::*;
 use charm_rs::core::Runtime;
-use serde::{Deserialize, Serialize};
 
 const SEGMENTS: i32 = 8;
 const POINTS: usize = 64;
 const STEPS: usize = 200;
 
 /// One segment of the string.
-#[derive(Serialize, Deserialize)]
 struct Segment {
     u_prev: Vec<f64>,
     u: Vec<f64>,
@@ -22,14 +20,15 @@ struct Segment {
     right: Option<f64>,
     msg_count: usize,
 }
+wire_struct! { Segment { u_prev, u, left, right, msg_count } }
 
-#[derive(Serialize, Deserialize)]
 enum SegMsg {
     /// Start the driver coroutine.
     Run { done: Future<RedData> },
     /// A neighbor's boundary value for the current step.
     Edge { from_left: bool, value: f64 },
 }
+wire_enum! { SegMsg { Run { done }, Edge { from_left, value } } }
 
 impl Chare for Segment {
     type Msg = SegMsg;

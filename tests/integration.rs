@@ -10,7 +10,6 @@ use charm_rs::core::Runtime;
 use charm_rs::lb::{GreedyLb, RefineLb, RotateLb};
 use charm_rs::pool::{register_pool, register_task, PoolHandle};
 use charm_rs::sim::MachineModel;
-use serde::{Deserialize, Serialize};
 
 fn sim(npes: usize) -> Runtime {
     Runtime::new(npes)
@@ -103,10 +102,10 @@ fn pool_tasks_running_stencil_kernels() {
 
 struct Stat;
 
-#[derive(Serialize, Deserialize)]
 enum StatMsg {
     Go { out: Future<RedData> },
 }
+wire_enum! { StatMsg { Go { out } } }
 
 impl Chare for Stat {
     type Msg = StatMsg;
@@ -160,10 +159,10 @@ fn custom_reducer_and_placement_end_to_end() {
 #[test]
 fn run_report_reflects_simulated_time() {
     struct Sleeper;
-    #[derive(Serialize, Deserialize)]
     enum SleepMsg {
         Nap { done: Future<i64> },
     }
+    wire_enum! { SleepMsg { Nap { done } } }
     impl Chare for Sleeper {
         type Msg = SleepMsg;
         type Init = ();
