@@ -21,6 +21,16 @@ use charm_sim::MachineModel;
 
 const NPES: usize = 2;
 
+// Golden constants, generated at the commit before the scheduler loops were
+// folded into one driver: a refactor of the drive/supervise path must
+// reproduce them untouched.
+const GOLD_HIST_EXECUTIONS: u64 = 20;
+const GOLD_HIST_CLASSES: usize = 20;
+/// `(dpor executions, dpor classes, naive executions, naive classes, naive truncated)`.
+const GOLD_TWO_COUNTER: (u64, usize, u64, usize, bool) = (42, 6, 510, 6, false);
+/// `(injector position, decisions, steps, digest)` of the shrunk artifact.
+const GOLD_SHRUNK_REPLAY: (u64, usize, usize, u64) = (0, 0, 15, 0x658a_cc4c_ca44_9178);
+
 // ---------------------------------------------------------------------------
 // Histogram workload: per-PE sources flood one bin chare.
 // ---------------------------------------------------------------------------
@@ -153,12 +163,16 @@ fn exhaustive_histogram_exploration_is_clean() {
         "clean histogram produced a counterexample: {:?}",
         report.counterexample
     );
-    assert!(report.executions >= 1);
-    assert!(report.equivalence_classes >= 1);
-    assert!(report.equivalence_classes as u64 <= report.executions);
     println!(
         "histogram: {} executions over {} equivalence classes",
         report.executions, report.equivalence_classes
+    );
+    // Golden: the explored space is a function of the runtime's protocol
+    // and the controlled driver's enabled sets; neither may move silently.
+    assert_eq!(
+        (report.executions, report.equivalence_classes),
+        (GOLD_HIST_EXECUTIONS, GOLD_HIST_CLASSES),
+        "the histogram's explored schedule space moved"
     );
 }
 
@@ -260,6 +274,17 @@ fn dpor_visits_fewer_executions_than_naive() {
             "DPOR missed equivalence classes naive enumeration found"
         );
     }
+    assert_eq!(
+        (
+            dpor.executions,
+            dpor.equivalence_classes,
+            naive.executions,
+            naive.equivalence_classes,
+            naive.truncated
+        ),
+        GOLD_TWO_COUNTER,
+        "the two-counter program's explored schedule space moved"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -342,6 +367,15 @@ fn seeded_violation_shrinks_to_a_replayable_artifact() {
         (r1.digest, r1.steps, &r1.failure),
         (r2.digest, r2.steps, &r2.failure),
         "two replays of one artifact diverged"
+    );
+    println!(
+        "shrunk artifact: position {n}, {} decisions, {} steps, digest {:#018x}",
+        r1.decisions, r1.steps, r1.digest
+    );
+    assert_eq!(
+        (n, r1.decisions, r1.steps, r1.digest),
+        GOLD_SHRUNK_REPLAY,
+        "the shrunk artifact's replay (delivery sequence, clocks, outcome) moved"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -201,6 +201,36 @@ fn killed_pe_recovers_bit_identical() {
     );
 }
 
+/// Golden constants for the seeded kill-and-recover run, generated at the
+/// commit before the scheduler loops were folded into one driver: virtual
+/// makespan (ns), messages, entries, recoveries and stale discards are pure
+/// functions of the program, the machine model and the seed, so a refactor
+/// of the drive/supervise path must reproduce them untouched.
+#[test]
+fn killed_pe_recovery_golden_constants() {
+    for (seed, want) in [
+        (None, GOLD_KILL_RECOVER),
+        (Some(7), GOLD_KILL_RECOVER_SEED7),
+    ] {
+        let (hists, report, stale, findings) = stencil_run(true, seed);
+        assert!(findings.is_empty(), "seed {seed:?}: findings {findings:?}");
+        assert_eq!(hists, expected_hists(ROUNDS), "seed {seed:?} diverged");
+        let got = (
+            report.time.as_nanos() as u64,
+            report.msgs,
+            report.entries,
+            report.recoveries,
+            stale,
+        );
+        println!("kill-and-recover, seed {seed:?}: {got:?}");
+        assert_eq!(got, want, "seed {seed:?}: the recovered run moved");
+    }
+}
+
+/// `(makespan ns, msgs, entries, recoveries, stale_discarded)`.
+const GOLD_KILL_RECOVER: (u64, u64, u64, u64, u64) = (21522, 66, 57, 1, 9);
+const GOLD_KILL_RECOVER_SEED7: (u64, u64, u64, u64, u64) = (3_310_670, 66, 57, 1, 4);
+
 // ---------------------------------------------------------------------------
 // Exhaustive exploration of kill + recovery (DESIGN.md §11).
 // ---------------------------------------------------------------------------
@@ -276,9 +306,11 @@ fn mini_drive(co: &mut Co<Main>, arr: &Proxy<MiniRing>, from: i64) {
 /// Every interleaving of checkpoint, kill and recovery, proven clean:
 /// `Runtime::check` explores the whole schedule space of a 2-PE
 /// two-element stencil whose PE 1 is killed *after* the round-1 checkpoint
-/// committed (the history collection is PE 1's 4th counted delivery, and
-/// it cannot ship before the quiescence future — parked until the
-/// checkpoint window closes — completes). Recovery must restore from the
+/// committed (the history collection is PE 1's 3rd counted delivery —
+/// after the `DoRound` broadcast and the neighbour's `Shift`; dense-array
+/// construction is not QD-counted — and it cannot ship before the
+/// quiescence future — parked until the checkpoint window closes —
+/// completes). Recovery must restore from the
 /// buddy image and finish with the exact fault-free histories on every
 /// schedule; the in-entry asserts make any divergence a counterexample.
 #[test]
@@ -292,7 +324,7 @@ fn killed_pe_recovery_is_clean_under_exhaustive_exploration() {
         .auto_checkpoint(1, Store::Memory)
         .analyze_inject(InjectFault::KillPe {
             pe: 1,
-            after_nth: 3,
+            after_nth: 2,
         });
     let rt = rt.recover_with(|co| {
         let arr = Proxy::<MiniRing>::restored(CollectionId { creator: 0, seq: 0 });
@@ -324,6 +356,14 @@ fn killed_pe_recovery_is_clean_under_exhaustive_exploration() {
     println!(
         "kill/recovery: {} executions over {} equivalence classes",
         report.executions, report.equivalence_classes
+    );
+    // Golden (same provenance as `killed_pe_recovery_golden_constants`):
+    // the restart barrier and the dropped pre-failure traffic shape this
+    // space, so the controlled recovery path may not move it.
+    assert_eq!(
+        (report.executions, report.equivalence_classes),
+        (4480, 96),
+        "the kill/recovery schedule space moved"
     );
 }
 

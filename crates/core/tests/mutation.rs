@@ -132,6 +132,17 @@ fn check_rediscovers_and_shrinks_the_stray_ckptack_bug() {
         (r2.digest, &r2.failure),
         "two replays of one artifact diverged"
     );
+    println!(
+        "mutation replay: position {n}, {} decisions, {} steps, digest {:#018x}",
+        r1.decisions, r1.steps, r1.digest
+    );
+    // Golden, generated at the commit before the scheduler loops were
+    // folded into one driver: `(injector position, decisions, steps, digest)`.
+    assert_eq!(
+        (n, r1.decisions, r1.steps, r1.digest),
+        (2, 0, 19, 0x5db0_8c88_3fc5_5ba0),
+        "the mutation artifact's replay (delivery sequence, clocks, outcome) moved"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
