@@ -21,9 +21,9 @@
 //! * **`nondeterminism`** — no `HashMap`/`HashSet` iteration-order
 //!   dependence (`.keys()`, `.values()`, `.drain()`, …) and no wall-clock
 //!   reads (`Instant::now` / `SystemTime::now`) in the
-//!   scheduling-order-sensitive paths: the PE scheduler, the run drivers
-//!   (including the Net driver), the model checker, the sim crate and the
-//!   net crate.
+//!   scheduling-order-sensitive paths: the PE scheduler, the driver and
+//!   supervisor, every transport (including the model checker's and the
+//!   Net one), the sim crate and the net crate.
 //!   Anything that feeds message emission order or virtual time must be
 //!   sorted/key-ordered or virtual; every surviving site documents why its
 //!   order or time cannot leak into observable scheduling. (The scanner is
@@ -171,7 +171,7 @@ pub const PANIC_SCOPE: &[&str] = &[
 pub const COPY_SCOPE: &[&str] = &["crates/core/src/", "crates/wire/src/"];
 
 /// Files subject to the `blocking` rule (entry-method execution paths; the
-/// Net driver runs PE 0's scheduler loop in-process, so it counts).
+/// Net transport runs PE 0's scheduler loop in-process, so it counts).
 pub const BLOCKING_SCOPE: &[&str] = &[
     "crates/core/src/pe.rs",
     "crates/core/src/msg.rs",
@@ -191,9 +191,10 @@ pub const BLOCKING_PREFIX: &[&str] = &["crates/net/src/"];
 
 /// Files subject to the `nondeterminism` rule: everything whose control
 /// flow decides message emission order or virtual time — the PE scheduler,
-/// the backend drivers, the model checker's controlled driver.
+/// the driver and supervisor, and every transport.
 pub const NONDET_SCOPE: &[&str] = &[
     "crates/core/src/pe.rs",
+    "crates/core/src/driver.rs",
     "crates/core/src/runtime.rs",
     "crates/core/src/check.rs",
     "crates/core/src/net.rs",

@@ -65,31 +65,15 @@ fn main() -> ExitCode {
             for r in Rule::all() {
                 println!("{:<14} {}", r.key(), r.describe());
             }
-            println!(
-                "{:<14} {}",
-                "trace-hook",
-                "allow-key for scheduler trace instrumentation: suppresses panic + blocking on the annotated line"
-            );
-            println!(
-                "{:<14} {}",
-                "recovery-hook",
-                "allow-key for fault-tolerance paths: suppresses panic + blocking on the annotated line"
-            );
-            println!(
-                "{:<14} {}",
-                "telemetry-hook",
-                "allow-key for in-band telemetry sweep paths: suppresses panic + blocking on the annotated line"
-            );
-            println!(
-                "{:<14} {}",
-                "net-hook",
-                "allow-key for the net transport: suppresses panic + blocking + nondeterminism on the annotated line"
-            );
-            println!(
-                "{:<14} {}",
-                "stale-allow",
-                "audit: allow(..) annotations that suppress nothing (warning; finding under --strict)"
-            );
+            for (key, what) in [
+                ("trace-hook", "allow-key for scheduler trace instrumentation: suppresses panic + blocking on the annotated line"),
+                ("recovery-hook", "allow-key for fault-tolerance paths: suppresses panic + blocking on the annotated line"),
+                ("telemetry-hook", "allow-key for in-band telemetry sweep paths: suppresses panic + blocking on the annotated line"),
+                ("net-hook", "allow-key for the net transport: suppresses panic + blocking + nondeterminism on the annotated line"),
+                ("stale-allow", "audit: allow(..) annotations that suppress nothing (warning; finding under --strict)"),
+            ] {
+                println!("{key:<14} {what}");
+            }
             ExitCode::SUCCESS
         }
         Some("self-test") => match self_test() {

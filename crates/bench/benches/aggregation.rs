@@ -140,7 +140,7 @@ fn run_ping_ring(rt: Runtime) {
                 co.ctx(),
                 HopMsg::Token {
                     hops_left: HOPS_PER_TOKEN,
-                    collector: collector.clone(),
+                    collector,
                 },
             );
         }

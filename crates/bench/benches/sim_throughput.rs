@@ -30,10 +30,9 @@ wire_struct! { PulseParams { tokens, hops } }
 struct Pulse {
     params: PulseParams,
     handled: u64,
-    deaths: u32,
     done: Option<Future<RedData>>,
 }
-wire_struct! { Pulse { params, handled, deaths, done } }
+wire_struct! { Pulse { params, handled, done } }
 
 enum PulseMsg {
     /// Broadcast: seed this member's tokens.
@@ -44,19 +43,21 @@ enum PulseMsg {
 wire_enum! { PulseMsg { Start { done }, Token { ttl } } }
 
 impl Pulse {
-    /// Each seeded token dies `hops` PEs to the right, so every PE sees
-    /// exactly `tokens` deaths — local completion needs no coordination.
-    fn finished(&self) -> bool {
-        self.deaths == self.params.tokens
-    }
-
-    fn contribute_done(&mut self, ctx: &mut Ctx) {
-        let done = self.done.take().expect("pulse finished without Start");
-        ctx.contribute(
-            RedData::I64(self.handled as i64),
-            Reducer::Sum,
-            RedTarget::Future(done.id()),
-        );
+    /// Each token is handled on the `hops` PEs to the right of its seeder,
+    /// so by symmetry every PE handles exactly `tokens · hops` of them —
+    /// local completion needs no coordination beyond having seen `Start`
+    /// (the broadcast can lose the race against tokens seeded by PEs it
+    /// reached earlier).
+    fn contribute_if_done(&mut self, ctx: &mut Ctx) {
+        if self.handled == u64::from(self.params.tokens) * u64::from(self.params.hops) {
+            if let Some(done) = self.done.take() {
+                ctx.contribute(
+                    RedData::I64(self.handled as i64),
+                    Reducer::Sum,
+                    RedTarget::Future(done.id()),
+                );
+            }
+        }
     }
 }
 
@@ -68,7 +69,6 @@ impl Chare for Pulse {
         Pulse {
             params,
             handled: 0,
-            deaths: 0,
             done: None,
         }
     }
@@ -87,22 +87,15 @@ impl Chare for Pulse {
                         },
                     );
                 }
-                if self.params.tokens == 0 {
-                    self.contribute_done(ctx);
-                }
             }
             PulseMsg::Token { ttl } => {
                 self.handled += 1;
                 if ttl > 0 {
                     me.elem(next).send(ctx, PulseMsg::Token { ttl: ttl - 1 });
-                } else {
-                    self.deaths += 1;
-                }
-                if self.finished() {
-                    self.contribute_done(ctx);
                 }
             }
         }
+        self.contribute_if_done(ctx);
     }
 }
 

@@ -18,8 +18,8 @@
 //! A second group ablates the in-band telemetry cadence (DESIGN.md §12) on
 //! a quiescence-cadenced variant of the same workload, on both backends:
 //! `telemetry_sim/off | every_10_qd | every_qd` and the `telemetry_threads`
-//! mirror. The off→every_10_qd gap is the amortized sweep cost (probe relay
-//! + frame merge up the spanning tree + held QD waiters); every_qd is the
+//! mirror. The off→every_10_qd gap is the amortized sweep cost (probe relay,
+//! frame merge up the spanning tree, held QD waiters); every_qd is the
 //! worst case of one sweep per quiescence round.
 
 use charm_bench::bench;

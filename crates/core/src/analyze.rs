@@ -12,8 +12,8 @@
 //! * **Per-channel FIFO** — the sender component of successive clocks
 //!   arriving on one (src → dst) channel is strictly increasing. Every send
 //!   ticks the sender's own component, so out-of-order delivery on a
-//!   channel is visible as a non-monotonic stamp. (The sim driver clamps
-//!   per-channel delivery times under this feature so the modeled network
+//!   channel is visible as a non-monotonic stamp. (The modeled network clamps
+//!   per-channel delivery times under this feature so it
 //!   provides the FIFO channels the threads backend and Charm++ both
 //!   guarantee.)
 //! * **Per-chare serialized execution** — entering an entry method for a
@@ -99,9 +99,9 @@ impl std::fmt::Debug for FaultProbe {
     }
 }
 
-/// Network-layer fault injected by the sim driver (tests only): the Nth
-/// (0-based) QD-counted envelope shipped is duplicated or dropped — or a
-/// whole PE is killed on its Nth delivery.
+/// A fault injected for tests: the Nth (0-based) QD-counted envelope
+/// shipped through the modeled network (sim, check) is duplicated or
+/// dropped — or, on any backend, a whole PE is killed on its Nth delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectFault {
     /// Deliver the Nth application envelope twice.
@@ -109,11 +109,11 @@ pub enum InjectFault {
     /// Silently drop the Nth application envelope.
     DropNth(u64),
     /// Kill PE `pe` just as it is about to handle its `after_nth` (0-based)
-    /// QD-counted envelope: under the sim backend the PE's state is
-    /// discarded and that envelope lost; under the threads backend the PE
-    /// thread panics (caught by the supervisor via `catch_unwind`). The
-    /// fault fires only in the first incarnation, so the recovery attempt
-    /// is not re-killed.
+    /// QD-counted envelope. The envelope is lost and the PE's state
+    /// (with its in-memory checkpoint images) discarded: dropped in place
+    /// under sim and check, a PE thread that stops under threads, a
+    /// process that SIGKILLs itself under Net. The fault fires only in the
+    /// first incarnation, so the recovery attempt is not re-killed.
     KillPe {
         /// Victim PE.
         pe: Pe,
@@ -256,7 +256,8 @@ impl Detector {
     }
 }
 
-/// Cross-PE balance check, run by the sim driver after the event loop.
+/// Cross-PE balance check, run once a virtual-time machine (sim, check)
+/// has finished.
 ///
 /// `drained` is true when the run ended because the event queue emptied —
 /// true quiescence, at which every sent envelope must have been delivered.

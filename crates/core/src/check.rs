@@ -1,32 +1,33 @@
 //! # Systematic schedule exploration (`Runtime::check`, `--features analyze`)
 //!
-//! The controlled-scheduling driver behind [`Runtime::check`] and
-//! [`Runtime::replay_schedule`] (DESIGN.md §11): a variant of the sim event
-//! loop where the *explorer* — `charm-check`'s stateless DPOR engine — picks
-//! which channel's head message is delivered next, instead of the
-//! `(arrival time, ship seq)` heap order. Per-channel FIFO is preserved
-//! (the ordering the threads backend and real networks guarantee); every
-//! cross-channel interleaving is schedulable.
+//! The controlled transport behind [`Runtime::check`] and
+//! [`Runtime::replay_schedule`] (DESIGN.md §11): the sim transport's
+//! modeled network, but the *explorer* — `charm-check`'s stateless DPOR
+//! engine — picks which channel's head message is delivered next, instead
+//! of the `(arrival time, ship seq)` heap order. Per-channel FIFO is
+//! preserved (the ordering the threads backend and real networks
+//! guarantee); every cross-channel interleaving is schedulable. The
+//! driver, the supervisor and the network model are the ones every run
+//! uses (`driver.rs`, `runtime.rs`).
 //!
 //! The transition system:
 //!
 //! * one **transition** = delivering the head of channel `(src, dst)` and
 //!   running its handler to completion (handlers are atomic);
 //! * the **default extension** picks the channel whose head has the
-//!   smallest modeled `(arrival, ship seq)` — exactly the uncontrolled sim
-//!   `EventQueue` order, so an empty schedule replays a plain `run()`;
+//!   smallest modeled `(arrival, ship seq)` — exactly the sim transport's
+//!   event-heap order, so an empty schedule replays a plain `run()`;
 //! * the **independence relation** comes from the analyze Detector's vector
 //!   clocks, snapshotted after each handler: the post-handler clock is both
 //!   the delivery event's clock and the send clock of everything the
 //!   handler emitted. Clocks are tagged with the recovery epoch so a
 //!   restart acts as a happens-before barrier.
 //!
-//! Composition: fault injection (`InjectFault::{DuplicateNth, DropNth}`
-//! at ship time, `KillPe` + restart recovery at delivery time), TRAM
-//! aggregation (scheduler-idle flush when every channel drains), fast
-//! paths and FT checkpointing all run armed under exploration. Metering is
-//! forced off (`meter_compute(false)`) so an execution is a pure function
-//! of its delivery order — the property that makes replay bit-identical.
+//! Metering is forced off (`meter_compute(false)`) so an execution is a
+//! pure function of its delivery order — the property that makes replay
+//! bit-identical. Everything else a run can arm (fault injection,
+//! aggregation, fast paths, checkpointing and restart recovery) runs armed
+//! under exploration, because it is the same code.
 //!
 //! The schedule-permutation harness (`Runtime::permute_schedule`,
 //! `charm_sim::PermuteSchedule`) is the sampling mode of this same
@@ -34,25 +35,19 @@
 //! enumerating them. Use permutation for cheap smoke coverage at scale,
 //! `check` for exhaustive coverage at small configs.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use charm_check::{Chan, Execution, ExploreCfg, Schedule, StepInfo};
-use charm_sim::{MachineModel, VTime};
-use charm_trace::PeTrace;
 
-use crate::analyze::{FaultProbe, InjectFault};
-use crate::chare::Registry;
-use crate::checkpoint::{self, Store};
-use crate::collections::Placements;
-use crate::coro::{run_coroutine, Co};
+use crate::analyze::FaultProbe;
+use crate::driver::{supervise, End, Poll, Transport};
 use crate::ids::Pe;
-use crate::msg::{EnvKind, Envelope};
-use crate::pe::{CkptStore, CoroLauncher, PeState, RestoreFrom, SchedCfg};
-use crate::reduction::CustomReducers;
-use crate::runtime::{Main, RunReport};
+use crate::msg::Envelope;
+use crate::pe::PeState;
+use crate::runtime::{main_launcher, virtual_epoch, Launch, MainFn, ModelNet, RunReport};
 
 /// Recovery epochs are folded into every reported vector-clock component
 /// (`epoch << SHIFT | clock`), making a restart a happens-before barrier:
@@ -163,75 +158,6 @@ pub struct ReplayOutcome {
     pub digest: u64,
 }
 
-/// Everything [`Runtime`] hands the controlled driver: the same pieces the
-/// restart supervisor's `Launch` carries, plus a *re-runnable* entry (each
-/// execution restarts the program from scratch) and a per-execution
-/// `SchedCfg` factory so every run gets a fresh findings probe.
-///
-/// [`Runtime`]: crate::runtime::Runtime
-pub(crate) struct Driver {
-    pub(crate) npes: usize,
-    pub(crate) model: MachineModel,
-    pub(crate) registry: Arc<Registry>,
-    pub(crate) placements: Arc<Placements>,
-    pub(crate) reducers: Arc<CustomReducers>,
-    pub(crate) mk_cfg: MkCfg,
-    pub(crate) auto: Option<(u64, Store)>,
-    pub(crate) recover: Option<Arc<dyn Fn(&mut Co<Main>) + Send + Sync>>,
-    pub(crate) max_restarts: u64,
-    pub(crate) inject: Option<InjectFault>,
-    pub(crate) entry: Arc<dyn Fn(&mut Co<Main>) + Send + Sync>,
-}
-
-/// `(epoch, restore, ckpt_seq_start, probe) -> SchedCfg` — built by
-/// `Runtime::into_check_driver`, which owns the private builder fields.
-pub(crate) type MkCfg =
-    Box<dyn Fn(u64, Option<RestoreFrom>, u64, FaultProbe) -> Arc<SchedCfg> + Send + Sync>;
-
-impl Driver {
-    fn mk_entry(&self) -> CoroLauncher {
-        let f = Arc::clone(&self.entry);
-        Box::new(move |side| run_coroutine::<Main>(side, move |co: &mut Co<Main>| f(co)))
-    }
-
-    fn recovery_entry(&self) -> Option<CoroLauncher> {
-        let f = Arc::clone(self.recover.as_ref()?);
-        Some(Box::new(move |side| {
-            run_coroutine::<Main>(side, move |co: &mut Co<Main>| f(co))
-        }))
-    }
-
-    fn recovery_armed(&self) -> bool {
-        self.auto.is_some() && self.recover.is_some()
-    }
-
-    /// Newest complete checkpoint generation after a failure — the
-    /// controlled-loop mirror of the restart supervisor's source lookup.
-    fn recovery_source(&self, stores: &[Option<CkptStore>]) -> Result<(u64, RestoreFrom), String> {
-        let store = match &self.auto {
-            Some((_, s)) => s,
-            None => return Err("automatic checkpointing is not armed".into()),
-        };
-        match store {
-            Store::Disk(root) => checkpoint::latest_complete_dir(root)
-                .map(|(epoch, dir)| (epoch, RestoreFrom::Dir(dir)))
-                .map_err(|e| e.to_string()),
-            Store::Memory => {
-                let mut epochs: Vec<u64> =
-                    stores.iter().flatten().flat_map(|s| s.epochs()).collect();
-                epochs.sort_unstable();
-                epochs.dedup();
-                for &epoch in epochs.iter().rev() {
-                    if let Some(files) = crate::runtime::assemble_images(stores, self.npes, epoch) {
-                        return Ok((epoch, RestoreFrom::Images(files)));
-                    }
-                }
-                Err("no complete in-memory checkpoint generation survives the failure".into())
-            }
-        }
-    }
-}
-
 /// One in-flight message on a channel queue.
 struct Pending {
     env: Envelope,
@@ -253,8 +179,10 @@ fn tag_clock(epoch: u64, clock: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Run the explorer over the program behind `driver`.
-pub(crate) fn run_check(driver: Driver, cfg: CheckCfg) -> CheckReport {
+/// Run the explorer over the program `entry` on `launch`'s machine. `launch`
+/// is the one a plain run is built from (metering off, sim model pinned);
+/// `entry` is re-runnable — each execution restarts the program from scratch.
+pub(crate) fn run_check(mut launch: Launch, entry: MainFn, cfg: CheckCfg) -> CheckReport {
     let explore_cfg = ExploreCfg {
         max_executions: cfg.max_executions,
         delay_bound: cfg.delay_bound,
@@ -263,11 +191,11 @@ pub(crate) fn run_check(driver: Driver, cfg: CheckCfg) -> CheckReport {
     };
     let oracle = cfg.oracle.clone();
     let report = charm_check::explore(&explore_cfg, |prefix| {
-        run_once(&driver, prefix, oracle.as_ref())
+        run_once(&mut launch, &entry, prefix, oracle.as_ref())
     });
     let counterexample = report.counterexample.map(|cx| {
         let schedule = Schedule {
-            npes: driver.npes,
+            npes: launch.npes,
             note: cx.failure.clone(),
             choices: cx.schedule,
         };
@@ -294,18 +222,19 @@ pub(crate) fn run_check(driver: Driver, cfg: CheckCfg) -> CheckReport {
 }
 
 /// Replay one schedule artifact, deterministically.
-pub(crate) fn run_replay(driver: Driver, schedule: &Schedule) -> ReplayOutcome {
-    let exec = if schedule.npes != driver.npes {
+pub(crate) fn run_replay(mut launch: Launch, entry: MainFn, schedule: &Schedule) -> ReplayOutcome {
+    let npes = launch.npes;
+    let exec = if schedule.npes != npes {
         Execution {
             steps: Vec::new(),
             exit: None,
             failure: Some(format!(
                 "schedule was recorded for {} PEs but the runtime has {}",
-                schedule.npes, driver.npes
+                schedule.npes, npes
             )),
         }
     } else {
-        run_once(&driver, &schedule.choices, None)
+        run_once(&mut launch, &entry, &schedule.choices, None)
     };
     // FNV-1a over the delivery sequence and the outcome text: the
     // bit-identity digest two replays of one artifact must agree on.
@@ -342,17 +271,36 @@ pub(crate) fn run_replay(driver: Driver, schedule: &Schedule) -> ReplayOutcome {
 
 /// Execute the program once under a prescribed schedule prefix, catching
 /// panics (a panic *is* a counterexample) and classifying the outcome.
-fn run_once(driver: &Driver, prefix: &[Chan], oracle: Option<&CheckOracle>) -> Execution {
-    let mut steps: Vec<StepInfo> = Vec::new();
-    let mut exit = None;
+fn run_once(
+    launch: &mut Launch,
+    entry: &MainFn,
+    prefix: &[Chan],
+    oracle: Option<&CheckOracle>,
+) -> Execution {
+    // Every execution gets a fresh findings probe and wall-clock origin.
     let probe = FaultProbe::new();
+    launch.cfg.analyze_probe = Some(probe.clone());
+    // analyze: allow(nondeterminism, "wall-clock origin for the report's wall field only; scheduling runs on virtual channel time")
+    launch.start = Instant::now();
+    let launch = &*launch;
+    let mut t = Controlled::new(ModelNet::new(None, launch), prefix, launch.npes);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        controlled_run(driver, prefix, &mut steps, &mut exit, &probe)
+        supervise(
+            launch,
+            main_launcher(entry),
+            0..launch.npes,
+            |pes, boot, kill| virtual_epoch(&mut t, pes, boot, kill),
+        )
     }));
+    let mut exit = None;
     let failure = match outcome {
         Ok(Ok(report)) => {
-            let findings = probe.findings();
-            if let Some(f) = findings.first() {
+            if report.clean_exit {
+                exit = Some(t.stranded());
+            }
+            // Quiescence imbalances land in the probe as findings
+            // (= counterexamples) instead of panicking.
+            if let Some(f) = probe.findings().first() {
                 Some(format!("detector: {f}"))
             } else {
                 oracle
@@ -364,179 +312,118 @@ fn run_once(driver: &Driver, prefix: &[Chan], oracle: Option<&CheckOracle>) -> E
         Err(p) => Some(format!("panic: {}", crate::runtime::panic_msg(p))),
     };
     Execution {
-        steps,
+        steps: t.steps,
         exit,
         failure,
     }
 }
 
-/// Ship one drained outbox into the channel queues: fault injection, delay
-/// model, per-channel arrival clamp — the controlled-loop port of the sim
-/// driver's `ship_outbox`.
-#[allow(clippy::too_many_arguments)]
-fn ship(
-    src: Pe,
-    now_ns: u64,
-    outbox: Vec<(Pe, Envelope)>,
-    send_clock: &[u64],
-    model: &MachineModel,
-    pending: &mut BTreeMap<Chan, VecDeque<Pending>>,
-    ship_seq: &mut u64,
-    last_arrival: &mut HashMap<(Pe, Pe), u64>,
-    inject_state: &mut Option<(InjectFault, u64)>,
-) {
-    for (dst, env) in outbox {
-        let mut duplicate: Option<Envelope> = None;
-        if let Some((fault, count)) = inject_state {
-            // The mutation build widens the injector to checkpoint acks
-            // (see `EnvKind::try_clone`), restoring the pre-fix reachability
-            // of the stray-CkptAck panic for the mutation smoke test.
-            let injectable = env.kind.counts_for_qd()
-                || (cfg!(feature = "mutation-ckptack")
-                    && matches!(env.kind, EnvKind::CkptAck { .. }));
-            if injectable {
-                let n = *count;
-                *count += 1;
-                match *fault {
-                    InjectFault::DropNth(k) if k == n => continue,
-                    InjectFault::DuplicateNth(k) if k == n => {
-                        duplicate = env.try_clone();
-                    }
-                    _ => {}
-                }
-            }
+/// The controlled transport: the sim transport's modeled network, but
+/// per-channel FIFO queues instead of one event heap, and an explorer (or
+/// a replay artifact) instead of arrival order picking which channel's
+/// head is delivered next. Every delivery is recorded as a [`StepInfo`]
+/// with the vector clocks the explorer's independence relation needs.
+struct Controlled<'a> {
+    net: ModelNet,
+    pending: BTreeMap<Chan, VecDeque<Pending>>,
+    ship_seq: u64,
+    /// Prescribed decisions not yet consumed.
+    prefix: std::iter::Copied<std::slice::Iter<'a, Chan>>,
+    npes: usize,
+    epoch: u64,
+    /// The latest delivery, until its handler completes (`clock_after`
+    /// still empty).
+    in_flight: Option<StepInfo>,
+    steps: Vec<StepInfo>,
+}
+
+impl<'a> Controlled<'a> {
+    fn new(net: ModelNet, prefix: &'a [Chan], npes: usize) -> Controlled<'a> {
+        Controlled {
+            net,
+            pending: BTreeMap::new(),
+            ship_seq: 0,
+            prefix: prefix.iter().copied(),
+            npes,
+            epoch: 0,
+            in_flight: None,
+            steps: Vec::new(),
         }
-        let delay = model.msg_delay(src, dst, env.kind.size_hint());
-        let mut at = (VTime::from_nanos(now_ns) + delay).as_nanos();
-        let last = last_arrival.entry((src, dst)).or_insert(0);
-        if at <= *last {
-            at = *last + 1;
-        }
-        *last = at;
-        let q = pending.entry((src, dst)).or_default();
-        q.push_back(Pending {
-            env,
-            arrive: at,
-            ship_seq: *ship_seq,
-            // analyze: allow(payload-copy, "vector-clock u64 snapshot, not a wire payload")
-            send_clock: send_clock.to_vec(),
-        });
-        *ship_seq += 1;
-        if let Some(dup) = duplicate {
-            let at2 = at + 1;
-            last_arrival.insert((src, dst), at2);
-            // Same channel, right behind the original — a network-level
-            // retransmission, FIFO like everything else on the channel.
-            // invariant: the original was just pushed; the channel queue exists
-            pending.get_mut(&(src, dst)).unwrap().push_back(Pending {
-                env: dup,
-                arrive: at2,
-                ship_seq: *ship_seq,
+    }
+
+    /// After a clean exit, whatever is still in flight is never delivered;
+    /// the explorer needs the heads to see the schedules where it would
+    /// have been.
+    fn stranded(&self) -> Vec<(Chan, Vec<u64>)> {
+        self.pending
+            .iter()
+            .filter_map(|(c, q)| {
                 // analyze: allow(payload-copy, "vector-clock u64 snapshot, not a wire payload")
-                send_clock: send_clock.to_vec(),
-            });
-            *ship_seq += 1;
-        }
+                q.front().map(|m| (*c, m.send_clock.to_vec()))
+            })
+            .collect()
     }
 }
 
-/// The controlled event loop: the sim driver re-plumbed so an explorer (or
-/// a replay artifact) picks which channel delivers next. Returns the run
-/// report, or a run-error description (which the caller treats as a
-/// counterexample).
-fn controlled_run(
-    driver: &Driver,
-    prefix: &[Chan],
-    steps: &mut Vec<StepInfo>,
-    exit: &mut Option<Vec<(Chan, Vec<u64>)>>,
-    probe: &FaultProbe,
-) -> Result<RunReport, String> {
-    let npes = driver.npes;
-    // analyze: allow(nondeterminism, "wall-clock origin for the report's wall field only; scheduling runs on virtual channel time")
-    let start = Instant::now();
-    let mut epoch = 0u64;
-    let mut cfg = (driver.mk_cfg)(0, None, 1, probe.clone());
-    let mut entry_slot = Some(driver.mk_entry());
-    let mut pes: Vec<PeState> = (0..npes)
-        .map(|pe| {
-            PeState::new(
-                pe,
-                npes,
-                Arc::clone(&cfg),
-                Arc::clone(&driver.registry),
-                Arc::clone(&driver.placements),
-                Arc::clone(&driver.reducers),
-                start,
-                if pe == 0 { entry_slot.take() } else { None },
-            )
-        })
-        .collect();
+impl Transport for Controlled<'_> {
+    fn start(&mut self, at_ns: u64, boot: Envelope) {
+        self.epoch = boot.epoch;
+        if let Some(step) = self.in_flight.take() {
+            // A delivery that never completed killed its PE, and this is
+            // the restart. It is a global barrier: its clock is the new
+            // epoch's zero on every component, which every post-recovery
+            // send dominates and no pre-recovery delivery reaches.
+            self.steps.push(StepInfo {
+                clock_after: vec![self.epoch << EPOCH_TAG_SHIFT; self.npes],
+                ..step
+            });
+            // The one place this transport deliberately departs from the
+            // sim one: pre-failure traffic would only be epoch-discarded
+            // on delivery; dropping it here is observationally equivalent
+            // (bar the `stale_discarded` count) and keeps the explored
+            // state space to live transitions.
+            self.pending.clear();
+        }
+        self.pending.entry((0, 0)).or_default().push_back(Pending {
+            env: boot,
+            arrive: at_ns,
+            ship_seq: self.ship_seq,
+            send_clock: vec![self.epoch << EPOCH_TAG_SHIFT; self.npes],
+        });
+        self.ship_seq += 1;
+    }
 
-    let mut pending: BTreeMap<Chan, VecDeque<Pending>> = BTreeMap::new();
-    let mut ship_seq = 0u64;
-    let mut last_arrival: HashMap<(Pe, Pe), u64> = HashMap::new();
-    pending.entry((0, 0)).or_default().push_back(Pending {
-        env: Envelope::new(0, EnvKind::Bootstrap),
-        arrive: 0,
-        ship_seq,
-        send_clock: tag_clock(0, &vec![0; npes]),
-    });
-    ship_seq += 1;
+    fn send(&mut self, src: &PeState, dst: Pe, env: Envelope) {
+        // The sender's clock after its handler is the send clock of
+        // everything the handler emitted: the handler is atomic, so any
+        // finer granularity would claim concurrency no schedule realizes.
+        let (epoch, clock) = (self.epoch, src.det.clock());
+        let queue = self.pending.entry((src.pe, dst)).or_default();
+        let ship_seq = &mut self.ship_seq;
+        self.net
+            .ship(src.pe, src.clock_ns, dst, env, |arrive, env| {
+                queue.push_back(Pending {
+                    env,
+                    arrive,
+                    ship_seq: *ship_seq,
+                    send_clock: tag_clock(epoch, clock),
+                });
+                *ship_seq += 1;
+            });
+    }
 
-    let mut inject_state = match driver.inject {
-        Some(InjectFault::KillPe { .. }) | None => None,
-        Some(f) => Some((f, 0u64)),
-    };
-    let mut kill = match driver.inject {
-        Some(InjectFault::KillPe { pe, after_nth }) => Some((pe, after_nth, 0u64)),
-        _ => None,
-    };
-    let mut recoveries = 0u64;
-    let mut clean_exit = false;
-    let mut prefix_iter = prefix.iter().copied();
-
-    loop {
+    fn poll(&mut self) -> Poll {
         // The enabled set: channels with a deliverable head, default
         // priority = smallest (modeled arrival, ship seq) — the exact order
-        // the uncontrolled EventQueue would pop, so the default extension
-        // reproduces a plain sim run.
-        let mut heads: Vec<(u64, u64, Chan)> = pending
+        // the sim transport's event heap would pop, so the default
+        // extension reproduces a plain sim run.
+        let mut heads: Vec<(u64, u64, Chan)> = self
+            .pending
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(c, q)| {
-                // invariant: non-empty queues only, per the filter above
-                let f = q.front().unwrap();
-                (f.arrive, f.ship_seq, *c)
-            })
+            .filter_map(|(c, q)| q.front().map(|f| (f.arrive, f.ship_seq, *c)))
             .collect();
         if heads.is_empty() {
-            // Scheduler-idle aggregation flush, as in the sim driver: parked
-            // sender-side traffic is released in PE order, then the loop
-            // re-examines the channels.
-            let mut flushed = false;
-            for src in 0..npes {
-                if pes[src].flush_aggregation() {
-                    flushed = true;
-                    let now = pes[src].clock_ns;
-                    let clock = tag_clock(epoch, pes[src].det.clock());
-                    let outbox: Vec<(Pe, Envelope)> = pes[src].outbox.drain(..).collect();
-                    ship(
-                        src,
-                        now,
-                        outbox,
-                        &clock,
-                        &driver.model,
-                        &mut pending,
-                        &mut ship_seq,
-                        &mut last_arrival,
-                        &mut inject_state,
-                    );
-                }
-            }
-            if flushed {
-                continue;
-            }
-            break;
+            return Poll::Empty;
         }
         heads.sort_unstable();
         let enabled: Vec<Chan> = heads.iter().map(|h| h.2).collect();
@@ -545,7 +432,7 @@ fn controlled_run(
         // subsequence of a failing schedule well-defined — the closure
         // property the ddmin shrinker needs.
         let chosen = loop {
-            match prefix_iter.next() {
+            match self.prefix.next() {
                 Some(c) if enabled.contains(&c) => break c,
                 Some(_) => continue,
                 None => break enabled[0],
@@ -553,154 +440,35 @@ fn controlled_run(
         };
         // invariant: chosen comes from the enabled set, whose channels have
         // pending messages
-        let msg = pending.get_mut(&chosen).unwrap().pop_front().unwrap();
-        let (t, env) = (msg.arrive, msg.env);
-        let pe = chosen.1;
-
-        // Injected PE kill: fires at the delivery that would be the
-        // victim's Nth QD-counted envelope, exactly as in the sim driver.
-        let mut fire = false;
-        if let Some((victim, after_nth, count)) = &mut kill {
-            let w = env.kind.qd_weight();
-            if *victim == pe && w > 0 && env.epoch == epoch {
-                let n = *count;
-                *count += w;
-                fire = n <= *after_nth && *after_nth < n + w;
-            }
-        }
-        if fire {
-            kill = None;
-            let failure = format!("injected failure of PE {pe}");
-            if !driver.recovery_armed() {
-                return Err(format!(
-                    "cannot recover from \"{failure}\": automatic checkpointing or the recovery \
-                     entry is not armed"
-                ));
-            }
-            if recoveries >= driver.max_restarts {
-                return Err(format!(
-                    "gave up after {recoveries} restart(s); last failure: {failure}"
-                ));
-            }
-            let stores: Vec<Option<CkptStore>> = pes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, p)| (i != pe).then(|| std::mem::take(&mut p.ckpt_store)))
-                .collect();
-            let (generation, src) = driver
-                .recovery_source(&stores)
-                .map_err(|reason| format!("cannot recover from \"{failure}\": {reason}"))?;
-            recoveries += 1;
-            epoch += 1;
-            cfg = (driver.mk_cfg)(epoch, Some(src), generation + 1, probe.clone());
-            let mut entry = driver.recovery_entry();
-            pes = (0..npes)
-                .map(|p| {
-                    let mut st = PeState::new(
-                        p,
-                        npes,
-                        Arc::clone(&cfg),
-                        Arc::clone(&driver.registry),
-                        Arc::clone(&driver.placements),
-                        Arc::clone(&driver.reducers),
-                        start,
-                        if p == 0 { entry.take() } else { None },
-                    );
-                    st.clock_ns = t;
-                    st
-                })
-                .collect();
-            // Pre-failure traffic would only be epoch-discarded on delivery;
-            // dropping it here is observationally equivalent and keeps the
-            // explored state space to live transitions.
-            pending.clear();
-            let mut boot = Envelope::new(0, EnvKind::Bootstrap);
-            boot.epoch = epoch;
-            pending.entry((0, 0)).or_default().push_back(Pending {
-                env: boot,
-                arrive: t,
-                ship_seq,
-                send_clock: tag_clock(epoch, &vec![0; npes]),
-            });
-            ship_seq += 1;
-            // The restart is a global barrier: its clock is the new epoch's
-            // zero on every component, which every post-recovery send
-            // dominates and no pre-recovery delivery reaches.
-            steps.push(StepInfo {
-                chan: chosen,
-                enabled,
-                send_clock: msg.send_clock,
-                clock_after: vec![epoch << EPOCH_TAG_SHIFT; npes],
-            });
-            continue;
-        }
-
-        let state = &mut pes[pe];
-        if t > state.clock_ns {
-            state.tracer.idle(state.clock_ns, t);
-            state.clock_ns = t;
-        }
-        state.handle(env);
-        state.clock_ns += std::mem::take(&mut state.event_work_ns);
-        let now = state.clock_ns;
-        // One snapshot serves as this delivery's clock *and* the send clock
-        // of everything the handler emitted: the handler is atomic, so any
-        // finer granularity would claim concurrency no schedule realizes.
-        let clock_after = tag_clock(epoch, state.det.clock());
-        let outbox: Vec<(Pe, Envelope)> = state.outbox.drain(..).collect();
-        let exited = state.exited;
-        ship(
-            pe,
-            now,
-            outbox,
-            &clock_after,
-            &driver.model,
-            &mut pending,
-            &mut ship_seq,
-            &mut last_arrival,
-            &mut inject_state,
-        );
-        steps.push(StepInfo {
+        let msg = self.pending.get_mut(&chosen).unwrap().pop_front().unwrap();
+        self.in_flight = Some(StepInfo {
             chan: chosen,
             enabled,
             send_clock: msg.send_clock,
-            clock_after,
+            clock_after: Vec::new(),
         });
-        if exited {
-            clean_exit = true;
-            // Whatever is still in flight is never delivered; the explorer
-            // needs the heads to see the schedules where it would have been.
-            let stranded = pending.iter().filter_map(|(c, q)| {
-                // analyze: allow(payload-copy, "vector-clock u64 snapshot, not a wire payload")
-                q.front().map(|m| (*c, m.send_clock.to_vec()))
-            });
-            *exit = Some(stranded.collect());
-            break;
+        Poll::Ready {
+            pe: chosen.1,
+            arrival: msg.arrive,
+            env: msg.env,
         }
     }
 
-    // Quiescence invariants, as in the sim driver: the probe collects any
-    // imbalance as a finding (= counterexample) instead of panicking.
-    crate::analyze::check_balance(
-        pes.iter().map(|p| p.det_summary()).collect(),
-        !clean_exit,
-        Some(probe),
-    );
-    crate::analyze::check_counter_balance(
-        &pes.iter().map(|p| p.counter_totals()).collect::<Vec<_>>(),
-        !clean_exit,
-        Some(probe),
-    );
+    fn handled(&mut self, state: &PeState) {
+        if let Some(step) = self.in_flight.take() {
+            self.steps.push(StepInfo {
+                clock_after: tag_clock(self.epoch, state.det.clock()),
+                ..step
+            });
+        }
+    }
 
-    let makespan = pes.iter().map(|p| p.clock_ns).max().unwrap_or(0);
-    let lb_epochs = pes[0].lb_epochs();
-    let traces: Vec<PeTrace> = pes.iter_mut().map(|p| p.finish_trace()).collect();
-    Ok(crate::runtime::finish_report(
-        start.elapsed(),
-        Duration::from_nanos(makespan),
-        lb_epochs,
-        recoveries,
-        clean_exit,
-        traces,
-    ))
+    fn idle_wait(&mut self, _pes: &mut [PeState]) -> Poll {
+        // The idle flush may have put parked traffic back in flight; with
+        // every channel still empty the machine is done.
+        match self.poll() {
+            Poll::Empty => Poll::End(End::Drained),
+            ready => ready,
+        }
+    }
 }

@@ -296,7 +296,7 @@ pub struct RefineOutcome {
 /// a balanced system), else takes the least-loaded acceptor by
 /// `(load, pe)`. `acceptors` is updated in place with the placed loads.
 pub fn greedy_refine_place(
-    acceptors: &mut Vec<(Pe, u64)>,
+    acceptors: &mut [(Pe, u64)],
     mut candidates: Vec<LbChareStat>,
     limit: u64,
 ) -> RefineOutcome {

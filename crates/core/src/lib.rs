@@ -47,6 +47,7 @@ pub mod checkpoint;
 pub mod collections;
 pub mod coro;
 pub mod ctx;
+pub(crate) mod driver;
 pub mod future;
 pub mod ids;
 pub mod lb;

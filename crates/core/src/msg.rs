@@ -590,7 +590,6 @@ impl EnvKind {
     /// control messages. The PE-kill fault injector walks this weight so a
     /// failure point expressed as "the Nth delivery" lands at the same
     /// logical position whether or not aggregation is on.
-    #[cfg(feature = "analyze")]
     pub fn qd_weight(&self) -> u64 {
         match self {
             EnvKind::Batch { count, .. } => u64::from(*count),

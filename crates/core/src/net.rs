@@ -1,20 +1,19 @@
-//! The Net backend driver: one PE per OS process over `charm-net`
+//! The Net transport: one PE per OS process over `charm-net`
 //! (DESIGN.md §13).
 //!
 //! The process whose environment carries no `CHARMRS_NET_*` variables is
-//! the **root**: it runs PE 0's scheduler *and* the restart supervisor —
-//! the same supervisor loop as the threads backend, except that a failed
-//! incarnation is detected through the transport (peer loss, child-process
-//! death) instead of a joined thread, and a restart *respawns a process*
-//! and re-rendezvouses instead of re-spawning threads. **Workers** run one
-//! scheduler each and obey the root's `Restart` notices: tear down the
-//! incarnation, rebuild at the announced epoch, keep serving.
+//! the **root**: it runs PE 0's scheduler under the restart supervisor
+//! every backend uses (`driver.rs`). What is specific here is how an
+//! incarnation fails and restarts: a failure is a transport verdict (peer
+//! loss, child-process death) instead of a joined thread or an injected
+//! event, and a restart *respawns a process* and re-rendezvouses.
+//! **Workers** run one scheduler each and do not supervise; they obey the
+//! root's `Restart` notices: tear down the incarnation, rebuild at the
+//! announced epoch, keep serving.
 //!
-//! The scheduler itself is unchanged — the same `PeState`, the same
-//! epoch-stamped envelopes, the same stale-epoch discard rule. This driver
-//! only moves envelopes: local ones loop through an in-process queue,
-//! remote ones cross the socket as their own [`Wire`] encoding under the
-//! run's codec (§13.1).
+//! Local envelopes loop through an in-process queue, remote ones cross
+//! the socket as their own [`Wire`] encoding under the run's codec
+//! (§13.1).
 //!
 //! Documented v1 limits (see DESIGN.md §13.5): the root process itself is
 //! not recoverable, recovery requires [`Store::Disk`] on a filesystem all
@@ -26,40 +25,23 @@ use std::time::{Duration, Instant};
 
 use charm_net::{Launcher, NetCfg, NetEvent, NetNode, WorkerEnv};
 use charm_trace::{PePerf, PeTrace};
-use charm_wire::{Reader, Wire, WireError, Writer};
+use charm_wire::{Codec, Reader, Wire, WireError, Writer};
 
 use crate::checkpoint::Store;
+use crate::driver::{drive, supervise, End, Ended, Failed, Poll, Transport};
 use crate::ids::Pe;
-use crate::msg::{EnvKind, Envelope};
-use crate::pe::PeState;
-use crate::runtime::{finish_report, panic_msg, Launch, RunError, RunReport};
+use crate::msg::Envelope;
+use crate::pe::{CoroLauncher, PeState};
+use crate::runtime::{panic_msg, Launch, RunError, RunReport};
 
 /// Read the wall clock (single sanctioned call site for this module).
 fn now() -> Instant {
-    // analyze: allow(net-hook, "Net driver deadlines are wall-clock by design, like the threads supervisor's; the sim/check drivers never run this module")
+    // analyze: allow(net-hook, "Net transport deadlines are wall-clock by design, like the threads transport's; virtual-time machines never run this module")
     Instant::now()
 }
 
 fn boot_err(e: charm_net::NetError) -> RunError {
     RunError::Bootstrap(e.to_string())
-}
-
-/// How one incarnation's drive loop ended.
-enum DriveEnd {
-    /// The application exited cleanly.
-    Exited,
-    /// No local or remote progress within the idle timeout.
-    Hung(Duration),
-    /// Root only: a worker is gone (transport verdict or child death).
-    PeerFailed {
-        pe: Pe,
-        incarnation: u64,
-        reason: String,
-    },
-    /// Worker only: the root announced a recovery restart.
-    Restart { epoch: u64, generation: u64 },
-    /// Worker only: the connection to the root is gone for good.
-    RootLost { incarnation: u64 },
 }
 
 /// A worker's end-of-run statistics block — its [`PePerf`] plus the LB
@@ -92,64 +74,121 @@ wire_perf! {
     inline_payloads, dispatch_hits, dispatch_misses, events_dropped, fwd_hops, lb_peak_stats
 }
 
-/// Envelope-level drop counters (distinct from the transport's frame
-/// counters): outbound envelopes with no wire form and undecodable
-/// inbound ones. Both are defects worth surfacing, not panics.
-#[derive(Default)]
-struct DropCounts {
-    encode: u64,
-    decode: u64,
+/// This process's end of the mesh: the [`NetNode`], a loop-back queue for
+/// same-PE envelopes, and one encode buffer reused for every outbound
+/// envelope (written once, payload bytes straight from their shared
+/// allocation, handed to the node as a slice). `launcher` doubles as the
+/// role discriminator: `Some` is the root (supervises children, collects
+/// worker stats), `None` is a worker (obeys `Restart`, fails on root loss).
+///
+/// Envelopes that outlive an incarnation (unprocessed locals, frames
+/// arriving during the readmission wait) stay in `local` and are
+/// re-presented to the next incarnation's scheduler: current-epoch ones
+/// deliver, stale ones are discarded *and counted* by its epoch guard.
+struct Net {
+    node: NetNode,
+    me: Pe,
+    launcher: Option<Launcher>,
+    codec: Codec,
+    local: VecDeque<Envelope>,
+    wire: Vec<u8>,
+    idle_timeout: Duration,
+    /// When the scheduler last finished handling an envelope.
+    last_progress: Instant,
+    /// A delivery is out with the scheduler; the next `poll` stamps
+    /// `last_progress`.
+    delivering: bool,
+    /// Children that exited without a clean goodbye get a short grace
+    /// window for the goodbye frame to arrive before they are declared
+    /// failed (reaping the process can race the last bytes in flight).
+    suspects: Vec<(Pe, Instant)>,
+    /// Root: workers' end-of-run statistics, by PE.
+    stats: Vec<Option<WirePerf>>,
 }
 
-/// Drive one incarnation of the local scheduler against the mesh.
-/// `launcher` doubles as the role discriminator: `Some` is the root
-/// (supervises children, collects worker stats into `stats`), `None` is a
-/// worker (obeys `Restart`, fails on root loss).
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    state: &mut PeState,
-    me: Pe,
-    node: &NetNode,
-    mut launcher: Option<&mut Launcher>,
-    local: &mut VecDeque<Envelope>,
-    idle_timeout: Duration,
-    stats: &mut [Option<WirePerf>],
-    drops: &mut DropCounts,
-    #[cfg(feature = "analyze")] kill: Option<(Pe, u64)>,
-) -> DriveEnd {
-    let codec = state.cfg.codec;
-    // One encode buffer for the incarnation: an outbound envelope is
-    // written once, payload bytes straight from their shared allocation,
-    // and handed to the transport as a slice.
-    let mut wire = Vec::new();
-    let mut last_progress = now();
-    // Children that exited without a clean goodbye get a short grace
-    // window for the goodbye frame to arrive before they are declared
-    // failed (reaping the process can race the last bytes in flight).
-    let mut suspects: Vec<(Pe, Instant)> = Vec::new();
-    #[cfg(feature = "analyze")]
-    let mut qd_handled = 0u64;
-    loop {
-        let env = if let Some(env) = local.pop_front() {
-            env
-        } else {
-            match node.events().recv_timeout(Duration::from_millis(10)) {
-                // The bytes passed framing CRCs, but the decode is still
-                // fallible: a peer built with different features must
-                // yield a typed error, not a panic.
-                Ok(NetEvent::Payload { src: _, bytes }) => match codec.decode(&bytes) {
-                    Ok(env) => env,
-                    Err(_) => {
-                        drops.decode += 1;
-                        continue;
-                    }
+impl Net {
+    fn new(
+        node: NetNode,
+        me: Pe,
+        launcher: Option<Launcher>,
+        launch: &Launch,
+        idle_timeout: Duration,
+    ) -> Net {
+        Net {
+            node,
+            me,
+            stats: (0..launch.npes).map(|_| None).collect(),
+            launcher,
+            codec: launch.cfg.codec,
+            local: VecDeque::new(),
+            wire: Vec::new(),
+            idle_timeout,
+            last_progress: now(),
+            delivering: false,
+            suspects: Vec::new(),
+        }
+    }
+
+    /// Reset the per-incarnation supervision state.
+    fn begin(&mut self) {
+        self.last_progress = now();
+        self.delivering = false;
+        self.suspects.clear();
+    }
+
+    /// Hand one inbound payload frame to the scheduler's queue. The bytes
+    /// passed framing CRCs, but the decode is still fallible: a peer built
+    /// with different features yields a dropped frame, not a panic.
+    fn decode(&self, bytes: &[u8]) -> Option<Envelope> {
+        self.codec.decode(bytes).ok()
+    }
+
+    fn record_stats(&mut self, pe: Pe, bytes: &[u8]) {
+        if let Some(slot) = self.stats.get_mut(pe) {
+            *slot = self.codec.decode::<WirePerf>(bytes).ok();
+        }
+    }
+}
+
+impl Transport for Net {
+    fn start(&mut self, _at_ns: u64, boot: Envelope) {
+        self.begin();
+        // Ahead of any leftovers from the previous incarnation.
+        self.local.push_front(boot);
+    }
+
+    /// Same-PE envelopes loop through the local queue; remote ones are
+    /// serialized onto the mesh. Send failures are the node's problem (its
+    /// loss path reports them); an envelope with no wire form is dropped.
+    fn send(&mut self, _src: &PeState, dst: Pe, env: Envelope) {
+        if dst == self.me {
+            self.local.push_back(env);
+            return;
+        }
+        self.wire.clear();
+        if self.codec.encode_into(&mut self.wire, &env).is_ok() {
+            let _ = self.node.send_payload(dst, &self.wire);
+        }
+    }
+
+    fn poll(&mut self) -> Poll {
+        if std::mem::take(&mut self.delivering) {
+            self.last_progress = now();
+        }
+        let env = loop {
+            if let Some(env) = self.local.pop_front() {
+                break env;
+            }
+            match self.node.events().recv_timeout(Duration::from_millis(10)) {
+                Ok(NetEvent::Payload { src: _, bytes }) => match self.decode(&bytes) {
+                    Some(env) => break env,
+                    None => continue,
                 },
                 Ok(NetEvent::PeerUp { .. }) => continue,
                 Ok(NetEvent::Restart { epoch, generation }) => {
-                    if launcher.is_none() {
-                        return DriveEnd::Restart { epoch, generation };
+                    if self.launcher.is_none() {
+                        return Poll::End(End::Restart { epoch, generation });
                     }
-                    continue;
                 }
                 Ok(NetEvent::PeerLost {
                     pe,
@@ -158,116 +197,66 @@ fn drive(
                 }) => {
                     // A repaired peer (reconnect won the race against the
                     // verdict) makes the loss moot.
-                    if node.peer_live(pe) {
+                    if self.node.peer_live(pe) {
                         continue;
                     }
-                    if launcher.is_some() {
-                        return DriveEnd::PeerFailed {
+                    if self.launcher.is_some() {
+                        return Poll::End(End::PeerFailed {
                             pe,
                             incarnation,
                             reason,
-                        };
+                        });
                     }
                     if pe == 0 {
-                        return DriveEnd::RootLost { incarnation };
+                        return Poll::End(End::RootLost { incarnation });
                     }
                     // Worker view of a sibling loss: the root supervises;
                     // either a Restart or an Exit will follow.
-                    continue;
                 }
-                Ok(NetEvent::Stats { pe, bytes }) => {
-                    if let Some(slot) = stats.get_mut(pe) {
-                        *slot = codec.decode::<WirePerf>(&bytes).ok();
-                    }
-                    continue;
-                }
-                Err(_) => {
-                    // Idle tick: flush parked aggregation buffers (nobody
-                    // else will move traffic we sit on), then supervise.
-                    if state.flush_aggregation() {
-                        ship(state, me, node, local, &mut wire, drops);
-                        last_progress = now();
-                        continue;
-                    }
-                    if let Some(l) = launcher.as_deref_mut() {
-                        for pe in l.poll_exited() {
-                            suspects.push((pe, now() + Duration::from_millis(250)));
-                        }
-                    }
-                    let mut failed = None;
-                    suspects.retain(|&(pe, deadline)| {
-                        if node.peer_bye(pe) {
-                            // The child said goodbye before exiting: a clean
-                            // worker shutdown, not a failure.
-                            return false;
-                        }
-                        if now() >= deadline && failed.is_none() {
-                            failed = Some(pe);
-                            return false;
-                        }
-                        true
-                    });
-                    if let Some(pe) = failed {
-                        return DriveEnd::PeerFailed {
-                            pe,
-                            incarnation: node.epoch(),
-                            reason: format!("worker process for PE {pe} exited"),
-                        };
-                    }
-                    if now().duration_since(last_progress) >= idle_timeout {
-                        return DriveEnd::Hung(idle_timeout);
-                    }
-                    continue;
-                }
+                Ok(NetEvent::Stats { pe, bytes }) => self.record_stats(pe, &bytes),
+                Err(_) => return Poll::Empty,
             }
         };
-        #[cfg(feature = "analyze")]
-        if let Some((victim, after_nth)) = kill {
-            // Same delivery clock as the threads backend's injector — but
-            // here the victim kills its *process*, so the failure the root
-            // recovers from is a real SIGKILL, not a caught panic.
-            let w = env.kind.qd_weight();
-            if victim == me && w > 0 && env.epoch == 0 {
-                let n = qd_handled;
-                qd_handled += w;
-                if n <= after_nth && after_nth < n + w {
-                    charm_net::kill_self_hard();
-                }
-            }
-        }
-        state.handle(env);
-        ship(state, me, node, local, &mut wire, drops);
-        last_progress = now();
-        if state.exited {
-            return DriveEnd::Exited;
+        self.delivering = true;
+        Poll::Ready {
+            pe: self.me,
+            arrival: 0,
+            env,
         }
     }
-}
 
-/// Move the scheduler's outbox: same-PE envelopes loop through the local
-/// queue; remote ones are serialized into `wire` and onto the mesh. Send
-/// failures are the transport's problem (its loss path reports them) — the
-/// driver only counts envelopes that could not even be represented.
-fn ship(
-    state: &mut PeState,
-    me: Pe,
-    node: &NetNode,
-    local: &mut VecDeque<Envelope>,
-    wire: &mut Vec<u8>,
-    drops: &mut DropCounts,
-) {
-    for (dst, env) in state.outbox.drain(..) {
-        if dst == me {
-            local.push_back(env);
-            continue;
-        }
-        wire.clear();
-        match state.cfg.codec.encode_into(wire, &env) {
-            Ok(()) => {
-                let _ = node.send_payload(dst, wire);
+    /// The idle tick: supervise the children (root) and the hang clock.
+    fn idle_wait(&mut self, _pes: &mut [PeState]) -> Poll {
+        if let Some(l) = self.launcher.as_mut() {
+            for pe in l.poll_exited() {
+                self.suspects.push((pe, now() + Duration::from_millis(250)));
             }
-            Err(_) => drops.encode += 1,
         }
+        let mut failed = None;
+        let node = &self.node;
+        self.suspects.retain(|&(pe, deadline)| {
+            if node.peer_bye(pe) {
+                // The child said goodbye before exiting: a clean worker
+                // shutdown, not a failure.
+                return false;
+            }
+            if now() >= deadline && failed.is_none() {
+                failed = Some(pe);
+                return false;
+            }
+            true
+        });
+        if let Some(pe) = failed {
+            return Poll::End(End::PeerFailed {
+                pe,
+                incarnation: self.node.epoch(),
+                reason: format!("worker process for PE {pe} exited"),
+            });
+        }
+        if now().duration_since(self.last_progress) >= self.idle_timeout {
+            return Poll::End(End::Hung(self.idle_timeout));
+        }
+        Poll::Empty
     }
 }
 
@@ -276,39 +265,27 @@ pub(crate) fn run_net(
     launch: Launch,
     netcfg: NetCfg,
     idle_timeout: Duration,
-    entry_fn: crate::pe::CoroLauncher,
-    #[cfg(feature = "analyze")] inject: Option<crate::analyze::InjectFault>,
+    entry: CoroLauncher,
 ) -> Result<RunReport, RunError> {
     match charm_net::worker_env() {
-        None => run_root(
-            launch,
-            netcfg,
-            idle_timeout,
-            entry_fn,
-            #[cfg(feature = "analyze")]
-            inject,
-        ),
+        None => run_root(launch, netcfg, idle_timeout, entry),
         // Worker processes never return to application code: like
         // `charm.start` on a non-0 PE, the call serves the run and then
         // ends the process (the code after `Runtime::run` is root-only).
-        Some(Ok(we)) => run_worker(
-            launch,
-            netcfg,
-            idle_timeout,
-            we,
-            #[cfg(feature = "analyze")]
-            inject,
-        ),
+        Some(Ok(we)) => run_worker(launch, netcfg, idle_timeout, we),
         Some(Err(e)) => Err(boot_err(e)),
     }
 }
 
+/// Root-process half: PE 0's scheduler under the restart supervisor. A
+/// failed incarnation is detected through the transport (peer loss,
+/// child-process death) and a restart *respawns a process* and
+/// re-rendezvouses before the next incarnation starts.
 fn run_root(
-    mut launch: Launch,
+    launch: Launch,
     netcfg: NetCfg,
     idle_timeout: Duration,
-    entry_fn: crate::pe::CoroLauncher,
-    #[cfg(feature = "analyze")] _inject: Option<crate::analyze::InjectFault>,
+    entry: CoroLauncher,
 ) -> Result<RunReport, RunError> {
     let npes = launch.npes;
     // The nonce only has to differ between overlapping runs on one host.
@@ -319,97 +296,90 @@ fn run_root(
         .as_nanos() as u64
         ^ (u64::from(std::process::id()) << 32);
     let node = NetNode::root(&netcfg, npes, nonce).map_err(boot_err)?;
-    let mut launcher = Launcher::spawn_all(
+    let launcher = Launcher::spawn_all(
         &netcfg,
         npes,
         node.listen_addr(),
         nonce,
-        launch.ckpt_seq_start,
+        launch.cfg.ckpt_seq_start,
     )
     .map_err(boot_err)?;
     node.await_workers().map_err(boot_err)?;
+    let mut t = Net::new(node, 0, Some(launcher), &launch, idle_timeout);
+    // The worker the previous incarnation lost, and why.
+    let mut lost: Option<(Pe, String)> = None;
 
-    let mut entry_slot = Some(entry_fn);
-    let mut restore = launch.restore.take();
-    let mut seq_start = launch.ckpt_seq_start;
-    let mut recoveries = 0u64;
-    let mut stats: Vec<Option<WirePerf>> = (0..npes).map(|_| None).collect();
-    let mut drops = DropCounts::default();
-    // Envelopes that outlive an incarnation (unprocessed locals, frames
-    // arriving during the readmission wait) are re-presented to the next
-    // incarnation's scheduler: current-epoch ones deliver, stale ones are
-    // discarded *and counted* by the scheduler's epoch guard.
-    let mut local = VecDeque::new();
-
-    for epoch in 0u64.. {
-        node.set_epoch(epoch);
-        let cfg = (launch.mk_cfg)(epoch, restore.take(), seq_start);
-        let entry = match entry_slot.take() {
-            Some(e) => Some(e),
-            None => launch.recovery_entry(),
-        };
-        let mut state = launch.mk_pe(0, entry, &cfg);
-        if epoch > 0 && state.tracer.full() {
-            let t = state.now_ns();
-            state
-                .tracer
-                .push(t, charm_trace::EventKind::Recovery { epoch });
+    let report = supervise(&launch, entry, 0..1, |mut pes, boot, _kill| {
+        let epoch = boot.epoch;
+        // Fence first (stale survivors rejected at the door), then tell the
+        // survivors, then bring back the dead PE.
+        t.node.set_epoch(epoch);
+        if let Some((pe, failure)) = lost.take() {
+            let launcher = t.launcher.as_mut().expect("the root owns the launcher");
+            if !launcher.can_respawn() {
+                return Err(RunError::RecoveryImpossible {
+                    reason: "externally-launched workers cannot be respawned (§13.5)".into(),
+                    failure,
+                });
+            }
+            let seq_start = pes[0].cfg.ckpt_seq_start;
+            t.node.broadcast_restart(epoch, seq_start - 1);
+            launcher.respawn(pe, epoch, seq_start).map_err(boot_err)?;
+            let deadline = now() + netcfg.rendezvous_timeout;
+            while !t.node.peer_at_epoch(pe, epoch) {
+                if now() >= deadline {
+                    return Err(RunError::Bootstrap(format!(
+                        "respawned PE {pe} did not rejoin within {:?}",
+                        netcfg.rendezvous_timeout
+                    )));
+                }
+                // The wait doubles as event consumption: stale loss
+                // verdicts for the torn-down epoch die here, while
+                // payloads are preserved for the next incarnation's
+                // epoch guard to judge.
+                if let Ok(NetEvent::Payload { src: _, bytes }) =
+                    t.node.events().recv_timeout(Duration::from_millis(10))
+                {
+                    t.local.extend(t.decode(&bytes));
+                }
+            }
+            t.node.broadcast_table();
         }
-        let mut boot = Envelope::new(0, EnvKind::Bootstrap);
-        boot.epoch = epoch;
-        local.push_front(boot);
+        t.start(0, boot);
 
         // PE 0's handlers run application code; a panic there is a root
         // failure, and the root hosts the supervisor — v1 does not survive
-        // it (§13.5). Caught so the report is typed, not a crash.
+        // it (§13.5), which is also why an injected kill of PE 0 is not
+        // honored. Caught so the report is typed, not a crash.
         let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive(
-                &mut state,
-                0,
-                &node,
-                Some(&mut launcher),
-                &mut local,
-                idle_timeout,
-                &mut stats,
-                &mut drops,
-                #[cfg(feature = "analyze")]
-                None,
-            )
-        }));
-        let end = match end {
-            Ok(end) => end,
-            Err(p) => {
-                node.kill();
-                return Err(RunError::PePanic {
-                    pe: 0,
-                    msg: panic_msg(p),
-                });
-            }
-        };
+            drive(&mut pes, &mut t, None)
+        }))
+        .map_err(|p| RunError::PePanic {
+            pe: 0,
+            msg: panic_msg(p),
+        })?;
         match end {
-            DriveEnd::Exited => {
+            End::Exited => {
                 // Workers ship their stats right after their own Exit;
                 // give the frames the drain window to arrive.
                 let deadline = now() + netcfg.drain_timeout;
-                while stats[1..].iter().any(Option::is_none) && now() < deadline {
+                while t.stats[1..].iter().any(Option::is_none) && now() < deadline {
                     if let Ok(NetEvent::Stats { pe, bytes }) =
-                        node.events().recv_timeout(Duration::from_millis(10))
+                        t.node.events().recv_timeout(Duration::from_millis(10))
                     {
-                        if let Some(slot) = stats.get_mut(pe) {
-                            *slot = state.cfg.codec.decode::<WirePerf>(&bytes).ok();
-                        }
+                        t.record_stats(pe, &bytes);
                     }
                 }
-                node.drain(netcfg.drain_timeout)
+                t.node
+                    .drain(netcfg.drain_timeout)
                     .map_err(|e| RunError::Drain(e.to_string()))?;
-                let trace0 = state.finish_trace();
-                let mut lb_total = state.lb_epochs();
-                let mut traces = vec![trace0];
+                let mut lb_epochs = pes[0].lb_epochs();
+                let mut traces = vec![pes[0].finish_trace()];
                 let mut missing = Vec::new();
-                for (pe, slot) in stats.iter_mut().enumerate().skip(1) {
+                for (pe, slot) in t.stats.iter_mut().enumerate().skip(1) {
                     match slot.take() {
                         Some(WirePerf(perf, lb)) => {
-                            lb_total += lb;
+                            lb_epochs += lb;
                             traces.push(PeTrace {
                                 perf,
                                 ..PeTrace::default()
@@ -424,206 +394,128 @@ fn run_root(
                         netcfg.drain_timeout
                     )));
                 }
-                let wall = launch.start.elapsed();
-                return Ok(finish_report(
-                    wall, wall, lb_total, recoveries, true, traces,
-                ));
+                Ok(Ended::Finished {
+                    traces,
+                    lb_epochs,
+                    time: None,
+                    clean_exit: true,
+                })
             }
-            DriveEnd::Hung(idle) => {
-                node.kill();
-                return Err(RunError::Hang { pe: 0, idle });
-            }
-            DriveEnd::PeerFailed {
+            End::Hung(idle) => Err(RunError::Hang { pe: 0, idle }),
+            End::PeerFailed {
                 pe,
                 incarnation,
                 reason,
             } => {
-                if !launch.recovery_armed() {
-                    node.kill();
-                    return Err(RunError::PeerLost { pe, incarnation });
-                }
-                if recoveries >= launch.max_restarts {
-                    node.kill();
-                    return Err(RunError::RestartsExhausted {
-                        attempts: recoveries,
-                        last: reason,
-                    });
-                }
-                // Cross-process, only a shared on-disk generation is
-                // reachable: the dead worker's memory (and its buddy
-                // images, which live in *other workers'* address spaces)
-                // cannot be assembled by the root.
-                if let Some((_, Store::Memory)) = &launch.auto {
-                    node.kill();
-                    return Err(RunError::RecoveryImpossible {
-                        reason: "Store::Memory buddy images live inside worker processes; \
-                                 the Net backend recovers from Store::Disk only (§13.5)"
-                            .into(),
-                        failure: reason,
-                    });
-                }
-                let (generation, src) = match launch.recovery_source(&[]) {
-                    Ok(x) => x,
-                    Err(r) => {
-                        node.kill();
-                        return Err(RunError::RecoveryImpossible {
-                            reason: r,
-                            failure: reason,
-                        });
-                    }
-                };
-                if !launcher.can_respawn() {
-                    node.kill();
-                    return Err(RunError::RecoveryImpossible {
-                        reason: "externally-launched workers cannot be respawned (§13.5)".into(),
-                        failure: reason,
-                    });
-                }
-                let next = epoch + 1;
-                recoveries += 1;
-                restore = Some(src);
-                seq_start = generation + 1;
-                // Fence first (stale survivors rejected at the door), then
-                // tell the survivors, then bring back the dead PE.
-                node.set_epoch(next);
-                node.broadcast_restart(next, generation);
-                launcher
-                    .respawn(pe, next, generation + 1)
-                    .map_err(boot_err)?;
-                let deadline = now() + netcfg.rendezvous_timeout;
-                while !node.peer_at_epoch(pe, next) {
-                    if now() >= deadline {
-                        node.kill();
-                        return Err(RunError::Bootstrap(format!(
-                            "respawned PE {pe} did not rejoin within {:?}",
-                            netcfg.rendezvous_timeout
-                        )));
-                    }
-                    // The wait doubles as event consumption: stale loss
-                    // verdicts for the torn-down epoch die here, while
-                    // payloads are preserved for the next incarnation's
-                    // epoch guard to judge.
-                    if let Ok(NetEvent::Payload { src: _, bytes }) =
-                        node.events().recv_timeout(Duration::from_millis(10))
-                    {
-                        match state.cfg.codec.decode(&bytes) {
-                            Ok(env) => local.push_back(env),
-                            Err(_) => drops.decode += 1,
-                        }
-                    }
-                }
-                node.broadcast_table();
+                lost = Some((pe, reason.clone()));
+                // No in-memory salvage: the dead worker's memory (and its
+                // buddy images, which live in *other workers'* address
+                // spaces) cannot be assembled by the root.
+                Ok(Ended::Failed(Failed {
+                    unarmed: RunError::PeerLost { pe, incarnation },
+                    describe: reason,
+                    stores: Vec::new(),
+                    at_ns: 0,
+                }))
             }
-            // Only workers receive Restart notices or lose "the root".
-            DriveEnd::Restart { .. } | DriveEnd::RootLost { .. } => {
-                node.kill();
-                return Err(RunError::Bootstrap(
-                    "root received a worker-only lifecycle event".into(),
-                ));
-            }
+            // Only workers receive Restart notices, lose "the root" or die
+            // by injection, and a live mesh never drains.
+            End::Restart { .. } | End::RootLost { .. } | End::Killed(..) | End::Drained => Err(
+                RunError::Bootstrap("root received a worker-only lifecycle event".into()),
+            ),
         }
-    }
-    unreachable!("restart loop returns from within");
+    });
+    report.map_err(|e| {
+        // Abandon the run: from the workers' side the root just died.
+        t.node.kill();
+        match e {
+            // Cross-process, only a shared on-disk generation is reachable;
+            // say so instead of "no generation survives".
+            RunError::RecoveryImpossible { failure, .. }
+                if matches!(launch.cfg.auto_ckpt, Some((_, Store::Memory))) =>
+            {
+                RunError::RecoveryImpossible {
+                    reason: "Store::Memory buddy images live inside worker processes; \
+                             the Net backend recovers from Store::Disk only (§13.5)"
+                        .into(),
+                    failure,
+                }
+            }
+            e => e,
+        }
+    })
 }
 
-/// Worker-process half: serve incarnations until the run completes, then
-/// end the process. Exit codes: 0 clean, 2 bootstrap mismatch, 3 hang,
-/// 4 root lost, 5 drain failure — a non-zero exit is what the root's child
-/// poll turns into a peer failure.
-fn run_worker(
-    mut launch: Launch,
-    netcfg: NetCfg,
-    idle_timeout: Duration,
-    we: WorkerEnv,
-    #[cfg(feature = "analyze")] inject: Option<crate::analyze::InjectFault>,
-) -> ! {
-    if we.npes != launch.npes {
-        eprintln!(
-            "charm-net worker PE {}: spawned for {} PEs but the application configured {}",
-            we.pe, we.npes, launch.npes
-        );
-        std::process::exit(2);
-    }
-    // run_restored() restore state is the root's to distribute; a worker
-    // always bootstraps empty and receives its chares over the wire.
-    launch.restore = None;
-    let node = match NetNode::worker(&netcfg, we.pe, we.npes, we.nonce, we.root, we.epoch) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("charm-net worker PE {}: bootstrap failed: {e}", we.pe);
-            std::process::exit(2);
-        }
+/// Worker-process half: serve the incarnations the root announces until
+/// the run completes, then end the process. Exit codes: 0 clean, 2
+/// bootstrap mismatch, 3 hang, 4 root lost, 5 drain failure — a non-zero
+/// exit is what the root's child poll turns into a peer failure.
+fn run_worker(launch: Launch, netcfg: NetCfg, idle_timeout: Duration, we: WorkerEnv) -> ! {
+    let die = |code: i32, why: String| -> ! {
+        eprintln!("charm-net worker PE {}: {why}", we.pe);
+        std::process::exit(code)
     };
+    if we.npes != launch.npes {
+        die(
+            2,
+            format!(
+                "spawned for {} PEs but the application configured {}",
+                we.npes, launch.npes
+            ),
+        );
+    }
+    let node = NetNode::worker(&netcfg, we.pe, we.npes, we.nonce, we.root, we.epoch)
+        .unwrap_or_else(|e| die(2, format!("bootstrap failed: {e}")));
+    let mut t = Net::new(node, we.pe, None, &launch, idle_timeout);
     let mut cur_epoch = we.epoch;
     let mut cur_seq = we.seq;
-    let mut drops = DropCounts::default();
-    // Survives restarts: leftovers from a torn-down incarnation are
-    // re-presented so the new scheduler's epoch guard counts the stale ones.
-    let mut local = VecDeque::new();
     loop {
-        let cfg = (launch.mk_cfg)(cur_epoch, None, cur_seq);
+        // run_restored() restore state is the root's to distribute; a
+        // worker always bootstraps empty and receives its chares over the
+        // wire.
+        let cfg = launch.cfg(cur_epoch, None, cur_seq);
         let mut state = launch.mk_pe(we.pe, None, &cfg);
-        #[cfg(feature = "analyze")]
-        let kill = match inject {
-            Some(crate::analyze::InjectFault::KillPe { pe, after_nth })
-                if pe == we.pe && cur_epoch == 0 =>
-            {
-                Some((pe, after_nth))
-            }
-            _ => None,
-        };
+        t.begin();
         // No catch_unwind here: a panic in a worker's handler takes the
         // process down (non-zero exit), which is exactly the failure the
         // root's supervisor recovers from — real-process semantics.
-        let end = drive(
-            &mut state,
-            we.pe,
-            &node,
-            None,
-            &mut local,
-            idle_timeout,
-            &mut [],
-            &mut drops,
-            #[cfg(feature = "analyze")]
-            kill,
-        );
-        match end {
-            DriveEnd::Exited => {
+        let kill = launch.kill().filter(|_| cur_epoch == 0);
+        match drive(std::slice::from_mut(&mut state), &mut t, kill) {
+            End::Exited => {
                 let trace = state.finish_trace();
                 let lb = state.lb_epochs();
-                if let Ok(bytes) = state.cfg.codec.encode(&WirePerf(trace.perf, lb)) {
-                    let _ = node.send_stats(&bytes);
+                if let Ok(bytes) = t.codec.encode(&WirePerf(trace.perf, lb)) {
+                    let _ = t.node.send_stats(&bytes);
                 }
-                match node.drain(netcfg.drain_timeout) {
+                match t.node.drain(netcfg.drain_timeout) {
                     Ok(()) => std::process::exit(0),
-                    Err(e) => {
-                        eprintln!("charm-net worker PE {}: drain failed: {e}", we.pe);
-                        std::process::exit(5);
-                    }
+                    Err(e) => die(5, format!("drain failed: {e}")),
                 }
             }
-            DriveEnd::Restart { epoch, generation } => {
+            End::Restart { epoch, generation } => {
                 // Tear down this incarnation and rebuild at the announced
                 // epoch; in-flight frames from the old one are stale by
                 // the epoch rule and die in `PeState::handle`.
                 cur_epoch = epoch;
                 cur_seq = generation + 1;
             }
-            DriveEnd::Hung(idle) => {
-                node.kill();
-                eprintln!("charm-net worker PE {}: idle for {idle:?}", we.pe);
-                std::process::exit(3);
+            // Same delivery clock as every backend's injector — but here
+            // the victim kills its *process*, so the failure the root
+            // recovers from is a real SIGKILL.
+            End::Killed(..) => charm_net::kill_self_hard(),
+            End::Hung(idle) => {
+                t.node.kill();
+                die(3, format!("idle for {idle:?}"));
             }
-            DriveEnd::RootLost { incarnation } => {
-                node.kill();
-                eprintln!(
-                    "charm-net worker PE {}: root lost in incarnation {incarnation}",
-                    we.pe
-                );
-                std::process::exit(4);
+            End::RootLost { incarnation } => {
+                t.node.kill();
+                die(4, format!("root lost in incarnation {incarnation}"));
             }
-            // Only the root turns peer loss into a failure verdict.
-            DriveEnd::PeerFailed { .. } => unreachable!("worker drive never fails a peer"),
+            // Only the root turns peer loss into a failure verdict, and a
+            // live mesh never drains.
+            End::PeerFailed { .. } | End::Drained => {
+                unreachable!("worker transport never fails a peer or drains")
+            }
         }
     }
 }
@@ -631,7 +523,6 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charm_wire::Codec;
 
     #[test]
     fn wire_perf_round_trips_through_both_codecs() {

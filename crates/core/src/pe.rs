@@ -4,8 +4,7 @@
 //!
 //! `PeState` is transport-agnostic: handling an envelope never blocks on
 //! the network — outgoing traffic is queued in `outbox` and shipped by the
-//! driver (threaded channels or the virtual-time event loop in
-//! `runtime.rs`).
+//! driver (`driver.rs`) over whichever transport the backend provides.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64};
@@ -34,7 +33,8 @@ use crate::quiescence::{QdCentral, QdPeState};
 use crate::reduction::{combine, CustomReducers, RedData, RedTable, RedTarget, Reducer};
 use crate::tree::TreeShape;
 
-/// Scheduler configuration shared by both drivers.
+/// Scheduler configuration, the same on every backend.
+#[derive(Clone)]
 pub(crate) struct SchedCfg {
     pub codec: Codec,
     /// Dynamic (CharmPy-like) dispatch: pickle codec + interpreter overhead.
@@ -253,6 +253,9 @@ struct AggBuf {
     count: u32,
 }
 
+/// A chare type's resolved message decoder.
+type DecodeFn = fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>;
+
 /// Per-PE devirtualized entry-dispatch cache (`DispatchMode::Native`).
 ///
 /// Steady-state delivery used to pay a `colls` hash lookup plus a registry
@@ -263,7 +266,7 @@ struct AggBuf {
 /// compares on the hot path. Conservatively cleared whenever a collection
 /// spec lands (creation or post-recovery restore).
 struct DispatchCache {
-    slots: Vec<(CollectionId, fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>)>,
+    slots: Vec<(CollectionId, DecodeFn)>,
     hits: u64,
     misses: u64,
     enabled: bool,
@@ -280,10 +283,7 @@ impl DispatchCache {
     }
 
     #[inline]
-    fn lookup(
-        &mut self,
-        coll: CollectionId,
-    ) -> Option<fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>> {
+    fn lookup(&mut self, coll: CollectionId) -> Option<DecodeFn> {
         for &(c, f) in &self.slots {
             if c == coll {
                 self.hits += 1;
@@ -294,7 +294,7 @@ impl DispatchCache {
         None
     }
 
-    fn insert(&mut self, coll: CollectionId, f: fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>) {
+    fn insert(&mut self, coll: CollectionId, f: DecodeFn) {
         self.slots.push((coll, f));
     }
 
@@ -3138,7 +3138,7 @@ impl PeState {
                 *every > 0
                     && self.ckpt.is_none()
                     && self.entry_gate.is_none()
-                    && self.qd_completions % *every == 0
+                    && self.qd_completions.is_multiple_of(*every)
             }
             None => false,
         }
@@ -3158,7 +3158,7 @@ impl PeState {
                 t.every > 0
                     && !self.tel_active
                     && self.entry_gate.is_none()
-                    && self.qd_completions % t.every == 0
+                    && self.qd_completions.is_multiple_of(t.every)
             }
             None => false,
         }

@@ -1,5 +1,5 @@
-//! Runtime configuration, the two execution backends, the restart
-//! supervisor and the run report.
+//! Runtime configuration, the run report, and the two in-process
+//! transports.
 //!
 //! `charm.start(main)` in CharmPy becomes:
 //!
@@ -12,26 +12,27 @@
 //! # let _ = report;
 //! ```
 //!
-//! Two backends share every line of model semantics and differ only in how
-//! PEs are driven:
+//! Every backend runs the same scheduler under the same driver and restart
+//! supervisor (`driver.rs`); a backend is only a transport. The two
+//! that live in one process are here:
 //!
-//! * [`Backend::Threads`] — one OS thread per PE, `std::sync::mpsc` channels as the
-//!   interconnect. The "real" runtime for multicore hosts.
-//! * [`Backend::Sim`] — all PEs multiplexed on a deterministic virtual-time
-//!   event loop, with message delays from a [`MachineModel`]. This is the
-//!   substitution for the paper's Blue Waters/Cori testbeds: handler
-//!   execution is metered and charged to per-PE virtual clocks, so parallel
-//!   performance (the figures) is read off virtual time.
+//! * [`Backend::Threads`] — one OS thread per PE, `std::sync::mpsc`
+//!   channels as the interconnect, time read off the host clock. The
+//!   "real" runtime for multicore hosts. A PE death is a panicked thread,
+//!   a hang is an idle timeout.
+//! * [`Backend::Sim`] — all PEs multiplexed on a deterministic
+//!   virtual-time event heap, with message delays from a [`MachineModel`].
+//!   This is the substitution for the paper's Blue Waters/Cori testbeds:
+//!   handler execution is metered and charged to per-PE virtual clocks, so
+//!   parallel performance (the figures) is read off virtual time. A PE
+//!   death is an injected kill.
 //!
-//! With [`Runtime::auto_checkpoint`] + [`Runtime::recover_with`] armed,
-//! both drivers become restart supervisors (DESIGN.md §8): a PE death (a
-//! panicked thread, an injected sim kill) or an idle-timeout hang bumps the
-//! recovery epoch, restores every chare from the newest complete
-//! buddy/disk checkpoint, re-runs the recovery entry, and discards
-//! in-flight envelopes stamped with the stale epoch.
+//! The modeled network (`ModelNet`) is shared with the model checker's
+//! controlled transport (`check.rs`); the multi-process transport is in
+//! `net.rs`.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use charm_sim::{EventQueue, MachineModel, VTime};
@@ -43,10 +44,11 @@ use crate::checkpoint::{self, CkptError, CkptFile, Store};
 use crate::collections::{Placement, Placements};
 use crate::coro::{install_quiet_shutdown_hook, run_coroutine, Co};
 use crate::ctx::Ctx;
+use crate::driver::{drive, supervise, End, Ended, Failed, Poll, Transport};
 use crate::ids::Pe;
 use crate::lb::{LbMode, LbStrategy};
 use crate::msg::{EnvKind, Envelope};
-use crate::pe::{CkptStore, PeState, RestoreFrom, SchedCfg};
+use crate::pe::{CkptStore, CoroLauncher, PeState, RestoreFrom, SchedCfg};
 use crate::reduction::{CustomReducers, RedData, Reducer};
 use crate::tree::TreeShape;
 
@@ -314,7 +316,7 @@ pub struct Runtime {
     placements: Placements,
     restore_dir: Option<std::path::PathBuf>,
     auto_ckpt: Option<(u64, Store)>,
-    recover: Option<Arc<dyn Fn(&mut Co<Main>) + Send + Sync>>,
+    recover: Option<MainFn>,
     max_restarts: u64,
     msg_guards: MsgGuards,
     trace: TraceConfig,
@@ -330,7 +332,7 @@ pub struct Runtime {
     /// Sim backend: jitter message delivery order with this seed (FIFO
     /// per channel is preserved). Drives the schedule-permutation harness.
     permute: Option<u64>,
-    /// Network fault injected by the sim driver (detector tests).
+    /// Injected fault (detector and recovery tests).
     #[cfg(feature = "analyze")]
     inject: Option<crate::analyze::InjectFault>,
     /// Findings sink shared with every PE's detector.
@@ -637,16 +639,6 @@ impl Runtime {
         mut self,
         entry: impl FnOnce(&mut Co<Main>) + Send + 'static,
     ) -> Result<RunReport, RunError> {
-        install_quiet_shutdown_hook();
-        self.registry.register::<Main>();
-        let codec = match self.dispatch {
-            DispatchMode::Native => Codec::Fast,
-            DispatchMode::Dynamic => Codec::Pickle,
-        };
-        let (is_sim, sim_model) = match &self.backend {
-            Backend::Threads | Backend::Net(_) => (false, None),
-            Backend::Sim(m) => (true, Some(m.clone())),
-        };
         // Telemetry sweeps reduce `MetricFrame`s, which carry quantile
         // sketches with no wire form — unsupported across processes (§13.5).
         if matches!(self.backend, Backend::Net(_)) && self.telemetry.is_some() {
@@ -662,110 +654,85 @@ impl Runtime {
                 "hierarchical LB (LbMode::Tree) is not supported on the Net backend".into(),
             ));
         }
+        let restore_dir = self.restore_dir.take();
+        let mut launch = self.launch();
         // Pre-validate a directory restore — a bad set is a typed error
         // here, not a panic mid-bootstrap — and start fresh checkpoint
         // generations strictly after the restored one.
-        let mut ckpt_seq_start = 1;
-        let restore = match self.restore_dir.take() {
-            Some(dir) => {
-                let files = checkpoint::read_all(&dir).map_err(RunError::Restore)?;
-                ckpt_seq_start = files[0].epoch + 1;
-                Some(RestoreFrom::Dir(dir))
-            }
-            None => None,
-        };
-        let registry = Arc::new(std::mem::take(&mut self.registry));
-        let placements = Arc::new(self.placements.clone());
-        let reducers = Arc::new(self.reducers.clone());
-        let entry_fn: crate::pe::CoroLauncher =
-            Box::new(move |side| run_coroutine::<Main>(side, entry));
-        // analyze: allow(nondeterminism, "wall-clock origin: feeds the report's wall field and the threads backend's real-time clocks; sim ordering runs on virtual time")
-        let start = Instant::now();
-
-        // The restart supervisor rebuilds the scheduler config per
-        // incarnation (new epoch, new restore source), so the pieces are
-        // captured once here.
-        let mk_cfg: Box<dyn Fn(u64, Option<RestoreFrom>, u64) -> Arc<SchedCfg>> = {
-            let dynamic = self.dispatch == DispatchMode::Dynamic;
-            let same_pe_byref = self.same_pe_byref;
-            let tree = self.tree;
-            let lb = self.lb.clone();
-            let lb_mode = self.lb_mode;
-            let meter = self.meter;
-            let compute_scale = self.compute_scale;
-            let sim_model = sim_model.clone();
-            let auto_ckpt = self.auto_ckpt.clone();
-            let msg_guards = Arc::new(self.msg_guards.clone());
-            let trace = self.trace;
-            let agg = self.agg;
-            let telemetry = self.telemetry.clone();
-            let fast_paths = self.fast_paths;
-            #[cfg(feature = "analyze")]
-            let probe = self.probe.clone();
-            Box::new(move |epoch, restore, ckpt_seq_start| {
-                Arc::new(SchedCfg {
-                    codec,
-                    dynamic,
-                    same_pe_byref,
-                    tree,
-                    lb: lb.clone(),
-                    lb_mode,
-                    meter,
-                    compute_scale,
-                    sim_model: sim_model.clone(),
-                    is_sim,
-                    restore,
-                    epoch,
-                    ckpt_seq_start,
-                    auto_ckpt: auto_ckpt.clone(),
-                    msg_guards: Arc::clone(&msg_guards),
-                    trace,
-                    agg,
-                    telemetry: telemetry.clone(),
-                    fast_paths,
-                    #[cfg(feature = "analyze")]
-                    analyze_probe: probe.clone(),
+        if let Some(dir) = restore_dir {
+            let files = checkpoint::read_all(&dir).map_err(RunError::Restore)?;
+            launch.cfg.ckpt_seq_start = files[0].epoch + 1;
+            launch.cfg.restore = Some(RestoreFrom::Dir(dir));
+        }
+        let entry: CoroLauncher = Box::new(move |side| run_coroutine::<Main>(side, entry));
+        let npes = self.npes;
+        let idle_timeout = self.idle_timeout;
+        match self.backend {
+            Backend::Threads => supervise(&launch, entry, 0..npes, |pes, boot, kill| {
+                threads_epoch(pes, boot, kill, idle_timeout, launch.start)
+            }),
+            Backend::Sim(_) => {
+                let mut sim = Sim {
+                    net: ModelNet::new(self.permute, &launch),
+                    events: EventQueue::new(),
+                };
+                supervise(&launch, entry, 0..npes, |pes, boot, kill| {
+                    virtual_epoch(&mut sim, pes, boot, kill)
                 })
-            })
+            }
+            Backend::Net(netcfg) => crate::net::run_net(launch, netcfg, idle_timeout, entry),
+        }
+    }
+
+    /// Package the builder's scheduler-facing pieces — everything an
+    /// incarnation is (re)built from. The backend choice and its knobs stay
+    /// behind on `self`.
+    fn launch(&mut self) -> Launch {
+        install_quiet_shutdown_hook();
+        self.registry.register::<Main>();
+        let sim_model = match &self.backend {
+            Backend::Threads | Backend::Net(_) => None,
+            Backend::Sim(m) => Some(m.clone()),
         };
-        let launch = Launch {
+        Launch {
             npes: self.npes,
-            registry,
-            placements,
-            reducers,
-            start,
-            mk_cfg,
-            auto: self.auto_ckpt.clone(),
+            registry: Arc::new(std::mem::take(&mut self.registry)),
+            placements: Arc::new(self.placements.clone()),
+            reducers: Arc::new(self.reducers.clone()),
+            // analyze: allow(nondeterminism, "wall-clock origin: feeds the report's wall field and the threads backend's real-time clocks; sim ordering runs on virtual time")
+            start: Instant::now(),
+            cfg: SchedCfg {
+                codec: match self.dispatch {
+                    DispatchMode::Native => Codec::Fast,
+                    DispatchMode::Dynamic => Codec::Pickle,
+                },
+                dynamic: self.dispatch == DispatchMode::Dynamic,
+                same_pe_byref: self.same_pe_byref,
+                tree: self.tree,
+                lb: self.lb.clone(),
+                lb_mode: self.lb_mode,
+                meter: self.meter,
+                compute_scale: self.compute_scale,
+                is_sim: sim_model.is_some(),
+                sim_model,
+                // The first incarnation's values; `Launch::cfg` sets these
+                // three per incarnation.
+                restore: None,
+                epoch: 0,
+                ckpt_seq_start: 1,
+                auto_ckpt: self.auto_ckpt.clone(),
+                msg_guards: Arc::new(self.msg_guards.clone()),
+                trace: self.trace,
+                agg: self.agg,
+                telemetry: self.telemetry.clone(),
+                fast_paths: self.fast_paths,
+                #[cfg(feature = "analyze")]
+                analyze_probe: self.probe.clone(),
+            },
             recover: self.recover.clone(),
             max_restarts: self.max_restarts,
-            restore,
-            ckpt_seq_start,
-        };
-
-        match self.backend {
-            Backend::Threads => run_threads(
-                launch,
-                self.idle_timeout,
-                entry_fn,
-                #[cfg(feature = "analyze")]
-                self.inject,
-            ),
-            Backend::Sim(model) => run_sim(
-                launch,
-                model,
-                entry_fn,
-                self.permute,
-                #[cfg(feature = "analyze")]
-                self.inject,
-            ),
-            Backend::Net(netcfg) => crate::net::run_net(
-                launch,
-                netcfg,
-                self.idle_timeout,
-                entry_fn,
-                #[cfg(feature = "analyze")]
-                self.inject,
-            ),
+            #[cfg(feature = "analyze")]
+            inject: self.inject,
         }
     }
 }
@@ -773,24 +740,26 @@ impl Runtime {
 #[cfg(feature = "analyze")]
 impl Runtime {
     /// Systematically explore every delivery schedule of the program up to
-    /// happens-before equivalence (DESIGN.md §11): the sim backend is
-    /// re-run under a controlled scheduler while `charm-check`'s DPOR
-    /// engine enumerates interleavings, stopping at the first detector
-    /// violation, panic, run error, or oracle mismatch. The failing
-    /// schedule is shrunk and (with [`CheckCfg::artifact`] set) written as
-    /// a replay artifact for [`Runtime::replay_schedule`].
+    /// happens-before equivalence (DESIGN.md §11): the program is re-run
+    /// on the controlled transport while `charm-check`'s DPOR engine
+    /// enumerates interleavings, stopping at the first detector violation,
+    /// panic, run error, or oracle mismatch. The failing schedule is shrunk
+    /// and (with [`CheckCfg::artifact`] set) written as a replay artifact
+    /// for [`Runtime::replay_schedule`].
     ///
     /// `entry` must be re-runnable — each explored execution restarts the
     /// program from scratch — hence `Fn`, not the `FnOnce` of
     /// [`Runtime::run`]. Compute metering is forced off so executions are
     /// pure functions of their delivery order; the backend setting is
-    /// ignored (exploration always drives the controlled sim loop).
+    /// ignored (exploration always runs the controlled transport).
+    ///
+    /// [`CheckCfg::artifact`]: crate::check::CheckCfg::artifact
     pub fn check(
         self,
         cfg: crate::check::CheckCfg,
         entry: impl Fn(&mut Co<Main>) + Send + Sync + 'static,
     ) -> crate::check::CheckReport {
-        crate::check::run_check(self.into_check_driver(Arc::new(entry)), cfg)
+        crate::check::run_check(self.into_check_driver(), Arc::new(entry), cfg)
     }
 
     /// Replay a schedule artifact written by [`Runtime::check`],
@@ -805,118 +774,86 @@ impl Runtime {
     ) -> std::io::Result<crate::check::ReplayOutcome> {
         let schedule = charm_check::Schedule::load(path.as_ref())?;
         Ok(crate::check::run_replay(
-            self.into_check_driver(Arc::new(entry)),
+            self.into_check_driver(),
+            Arc::new(entry),
             &schedule,
         ))
     }
 
-    /// Package the builder's pieces for the controlled driver — the model
-    /// checker's analog of the `Launch` the restart supervisors use.
-    fn into_check_driver(
-        mut self,
-        entry: Arc<dyn Fn(&mut Co<Main>) + Send + Sync>,
-    ) -> crate::check::Driver {
+    /// The same [`Launch`] a run is built from, bent for exploration.
+    fn into_check_driver(mut self) -> Launch {
         assert!(
             self.restore_dir.is_none(),
             "Runtime::check starts from scratch every execution; run_restored is not supported"
         );
-        install_quiet_shutdown_hook();
-        self.registry.register::<Main>();
-        let codec = match self.dispatch {
-            DispatchMode::Native => Codec::Fast,
-            DispatchMode::Dynamic => Codec::Pickle,
-        };
-        // Exploration always runs the controlled sim loop; a configured sim
-        // model is honored, the threads backend falls back to the default
-        // model (only default delivery *priorities* depend on it).
-        let model = match &self.backend {
-            Backend::Sim(m) => m.clone(),
-            Backend::Threads | Backend::Net(_) => MachineModel::default(),
-        };
-        let registry = Arc::new(std::mem::take(&mut self.registry));
-        let placements = Arc::new(self.placements.clone());
-        let reducers = Arc::new(self.reducers.clone());
-        let mk_cfg: crate::check::MkCfg = {
-            let dynamic = self.dispatch == DispatchMode::Dynamic;
-            let same_pe_byref = self.same_pe_byref;
-            let tree = self.tree;
-            let lb = self.lb.clone();
-            let lb_mode = self.lb_mode;
-            let compute_scale = self.compute_scale;
-            let model = model.clone();
-            let auto_ckpt = self.auto_ckpt.clone();
-            let msg_guards = Arc::new(self.msg_guards.clone());
-            let trace = self.trace;
-            let agg = self.agg;
-            let telemetry = self.telemetry.clone();
-            let fast_paths = self.fast_paths;
-            Box::new(move |epoch, restore, ckpt_seq_start, probe| {
-                Arc::new(SchedCfg {
-                    codec,
-                    dynamic,
-                    same_pe_byref,
-                    tree,
-                    lb: lb.clone(),
-                    lb_mode,
-                    // Metering ties virtual time to measured host time;
-                    // forced off so an execution is a pure function of its
-                    // delivery order (the replay bit-identity contract).
-                    meter: false,
-                    compute_scale,
-                    sim_model: Some(model.clone()),
-                    is_sim: true,
-                    restore,
-                    epoch,
-                    ckpt_seq_start,
-                    auto_ckpt: auto_ckpt.clone(),
-                    msg_guards: Arc::clone(&msg_guards),
-                    trace,
-                    agg,
-                    telemetry: telemetry.clone(),
-                    fast_paths,
-                    analyze_probe: Some(probe),
-                })
-            })
-        };
-        crate::check::Driver {
-            npes: self.npes,
-            model,
-            registry,
-            placements,
-            reducers,
-            mk_cfg,
-            auto: self.auto_ckpt.clone(),
-            recover: self.recover.clone(),
-            max_restarts: self.max_restarts,
-            inject: self.inject,
-            entry,
-        }
+        let mut launch = self.launch();
+        // Metering ties virtual time to measured host time; forced off so
+        // an execution is a pure function of its delivery order (the
+        // replay bit-identity contract).
+        launch.cfg.meter = false;
+        launch.cfg.is_sim = true;
+        // A configured sim model is honored; the other backends fall back
+        // to the default model (only default delivery *priorities* depend
+        // on it).
+        launch
+            .cfg
+            .sim_model
+            .get_or_insert_with(MachineModel::default);
+        launch
     }
 }
 
+/// A re-runnable main-coroutine body (the recovery entry, a checked
+/// program).
+pub(crate) type MainFn = Arc<dyn Fn(&mut Co<Main>) + Send + Sync>;
+
+/// A fresh launcher for a re-runnable body (unlike the `FnOnce` the first
+/// incarnation of a plain run consumes).
+pub(crate) fn main_launcher(f: &MainFn) -> CoroLauncher {
+    let f = Arc::clone(f);
+    Box::new(move |side| run_coroutine::<Main>(side, move |co: &mut Co<Main>| f(co)))
+}
+
 /// Everything needed to (re)build a machine incarnation; the restart
-/// supervisors re-launch from this after a PE failure.
+/// supervisor re-launches from this after a PE failure.
+#[derive(Clone)]
 pub(crate) struct Launch {
     pub(crate) npes: usize,
     registry: Arc<Registry>,
     placements: Arc<Placements>,
     reducers: Arc<CustomReducers>,
     pub(crate) start: Instant,
-    pub(crate) mk_cfg: Box<dyn Fn(u64, Option<RestoreFrom>, u64) -> Arc<SchedCfg>>,
-    pub(crate) auto: Option<(u64, Store)>,
-    recover: Option<Arc<dyn Fn(&mut Co<Main>) + Send + Sync>>,
+    /// The first incarnation's scheduler configuration (its `restore` is
+    /// the `run_restored` source); [`Launch::cfg`] derives the later ones.
+    pub(crate) cfg: SchedCfg,
+    recover: Option<MainFn>,
     pub(crate) max_restarts: u64,
-    /// Restore source for the *first* incarnation (`run_restored`).
-    pub(crate) restore: Option<RestoreFrom>,
-    /// First checkpoint generation the first incarnation may mint.
-    pub(crate) ckpt_seq_start: u64,
+    /// The injected fault (tests): a PE kill for the driver's kill clock,
+    /// or a network fault for the modeled network.
+    #[cfg(feature = "analyze")]
+    pub(crate) inject: Option<crate::analyze::InjectFault>,
 }
 
 impl Launch {
+    /// The scheduler config of incarnation `epoch`, restoring from
+    /// `restore` and minting checkpoint generations from `ckpt_seq_start`.
+    pub(crate) fn cfg(
+        &self,
+        epoch: u64,
+        restore: Option<RestoreFrom>,
+        ckpt_seq_start: u64,
+    ) -> Arc<SchedCfg> {
+        let mut cfg = self.cfg.clone();
+        cfg.epoch = epoch;
+        cfg.restore = restore;
+        cfg.ckpt_seq_start = ckpt_seq_start;
+        Arc::new(cfg)
+    }
+
     pub(crate) fn mk_pe(
         &self,
         pe: Pe,
-        entry: Option<crate::pe::CoroLauncher>,
+        entry: Option<CoroLauncher>,
         cfg: &Arc<SchedCfg>,
     ) -> PeState {
         PeState::new(
@@ -931,18 +868,22 @@ impl Launch {
         )
     }
 
-    /// Fresh launcher for the recovery entry (it is a reusable `Fn`, unlike
-    /// the `FnOnce` consumed by the first incarnation).
-    pub(crate) fn recovery_entry(&self) -> Option<crate::pe::CoroLauncher> {
-        let f = Arc::clone(self.recover.as_ref()?);
-        Some(Box::new(move |side| {
-            run_coroutine::<Main>(side, move |co: &mut Co<Main>| f(co))
-        }))
+    pub(crate) fn recovery_entry(&self) -> Option<CoroLauncher> {
+        self.recover.as_ref().map(main_launcher)
     }
 
     /// Whether a PE failure can even be turned into a restart.
     pub(crate) fn recovery_armed(&self) -> bool {
-        self.auto.is_some() && self.recover.is_some()
+        self.cfg.auto_ckpt.is_some() && self.recover.is_some()
+    }
+
+    /// The injected PE kill `(victim, after_nth)`, if one is configured.
+    pub(crate) fn kill(&self) -> Option<(Pe, u64)> {
+        #[cfg(feature = "analyze")]
+        if let Some(crate::analyze::InjectFault::KillPe { pe, after_nth }) = self.inject {
+            return Some((pe, after_nth));
+        }
+        None
     }
 
     /// Locate the newest complete checkpoint generation after a failure:
@@ -954,7 +895,7 @@ impl Launch {
         &self,
         stores: &[Option<CkptStore>],
     ) -> Result<(u64, RestoreFrom), String> {
-        let store = match &self.auto {
+        let store = match &self.cfg.auto_ckpt {
             Some((_, s)) => s,
             None => return Err("automatic checkpointing is not armed".into()),
         };
@@ -999,31 +940,6 @@ pub(crate) fn assemble_images(
     Some(files)
 }
 
-/// How one PE thread's scheduler loop ended.
-enum PeEnd {
-    /// Clean `Exit`/`Halt`, or channel disconnect.
-    Done,
-    /// The scheduler loop panicked (an entry method, or an injected kill).
-    Panicked(String),
-    /// No message arrived within the idle timeout.
-    Hung(Duration),
-}
-
-/// The failure that brought an incarnation down.
-enum Failure {
-    Panic(String),
-    Hang(Duration),
-}
-
-impl Failure {
-    fn describe(&self, pe: Pe) -> String {
-        match self {
-            Failure::Panic(msg) => format!("PE {pe} panicked: {msg}"),
-            Failure::Hang(idle) => format!("PE {pe} idle for {idle:?}"),
-        }
-    }
-}
-
 pub(crate) fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -1034,295 +950,235 @@ pub(crate) fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_threads(
-    mut launch: Launch,
+/// One PE thread's end of the threads interconnect: an `mpsc` receiver, a
+/// sender to every PE, and (with `fast_paths`) a local receive ring plus a
+/// sticky spin in front of the blocking wait.
+struct Threads {
+    pe: Pe,
+    rx: mpsc::Receiver<Envelope>,
+    senders: Vec<mpsc::Sender<Envelope>>,
+    /// One channel drain per wakeup fills this ring, so the hot loop pops
+    /// envelopes without paying channel synchronization per message.
+    ring: VecDeque<Envelope>,
+    fast: bool,
     idle_timeout: Duration,
-    entry_fn: crate::pe::CoroLauncher,
-    #[cfg(feature = "analyze")] inject: Option<crate::analyze::InjectFault>,
-) -> Result<RunReport, RunError> {
-    use std::sync::mpsc as channel;
-
-    let npes = launch.npes;
-    let mut entry_slot = Some(entry_fn);
-    let mut restore = launch.restore.take();
-    let mut seq_start = launch.ckpt_seq_start;
-    let mut recoveries = 0u64;
-
-    for epoch in 0u64.. {
-        let cfg = (launch.mk_cfg)(epoch, restore.take(), seq_start);
-        // First incarnation runs the user's entry; restarts run the
-        // recovery entry (the supervisor checked it exists before looping).
-        let mut entry = match entry_slot.take() {
-            Some(e) => Some(e),
-            None => launch.recovery_entry(),
-        };
-        // An injected PE kill fires only in the first incarnation.
-        #[cfg(feature = "analyze")]
-        let kill = match inject {
-            Some(crate::analyze::InjectFault::KillPe { pe, after_nth }) if epoch == 0 => {
-                Some((pe, after_nth))
-            }
-            _ => None,
-        };
-
-        let mut senders = Vec::with_capacity(npes);
-        let mut receivers = Vec::with_capacity(npes);
-        for _ in 0..npes {
-            let (tx, rx) = channel::channel::<Envelope>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let mut boot = Envelope::new(0, EnvKind::Bootstrap);
-        boot.epoch = epoch;
-        senders[0].send(boot).expect("bootstrap send failed");
-
-        type Status = (Pe, PeEnd, PeTrace, u64, CkptStore);
-        let (status_tx, status_rx) = channel::channel::<Status>();
-        for (pe, rx) in receivers.into_iter().enumerate() {
-            let mut state = launch.mk_pe(pe, if pe == 0 { entry.take() } else { None }, &cfg);
-            if pe == 0 && epoch > 0 && state.tracer.full() {
-                let now = state.now_ns();
-                state
-                    .tracer
-                    .push(now, charm_trace::EventKind::Recovery { epoch });
-            }
-            let senders = senders.clone();
-            let status_tx = status_tx.clone();
-            std::thread::Builder::new()
-                .name(format!("pe-{pe}"))
-                .spawn(move || {
-                    #[cfg(feature = "analyze")]
-                    let mut qd_handled = 0u64;
-                    // The scheduler loop runs under `catch_unwind` so a
-                    // dying PE reports its end (and its salvageable buddy
-                    // images) instead of taking the process down.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        // Fast path: one channel drain per wakeup fills a
-                        // local ring, so the hot loop pops envelopes without
-                        // paying channel synchronization per message; a short
-                        // sticky spin before the blocking wait absorbs
-                        // ping-pong gaps without a sleep/wake round trip.
-                        let fast = state.cfg.fast_paths;
-                        const RING_BURST: usize = 256;
-                        const STICKY_SPINS: u32 = 64;
-                        let mut ring: VecDeque<Envelope> = VecDeque::new();
-                        loop {
-                            // Batched receive: drain the channel in bursts —
-                            // one `try_recv` per envelope while the queue is
-                            // hot, and the idle bookkeeping (two `now_ns`
-                            // reads) only on the transition to the blocking
-                            // wait, not per envelope.
-                            let env = if let Some(env) = ring.pop_front() {
-                                env
-                            } else {
-                                match rx.try_recv() {
-                                    Ok(env) => {
-                                        if fast {
-                                            while ring.len() < RING_BURST {
-                                                match rx.try_recv() {
-                                                    Ok(e) => ring.push_back(e),
-                                                    Err(_) => break,
-                                                }
-                                            }
-                                        }
-                                        env
-                                    }
-                                    Err(channel::TryRecvError::Disconnected) => return None,
-                                    Err(channel::TryRecvError::Empty) => {
-                                        // Sticky backoff: spin briefly before
-                                        // committing to the blocking wait.
-                                        let mut spun = None;
-                                        if fast {
-                                            for _ in 0..STICKY_SPINS {
-                                                std::hint::spin_loop();
-                                                if let Ok(env) = rx.try_recv() {
-                                                    spun = Some(env);
-                                                    break;
-                                                }
-                                            }
-                                        }
-                                        if let Some(env) = spun {
-                                            env
-                                        } else {
-                                            // Going idle: release anything parked in
-                                            // the aggregation buffers — nobody else
-                                            // will flush traffic we are sitting on.
-                                            let flush_from = if state.tracer.enabled() {
-                                                Some(state.now_ns())
-                                            } else {
-                                                None
-                                            };
-                                            if state.flush_aggregation() {
-                                                for (dst, env) in state.outbox.drain(..) {
-                                                    let _ = senders[dst].send(env);
-                                                }
-                                            }
-                                            // Time spent waiting on the channel is
-                                            // the threaded backend's idle time; the
-                                            // flush work before it is runtime
-                                            // overhead, not idle — otherwise summary
-                                            // quanta would not sum to wall time.
-                                            let idle_from = flush_from.map(|f0| {
-                                                let t0 = state.now_ns();
-                                                state.tracer.work_at(
-                                                    WorkClass::Overhead,
-                                                    t0 - f0,
-                                                    t0,
-                                                );
-                                                t0
-                                            });
-                                            let env = match rx.recv_timeout(idle_timeout) {
-                                                Ok(env) => env,
-                                                Err(channel::RecvTimeoutError::Timeout) => {
-                                                    return Some(idle_timeout);
-                                                }
-                                                Err(channel::RecvTimeoutError::Disconnected) => {
-                                                    return None;
-                                                }
-                                            };
-                                            if let Some(t0) = idle_from {
-                                                let t1 = state.now_ns();
-                                                state.tracer.idle(t0, t1);
-                                            }
-                                            env
-                                        }
-                                    }
-                                }
-                            };
-                            #[cfg(feature = "analyze")]
-                            if let Some((victim, after_nth)) = kill {
-                                // Weighted by constituent count so a batch
-                                // advances the delivery clock like the
-                                // messages it carries would have unbatched.
-                                let w = env.kind.qd_weight();
-                                if victim == pe && w > 0 && env.epoch == 0 {
-                                    let n = qd_handled;
-                                    qd_handled += w;
-                                    if n <= after_nth && after_nth < n + w {
-                                        // The injected PE failure is a deliberate
-                                        // panic the restart supervisor must catch
-                                        // and recover from.
-                                        panic!(
-                                            "injected PE failure on PE {pe} (after {after_nth} deliveries)"
-                                        );
-                                    }
-                                }
-                            }
-                            state.handle(env);
-                            for (dst, env) in state.outbox.drain(..) {
-                                // A send failing means the destination
-                                // already exited — the message is moot.
-                                let _ = senders[dst].send(env);
-                            }
-                            if state.exited {
-                                return None;
-                            }
-                        }
-                    }));
-                    let end = match outcome {
-                        Ok(Some(idle)) => PeEnd::Hung(idle),
-                        Ok(None) => PeEnd::Done,
-                        Err(p) => PeEnd::Panicked(panic_msg(p)),
-                    };
-                    let trace = state.finish_trace();
-                    let lb = state.lb_epochs();
-                    let store = std::mem::take(&mut state.ckpt_store);
-                    let _ = status_tx.send((pe, end, trace, lb, store));
-                })
-                .expect("failed to spawn PE thread");
-        }
-        drop(status_tx);
-
-        // Collect every PE's end. On the first failure, broadcast `Halt` so
-        // surviving PEs stop and report their salvage; from then on wait at
-        // most a grace period — an unresponsive thread (stuck inside a
-        // handler) is leaked, and the buddy copies cover its images.
-        let mut traces: Vec<Option<PeTrace>> = (0..npes).map(|_| None).collect();
-        let mut stores: Vec<Option<CkptStore>> = (0..npes).map(|_| None).collect();
-        let mut lb_total = 0u64;
-        let mut dead: Option<(Pe, Failure)> = None;
-        let mut deadline: Option<Instant> = None;
-        let mut got = 0usize;
-        while got < npes {
-            let received = match deadline {
-                None => status_rx.recv().ok(),
-                Some(d) => status_rx
-                    // analyze: allow(nondeterminism, "threads-backend supervisor deadline; wall time by design, the sim driver never runs this loop")
-                    .recv_timeout(d.saturating_duration_since(Instant::now()))
-                    .ok(),
-            };
-            let Some((pe, end, trace, lb, store)) = received else {
-                break;
-            };
-            got += 1;
-            traces[pe] = Some(trace);
-            lb_total += lb;
-            let failure = match end {
-                PeEnd::Done => {
-                    stores[pe] = Some(store);
-                    None
-                }
-                // A panicked PE is dead: its memory is gone in the machine
-                // model, so its salvage is dropped and recovery must come
-                // from the buddy copy (or disk).
-                PeEnd::Panicked(msg) => Some(Failure::Panic(msg)),
-                PeEnd::Hung(idle) => {
-                    stores[pe] = Some(store);
-                    Some(Failure::Hang(idle))
-                }
-            };
-            if let Some(f) = failure {
-                if dead.is_none() {
-                    dead = Some((pe, f));
-                    // analyze: allow(nondeterminism, "threads-backend supervisor deadline; wall time by design, the sim driver never runs this loop")
-                    deadline = Some(Instant::now() + idle_timeout + Duration::from_secs(2));
-                    for tx in &senders {
-                        let mut halt = Envelope::new(0, EnvKind::Halt);
-                        halt.epoch = epoch;
-                        let _ = tx.send(halt);
-                    }
-                }
-            }
-        }
-        drop(senders);
-
-        let Some((dead_pe, fail)) = dead else {
-            let wall = launch.start.elapsed();
-            let traces: Vec<PeTrace> = traces.into_iter().flatten().collect();
-            return Ok(finish_report(
-                wall, wall, lb_total, recoveries, true, traces,
-            ));
-        };
-        if !launch.recovery_armed() {
-            return Err(match fail {
-                Failure::Panic(msg) => RunError::PePanic { pe: dead_pe, msg },
-                Failure::Hang(idle) => RunError::Hang { pe: dead_pe, idle },
-            });
-        }
-        if recoveries >= launch.max_restarts {
-            return Err(RunError::RestartsExhausted {
-                attempts: recoveries,
-                last: fail.describe(dead_pe),
-            });
-        }
-        let (generation, src) = match launch.recovery_source(&stores) {
-            Ok(x) => x,
-            Err(reason) => {
-                return Err(RunError::RecoveryImpossible {
-                    reason,
-                    failure: fail.describe(dead_pe),
-                });
-            }
-        };
-        recoveries += 1;
-        restore = Some(src);
-        seq_start = generation + 1;
-    }
-    unreachable!("restart loop returns from within");
+    /// Real-time origin shared with the PEs' clocks.
+    origin: Instant,
+    /// Wall stamp (ns) of `poll` coming up empty, when tracing wants the
+    /// idle decomposition; consumed by `idle_wait`.
+    went_idle: Option<u64>,
+    timed: bool,
 }
 
-/// Fold the per-PE traces into the run report (shared by both backends and
-/// the model checker's controlled driver).
+impl Threads {
+    const RING_BURST: usize = 256;
+    const STICKY_SPINS: u32 = 64;
+
+    fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    fn ready(&self, env: Envelope) -> Poll {
+        Poll::Ready {
+            pe: self.pe,
+            arrival: 0,
+            env,
+        }
+    }
+}
+
+impl Transport for Threads {
+    fn start(&mut self, _at_ns: u64, boot: Envelope) {
+        self.senders[0].send(boot).expect("bootstrap send failed");
+    }
+
+    fn send(&mut self, _src: &PeState, dst: Pe, env: Envelope) {
+        // A send failing means the destination already exited — the
+        // message is moot.
+        let _ = self.senders[dst].send(env);
+    }
+
+    fn poll(&mut self) -> Poll {
+        if let Some(env) = self.ring.pop_front() {
+            return self.ready(env);
+        }
+        match self.rx.try_recv() {
+            Ok(env) => {
+                // Batched receive: drain the channel in a burst while the
+                // queue is hot.
+                if self.fast {
+                    while self.ring.len() < Self::RING_BURST {
+                        match self.rx.try_recv() {
+                            Ok(e) => self.ring.push_back(e),
+                            Err(_) => break,
+                        }
+                    }
+                }
+                self.ready(env)
+            }
+            Err(mpsc::TryRecvError::Disconnected) => Poll::End(End::Drained),
+            Err(mpsc::TryRecvError::Empty) => {
+                // Sticky backoff: spin briefly before committing to the
+                // blocking wait — absorbs ping-pong gaps without a
+                // sleep/wake round trip.
+                if self.fast {
+                    for _ in 0..Self::STICKY_SPINS {
+                        std::hint::spin_loop();
+                        if let Ok(env) = self.rx.try_recv() {
+                            return self.ready(env);
+                        }
+                    }
+                }
+                self.went_idle = self.timed.then(|| self.now_ns());
+                Poll::Empty
+            }
+        }
+    }
+
+    fn idle_wait(&mut self, pes: &mut [PeState]) -> Poll {
+        let tracer = &mut pes[0].tracer;
+        // Time spent waiting on the channel is the threaded backend's idle
+        // time; the flush work before it is runtime overhead, not idle —
+        // otherwise summary quanta would not sum to wall time.
+        let idle_from = self.went_idle.take().map(|f0| {
+            let t0 = self.now_ns();
+            tracer.work_at(WorkClass::Overhead, t0 - f0, t0);
+            t0
+        });
+        match self.rx.recv_timeout(self.idle_timeout) {
+            Ok(env) => {
+                if let Some(t0) = idle_from {
+                    tracer.idle(t0, self.now_ns());
+                }
+                self.ready(env)
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => Poll::End(End::Hung(self.idle_timeout)),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Poll::End(End::Drained),
+        }
+    }
+}
+
+/// One incarnation on the threads backend: one OS thread per PE, each
+/// driving its own [`Threads`] transport, and this thread collecting how
+/// they end.
+fn threads_epoch(
+    pes: Vec<PeState>,
+    boot: Envelope,
+    kill: Option<(Pe, u64)>,
+    idle_timeout: Duration,
+    origin: Instant,
+) -> Result<Ended, RunError> {
+    let npes = pes.len();
+    let epoch = boot.epoch;
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..npes).map(|_| mpsc::channel::<Envelope>()).unzip();
+    let mut transports: Vec<Threads> = pes
+        .iter()
+        .zip(receivers)
+        .map(|(state, rx)| Threads {
+            pe: state.pe,
+            rx,
+            senders: senders.clone(),
+            ring: VecDeque::new(),
+            fast: state.cfg.fast_paths,
+            idle_timeout,
+            origin,
+            went_idle: None,
+            timed: state.tracer.enabled(),
+        })
+        .collect();
+    transports[0].start(0, boot);
+
+    /// `(pe, drive's end or the panic message, trace, LB epochs, salvage)`.
+    type Status = (Pe, Result<End, String>, PeTrace, u64, CkptStore);
+    let (status_tx, status_rx) = mpsc::channel::<Status>();
+    for (mut state, mut t) in pes.into_iter().zip(transports) {
+        let status_tx = status_tx.clone();
+        std::thread::Builder::new()
+            .name(format!("pe-{}", state.pe))
+            .spawn(move || {
+                // The scheduler loop runs under `catch_unwind` so a dying
+                // PE reports its end (and its salvageable buddy images)
+                // instead of taking the process down.
+                let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    drive(std::slice::from_mut(&mut state), &mut t, kill)
+                }))
+                .map_err(panic_msg);
+                let trace = state.finish_trace();
+                let lb = state.lb_epochs();
+                let store = std::mem::take(&mut state.ckpt_store);
+                let _ = status_tx.send((state.pe, end, trace, lb, store));
+            })
+            .expect("failed to spawn PE thread");
+    }
+    drop(status_tx);
+
+    // Collect every PE's end. On the first failure, broadcast `Halt` so
+    // surviving PEs stop and report their salvage; from then on wait at
+    // most a grace period — an unresponsive thread (stuck inside a
+    // handler) is leaked, and the buddy copies cover its images.
+    let mut traces: Vec<Option<PeTrace>> = (0..npes).map(|_| None).collect();
+    let mut stores: Vec<Option<CkptStore>> = (0..npes).map(|_| None).collect();
+    let mut lb_epochs = 0u64;
+    let mut dead: Option<Failed> = None;
+    let mut deadline: Option<Instant> = None;
+    let failed = |unarmed: RunError| Failed {
+        describe: unarmed.to_string(),
+        unarmed,
+        stores: Vec::new(),
+        at_ns: 0,
+    };
+    for _ in 0..npes {
+        let received = match deadline {
+            None => status_rx.recv().ok(),
+            Some(d) => status_rx
+                // analyze: allow(nondeterminism, "threads-backend collection deadline; wall time by design, virtual-time machines never run this loop")
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .ok(),
+        };
+        let Some((pe, end, trace, lb, store)) = received else {
+            break;
+        };
+        traces[pe] = Some(trace);
+        lb_epochs += lb;
+        // A panicked or killed PE is dead: its memory is gone in the
+        // machine model, so its salvage is dropped and recovery must come
+        // from the buddy copy (or disk).
+        let failure = match end {
+            Err(msg) => Some(failed(RunError::PePanic { pe, msg })),
+            Ok(End::Killed(..)) => Some(Failed::killed(pe, Vec::new(), 0)),
+            Ok(End::Hung(idle)) => {
+                stores[pe] = Some(store);
+                Some(failed(RunError::Hang { pe, idle }))
+            }
+            Ok(_) => {
+                stores[pe] = Some(store);
+                None
+            }
+        };
+        if let (Some(f), None) = (failure, &dead) {
+            dead = Some(f);
+            // analyze: allow(nondeterminism, "threads-backend collection deadline; wall time by design, virtual-time machines never run this loop")
+            deadline = Some(Instant::now() + idle_timeout + Duration::from_secs(2));
+            for tx in &senders {
+                let mut halt = Envelope::new(0, EnvKind::Halt);
+                halt.epoch = epoch;
+                let _ = tx.send(halt);
+            }
+        }
+    }
+    Ok(match dead {
+        None => Ended::Finished {
+            traces: traces.into_iter().flatten().collect(),
+            lb_epochs,
+            time: None,
+            clean_exit: true,
+        },
+        Some(failed) => Ended::Failed(Failed { stores, ..failed }),
+    })
+}
+
+/// Fold the per-PE traces into the run report.
 pub(crate) fn finish_report(
     wall: Duration,
     time: Duration,
@@ -1361,39 +1217,76 @@ pub(crate) fn finish_report(
         clean_exit,
         pe_stats,
         telemetry,
-        trace: enabled.then(|| TraceReport { pes }),
+        trace: enabled.then_some(TraceReport { pes }),
     }
 }
 
-/// Ship one PE's drained outbox into the sim event queue: per envelope,
-/// optionally inject a network fault, model the latency, apply the schedule
-/// permutation, and (under `analyze`) clamp per-channel arrivals FIFO. An
-/// aggregation batch passes through here as ONE envelope — one latency
-/// event for the whole frame is the modeled win of aggregation; the
-/// receiver then pays per-message unpack cost when it splits the frame.
-#[allow(clippy::too_many_arguments)]
-fn ship_outbox(
-    src: Pe,
-    now_ns: u64,
-    outbox: &mut Vec<(Pe, Envelope)>,
-    model: &MachineModel,
-    permuter: &mut Option<charm_sim::PermuteSchedule>,
-    events: &mut EventQueue<(Pe, Envelope)>,
-    #[cfg(feature = "analyze")] inject_state: &mut Option<(crate::analyze::InjectFault, u64)>,
-    #[cfg(feature = "analyze")] last_arrival: &mut std::collections::HashMap<(Pe, Pe), u64>,
-) {
-    // Drained in place: the caller keeps the Vec so its capacity is reused
-    // for the next event instead of reallocating once per delivery.
-    for (dst, env) in outbox.drain(..) {
+/// The modeled network the virtual-time transports (sim, check) share:
+/// what happens to an envelope between leaving a PE and becoming
+/// deliverable — optional fault injection, the machine model's latency,
+/// the schedule permutation, and (under `analyze`) a per-channel FIFO
+/// clamp. An aggregation batch crosses as ONE envelope — one latency event
+/// for the whole frame is the modeled win of aggregation; the receiver
+/// pays per-message unpack cost when it splits the frame. Who picks the
+/// next deliverable envelope is the transports' business, not this one's.
+pub(crate) struct ModelNet {
+    model: MachineModel,
+    /// Deterministic per-seed jitter on delivery times, preserving
+    /// per-channel FIFO (the ordering real networks and the threads
+    /// backend guarantee).
+    permuter: Option<charm_sim::PermuteSchedule>,
+    /// Network fault injection: `(fault, QD-counted envelopes shipped)`.
+    #[cfg(feature = "analyze")]
+    inject: Option<(crate::analyze::InjectFault, u64)>,
+    /// Per-channel arrival clamp: the delay model is size-dependent and
+    /// may reorder one channel's messages; under the detector channels are
+    /// pinned FIFO so an ordering violation is a runtime bug, not a model
+    /// artifact.
+    #[cfg(feature = "analyze")]
+    last_arrival: std::collections::HashMap<(Pe, Pe), u64>,
+}
+
+impl ModelNet {
+    /// The network of `launch`'s machine model, delivery order jittered by
+    /// the `permute` seed.
+    pub(crate) fn new(permute: Option<u64>, launch: &Launch) -> ModelNet {
+        let model = launch.cfg.sim_model.clone();
+        ModelNet {
+            model: model.expect("a virtual-time machine carries its model"),
+            permuter: permute.map(charm_sim::PermuteSchedule::new),
+            #[cfg(feature = "analyze")]
+            inject: launch.inject.map(|f| (f, 0)),
+            #[cfg(feature = "analyze")]
+            last_arrival: std::collections::HashMap::new(),
+        }
+    }
+
+    /// Carry `env`, emitted by `src` at `now_ns`, to `dst`: `arrive` is
+    /// called with the arrival time of each copy that gets there (none
+    /// when dropped, two when duplicated).
+    pub(crate) fn ship(
+        &mut self,
+        src: Pe,
+        now_ns: u64,
+        dst: Pe,
+        env: Envelope,
+        mut arrive: impl FnMut(u64, Envelope),
+    ) {
         #[cfg(feature = "analyze")]
         let mut duplicate: Option<Envelope> = None;
         #[cfg(feature = "analyze")]
-        if let Some((fault, count)) = inject_state {
-            if env.kind.counts_for_qd() {
+        if let Some((fault, count)) = &mut self.inject {
+            // The mutation build widens the injector to checkpoint acks
+            // (see `EnvKind::try_clone`), restoring the pre-fix reachability
+            // of the stray-CkptAck panic for the mutation smoke test.
+            let injectable = env.kind.counts_for_qd()
+                || (cfg!(feature = "mutation-ckptack")
+                    && matches!(env.kind, EnvKind::CkptAck { .. }));
+            if injectable {
                 let n = *count;
                 *count += 1;
                 match *fault {
-                    crate::analyze::InjectFault::DropNth(k) if k == n => continue,
+                    crate::analyze::InjectFault::DropNth(k) if k == n => return,
                     crate::analyze::InjectFault::DuplicateNth(k) if k == n => {
                         duplicate = env.try_clone();
                     }
@@ -1401,251 +1294,126 @@ fn ship_outbox(
                 }
             }
         }
-        let delay = model.msg_delay(src, dst, env.kind.size_hint());
+        let delay = self.model.msg_delay(src, dst, env.kind.size_hint());
         let mut at = VTime::from_nanos(now_ns) + delay;
-        if let Some(p) = permuter {
+        if let Some(p) = &mut self.permuter {
             at = p.delivery_time(src, dst, at);
         }
+        let at = at.as_nanos();
         #[cfg(feature = "analyze")]
-        {
-            let last = last_arrival.entry((src, dst)).or_insert(0);
-            if at.as_nanos() <= *last {
-                at = VTime::from_nanos(*last + 1);
-            }
-            *last = at.as_nanos();
-        }
-        events.push(at, (dst, env));
+        let at = {
+            let last = self.last_arrival.entry((src, dst)).or_insert(0);
+            *last = at.max(*last + 1);
+            *last
+        };
+        arrive(at, env);
         #[cfg(feature = "analyze")]
         if let Some(dup) = duplicate {
-            // The duplicate trails the original on the same channel,
-            // like a network-level retransmission.
-            let at2 = VTime::from_nanos(at.as_nanos() + 1);
-            last_arrival.insert((src, dst), at2.as_nanos());
-            events.push(at2, (dst, dup));
+            // The duplicate trails the original on the same channel, like
+            // a network-level retransmission.
+            self.last_arrival.insert((src, dst), at + 1);
+            arrive(at + 1, dup);
         }
     }
 }
 
-fn run_sim(
-    mut launch: Launch,
-    model: MachineModel,
-    entry_fn: crate::pe::CoroLauncher,
-    permute: Option<u64>,
-    #[cfg(feature = "analyze")] inject: Option<crate::analyze::InjectFault>,
-) -> Result<RunReport, RunError> {
-    let npes = launch.npes;
-    // The epoch/cfg/recovery state only changes on an injected PE kill,
-    // which exists under `analyze` alone — hence the gated `mut`s.
-    #[cfg_attr(not(feature = "analyze"), allow(unused_mut))]
-    let mut cur_epoch = 0u64;
-    #[cfg_attr(not(feature = "analyze"), allow(unused_mut))]
-    let mut cfg = (launch.mk_cfg)(cur_epoch, launch.restore.take(), launch.ckpt_seq_start);
-    let mut entry_slot = Some(entry_fn);
-    let mut pes: Vec<PeState> = (0..npes)
-        .map(|pe| launch.mk_pe(pe, if pe == 0 { entry_slot.take() } else { None }, &cfg))
-        .collect();
-    let mut events: EventQueue<(Pe, Envelope)> = EventQueue::new();
-    events.push(VTime::ZERO, (0, Envelope::new(0, EnvKind::Bootstrap)));
-    #[cfg_attr(not(feature = "analyze"), allow(unused_mut))]
-    let mut recoveries = 0u64;
+/// The sim transport: every PE multiplexed on one `(arrival, ship order)`
+/// event heap over the modeled network. It outlives incarnations — a
+/// recovery continues on the same queue and timeline, so pre-failure
+/// traffic still in it reaches the new PEs' epoch guard and is counted.
+struct Sim {
+    net: ModelNet,
+    events: EventQueue<(Pe, Envelope)>,
+}
 
-    // Schedule permutation: deterministic per-seed jitter on delivery
-    // times, preserving per-channel FIFO (the ordering real networks and
-    // the threads backend guarantee).
-    let mut permuter = permute.map(charm_sim::PermuteSchedule::new);
-    // Per-channel arrival clamp: the baseline delay model is size-dependent
-    // and may reorder one channel's messages; under the detector we pin
-    // channels FIFO so an ordering violation is a runtime bug, not a model
-    // artifact.
-    #[cfg(feature = "analyze")]
-    let mut last_arrival: std::collections::HashMap<(Pe, Pe), u64> =
-        std::collections::HashMap::new();
-    // Network fault injection: (fault, count of QD-counted envelopes shipped).
-    #[cfg(feature = "analyze")]
-    let mut inject_state = match inject {
-        Some(crate::analyze::InjectFault::KillPe { .. }) | None => None,
-        Some(f) => Some((f, 0u64)),
-    };
-    // PE-kill injection: (victim, after_nth, deliveries seen). Armed only
-    // until it fires, so the recovery attempt is not re-killed.
-    #[cfg(feature = "analyze")]
-    let mut kill = match inject {
-        Some(crate::analyze::InjectFault::KillPe { pe, after_nth }) => Some((pe, after_nth, 0u64)),
-        _ => None,
-    };
+impl Transport for Sim {
+    fn start(&mut self, at_ns: u64, boot: Envelope) {
+        self.events.push(VTime::from_nanos(at_ns), (0, boot));
+    }
 
-    let mut clean_exit = false;
-    loop {
-        let Some((t, (pe, env))) = events.pop() else {
-            // The event queue drained — but with aggregation on, traffic
-            // may still be parked in sender-side buffers (nothing else in
-            // flight will flush them). This is the scheduler-idle flush
-            // trigger: release every PE's buffers at its own clock, in PE
-            // order (deterministic), and keep simulating. A quiescent
-            // machine with empty buffers falls through to the exit path.
-            let mut flushed = false;
-            for src in 0..npes {
-                if pes[src].flush_aggregation() {
-                    flushed = true;
-                    let state = &mut pes[src];
-                    let now = state.clock_ns;
-                    ship_outbox(
-                        src,
-                        now,
-                        &mut state.outbox,
-                        &model,
-                        &mut permuter,
-                        &mut events,
-                        #[cfg(feature = "analyze")]
-                        &mut inject_state,
-                        #[cfg(feature = "analyze")]
-                        &mut last_arrival,
-                    );
-                }
-            }
-            if flushed {
-                continue;
-            }
-            break;
-        };
-        #[cfg(feature = "analyze")]
-        {
-            let mut fire = false;
-            if let Some((victim, after_nth, count)) = &mut kill {
-                // Weighted by constituent count so a batch advances the
-                // delivery clock like the messages it carries would have
-                // unbatched.
-                let w = env.kind.qd_weight();
-                if *victim == pe && w > 0 && env.epoch == cur_epoch {
-                    let n = *count;
-                    *count += w;
-                    fire = n <= *after_nth && *after_nth < n + w;
-                }
-            }
-            if fire {
-                // The victim dies just as it would handle this envelope:
-                // its state (with its own checkpoint images) is discarded,
-                // the envelope is lost with it, and the machine restarts
-                // from the newest complete generation. Everything else in
-                // the event queue is pre-failure traffic that the epoch
-                // guard will discard on delivery.
-                kill = None;
-                let victim = pe;
-                let failure = format!("injected failure of PE {victim}");
-                if !launch.recovery_armed() {
-                    return Err(RunError::RecoveryImpossible {
-                        reason: "automatic checkpointing or the recovery entry is not armed".into(),
-                        failure,
-                    });
-                }
-                if recoveries >= launch.max_restarts {
-                    return Err(RunError::RestartsExhausted {
-                        attempts: recoveries,
-                        last: failure,
-                    });
-                }
-                let stores: Vec<Option<CkptStore>> = pes
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, p)| (i != victim).then(|| std::mem::take(&mut p.ckpt_store)))
-                    .collect();
-                let (generation, src) = match launch.recovery_source(&stores) {
-                    Ok(x) => x,
-                    Err(reason) => {
-                        return Err(RunError::RecoveryImpossible { reason, failure });
-                    }
-                };
-                recoveries += 1;
-                cur_epoch += 1;
-                cfg = (launch.mk_cfg)(cur_epoch, Some(src), generation + 1);
-                let t_ns = t.as_nanos();
-                let mut entry = launch.recovery_entry();
-                pes = (0..npes)
-                    .map(|p| {
-                        let mut st =
-                            launch.mk_pe(p, if p == 0 { entry.take() } else { None }, &cfg);
-                        // The new incarnation continues on the same virtual
-                        // timeline.
-                        st.clock_ns = t_ns;
-                        st
-                    })
-                    .collect();
-                if pes[0].tracer.full() {
-                    pes[0]
-                        .tracer
-                        .push(t_ns, charm_trace::EventKind::Recovery { epoch: cur_epoch });
-                }
-                let mut boot = Envelope::new(0, EnvKind::Bootstrap);
-                boot.epoch = cur_epoch;
-                events.push(t, (0, boot));
-                continue;
-            }
-        }
-        let state = &mut pes[pe];
-        // An arrival past this PE's clock means the PE sat idle for the gap.
-        let t_ns = t.as_nanos();
-        if t_ns > state.clock_ns {
-            state.tracer.idle(state.clock_ns, t_ns);
-            state.clock_ns = t_ns;
-        }
-        state.handle(env);
-        state.clock_ns += std::mem::take(&mut state.event_work_ns);
-        let now = state.clock_ns;
-        let exited = state.exited;
-        ship_outbox(
-            pe,
-            now,
-            &mut state.outbox,
-            &model,
-            &mut permuter,
-            &mut events,
-            #[cfg(feature = "analyze")]
-            &mut inject_state,
-            #[cfg(feature = "analyze")]
-            &mut last_arrival,
-        );
-        if exited {
-            clean_exit = true;
-            break;
+    fn send(&mut self, src: &PeState, dst: Pe, env: Envelope) {
+        let events = &mut self.events;
+        self.net.ship(src.pe, src.clock_ns, dst, env, |at, env| {
+            events.push(VTime::from_nanos(at), (dst, env))
+        });
+    }
+
+    fn poll(&mut self) -> Poll {
+        match self.events.pop() {
+            Some((t, (pe, env))) => Poll::Ready {
+                pe,
+                arrival: t.as_nanos(),
+                env,
+            },
+            None => Poll::Empty,
         }
     }
 
-    // Send/deliver accounting must balance once the machine is quiescent:
-    // a drained queue with sent ids never delivered means lost envelopes.
-    // (After a recovery, the accounting covers the final incarnation —
-    // stale-epoch envelopes are discarded before the detector sees them.)
-    #[cfg(feature = "analyze")]
-    crate::analyze::check_balance(
-        pes.iter().map(|p| p.det_summary()).collect(),
-        !clean_exit,
-        pes[0].cfg.analyze_probe.as_ref(),
-    );
-    // The trace counters must agree with the detector: every QD-counted
-    // send has a matching handle once the machine drains.
-    #[cfg(feature = "analyze")]
-    crate::analyze::check_counter_balance(
-        &pes.iter().map(|p| p.counter_totals()).collect::<Vec<_>>(),
-        !clean_exit,
-        pes[0].cfg.analyze_probe.as_ref(),
-    );
-
-    if !clean_exit {
-        eprintln!("charm-rs sim: event queue drained without exit() — stalled state:");
-        for p in &pes {
-            p.debug_dump();
+    fn idle_wait(&mut self, pes: &mut [PeState]) -> Poll {
+        // The idle flush may have put parked traffic back in flight; a
+        // quiescent machine with empty buffers is done.
+        match self.poll() {
+            Poll::Empty => {
+                eprintln!("charm-rs sim: event queue drained without exit() — stalled state:");
+                for p in pes.iter() {
+                    p.debug_dump();
+                }
+                Poll::End(End::Drained)
+            }
+            ready => ready,
         }
+    }
+}
+
+/// One incarnation of a virtual-time machine (sim, check): every PE driven
+/// on this thread against one transport.
+pub(crate) fn virtual_epoch<T: Transport>(
+    t: &mut T,
+    mut pes: Vec<PeState>,
+    boot: Envelope,
+    kill: Option<(Pe, u64)>,
+) -> Result<Ended, RunError> {
+    t.start(pes[0].clock_ns, boot);
+    let clean_exit = match drive(&mut pes, t, kill) {
+        End::Killed(victim, at_ns) => {
+            // The victim dies just as it would handle the envelope: its
+            // state (with its own checkpoint images) is discarded, the
+            // envelope is lost with it, and the machine restarts from the
+            // newest complete generation the survivors can assemble.
+            let stores = pes
+                .iter_mut()
+                .map(|p| (p.pe != victim).then(|| std::mem::take(&mut p.ckpt_store)))
+                .collect();
+            return Ok(Ended::Failed(Failed::killed(victim, stores, at_ns)));
+        }
+        end => matches!(end, End::Exited),
+    };
+    // Send/deliver accounting must balance once the machine is quiescent:
+    // a drained queue with sent ids never delivered means lost envelopes,
+    // and the trace counters must agree with the detector. (After a
+    // recovery, the accounting covers the final incarnation — stale-epoch
+    // envelopes are discarded before the detector sees them.)
+    #[cfg(feature = "analyze")]
+    {
+        let probe = pes[0].cfg.analyze_probe.as_ref();
+        crate::analyze::check_balance(
+            pes.iter().map(|p| p.det_summary()).collect(),
+            !clean_exit,
+            probe,
+        );
+        crate::analyze::check_counter_balance(
+            &pes.iter().map(|p| p.counter_totals()).collect::<Vec<_>>(),
+            !clean_exit,
+            probe,
+        );
     }
     let makespan = pes.iter().map(|p| p.clock_ns).max().unwrap_or(0);
-    let lb_epochs = pes[0].lb_epochs();
-    let traces: Vec<PeTrace> = pes.iter_mut().map(|p| p.finish_trace()).collect();
-    Ok(finish_report(
-        launch.start.elapsed(),
-        Duration::from_nanos(makespan),
-        lb_epochs,
-        recoveries,
+    Ok(Ended::Finished {
+        lb_epochs: pes[0].lb_epochs(),
+        traces: pes.iter_mut().map(|p| p.finish_trace()).collect(),
+        time: Some(Duration::from_nanos(makespan)),
         clean_exit,
-        traces,
-    ))
+    })
 }
 
 /// Default tracing level: cheap counters, or full event capture when the

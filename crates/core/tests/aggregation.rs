@@ -262,8 +262,8 @@ fn aggregated_fan_in_is_clean_under_exhaustive_exploration() {
 }
 
 /// The threads backend takes the same code path through `push_out` but
-/// flushes from the scheduler's idle transition (the burst-drain loop in
-/// `run_threads`): the flood must still fan in completely and batches must
+/// flushes from the scheduler's idle transition (the threads transport's
+/// `poll` coming up empty): the flood must still fan in completely and batches must
 /// form.
 #[test]
 fn threads_backend_aggregates_and_completes() {

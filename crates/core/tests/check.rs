@@ -115,7 +115,7 @@ fn histogram_program(co: &mut Co<Main>) {
     srcs.send(
         co.ctx(),
         SrcMsg::Go {
-            hist: hist.clone(),
+            hist,
             per_src: PER_SRC,
         },
     );
@@ -168,7 +168,7 @@ fn exhaustive_histogram_exploration_is_clean() {
         report.executions, report.equivalence_classes
     );
     // Golden: the explored space is a function of the runtime's protocol
-    // and the controlled driver's enabled sets; neither may move silently.
+    // and the controlled transport's enabled sets; neither may move silently.
     assert_eq!(
         (report.executions, report.equivalence_classes),
         (GOLD_HIST_EXECUTIONS, GOLD_HIST_CLASSES),
@@ -434,4 +434,102 @@ fn delay_bound_truncates_honestly() {
         bounded.truncated,
         "a zero delay bound cannot exhaust a concurrent program's space"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The default extension is the sim transport's order.
+// ---------------------------------------------------------------------------
+
+/// The first execution `check` runs is the empty schedule; its report is
+/// what the controlled transport delivers with no explorer decision at all.
+fn empty_schedule_report(rt: Runtime, program: fn(&mut Co<Main>)) -> RunReport {
+    let seen = Arc::new(std::sync::Mutex::new(None));
+    let sink = Arc::clone(&seen);
+    let report = rt.check(
+        CheckCfg {
+            max_executions: 1,
+            oracle: Some(Arc::new(move |r: &RunReport| {
+                sink.lock().unwrap().get_or_insert_with(|| r.clone());
+                None
+            })),
+            ..CheckCfg::default()
+        },
+        program,
+    );
+    assert!(
+        report.counterexample.is_none(),
+        "the empty schedule failed: {:?}",
+        report.counterexample
+    );
+    let report = seen.lock().unwrap().take();
+    report.expect("the oracle never saw the first execution")
+}
+
+/// The aggregation-on workload: enough small sends to one remote chare to
+/// fill count-threshold batches and leave a remainder for the idle flush.
+fn aggregated_bump_program(co: &mut Co<Main>) {
+    let c = co.ctx().create_chare::<Counter>((), Some(1));
+    for i in 0..7 {
+        c.send(co.ctx(), CounterMsg::Bump(i));
+    }
+    let f = c.call::<i64>(co.ctx(), CounterMsg::Total);
+    assert_eq!(co.get(&f), 21, "aggregated bumps diverged");
+    co.ctx().exit();
+}
+
+/// The module docs claim "an empty schedule replays a plain `run()`"; pin
+/// it. Per-PE handled messages and entries, the virtual makespan and the
+/// application result (asserted inside each program) must be equal between
+/// a plain `Backend::Sim` run and the controlled transport's default
+/// extension, with and without aggregation, and replaying an empty
+/// schedule artifact must be clean.
+#[test]
+fn empty_schedule_delivers_what_a_plain_sim_run_delivers() {
+    let dir = std::env::temp_dir().join(format!("charmrs-check-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("empty.schedule");
+    let empty = charm_core::Schedule {
+        npes: NPES,
+        note: "empty".into(),
+        choices: Vec::new(),
+    };
+    empty.save(&artifact).unwrap();
+
+    /// `(name, runtime, program, whether batches must form)`.
+    type Case = (&'static str, fn() -> Runtime, fn(&mut Co<Main>), bool);
+    let cases: [Case; 2] = [
+        ("histogram", hist_runtime, histogram_program, false),
+        (
+            "aggregated bumps",
+            || counter_runtime().aggregation(AggCfg::count(3)),
+            aggregated_bump_program,
+            true,
+        ),
+    ];
+    for (name, runtime, program, batched) in cases {
+        let plain = runtime().run(program);
+        let controlled = empty_schedule_report(runtime(), program);
+        let per_pe = |r: &RunReport| -> Vec<(u64, u64)> {
+            r.pe_stats
+                .iter()
+                .map(|p| (p.msgs_processed, p.entries))
+                .collect()
+        };
+        assert!(plain.clean_exit && controlled.clean_exit, "{name}: no exit");
+        let batches = |r: &RunReport| r.pe_stats.iter().map(|p| p.batches_sent).sum::<u64>();
+        assert_eq!(batches(&controlled), batches(&plain), "{name}: batching");
+        assert_eq!(batches(&plain) > 0, batched, "{name}: batching");
+        assert_eq!(
+            per_pe(&controlled),
+            per_pe(&plain),
+            "{name}: per-PE (msgs_processed, entries) diverged"
+        );
+        assert_eq!(controlled.time, plain.time, "{name}: makespan diverged");
+        let replay = runtime()
+            .replay_schedule(&artifact, program)
+            .expect("artifact unreadable");
+        assert_eq!(replay.failure, None, "{name}: empty replay failed");
+        assert_eq!(replay.decisions, 0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -367,6 +367,133 @@ fn killed_pe_recovery_is_clean_under_exhaustive_exploration() {
     );
 }
 
+/// The mini stencil's runtime with PE 1 killed after the round-1 checkpoint
+/// committed (see the exhaustive test above), recovery armed.
+fn mini_kill_runtime(rt: Runtime) -> Runtime {
+    let (rt, _probe) = rt
+        .meter_compute(false)
+        .register_migratable::<MiniRing>()
+        .auto_checkpoint(1, Store::Memory)
+        .analyze_inject(InjectFault::KillPe {
+            pe: 1,
+            after_nth: 2,
+        });
+    rt.recover_with(|co| {
+        let arr = Proxy::<MiniRing>::restored(CollectionId { creator: 0, seq: 0 });
+        mini_drive(co, &arr, 1);
+    })
+}
+
+fn mini_program(co: &mut Co<Main>) {
+    let arr = co.ctx().create_array::<MiniRing>(&[2], ());
+    mini_drive(co, &arr, 0);
+}
+
+/// Whether PE 0's event ring recorded the restart.
+fn has_recovery_event(report: &RunReport) -> bool {
+    let trace = report.trace.as_ref().expect("full capture was configured");
+    trace.pes[0]
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, charm_trace::EventKind::Recovery { epoch: 1 }))
+}
+
+/// One supervisor means one place the restart is traced: a full-capture
+/// run of the kill-and-recover stencil records `EventKind::Recovery` on
+/// PE 0 under sim, under threads, and — the copy that used to forget it —
+/// under the model checker's controlled transport.
+#[test]
+fn recovery_event_is_traced_on_every_backend() {
+    use charm_core::{CheckCfg, TraceConfig};
+
+    let sim = || Runtime::new(2).simulated(MachineModel::local(2));
+    for (name, rt) in [("sim", sim()), ("threads", Runtime::new(2))] {
+        let report = mini_kill_runtime(rt.trace(TraceConfig::full())).run(mini_program);
+        assert_eq!(report.recoveries, 1, "{name}");
+        assert!(has_recovery_event(&report), "{name}: no Recovery event");
+    }
+    let report = mini_kill_runtime(sim().trace(TraceConfig::full())).check(
+        CheckCfg {
+            max_executions: 4,
+            oracle: Some(Arc::new(|r: &RunReport| {
+                (r.recoveries != 1 || !has_recovery_event(r))
+                    .then(|| "restart left no Recovery event".to_string())
+            })),
+            ..CheckCfg::default()
+        },
+        mini_program,
+    );
+    assert!(
+        report.counterexample.is_none(),
+        "check: {:?}",
+        report.counterexample
+    );
+}
+
+/// The supervisor's verdicts, one table for every in-process backend: the
+/// same injected kill must end in the same typed error — same variant,
+/// same message — whether the machine is simulated, threaded, or driven by
+/// the model checker (which reports the supervisor's error verbatim).
+#[test]
+fn supervisor_verdicts_agree_across_backends() {
+    use charm_core::CheckCfg;
+
+    type Arm = fn(Runtime) -> Runtime;
+    type Row = (&'static str, Arm, fn(&RunError) -> bool);
+    let rows: [Row; 3] = [
+        (
+            "unarmed",
+            |rt| rt,
+            |e| matches!(e, RunError::RecoveryImpossible { reason, .. } if reason.contains("not armed")),
+        ),
+        (
+            "budget exhausted",
+            |rt| {
+                rt.auto_checkpoint(1, Store::Memory)
+                    .max_restarts(0)
+                    .recover_with(|_co| unreachable!("no restart may happen"))
+            },
+            |e| matches!(e, RunError::RestartsExhausted { attempts: 0, .. }),
+        ),
+        (
+            // PE 1 dies on its first delivery, before any quiescence round
+            // could have committed a checkpoint.
+            "no complete generation",
+            |rt| {
+                rt.auto_checkpoint(1, Store::Memory)
+                    .recover_with(|_co| unreachable!("no restart may happen"))
+            },
+            |e| matches!(e, RunError::RecoveryImpossible { reason, .. } if reason.contains("no complete")),
+        ),
+    ];
+    for (row, arm, expected) in rows {
+        let build = |rt: Runtime| {
+            arm(rt.meter_compute(false).register_migratable::<MiniRing>())
+                .analyze_inject(InjectFault::KillPe {
+                    pe: 1,
+                    after_nth: 0,
+                })
+                .0
+        };
+        let sim = || build(Runtime::new(2).simulated(MachineModel::local(2)));
+        let sim_err = sim().try_run(mini_program).unwrap_err();
+        assert!(expected(&sim_err), "{row}, sim: {sim_err}");
+        let threads_err = build(Runtime::new(2)).try_run(mini_program).unwrap_err();
+        assert!(expected(&threads_err), "{row}, threads: {threads_err}");
+        assert_eq!(threads_err.to_string(), sim_err.to_string(), "{row}");
+        let check = sim().check(
+            CheckCfg {
+                max_executions: 1,
+                shrink: false,
+                ..CheckCfg::default()
+            },
+            mini_program,
+        );
+        let failure = check.counterexample.expect("check saw no failure").failure;
+        assert_eq!(failure, format!("run error: {sim_err}"), "{row}, check");
+    }
+}
+
 /// Killing a PE without checkpointing armed is a typed error, not a panic.
 #[test]
 fn kill_without_checkpointing_is_recovery_impossible() {

@@ -55,9 +55,7 @@ fn env_parse<T: std::str::FromStr>(key: &str) -> Result<T, NetError> {
 /// the root (or not a Net run at all); `Some(Err)` means the variables are
 /// present but torn — a bootstrap error, not a silent fallback.
 pub fn worker_env() -> Option<Result<WorkerEnv, NetError>> {
-    if std::env::var_os(ENV_PE).is_none() {
-        return None;
-    }
+    std::env::var_os(ENV_PE)?;
     Some((|| {
         Ok(WorkerEnv {
             pe: env_parse(ENV_PE)?,

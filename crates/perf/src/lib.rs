@@ -250,24 +250,25 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
         let err = |e| format!("line {no}: {e}");
         match t.next() {
             Some("frame") => {
-                let mut f = FrameRec::default();
-                f.seq = num(t.next().unwrap_or(""), "seq").map_err(err)?;
-                f.pes = num(t.next().unwrap_or(""), "pes").map_err(err)?;
-                f.at_ns = num(t.next().unwrap_or(""), "at_ns").map_err(err)?;
-                f.busy_ns = num(t.next().unwrap_or(""), "busy_ns").map_err(err)?;
-                f.idle_ns = num(t.next().unwrap_or(""), "idle_ns").map_err(err)?;
-                f.overhead_ns = num(t.next().unwrap_or(""), "overhead_ns").map_err(err)?;
-                f.util_min = num(t.next().unwrap_or(""), "util_min").map_err(err)?;
-                f.util_max = num(t.next().unwrap_or(""), "util_max").map_err(err)?;
-                f.util_sum = num(t.next().unwrap_or(""), "util_sum").map_err(err)?;
-                f.util_sumsq = num(t.next().unwrap_or(""), "util_sumsq").map_err(err)?;
-                f.msgs_sent = num(t.next().unwrap_or(""), "msgs_sent").map_err(err)?;
-                f.msgs_processed = num(t.next().unwrap_or(""), "msgs_processed").map_err(err)?;
-                f.entries = num(t.next().unwrap_or(""), "entries").map_err(err)?;
-                f.bytes_remote = num(t.next().unwrap_or(""), "bytes_remote").map_err(err)?;
-                f.queue = num(t.next().unwrap_or(""), "queue").map_err(err)?;
-                f.queue_max = num(t.next().unwrap_or(""), "queue_max").map_err(err)?;
-                frames.push(f);
+                frames.push(FrameRec {
+                    seq: num(t.next().unwrap_or(""), "seq").map_err(err)?,
+                    pes: num(t.next().unwrap_or(""), "pes").map_err(err)?,
+                    at_ns: num(t.next().unwrap_or(""), "at_ns").map_err(err)?,
+                    busy_ns: num(t.next().unwrap_or(""), "busy_ns").map_err(err)?,
+                    idle_ns: num(t.next().unwrap_or(""), "idle_ns").map_err(err)?,
+                    overhead_ns: num(t.next().unwrap_or(""), "overhead_ns").map_err(err)?,
+                    util_min: num(t.next().unwrap_or(""), "util_min").map_err(err)?,
+                    util_max: num(t.next().unwrap_or(""), "util_max").map_err(err)?,
+                    util_sum: num(t.next().unwrap_or(""), "util_sum").map_err(err)?,
+                    util_sumsq: num(t.next().unwrap_or(""), "util_sumsq").map_err(err)?,
+                    msgs_sent: num(t.next().unwrap_or(""), "msgs_sent").map_err(err)?,
+                    msgs_processed: num(t.next().unwrap_or(""), "msgs_processed").map_err(err)?,
+                    entries: num(t.next().unwrap_or(""), "entries").map_err(err)?,
+                    bytes_remote: num(t.next().unwrap_or(""), "bytes_remote").map_err(err)?,
+                    queue: num(t.next().unwrap_or(""), "queue").map_err(err)?,
+                    queue_max: num(t.next().unwrap_or(""), "queue_max").map_err(err)?,
+                    ..FrameRec::default()
+                });
             }
             Some("hist") => {
                 let f = frames
@@ -597,15 +598,17 @@ mod tests {
     #[test]
     fn telemetry_round_trip_via_trace_writer() {
         use charm_trace::MetricFrame;
-        let mut f = MetricFrame::default();
-        f.seq = 3;
-        f.pes = 4;
-        f.busy_ns = 1000;
-        f.util_min = 0.25;
-        f.util_max = 0.75;
-        f.util_sum = 2.0;
-        f.util_sumsq = 1.125;
-        f.queue_depth = 7;
+        let mut f = MetricFrame {
+            seq: 3,
+            pes: 4,
+            busy_ns: 1000,
+            util_min: 0.25,
+            util_max: 0.75,
+            util_sum: 2.0,
+            util_sumsq: 1.125,
+            queue_depth: 7,
+            ..MetricFrame::default()
+        };
         for v in [10, 100, 1000, 10_000] {
             f.exec.record(v);
         }

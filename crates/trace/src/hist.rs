@@ -86,11 +86,7 @@ impl Hist {
 
     /// Exact mean (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.sum / self.total
-        }
+        self.sum.checked_div(self.total).unwrap_or(0)
     }
 
     /// Worst-case relative error of [`Hist::quantile`] against the true
@@ -204,12 +200,14 @@ impl Hist {
 
     /// Non-empty buckets as `(lower, upper, count)`, in value order.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts.iter().enumerate().filter_map(|(i, &n)| {
-            (n > 0).then(|| {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| {
                 let (lo, hi) = self.bounds(i);
                 (lo, hi, n)
             })
-        })
     }
 
     /// Order-sensitive FNV-1a digest over the bucket contents (grid,

@@ -595,12 +595,10 @@ impl TraceReport {
                             ));
                         }
                     },
-                    EventKind::EntryEnd { .. } | EventKind::IdleEnd => {
-                        if i != 0 {
-                            return Err(format!(
-                                "PE {pe}: orphan end event at {i} (only allowed at the ring cut)"
-                            ));
-                        }
+                    EventKind::EntryEnd { .. } | EventKind::IdleEnd if i != 0 => {
+                        return Err(format!(
+                            "PE {pe}: orphan end event at {i} (only allowed at the ring cut)"
+                        ));
                     }
                     _ => {}
                 }

@@ -74,11 +74,7 @@ impl EntryStat {
 
     /// Mean activation time (0 when nothing was recorded).
     pub fn mean_ns(&self) -> u64 {
-        if self.calls == 0 {
-            0
-        } else {
-            self.total_ns / self.calls
-        }
+        self.total_ns.checked_div(self.calls).unwrap_or(0)
     }
 }
 
