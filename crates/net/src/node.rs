@@ -21,9 +21,9 @@ use crate::backoff::Backoff;
 use crate::cfg::NetCfg;
 use crate::error::NetError;
 use crate::frame;
-use crate::peer::{spawn_writer, PeerSender};
+use crate::peer::{spawn_writer, FrameReader, Inbound, PeerSender};
 use crate::proto::{
-    self, Hello, Restart, Table, TableEntry, K_BYE, K_HELLO, K_PAYLOAD, K_PING, K_RESTART, K_STATS,
+    Hello, Restart, Table, TableEntry, K_BYE, K_HELLO, K_PAYLOAD, K_PING, K_RESTART, K_STATS,
     K_TABLE,
 };
 
@@ -37,6 +37,13 @@ pub(crate) fn now() -> Instant {
 pub(crate) fn pause(d: Duration) {
     // analyze: allow(net-hook, "supervision threads (backoff, watchdogs, polls) sleep by design; never runs on a scheduler thread")
     std::thread::sleep(d);
+}
+
+/// A handshake frame, sealed: the one frame written outside a writer thread.
+fn hello_frame(hello: &Hello) -> Vec<u8> {
+    let mut f = frame::build(K_HELLO, &[&hello.encode()]);
+    frame::seal(&mut f);
+    f
 }
 
 /// What the transport reports up to the runtime driver.
@@ -205,8 +212,7 @@ impl Shared {
         let _ = stream.set_read_timeout(Some(self.cfg.connect_timeout));
         let hello = self.my_hello();
         let mut s = &stream;
-        frame::write_frame(&mut s, K_HELLO, &hello.encode())?;
-        s.flush()?;
+        s.write_all(&hello_frame(&hello))?;
         let ack = match frame::read_frame(&mut s, self.cfg.max_frame)? {
             (K_HELLO, payload) => Hello::decode(&payload)?,
             (k, _) => {
@@ -276,9 +282,15 @@ impl Shared {
     }
 
     /// Read frames until the connection dies or says goodbye.
-    fn reader_loop(self: &Arc<Self>, pe: usize, conn_epoch: u64, gen: u64, mut stream: TcpStream) {
+    fn reader_loop(self: &Arc<Self>, pe: usize, conn_epoch: u64, gen: u64, stream: TcpStream) {
+        let mut frames = FrameReader::new(stream, self.cfg.max_frame);
         let reason = loop {
-            let (kind, payload) = match frame::read_frame(&mut stream, self.cfg.max_frame) {
+            let Inbound {
+                kind,
+                src,
+                body,
+                wire_len,
+            } = match frames.next() {
                 Ok(f) => f,
                 Err(frame::FrameError::Closed) => break "connection closed".to_string(),
                 Err(frame::FrameError::Io(k, m))
@@ -300,30 +312,26 @@ impl Shared {
             self.counters.frames_recv.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .bytes_recv
-                .fetch_add((frame::HDR_LEN + payload.len()) as u64, Ordering::Relaxed);
+                .fetch_add(wire_len as u64, Ordering::Relaxed);
             match kind {
                 K_PING => {
                     self.counters.pings_recv.fetch_add(1, Ordering::Relaxed);
                 }
-                K_PAYLOAD => match proto::decode_from(payload) {
-                    Ok((src, bytes)) => self.emit(NetEvent::Payload {
-                        src: src as usize,
-                        bytes,
-                    }),
-                    Err(_) => {
+                K_PAYLOAD | K_STATS => match src {
+                    Some(src) => {
+                        let (src, bytes) = (src as usize, body);
+                        self.emit(if kind == K_PAYLOAD {
+                            NetEvent::Payload { src, bytes }
+                        } else {
+                            NetEvent::Stats { pe: src, bytes }
+                        });
+                    }
+                    // Shorter than its src prefix.
+                    None => {
                         self.counters.proto_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 },
-                K_STATS => match proto::decode_from(payload) {
-                    Ok((src, bytes)) => self.emit(NetEvent::Stats {
-                        pe: src as usize,
-                        bytes,
-                    }),
-                    Err(_) => {
-                        self.counters.proto_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                },
-                K_RESTART => match Restart::decode(&payload) {
+                K_RESTART => match Restart::decode(&body) {
                     Ok(r) => {
                         // The transport fences first, then tells the
                         // scheduler: any handshake arriving after this
@@ -338,7 +346,7 @@ impl Shared {
                         self.counters.proto_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 },
-                K_TABLE => match Table::decode(&payload) {
+                K_TABLE => match Table::decode(&body) {
                     Ok(t) => self.handle_table(t),
                     Err(_) => {
                         self.counters.proto_errors.fetch_add(1, Ordering::Relaxed);
@@ -537,9 +545,7 @@ impl Shared {
         // Accepted: answer with our own hello so the dialer knows the
         // connection is admitted (a rejection above just closes it).
         let mut s = &stream;
-        if frame::write_frame(&mut s, K_HELLO, &self.my_hello().encode()).is_err()
-            || s.flush().is_err()
-        {
+        if s.write_all(&hello_frame(&self.my_hello())).is_err() {
             return;
         }
         let advertised = stream
@@ -573,7 +579,8 @@ impl Shared {
         }
     }
 
-    fn send_frame(&self, dst: usize, kind: u8, payload: Vec<u8>) -> Result<(), NetError> {
+    /// Queue a frame made by [`frame::build`] on `dst`'s writer.
+    fn send_frame(&self, dst: usize, frame: Vec<u8>) -> Result<(), NetError> {
         if dst >= self.npes {
             return Err(NetError::PeerDown { pe: dst });
         }
@@ -584,7 +591,7 @@ impl Shared {
                 None => return Err(NetError::PeerDown { pe: dst }),
             }
         };
-        sender.send(dst, kind, payload, self.cfg.send_timeout)
+        sender.send(dst, frame, self.cfg.send_timeout)
     }
 }
 
@@ -724,31 +731,39 @@ impl NetNode {
         self.shared.epoch.fetch_max(e, Ordering::SeqCst);
     }
 
+    /// A `src`-prefixed frame: the one copy `bytes` gets on its way out,
+    /// made straight into the buffer the writer thread will put on the wire.
+    fn frame_from_me(&self, kind: u8, bytes: &[u8]) -> Vec<u8> {
+        frame::build(kind, &[&(self.shared.me as u32).to_le_bytes(), bytes])
+    }
+
     /// Ship an encoded envelope to `dst`.
     pub fn send_payload(&self, dst: usize, env: &[u8]) -> Result<(), NetError> {
-        self.shared.send_frame(
-            dst,
-            K_PAYLOAD,
-            proto::encode_from(self.shared.me as u32, env),
-        )
+        self.shared
+            .send_frame(dst, self.frame_from_me(K_PAYLOAD, env))
     }
 
     /// Worker: ship the end-of-run counter block to the root.
     pub fn send_stats(&self, bytes: &[u8]) -> Result<(), NetError> {
         self.shared
-            .send_frame(0, K_STATS, proto::encode_from(self.shared.me as u32, bytes))
+            .send_frame(0, self.frame_from_me(K_STATS, bytes))
+    }
+
+    /// Queue a copy of `frame` on every live peer's writer.
+    fn broadcast(&self, frame: &[u8]) {
+        for pe in 0..self.shared.npes {
+            if pe != self.shared.me {
+                let _ = self.shared.send_frame(pe, frame.to_vec());
+            }
+        }
     }
 
     /// Root: announce a recovery restart to every live peer (and fence the
     /// local transport first).
     pub fn broadcast_restart(&self, epoch: u64, generation: u64) {
         self.set_epoch(epoch);
-        let payload = Restart { epoch, generation }.encode();
-        for pe in 0..self.shared.npes {
-            if pe != self.shared.me {
-                let _ = self.shared.send_frame(pe, K_RESTART, payload.clone());
-            }
-        }
+        let restart = Restart { epoch, generation };
+        self.broadcast(&frame::build(K_RESTART, &[&restart.encode()]));
     }
 
     /// Root: broadcast the current peer table (bootstrap completion, and
@@ -778,12 +793,7 @@ impl NetNode {
                 entries,
             }
         };
-        let payload = table.encode();
-        for pe in 0..self.shared.npes {
-            if pe != self.shared.me {
-                let _ = self.shared.send_frame(pe, K_TABLE, payload.clone());
-            }
-        }
+        self.broadcast(&frame::build(K_TABLE, &[&table.encode()]));
     }
 
     /// Whether `pe` has a live connection.

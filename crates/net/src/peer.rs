@@ -1,5 +1,6 @@
-//! Per-peer outbound writer: a bounded queue drained by one thread that
-//! owns the connection's write half.
+//! The two halves of one connection: a bounded outbound queue drained by
+//! the thread that owns the write half, and the buffered frame reader the
+//! connection's reader thread pulls from.
 //!
 //! One writer thread per connection keeps the scheduler's send path
 //! non-blocking up to the queue bound (backpressure past it is a *signal* —
@@ -7,51 +8,53 @@
 //! like a dead one). The writer doubles as the heartbeat source: whenever
 //! the queue has been idle for `heartbeat_every` it emits a ping, so the
 //! peer's read timeout only ever fires on genuine silence.
+//!
+//! Every frame reaches the writer as one finished `[header | payload]`
+//! buffer ([`frame::build`]); the writer seals the checksum into it, so the
+//! pass over the payload runs here and not on the sender's thread, and
+//! writes it with one `write` (the tests below count). The reader takes
+//! the `src` prefix off a payload before reading the body straight into
+//! the `Vec` that becomes the event. The socket has `TCP_NODELAY` and no
+//! user-space buffer in front of it, so there is nothing to flush.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame;
+use crate::frame::{self, FrameError};
 use crate::node::Counters;
-use crate::proto::{encode_ping, K_BYE, K_PING};
+use crate::proto::{K_BYE, K_PAYLOAD, K_PING, K_STATS};
 
 /// What the owning node asks of a writer.
 pub(crate) enum WriteCmd {
-    /// Emit one frame.
-    Frame {
-        /// Frame kind byte.
-        kind: u8,
-        /// Frame payload.
-        payload: Vec<u8>,
-    },
+    /// Emit one frame: an unsealed `[header | payload]` buffer.
+    Frame(Vec<u8>),
     /// Drain the queue, send `Bye`, close the write half, exit.
     Close,
 }
 
 /// Handle to one connection's writer thread. Dropping the last handle
-/// (without `close`) makes the writer flush what it has and exit silently —
-/// the teardown used when a connection is superseded rather than drained.
+/// (without `close`) makes the writer exit silently — the teardown used
+/// when a connection is superseded rather than drained.
 #[derive(Clone)]
 pub(crate) struct PeerSender {
     tx: SyncSender<WriteCmd>,
 }
 
 impl PeerSender {
-    /// Enqueue a frame, waiting up to `timeout` on a full queue.
+    /// Enqueue a built frame, waiting up to `timeout` on a full queue.
     pub(crate) fn send(
         &self,
         pe: usize,
-        kind: u8,
-        payload: Vec<u8>,
+        frame: Vec<u8>,
         timeout: Duration,
     ) -> Result<(), NetError> {
         let deadline = crate::node::now() + timeout;
-        let mut cmd = WriteCmd::Frame { kind, payload };
+        let mut cmd = WriteCmd::Frame(frame);
         loop {
             match self.tx.try_send(cmd) {
                 Ok(()) => return Ok(()),
@@ -90,10 +93,10 @@ impl PeerSender {
 
 /// Spawn the writer thread for one connection. `epoch` is stamped into
 /// heartbeat pings; `counters.writers_done` ticks when the thread exits, so
-/// a drain can wait for flush completion without a timed join.
+/// a drain can wait for the last write without a timed join.
 pub(crate) fn spawn_writer(
     pe: usize,
-    stream: TcpStream,
+    mut stream: TcpStream,
     heartbeat_every: Duration,
     epoch: u64,
     cap: usize,
@@ -102,7 +105,10 @@ pub(crate) fn spawn_writer(
     let (tx, rx) = sync_channel::<WriteCmd>(cap.max(1));
     let builder = std::thread::Builder::new().name(format!("net-wr-{pe}"));
     let spawned = builder.spawn(move || {
-        writer_loop(stream, rx, heartbeat_every, epoch, &counters);
+        if writer_loop(&mut stream, &rx, heartbeat_every, epoch, &counters) {
+            // After the goodbye: the peer's reader sees EOF, not a death.
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+        }
         counters.writers_done.fetch_add(1, Ordering::SeqCst);
     });
     // A spawn failure leaves the channel sender-less; sends surface it as
@@ -111,88 +117,251 @@ pub(crate) fn spawn_writer(
     PeerSender { tx }
 }
 
-fn write_one(out: &mut TcpStream, kind: u8, payload: &[u8], counters: &Counters) -> bool {
-    if frame::write_frame(out, kind, payload).is_err() {
-        return false;
-    }
+/// Seal `buf`, put it on the wire with one call, count it.
+fn write_one<W: Write>(out: &mut W, mut buf: Vec<u8>, counters: &Counters) -> std::io::Result<()> {
+    frame::seal(&mut buf);
+    out.write_all(&buf)?;
     counters.frames_sent.fetch_add(1, Ordering::Relaxed);
     counters
         .bytes_sent
-        .fetch_add((frame::HDR_LEN + payload.len()) as u64, Ordering::Relaxed);
-    true
+        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+    Ok(())
 }
 
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: Receiver<WriteCmd>,
+/// Drain `rx` into `out` until told to close (`true`: the goodbye went
+/// out), the queue's senders are gone, or a write fails (`false`).
+fn writer_loop<W: Write>(
+    out: &mut W,
+    rx: &Receiver<WriteCmd>,
     heartbeat_every: Duration,
     epoch: u64,
     counters: &Counters,
-) {
-    loop {
-        match rx.recv_timeout(heartbeat_every) {
-            Ok(WriteCmd::Frame { kind, payload }) => {
-                if !write_one(&mut stream, kind, &payload, counters) {
-                    return;
-                }
-            }
-            Ok(WriteCmd::Close) => break,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                // Idle: prove liveness.
-                if !write_one(&mut stream, K_PING, &encode_ping(epoch), counters) {
-                    return;
-                }
-                counters.pings_sent.fetch_add(1, Ordering::Relaxed);
-                if stream.flush().is_err() {
-                    return;
-                }
-            }
-            // The sender was dropped: the connection was superseded. Flush
-            // what we hold and exit without a goodbye.
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                let _ = stream.flush();
-                return;
-            }
-        }
-        // Opportunistically drain whatever queued while writing, then
-        // flush once for the burst.
+) -> bool {
+    let mut run = || -> std::io::Result<bool> {
         loop {
-            match rx.try_recv() {
-                Ok(WriteCmd::Frame { kind, payload }) => {
-                    if !write_one(&mut stream, kind, &payload, counters) {
-                        return;
+            let mut next = match rx.recv_timeout(heartbeat_every) {
+                Ok(cmd) => Some(cmd),
+                Err(RecvTimeoutError::Timeout) => {
+                    // Idle: prove liveness.
+                    write_one(out, frame::build(K_PING, &[&epoch.to_le_bytes()]), counters)?;
+                    counters.pings_sent.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                // The sender was dropped: the connection was superseded.
+                // Nothing is held back here, so just leave, no goodbye.
+                Err(RecvTimeoutError::Disconnected) => return Ok(false),
+            };
+            // Take everything that queued while the last frame was being
+            // written before blocking again.
+            while let Some(cmd) = next {
+                match cmd {
+                    WriteCmd::Frame(buf) => write_one(out, buf, counters)?,
+                    WriteCmd::Close => {
+                        // Frames queued behind a Close were sent after the
+                        // drain began; they still go out ahead of the Bye.
+                        while let Ok(cmd) = rx.try_recv() {
+                            if let WriteCmd::Frame(buf) = cmd {
+                                write_one(out, buf, counters)?;
+                            }
+                        }
+                        write_one(out, frame::build(K_BYE, &[]), counters)?;
+                        return Ok(true);
                     }
                 }
-                Ok(WriteCmd::Close) => {
-                    let _ = stream.flush();
-                    goodbye(&mut stream, counters);
-                    return;
-                }
-                Err(_) => break,
+                next = rx.try_recv().ok();
             }
         }
-        if stream.flush().is_err() {
-            return;
-        }
-    }
-    // Close requested from the blocking wait: drain anything still queued,
-    // then say goodbye.
-    while let Ok(cmd) = rx.try_recv() {
-        if let WriteCmd::Frame { kind, payload } = cmd {
-            if !write_one(&mut stream, kind, &payload, counters) {
-                return;
-            }
-        }
-    }
-    let _ = stream.flush();
-    goodbye(&mut stream, counters);
+    };
+    run().unwrap_or(false)
 }
 
-/// Final `Bye` + flush + half-close, so the peer's reader sees a clean
-/// goodbye followed by EOF instead of a death.
-fn goodbye(stream: &mut TcpStream, counters: &Counters) {
-    if write_one(stream, K_BYE, &[], counters) {
-        let _ = stream.flush();
+/// One inbound frame as the node consumes it.
+pub(crate) struct Inbound {
+    /// Frame kind byte.
+    pub(crate) kind: u8,
+    /// The sending PE, for the kinds whose payload starts with it.
+    pub(crate) src: Option<u32>,
+    /// The payload after that prefix, in a buffer of its own.
+    pub(crate) body: Vec<u8>,
+    /// Bytes the frame took on the wire, header included.
+    pub(crate) wire_len: usize,
+}
+
+/// The read half: frames off the stream.
+pub(crate) struct FrameReader<R: Read> {
+    rd: R,
+    max_frame: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(stream: R, max_frame: usize) -> FrameReader<R> {
+        FrameReader {
+            rd: stream,
+            max_frame,
+        }
     }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+
+    /// The next frame. For payload and stats frames the 4-byte `src` prefix
+    /// is taken off *before* the body is read, so the body lands in the
+    /// exact-size `Vec` the event carries away, untouched afterwards. A
+    /// frame of those kinds too short to hold the prefix comes back whole
+    /// with `src: None`.
+    pub(crate) fn next(&mut self) -> Result<Inbound, FrameError> {
+        let head = frame::read_header(&mut self.rd, self.max_frame)?;
+        let mut src = [0u8; 4];
+        let prefixed = matches!(head.kind, K_PAYLOAD | K_STATS) && head.len >= src.len();
+        let prefix = if prefixed { &mut src[..] } else { &mut [] };
+        let body = frame::read_body(&mut self.rd, &head, prefix)?;
+        Ok(Inbound {
+            kind: head.kind,
+            src: prefixed.then_some(u32::from_le_bytes(src)),
+            body,
+            wire_len: frame::HDR_LEN + head.len,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the calls a writer makes and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWrite {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Hands out everything it has, like a socket whose peer wrote it all,
+    /// and counts the calls.
+    struct CountingRead<'a> {
+        calls: &'a mut usize,
+        bytes: &'a [u8],
+    }
+
+    impl Read for CountingRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            *self.calls += 1;
+            let n = buf.len().min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn payload_frame(src: u32, body: &[u8]) -> Vec<u8> {
+        frame::build(K_PAYLOAD, &[&src.to_le_bytes(), body])
+    }
+
+    /// Read every frame out of `bytes` through the connection reader.
+    fn read_all(bytes: &[u8]) -> (Vec<Inbound>, usize, FrameError) {
+        let mut calls = 0;
+        let (got, end) = {
+            let counted = CountingRead {
+                calls: &mut calls,
+                bytes,
+            };
+            let mut rd = FrameReader::new(counted, frame::DEFAULT_MAX_FRAME);
+            let mut got = Vec::new();
+            loop {
+                match rd.next() {
+                    Ok(f) => got.push(f),
+                    Err(e) => break (got, e),
+                }
+            }
+        };
+        (got, calls, end)
+    }
+
+    #[test]
+    fn one_frame_of_any_size_is_one_write() {
+        for n in [0, 64, 4096, 1 << 20] {
+            let body = vec![0xA5u8; n];
+            let (tx, rx) = sync_channel(1);
+            tx.send(WriteCmd::Frame(payload_frame(1, &body))).unwrap();
+            drop(tx); // then superseded: no goodbye
+            let mut out = CountingWrite::default();
+            let counters = Counters::default();
+            assert!(!writer_loop(
+                &mut out,
+                &rx,
+                Duration::from_secs(5),
+                0,
+                &counters
+            ));
+            assert_eq!(out.calls, 1, "{n}-byte body");
+            let sent = (frame::HDR_LEN + 4 + n) as u64;
+            assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 1);
+            assert_eq!(counters.bytes_sent.load(Ordering::Relaxed), sent);
+            let (got, _, end) = read_all(&out.bytes);
+            assert_eq!(end, FrameError::Closed);
+            assert_eq!(got.len(), 1);
+            assert_eq!((got[0].src, &got[0].body), (Some(1), &body));
+        }
+    }
+
+    #[test]
+    fn an_idle_writer_pings_with_its_epoch() {
+        let (tx, rx) = sync_channel::<WriteCmd>(1);
+        let mut out = CountingWrite::default();
+        let counters = Counters::default();
+        std::thread::scope(|sc| {
+            let (out, counters) = (&mut out, &counters);
+            sc.spawn(move || writer_loop(out, &rx, Duration::from_millis(1), 9, counters));
+            while counters.pings_sent.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            drop(tx);
+        });
+        let (got, _, _) = read_all(&out.bytes);
+        assert!(!got.is_empty());
+        assert_eq!(out.calls, got.len(), "one write per ping");
+        for f in got {
+            assert_eq!((f.kind, f.src), (K_PING, None));
+            assert_eq!(f.body, 9u64.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn a_payload_too_short_for_its_prefix_comes_back_whole() {
+        let mut bytes = frame::build(K_PAYLOAD, &[&[1, 2]]);
+        frame::seal(&mut bytes);
+        let (got, _, end) = read_all(&bytes);
+        assert_eq!(end, FrameError::Closed);
+        assert_eq!((got[0].src, got[0].body.as_slice()), (None, &[1u8, 2][..]));
+    }
+
+    #[test]
+    fn truncation_at_every_offset_is_closed_or_torn() {
+        let body = [7u8; 40];
+        let mut bytes = payload_frame(1, &body);
+        frame::seal(&mut bytes);
+        for cut in 0..bytes.len() {
+            let (got, _, end) = read_all(&bytes[..cut]);
+            assert!(got.is_empty());
+            let want = match cut {
+                0 => FrameError::Closed,
+                c if c < frame::HDR_LEN => FrameError::Torn {
+                    needed: frame::HDR_LEN,
+                    got: c,
+                },
+                c => FrameError::Torn {
+                    needed: 4 + body.len(),
+                    got: c - frame::HDR_LEN,
+                },
+            };
+            assert_eq!(end, want, "cut at {cut}");
+        }
+    }
 }

@@ -243,7 +243,10 @@ impl Restart {
     }
 }
 
-/// Prefix opaque bytes with the sending PE (payload and stats frames).
+/// Prefix opaque bytes with the sending PE: the payload of a payload or
+/// stats frame as a buffer of its own. The node builds that layout inside
+/// the frame buffer instead (`frame::build`), so this and [`decode_from`]
+/// serve callers that hold a bare payload.
 pub fn encode_from(pe: u32, bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + bytes.len());
     out.extend_from_slice(&pe.to_le_bytes());
@@ -259,13 +262,10 @@ pub fn decode_from(mut buf: Vec<u8>) -> Result<(u32, Vec<u8>), NetError> {
         ));
     }
     let pe = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let rest = buf.split_off(4);
-    Ok((pe, rest))
-}
-
-/// Encode a ping payload (the sender's epoch).
-pub fn encode_ping(epoch: u64) -> Vec<u8> {
-    epoch.to_le_bytes().to_vec()
+    // Shift in place: no second buffer.
+    buf.copy_within(4.., 0);
+    buf.truncate(buf.len() - 4);
+    Ok((pe, buf))
 }
 
 #[cfg(test)]

@@ -7,10 +7,13 @@
 //! real `SIGKILL`s) lives in `multiproc.rs`; this file isolates the
 //! transport state machine from process management.
 
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
+use charm_net::frame;
+use charm_net::proto::{Hello, K_HELLO, K_PAYLOAD};
 use charm_net::{BackoffCfg, NetCfg, NetEvent, NetNode};
 
 /// Short timeouts so failure paths run in test time, with a heartbeat
@@ -269,4 +272,134 @@ fn bootstrap_times_out_when_a_worker_never_arrives() {
     let msg = err.to_string();
     assert!(msg.contains('2'), "error should name the missing PE: {msg}");
     let _ = w1.join();
+}
+
+/// Dial `root` as PE 1 of 2 over a bare socket and complete the handshake,
+/// as a worker's `NetNode` would: what comes back is an admitted
+/// connection the test can write anything to.
+fn admitted_raw_peer(root: &NetNode, nonce: u64) -> TcpStream {
+    let mut raw = TcpStream::connect(root.listen_addr()).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    let hello = Hello {
+        pe: 1,
+        npes: 2,
+        epoch: 0,
+        nonce,
+        listen_port: 1,
+    };
+    frame::write_frame(&mut raw, K_HELLO, &hello.encode()).expect("hello");
+    let (kind, ack) = frame::read_frame(&mut raw, frame::DEFAULT_MAX_FRAME).expect("hello ack");
+    assert_eq!(kind, K_HELLO);
+    assert_eq!(Hello::decode(&ack).expect("ack decodes").pe, 0);
+    wait_event(root, Duration::from_secs(5), |ev| match ev {
+        NetEvent::PeerUp { pe: 1, .. } => Some(()),
+        _ => None,
+    });
+    raw
+}
+
+/// A payload frame from PE 1, as it goes on the wire.
+fn payload_frame(body: &[u8]) -> Vec<u8> {
+    let mut f = frame::build(K_PAYLOAD, &[&1u32.to_le_bytes(), body]);
+    frame::seal(&mut f);
+    f
+}
+
+/// One good frame, then `bad`: the good one is delivered, the bad one is
+/// counted once, the connection is dropped, and the loss is reported with
+/// the frame error as its reason.
+fn bad_frame_mid_stream_drops_the_connection(nonce: u64, bad: &[u8], why: &str) {
+    let cfg = test_cfg();
+    let root = NetNode::root(&cfg, 2, nonce).expect("root");
+    let mut raw = admitted_raw_peer(&root, nonce);
+    raw.write_all(&payload_frame(b"still fine"))
+        .expect("good frame");
+    let bytes = wait_event(&root, Duration::from_secs(5), |ev| match ev {
+        NetEvent::Payload { src: 1, bytes } => Some(bytes),
+        _ => None,
+    });
+    assert_eq!(bytes, b"still fine");
+    raw.write_all(bad).expect("bad frame");
+    let reason = wait_event(&root, Duration::from_secs(10), |ev| match ev {
+        NetEvent::PeerLost { pe: 1, reason, .. } => Some(reason),
+        NetEvent::Payload { .. } => panic!("a bad frame was delivered"),
+        _ => None,
+    });
+    assert!(reason.contains("corrupt frame"), "{reason}");
+    assert!(reason.contains(why), "{reason}");
+    let c = root.counters();
+    assert_eq!((c.corrupt_frames, c.disconnects), (1, 1), "{c:?}");
+    assert_eq!((c.frames_recv, c.proto_errors), (1, 0), "{c:?}");
+    assert!(!root.peer_live(1));
+    root.drain(cfg.drain_timeout).expect("drain");
+}
+
+#[test]
+fn wrong_payload_checksum_on_a_live_connection_is_counted_and_dropped() {
+    let mut bad = payload_frame(&[0x33; 200]);
+    bad[frame::HDR_LEN + 100] ^= 0x04;
+    bad_frame_mid_stream_drops_the_connection(0x9999, &bad, "payload checksum mismatch");
+}
+
+#[test]
+fn version_1_frame_on_a_live_connection_is_counted_and_dropped() {
+    // What the previous binary would have sent: FNV-1a on the payload too.
+    let payload = [&1u32.to_le_bytes()[..], b"from an old run"].concat();
+    let mut v1 = vec![0xAE, 0x43, 1, K_PAYLOAD];
+    v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let hcrc = frame::fnv1a(&v1);
+    v1.extend_from_slice(&hcrc.to_le_bytes());
+    v1.extend_from_slice(&frame::fnv1a(&payload).to_le_bytes());
+    v1.extend_from_slice(&payload);
+    bad_frame_mid_stream_drops_the_connection(0xAAAA, &v1, "bad frame version 1");
+}
+
+#[test]
+fn interleaved_small_and_large_payloads_arrive_in_order_and_intact() {
+    let cfg = test_cfg();
+    let nodes = mesh(&cfg, 2, 0xBBBB);
+    // Runs of small frames (coalesced, buffered) between large ones
+    // (written and read directly), so every seam is crossed both ways.
+    let sizes = [
+        64,
+        1 << 20,
+        64,
+        64,
+        64,
+        1 << 20,
+        1 << 20,
+        64,
+        4096,
+        5000,
+        64,
+        1 << 20,
+    ];
+    let msgs: Vec<Vec<u8>> = (0..3 * sizes.len())
+        .map(|i| {
+            let mut x = i as u64 + 1;
+            (0..sizes[i % sizes.len()])
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (x >> 56) as u8
+                })
+                .collect()
+        })
+        .collect();
+    // All of it fits the writer's queue, so one thread can send, then read.
+    for m in &msgs {
+        nodes[0].send_payload(1, m).expect("send");
+    }
+    for (i, want) in msgs.iter().enumerate() {
+        let got = wait_event(&nodes[1], Duration::from_secs(10), |ev| match ev {
+            NetEvent::Payload { src: 0, bytes } => Some(bytes),
+            _ => None,
+        });
+        assert_eq!(got.len(), want.len(), "message {i}");
+        assert!(got == *want, "message {i} differs");
+    }
+    for node in &nodes {
+        node.drain(cfg.drain_timeout).expect("drain");
+    }
 }

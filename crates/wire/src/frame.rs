@@ -11,31 +11,45 @@
 //! ```text
 //! offset  size  field
 //! 0       2     MAGIC        0x43AE ("charm" frame marker)
-//! 2       1     VERSION      currently 1
+//! 2       1     VERSION      currently 2
 //! 3       1     KIND         application tag byte (opaque to this layer)
 //! 4       4     LEN          payload length in bytes
 //! 8       4     HDR_CRC      FNV-1a over bytes 0..8
-//! 12      4     PAYLOAD_CRC  FNV-1a over the payload bytes
+//! 12      4     PAYLOAD_CRC  sum32 over the payload bytes
 //! 16      LEN   payload
 //! ```
 //!
 //! The header checksum rejects desynchronised or bit-flipped headers before
 //! the length field can be trusted; the length is additionally capped by a
-//! caller-supplied maximum so a corrupt-but-checksummed frame can never make
-//! the reader allocate unbounded memory. A clean EOF *between* frames is
-//! reported as [`FrameError::Closed`] (normal disconnect); an EOF *inside* a
-//! frame is [`FrameError::Torn`] (crash or truncation mid-write).
+//! caller-supplied maximum, and a reader reserves at most [`RESERVE_CAP`]
+//! before payload bytes have actually arrived, so a corrupt-but-checksummed
+//! header can never make the reader allocate memory the stream has not paid
+//! for. A clean EOF *between* frames is reported as [`FrameError::Closed`]
+//! (normal disconnect); an EOF *inside* a frame is [`FrameError::Torn`]
+//! (crash or truncation mid-write).
+//!
+//! Two ways in and two ways out, one layout:
+//!
+//! * [`write_frame`] / [`read_frame`] take and return a bare payload.
+//! * [`build`] + [`seal`] assemble `[header | parts..]` in one owned buffer
+//!   that a writer hands to a single `write_all`; [`read_header`] +
+//!   [`read_body`] let a reader peel a fixed prefix off the payload *before*
+//!   the rest is read straight into the `Vec` it will hand on.
 
 use std::io::{Read, Write};
 
 /// Frame marker; deliberately asymmetric so byte-swapped streams fail fast.
 pub const MAGIC: u16 = 0x43AE;
-/// Current frame layout version.
-pub const VERSION: u8 = 1;
+/// Current frame layout version. Version 1 (FNV-1a payload checksum) is
+/// not read: every process of a run is the same binary.
+pub const VERSION: u8 = 2;
 /// Fixed header length in bytes.
 pub const HDR_LEN: usize = 16;
 /// Default cap on payload length readers enforce (64 MiB).
 pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
+/// Most a reader reserves for a body on the header's word alone; a longer
+/// body grows its `Vec` with the bytes actually received.
+pub const RESERVE_CAP: usize = 1 << 20;
 
 /// Typed decode/IO failures for untrusted frame streams.
 ///
@@ -102,8 +116,8 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// FNV-1a 32-bit: tiny, allocation-free, good enough to catch stream
-/// desynchronisation and random corruption (not an integrity MAC).
+/// FNV-1a 32-bit: the hash of the 8 header bytes. Byte-at-a-time, so it is
+/// kept off the payload (see [`sum32`]).
 pub fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -113,17 +127,168 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Build the 16-byte header for `payload` tagged with `kind`.
-pub fn encode_header(kind: u8, payload: &[u8]) -> [u8; HDR_LEN] {
+/// Bytes one [`Sum32`] step consumes: four 64-bit lanes.
+const BLOCK: usize = 32;
+/// Odd 64-bit multipliers (the xxHash primes).
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One multiply-rotate step: a bijection of `acc` for any `w`, so a change
+/// to one word always changes its lane.
+#[inline(always)]
+fn mix(acc: u64, w: u64) -> u64 {
+    (acc ^ w).wrapping_mul(P1).rotate_left(29)
+}
+
+#[inline(always)]
+fn word(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// Incremental state of [`sum32`]: feed the input in any pieces.
+///
+/// Word `i` of every whole 32-byte block goes through lane `i`; the four
+/// lanes never wait on each other, which is what lets the sum run at
+/// memory speed where FNV-1a's one multiply per *byte* cannot. The bytes
+/// after the last whole block, the total length and the lanes are folded
+/// in [`finish`](Sum32::finish).
+#[derive(Debug, Clone)]
+pub struct Sum32 {
+    lanes: [u64; 4],
+    /// Bytes seen since the last whole block (fewer than [`BLOCK`]).
+    tail: [u8; BLOCK],
+    tail_len: usize,
+    total: u64,
+}
+
+impl Default for Sum32 {
+    fn default() -> Self {
+        Sum32::new()
+    }
+}
+
+impl Sum32 {
+    /// State before any input.
+    pub fn new() -> Sum32 {
+        Sum32 {
+            lanes: [P1.wrapping_add(P2), P2, P3, P1.wrapping_neg()],
+            tail: [0; BLOCK],
+            tail_len: 0,
+            total: 0,
+        }
+    }
+
+    /// Absorb `bytes`. Any split of an input gives the same sum.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total = self.total.wrapping_add(bytes.len() as u64);
+        if self.tail_len > 0 {
+            let take = (BLOCK - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < BLOCK {
+                return;
+            }
+            self.tail_len = 0;
+            let block = self.tail;
+            Sum32::blocks(&mut self.lanes, &block);
+        }
+        let rest = Sum32::blocks(&mut self.lanes, bytes);
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// Run every whole block of `bytes` through the lanes; the remainder
+    /// comes back.
+    fn blocks<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+        let [mut a, mut b, mut c, mut d] = *lanes;
+        let mut it = bytes.chunks_exact(BLOCK);
+        for blk in &mut it {
+            a = mix(a, word(&blk[0..8]));
+            b = mix(b, word(&blk[8..16]));
+            c = mix(c, word(&blk[16..24]));
+            d = mix(d, word(&blk[24..32]));
+        }
+        *lanes = [a, b, c, d];
+        it.remainder()
+    }
+
+    /// The sum of everything absorbed so far.
+    pub fn finish(&self) -> u32 {
+        let [a, b, c, d] = self.lanes;
+        // Distinct rotations, so the lanes are not interchangeable.
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        h = mix(h, self.total);
+        let tail = &self.tail[..self.tail_len];
+        let mut words = tail.chunks_exact(8);
+        for w in &mut words {
+            h = mix(h, word(w));
+        }
+        for &b in words.remainder() {
+            h = mix(h, u64::from(b));
+        }
+        // Avalanche, then keep both halves' worth of bits.
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^= h >> 32;
+        h as u32
+    }
+}
+
+/// The payload checksum of frame version 2: a word-at-a-time sum over four
+/// independent multiply-rotate lanes (see [`Sum32`]). Catches stream
+/// desynchronisation and random corruption; it is not an integrity MAC.
+pub fn sum32(bytes: &[u8]) -> u32 {
+    let mut s = Sum32::new();
+    s.update(bytes);
+    s.finish()
+}
+
+/// The 16 header bytes for a payload of `len` bytes whose sum is `pcrc`.
+fn header(kind: u8, len: usize, pcrc: u32) -> [u8; HDR_LEN] {
     let mut hdr = [0u8; HDR_LEN];
     hdr[0..2].copy_from_slice(&MAGIC.to_le_bytes());
     hdr[2] = VERSION;
     hdr[3] = kind;
-    hdr[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[4..8].copy_from_slice(&(len as u32).to_le_bytes());
     let hcrc = fnv1a(&hdr[0..8]);
     hdr[8..12].copy_from_slice(&hcrc.to_le_bytes());
-    hdr[12..16].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    hdr[12..16].copy_from_slice(&pcrc.to_le_bytes());
     hdr
+}
+
+/// Build the 16-byte header for `payload` tagged with `kind`.
+pub fn encode_header(kind: u8, payload: &[u8]) -> [u8; HDR_LEN] {
+    header(kind, payload.len(), sum32(payload))
+}
+
+/// Assemble an *unsealed* frame in one exact-size buffer: the header (its
+/// `PAYLOAD_CRC` still zero) followed by `parts` back to back. This is the
+/// only copy a payload needs on its way out; [`seal`] finishes the frame on
+/// whichever thread is about to write it.
+pub fn build(kind: u8, parts: &[&[u8]]) -> Vec<u8> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut out = Vec::with_capacity(HDR_LEN + len);
+    out.extend_from_slice(&header(kind, len, 0));
+    for p in parts {
+        out.extend_from_slice(p);
+    }
+    out
+}
+
+/// Patch the payload checksum into a frame made by [`build`]. A buffer
+/// shorter than a header is left alone.
+pub fn seal(frame: &mut [u8]) {
+    if let Some((hdr, payload)) = frame.split_at_mut_checked(HDR_LEN) {
+        hdr[12..16].copy_from_slice(&sum32(payload).to_le_bytes());
+    }
 }
 
 /// Validate a header and return `(kind, payload_len, payload_crc)`.
@@ -150,7 +315,9 @@ pub fn parse_header(hdr: &[u8; HDR_LEN], max: usize) -> Result<(u8, usize, u32),
     Ok((hdr[3], len, pcrc))
 }
 
-/// Write one frame (header + payload). Does not flush.
+/// Write one frame (header, then the borrowed payload). Does not flush.
+/// A writer that owns its payload should [`build`] and [`seal`] instead
+/// and issue one write.
 pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), FrameError> {
     let hdr = encode_header(kind, payload);
     w.write_all(&hdr)?;
@@ -158,47 +325,98 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
     Ok(())
 }
 
-/// Read exactly `buf.len()` bytes, distinguishing a clean EOF at offset 0
-/// (`Closed` is only reported when `at_boundary`) from a torn mid-frame EOF.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> Result<(), FrameError> {
+/// Read until `buf` is full or the stream ends; returns the bytes read.
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, FrameError> {
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 && at_boundary {
-                    return Err(FrameError::Closed);
-                }
-                return Err(FrameError::Torn {
-                    needed: buf.len(),
-                    got,
-                });
-            }
+            Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(())
+    Ok(got)
 }
 
-/// Read and validate one frame, returning `(kind, payload)`.
+/// A validated frame header: what [`read_body`] needs to finish the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Head {
+    /// Frame kind byte.
+    pub kind: u8,
+    /// Payload length in bytes (already checked against the reader's cap).
+    pub len: usize,
+    /// The payload checksum the header promises.
+    pcrc: u32,
+}
+
+/// First phase of a read: the next frame's validated header.
 ///
 /// `max` caps the payload length; use [`DEFAULT_MAX_FRAME`] unless the
 /// protocol knows better. Never panics on malformed input.
-pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<(u8, Vec<u8>), FrameError> {
+pub fn read_header<R: Read>(r: &mut R, max: usize) -> Result<Head, FrameError> {
     let mut hdr = [0u8; HDR_LEN];
-    read_full(r, &mut hdr, true)?;
+    match read_full(r, &mut hdr)? {
+        HDR_LEN => {}
+        0 => return Err(FrameError::Closed),
+        got => {
+            return Err(FrameError::Torn {
+                needed: HDR_LEN,
+                got,
+            })
+        }
+    }
     let (kind, len, pcrc) = parse_header(&hdr, max)?;
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false)?;
-    let found = fnv1a(&payload);
-    if found != pcrc {
+    Ok(Head { kind, len, pcrc })
+}
+
+/// Second phase: fill `prefix` from the front of the payload, read the
+/// rest straight into a fresh `Vec` and verify the checksum over both.
+///
+/// The `Vec` is reserved once, to the body's exact length when that is at
+/// most [`RESERVE_CAP`], and is filled in place: no zero-fill before the
+/// read and no shifting after it, so the caller can hand it on as is. A
+/// `prefix` longer than the payload reads as a torn frame.
+pub fn read_body<R: Read>(
+    r: &mut R,
+    head: &Head,
+    prefix: &mut [u8],
+) -> Result<Vec<u8>, FrameError> {
+    let torn = |got| FrameError::Torn {
+        needed: head.len,
+        got,
+    };
+    let Some(body_len) = head.len.checked_sub(prefix.len()) else {
+        return Err(torn(0));
+    };
+    let got = read_full(r, prefix)?;
+    if got < prefix.len() {
+        return Err(torn(got));
+    }
+    let mut body = Vec::with_capacity(body_len.min(RESERVE_CAP));
+    let got = r.take(body_len as u64).read_to_end(&mut body)?;
+    if got < body_len {
+        return Err(torn(prefix.len() + got));
+    }
+    let mut sum = Sum32::new();
+    sum.update(prefix);
+    sum.update(&body);
+    let found = sum.finish();
+    if found != head.pcrc {
         return Err(FrameError::BadPayloadCrc {
-            expected: pcrc,
+            expected: head.pcrc,
             found,
         });
     }
-    Ok((kind, payload))
+    Ok(body)
+}
+
+/// Read and validate one frame, returning `(kind, payload)`: the two
+/// phases with no prefix.
+pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<(u8, Vec<u8>), FrameError> {
+    let head = read_header(r, max)?;
+    let payload = read_body(r, &head, &mut [])?;
+    Ok((head.kind, payload))
 }
 
 #[cfg(test)]
@@ -210,6 +428,193 @@ mod tests {
         let mut out = Vec::new();
         write_frame(&mut out, kind, payload).unwrap();
         out
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn garbage(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// The definition of `sum32`, written out one byte index at a time with
+    /// its own constants: what the block-wise, incremental implementation
+    /// must equal.
+    fn sum32_ref(bytes: &[u8]) -> u32 {
+        let le = |i: usize| (0..8).fold(0u64, |w, k| w | (bytes[i + k] as u64) << (8 * k));
+        let step = |acc: u64, w: u64| {
+            (acc ^ w)
+                .wrapping_mul(0x9E37_79B1_85EB_CA87)
+                .rotate_left(29)
+        };
+        let mut lanes: [u64; 4] = [
+            0x60EA_27EE_ADC0_B5D6,
+            0xC2B2_AE3D_27D4_EB4F,
+            0x1656_67B1_9E37_79F9,
+            0x61C8_864E_7A14_3579,
+        ];
+        let whole = bytes.len() / 32 * 32;
+        for i in (0..whole).step_by(8) {
+            lanes[i / 8 % 4] = step(lanes[i / 8 % 4], le(i));
+        }
+        let mut h = lanes[0]
+            .rotate_left(1)
+            .wrapping_add(lanes[1].rotate_left(7))
+            .wrapping_add(lanes[2].rotate_left(12))
+            .wrapping_add(lanes[3].rotate_left(18));
+        h = step(h, bytes.len() as u64);
+        let mut i = whole;
+        while i + 8 <= bytes.len() {
+            h = step(h, le(i));
+            i += 8;
+        }
+        while i < bytes.len() {
+            h = step(h, bytes[i] as u64);
+            i += 1;
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        h ^= h >> 29;
+        h = h.wrapping_mul(0x1656_67B1_9E37_79F9);
+        h ^= h >> 32;
+        h as u32
+    }
+
+    #[test]
+    fn sum32_equals_the_scalar_reference() {
+        let bytes = garbage(1, 257);
+        for n in 0..=257 {
+            assert_eq!(sum32(&bytes[..n]), sum32_ref(&bytes[..n]), "length {n}");
+        }
+        for seed in [2, 3, 5] {
+            let big = garbage(seed, 1 << 20);
+            assert_eq!(sum32(&big), sum32_ref(&big), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sum32_changes_on_every_single_bit_flip() {
+        let mut bytes = garbage(7, 4096);
+        let clean = sum32(&bytes);
+        for bit in 0..8 * bytes.len() {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(sum32(&bytes), clean, "bit {bit}");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn sum32_is_order_and_length_sensitive() {
+        let bytes = garbage(11, 4096);
+        let clean = sum32(&bytes);
+        for unit in [8, 32] {
+            for at in (0..bytes.len() - 2 * unit).step_by(unit) {
+                let mut swapped = bytes.clone();
+                let (a, b) = swapped[at..at + 2 * unit].split_at_mut(unit);
+                a.swap_with_slice(b);
+                assert_ne!(sum32(&swapped), clean, "{unit}-byte units swapped at {at}");
+            }
+        }
+        for n in 0..=65 {
+            let mut longer = bytes[..n].to_vec();
+            longer.push(0);
+            assert_ne!(sum32(&longer), sum32(&bytes[..n]), "zero appended to {n}");
+        }
+        // All-zero inputs differ by length alone.
+        assert_ne!(sum32(&[0; 32]), sum32(&[0; 64]));
+    }
+
+    #[test]
+    fn sum32_is_the_same_over_any_split() {
+        let bytes = garbage(13, 200);
+        let whole = sum32(&bytes);
+        for a in 0..=bytes.len() {
+            for b in [a, (a + 4).min(bytes.len()), (a + 37).min(bytes.len())] {
+                let mut s = Sum32::new();
+                s.update(&bytes[..a]);
+                s.update(&bytes[a..b]);
+                s.update(&bytes[b..]);
+                assert_eq!(s.finish(), whole, "split at {a}, {b}");
+            }
+        }
+        let mut s = Sum32::new();
+        bytes.iter().for_each(|b| s.update(&[*b]));
+        assert_eq!(s.finish(), whole, "byte at a time");
+    }
+
+    #[test]
+    fn build_and_seal_make_the_bytes_write_frame_makes() {
+        let payload = garbage(17, 100);
+        let mut built = build(9, &[&payload[..4], &payload[4..]]);
+        assert_eq!(built.capacity(), built.len());
+        assert_ne!(built, frame_bytes(9, &payload), "unsealed");
+        seal(&mut built);
+        assert_eq!(built, frame_bytes(9, &payload));
+        let mut empty = build(1, &[]);
+        seal(&mut empty);
+        assert_eq!(empty, frame_bytes(1, b""));
+        seal(&mut [0u8; 3]); // shorter than a header: left alone
+    }
+
+    #[test]
+    fn two_phase_read_peels_the_prefix_and_keeps_the_body_exact() {
+        for n in [0, 1, 60, 1 << 20] {
+            let body = garbage(19, n);
+            let bytes = {
+                let mut f = build(4, &[&7u32.to_le_bytes(), &body]);
+                seal(&mut f);
+                f
+            };
+            let mut cur = Cursor::new(&bytes);
+            let head = read_header(&mut cur, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!((head.kind, head.len), (4, 4 + n));
+            let mut src = [0u8; 4];
+            let got = read_body(&mut cur, &head, &mut src).unwrap();
+            assert_eq!(u32::from_le_bytes(src), 7);
+            assert_eq!(got, body);
+            assert_eq!(got.capacity(), got.len(), "{n}-byte body");
+        }
+    }
+
+    #[test]
+    fn prefix_is_covered_by_the_checksum_and_bounded_by_the_payload() {
+        let mut bytes = frame_bytes(4, b"abcdefgh");
+        let head = read_header(&mut Cursor::new(&bytes), 64).unwrap();
+        // A prefix the payload cannot hold.
+        let err = read_body(&mut Cursor::new(&bytes[HDR_LEN..]), &head, &mut [0; 9]);
+        assert_eq!(err, Err(FrameError::Torn { needed: 8, got: 0 }));
+        // EOF inside the prefix, and inside the body after it.
+        for cut in 0..8 {
+            let mut cur = Cursor::new(&bytes[HDR_LEN..HDR_LEN + cut]);
+            let err = read_body(&mut cur, &head, &mut [0; 4]);
+            assert_eq!(
+                err,
+                Err(FrameError::Torn {
+                    needed: 8,
+                    got: cut
+                })
+            );
+        }
+        bytes[HDR_LEN + 1] ^= 1;
+        let err = read_body(&mut Cursor::new(&bytes[HDR_LEN..]), &head, &mut [0; 4]);
+        assert!(
+            matches!(err, Err(FrameError::BadPayloadCrc { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_body_past_the_reserve_cap_still_round_trips() {
+        let payload = garbage(23, RESERVE_CAP + 4097);
+        let bytes = frame_bytes(2, &payload);
+        let (_, got) = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(got, payload);
     }
 
     #[test]
@@ -370,14 +775,7 @@ mod tests {
     fn garbage_stream_never_panics() {
         // Deterministic pseudo-random garbage: decoding must produce typed
         // errors (or improbably a valid frame), never a panic.
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        let mut garbage = vec![0u8; 4096];
-        for b in garbage.iter_mut() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *b = x as u8;
-        }
+        let garbage = garbage(0x9e3779b97f4a7c15, 4096);
         let _ = read_frame(&mut Cursor::new(&garbage), 1024);
     }
 }

@@ -1,12 +1,16 @@
-//! Hostile input against both readers: every malformed input ends in a
-//! typed [`WireError`], never a panic, and never in an allocation sized by
-//! a length field the input has not paid for. Also pins both layouts
+//! Hostile input against both readers and the frame layer under them:
+//! every malformed input ends in a typed [`WireError`] or [`FrameError`],
+//! never a panic, and never in an allocation sized by a length field the
+//! input has not paid for. Also pins both layouts and the frame layout
 //! byte-for-byte.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use std::io::{BufReader, Cursor};
+
+use charm_wire::frame::{self, FrameError};
 use charm_wire::{wire_enum, wire_struct, Buf, Codec, WireError};
 
 thread_local! {
@@ -380,4 +384,124 @@ fn golden_bytes_pin_both_layouts() {
     assert_eq!(Codec::Pickle.encode(&Option::<u8>::None).unwrap(), [0x0f]);
     assert_eq!(Codec::Pickle.encode(&'a').unwrap(), [0x07, 97]);
     assert_eq!(Codec::Fast.encode(&'a').unwrap(), [97]);
+}
+
+/// A header that passes every header check and promises `len` payload bytes.
+fn promising_header(len: usize) -> Vec<u8> {
+    let mut hdr = frame::build(4, &[]);
+    hdr[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+    let hcrc = frame::fnv1a(&hdr[0..8]);
+    hdr[8..12].copy_from_slice(&hcrc.to_le_bytes());
+    hdr
+}
+
+#[test]
+fn a_frame_header_cannot_size_an_allocation_the_stream_has_not_paid_for() {
+    let max = frame::DEFAULT_MAX_FRAME;
+    // The largest promise a reader accepts, then nothing.
+    let err = frame::read_frame(&mut Cursor::new(promising_header(max)), max).unwrap_err();
+    assert_eq!(
+        err,
+        FrameError::Torn {
+            needed: max,
+            got: 0
+        }
+    );
+    assert!(
+        largest_alloc() <= frame::RESERVE_CAP + (4 << 10),
+        "{} bytes reserved on a header's word",
+        largest_alloc()
+    );
+    // The same promise, then 3 MiB: memory follows the bytes received.
+    let mut stream = promising_header(max);
+    stream.resize(frame::HDR_LEN + (3 << 20), 0x5a);
+    let mine = stream.capacity();
+    let err = frame::read_frame(&mut Cursor::new(&stream), max).unwrap_err();
+    assert_eq!(
+        err,
+        FrameError::Torn {
+            needed: max,
+            got: 3 << 20
+        }
+    );
+    assert!(
+        largest_alloc() <= mine.max(8 << 20),
+        "{} bytes allocated for 3 MiB received",
+        largest_alloc()
+    );
+}
+
+#[test]
+fn frame_truncation_at_every_offset_is_closed_or_torn() {
+    let payload: Vec<u8> = (0..100).collect();
+    let mut bytes = Vec::new();
+    frame::write_frame(&mut bytes, 4, &payload).unwrap();
+    for cut in 0..bytes.len() {
+        let want = match cut {
+            0 => FrameError::Closed,
+            c if c < frame::HDR_LEN => FrameError::Torn {
+                needed: frame::HDR_LEN,
+                got: c,
+            },
+            c => FrameError::Torn {
+                needed: payload.len(),
+                got: c - frame::HDR_LEN,
+            },
+        };
+        let max = frame::DEFAULT_MAX_FRAME;
+        let direct = frame::read_frame(&mut Cursor::new(&bytes[..cut]), max);
+        assert_eq!(direct, Err(want.clone()), "cut {cut}");
+        // Behind a buffer smaller than the frame, as a connection reads it.
+        let mut buffered = BufReader::with_capacity(32, Cursor::new(&bytes[..cut]));
+        assert_eq!(
+            frame::read_frame(&mut buffered, max),
+            Err(want),
+            "cut {cut}"
+        );
+    }
+    let mut buffered = BufReader::with_capacity(32, Cursor::new(&bytes));
+    assert_eq!(frame::read_frame(&mut buffered, 100), Ok((4, payload)));
+    assert!(largest_alloc() < ALLOC_BOUND, "{} bytes", largest_alloc());
+}
+
+#[test]
+fn a_version_1_frame_is_refused_by_version() {
+    // Layout version 1 by hand: FNV-1a over the payload where version 2
+    // carries sum32.
+    let payload = b"sealed by the old binary";
+    let mut v1 = vec![0xAE, 0x43, 1, 4];
+    v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let hcrc = frame::fnv1a(&v1);
+    v1.extend_from_slice(&hcrc.to_le_bytes());
+    v1.extend_from_slice(&frame::fnv1a(payload).to_le_bytes());
+    v1.extend_from_slice(payload);
+    assert_eq!(
+        frame::read_frame(&mut Cursor::new(&v1), frame::DEFAULT_MAX_FRAME),
+        Err(FrameError::BadVersion { found: 1 })
+    );
+}
+
+/// One version-2 frame, byte for byte: magic, version, kind, length, the
+/// FNV-1a of those eight bytes, the sum32 of the payload (one whole block,
+/// one tail word, one tail byte), the payload.
+#[test]
+fn golden_bytes_pin_the_frame_layout_and_sum32() {
+    let payload: Vec<u8> = (0..=40).collect();
+    let header = [
+        0xae, 0x43, 0x02, 0x04, 0x29, 0x00, 0x00, 0x00, 0xb1, 0x37, 0xad, 0xa7, 0x90, 0x2d, 0x41,
+        0xde,
+    ];
+    let golden = [&header[..], &payload].concat();
+    let mut written = Vec::new();
+    frame::write_frame(&mut written, 4, &payload).unwrap();
+    assert_eq!(written, golden);
+    let mut built = frame::build(4, &[&payload[..7], &payload[7..]]);
+    frame::seal(&mut built);
+    assert_eq!(built, golden);
+    assert_eq!(frame::sum32(&payload), 0xde41_2d90);
+    assert_eq!(frame::sum32(b""), 0xc4a6_b772);
+    assert_eq!(
+        frame::read_frame(&mut Cursor::new(&golden), 41),
+        Ok((4, payload))
+    );
 }
