@@ -21,7 +21,7 @@ use crate::backoff::Backoff;
 use crate::cfg::NetCfg;
 use crate::error::NetError;
 use crate::frame;
-use crate::peer::{spawn_writer, FrameReader, Inbound, PeerSender};
+use crate::peer::{next_frame, spawn_writer, Inbound, PeerSender};
 use crate::proto::{
     Hello, Restart, Table, TableEntry, K_BYE, K_HELLO, K_PAYLOAD, K_PING, K_RESTART, K_STATS,
     K_TABLE,
@@ -37,13 +37,6 @@ pub(crate) fn now() -> Instant {
 pub(crate) fn pause(d: Duration) {
     // analyze: allow(net-hook, "supervision threads (backoff, watchdogs, polls) sleep by design; never runs on a scheduler thread")
     std::thread::sleep(d);
-}
-
-/// A handshake frame, sealed: the one frame written outside a writer thread.
-fn hello_frame(hello: &Hello) -> Vec<u8> {
-    let mut f = frame::build(K_HELLO, &[&hello.encode()]);
-    frame::seal(&mut f);
-    f
 }
 
 /// What the transport reports up to the runtime driver.
@@ -212,7 +205,7 @@ impl Shared {
         let _ = stream.set_read_timeout(Some(self.cfg.connect_timeout));
         let hello = self.my_hello();
         let mut s = &stream;
-        s.write_all(&hello_frame(&hello))?;
+        s.write_all(&frame::sealed(K_HELLO, &[&hello.encode()]))?;
         let ack = match frame::read_frame(&mut s, self.cfg.max_frame)? {
             (K_HELLO, payload) => Hello::decode(&payload)?,
             (k, _) => {
@@ -282,15 +275,14 @@ impl Shared {
     }
 
     /// Read frames until the connection dies or says goodbye.
-    fn reader_loop(self: &Arc<Self>, pe: usize, conn_epoch: u64, gen: u64, stream: TcpStream) {
-        let mut frames = FrameReader::new(stream, self.cfg.max_frame);
+    fn reader_loop(self: &Arc<Self>, pe: usize, conn_epoch: u64, gen: u64, mut stream: TcpStream) {
         let reason = loop {
             let Inbound {
                 kind,
                 src,
                 body,
                 wire_len,
-            } = match frames.next() {
+            } = match next_frame(&mut stream, self.cfg.max_frame) {
                 Ok(f) => f,
                 Err(frame::FrameError::Closed) => break "connection closed".to_string(),
                 Err(frame::FrameError::Io(k, m))
@@ -545,7 +537,8 @@ impl Shared {
         // Accepted: answer with our own hello so the dialer knows the
         // connection is admitted (a rejection above just closes it).
         let mut s = &stream;
-        if s.write_all(&hello_frame(&self.my_hello())).is_err() {
+        let ack = frame::sealed(K_HELLO, &[&self.my_hello().encode()]);
+        if s.write_all(&ack).is_err() {
             return;
         }
         let advertised = stream

@@ -1,5 +1,5 @@
 //! The two halves of one connection: a bounded outbound queue drained by
-//! the thread that owns the write half, and the buffered frame reader the
+//! the thread that owns the write half, and the frame reader the
 //! connection's reader thread pulls from.
 //!
 //! One writer thread per connection keeps the scheduler's send path
@@ -105,7 +105,7 @@ pub(crate) fn spawn_writer(
     let (tx, rx) = sync_channel::<WriteCmd>(cap.max(1));
     let builder = std::thread::Builder::new().name(format!("net-wr-{pe}"));
     let spawned = builder.spawn(move || {
-        if writer_loop(&mut stream, &rx, heartbeat_every, epoch, &counters) {
+        if writer_loop(&mut stream, &rx, heartbeat_every, epoch, &counters).unwrap_or(false) {
             // After the goodbye: the peer's reader sees EOF, not a death.
             let _ = stream.shutdown(std::net::Shutdown::Write);
         }
@@ -128,51 +128,39 @@ fn write_one<W: Write>(out: &mut W, mut buf: Vec<u8>, counters: &Counters) -> st
     Ok(())
 }
 
-/// Drain `rx` into `out` until told to close (`true`: the goodbye went
-/// out), the queue's senders are gone, or a write fails (`false`).
+/// Drain `rx` into `out` until told to close (`Ok(true)`: the goodbye went
+/// out), the queue's senders are gone (`Ok(false)`), or a write fails.
 fn writer_loop<W: Write>(
     out: &mut W,
     rx: &Receiver<WriteCmd>,
     heartbeat_every: Duration,
     epoch: u64,
     counters: &Counters,
-) -> bool {
-    let mut run = || -> std::io::Result<bool> {
-        loop {
-            let mut next = match rx.recv_timeout(heartbeat_every) {
-                Ok(cmd) => Some(cmd),
-                Err(RecvTimeoutError::Timeout) => {
-                    // Idle: prove liveness.
-                    write_one(out, frame::build(K_PING, &[&epoch.to_le_bytes()]), counters)?;
-                    counters.pings_sent.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-                // The sender was dropped: the connection was superseded.
-                // Nothing is held back here, so just leave, no goodbye.
-                Err(RecvTimeoutError::Disconnected) => return Ok(false),
-            };
-            // Take everything that queued while the last frame was being
-            // written before blocking again.
-            while let Some(cmd) = next {
-                match cmd {
-                    WriteCmd::Frame(buf) => write_one(out, buf, counters)?,
-                    WriteCmd::Close => {
-                        // Frames queued behind a Close were sent after the
-                        // drain began; they still go out ahead of the Bye.
-                        while let Ok(cmd) = rx.try_recv() {
-                            if let WriteCmd::Frame(buf) = cmd {
-                                write_one(out, buf, counters)?;
-                            }
-                        }
-                        write_one(out, frame::build(K_BYE, &[]), counters)?;
-                        return Ok(true);
+) -> std::io::Result<bool> {
+    loop {
+        match rx.recv_timeout(heartbeat_every) {
+            Ok(WriteCmd::Frame(buf)) => write_one(out, buf, counters)?,
+            Ok(WriteCmd::Close) => {
+                // Frames queued behind a Close were sent after the drain
+                // began; they still go out ahead of the Bye.
+                while let Ok(cmd) = rx.try_recv() {
+                    if let WriteCmd::Frame(buf) = cmd {
+                        write_one(out, buf, counters)?;
                     }
                 }
-                next = rx.try_recv().ok();
+                write_one(out, frame::build(K_BYE, &[]), counters)?;
+                return Ok(true);
             }
+            Err(RecvTimeoutError::Timeout) => {
+                // Idle: prove liveness.
+                write_one(out, frame::build(K_PING, &[&epoch.to_le_bytes()]), counters)?;
+                counters.pings_sent.fetch_add(1, Ordering::Relaxed);
+            }
+            // The sender was dropped: the connection was superseded.
+            // Nothing is held back here, so just leave, no goodbye.
+            Err(RecvTimeoutError::Disconnected) => return Ok(false),
         }
-    };
-    run().unwrap_or(false)
+    }
 }
 
 /// One inbound frame as the node consumes it.
@@ -187,38 +175,23 @@ pub(crate) struct Inbound {
     pub(crate) wire_len: usize,
 }
 
-/// The read half: frames off the stream.
-pub(crate) struct FrameReader<R: Read> {
-    rd: R,
-    max_frame: usize,
-}
-
-impl<R: Read> FrameReader<R> {
-    pub(crate) fn new(stream: R, max_frame: usize) -> FrameReader<R> {
-        FrameReader {
-            rd: stream,
-            max_frame,
-        }
-    }
-
-    /// The next frame. For payload and stats frames the 4-byte `src` prefix
-    /// is taken off *before* the body is read, so the body lands in the
-    /// exact-size `Vec` the event carries away, untouched afterwards. A
-    /// frame of those kinds too short to hold the prefix comes back whole
-    /// with `src: None`.
-    pub(crate) fn next(&mut self) -> Result<Inbound, FrameError> {
-        let head = frame::read_header(&mut self.rd, self.max_frame)?;
-        let mut src = [0u8; 4];
-        let prefixed = matches!(head.kind, K_PAYLOAD | K_STATS) && head.len >= src.len();
-        let prefix = if prefixed { &mut src[..] } else { &mut [] };
-        let body = frame::read_body(&mut self.rd, &head, prefix)?;
-        Ok(Inbound {
-            kind: head.kind,
-            src: prefixed.then_some(u32::from_le_bytes(src)),
-            body,
-            wire_len: frame::HDR_LEN + head.len,
-        })
-    }
+/// The read half: the next frame off `rd`. For payload and stats frames the
+/// 4-byte `src` prefix is taken off *before* the body is read, so the body
+/// lands in the exact-size `Vec` the event carries away, untouched
+/// afterwards. A frame of those kinds too short to hold the prefix comes
+/// back whole with `src: None`.
+pub(crate) fn next_frame<R: Read>(rd: &mut R, max_frame: usize) -> Result<Inbound, FrameError> {
+    let head = frame::read_header(rd, max_frame)?;
+    let mut src = [0u8; 4];
+    let prefixed = matches!(head.kind, K_PAYLOAD | K_STATS) && head.len >= src.len();
+    let prefix = if prefixed { &mut src[..] } else { &mut [] };
+    let body = frame::read_body(rd, &head, prefix)?;
+    Ok(Inbound {
+        kind: head.kind,
+        src: prefixed.then_some(u32::from_le_bytes(src)),
+        body,
+        wire_len: frame::HDR_LEN + head.len,
+    })
 }
 
 #[cfg(test)]
@@ -243,45 +216,19 @@ mod tests {
         }
     }
 
-    /// Hands out everything it has, like a socket whose peer wrote it all,
-    /// and counts the calls.
-    struct CountingRead<'a> {
-        calls: &'a mut usize,
-        bytes: &'a [u8],
-    }
-
-    impl Read for CountingRead<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            *self.calls += 1;
-            let n = buf.len().min(self.bytes.len());
-            buf[..n].copy_from_slice(&self.bytes[..n]);
-            self.bytes = &self.bytes[n..];
-            Ok(n)
-        }
-    }
-
     fn payload_frame(src: u32, body: &[u8]) -> Vec<u8> {
         frame::build(K_PAYLOAD, &[&src.to_le_bytes(), body])
     }
 
-    /// Read every frame out of `bytes` through the connection reader.
-    fn read_all(bytes: &[u8]) -> (Vec<Inbound>, usize, FrameError) {
-        let mut calls = 0;
-        let (got, end) = {
-            let counted = CountingRead {
-                calls: &mut calls,
-                bytes,
-            };
-            let mut rd = FrameReader::new(counted, frame::DEFAULT_MAX_FRAME);
-            let mut got = Vec::new();
-            loop {
-                match rd.next() {
-                    Ok(f) => got.push(f),
-                    Err(e) => break (got, e),
-                }
+    /// Every frame in `bytes`, and the error that ended the stream.
+    fn read_all(mut bytes: &[u8]) -> (Vec<Inbound>, FrameError) {
+        let mut got = Vec::new();
+        loop {
+            match next_frame(&mut bytes, frame::DEFAULT_MAX_FRAME) {
+                Ok(f) => got.push(f),
+                Err(e) => return (got, e),
             }
-        };
-        (got, calls, end)
+        }
     }
 
     #[test]
@@ -293,18 +240,13 @@ mod tests {
             drop(tx); // then superseded: no goodbye
             let mut out = CountingWrite::default();
             let counters = Counters::default();
-            assert!(!writer_loop(
-                &mut out,
-                &rx,
-                Duration::from_secs(5),
-                0,
-                &counters
-            ));
+            let said_bye = writer_loop(&mut out, &rx, Duration::from_secs(5), 0, &counters);
+            assert!(!said_bye.unwrap());
             assert_eq!(out.calls, 1, "{n}-byte body");
             let sent = (frame::HDR_LEN + 4 + n) as u64;
             assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 1);
             assert_eq!(counters.bytes_sent.load(Ordering::Relaxed), sent);
-            let (got, _, end) = read_all(&out.bytes);
+            let (got, end) = read_all(&out.bytes);
             assert_eq!(end, FrameError::Closed);
             assert_eq!(got.len(), 1);
             assert_eq!((got[0].src, &got[0].body), (Some(1), &body));
@@ -324,7 +266,7 @@ mod tests {
             }
             drop(tx);
         });
-        let (got, _, _) = read_all(&out.bytes);
+        let (got, _) = read_all(&out.bytes);
         assert!(!got.is_empty());
         assert_eq!(out.calls, got.len(), "one write per ping");
         for f in got {
@@ -335,9 +277,7 @@ mod tests {
 
     #[test]
     fn a_payload_too_short_for_its_prefix_comes_back_whole() {
-        let mut bytes = frame::build(K_PAYLOAD, &[&[1, 2]]);
-        frame::seal(&mut bytes);
-        let (got, _, end) = read_all(&bytes);
+        let (got, end) = read_all(&frame::sealed(K_PAYLOAD, &[&[1, 2]]));
         assert_eq!(end, FrameError::Closed);
         assert_eq!((got[0].src, got[0].body.as_slice()), (None, &[1u8, 2][..]));
     }
@@ -345,10 +285,9 @@ mod tests {
     #[test]
     fn truncation_at_every_offset_is_closed_or_torn() {
         let body = [7u8; 40];
-        let mut bytes = payload_frame(1, &body);
-        frame::seal(&mut bytes);
+        let bytes = frame::sealed(K_PAYLOAD, &[&1u32.to_le_bytes(), &body]);
         for cut in 0..bytes.len() {
-            let (got, _, end) = read_all(&bytes[..cut]);
+            let (got, end) = read_all(&bytes[..cut]);
             assert!(got.is_empty());
             let want = match cut {
                 0 => FrameError::Closed,

@@ -300,9 +300,7 @@ fn admitted_raw_peer(root: &NetNode, nonce: u64) -> TcpStream {
 
 /// A payload frame from PE 1, as it goes on the wire.
 fn payload_frame(body: &[u8]) -> Vec<u8> {
-    let mut f = frame::build(K_PAYLOAD, &[&1u32.to_le_bytes(), body]);
-    frame::seal(&mut f);
-    f
+    frame::sealed(K_PAYLOAD, &[&1u32.to_le_bytes(), body])
 }
 
 /// One good frame, then `bad`: the good one is delivered, the bad one is
@@ -358,8 +356,8 @@ fn version_1_frame_on_a_live_connection_is_counted_and_dropped() {
 fn interleaved_small_and_large_payloads_arrive_in_order_and_intact() {
     let cfg = test_cfg();
     let nodes = mesh(&cfg, 2, 0xBBBB);
-    // Runs of small frames (coalesced, buffered) between large ones
-    // (written and read directly), so every seam is crossed both ways.
+    // Runs of small frames between large ones, and two sizes around a page:
+    // whatever the writer and reader do by size, order and bytes must hold.
     let sizes = [
         64,
         1 << 20,

@@ -31,10 +31,11 @@
 //! Two ways in and two ways out, one layout:
 //!
 //! * [`write_frame`] / [`read_frame`] take and return a bare payload.
-//! * [`build`] + [`seal`] assemble `[header | parts..]` in one owned buffer
-//!   that a writer hands to a single `write_all`; [`read_header`] +
-//!   [`read_body`] let a reader peel a fixed prefix off the payload *before*
-//!   the rest is read straight into the `Vec` it will hand on.
+//! * [`build`] + [`seal`] (or [`sealed`]) assemble `[header | parts..]` in
+//!   one owned buffer that a writer hands to a single `write_all`;
+//!   [`read_header`] + [`read_body`] let a reader peel a fixed prefix off
+//!   the payload *before* the rest is read straight into the `Vec` it will
+//!   hand on.
 
 use std::io::{Read, Write};
 
@@ -232,7 +233,7 @@ impl Sum32 {
         for &b in words.remainder() {
             h = mix(h, u64::from(b));
         }
-        // Avalanche, then keep both halves' worth of bits.
+        // Avalanche; the last shift folds the high half into the 32 bits kept.
         h ^= h >> 33;
         h = h.wrapping_mul(P2);
         h ^= h >> 29;
@@ -289,6 +290,13 @@ pub fn seal(frame: &mut [u8]) {
     if let Some((hdr, payload)) = frame.split_at_mut_checked(HDR_LEN) {
         hdr[12..16].copy_from_slice(&sum32(payload).to_le_bytes());
     }
+}
+
+/// [`build`] and [`seal`] in one step, for a frame written where it is made.
+pub fn sealed(kind: u8, parts: &[&[u8]]) -> Vec<u8> {
+    let mut frame = build(kind, parts);
+    seal(&mut frame);
+    frame
 }
 
 /// Validate a header and return `(kind, payload_len, payload_crc)`.
@@ -556,9 +564,7 @@ mod tests {
         assert_ne!(built, frame_bytes(9, &payload), "unsealed");
         seal(&mut built);
         assert_eq!(built, frame_bytes(9, &payload));
-        let mut empty = build(1, &[]);
-        seal(&mut empty);
-        assert_eq!(empty, frame_bytes(1, b""));
+        assert_eq!(sealed(1, &[]), frame_bytes(1, b""));
         seal(&mut [0u8; 3]); // shorter than a header: left alone
     }
 
@@ -566,11 +572,7 @@ mod tests {
     fn two_phase_read_peels_the_prefix_and_keeps_the_body_exact() {
         for n in [0, 1, 60, 1 << 20] {
             let body = garbage(19, n);
-            let bytes = {
-                let mut f = build(4, &[&7u32.to_le_bytes(), &body]);
-                seal(&mut f);
-                f
-            };
+            let bytes = sealed(4, &[&7u32.to_le_bytes(), &body]);
             let mut cur = Cursor::new(&bytes);
             let head = read_header(&mut cur, DEFAULT_MAX_FRAME).unwrap();
             assert_eq!((head.kind, head.len), (4, 4 + n));
