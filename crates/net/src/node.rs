@@ -21,7 +21,7 @@ use crate::backoff::Backoff;
 use crate::cfg::NetCfg;
 use crate::error::NetError;
 use crate::frame;
-use crate::peer::{next_frame, spawn_writer, Inbound, PeerSender};
+use crate::peer::{next_frame, spawn_writer, Inbound, PeerSender, Spares};
 use crate::proto::{
     Hello, Restart, Table, TableEntry, K_BYE, K_HELLO, K_PAYLOAD, K_PING, K_RESTART, K_STATS,
     K_TABLE,
@@ -141,6 +141,8 @@ struct Slot {
     gen: u64,
     /// Live writer handle, `None` while down.
     sender: Option<PeerSender>,
+    /// Where that writer's large frame buffers come back for the next send.
+    spares: Option<Spares>,
     /// Shutdown handle on the live connection (a clone of the stream), so
     /// an abrupt teardown can sever the socket out from under its threads.
     raw: Option<TcpStream>,
@@ -235,7 +237,7 @@ impl Shared {
         stream: TcpStream,
     ) {
         let _ = stream.set_read_timeout(Some(self.cfg.heartbeat_timeout));
-        let sender = spawn_writer(
+        let (sender, spares) = spawn_writer(
             pe,
             match stream.try_clone() {
                 Ok(s) => s,
@@ -258,6 +260,7 @@ impl Shared {
             slot.epoch = conn_epoch;
             slot.bye = false;
             slot.sender = Some(sender);
+            slot.spares = Some(spares);
             slot.raw = raw;
             if let Some(a) = advertised {
                 slot.advertised = Some(a);
@@ -380,6 +383,7 @@ impl Shared {
             }
             was_bye = slot.bye;
             slot.sender = None;
+            slot.spares = None;
             slot.raw = None;
             slot.gen += 1;
             want_gen = slot.gen;
@@ -586,6 +590,23 @@ impl Shared {
         };
         sender.send(dst, frame, self.cfg.send_timeout)
     }
+
+    /// Build `[header | me | bytes]` and queue it on `dst`'s writer: the one
+    /// copy a payload needs on its way out, made in a buffer that writer has
+    /// finished with when the frame is large and one is back.
+    fn send_from_me(&self, dst: usize, kind: u8, bytes: &[u8]) -> Result<(), NetError> {
+        let me = (self.me as u32).to_le_bytes();
+        let (sender, spare) = {
+            let peers = self.peers();
+            let slot = peers.get(dst).ok_or(NetError::PeerDown { pe: dst })?;
+            let sender = slot.sender.clone().ok_or(NetError::PeerDown { pe: dst })?;
+            let len = frame::HDR_LEN + me.len() + bytes.len();
+            let spare = slot.spares.as_ref().map_or_else(Vec::new, |s| s.take(len));
+            (sender, spare)
+        };
+        let frame = frame::build_in(spare, kind, &[&me, bytes]);
+        sender.send(dst, frame, self.cfg.send_timeout)
+    }
 }
 
 /// One process's endpoint in the mesh. See the crate docs for the
@@ -724,22 +745,14 @@ impl NetNode {
         self.shared.epoch.fetch_max(e, Ordering::SeqCst);
     }
 
-    /// A `src`-prefixed frame: the one copy `bytes` gets on its way out,
-    /// made straight into the buffer the writer thread will put on the wire.
-    fn frame_from_me(&self, kind: u8, bytes: &[u8]) -> Vec<u8> {
-        frame::build(kind, &[&(self.shared.me as u32).to_le_bytes(), bytes])
-    }
-
     /// Ship an encoded envelope to `dst`.
     pub fn send_payload(&self, dst: usize, env: &[u8]) -> Result<(), NetError> {
-        self.shared
-            .send_frame(dst, self.frame_from_me(K_PAYLOAD, env))
+        self.shared.send_from_me(dst, K_PAYLOAD, env)
     }
 
     /// Worker: ship the end-of-run counter block to the root.
     pub fn send_stats(&self, bytes: &[u8]) -> Result<(), NetError> {
-        self.shared
-            .send_frame(0, self.frame_from_me(K_STATS, bytes))
+        self.shared.send_from_me(0, K_STATS, bytes)
     }
 
     /// Queue a copy of `frame` on every live peer's writer.
@@ -839,6 +852,7 @@ impl NetNode {
         let mut peers = self.shared.peers();
         for slot in peers.iter_mut() {
             slot.sender = None; // writers exit on disconnect, silently
+            slot.spares = None;
             if let Some(raw) = slot.raw.take() {
                 let _ = raw.shutdown(std::net::Shutdown::Both);
             }

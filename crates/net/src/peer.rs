@@ -11,8 +11,9 @@
 //!
 //! Every frame reaches the writer as one finished `[header | payload]`
 //! buffer ([`frame::build`]); the writer seals the checksum into it, so the
-//! pass over the payload runs here and not on the sender's thread, and
-//! writes it with one `write` (the tests below count). The reader takes
+//! pass over the payload runs here and not on the sender's thread, writes
+//! it with one `write` (the tests below count) and hands a large buffer
+//! back to the senders for the next frame ([`Spares`]). The reader takes
 //! the `src` prefix off a payload before reading the body straight into
 //! the `Vec` that becomes the event. The socket has `TCP_NODELAY` and no
 //! user-space buffer in front of it, so there is nothing to flush.
@@ -35,6 +36,38 @@ pub(crate) enum WriteCmd {
     Frame(Vec<u8>),
     /// Drain the queue, send `Bye`, close the write half, exit.
     Close,
+}
+
+/// Frame sizes whose buffers the writer hands back for the next send. Below
+/// the range the allocator serves a buffer from a free list at no cost worth
+/// the hand-over; inside it glibc gives the pages of a freed buffer back to
+/// the kernel whenever they end up next to the top of a heap, and the next
+/// frame faults them in again, zeroed, one page at a time. Whether that
+/// happens depends on how the writer's frees and the senders' allocations
+/// interleave, which is what made one run differ from the next. Above the
+/// range frames are rare, and keeping them would make the bound on what a
+/// connection holds meaningless.
+const SPARE_LENS: std::ops::RangeInclusive<usize> = 64 << 10..=2 << 20;
+/// Most buffers on their way back at once; one more is dropped. Eight is
+/// the benchmark's stream window, so at most 16 MiB a connection.
+const SPARE_FRAMES: usize = 8;
+
+/// The senders' end of a connection's buffer loop: written frame buffers in
+/// [`SPARE_LENS`], oldest first. Not a cache of anything: a buffer here is
+/// one the connection had in flight a moment ago, so the loop is full-grown
+/// after the first window of large messages and holds nothing for a
+/// connection that sends none.
+pub(crate) struct Spares(Receiver<Vec<u8>>);
+
+impl Spares {
+    /// A buffer for a frame of `len` bytes: a written one if the frame is
+    /// in range and one is back, else none (`Vec::new()`).
+    pub(crate) fn take(&self, len: usize) -> Vec<u8> {
+        if !SPARE_LENS.contains(&len) {
+            return Vec::new();
+        }
+        self.0.try_recv().unwrap_or_default()
+    }
 }
 
 /// Handle to one connection's writer thread. Dropping the last handle
@@ -91,9 +124,10 @@ impl PeerSender {
     }
 }
 
-/// Spawn the writer thread for one connection. `epoch` is stamped into
-/// heartbeat pings; `counters.writers_done` ticks when the thread exits, so
-/// a drain can wait for the last write without a timed join.
+/// Spawn the writer thread for one connection; the second handle is where
+/// its written buffers come back. `epoch` is stamped into heartbeat pings;
+/// `counters.writers_done` ticks when the thread exits, so a drain can wait
+/// for the last write without a timed join.
 pub(crate) fn spawn_writer(
     pe: usize,
     mut stream: TcpStream,
@@ -101,11 +135,13 @@ pub(crate) fn spawn_writer(
     epoch: u64,
     cap: usize,
     counters: Arc<Counters>,
-) -> PeerSender {
+) -> (PeerSender, Spares) {
     let (tx, rx) = sync_channel::<WriteCmd>(cap.max(1));
+    let (back, spares) = sync_channel(SPARE_FRAMES);
     let builder = std::thread::Builder::new().name(format!("net-wr-{pe}"));
     let spawned = builder.spawn(move || {
-        if writer_loop(&mut stream, &rx, heartbeat_every, epoch, &counters).unwrap_or(false) {
+        let wrote = writer_loop(&mut stream, &rx, heartbeat_every, epoch, &counters, &back);
+        if wrote.unwrap_or(false) {
             // After the goodbye: the peer's reader sees EOF, not a death.
             let _ = stream.shutdown(std::net::Shutdown::Write);
         }
@@ -114,17 +150,25 @@ pub(crate) fn spawn_writer(
     // A spawn failure leaves the channel sender-less; sends surface it as
     // PeerDown and the peer lifecycle treats the connection as dead.
     drop(spawned);
-    PeerSender { tx }
+    (PeerSender { tx }, Spares(spares))
 }
 
-/// Seal `buf`, put it on the wire with one call, count it.
-fn write_one<W: Write>(out: &mut W, mut buf: Vec<u8>, counters: &Counters) -> std::io::Result<()> {
+/// Seal `buf`, put it on the wire with one call, count it, hand it back.
+fn write_one<W: Write>(
+    out: &mut W,
+    mut buf: Vec<u8>,
+    counters: &Counters,
+    back: &SyncSender<Vec<u8>>,
+) -> std::io::Result<()> {
     frame::seal(&mut buf);
     out.write_all(&buf)?;
+    let len = buf.len() as u64;
+    // Back first: whoever sees the counters move may take it.
+    if SPARE_LENS.contains(&buf.capacity()) {
+        let _ = back.try_send(buf);
+    }
     counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-    counters
-        .bytes_sent
-        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+    counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
     Ok(())
 }
 
@@ -136,24 +180,26 @@ fn writer_loop<W: Write>(
     heartbeat_every: Duration,
     epoch: u64,
     counters: &Counters,
+    back: &SyncSender<Vec<u8>>,
 ) -> std::io::Result<bool> {
     loop {
         match rx.recv_timeout(heartbeat_every) {
-            Ok(WriteCmd::Frame(buf)) => write_one(out, buf, counters)?,
+            Ok(WriteCmd::Frame(buf)) => write_one(out, buf, counters, back)?,
             Ok(WriteCmd::Close) => {
                 // Frames queued behind a Close were sent after the drain
                 // began; they still go out ahead of the Bye.
                 while let Ok(cmd) = rx.try_recv() {
                     if let WriteCmd::Frame(buf) = cmd {
-                        write_one(out, buf, counters)?;
+                        write_one(out, buf, counters, back)?;
                     }
                 }
-                write_one(out, frame::build(K_BYE, &[]), counters)?;
+                write_one(out, frame::build(K_BYE, &[]), counters, back)?;
                 return Ok(true);
             }
             Err(RecvTimeoutError::Timeout) => {
                 // Idle: prove liveness.
-                write_one(out, frame::build(K_PING, &[&epoch.to_le_bytes()]), counters)?;
+                let ping = frame::build(K_PING, &[&epoch.to_le_bytes()]);
+                write_one(out, ping, counters, back)?;
                 counters.pings_sent.fetch_add(1, Ordering::Relaxed);
             }
             // The sender was dropped: the connection was superseded.
@@ -231,17 +277,27 @@ mod tests {
         }
     }
 
+    /// Run a writer over `frames` queued ahead of it, then superseded (no
+    /// goodbye): what it wrote, what it counted, what came back.
+    fn write_all_of(frames: Vec<Vec<u8>>) -> (CountingWrite, Counters, Spares) {
+        let (tx, rx) = sync_channel(frames.len().max(1));
+        for f in frames {
+            tx.send(WriteCmd::Frame(f)).unwrap();
+        }
+        drop(tx);
+        let (back, spares) = sync_channel(SPARE_FRAMES);
+        let mut out = CountingWrite::default();
+        let counters = Counters::default();
+        let said_bye = writer_loop(&mut out, &rx, Duration::from_secs(5), 0, &counters, &back);
+        assert!(!said_bye.unwrap());
+        (out, counters, Spares(spares))
+    }
+
     #[test]
     fn one_frame_of_any_size_is_one_write() {
         for n in [0, 64, 4096, 1 << 20] {
             let body = vec![0xA5u8; n];
-            let (tx, rx) = sync_channel(1);
-            tx.send(WriteCmd::Frame(payload_frame(1, &body))).unwrap();
-            drop(tx); // then superseded: no goodbye
-            let mut out = CountingWrite::default();
-            let counters = Counters::default();
-            let said_bye = writer_loop(&mut out, &rx, Duration::from_secs(5), 0, &counters);
-            assert!(!said_bye.unwrap());
+            let (out, counters, _) = write_all_of(vec![payload_frame(1, &body)]);
             assert_eq!(out.calls, 1, "{n}-byte body");
             let sent = (frame::HDR_LEN + 4 + n) as u64;
             assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 1);
@@ -254,13 +310,45 @@ mod tests {
     }
 
     #[test]
+    fn written_buffers_in_range_come_back_oldest_first_and_no_others() {
+        let (lo, hi) = (*SPARE_LENS.start(), *SPARE_LENS.end());
+        let frame_of = |len: usize| payload_frame(1, &vec![7u8; len - frame::HDR_LEN - 4]);
+        let (_, _, spares) = write_all_of(vec![
+            frame_of(lo - 1),
+            frame_of(lo),
+            frame_of(hi + 1),
+            frame_of(hi),
+        ]);
+        assert_eq!(
+            spares.take(lo - 1).capacity(),
+            0,
+            "no spare for a small frame"
+        );
+        assert_eq!(spares.take(hi + 1).capacity(), 0, "nor for a huge one");
+        let small = spares.take(hi);
+        assert_eq!(small.capacity(), lo);
+        assert_eq!(spares.take(lo).capacity(), hi);
+        assert_eq!(spares.take(lo).capacity(), 0, "the others were dropped");
+        // One too small for its frame is replaced by one of the exact size.
+        let built = frame::build_in(small, K_PAYLOAD, &[&vec![1u8; hi]]);
+        assert_eq!(built.capacity(), frame::HDR_LEN + hi);
+
+        // The loop holds `SPARE_FRAMES` buffers and drops the next.
+        let (_, counters, spares) = write_all_of(vec![frame_of(lo); SPARE_FRAMES + 1]);
+        let sent = counters.frames_sent.load(Ordering::Relaxed);
+        assert_eq!(sent as usize, SPARE_FRAMES + 1);
+        assert_eq!(spares.0.try_iter().count(), SPARE_FRAMES);
+    }
+
+    #[test]
     fn an_idle_writer_pings_with_its_epoch() {
         let (tx, rx) = sync_channel::<WriteCmd>(1);
+        let (back, _spares) = sync_channel(SPARE_FRAMES);
         let mut out = CountingWrite::default();
         let counters = Counters::default();
         std::thread::scope(|sc| {
-            let (out, counters) = (&mut out, &counters);
-            sc.spawn(move || writer_loop(out, &rx, Duration::from_millis(1), 9, counters));
+            let (out, counters, back) = (&mut out, &counters, &back);
+            sc.spawn(move || writer_loop(out, &rx, Duration::from_millis(1), 9, counters, back));
             while counters.pings_sent.load(Ordering::Relaxed) == 0 {
                 std::thread::yield_now();
             }

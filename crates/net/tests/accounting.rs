@@ -81,6 +81,7 @@ fn a_1mib_payload_is_given_memory_once_on_each_side() {
     assert_eq!(next_payload(&worker), b"warm");
 
     let msg: Vec<u8> = (0..MIB).map(|i| ((i * 31) >> 3) as u8).collect();
+    let wire0 = root.counters().bytes_sent;
     let (big0, mine0) = (BIG.load(Ordering::SeqCst), MINE.get());
     root.send_payload(1, &msg).expect("send");
     let got = next_payload(&worker);
@@ -93,6 +94,17 @@ fn a_1mib_payload_is_given_memory_once_on_each_side() {
     );
     assert_eq!(got.capacity(), got.len());
     assert!(got == msg);
+
+    // The writer has the frame buffer back once it has counted the frame,
+    // so the next large message is given no memory where it is sent.
+    while root.counters().bytes_sent < wire0 + MIB as u64 {
+        std::thread::yield_now();
+    }
+    let (big0, mine0) = (BIG.load(Ordering::SeqCst), MINE.get());
+    root.send_payload(1, &msg).expect("send");
+    assert!(next_payload(&worker) == msg);
+    assert_eq!(MINE.get() - mine0, 0, "sending side: the spare buffer");
+    assert_eq!(BIG.load(Ordering::SeqCst) - big0, 1, "receiving side");
 
     worker.drain(cfg.drain_timeout).expect("drain");
     root.drain(cfg.drain_timeout).expect("drain");

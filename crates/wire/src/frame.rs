@@ -275,8 +275,20 @@ pub fn encode_header(kind: u8, payload: &[u8]) -> [u8; HDR_LEN] {
 /// only copy a payload needs on its way out; [`seal`] finishes the frame on
 /// whichever thread is about to write it.
 pub fn build(kind: u8, parts: &[&[u8]]) -> Vec<u8> {
+    build_in(Vec::new(), kind, parts)
+}
+
+/// [`build`] into `out`'s allocation, whatever `out` held: a sender that
+/// gets its written frames back makes the next one without asking the
+/// allocator for anything. An `out` too small for the frame is replaced by
+/// one of the exact size.
+pub fn build_in(mut out: Vec<u8>, kind: u8, parts: &[&[u8]]) -> Vec<u8> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(HDR_LEN + len);
+    out.clear();
+    if out.capacity() < HDR_LEN + len {
+        // Not `reserve`, which may move the stale bytes along.
+        out = Vec::with_capacity(HDR_LEN + len);
+    }
     out.extend_from_slice(&header(kind, len, 0));
     for p in parts {
         out.extend_from_slice(p);
@@ -566,6 +578,19 @@ mod tests {
         assert_eq!(built, frame_bytes(9, &payload));
         assert_eq!(sealed(1, &[]), frame_bytes(1, b""));
         seal(&mut [0u8; 3]); // shorter than a header: left alone
+    }
+
+    #[test]
+    fn build_in_reuses_a_buffer_that_fits_and_replaces_one_that_does_not() {
+        let payload = garbage(23, 100);
+        let stale = vec![0xEEu8; 4096];
+        let (ptr, cap) = (stale.as_ptr(), stale.capacity());
+        let reused = build_in(stale, 9, &[&payload]);
+        assert_eq!((reused.as_ptr(), reused.capacity()), (ptr, cap));
+        assert_eq!(reused, build(9, &[&payload]));
+        let replaced = build_in(vec![0xEEu8; 8], 9, &[&payload]);
+        assert_eq!(replaced.capacity(), HDR_LEN + payload.len());
+        assert_eq!(replaced, reused);
     }
 
     #[test]
