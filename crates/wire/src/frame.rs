@@ -32,7 +32,8 @@
 //!
 //! * [`write_frame`] / [`read_frame`] take and return a bare payload.
 //! * [`build`] + [`seal`] (or [`sealed`]) assemble `[header | parts..]` in
-//!   one owned buffer that a writer hands to a single `write_all`;
+//!   one owned buffer that a writer hands to a single `write_all`
+//!   ([`build_in`]: in a buffer the caller already owns);
 //!   [`read_header`] + [`read_body`] let a reader peel a fixed prefix off
 //!   the payload *before* the rest is read straight into the `Vec` it will
 //!   hand on.
