@@ -22,14 +22,42 @@
 //!   time, ranks entry methods by total duration, and surfaces the
 //!   `charm_stats` health metadata (ring drops, encode-slab hit rate).
 //!
-//! Everything is line-oriented plain text in and out, so artifacts survive
-//! copy-paste through job logs. The parsers are strict: unknown line heads
-//! and malformed fields are errors, not skips — a truncated artifact should
-//! fail loudly, not silently produce a rosier report.
+//! The summary and telemetry artifacts are line-oriented plain text in and
+//! out, so they survive copy-paste through job logs. All three parsers are
+//! strict — a truncated or drifted artifact should fail loudly, not
+//! silently produce a rosier report — and none sizes an allocation by a
+//! number it read:
+//!
+//! * **every format**: a wrong or missing magic line, an unknown line head,
+//!   a missing, misnamed or malformed field is an error naming the line (or
+//!   byte);
+//! * **summary**: `bin` lines are numbered in order, and a `pe` block must
+//!   hold exactly the `bins=` its header declares when the next block or the
+//!   end of the file arrives — a file cut at a line boundary inside a block
+//!   is an error;
+//! * **telemetry**: a frame must have had both its `hist` lines (each once)
+//!   when the next frame or the end of the file arrives; the `util_*`
+//!   moments must be finite; bucket counts saturate in [`Hist`] instead of
+//!   overflowing;
+//! * **Chrome**: the document must be RFC 8259 JSON nested no deeper than
+//!   `json::MAX_DEPTH`, an array whose elements are all objects; `tid` and
+//!   `dur` must be numbers and `ph`, `name`, `cat` strings where present
+//!   (absent, they default to 0 and `""`); the `args` of a `charm_stats` row
+//!   must be an object whose `events_dropped` / `slab_hit_rate` are numbers;
+//!   other members are checked for syntax and skipped; a member repeated in
+//!   one object keeps its last value, as in `json::parse`.
+//!
+//! Neither text format has a trailer, so a prefix that ends on a whole
+//! block (or that only shortens the last number of a block's last line) is
+//! an artifact in its own right; `tests/hostile.rs` pins exactly which cuts
+//! pass.
 
 #![forbid(unsafe_code)]
 
-use charm_trace::json::{self, Value};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
+use charm_trace::json::{Reader, Token};
 use charm_trace::Hist;
 
 /// One time bin of a summary-mode profile (`bin` line).
@@ -176,6 +204,29 @@ fn num<T: std::str::FromStr>(tok: &str, key: &str) -> Result<T, String> {
         .map_err(|_| format!("bad numeric field `{tok}`"))
 }
 
+/// A float field that must be finite: `NaN` and `inf` parse as `f64` but
+/// would poison every average a report derives from them.
+fn finite(tok: &str, key: &str) -> Result<f64, String> {
+    match num::<f64>(tok, key)? {
+        v if v.is_finite() => Ok(v),
+        _ => Err(format!("non-finite field `{tok}`")),
+    }
+}
+
+/// A `pe` block is complete when it holds as many `bin` lines as its
+/// header declared; a file cut at a line boundary is not.
+fn check_bins(p: &SummaryPe, declared: usize, no: usize) -> Result<(), String> {
+    if p.bins.len() == declared {
+        Ok(())
+    } else {
+        Err(format!(
+            "line {no}: pe {} declares bins={declared} but {} bin lines precede this point",
+            p.pe,
+            p.bins.len()
+        ))
+    }
+}
+
 /// Parse a `charm-summary v1` artifact.
 pub fn parse_summary(text: &str) -> Result<Vec<SummaryPe>, String> {
     let mut lines = text.lines();
@@ -183,11 +234,18 @@ pub fn parse_summary(text: &str) -> Result<Vec<SummaryPe>, String> {
         return Err("not a charm-summary v1 artifact".into());
     }
     let mut pes: Vec<SummaryPe> = Vec::new();
-    for (no, line) in lines.enumerate() {
-        let no = no + 2;
+    // `bins=` of the last header: checked against the lines that follow,
+    // never used to size anything.
+    let mut declared = 0usize;
+    let mut no = 1;
+    for line in lines {
+        no += 1;
         let mut t = line.split_whitespace();
         match t.next() {
             Some("pe") => {
+                if let Some(prev) = pes.last() {
+                    check_bins(prev, declared, no)?;
+                }
                 let mut p = SummaryPe {
                     pe: t
                         .next()
@@ -199,11 +257,10 @@ pub fn parse_summary(text: &str) -> Result<Vec<SummaryPe>, String> {
                 p.wall_ns = num(t.next().unwrap_or(""), "wall_ns").map_err(err)?;
                 p.quantum_ns = num(t.next().unwrap_or(""), "quantum_ns").map_err(err)?;
                 p.merges = num(t.next().unwrap_or(""), "merges").map_err(err)?;
-                let bins: usize = num(t.next().unwrap_or(""), "bins").map_err(err)?;
+                declared = num(t.next().unwrap_or(""), "bins").map_err(err)?;
                 p.busy_ns = num(t.next().unwrap_or(""), "busy_ns").map_err(err)?;
                 p.idle_ns = num(t.next().unwrap_or(""), "idle_ns").map_err(err)?;
                 p.overhead_ns = num(t.next().unwrap_or(""), "overhead_ns").map_err(err)?;
-                p.bins.reserve(bins);
                 pes.push(p);
             }
             Some("bin") => {
@@ -214,9 +271,9 @@ pub fn parse_summary(text: &str) -> Result<Vec<SummaryPe>, String> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or(format!("line {no}: bad bin index"))?;
-                if idx != p.bins.len() {
+                if idx != p.bins.len() || idx >= declared {
                     return Err(format!(
-                        "line {no}: bin index {idx} out of order (expected {})",
+                        "line {no}: bin index {idx} out of order (expected {} of {declared})",
                         p.bins.len()
                     ));
                 }
@@ -234,7 +291,31 @@ pub fn parse_summary(text: &str) -> Result<Vec<SummaryPe>, String> {
             Some(head) => return Err(format!("line {no}: unknown line head `{head}`")),
         }
     }
+    if let Some(last) = pes.last() {
+        check_bins(last, declared, no + 1)?;
+    }
     Ok(pes)
+}
+
+/// Which `hist` lines the frame being parsed has had.
+#[derive(Default)]
+struct HistsSeen {
+    exec: bool,
+    latency: bool,
+}
+
+impl HistsSeen {
+    /// A frame is complete when both its histograms have been read; one
+    /// that ends (next `frame` line or end of file) without them was cut.
+    fn check(&self, frames: &[FrameRec], no: usize) -> Result<(), String> {
+        match frames.last() {
+            Some(f) if !(self.exec && self.latency) => Err(format!(
+                "line {no}: frame seq={} ends without both its hist lines",
+                f.seq
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Parse a `charm-telemetry v1` artifact.
@@ -244,12 +325,16 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
         return Err("not a charm-telemetry v1 artifact".into());
     }
     let mut frames: Vec<FrameRec> = Vec::new();
-    for (no, line) in lines.enumerate() {
-        let no = no + 2;
+    let mut seen = HistsSeen::default();
+    let mut no = 1;
+    for line in lines {
+        no += 1;
         let mut t = line.split_whitespace();
         let err = |e| format!("line {no}: {e}");
         match t.next() {
             Some("frame") => {
+                seen.check(&frames, no)?;
+                seen = HistsSeen::default();
                 frames.push(FrameRec {
                     seq: num(t.next().unwrap_or(""), "seq").map_err(err)?,
                     pes: num(t.next().unwrap_or(""), "pes").map_err(err)?,
@@ -257,10 +342,10 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
                     busy_ns: num(t.next().unwrap_or(""), "busy_ns").map_err(err)?,
                     idle_ns: num(t.next().unwrap_or(""), "idle_ns").map_err(err)?,
                     overhead_ns: num(t.next().unwrap_or(""), "overhead_ns").map_err(err)?,
-                    util_min: num(t.next().unwrap_or(""), "util_min").map_err(err)?,
-                    util_max: num(t.next().unwrap_or(""), "util_max").map_err(err)?,
-                    util_sum: num(t.next().unwrap_or(""), "util_sum").map_err(err)?,
-                    util_sumsq: num(t.next().unwrap_or(""), "util_sumsq").map_err(err)?,
+                    util_min: finite(t.next().unwrap_or(""), "util_min").map_err(err)?,
+                    util_max: finite(t.next().unwrap_or(""), "util_max").map_err(err)?,
+                    util_sum: finite(t.next().unwrap_or(""), "util_sum").map_err(err)?,
+                    util_sumsq: finite(t.next().unwrap_or(""), "util_sumsq").map_err(err)?,
                     msgs_sent: num(t.next().unwrap_or(""), "msgs_sent").map_err(err)?,
                     msgs_processed: num(t.next().unwrap_or(""), "msgs_processed").map_err(err)?,
                     entries: num(t.next().unwrap_or(""), "entries").map_err(err)?,
@@ -274,28 +359,30 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
                 let f = frames
                     .last_mut()
                     .ok_or(format!("line {no}: hist before any frame"))?;
-                let which = t.next().ok_or(format!("line {no}: hist missing name"))?;
+                let (slot, seen) = match t.next() {
+                    Some("exec") => (&mut f.exec, &mut seen.exec),
+                    Some("latency") => (&mut f.latency, &mut seen.latency),
+                    Some(other) => return Err(format!("line {no}: unknown hist `{other}`")),
+                    None => return Err(format!("line {no}: hist missing name")),
+                };
+                if std::mem::replace(seen, true) {
+                    return Err(format!(
+                        "line {no}: second hist line of its kind in one frame"
+                    ));
+                }
                 let sub_bits: u32 = num(t.next().unwrap_or(""), "sub_bits").map_err(err)?;
                 let mut h = Hist::new(sub_bits);
                 for bucket in t {
-                    let (lo, n) = bucket
-                        .split_once(':')
-                        .ok_or(format!("line {no}: bad bucket `{bucket}`"))?;
-                    let lo: u64 = lo
-                        .parse()
-                        .map_err(|_| format!("line {no}: bad bucket `{bucket}`"))?;
-                    let n: u64 = n
-                        .parse()
-                        .map_err(|_| format!("line {no}: bad bucket `{bucket}`"))?;
+                    let bad = || format!("line {no}: bad bucket `{bucket}`");
+                    let (lo, n) = bucket.split_once(':').ok_or_else(bad)?;
+                    let lo: u64 = lo.parse().map_err(|_| bad())?;
+                    let n: u64 = n.parse().map_err(|_| bad())?;
                     // A bucket's lower bound re-buckets to itself, so the
-                    // rebuilt histogram sits on the original grid.
+                    // rebuilt histogram sits on the original grid. Counts
+                    // saturate in `Hist`, whatever the file claims.
                     h.record_n(lo, n);
                 }
-                match which {
-                    "exec" => f.exec = h,
-                    "latency" => f.latency = h,
-                    other => return Err(format!("line {no}: unknown hist `{other}`")),
-                }
+                *slot = h;
             }
             Some("top") => {
                 let f = frames
@@ -312,6 +399,7 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
             Some(head) => return Err(format!("line {no}: unknown line head `{head}`")),
         }
     }
+    seen.check(&frames, no + 1)?;
     Ok(frames)
 }
 
@@ -340,50 +428,113 @@ pub struct ChromeProfile {
     pub entries: Vec<(String, f64, u64)>,
 }
 
+/// The number at the reader's position; `what` names the field in the
+/// error.
+fn json_num(r: &mut Reader<'_>, what: &str) -> Result<f64, String> {
+    let at = r.offset();
+    match r.value()? {
+        Token::Num(n) => Ok(n),
+        _ => Err(format!("`{what}` at byte {at} is not a number")),
+    }
+}
+
+/// The string at the reader's position.
+fn json_str<'a>(r: &mut Reader<'a>, what: &str) -> Result<Cow<'a, str>, String> {
+    let at = r.offset();
+    match r.value()? {
+        Token::Str(s) => Ok(s),
+        _ => Err(format!("`{what}` at byte {at} is not a string")),
+    }
+}
+
+/// `(events_dropped, slab_hit_rate)` from the `args` of a `charm_stats`
+/// row, 0 for a member that is absent.
+fn charm_stats(mut args: Reader<'_>) -> Result<(u64, f64), String> {
+    let at = args.offset();
+    if args.value()? != Token::ObjBegin {
+        return Err(format!(
+            "`args` of charm_stats at byte {at} is not an object"
+        ));
+    }
+    let (mut dropped, mut rate) = (0.0, 0.0);
+    while let Some(key) = args.key()? {
+        match &*key {
+            "events_dropped" => dropped = json_num(&mut args, &key)?,
+            "slab_hit_rate" => rate = json_num(&mut args, &key)?,
+            _ => args.skip()?,
+        }
+    }
+    Ok((dropped as u64, rate))
+}
+
 /// Parse Chrome trace-event JSON (array form, as written by
 /// `TraceReport::write_chrome`) into per-track totals.
+///
+/// Events are read straight off a [`Reader`] with no tree and one
+/// allocation per distinct entry name; durations are summed in document
+/// order, so the floating-point totals are those of a front-to-back walk.
+/// A member repeated inside one event keeps its last value, as in
+/// `json::parse`.
 pub fn parse_chrome(text: &str) -> Result<ChromeProfile, String> {
-    let doc = json::parse(text)?;
-    let arr = doc.as_arr().ok_or("chrome trace is not a JSON array")?;
-    let mut tracks: std::collections::BTreeMap<u64, ChromeTrack> = Default::default();
-    let mut entries: std::collections::BTreeMap<String, (f64, u64)> = Default::default();
-    for ev in arr {
-        let tid = ev.get("tid").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-        let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
-        let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
+    let mut r = Reader::new(text);
+    if r.value()? != Token::ArrBegin {
+        return Err("chrome trace is not a JSON array".into());
+    }
+    let mut tracks: BTreeMap<u64, ChromeTrack> = BTreeMap::new();
+    let mut entries: BTreeMap<String, (f64, u64)> = BTreeMap::new();
+    while r.elem()? {
+        let at = r.offset();
+        if r.value()? != Token::ObjBegin {
+            return Err(format!("event at byte {at} is not an object"));
+        }
+        let (mut tid, mut dur) = (0.0, 0.0);
+        let (mut ph, mut name, mut cat) = (Cow::from(""), Cow::from(""), Cow::from(""));
+        // Where the last `args` value starts. What it must hold depends on
+        // `ph` and `name`, which may follow it: checked for syntax now,
+        // read once the event is complete.
+        let mut args: Option<Reader<'_>> = None;
+        while let Some(key) = r.key()? {
+            match &*key {
+                "tid" => tid = json_num(&mut r, &key)?,
+                "dur" => dur = json_num(&mut r, &key)?,
+                "ph" => ph = json_str(&mut r, &key)?,
+                "name" => name = json_str(&mut r, &key)?,
+                "cat" => cat = json_str(&mut r, &key)?,
+                "args" => {
+                    args = Some(r.clone());
+                    r.skip()?;
+                }
+                _ => r.skip()?,
+            }
+        }
+        let tid = tid as u64;
         let track = tracks.entry(tid).or_insert_with(|| ChromeTrack {
             tid,
             ..ChromeTrack::default()
         });
-        match ph {
+        match &*ph {
             "M" if name == "charm_stats" => {
-                if let Some(args) = ev.get("args") {
-                    track.events_dropped = args
-                        .get("events_dropped")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.0) as u64;
-                    track.slab_hit_rate = args
-                        .get("slab_hit_rate")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.0);
+                if let Some(args) = args {
+                    (track.events_dropped, track.slab_hit_rate) = charm_stats(args)?;
                 }
             }
-            "X" => {
-                let dur = ev.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                match ev.get("cat").and_then(Value::as_str) {
-                    Some("entry") => {
-                        track.entry_us += dur;
-                        let e = entries.entry(name.to_string()).or_insert((0.0, 0));
-                        e.0 += dur;
-                        e.1 += 1;
-                    }
-                    Some("idle") => track.idle_us += dur,
-                    _ => {}
+            "X" => match &*cat {
+                "entry" => {
+                    track.entry_us += dur;
+                    let e = match entries.get_mut(&*name) {
+                        Some(e) => e,
+                        None => entries.entry(name.into_owned()).or_insert((0.0, 0)),
+                    };
+                    e.0 += dur;
+                    e.1 += 1;
                 }
-            }
+                "idle" => track.idle_us += dur,
+                _ => {}
+            },
             _ => {}
         }
     }
+    r.finish()?;
     let mut ranked: Vec<(String, f64, u64)> =
         entries.into_iter().map(|(n, (d, c))| (n, d, c)).collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -675,5 +826,126 @@ mod tests {
         assert_eq!(util_glyph(0.0), ' ');
         assert_eq!(util_glyph(0.55), '+');
         assert_eq!(util_glyph(1.0), '@');
+    }
+
+    #[test]
+    fn chrome_is_strict_about_the_fields_it_reads() {
+        // Each is well-formed JSON that the tree-walking parser took (with
+        // a phantom PE 0 track for the first three).
+        for (bad, names) in [
+            ("[1,2,3]", "not an object"),
+            ("[[]]", "not an object"),
+            ("[null]", "not an object"),
+            (r#"[{"tid":"0"}]"#, "`tid`"),
+            (r#"[{"ph":"X","dur":"1.5"}]"#, "`dur`"),
+            (r#"[{"ph":"X","dur":null}]"#, "`dur`"),
+            (r#"[{"ph":1}]"#, "`ph`"),
+            (r#"[{"name":["a"]}]"#, "`name`"),
+            (r#"[{"ph":"X","cat":true}]"#, "`cat`"),
+            (r#"[{"ph":"M","name":"charm_stats","args":7}]"#, "`args`"),
+            (r#"[{"args":[1],"name":"charm_stats","ph":"M"}]"#, "`args`"),
+            (
+                r#"[{"ph":"M","name":"charm_stats","args":{"events_dropped":"3"}}]"#,
+                "`events_dropped`",
+            ),
+        ] {
+            let err = parse_chrome(bad).expect_err(bad);
+            assert!(err.contains(names) && err.contains("byte"), "{bad}: {err}");
+        }
+        // Absent optional fields keep their defaults; unknown members and
+        // the `args` of other events may hold anything well-formed.
+        let p = parse_chrome(
+            r#"[{}, {"ph":"X","cat":"entry"}, {"ph":"i","args":7,"extra":[{"deep":[1,2]}]},
+                {"ph":"M","name":"charm_stats","tid":2},
+                {"ph":"M","name":"charm_stats","tid":3,"args":{}}]"#,
+        )
+        .expect("parses");
+        assert_eq!(p.tracks.len(), 3);
+        assert_eq!(p.entries, vec![(String::new(), 0.0, 1)]);
+        assert!(p.tracks.iter().all(|t| t.events_dropped == 0));
+        // ... but must be well-formed.
+        assert!(parse_chrome(r#"[{"ph":"i","extra":[1,]}]"#).is_err());
+        assert!(parse_chrome(r#"[{"ph":"i","args":{"a":01}}]"#).is_err());
+        assert!(parse_chrome("[{}] x").is_err());
+        assert!(parse_chrome("[{}").is_err());
+    }
+
+    #[test]
+    fn chrome_duplicate_keys_resolve_as_in_the_tree() {
+        use charm_trace::json::{self, Value};
+        let doc = r#"[
+            {"ph":"i","ph":"X","cat":"idle","cat":"entry","name":"a","name":"b",
+             "dur":1.0,"dur":2.5,"tid":9,"tid":1},
+            {"ph":"M","name":"charm_stats","tid":1,
+             "args":{"events_dropped":1},
+             "args":{"events_dropped":4,"events_dropped":6,"slab_hit_rate":0.5}}
+        ]"#;
+        let p = parse_chrome(doc).expect("parses");
+        assert_eq!(p.entries, vec![("b".to_string(), 2.5, 1)]);
+        assert_eq!(p.tracks.len(), 1);
+        let t = &p.tracks[0];
+        assert_eq!((t.tid, t.entry_us, t.idle_us), (1, 2.5, 0.0));
+        assert_eq!((t.events_dropped, t.slab_hit_rate), (6, 0.5));
+        // The tree says the same of the same text.
+        let tree = json::parse(doc).expect("parses");
+        let evs = tree.as_arr().expect("array");
+        let f = |ev: &Value, k: &str| ev.get(k).and_then(Value::as_f64);
+        assert_eq!(evs[0].get("name").and_then(Value::as_str), Some("b"));
+        assert_eq!(evs[0].get("cat").and_then(Value::as_str), Some("entry"));
+        assert_eq!(evs[0].get("ph").and_then(Value::as_str), Some("X"));
+        assert_eq!(
+            (f(&evs[0], "dur"), f(&evs[0], "tid")),
+            (Some(2.5), Some(1.0))
+        );
+        let args = evs[1].get("args").expect("args");
+        assert_eq!(f(args, "events_dropped"), Some(6.0));
+        assert_eq!(f(args, "slab_hit_rate"), Some(0.5));
+    }
+
+    #[test]
+    fn summary_counts_bins_against_the_header() {
+        let good = sample_summary();
+        // Cut at a line boundary inside a block, and at its end.
+        let lines: Vec<&str> = good.lines().collect();
+        let upto = |n: usize| lines[..n].join("\n") + "\n";
+        assert!(parse_summary(&upto(3)).unwrap_err().contains("bins=3"));
+        assert!(parse_summary(&upto(5)).is_ok(), "a whole block");
+        assert!(parse_summary(&upto(6)).unwrap_err().contains("bins=1"));
+        // One bin more than declared.
+        let extra =
+            good.clone() + "bin 1 busy_ns=0 idle_ns=0 overhead_ns=0 entries=0 msgs=0 bytes=0\n";
+        assert!(parse_summary(&extra).is_err());
+        // A lying header sizes nothing.
+        let lying = good.replace("bins=3", "bins=18446744073709551615");
+        assert!(parse_summary(&lying).unwrap_err().contains("declares"));
+    }
+
+    #[test]
+    fn telemetry_frames_need_both_hists_and_finite_moments() {
+        let text = charm_trace::frames_artifact(&vec![charm_trace::MetricFrame::default(); 2]);
+        assert_eq!(parse_telemetry(&text).expect("parses").len(), 2);
+        let lines: Vec<&str> = text.lines().collect();
+        for keep in [2, 3, 5, 6] {
+            let cut = lines[..keep].join("\n") + "\n";
+            let err = parse_telemetry(&cut).expect_err("a frame without both hists");
+            assert!(err.contains("without both"), "{keep}: {err}");
+        }
+        let twice = text.replacen("hist latency", "hist exec", 1);
+        assert!(parse_telemetry(&twice).unwrap_err().contains("second hist"));
+        for lie in ["NaN", "inf", "-inf", "1e999"] {
+            let bad = text.replacen("util_sum=0.000000", &format!("util_sum={lie}"), 1);
+            assert!(
+                parse_telemetry(&bad).unwrap_err().contains("non-finite"),
+                "{lie}"
+            );
+        }
+        // Counts from a file saturate instead of overflowing.
+        let big = text.replacen(
+            "hist exec sub_bits=5",
+            "hist exec sub_bits=5 64:18446744073709551615 64:1 65:7",
+            1,
+        );
+        let frames = parse_telemetry(&big).expect("parses");
+        assert_eq!(frames[0].exec.count(), u64::MAX);
     }
 }

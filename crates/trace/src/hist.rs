@@ -11,11 +11,25 @@
 //! bucket-wise addition (exact); unequal grids merge by re-bucketing
 //! midpoints, which only widens the error by one grid step.
 //!
-//! The bucket array is dense and fixed-size (`(64 - sub_bits + 1) *
-//! 2^sub_bits` slots — 15 KiB at the default `sub_bits = 5`), so `record`
-//! is two shifts and an add: cheap enough to sit on the per-delivery and
-//! per-entry paths, and the memory bound is O(1) in the sample count —
-//! the property the cluster-scale telemetry layer needs.
+//! The grid has `(64 - sub_bits + 1) * 2^sub_bits` buckets (1,920 at the
+//! default `sub_bits = 5`), but a histogram stores only a *window* over it:
+//! the counts from its lowest to its highest occupied bucket, grown by the
+//! exact missing range when a sample lands outside. An empty histogram owns
+//! no heap; 64 bytes inline plus 8 per bucket of the occupied range
+//! otherwise, so clone, merge, quantile and export cost what the samples
+//! span, not what the grid could hold. `record` on a bucket inside the
+//! window is two shifts, one bounds test and an add: cheap enough to sit on
+//! the per-delivery and per-entry paths. The memory bound is O(1) in the
+//! sample count — the property the cluster-scale telemetry layer needs.
+//!
+//! The window is always exactly `[lowest, highest]` occupied bucket (both
+//! end counts are non-zero, an empty histogram has no window), so two
+//! histograms that hold the same samples are `==` and have equal
+//! [`Hist::digest`]s whatever the record order or merge-tree shape.
+//!
+//! Every accumulator saturates: bucket counts, [`Hist::count`] and
+//! [`Hist::sum`] stop at `u64::MAX` instead of wrapping or panicking, so
+//! counts read from a file (or merged up from 10^5 PEs) cannot overflow.
 
 /// Default sub-bucket resolution: 2^5 = 32 linear sub-buckets per octave,
 /// giving a worst-case quantile error of 1/32 ≈ 3.1% (midpoint estimates
@@ -26,6 +40,9 @@ pub const DEFAULT_SUB_BITS: u32 = 5;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hist {
     sub_bits: u32,
+    /// Grid index of `counts[0]` (0 while empty, so `==` stays structural).
+    base: u32,
+    /// The occupied bucket range; first and last are non-zero.
     counts: Vec<u64>,
     total: u64,
     sum: u64,
@@ -39,15 +56,42 @@ impl Default for Hist {
     }
 }
 
+/// Grid index of the bucket holding `v`.
+#[inline]
+fn index_of(b: u32, v: u64) -> usize {
+    if v < (1 << b) {
+        v as usize
+    } else {
+        let e = 63 - v.leading_zeros();
+        let sub = ((v >> (e - b)) as usize) & ((1 << b) - 1);
+        // At most `((64 - b) << b) | (2^b - 1)`: the grid's last bucket.
+        (((e - b + 1) as usize) << b) | sub
+    }
+}
+
+/// `[lower, upper]` value bounds of grid bucket `idx`.
+fn bounds(b: u32, idx: usize) -> (u64, u64) {
+    if idx < (1 << b) {
+        (idx as u64, idx as u64)
+    } else {
+        let octave = (idx >> b) as u32 + b - 1;
+        let sub = (idx & ((1 << b) - 1)) as u64;
+        let width = 1u64 << (octave - b);
+        let lo = ((1u64 << b) + sub) << (octave - b);
+        // `width - 1` first: the top bucket's upper bound is exactly
+        // `u64::MAX`, so `lo + width` would wrap.
+        (lo, lo + (width - 1))
+    }
+}
+
 impl Hist {
     /// Build a histogram with `2^sub_bits` sub-buckets per octave
-    /// (clamped to `1..=10`).
+    /// (clamped to `1..=10`). Allocates nothing until a sample arrives.
     pub fn new(sub_bits: u32) -> Hist {
-        let b = sub_bits.clamp(1, 10);
-        let buckets = ((64 - b + 1) as usize) << b;
         Hist {
-            sub_bits: b,
-            counts: vec![0; buckets],
+            sub_bits: sub_bits.clamp(1, 10),
+            base: 0,
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -96,30 +140,32 @@ impl Hist {
         1.0 / (1u64 << self.sub_bits) as f64
     }
 
-    fn index_of(&self, v: u64) -> usize {
-        let b = self.sub_bits;
-        if v < (1 << b) {
-            v as usize
-        } else {
-            let e = 63 - v.leading_zeros();
-            let sub = ((v >> (e - b)) as usize) & ((1 << b) - 1);
-            ((((e - b + 1) as usize) << b) | sub).min(self.counts.len() - 1)
+    /// Add `n` to grid bucket `idx`, widening the window if it lies outside.
+    #[inline]
+    fn add_at(&mut self, idx: usize, n: u64) {
+        // Below the window the subtraction wraps and fails the bounds test
+        // with everything above it.
+        match self.counts.get_mut(idx.wrapping_sub(self.base as usize)) {
+            Some(c) => *c = c.saturating_add(n),
+            None => self.widen_and_add(idx, n),
         }
     }
 
-    /// `[lower, upper]` value bounds of bucket `idx`.
-    fn bounds(&self, idx: usize) -> (u64, u64) {
-        let b = self.sub_bits;
-        if idx < (1 << b) {
-            (idx as u64, idx as u64)
+    /// Grow the window by exactly the range between it and `idx`, then add.
+    /// Growth at the front shifts the counts; it is off the hit path.
+    #[cold]
+    fn widen_and_add(&mut self, idx: usize, n: u64) {
+        let base = self.base as usize;
+        if self.counts.is_empty() {
+            self.base = idx as u32;
+            self.counts.push(n);
+        } else if idx < base {
+            self.counts.splice(0..0, std::iter::repeat_n(0, base - idx));
+            self.base = idx as u32;
+            self.counts[0] = n;
         } else {
-            let octave = (idx >> b) as u32 + b - 1;
-            let sub = (idx & ((1 << b) - 1)) as u64;
-            let width = 1u64 << (octave - b);
-            let lo = ((1u64 << b) + sub) << (octave - b);
-            // `width - 1` first: the top bucket's upper bound is exactly
-            // `u64::MAX`, so `lo + width` would wrap.
-            (lo, lo + (width - 1))
+            self.counts.resize(idx - base + 1, 0);
+            self.counts[idx - base] = n;
         }
     }
 
@@ -134,9 +180,8 @@ impl Hist {
         if n == 0 {
             return;
         }
-        let idx = self.index_of(v);
-        self.counts[idx] += n;
-        self.total += n;
+        self.add_at(index_of(self.sub_bits, v), n);
+        self.total = self.total.saturating_add(n);
         self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
@@ -149,18 +194,37 @@ impl Hist {
             return;
         }
         if other.sub_bits == self.sub_bits {
-            for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-                *dst += src;
+            if self.counts.is_empty() {
+                self.base = other.base;
+                self.counts.extend_from_slice(&other.counts);
+            } else {
+                // Both windows end on occupied buckets, so touching the
+                // other's two ends grows this one to exactly their union.
+                let lo = other.base as usize;
+                self.add_at(lo + other.counts.len() - 1, 0);
+                self.add_at(lo, 0);
+                let dst = &mut self.counts[lo - self.base as usize..];
+                // Until a total saturates, each side's buckets sum to its
+                // total: if the totals add without overflow, so does every
+                // bucket, and the plain loop vectorizes.
+                if self.total.checked_add(other.total).is_some() {
+                    for (d, &s) in dst.iter_mut().zip(&other.counts) {
+                        *d = d.wrapping_add(s);
+                    }
+                } else {
+                    for (d, &s) in dst.iter_mut().zip(&other.counts) {
+                        *d = d.saturating_add(s);
+                    }
+                }
             }
-            self.total += other.total;
+            self.total = self.total.saturating_add(other.total);
         } else {
             for (idx, &n) in other.counts.iter().enumerate() {
                 if n > 0 {
-                    let (lo, hi) = other.bounds(idx);
+                    let (lo, hi) = bounds(other.sub_bits, other.base as usize + idx);
                     let mid = lo + (hi - lo) / 2;
-                    let i = self.index_of(mid);
-                    self.counts[i] += n;
-                    self.total += n;
+                    self.add_at(index_of(self.sub_bits, mid), n);
+                    self.total = self.total.saturating_add(n);
                 }
             }
         }
@@ -185,29 +249,55 @@ impl Hist {
         if rank == self.total {
             return Some(self.max);
         }
+        // Ranks at or above the requested one. While the total has not
+        // saturated the buckets sum to it exactly, so the bucket holding
+        // the rank is the same counted from either end: scan from the
+        // nearer one (p99 then reads the top few buckets, not the window).
+        let above = self.total - rank + 1;
         let mut seen = 0u64;
-        for (idx, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let (lo, hi) = self.bounds(idx);
+        let found = if above < rank && self.total < u64::MAX {
+            self.counts.iter().rposition(|&n| {
+                seen = seen.saturating_add(n);
+                seen >= above
+            })
+        } else {
+            // Buckets can sum past `u64::MAX` once the total has saturated;
+            // an overflow here is past every rank.
+            self.counts.iter().position(|&n| match seen.checked_add(n) {
+                Some(s) if s < rank => {
+                    seen = s;
+                    false
+                }
+                _ => true,
+            })
+        };
+        Some(match found {
+            Some(i) => {
+                let (lo, hi) = bounds(self.sub_bits, self.base as usize + i);
                 // Clamp to the exact extremes: the top and bottom buckets
                 // may extend past anything actually recorded.
-                return Some((lo + (hi - lo) / 2).clamp(self.min, self.max));
+                (lo + (hi - lo) / 2).clamp(self.min, self.max)
             }
-        }
-        Some(self.max)
+            None => self.max,
+        })
     }
 
-    /// Non-empty buckets as `(lower, upper, count)`, in value order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    /// Non-empty buckets as `(grid index, count)`, in value order.
+    fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let base = self.base as usize;
         self.counts
             .iter()
             .enumerate()
             .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let (lo, hi) = self.bounds(i);
-                (lo, hi, n)
-            })
+            .map(move |(i, &n)| (base + i, n))
+    }
+
+    /// Non-empty buckets as `(lower, upper, count)`, in value order.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.occupied().map(|(idx, n)| {
+            let (lo, hi) = bounds(self.sub_bits, idx);
+            (lo, hi, n)
+        })
     }
 
     /// Order-sensitive FNV-1a digest over the bucket contents (grid,
@@ -218,11 +308,9 @@ impl Hist {
         let mut d = crate::fnv::Fnv::new();
         d.eat_u64(u64::from(self.sub_bits));
         d.eat_u64(self.total);
-        for (i, &n) in self.counts.iter().enumerate() {
-            if n > 0 {
-                d.eat_u64(i as u64);
-                d.eat_u64(n);
-            }
+        for (idx, n) in self.occupied() {
+            d.eat_u64(idx as u64);
+            d.eat_u64(n);
         }
         d.finish()
     }
@@ -298,5 +386,69 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), u64::MAX);
         assert!(h.quantile(0.5).is_some());
+    }
+
+    /// The window invariant `==` and `digest()` lean on: no heap while
+    /// empty, otherwise exactly `[lowest, highest]` occupied bucket.
+    fn assert_tight(h: &Hist) {
+        if h.total == 0 {
+            assert!(h.counts.is_empty() && h.base == 0);
+            assert_eq!(h.counts.capacity(), 0);
+        } else {
+            assert_ne!(h.counts[0], 0);
+            assert_ne!(h.counts[h.counts.len() - 1], 0);
+        }
+    }
+
+    #[test]
+    fn window_is_exactly_the_occupied_range() {
+        let mut h = Hist::new(5);
+        assert_tight(&h);
+        h.record_n(9, 0);
+        assert_tight(&h);
+        // Opens in the middle, grows at the back, then at the front.
+        h.record(1_000);
+        assert_eq!((h.base as usize, h.counts.len()), (index_of(5, 1_000), 1));
+        h.record(1_000_000);
+        h.record(3);
+        assert_tight(&h);
+        assert_eq!(h.base, 3);
+        assert_eq!(h.counts.len(), index_of(5, 1_000_000) - 3 + 1);
+        // Merging a disjoint window on either side grows to the union.
+        let mut low = Hist::new(5);
+        low.record(1);
+        let mut high = Hist::new(5);
+        high.record(u64::MAX);
+        for other in [&low, &high, &Hist::new(5)] {
+            h.merge(other);
+            assert_tight(&h);
+        }
+        assert_eq!(h.base, 1);
+        assert_eq!(h.base as usize + h.counts.len(), 60 << 5, "the whole grid");
+        // An empty destination takes the other's window as it is.
+        let mut fresh = Hist::new(5);
+        fresh.merge(&h);
+        assert_eq!(fresh, h);
+        // A different grid re-buckets into a tight window too.
+        let mut coarse = Hist::new(2);
+        coarse.merge(&h);
+        assert_tight(&coarse);
+        assert_eq!(coarse.count(), h.count());
+    }
+
+    #[test]
+    fn every_value_lands_inside_the_grid() {
+        for b in 1..=10u32 {
+            let buckets = ((64 - b + 1) as usize) << b;
+            assert_eq!(index_of(b, u64::MAX), buckets - 1);
+            assert_eq!(bounds(b, buckets - 1).1, u64::MAX);
+            for shift in 0..64 {
+                let v = 1u64 << shift;
+                for v in [v - 1, v, v + (v >> 1)] {
+                    let (lo, hi) = bounds(b, index_of(b, v));
+                    assert!(lo <= v && v <= hi, "b={b} v={v}: [{lo}, {hi}]");
+                }
+            }
+        }
     }
 }

@@ -1,31 +1,57 @@
-//! Minimal strict JSON: an escaper for the Chrome exporter and a
-//! recursive-descent parser used by the round-trip tests.
+//! Minimal strict JSON: an escaper for the Chrome exporter, a pull
+//! [`Reader`] that `charm-perf` reads Chrome traces with, and [`parse`],
+//! a [`Value`] tree built on top of it for the round-trip tests and the
+//! benchmark's result files.
 //!
-//! The workspace takes no registry crates, so the round-trip check runs
-//! against this parser instead of an off-the-shelf one. It accepts
-//! exactly RFC 8259 JSON (objects, arrays, strings with full escape
-//! handling including surrogate pairs, numbers, booleans, null) and
-//! rejects trailing garbage — anything it parses, any conforming parser
-//! parses too.
+//! The workspace takes no registry crates, so this is the one JSON lexer in
+//! the tree. It accepts exactly RFC 8259 JSON (objects, arrays, strings
+//! with full escape handling including surrogate pairs, numbers by the RFC
+//! grammar, booleans, null) and rejects trailing garbage — anything it
+//! parses, any conforming parser parses too. On top of the RFC it refuses
+//! two things a hostile document can do to a reader: nesting deeper than
+//! [`MAX_DEPTH`], and a number literal that does not fit a finite `f64`.
+//!
+//! The [`Reader`]'s contract: strict (every byte it passes over is
+//! validated, including values the caller [`Reader::skip`]s), bounded (no
+//! recursion, no state that grows with the input) and borrowing (a string
+//! without escapes is a slice of the input; only one with an escape is
+//! copied). Errors name the byte offset.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write;
+
+/// Append `s`, escaped for inclusion inside a JSON string literal (no
+/// quotes), to `out`.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x20.. => continue,
+            _ => "",
+        };
+        // Every escaped byte is ASCII, so both cuts are char boundaries.
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        if short.is_empty() {
+            // `fmt::Write` for `String` cannot fail.
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
+        }
+    }
+    out.push_str(&s[clean..]);
+}
 
 /// Escape `s` for inclusion inside a JSON string literal (no quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
@@ -82,37 +108,120 @@ impl Value {
     }
 }
 
-/// Parse a complete JSON document (trailing whitespace only).
+/// Parse a complete JSON document (trailing whitespace only) into a tree.
+/// A duplicate object key keeps its last value.
 pub fn parse(s: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
+    let mut r = Reader::new(s);
+    let first = r.value()?;
+    let v = build(&mut r, first)?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
+/// Recursion here is as deep as the document nests, which the reader has
+/// already bounded by [`MAX_DEPTH`].
+fn build(r: &mut Reader<'_>, token: Token<'_>) -> Result<Value, String> {
+    Ok(match token {
+        Token::Null => Value::Null,
+        Token::Bool(b) => Value::Bool(b),
+        Token::Num(n) => Value::Num(n),
+        Token::Str(s) => Value::Str(s.into_owned()),
+        Token::ArrBegin => {
+            let mut v = Vec::new();
+            while r.elem()? {
+                let t = r.value()?;
+                v.push(build(r, t)?);
+            }
+            Value::Arr(v)
+        }
+        Token::ObjBegin => {
+            let mut m = BTreeMap::new();
+            while let Some(k) = r.key()? {
+                let t = r.value()?;
+                m.insert(k.into_owned(), build(r, t)?);
+            }
+            Value::Obj(m)
+        }
+    })
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+/// Deepest container nesting a [`Reader`] follows; one level more is an
+/// error. Chrome traces nest three deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// What [`Reader::value`] found: a whole scalar, or the opening of a
+/// container whose contents the caller pulls next.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// Borrowed from the input unless the literal had an escape.
+    Str(Cow<'a, str>),
+    /// `[` — pull elements with [`Reader::elem`].
+    ArrBegin,
+    /// `{` — pull members with [`Reader::key`].
+    ObjBegin,
+}
+
+/// A strict pull reader over one JSON document.
+///
+/// ```
+/// use charm_trace::json::{Reader, Token};
+/// let mut r = Reader::new(r#"[{"a": 1, "skipped": [true, null]}]"#);
+/// assert_eq!(r.value(), Ok(Token::ArrBegin));
+/// while r.elem().unwrap() {
+///     assert_eq!(r.value(), Ok(Token::ObjBegin));
+///     while let Some(key) = r.key().unwrap() {
+///         match &*key {
+///             "a" => assert_eq!(r.value(), Ok(Token::Num(1.0))),
+///             _ => r.skip().unwrap(),
+///         }
+///     }
+/// }
+/// r.finish().unwrap();
+/// ```
+///
+/// Calling the methods out of that order is reported as a syntax error at
+/// the current offset; it cannot make the reader accept a malformed
+/// document.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    src: &'a str,
+    i: usize,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container is an object (false at the top level).
+    object: bool,
+    /// A value has been read in the innermost container since its opening
+    /// or its last comma (at the top level: the document's value has been
+    /// read), so only a `,` or the closing bracket may follow.
+    filled: bool,
+    /// The kinds of the enclosing containers, innermost in bit 0: a stack
+    /// that shifts, `MAX_DEPTH` bits deep.
+    outer_objects: u128,
+}
+
+impl<'a> Reader<'a> {
+    /// Start reading `src` at its first byte.
+    pub fn new(src: &'a str) -> Reader<'a> {
+        Reader {
+            src,
+            i: 0,
+            depth: 0,
+            object: false,
+            filled: false,
+            outer_objects: 0,
+        }
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek();
-        if c.is_some() {
-            self.i += 1;
-        }
-        c
+    /// Byte offset of the next unread byte.
+    pub fn offset(&self) -> usize {
+        self.i
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.i).copied()
     }
 
     fn ws(&mut self) {
@@ -122,188 +231,303 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.bump() == Some(c) {
+        if self.peek() == Some(c) {
+            self.i += 1;
             Ok(())
         } else {
             Err(format!("expected {:?} at byte {}", c as char, self.i))
         }
     }
 
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        let w = word.as_bytes();
-        if self.b[self.i..].starts_with(w) {
-            self.i += w.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.i))
+    /// Read `[` or `{`.
+    fn open(&mut self, object: bool) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            ));
         }
+        self.i += 1;
+        self.depth += 1;
+        self.outer_objects = self.outer_objects << 1 | u128::from(self.object);
+        self.object = object;
+        self.filled = false;
+        Ok(())
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.i)),
-        }
+    /// Read `]` or `}`: the container it closes is a value read in the one
+    /// around it.
+    fn close(&mut self) {
+        self.i += 1;
+        self.depth -= 1;
+        self.object = self.outer_objects & 1 != 0;
+        self.outer_objects >>= 1;
+        self.filled = true;
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+    /// After the opening of a container or one of its values: the comma
+    /// that must precede the next one, if any.
+    fn comma(&mut self) -> Result<(), String> {
+        if self.filled {
+            self.expect(b',')?;
+            self.filled = false;
+            self.ws();
+        }
+        Ok(())
+    }
+
+    /// Read the next value: a scalar whole, a container up to its opening
+    /// bracket.
+    pub fn value(&mut self) -> Result<Token<'a>, String> {
+        self.read_value(true)
+    }
+
+    /// [`Reader::value`]; with `keep` false a scalar is checked but not
+    /// converted (a string comes back empty, a number as 0).
+    fn read_value(&mut self, keep: bool) -> Result<Token<'a>, String> {
         self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(m));
+        if self.filled {
+            return Err(format!("expected ',' or the end at byte {}", self.i));
         }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let v = self.value()?;
-            m.insert(k, v);
-            self.ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Obj(m)),
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
+        let token = match self.peek() {
+            Some(b'[') => return self.open(false).map(|()| Token::ArrBegin),
+            Some(b'{') => return self.open(true).map(|()| Token::ObjBegin),
+            Some(b'"') => Token::Str(self.string(keep)?),
+            Some(b't') => self.lit("true", Token::Bool(true))?,
+            Some(b'f') => self.lit("false", Token::Bool(false))?,
+            Some(b'n') => self.lit("null", Token::Null)?,
+            Some(b'-' | b'0'..=b'9') => Token::Num(self.number(keep)?),
+            _ => return Err(format!("unexpected byte at {}", self.i)),
+        };
+        self.filled = true;
+        Ok(token)
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
+    /// Inside an array: `true` if another element follows (read it with
+    /// [`Reader::value`] or [`Reader::skip`]), `false` once the closing
+    /// `]` has been read.
+    pub fn elem(&mut self) -> Result<bool, String> {
+        if self.depth == 0 || self.object {
+            return Err(format!("not inside an array at byte {}", self.i));
+        }
         self.ws();
         if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Value::Arr(v));
+            self.close();
+            return Ok(false);
         }
-        loop {
-            self.ws();
-            v.push(self.value()?);
-            self.ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Arr(v)),
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
+        self.comma()?;
+        Ok(true)
+    }
+
+    /// Inside an object: the next member's key (its value is read with
+    /// [`Reader::value`] or [`Reader::skip`]), `None` once the closing `}`
+    /// has been read.
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.read_key(true)
+    }
+
+    fn read_key(&mut self, keep: bool) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.object {
+            return Err(format!("not inside an object at byte {}", self.i));
+        }
+        self.ws();
+        if self.peek() == Some(b'}') {
+            self.close();
+            return Ok(None);
+        }
+        self.comma()?;
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected a member key at byte {}", self.i));
+        }
+        let key = self.string(keep)?;
+        self.ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Read one whole value, containers included, checking its syntax and
+    /// keeping nothing.
+    pub fn skip(&mut self) -> Result<(), String> {
+        let floor = self.depth;
+        self.read_value(false)?;
+        while self.depth > floor {
+            let more = if self.object {
+                self.read_key(false)?.is_some()
+            } else {
+                self.elem()?
+            };
+            if more {
+                self.read_value(false)?;
             }
+        }
+        Ok(())
+    }
+
+    /// The document is complete: its value read, every container closed,
+    /// only whitespace left.
+    pub fn finish(&mut self) -> Result<(), String> {
+        self.ws();
+        if self.depth != 0 || !self.filled {
+            Err(format!("document incomplete at byte {}", self.i))
+        } else if self.i != self.src.len() {
+            Err(format!("trailing garbage at byte {}", self.i))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn lit(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.src.as_bytes()[self.i..].starts_with(word.as_bytes()) {
+            self.i += word.len();
+            Ok(token)
+        } else {
+            Err(format!("invalid literal at byte {}", self.i))
         }
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
         let mut n = 0u32;
         for _ in 0..4 {
-            let c = self
-                .bump()
-                .ok_or_else(|| "truncated \\u escape".to_string())?;
-            let d = (c as char)
-                .to_digit(16)
-                .ok_or_else(|| format!("bad hex digit at byte {}", self.i))?;
+            let d = self
+                .peek()
+                .and_then(|c| (c as char).to_digit(16))
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
+            self.i += 1;
             n = n * 16 + d;
         }
         Ok(n)
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let cp = if (0xd800..0xdc00).contains(&hi) {
-                            // Surrogate pair: require the low half.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err("lone high surrogate".into());
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xdc00..0xe000).contains(&lo) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(cp)
-                                .ok_or_else(|| "invalid \\u codepoint".to_string())?,
-                        );
+    /// The character an escape sequence stands for; `self.i` is just past
+    /// the backslash.
+    fn escaped(&mut self) -> Result<char, String> {
+        let c = self.peek();
+        self.i += 1;
+        Ok(match c {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hi = self.hex4()?;
+                let cp = if (0xd800..0xdc00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if !self.src.as_bytes()[self.i..].starts_with(b"\\u") {
+                        return Err(format!("lone high surrogate at byte {}", self.i));
                     }
-                    _ => return Err(format!("bad escape at byte {}", self.i)),
-                },
-                Some(c) if c < 0x20 => {
-                    return Err(format!("raw control byte in string at {}", self.i));
+                    self.i += 2;
+                    let lo = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err(format!("invalid low surrogate at byte {}", self.i));
+                    }
+                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+                } else {
+                    hi
+                };
+                char::from_u32(cp)
+                    .ok_or_else(|| format!("invalid \\u codepoint at byte {}", self.i))?
+            }
+            _ => return Err(format!("bad escape at byte {}", self.i - 1)),
+        })
+    }
+
+    /// A string literal; `self.i` is at its opening quote. With `keep`
+    /// false it is checked and comes back empty.
+    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
+        self.i += 1;
+        let bytes = self.src.as_bytes();
+        let mut owned: Option<String> = None;
+        // Start of the run of plain bytes not yet copied to `owned`. Runs
+        // are cut at ASCII bytes only, so they are whole UTF-8.
+        let mut run = self.i;
+        loop {
+            let plain = bytes[self.i..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .ok_or_else(|| format!("unterminated string at byte {}", bytes.len()))?;
+            self.i += plain;
+            let text = &self.src[run..self.i];
+            match bytes[self.i] {
+                b'"' => {
+                    self.i += 1;
+                    return Ok(match owned {
+                        _ if !keep => Cow::Borrowed(""),
+                        None => Cow::Borrowed(text),
+                        Some(mut s) => {
+                            s.push_str(text);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
-                Some(c) => {
-                    // Re-assemble UTF-8 multibyte sequences byte-for-byte;
-                    // the input came from a &str so they are valid.
-                    let start = self.i - 1;
-                    let width = match c {
-                        c if c < 0x80 => 1,
-                        c if c >= 0xf0 => 4,
-                        c if c >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let end = start + width;
-                    let chunk = self
-                        .b
-                        .get(start..end)
-                        .ok_or_else(|| "truncated UTF-8 sequence".to_string())?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(s);
-                    self.i = end;
+                b'\\' => {
+                    self.i += 1;
+                    let c = self.escaped()?;
+                    if keep {
+                        let s = owned.get_or_insert_with(String::new);
+                        s.push_str(text);
+                        s.push(c);
+                    }
+                    run = self.i;
                 }
+                _ => return Err(format!("raw control byte in string at {}", self.i)),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn digits(&mut self) -> usize {
         let start = self.i;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.i += 1;
+        }
+        self.i - start
+    }
+
+    /// RFC 8259 `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]?
+    /// [0-9]+)?`, and the value must be finite. With `keep` false it is
+    /// checked and comes back as 0.
+    fn number(&mut self, keep: bool) -> Result<f64, String> {
+        let start = self.i;
+        let bad = |at: usize| format!("malformed number at byte {at}");
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
+        let int_start = self.i;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.src.as_bytes()[int_start] == b'0') {
+            return Err(bad(start));
         }
         if self.peek() == Some(b'.') {
             self.i += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
+            if self.digits() == 0 {
+                return Err(bad(start));
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        let exponent = matches!(self.peek(), Some(b'e' | b'E'));
+        if exponent {
             self.i += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
+            if self.digits() == 0 {
+                return Err(bad(start));
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        // Without an exponent, up to 308 integer digits stay under
+        // `f64::MAX` (1.8e308): finite without converting.
+        if !keep && !exponent && int_digits <= 308 {
+            return Ok(0.0);
+        }
+        let text = &self.src[start..self.i];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(format!(
+                "number {text:?} at byte {start} is not a finite f64"
+            )),
+        }
     }
 }
 
@@ -347,5 +571,172 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("{'a':1}").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar_and_must_be_finite() {
+        for bad in [
+            "01", "-01.5", "1.", "1.e5", ".5", "-", "1e", "1e+", "+1", "--1", "0x10", "1e400",
+            "-1e400", "Infinity", "NaN",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+            // The same inside a container, and in a value that is skipped.
+            let doc = format!("[{bad}]");
+            assert!(parse(&doc).is_err(), "{doc:?}");
+            let mut r = Reader::new(&doc);
+            assert!(r.skip().is_err(), "skip of {doc:?}");
+        }
+        assert_eq!(parse("-0").unwrap(), Value::Num(0.0));
+        assert!(parse("-0").unwrap().as_f64().unwrap().is_sign_negative());
+        assert_eq!(parse("1e-400").unwrap(), Value::Num(0.0));
+        assert_eq!(parse("0.5E+1").unwrap(), Value::Num(5.0));
+        assert_eq!(parse("10").unwrap(), Value::Num(10.0));
+        assert_eq!(
+            parse("1.7976931348623157e308").unwrap(),
+            Value::Num(f64::MAX)
+        );
+        // 309 digits overflow, 308 do not; skipping judges them the same.
+        let fits = "9".repeat(308);
+        let over = "1".to_string() + &"0".repeat(309);
+        assert!(parse(&fits).is_ok() && Reader::new(&fits).skip().is_ok());
+        assert!(parse(&over).is_err() && Reader::new(&over).skip().is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Reader::new(&nest(MAX_DEPTH + 1)).skip().is_err());
+        // Objects count against the same bound.
+        let objs = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).unwrap_err().contains("nesting deeper"));
+        // Two million brackets end in an error, not in a stack overflow.
+        assert!(parse(&"[".repeat(2_000_000)).is_err());
+        assert!(Reader::new(&"[{\"a\":".repeat(1_000_000)).skip().is_err());
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_owns_escaped_ones() {
+        let mut r = Reader::new(r#"["plain π", "esc\n", {"k\u0041": null}]"#);
+        assert_eq!(r.value(), Ok(Token::ArrBegin));
+        assert_eq!(r.elem(), Ok(true));
+        assert!(matches!(
+            r.value(),
+            Ok(Token::Str(Cow::Borrowed("plain π")))
+        ));
+        assert_eq!(r.elem(), Ok(true));
+        assert!(matches!(r.value(), Ok(Token::Str(Cow::Owned(s))) if s == "esc\n"));
+        assert_eq!(r.elem(), Ok(true));
+        assert_eq!(r.value(), Ok(Token::ObjBegin));
+        assert!(matches!(r.key(), Ok(Some(Cow::Owned(k))) if k == "kA"));
+        assert_eq!(r.value(), Ok(Token::Null));
+        assert_eq!(r.key(), Ok(None));
+        assert_eq!(r.elem(), Ok(false));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn reader_is_strict_wherever_it_is_driven() {
+        for bad in [
+            "[1 2]",
+            "[1,]",
+            "[,1]",
+            "{\"a\" 1}",
+            "{\"a\":1,}",
+            "{,}",
+            "{1:2}",
+            "[1}",
+            "{\"a\":1]",
+            "[",
+            "{\"a\":",
+            "\"\t\"",
+            "\"\\x\"",
+            "\"\\ud800\\u0041\"",
+            "tru",
+            "1 2",
+            "",
+        ] {
+            assert!(parse(bad).is_err(), "parse {bad:?}");
+            let mut r = Reader::new(bad);
+            assert!(r.skip().and_then(|()| r.finish()).is_err(), "skip {bad:?}");
+        }
+        // Out-of-order calls are errors, not a way past the grammar.
+        let mut r = Reader::new("[1,2]");
+        assert!(r.elem().is_err() && r.key().is_err());
+        assert_eq!(r.value(), Ok(Token::ArrBegin));
+        assert!(r.key().is_err());
+        assert_eq!(r.elem(), Ok(true));
+        assert_eq!(r.value(), Ok(Token::Num(1.0)));
+        assert!(r.value().is_err(), "a second value without its comma");
+        assert!(Reader::new("1").finish().is_err(), "nothing read yet");
+    }
+
+    #[test]
+    fn skip_validates_what_it_passes_over() {
+        let mut r = Reader::new(r#"{"a":[1,{"b":"x\ty"},[]],"c":2}"#);
+        assert_eq!(r.value(), Ok(Token::ObjBegin));
+        assert!(matches!(r.key(), Ok(Some(k)) if k == "a"));
+        assert_eq!(r.skip(), Ok(()));
+        assert!(matches!(r.key(), Ok(Some(k)) if k == "c"));
+        assert_eq!(r.value(), Ok(Token::Num(2.0)));
+        assert_eq!(r.key(), Ok(None));
+        assert_eq!(r.finish(), Ok(()));
+        let mut r = Reader::new(r#"{"a":[1,{"b":tru}]}"#);
+        assert_eq!(r.value(), Ok(Token::ObjBegin));
+        assert!(r.key().is_ok());
+        assert!(r.skip().unwrap_err().contains("byte 13"));
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_last_value() {
+        let v = parse(r#"{"a":1,"b":2,"a":3}"#).unwrap();
+        assert_eq!(v.get("a").and_then(Value::as_f64), Some(3.0));
+    }
+
+    /// `escape` as it was before `escape_into`: one `char` at a time.
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_into_equals_the_charwise_escape_on_a_seeded_corpus() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        assert_eq!(escape(&every_control), escape_reference(&every_control));
+        let alphabet: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/ az09\u{7f}\u{80}π€😀\u{10ffff}".chars())
+            .collect();
+        let seed = 0xe5c_u64;
+        let mut state = seed;
+        for case in 0..2_000 {
+            let mut s = String::new();
+            for _ in 0..case % 40 {
+                // An LCG is plenty to pick characters.
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                s.push(alphabet[(state >> 33) as usize % alphabet.len()]);
+            }
+            let want = escape_reference(&s);
+            assert_eq!(escape(&s), want, "seed {seed:#x} case {case}: {s:?}");
+            let mut appended = String::from("kept");
+            escape_into(&mut appended, &s);
+            assert_eq!(appended, format!("kept{want}"));
+            assert_eq!(parse(&format!("\"{want}\"")), Ok(Value::Str(s)));
+        }
     }
 }

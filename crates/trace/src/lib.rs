@@ -10,7 +10,7 @@
 //!   detection and the end-of-run `RunReport`, so they are maintained even
 //!   at [`TraceLevel::Off`].
 //! * **Cheap aggregates** ([`TraceLevel::Counters`], the default) — busy /
-//!   idle / overhead nanoseconds, per-entry call counts with log2 time
+//!   idle / overhead nanoseconds, per-entry call counts with log-linear time
 //!   histograms, bytes by path (same-PE vs remote), when-guard buffer and
 //!   reduction tallies. A handful of adds per scheduler step.
 //! * **Streaming summaries** ([`TraceLevel::Summary`]) — busy/idle/
@@ -31,8 +31,10 @@
 //! Two exporters live in [`report`]: [`TraceReport::chrome_json`] emits
 //! Chrome trace-event JSON (load it in Perfetto or `chrome://tracing`; one
 //! track per PE) and [`TraceReport::summary`] prints a plain-text
-//! utilization + entry-method table. [`json`] is a small strict JSON parser
-//! used by the round-trip tests; this crate has no dependencies.
+//! utilization + entry-method table. [`json`] is the tree's one strict JSON
+//! lexer: the exporter's escaper, the pull reader `charm-perf` reads Chrome
+//! traces with, and a `Value` tree on top for the round-trip tests. This
+//! crate has no dependencies.
 //!
 //! Timestamps are nanoseconds on the owning PE's scheduler clock: real
 //! elapsed time on the threads backend, virtual `clock + charged work`
@@ -47,6 +49,7 @@ pub mod json;
 pub mod report;
 pub mod summary;
 pub mod telemetry;
+mod text;
 pub mod tracer;
 
 pub use event::{EntryKind, Event, EventKind};

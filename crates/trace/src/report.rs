@@ -3,12 +3,14 @@
 //! Perfetto / `chrome://tracing`, and a plain-text summary table).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
 use crate::event::{EntryKind, Event, EventKind};
 use crate::hist::Hist;
 use crate::json;
 use crate::summary::PeSummary;
 use crate::telemetry::MetricFrame;
+use crate::text::{push_dec, push_us};
 use crate::tracer::EntryStat;
 
 /// Cheap per-PE performance counters — always present in `RunReport`,
@@ -185,30 +187,53 @@ pub struct TraceReport {
     pub pes: Vec<PeTrace>,
 }
 
-fn us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1000.0)
+/// An `args` member of a Chrome instant.
+enum Arg {
+    Num(u64),
+    Bool(bool),
 }
 
-fn complete(pe: usize, name: &str, cat: &str, begin_ns: u64, end_ns: u64) -> String {
-    format!(
-        r#"{{"ph":"X","pid":1,"tid":{pe},"ts":{},"dur":{},"name":"{}","cat":"{cat}"}}"#,
-        us(begin_ns),
-        us(end_ns.saturating_sub(begin_ns)),
-        json::escape(name)
-    )
+/// Open a `"X"` complete event up to the opening quote of its name; the
+/// caller appends the escaped name, then [`end_event`].
+fn begin_complete(out: &mut String, pe: usize, begin_ns: u64, end_ns: u64) {
+    out.push_str(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":");
+    push_dec(out, pe as u64);
+    out.push_str(",\"ts\":");
+    push_us(out, begin_ns);
+    out.push_str(",\"dur\":");
+    push_us(out, end_ns.saturating_sub(begin_ns));
+    out.push_str(",\"name\":\"");
 }
 
-fn instant(pe: usize, name: &str, cat: &str, ts_ns: u64, args: &str) -> String {
-    let args = if args.is_empty() {
-        String::new()
-    } else {
-        format!(r#","args":{{{args}}}"#)
-    };
-    format!(
-        r#"{{"ph":"i","pid":1,"tid":{pe},"ts":{},"s":"t","name":"{}","cat":"{cat}"{args}}}"#,
-        us(ts_ns),
-        json::escape(name)
-    )
+/// Close the name, then the category, the `args` (if any) and the object.
+fn end_event(out: &mut String, cat: &str, args: &[(&str, Arg)]) {
+    out.push_str("\",\"cat\":\"");
+    out.push_str(cat);
+    out.push('"');
+    for (i, (key, val)) in args.iter().enumerate() {
+        out.push_str(if i == 0 { ",\"args\":{\"" } else { ",\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        match *val {
+            Arg::Num(n) => push_dec(out, n),
+            Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        }
+    }
+    if !args.is_empty() {
+        out.push('}');
+    }
+    out.push('}');
+}
+
+/// A whole `"i"` instant.
+fn instant(out: &mut String, pe: usize, name: &str, cat: &str, ts_ns: u64, args: &[(&str, Arg)]) {
+    out.push_str(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":");
+    push_dec(out, pe as u64);
+    out.push_str(",\"ts\":");
+    push_us(out, ts_ns);
+    out.push_str(",\"s\":\"t\",\"name\":\"");
+    json::escape_into(out, name);
+    end_event(out, cat, args);
 }
 
 impl TraceReport {
@@ -216,27 +241,31 @@ impl TraceReport {
     /// track per PE, `"X"` complete events for entry/idle/LB spans, and
     /// `"i"` instants for everything else. Timestamps are microseconds.
     pub fn chrome_json(&self) -> String {
-        let mut objs: Vec<String> = Vec::new();
-        objs.push(
-            r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"charm-rs"}}"#
-                .to_string(),
+        // One buffer for the whole text: ~77 bytes an event in a scheduler's
+        // mix (a begin/end pair is one object), ~100 a metadata row.
+        let events: usize = self.pes.iter().map(|t| t.events.len()).sum();
+        let mut out = String::with_capacity(96 * events + 256 * self.pes.len() + 128);
+        out.push_str(
+            "[\n{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"charm-rs\"}}",
         );
         for t in &self.pes {
             let pe = t.perf.pe;
-            objs.push(format!(
-                r#"{{"ph":"M","pid":1,"tid":{pe},"name":"thread_name","args":{{"name":"PE {pe}"}}}}"#
-            ));
+            let _ = write!(
+                out,
+                ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{pe},\"name\":\"thread_name\",\"args\":{{\"name\":\"PE {pe}\"}}}}"
+            );
         }
         // Per-PE health metadata: ring-drop count and encode-slab hit rate
         // travel with the trace so a viewer (or charm-perf) can flag a
         // truncated or allocation-bound capture without the RunReport.
         for t in &self.pes {
-            let pe = t.perf.pe;
-            objs.push(format!(
-                r#"{{"ph":"M","pid":1,"tid":{pe},"name":"charm_stats","args":{{"events_dropped":{},"slab_hit_rate":{:.4}}}}}"#,
+            let _ = write!(
+                out,
+                ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"charm_stats\",\"args\":{{\"events_dropped\":{},\"slab_hit_rate\":{:.4}}}}}",
+                t.perf.pe,
                 t.perf.events_dropped,
                 t.perf.slab_hit_rate()
-            ));
+            );
         }
         for t in &self.pes {
             let pe = t.perf.pe;
@@ -245,12 +274,10 @@ impl TraceReport {
                 .iter()
                 .map(|e| (e.ctype, e.name.as_str()))
                 .collect();
-            let entry_name = |ctype: u32, kind: EntryKind| match names.get(&ctype) {
-                Some(n) => format!("{n}::{}", kind.label()),
-                None => format!("ctype{}::{}", ctype, kind.label()),
-            };
             let mut iter = t.events.iter().peekable();
             while let Some(ev) = iter.next() {
+                let name = ev.kind.name();
+                let ts = ev.ts_ns;
                 match &ev.kind {
                     EventKind::EntryBegin { ctype, kind } => {
                         let paired = matches!(
@@ -258,128 +285,125 @@ impl TraceReport {
                             Some(n) if n.kind == (EventKind::EntryEnd { ctype: *ctype, kind: *kind })
                         );
                         if paired {
-                            let end = iter.next().map(|n| n.ts_ns).unwrap_or(ev.ts_ns);
-                            objs.push(complete(
-                                pe,
-                                &entry_name(*ctype, *kind),
-                                "entry",
-                                ev.ts_ns,
-                                end,
-                            ));
+                            let end = iter.next().map(|n| n.ts_ns).unwrap_or(ts);
+                            begin_complete(&mut out, pe, ts, end);
+                            match names.get(ctype) {
+                                Some(n) => json::escape_into(&mut out, n),
+                                None => {
+                                    out.push_str("ctype");
+                                    push_dec(&mut out, u64::from(*ctype));
+                                }
+                            }
+                            out.push_str("::");
+                            out.push_str(kind.label());
+                            end_event(&mut out, "entry", &[]);
                         } else {
-                            objs.push(instant(pe, ev.kind.name(), "entry", ev.ts_ns, ""));
+                            instant(&mut out, pe, name, "entry", ts, &[]);
                         }
                     }
                     EventKind::IdleBegin => {
                         if matches!(iter.peek(), Some(n) if n.kind == EventKind::IdleEnd) {
-                            let end = iter.next().map(|n| n.ts_ns).unwrap_or(ev.ts_ns);
-                            objs.push(complete(pe, "idle", "idle", ev.ts_ns, end));
+                            let end = iter.next().map(|n| n.ts_ns).unwrap_or(ts);
+                            begin_complete(&mut out, pe, ts, end);
+                            out.push_str("idle");
+                            end_event(&mut out, "idle", &[]);
                         } else {
-                            objs.push(instant(pe, ev.kind.name(), "idle", ev.ts_ns, ""));
+                            instant(&mut out, pe, name, "idle", ts, &[]);
                         }
                     }
                     // Orphan ends can only come from a ring-wrap cut.
-                    EventKind::EntryEnd { .. } => {
-                        objs.push(instant(pe, ev.kind.name(), "entry", ev.ts_ns, ""));
-                    }
-                    EventKind::IdleEnd => {
-                        objs.push(instant(pe, ev.kind.name(), "idle", ev.ts_ns, ""));
-                    }
-                    EventKind::MsgSend { bytes, remote } => {
-                        objs.push(instant(
-                            pe,
-                            ev.kind.name(),
-                            "msg",
-                            ev.ts_ns,
-                            &format!(r#""bytes":{bytes},"remote":{remote}"#),
-                        ));
-                    }
-                    EventKind::MsgRecv { bytes } => {
-                        objs.push(instant(
-                            pe,
-                            ev.kind.name(),
-                            "msg",
-                            ev.ts_ns,
-                            &format!(r#""bytes":{bytes}"#),
-                        ));
-                    }
-                    EventKind::BatchFlush { msgs, bytes } => {
-                        objs.push(instant(
-                            pe,
-                            ev.kind.name(),
-                            "msg",
-                            ev.ts_ns,
-                            &format!(r#""msgs":{msgs},"bytes":{bytes}"#),
-                        ));
-                    }
-                    EventKind::GuardBuffer { depth } | EventKind::GuardDrain { depth } => {
-                        objs.push(instant(
-                            pe,
-                            ev.kind.name(),
-                            "guard",
-                            ev.ts_ns,
-                            &format!(r#""depth":{depth}"#),
-                        ));
-                    }
+                    EventKind::EntryEnd { .. } => instant(&mut out, pe, name, "entry", ts, &[]),
+                    EventKind::IdleEnd => instant(&mut out, pe, name, "idle", ts, &[]),
+                    EventKind::MsgSend { bytes, remote } => instant(
+                        &mut out,
+                        pe,
+                        name,
+                        "msg",
+                        ts,
+                        &[
+                            ("bytes", Arg::Num(u64::from(*bytes))),
+                            ("remote", Arg::Bool(*remote)),
+                        ],
+                    ),
+                    EventKind::MsgRecv { bytes } => instant(
+                        &mut out,
+                        pe,
+                        name,
+                        "msg",
+                        ts,
+                        &[("bytes", Arg::Num(u64::from(*bytes)))],
+                    ),
+                    EventKind::BatchFlush { msgs, bytes } => instant(
+                        &mut out,
+                        pe,
+                        name,
+                        "msg",
+                        ts,
+                        &[
+                            ("msgs", Arg::Num(u64::from(*msgs))),
+                            ("bytes", Arg::Num(u64::from(*bytes))),
+                        ],
+                    ),
+                    EventKind::GuardBuffer { depth } | EventKind::GuardDrain { depth } => instant(
+                        &mut out,
+                        pe,
+                        name,
+                        "guard",
+                        ts,
+                        &[("depth", Arg::Num(u64::from(*depth)))],
+                    ),
                     EventKind::RedContribute | EventKind::RedDeliver => {
-                        objs.push(instant(pe, ev.kind.name(), "red", ev.ts_ns, ""));
+                        instant(&mut out, pe, name, "red", ts, &[]);
                     }
-                    EventKind::BcastFanout { children, members } => {
-                        objs.push(instant(
-                            pe,
-                            ev.kind.name(),
-                            "bcast",
-                            ev.ts_ns,
-                            &format!(r#""children":{children},"members":{members}"#),
-                        ));
-                    }
-                    EventKind::MigrateOut { bytes } | EventKind::MigrateIn { bytes } => {
-                        objs.push(instant(
-                            pe,
-                            ev.kind.name(),
-                            "migrate",
-                            ev.ts_ns,
-                            &format!(r#""bytes":{bytes}"#),
-                        ));
-                    }
+                    EventKind::BcastFanout { children, members } => instant(
+                        &mut out,
+                        pe,
+                        name,
+                        "bcast",
+                        ts,
+                        &[
+                            ("children", Arg::Num(u64::from(*children))),
+                            ("members", Arg::Num(u64::from(*members))),
+                        ],
+                    ),
+                    EventKind::MigrateOut { bytes } | EventKind::MigrateIn { bytes } => instant(
+                        &mut out,
+                        pe,
+                        name,
+                        "migrate",
+                        ts,
+                        &[("bytes", Arg::Num(u64::from(*bytes)))],
+                    ),
                     EventKind::LbEpoch { dur_ns } => {
-                        objs.push(complete(
-                            pe,
-                            ev.kind.name(),
-                            "lb",
-                            ev.ts_ns.saturating_sub(*dur_ns),
-                            ev.ts_ns,
-                        ));
+                        begin_complete(&mut out, pe, ts.saturating_sub(*dur_ns), ts);
+                        out.push_str(name);
+                        end_event(&mut out, "lb", &[]);
                     }
                     EventKind::Ckpt { bytes } => {
-                        objs.push(instant(
+                        instant(
+                            &mut out,
                             pe,
-                            ev.kind.name(),
+                            name,
                             "ckpt",
-                            ev.ts_ns,
-                            &format!(r#""bytes":{bytes}"#),
-                        ));
+                            ts,
+                            &[("bytes", Arg::Num(*bytes))],
+                        );
                     }
                     EventKind::Recovery { epoch } => {
-                        objs.push(instant(
+                        instant(
+                            &mut out,
                             pe,
-                            ev.kind.name(),
+                            name,
                             "ckpt",
-                            ev.ts_ns,
-                            &format!(r#""epoch":{epoch}"#),
-                        ));
+                            ts,
+                            &[("epoch", Arg::Num(*epoch))],
+                        );
                     }
-                    EventKind::StaleDrop => {
-                        objs.push(instant(pe, ev.kind.name(), "ckpt", ev.ts_ns, ""));
-                    }
-                    EventKind::Mark { label } => {
-                        objs.push(instant(pe, label, "mark", ev.ts_ns, ""));
-                    }
+                    EventKind::StaleDrop => instant(&mut out, pe, name, "ckpt", ts, &[]),
+                    EventKind::Mark { label } => instant(&mut out, pe, label, "mark", ts, &[]),
                 }
             }
         }
-        let mut out = String::from("[\n");
-        out.push_str(&objs.join(",\n"));
         out.push_str("\n]\n");
         out
     }
@@ -391,9 +415,10 @@ impl TraceReport {
 
     /// Plain-text utilization + per-entry summary table.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>4}  {:>12} {:>7} {:>7} {:>7}  {:>8} {:>8}  {:>12} {:>8} {:>6} {:>6} {:>7} {:>6} {:>8}\n",
+        // A row per PE and per distinct entry, none over 160 bytes.
+        let rows = self.pes.iter().map(|t| 2 + t.entries.len()).sum::<usize>();
+        let mut out = String::with_capacity(160 * (rows + 3));
+        let _ = writeln!(out, "{:>4}  {:>12} {:>7} {:>7} {:>7}  {:>8} {:>8}  {:>12} {:>8} {:>6} {:>6} {:>7} {:>6} {:>8}",
             "PE",
             "wall_ms",
             "busy%",
@@ -408,7 +433,7 @@ impl TraceReport {
             "inline",
             "disp%",
             "dropped"
-        ));
+        );
         for t in &self.pes {
             let p = &t.perf;
             let pct = |ns: u64| {
@@ -418,8 +443,7 @@ impl TraceReport {
                     100.0 * ns as f64 / p.wall_ns as f64
                 }
             };
-            out.push_str(&format!(
-                "{:>4}  {:>12.3} {:>7.1} {:>7.1} {:>7.1}  {:>8} {:>8}  {:>12} {:>8} {:>6.1} {:>6.1} {:>7} {:>6.1} {:>8}\n",
+            let _ = writeln!(out, "{:>4}  {:>12.3} {:>7.1} {:>7.1} {:>7.1}  {:>8} {:>8}  {:>12} {:>8} {:>6.1} {:>6.1} {:>7} {:>6.1} {:>8}",
                 p.pe,
                 p.wall_ns as f64 / 1e6,
                 pct(p.busy_ns),
@@ -434,28 +458,30 @@ impl TraceReport {
                 p.inline_payloads,
                 100.0 * p.dispatch_hit_rate(),
                 p.events_dropped,
-            ));
+            );
         }
         // Merge entry stats across PEs by (name, kind) — histograms merge
         // bucket-wise, so the p50/p99 columns are cluster-wide quantiles.
-        let mut merged: BTreeMap<(String, EntryKind), EntryStat> = BTreeMap::new();
+        let mut merged: BTreeMap<(&str, EntryKind), EntryStat> = BTreeMap::new();
         for t in &self.pes {
             for e in &t.entries {
                 merged
-                    .entry((e.name.clone(), e.kind))
+                    .entry((e.name.as_str(), e.kind))
                     .or_default()
                     .merge(&e.stat);
             }
         }
         if !merged.is_empty() {
-            out.push_str(&format!(
-                "\n{:<48} {:<16} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
+            let _ = writeln!(
+                out,
+                "\n{:<48} {:<16} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}",
                 "entry", "kind", "calls", "total_ms", "max_us", "avg_us", "p50_us", "p99_us"
-            ));
+            );
             for ((name, kind), s) in &merged {
                 let q = |p: f64| s.hist.quantile(p).unwrap_or(0) as f64 / 1e3;
-                out.push_str(&format!(
-                    "{:<48} {:<16} {:>8} {:>12.3} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
+                let _ = writeln!(
+                    out,
+                    "{:<48} {:<16} {:>8} {:>12.3} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
                     name,
                     kind.label(),
                     s.calls,
@@ -464,7 +490,7 @@ impl TraceReport {
                     s.mean_ns() as f64 / 1e3,
                     q(0.5),
                     q(0.99),
-                ));
+                );
             }
         }
         // Cluster-wide send→deliver latency distribution.
@@ -474,25 +500,27 @@ impl TraceReport {
         }
         if lat.count() > 0 {
             let q = |p: f64| lat.quantile(p).unwrap_or(0) as f64 / 1e3;
-            out.push_str(&format!(
-                "\nmsg latency: n={} p50={:.1}us p99={:.1}us p999={:.1}us max={:.1}us\n",
+            let _ = writeln!(
+                out,
+                "\nmsg latency: n={} p50={:.1}us p99={:.1}us p999={:.1}us max={:.1}us",
                 lat.count(),
                 q(0.5),
                 q(0.99),
                 q(0.999),
                 lat.max() as f64 / 1e3,
-            ));
+            );
         }
         // Summary-mode profile digest (full bins live in the artifact).
         for t in &self.pes {
             if let Some(s) = &t.summary {
-                out.push_str(&format!(
-                    "summary: PE {} quantum={}ns bins={} merges={}\n",
+                let _ = writeln!(
+                    out,
+                    "summary: PE {} quantum={}ns bins={} merges={}",
                     t.perf.pe,
                     s.quantum_ns,
                     s.bins.len(),
                     s.merges,
-                ));
+                );
             }
         }
         out
@@ -503,26 +531,48 @@ impl TraceReport {
     /// The per-class nanosecond totals in the header equal the `PePerf`
     /// counters exactly — `charm-perf` re-derives and checks this.
     pub fn summary_artifact(&self) -> String {
-        let mut out = String::from("charm-summary v1\n");
+        // A `bin` line of six-digit fields is ~80 bytes, a header ~130.
+        let bins: usize = self
+            .pes
+            .iter()
+            .filter_map(|t| t.summary.as_ref())
+            .map(|s| 2 + s.bins.len())
+            .sum();
+        let mut out = String::with_capacity(96 * bins + 32);
+        out.push_str("charm-summary v1\n");
         for t in &self.pes {
             let Some(s) = &t.summary else { continue };
             let p = &t.perf;
-            out.push_str(&format!(
-                "pe {} wall_ns={} quantum_ns={} merges={} bins={} busy_ns={} idle_ns={} overhead_ns={}\n",
-                p.pe,
-                p.wall_ns,
-                s.quantum_ns,
-                s.merges,
-                s.bins.len(),
-                p.busy_ns,
-                p.idle_ns,
-                p.overhead_ns,
-            ));
+            out.push_str("pe ");
+            push_dec(&mut out, p.pe as u64);
+            for (key, v) in [
+                (" wall_ns=", p.wall_ns),
+                (" quantum_ns=", s.quantum_ns),
+                (" merges=", u64::from(s.merges)),
+                (" bins=", s.bins.len() as u64),
+                (" busy_ns=", p.busy_ns),
+                (" idle_ns=", p.idle_ns),
+                (" overhead_ns=", p.overhead_ns),
+            ] {
+                out.push_str(key);
+                push_dec(&mut out, v);
+            }
+            out.push('\n');
             for (i, b) in s.bins.iter().enumerate() {
-                out.push_str(&format!(
-                    "bin {i} busy_ns={} idle_ns={} overhead_ns={} entries={} msgs={} bytes={}\n",
-                    b.busy_ns, b.idle_ns, b.overhead_ns, b.entries, b.msgs, b.bytes,
-                ));
+                out.push_str("bin ");
+                push_dec(&mut out, i as u64);
+                for (key, v) in [
+                    (" busy_ns=", b.busy_ns),
+                    (" idle_ns=", b.idle_ns),
+                    (" overhead_ns=", b.overhead_ns),
+                    (" entries=", b.entries),
+                    (" msgs=", b.msgs),
+                    (" bytes=", b.bytes),
+                ] {
+                    out.push_str(key);
+                    push_dec(&mut out, v);
+                }
+                out.push('\n');
             }
         }
         out

@@ -19,8 +19,11 @@
 //! function of the program, which is what the permuted-schedule and
 //! exhaustive-exploration suites assert.
 
+use std::fmt::Write;
+
 use crate::fnv::Fnv;
 use crate::hist::Hist;
+use crate::text::push_dec;
 
 /// A space-saving heavy-hitters sketch: tracks at most `cap` keys with
 /// their (over-)estimated weights. The classic Metwally/Agrawal/El Abbadi
@@ -220,12 +223,23 @@ impl MetricFrame {
 /// Render a telemetry time series as a `charm-telemetry v1` artifact
 /// (line-oriented text; `charm-perf telemetry` parses it back).
 pub fn frames_artifact(frames: &[MetricFrame]) -> String {
-    let mut out = String::from("charm-telemetry v1\n");
+    // ~300 bytes a `frame` line and its two `hist` heads, up to ~24 a
+    // bucket (two 10-digit numbers), ~64 a `top` line.
+    let size: usize = frames
+        .iter()
+        .map(|f| {
+            384 + 24 * (f.exec.buckets().count() + f.latency.buckets().count()) + 64 * f.top.len()
+        })
+        .sum();
+    let mut out = String::with_capacity(size + 32);
+    out.push_str("charm-telemetry v1\n");
     for f in frames {
-        out.push_str(&format!(
+        // `fmt::Write` for `String` cannot fail.
+        let _ = writeln!(
+            out,
             "frame seq={} pes={} at_ns={} busy_ns={} idle_ns={} overhead_ns={} util_min={:.6} \
              util_max={:.6} util_sum={:.6} util_sumsq={:.6} msgs_sent={} msgs_processed={} \
-             entries={} bytes_remote={} queue={} queue_max={}\n",
+             entries={} bytes_remote={} queue={} queue_max={}",
             f.seq,
             f.pes,
             f.sampled_at_ns,
@@ -242,23 +256,30 @@ pub fn frames_artifact(frames: &[MetricFrame]) -> String {
             f.bytes_remote,
             f.queue_depth,
             f.queue_depth_max
-        ));
+        );
         for (name, h) in [("exec", &f.exec), ("latency", &f.latency)] {
-            out.push_str(&format!("hist {name} sub_bits={}", h.sub_bits()));
+            out.push_str("hist ");
+            out.push_str(name);
+            out.push_str(" sub_bits=");
+            push_dec(&mut out, u64::from(h.sub_bits()));
             for (lo, _hi, n) in h.buckets() {
-                out.push_str(&format!(" {lo}:{n}"));
+                out.push(' ');
+                push_dec(&mut out, lo);
+                out.push(':');
+                push_dec(&mut out, n);
             }
             out.push('\n');
         }
         for t in &f.top {
-            out.push_str(&format!(
-                "top label={} weight={} err={}\n",
-                // Labels are single tokens by construction (chare ids);
-                // spaces are folded so the line format stays splittable.
-                t.label.replace(' ', "_"),
-                t.weight,
-                t.err
-            ));
+            out.push_str("top label=");
+            // Labels are single tokens by construction (chare ids);
+            // spaces are folded so the line format stays splittable.
+            out.extend(t.label.chars().map(|c| if c == ' ' { '_' } else { c }));
+            out.push_str(" weight=");
+            push_dec(&mut out, t.weight);
+            out.push_str(" err=");
+            push_dec(&mut out, t.err);
+            out.push('\n');
         }
     }
     out

@@ -6,8 +6,6 @@
 //! [`Counters`] block alone is maintained unconditionally because
 //! quiescence detection and `RunReport` read it.
 
-use std::collections::BTreeMap;
-
 use crate::event::{EntryKind, Event, EventKind, Ring};
 use crate::hist::Hist;
 use crate::report::{EntrySummary, PePerf, PeTrace};
@@ -118,7 +116,11 @@ pub struct PeTracer {
     busy_ns: u64,
     idle_ns: u64,
     overhead_ns: u64,
-    entries: BTreeMap<(u32, EntryKind), EntryStat>,
+    /// Per-(chare type, entry kind) statistics, sorted by key. A PE runs a
+    /// handful of pairs: a sorted vector is searched faster than a B-tree
+    /// and, unlike a B-tree leaf of these (over 1 KiB before the first
+    /// sample), costs what it holds.
+    entries: Vec<((u32, EntryKind), EntryStat)>,
     /// Send→deliver latency distribution (one sample per QD-counted
     /// delivery, on the receiver's clock; level ≥ counters).
     latency: Hist,
@@ -155,7 +157,7 @@ impl Default for PeTracer {
             busy_ns: 0,
             idle_ns: 0,
             overhead_ns: 0,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             latency: Hist::default(),
             summary: None,
             ring: Ring::default(),
@@ -270,10 +272,18 @@ impl PeTracer {
         if self.level < TraceLevel::Counters {
             return;
         }
-        self.entries
-            .entry((ctype, kind))
-            .or_default()
-            .record(measured_ns);
+        let key = (ctype, kind);
+        // A forward scan: over a handful of sorted entries its predictable
+        // branches beat a binary search (and a B-tree's node walk).
+        let at = self
+            .entries
+            .iter()
+            .position(|e| e.0 >= key)
+            .unwrap_or(self.entries.len());
+        if self.entries.get(at).is_none_or(|e| e.0 != key) {
+            self.entries.insert(at, (key, EntryStat::default()));
+        }
+        self.entries[at].1.record(measured_ns);
         if let Some(s) = self.summary.as_deref_mut() {
             // Busy time is binned by `work_at` (the charge path); here only
             // the activation count, stamped where the activation ended.
@@ -345,7 +355,7 @@ impl PeTracer {
     /// Merged execution-time histogram across all entries so far.
     pub fn exec_hist(&self) -> Hist {
         let mut h = Hist::default();
-        for stat in self.entries.values() {
+        for (_, stat) in &self.entries {
             h.merge(&stat.hist);
         }
         h

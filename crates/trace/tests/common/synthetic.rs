@@ -10,7 +10,7 @@ use charm_trace::{
     PeTrace, SummaryBin, TopItem, TraceReport,
 };
 
-/// splitmix64, as in `hist_property.rs`.
+/// splitmix64: tiny deterministic PRNG, no dependencies.
 pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
