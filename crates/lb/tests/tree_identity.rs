@@ -11,9 +11,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use charm_core::prelude::*;
-use charm_core::{LbMode, RunReport, Runtime};
-use charm_lb::GreedyRefineLb;
+use charm_core::{LbMode, LbStrategy, RunReport, Runtime};
+use charm_lb::{GreedyRefineLb, RotateLb};
 use charm_sim::MachineModel;
+use charm_wire::{splitmix64, Reader, Writer};
+
+thread_local! {
+    /// Array indices in pack-for-migration order (the sim runs every PE on
+    /// the test's own thread).
+    static PACKED: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
 
 /// AtSync worker with a deterministic, skewed, placement-independent load:
 /// `load(index, round)` depends only on the chare and the round, so both
@@ -21,9 +28,23 @@ use charm_sim::MachineModel;
 /// balancer put the chare in earlier rounds.
 struct Skew {
     round: u32,
+    index: LoggedIndex,
     init: SkewInit,
 }
-wire_struct! { Skew { round, init } }
+wire_struct! { Skew { round, index, init } }
+
+/// The chare's array index; encoding it (packing the chare) logs it.
+struct LoggedIndex(u32);
+
+impl Wire for LoggedIndex {
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+        PACKED.with(|p| p.borrow_mut().push(self.0));
+        self.0.encode(w)
+    }
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        u32::decode(r).map(LoggedIndex)
+    }
+}
 
 #[derive(Clone)]
 struct SkewInit {
@@ -69,8 +90,12 @@ impl Chare for Skew {
     type Msg = SkewMsg;
     type Init = SkewInit;
 
-    fn create(init: SkewInit, _ctx: &mut Ctx) -> Self {
-        Skew { round: 0, init }
+    fn create(init: SkewInit, ctx: &mut Ctx) -> Self {
+        Skew {
+            round: 0,
+            index: LoggedIndex(ctx.my_index().first() as u32),
+            init,
+        }
     }
 
     fn receive(&mut self, _msg: SkewMsg, ctx: &mut Ctx) {
@@ -89,6 +114,16 @@ impl Chare for Skew {
 /// Run `nchares` skewed workers over `npes` simulated PEs for `rounds` LB
 /// epochs; return the final placement map and the run report.
 fn run_skew(npes: usize, nchares: u32, rounds: u32, mode: Option<LbMode>) -> (Vec<i64>, RunReport) {
+    run_skew_with(Arc::new(GreedyRefineLb), npes, nchares, rounds, mode)
+}
+
+fn run_skew_with(
+    strategy: Arc<dyn LbStrategy>,
+    npes: usize,
+    nchares: u32,
+    rounds: u32,
+    mode: Option<LbMode>,
+) -> (Vec<i64>, RunReport) {
     let out: Arc<std::sync::Mutex<Option<RedData>>> = Arc::new(std::sync::Mutex::new(None));
     let out2 = Arc::clone(&out);
     let mut rt = Runtime::new(npes)
@@ -97,7 +132,7 @@ fn run_skew(npes: usize, nchares: u32, rounds: u32, mode: Option<LbMode>) -> (Ve
         )))
         .meter_compute(false)
         .register_migratable::<Skew>()
-        .lb_strategy(Arc::new(GreedyRefineLb));
+        .lb_strategy(strategy);
     if let Some(mode) = mode {
         rt = rt.lb_mode(mode);
     }
@@ -200,4 +235,38 @@ fn tree_mode_survives_repeated_epochs() {
         assert!((pe as usize) < 16, "chare {i} reported bad PE {pe}");
     }
     assert!(report.clean_exit);
+}
+
+/// One `LbMode::Central` epoch at 4,096 chares, pinned migration for
+/// migration: each owner packs its chares in the order PE 0 listed them,
+/// so however PE 0 looks chares up (a scan per move when the count and
+/// digest were generated, one sorted index now) the lists must not move.
+#[test]
+fn central_rotate_epoch_orders_the_pinned_migrations() {
+    let (npes, nchares) = (8usize, 4096u32);
+    PACKED.with(|p| p.borrow_mut().clear());
+    let (placed, report) = run_skew_with(Arc::new(RotateLb), npes, nchares, 1, None);
+    assert_eq!(report.lb_epochs, 1);
+    assert_eq!(report.migrations, nchares as u64);
+
+    // Rotate sends every chare one PE up from its Block home.
+    let owner = |index: u32| index as usize / (nchares as usize / npes);
+    for (i, &pe) in placed.iter().enumerate() {
+        assert_eq!(pe as usize, (owner(i as u32) + 1) % npes, "chare {i}");
+    }
+
+    // PE 0 sends the owners' orders out of a hash map, so only the order
+    // within an owner is the migration list's: digest owner by owner.
+    let packed = PACKED.with(|p| p.borrow().clone());
+    assert_eq!(packed.len(), nchares as usize);
+    let mut digest = 0u64;
+    for pe in 0..npes {
+        for &index in packed.iter().filter(|&&i| owner(i) == pe) {
+            digest = splitmix64(digest ^ index as u64);
+        }
+    }
+    assert_eq!(
+        digest, 0xed48_3724_611e_cfa7,
+        "the migration list or its order moved"
+    );
 }
