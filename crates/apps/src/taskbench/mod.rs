@@ -11,8 +11,8 @@
 //!
 //! Every arrival is folded through a commutative wrapping sum before the
 //! value mix, so results are bit-identical under any delivery order — the
-//! property the analyze-armed identity suite pins across permuted
-//! schedules, aggregation modes and fast-path settings.
+//! property the identity suite pins across permuted schedules and
+//! aggregation modes.
 
 pub mod patterns;
 
@@ -225,7 +225,7 @@ pub fn expected(params: &TaskBenchParams) -> (i64, u64) {
 }
 
 /// Run Task Bench; the caller supplies the runtime (backend, dispatch
-/// mode, PE count, aggregation, fast paths).
+/// mode, PE count, aggregation).
 pub fn run_taskbench(params: TaskBenchParams, rt: Runtime) -> TaskBenchResult {
     assert!(params.width >= 1 && params.steps >= 1);
     let out: Arc<Mutex<Option<RedData>>> = Arc::new(Mutex::new(None));

@@ -67,8 +67,66 @@ fn log2_floor(w: u32) -> u32 {
     31 - w.leading_zeros()
 }
 
-/// Columns of step `step + 1` that consume the output of task
-/// `(step, col)`. Duplicate targets are meaningful (two messages).
+/// Call `f` with each column of step `step + 1` that consumes the output
+/// of task `(step, col)`, in edge order. Duplicate targets are meaningful
+/// (two messages).
+pub fn for_each_dependent(
+    pattern: Pattern,
+    width: u32,
+    step: u32,
+    col: u32,
+    seed: u64,
+    fanout: u32,
+    mut f: impl FnMut(u32),
+) {
+    debug_assert!(width >= 1 && col < width);
+    match pattern {
+        Pattern::Trivial => f(col),
+        Pattern::Stencil => {
+            if col > 0 {
+                f(col - 1);
+            }
+            f(col);
+            if col + 1 < width {
+                f(col + 1);
+            }
+        }
+        Pattern::Fft => {
+            f(col);
+            if width > 1 {
+                let partner = col ^ (1 << (step % log2_floor(width).max(1)));
+                if partner < width {
+                    f(partner);
+                }
+            }
+        }
+        Pattern::Random => {
+            f(col);
+            for k in 1..fanout.max(1) {
+                let draw = splitmix64(
+                    seed ^ 0xA5A5_5A5A_0000_0000
+                        ^ ((step as u64) << 40)
+                        ^ ((col as u64) << 16)
+                        ^ k as u64,
+                );
+                f((draw % width as u64) as u32);
+            }
+        }
+        Pattern::Tree => {
+            if col == 0 {
+                f(0);
+            }
+            if 2 * col + 1 < width {
+                f(2 * col + 1);
+            }
+            if 2 * col + 2 < width {
+                f(2 * col + 2);
+            }
+        }
+    }
+}
+
+/// The columns [`for_each_dependent`] visits, collected.
 pub fn dependents(
     pattern: Pattern,
     width: u32,
@@ -77,58 +135,9 @@ pub fn dependents(
     seed: u64,
     fanout: u32,
 ) -> Vec<u32> {
-    debug_assert!(width >= 1 && col < width);
-    match pattern {
-        Pattern::Trivial => vec![col],
-        Pattern::Stencil => {
-            let mut out = Vec::with_capacity(3);
-            if col > 0 {
-                out.push(col - 1);
-            }
-            out.push(col);
-            if col + 1 < width {
-                out.push(col + 1);
-            }
-            out
-        }
-        Pattern::Fft => {
-            let mut out = vec![col];
-            if width > 1 {
-                let partner = col ^ (1 << (step % log2_floor(width).max(1)));
-                if partner < width {
-                    out.push(partner);
-                }
-            }
-            out
-        }
-        Pattern::Random => {
-            let mut out = Vec::with_capacity(fanout.max(1) as usize);
-            out.push(col);
-            for k in 1..fanout.max(1) {
-                let draw = splitmix64(
-                    seed ^ 0xA5A5_5A5A_0000_0000
-                        ^ ((step as u64) << 40)
-                        ^ ((col as u64) << 16)
-                        ^ k as u64,
-                );
-                out.push((draw % width as u64) as u32);
-            }
-            out
-        }
-        Pattern::Tree => {
-            let mut out = Vec::with_capacity(3);
-            if col == 0 {
-                out.push(0);
-            }
-            if 2 * col + 1 < width {
-                out.push(2 * col + 1);
-            }
-            if 2 * col + 2 < width {
-                out.push(2 * col + 2);
-            }
-            out
-        }
-    }
+    let mut out = Vec::with_capacity(fanout.max(3) as usize);
+    for_each_dependent(pattern, width, step, col, seed, fanout, |d| out.push(d));
+    out
 }
 
 /// How many messages task `(step, col)` expects from step `step - 1`
@@ -154,16 +163,14 @@ pub fn indegree(pattern: Pattern, width: u32, step: u32, col: u32, seed: u64, fa
         // Tree: every non-root column has exactly its heap parent (which
         // is on-grid whenever the column is); the root feeds itself.
         Pattern::Tree => 1,
-        // Random has no closed inverse: count over the senders. Widths in
-        // the benches are small enough that this O(width · fanout) scan is
-        // noise next to the messaging it models.
+        // Random has no closed inverse: count over the senders' draws, an
+        // O(width · fanout) scan of hashes that touches no heap.
         Pattern::Random => {
             let mut n = 0;
             for src in 0..width {
-                n += dependents(pattern, width, prev, src, seed, fanout)
-                    .into_iter()
-                    .filter(|&d| d == col)
-                    .count() as u32;
+                for_each_dependent(pattern, width, prev, src, seed, fanout, |d| {
+                    n += u32::from(d == col);
+                });
             }
             n
         }

@@ -1,8 +1,10 @@
 //! Task Bench identity pins (DESIGN.md §10), detector-armed under
 //! `--features analyze`: every dependency pattern, under ≥16 permuted sim
 //! schedules and aggregation `{off, count(64)}`, must read the row recorded
-//! below, with `Runtime::fast_paths` on and off (off zeroes the inline and
-//! dispatch columns, nothing else).
+//! below. The rows were generated while a switch still turned inline
+//! publish, the dispatch cache and the receive ring off, and held on both
+//! sides of it (off zeroed the inline and dispatch columns, nothing else),
+//! so they keep checking identity with that deleted path.
 
 use charm_apps::taskbench::{expected, run_taskbench, Pattern, TaskBenchParams, TaskBenchResult};
 #[cfg(feature = "analyze")]
@@ -73,40 +75,32 @@ fn taskbench_matches_its_pins_across_patterns_schedules_aggregation() {
             (pin.checksum, params.total_tasks()),
             "{pattern:?}: the oracle moved"
         );
-        for fast in [true, false] {
-            for agg in [None, Some(AggCfg::count(64))] {
-                for seed in [None].into_iter().chain((1..=16).map(Some)) {
-                    let what = format!("{pattern:?} fast={fast} agg={agg:?} seed={seed:?}");
-                    let mut rt = sim().fast_paths(fast);
-                    if let Some(cfg) = agg {
-                        rt = rt.aggregation(cfg);
-                    }
-                    if let Some(s) = seed {
-                        rt = rt.permute_schedule(s);
-                    }
-                    // The race detector is armed where the build has it.
-                    #[cfg(feature = "analyze")]
-                    let (rt, probe) = rt.analyze_probe();
-                    let r = run_taskbench(params.clone(), rt);
-                    #[cfg(feature = "analyze")]
-                    assert!(
-                        probe.findings().is_empty(),
-                        "{what}: {:?}",
-                        probe.findings()
-                    );
-                    assert_eq!(r.tasks, params.total_tasks(), "{what}");
-                    let [hits, misses, ..] = pin.per_msg;
-                    let want = Pin {
-                        per_msg: if fast {
-                            pin.per_msg
-                        } else {
-                            [hits, misses, 0, 0, 0]
-                        },
-                        batches: if agg.is_some() { pin.batches } else { 0 },
-                        ..*pin
-                    };
-                    assert_eq!(read(pattern, &r), want, "{what}");
+        for agg in [None, Some(AggCfg::count(64))] {
+            for seed in [None].into_iter().chain((1..=16).map(Some)) {
+                let what = format!("{pattern:?} agg={agg:?} seed={seed:?}");
+                let mut rt = sim();
+                if let Some(cfg) = agg {
+                    rt = rt.aggregation(cfg);
                 }
+                if let Some(s) = seed {
+                    rt = rt.permute_schedule(s);
+                }
+                // The race detector is armed where the build has it.
+                #[cfg(feature = "analyze")]
+                let (rt, probe) = rt.analyze_probe();
+                let r = run_taskbench(params.clone(), rt);
+                #[cfg(feature = "analyze")]
+                assert!(
+                    probe.findings().is_empty(),
+                    "{what}: {:?}",
+                    probe.findings()
+                );
+                assert_eq!(r.tasks, params.total_tasks(), "{what}");
+                let want = Pin {
+                    batches: if agg.is_some() { pin.batches } else { 0 },
+                    ..*pin
+                };
+                assert_eq!(read(pattern, &r), want, "{what}");
             }
         }
     }
@@ -116,8 +110,8 @@ fn taskbench_matches_its_pins_across_patterns_schedules_aggregation() {
 /// configuration: where the identity test above samples ≥16 permuted
 /// schedules per pattern, `Runtime::check` explores *every* delivery
 /// interleaving of a tiny trivial-pattern grid on 2 PEs up to
-/// happens-before equivalence (DESIGN.md §11), fast paths on, detector
-/// armed. The entry asserts the reduction result against the sequential oracle, so any
+/// happens-before equivalence (DESIGN.md §11), detector armed. The entry
+/// asserts the reduction result against the sequential oracle, so any
 /// schedule-dependent checksum is a counterexample; `truncated == false`
 /// means the whole space was covered.
 #[cfg(feature = "analyze")]
@@ -137,7 +131,6 @@ fn taskbench_trivial_is_clean_under_exhaustive_exploration() {
     let rt = Runtime::new(CHECK_NPES)
         .backend(Backend::Sim(MachineModel::local(CHECK_NPES)))
         .meter_compute(false)
-        .fast_paths(true)
         .register::<TaskCol>();
     let report = rt.check(
         CheckCfg {

@@ -12,8 +12,7 @@
 //!
 //! Knobs: `CHARMRS_TB_PES` (4), `CHARMRS_TB_WIDTH` (64), `CHARMRS_TB_STEPS`
 //! (32), `CHARMRS_TB_GRAIN_START` (65536 ns), `CHARMRS_TB_GRAIN_FLOOR`
-//! (256 ns), `CHARMRS_TB_ABLATE=1` to rerun the sweep with the fast paths
-//! off and print the overhead delta.
+//! (256 ns).
 
 use charm_apps::taskbench::{run_taskbench, Pattern, TaskBenchParams};
 use charm_bench::{env_usize, grain_series, taskbench_efficiency, MetgSweep};
@@ -27,7 +26,7 @@ struct Knobs {
     grains: Vec<u64>,
 }
 
-fn sweep(k: &Knobs, pattern: Pattern, sim: bool, fast: bool) -> MetgSweep {
+fn sweep(k: &Knobs, pattern: Pattern, sim: bool) -> MetgSweep {
     let mut points = Vec::with_capacity(k.grains.len());
     for &grain_ns in &k.grains {
         let params = TaskBenchParams {
@@ -45,7 +44,7 @@ fn sweep(k: &Knobs, pattern: Pattern, sim: bool, fast: bool) -> MetgSweep {
         } else {
             Runtime::new(k.npes)
         };
-        let r = run_taskbench(params, rt.fast_paths(fast));
+        let r = run_taskbench(params, rt);
         assert_eq!(r.tasks, k.width as u64 * k.steps as u64);
         let actual_ns = r.report.time.as_nanos() as u64;
         points.push((
@@ -79,9 +78,6 @@ fn main() {
             env_usize("CHARMRS_TB_GRAIN_FLOOR", 256) as u64,
         ),
     };
-    let ablate = std::env::var("CHARMRS_TB_ABLATE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
 
     for (backend, sim) in [("sim", true), ("threads", false)] {
         println!(
@@ -94,10 +90,7 @@ fn main() {
         }
         println!("   (efficiency)");
 
-        let sweeps: Vec<MetgSweep> = Pattern::ALL
-            .iter()
-            .map(|&p| sweep(&k, p, sim, true))
-            .collect();
+        let sweeps: Vec<MetgSweep> = Pattern::ALL.iter().map(|&p| sweep(&k, p, sim)).collect();
         for (row, &grain) in k.grains.iter().enumerate() {
             print!("{grain:>10}");
             for s in &sweeps {
@@ -107,18 +100,6 @@ fn main() {
         }
         for (p, s) in Pattern::ALL.iter().zip(&sweeps) {
             println!("METG[{backend}/{}] = {}", p.name(), fmt_metg(s.metg_ns()));
-        }
-
-        if ablate {
-            println!("\n## fast paths OFF ({backend})");
-            for &p in &Pattern::ALL {
-                let off = sweep(&k, p, sim, false);
-                println!(
-                    "METG[{backend}/{}] fast-off = {}",
-                    p.name(),
-                    fmt_metg(off.metg_ns())
-                );
-            }
         }
         eprintln!("metg: {backend} done");
     }

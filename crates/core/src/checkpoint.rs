@@ -233,14 +233,13 @@ pub fn decode_image(bytes: &[u8]) -> Result<CkptFile, String> {
 pub fn write_file(dir: &Path, pe: usize, file: &CkptFile) -> std::io::Result<u64> {
     std::fs::create_dir_all(dir)?;
     charm_wire::pool::with_pool(|pool| {
-        let mut buf = pool.take();
-        let encoded = charm_wire::Codec::Fast
-            .encode_into(&mut buf, file)
-            .map_err(|e| std::io::Error::other(format!("checkpoint encode: {e}")));
-        let result = encoded.and_then(|()| write_atomic(dir, pe, &buf));
-        let n = buf.len() as u64;
-        pool.put(buf);
-        result.map(|()| n)
+        pool.with_scratch(|buf| {
+            charm_wire::Codec::Fast
+                .encode_into(buf, file)
+                .map_err(|e| std::io::Error::other(format!("checkpoint encode: {e}")))?;
+            write_atomic(dir, pe, buf)?;
+            Ok(buf.len() as u64)
+        })
     })
 }
 

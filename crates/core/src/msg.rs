@@ -766,14 +766,13 @@ pub(crate) fn push_batch_record(
 /// order. Payload bytes are copied out per record — the frame is one shared
 /// allocation and `WireBytes` exposes no sub-slice view; that copy is the
 /// per-message unpack cost the receiver pays (and the sim model charges).
-/// With `inline_small` the copies of sub-64B records land inline in the
-/// envelope (no per-record allocation); the bytes are identical either way.
+/// The copies of sub-64B records land inline in the envelope (no per-record
+/// allocation).
 pub(crate) fn split_batch(
     src: Pe,
     epoch: u64,
     frame: &[u8],
     codec: Codec,
-    inline_small: bool,
 ) -> charm_wire::Result<Vec<Envelope>> {
     use charm_wire::WireError;
     let mut envs = Vec::new();
@@ -790,12 +789,8 @@ pub(crate) fn split_batch(
         off += used;
         let payload_bytes = frame.get(off..off + plen as usize).ok_or(WireError::Eof)?;
         off += plen as usize;
-        let bytes = if inline_small {
-            WireBytes::inline(payload_bytes)
-                .unwrap_or_else(|| WireBytes::copy_from_slice(payload_bytes))
-        } else {
-            WireBytes::copy_from_slice(payload_bytes)
-        };
+        let bytes = WireBytes::inline(payload_bytes)
+            .unwrap_or_else(|| WireBytes::copy_from_slice(payload_bytes));
         let mut env = Envelope::new(
             src,
             EnvKind::Entry {

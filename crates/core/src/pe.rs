@@ -37,8 +37,6 @@ use crate::tree::TreeShape;
 #[derive(Clone)]
 pub(crate) struct SchedCfg {
     pub codec: Codec,
-    /// Dynamic (CharmPy-like) dispatch: pickle codec + interpreter overhead.
-    pub dynamic: bool,
     /// §II-D same-PE by-reference optimization (ablation toggle).
     pub same_pe_byref: bool,
     pub tree: TreeShape,
@@ -48,8 +46,6 @@ pub(crate) struct SchedCfg {
     pub lb_mode: LbMode,
     /// Charge measured handler time to the virtual clock (sim backend).
     pub meter: bool,
-    /// Scale factor from host compute speed to target machine speed.
-    pub compute_scale: f64,
     /// Machine model (sim backend only) for the dynamic-dispatch overhead.
     pub sim_model: Option<MachineModel>,
     pub is_sim: bool,
@@ -75,14 +71,16 @@ pub(crate) struct SchedCfg {
     /// In-band telemetry: reduce a cluster-wide [`charm_trace::MetricFrame`]
     /// to PE 0 at every `every`-th completed quiescence round; `None` = off.
     pub telemetry: Option<crate::runtime::TelemetryCfg>,
-    /// Per-message fast paths (on by default): small-payload inlining,
-    /// batched-record inline re-publish, dispatch-table caching and the
-    /// threaded backend's burst-drain receive ring. Off reproduces the
-    /// pre-fast-path runtime bit for bit (the ablation baseline).
-    pub fast_paths: bool,
     /// Sink for race-detector findings (tests); `None` panics on violation.
     #[cfg(feature = "analyze")]
     pub analyze_probe: Option<crate::analyze::FaultProbe>,
+}
+
+impl SchedCfg {
+    /// Dynamic (CharmPy-like) dispatch: pickle codec + interpreter overhead.
+    pub fn dynamic(&self) -> bool {
+        self.codec == Codec::Pickle
+    }
 }
 
 /// Where PE 0's bootstrap restores the machine from.
@@ -265,23 +263,14 @@ type DecodeFn = fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>;
 /// collections a PE hosts, the linear probe over a dense vec is one or two
 /// compares on the hot path. Conservatively cleared whenever a collection
 /// spec lands (creation or post-recovery restore).
+#[derive(Default)]
 struct DispatchCache {
     slots: Vec<(CollectionId, DecodeFn)>,
     hits: u64,
     misses: u64,
-    enabled: bool,
 }
 
 impl DispatchCache {
-    fn new(enabled: bool) -> DispatchCache {
-        DispatchCache {
-            slots: Vec::new(),
-            hits: 0,
-            misses: 0,
-            enabled,
-        }
-    }
-
     #[inline]
     fn lookup(&mut self, coll: CollectionId) -> Option<DecodeFn> {
         for &(c, f) in &self.slots {
@@ -445,11 +434,6 @@ impl PeState {
         let cfg_trace = cfg.trace;
         let cfg_seq_start = cfg.ckpt_seq_start;
         let agg_on = cfg.agg.is_some();
-        let mut encode_pool = EncodePool::new();
-        encode_pool.set_inline(cfg.fast_paths);
-        // Devirtualization only pays off under native dispatch; dynamic
-        // (CharmPy-like) mode keeps the measured per-message lookup cost.
-        let dispatch_cache = DispatchCache::new(cfg.fast_paths && !cfg.dynamic);
         PeState {
             pe,
             npes,
@@ -467,8 +451,8 @@ impl PeState {
             coros: HashMap::new(),
             next_coro: 0,
             reds: HashMap::new(),
-            encode_pool,
-            dispatch_cache,
+            encode_pool: EncodePool::new(),
+            dispatch_cache: DispatchCache::default(),
             agg_bufs: if agg_on {
                 (0..npes).map(|_| AggBuf::default()).collect()
             } else {
@@ -755,17 +739,11 @@ impl PeState {
         // (one decode + copy per record, via the metered entry decode path
         // downstream) is the per-message unpack cost of aggregation.
         if let EnvKind::Batch { frame, .. } = env.kind {
-            let constituents = crate::msg::split_batch(
-                env.src,
-                env.epoch,
-                &frame,
-                self.cfg.codec,
-                self.cfg.fast_paths,
-            )
-            .unwrap_or_else(|e| {
-                // analyze: allow(panic, "the frame was produced by this runtime's own batch encoder; a split failure is a framing bug")
-                panic!("batch frame split failed: {e}")
-            });
+            let constituents = crate::msg::split_batch(env.src, env.epoch, &frame, self.cfg.codec)
+                .unwrap_or_else(|e| {
+                    // analyze: allow(panic, "the frame was produced by this runtime's own batch encoder; a split failure is a framing bug")
+                    panic!("batch frame split failed: {e}")
+                });
             for constituent in constituents {
                 self.handle(constituent);
             }
@@ -1209,40 +1187,41 @@ impl PeState {
         }
     }
 
+    /// The message decoder of `coll`'s chare type, looked up the long way.
+    fn resolve_decode(&self, coll: CollectionId) -> DecodeFn {
+        let cs = self
+            .colls
+            .get(&coll)
+            // analyze: allow(panic, "delivery paths park messages until the collection spec arrives; decode runs only after it is known")
+            .expect("decode for unknown collection");
+        self.registry.vtable(cs.spec.ctype).decode_msg
+    }
+
     /// Decode a serialized entry message for `id` straight from a borrowed
     /// buffer. Taking `&[u8]` (not an owned buffer) is the point: fan-out
     /// payloads are owned once by the sender's shared buffer and every
     /// local member decodes from that borrow.
     fn decode_wire(&mut self, id: &ChareId, bytes: &[u8]) -> BoxMsg {
-        // Devirtualized fast path: steady-state dispatch resolves the
-        // decode fn from the per-PE cache (one short linear probe) instead
-        // of the `colls` hash lookup + registry vtable walk per message.
-        let decode_msg = if self.dispatch_cache.enabled {
+        // Native dispatch resolves the decode fn from the per-PE cache (one
+        // short linear probe) instead of the `colls` hash lookup + registry
+        // vtable walk per message; dynamic (CharmPy-like) mode keeps the
+        // measured per-message lookup cost.
+        let decode_msg = if self.cfg.dynamic() {
+            self.resolve_decode(id.coll)
+        } else {
             match self.dispatch_cache.lookup(id.coll) {
                 Some(f) => f,
                 None => {
-                    let cs = self
-                        .colls
-                        .get(&id.coll)
-                        // analyze: allow(panic, "delivery paths park messages until the collection spec arrives; decode runs only after it is known")
-                        .expect("decode for unknown collection");
-                    let f = self.registry.vtable(cs.spec.ctype).decode_msg;
+                    let f = self.resolve_decode(id.coll);
                     self.dispatch_cache.insert(id.coll, f);
                     f
                 }
             }
-        } else {
-            let cs = self
-                .colls
-                .get(&id.coll)
-                // analyze: allow(panic, "delivery paths park messages until the collection spec arrives; decode runs only after it is known")
-                .expect("decode for unknown collection");
-            self.registry.vtable(cs.spec.ctype).decode_msg
         };
         // Dynamic dispatch (CharmPy mode): the measured Rust cost of
         // the pickle codec runs for real; the interpreter premium is
         // charged from the machine model (sim backend only).
-        if self.cfg.dynamic {
+        if self.cfg.dynamic() {
             if let Some(model) = self.cfg.sim_model.clone() {
                 let ns = model.dynamic_overhead(bytes.len()).as_nanos() as u64;
                 self.charge_work(ns, Some(id), WorkClass::Overhead);
@@ -1425,7 +1404,7 @@ impl PeState {
         if self.cfg.is_sim && !self.cfg.meter {
             return 0;
         }
-        (t0.elapsed().as_nanos() as f64 * self.cfg.compute_scale) as u64
+        t0.elapsed().as_nanos() as u64
     }
 
     /// Meter a closure's real time and charge it as PE work (attributed to
@@ -1441,11 +1420,11 @@ impl PeState {
 
     /// Coroutine segments self-meter their user code (excluding the thread
     /// rendezvous, which a real user-level-thread runtime would not pay).
-    fn scale_coro_work(&self, work_ns: u64) -> u64 {
+    fn coro_work_ns(&self, work_ns: u64) -> u64 {
         if self.cfg.is_sim && !self.cfg.meter {
             return 0;
         }
-        (work_ns as f64 * self.cfg.compute_scale) as u64
+        work_ns
     }
 
     /// Retry when-buffered messages and predicate-blocked coroutines until
@@ -1858,7 +1837,7 @@ impl PeState {
                 wait,
                 work_ns,
             }) => {
-                let measured_ns = self.scale_coro_work(work_ns);
+                let measured_ns = self.coro_work_ns(work_ns);
                 // analyze: allow(panic, "the chare slot outlives its coroutines; presence established at launch")
                 self.chares.get_mut(&id).unwrap().boxed = Some(chare);
                 self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
@@ -1895,7 +1874,7 @@ impl PeState {
                 ops,
                 work_ns,
             }) => {
-                let measured_ns = self.scale_coro_work(work_ns);
+                let measured_ns = self.coro_work_ns(work_ns);
                 // analyze: allow(panic, "the chare slot outlives its coroutines; presence established at resume")
                 self.chares.get_mut(&id).unwrap().boxed = Some(chare);
                 self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
@@ -2634,35 +2613,29 @@ impl PeState {
         let chares = std::mem::take(&mut self.lb_central.chares);
         self.lb_central.pes_reported = 0;
         self.lb_central.in_epoch = true;
-        let stats = LbStats {
+        let mut stats = LbStats {
             npes: self.npes,
             chares,
         };
-        let moves: Vec<(ChareId, Pe)> = match &self.cfg.lb {
-            Some(strategy) => strategy
-                .assign(&stats)
-                .into_iter()
-                .filter(|(id, dst)| {
-                    let cur = stats.chares.iter().find(|c| c.id == *id);
-                    match cur {
-                        Some(c) => c.migratable && c.pe != *dst && *dst < self.npes,
-                        None => false,
-                    }
-                })
-                .collect(),
-            None => Vec::new(),
-        };
+        let assigned = self.cfg.lb.as_ref().map(|s| s.assign(&stats));
+        // The strategy has seen the stats in arrival order; sorted by id
+        // they are this epoch's lookup index (a stable sort, so a lookup
+        // finds what a front-to-back scan would).
+        stats.chares.sort_by_key(|c| c.id);
         let mut per_pe: HashMap<Pe, Vec<(ChareId, Pe)>> = HashMap::new();
         let mut total = 0u64;
-        for (id, dst) in moves {
+        for (id, dst) in assigned.unwrap_or_default() {
             // A strategy returning a move for a chare absent from its own
             // input stats is a strategy bug; skip that move instead of
             // panicking the PE mid-epoch.
-            let Some(owner) = stats.chares.iter().find(|c| c.id == id).map(|c| c.pe) else {
+            let first = stats.chares.partition_point(|c| c.id < id);
+            let Some(c) = stats.chares.get(first).filter(|c| c.id == id) else {
                 continue;
             };
-            total += 1;
-            per_pe.entry(owner).or_default().push((id, dst));
+            if c.migratable && c.pe != dst && dst < self.npes {
+                total += 1;
+                per_pe.entry(c.pe).or_default().push((id, dst));
+            }
         }
         // Reclaim the stat buffer's capacity for the next epoch.
         let mut buf = stats.chares;

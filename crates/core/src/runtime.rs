@@ -306,7 +306,6 @@ pub struct Runtime {
     dispatch: DispatchMode,
     same_pe_byref: bool,
     meter: bool,
-    compute_scale: f64,
     tree: TreeShape,
     lb: Option<Arc<dyn LbStrategy>>,
     lb_mode: LbMode,
@@ -325,10 +324,6 @@ pub struct Runtime {
     /// TRAM-style per-destination message aggregation; `None` = off
     /// (bit-identical to previous releases).
     agg: Option<AggCfg>,
-    /// Per-message fast paths (inline payloads, dispatch cache, threaded
-    /// receive ring). On by default; `fast_paths(false)` is the ablation
-    /// baseline and must be bit-identical.
-    fast_paths: bool,
     /// Sim backend: jitter message delivery order with this seed (FIFO
     /// per channel is preserved). Drives the schedule-permutation harness.
     permute: Option<u64>,
@@ -350,7 +345,6 @@ impl Runtime {
             dispatch: DispatchMode::Native,
             same_pe_byref: true,
             meter: true,
-            compute_scale: 1.0,
             tree: TreeShape::default(),
             lb: None,
             lb_mode: LbMode::default(),
@@ -366,7 +360,6 @@ impl Runtime {
             trace: default_trace(),
             telemetry: None,
             agg: None,
-            fast_paths: true,
             permute: None,
             #[cfg(feature = "analyze")]
             inject: None,
@@ -449,14 +442,6 @@ impl Runtime {
     /// (`false`, for deterministic tests).
     pub fn meter_compute(mut self, on: bool) -> Self {
         self.meter = on;
-        self
-    }
-
-    /// Sim backend: scale measured host time by this factor to model a
-    /// slower/faster target core.
-    pub fn compute_scale(mut self, scale: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0);
-        self.compute_scale = scale;
         self
     }
 
@@ -551,17 +536,6 @@ impl Runtime {
             "aggregation thresholds must be at least 1"
         );
         self.agg = Some(cfg);
-        self
-    }
-
-    /// Toggle the per-message fast paths: small-payload inlining (no `Arc`
-    /// under ~64B), batched-record inline re-publish, the devirtualized
-    /// entry-dispatch cache and the threaded backend's burst-drain receive
-    /// ring. On by default. `fast_paths(false)` reproduces the pre-fast-path
-    /// runtime — results are bit-identical either way (the taskbench
-    /// identity suite pins this), only the per-message overhead moves.
-    pub fn fast_paths(mut self, on: bool) -> Self {
-        self.fast_paths = on;
         self
     }
 
@@ -706,13 +680,11 @@ impl Runtime {
                     DispatchMode::Native => Codec::Fast,
                     DispatchMode::Dynamic => Codec::Pickle,
                 },
-                dynamic: self.dispatch == DispatchMode::Dynamic,
                 same_pe_byref: self.same_pe_byref,
                 tree: self.tree,
                 lb: self.lb.clone(),
                 lb_mode: self.lb_mode,
                 meter: self.meter,
-                compute_scale: self.compute_scale,
                 is_sim: sim_model.is_some(),
                 sim_model,
                 // The first incarnation's values; `Launch::cfg` sets these
@@ -725,7 +697,6 @@ impl Runtime {
                 trace: self.trace,
                 agg: self.agg,
                 telemetry: self.telemetry.clone(),
-                fast_paths: self.fast_paths,
                 #[cfg(feature = "analyze")]
                 analyze_probe: self.probe.clone(),
             },
@@ -951,8 +922,8 @@ pub(crate) fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One PE thread's end of the threads interconnect: an `mpsc` receiver, a
-/// sender to every PE, and (with `fast_paths`) a local receive ring plus a
-/// sticky spin in front of the blocking wait.
+/// sender to every PE, a local receive ring, and a sticky spin in front of
+/// the blocking wait.
 struct Threads {
     pe: Pe,
     rx: mpsc::Receiver<Envelope>,
@@ -960,7 +931,6 @@ struct Threads {
     /// One channel drain per wakeup fills this ring, so the hot loop pops
     /// envelopes without paying channel synchronization per message.
     ring: VecDeque<Envelope>,
-    fast: bool,
     idle_timeout: Duration,
     /// Real-time origin shared with the PEs' clocks.
     origin: Instant,
@@ -1006,12 +976,10 @@ impl Transport for Threads {
             Ok(env) => {
                 // Batched receive: drain the channel in a burst while the
                 // queue is hot.
-                if self.fast {
-                    while self.ring.len() < Self::RING_BURST {
-                        match self.rx.try_recv() {
-                            Ok(e) => self.ring.push_back(e),
-                            Err(_) => break,
-                        }
+                while self.ring.len() < Self::RING_BURST {
+                    match self.rx.try_recv() {
+                        Ok(e) => self.ring.push_back(e),
+                        Err(_) => break,
                     }
                 }
                 self.ready(env)
@@ -1021,12 +989,10 @@ impl Transport for Threads {
                 // Sticky backoff: spin briefly before committing to the
                 // blocking wait — absorbs ping-pong gaps without a
                 // sleep/wake round trip.
-                if self.fast {
-                    for _ in 0..Self::STICKY_SPINS {
-                        std::hint::spin_loop();
-                        if let Ok(env) = self.rx.try_recv() {
-                            return self.ready(env);
-                        }
+                for _ in 0..Self::STICKY_SPINS {
+                    std::hint::spin_loop();
+                    if let Ok(env) = self.rx.try_recv() {
+                        return self.ready(env);
                     }
                 }
                 self.went_idle = self.timed.then(|| self.now_ns());
@@ -1080,7 +1046,6 @@ fn threads_epoch(
             rx,
             senders: senders.clone(),
             ring: VecDeque::new(),
-            fast: state.cfg.fast_paths,
             idle_timeout,
             origin,
             went_idle: None,

@@ -1,7 +1,5 @@
-//! Fast-path regressions: the same-PE send path must never round-trip
-//! through encode/decode (the §II-D by-reference shortcut), with fast
-//! paths on or off, on both backends — and the fast-path counters must
-//! stay zero when the paths are disabled.
+//! The same-PE send path must never round-trip through encode/decode (the
+//! §II-D by-reference shortcut), on both backends.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -96,19 +94,17 @@ fn run_pings(rt: Runtime) -> charm_core::RunReport {
 #[test]
 fn local_pings_never_encode_and_the_ablation_proves_the_counter() {
     // Single PE: the main chare, the pinger and every self-send are local.
-    for fast in [true, false] {
-        for backend in [Backend::Threads, Backend::Sim(MachineModel::local(1))] {
-            let before = PING_ENCODES.load(Ordering::SeqCst);
-            let report = run_pings(Runtime::new(1).backend(backend).fast_paths(fast));
-            assert!(report.clean_exit);
-            assert_eq!(
-                PING_ENCODES.load(Ordering::SeqCst) - before,
-                0,
-                "fast={fast}: a same-PE ping was serialized"
-            );
-            // Logical accounting is unaffected by the payload shortcut.
-            assert!(report.msgs >= PINGS as u64);
-        }
+    for backend in [Backend::Threads, Backend::Sim(MachineModel::local(1))] {
+        let before = PING_ENCODES.load(Ordering::SeqCst);
+        let report = run_pings(Runtime::new(1).backend(backend));
+        assert!(report.clean_exit);
+        assert_eq!(
+            PING_ENCODES.load(Ordering::SeqCst) - before,
+            0,
+            "a same-PE ping was serialized"
+        );
+        // Logical accounting is unaffected by the payload shortcut.
+        assert!(report.msgs >= PINGS as u64);
     }
 
     // `same_pe_byref(false)` is the control: the same run must serialize
@@ -124,21 +120,4 @@ fn local_pings_never_encode_and_the_ablation_proves_the_counter() {
         PING_ENCODES.load(Ordering::SeqCst) - before >= PINGS as usize,
         "ablation did not serialize the pings"
     );
-}
-
-#[test]
-fn fast_path_counters_are_zero_when_disabled() {
-    let report = run_pings(
-        Runtime::new(1)
-            .backend(Backend::Sim(MachineModel::local(1)))
-            .fast_paths(false),
-    );
-    for p in &report.pe_stats {
-        assert_eq!(p.inline_payloads, 0, "inlining ran while disabled");
-        assert_eq!(
-            p.dispatch_hits + p.dispatch_misses,
-            0,
-            "dispatch cache ran while disabled"
-        );
-    }
 }

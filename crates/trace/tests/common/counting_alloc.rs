@@ -1,5 +1,6 @@
 //! A counting global allocator for the allocation tests (`hist_property.rs`
-//! here, `hostile.rs` in `charm-perf`, which includes this file by path).
+//! here; `hostile.rs` in `charm-perf` and `taskbench_alloc.rs` in
+//! `charm-apps` include this file by path).
 //! Counts are per thread, so tests running side by side do not see each
 //! other's memory.
 
@@ -16,10 +17,12 @@ struct Counts {
     peak: usize,
     /// Bytes requested (fresh or by growing a block) since it began.
     requested: usize,
+    /// Requests (fresh blocks and regrowths) since it began.
+    allocs: usize,
 }
 
 thread_local! {
-    static COUNTS: Cell<Counts> = const { Cell::new(Counts { live: 0, peak: 0, requested: 0 }) };
+    static COUNTS: Cell<Counts> = const { Cell::new(Counts { live: 0, peak: 0, requested: 0, allocs: 0 }) };
 }
 
 fn note(freed: usize, taken: usize) {
@@ -30,6 +33,7 @@ fn note(freed: usize, taken: usize) {
         n.live = n.live.saturating_sub(freed) + taken;
         n.peak = n.peak.max(n.live);
         n.requested += taken;
+        n.allocs += usize::from(taken > 0);
         c.set(n);
     });
 }
@@ -65,6 +69,8 @@ static ALLOC: Counting = Counting;
 pub struct Heap {
     /// Bytes it requested, whether or not it freed them again.
     pub requested: usize,
+    /// How many requests that took.
+    pub allocs: usize,
     /// The most it held at once, above what the thread held before.
     pub peak: usize,
     /// What it still holds (through its result) when it returns.
@@ -78,6 +84,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Heap) {
         let mut n = c.get();
         n.peak = n.live;
         n.requested = 0;
+        n.allocs = 0;
         c.set(n);
         n
     });
@@ -85,6 +92,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Heap) {
     let after = COUNTS.with(Cell::get);
     let heap = Heap {
         requested: after.requested,
+        allocs: after.allocs,
         peak: after.peak - before.live,
         retained: after.live.saturating_sub(before.live),
     };

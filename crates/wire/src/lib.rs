@@ -86,14 +86,7 @@ impl Codec {
         pool: &mut EncodePool,
         value: &T,
     ) -> Result<WireBytes> {
-        let mut scratch = pool.take();
-        let encoded = self
-            .encode_into(&mut scratch, value)
-            .map(|()| pool.publish(&scratch));
-        pool.put(scratch);
-        let b = encoded?;
-        pool.record_encoded(b.len());
-        Ok(b)
+        pool.encode_with(|scratch| self.encode_into(scratch, value))
     }
 
     /// Decode a `T` from `bytes` under this codec, consuming all input.

@@ -1,14 +1,13 @@
-//! Encode-buffer pooling: a freelist of `Vec<u8>` scratch buffers reused
-//! across encodes.
+//! Encode scratch: one `Vec<u8>` per pool, reused across encodes.
 //!
 //! Every message encode needs somewhere to serialize into before the bytes
-//! are published as an immutable [`WireBytes`](crate::WireBytes). Without
-//! pooling that is a fresh `Vec` per message — plus its growth
-//! reallocations — on the runtime's hottest path. [`EncodePool`] keeps the
-//! retired scratch buffers instead: a buffer is taken for the encode,
-//! drained into one exact-size shared allocation, and returned, so at
-//! steady state the scratch stays at its high-water capacity and each
-//! message costs exactly one allocation (the published bytes).
+//! are published as an immutable [`WireBytes`](crate::WireBytes). A fresh
+//! `Vec` per message would pay its growth reallocations on the runtime's
+//! hottest path. [`EncodePool`] keeps one scratch buffer instead: an encode
+//! clears it, serializes into it and publishes the result (inline when
+//! small, one exact-size shared allocation otherwise), so at steady state
+//! the scratch stays at its high-water capacity and a message costs at
+//! most one allocation.
 //!
 //! The runtime owns one pool per PE (the scheduler is single-threaded per
 //! PE, so no locking). Call sites without a PE at hand — proxy broadcast
@@ -21,82 +20,86 @@ use std::cell::RefCell;
 
 use crate::buffer::WireBytes;
 
-/// Most scratch buffers retained per pool; excess buffers are dropped.
-pub const MAX_POOLED_BUFS: usize = 32;
-
-/// Largest buffer capacity worth retaining; bigger ones are dropped so one
-/// huge message cannot pin its allocation forever.
+/// Largest scratch capacity worth retaining; a bigger one is dropped after
+/// its encode so one huge message cannot pin its allocation forever.
 pub const MAX_POOLED_CAP: usize = 4 << 20;
 
-/// A freelist of encode scratch buffers with hit/miss accounting.
+/// One encode scratch buffer with hit/miss accounting.
 ///
-/// The freelist is the runtime's per-PE envelope slab: every encoded
-/// payload is serialized into a slab buffer, published (inline for small
-/// payloads, one shared allocation otherwise), and the buffer recycled.
-/// Slab hits/misses, inline-publish counts and encoded bytes are all
-/// accounted here and surfaced per PE in `PePerf`.
+/// Every encoded payload is serialized into the scratch and published from
+/// it. Scratch hits/misses, inline-publish counts and encoded bytes are
+/// accounted here and surfaced per PE in `PePerf` (the `slab_*` columns).
 pub struct EncodePool {
-    free: Vec<Vec<u8>>,
+    /// Empty capacity means "no buffer yet" (or the last one was dropped).
+    scratch: Vec<u8>,
     hits: u64,
     misses: u64,
     bytes: u64,
     inline_count: u64,
-    inline_enabled: bool,
 }
 
 impl EncodePool {
-    /// An empty pool (small-payload inlining enabled).
+    /// An empty pool.
     pub const fn new() -> EncodePool {
         EncodePool {
-            free: Vec::new(),
+            scratch: Vec::new(),
             hits: 0,
             misses: 0,
             bytes: 0,
             inline_count: 0,
-            inline_enabled: true,
         }
     }
 
-    /// Take a cleared scratch buffer, reusing a pooled one when available.
-    pub fn take(&mut self) -> Vec<u8> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                self.hits += 1;
-                buf
-            }
-            None => {
-                self.misses += 1;
-                Vec::with_capacity(256)
-            }
+    /// Run `f` on the cleared scratch buffer. A use that finds a buffer is
+    /// a hit; the first use, and the first after an oversized one, has to
+    /// allocate and is a miss.
+    pub fn with_scratch<R>(&mut self, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        if self.scratch.capacity() == 0 {
+            self.misses += 1;
+            self.scratch.reserve(256);
+        } else {
+            self.hits += 1;
         }
-    }
-
-    /// Return a scratch buffer for reuse. Oversized buffers and buffers
-    /// beyond the retention cap are dropped.
-    pub fn put(&mut self, buf: Vec<u8>) {
-        if self.free.len() < MAX_POOLED_BUFS && buf.capacity() <= MAX_POOLED_CAP {
-            self.free.push(buf);
+        self.scratch.clear();
+        let r = f(&mut self.scratch);
+        if self.scratch.capacity() > MAX_POOLED_CAP {
+            self.scratch = Vec::new();
         }
+        r
     }
 
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
+    /// Serialize with `fill` into the scratch buffer and publish what it
+    /// wrote as a [`WireBytes`]: inline (zero allocations) when small,
+    /// otherwise one exact-size shared allocation. This is the single exit
+    /// point of both codecs' shared-encode paths, so the inline and byte
+    /// counts here are the authoritative per-pool tallies.
+    pub fn encode_with(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> crate::Result<()>,
+    ) -> crate::Result<WireBytes> {
+        let published = self.with_scratch(|scratch| {
+            fill(scratch).map(|()| {
+                WireBytes::inline(scratch).unwrap_or_else(|| WireBytes::copy_from_slice(scratch))
+            })
+        })?;
+        self.inline_count += u64::from(published.is_inline());
+        self.record_encoded(published.len());
+        Ok(published)
     }
 
-    /// Takes satisfied from the freelist.
+    /// Scratch uses that found a buffer.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Takes that had to allocate.
+    /// Scratch uses that had to allocate.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Count `n` bytes of encoded payload produced through this pool
-    /// (called by the shared-encode path; read by the trace report).
+    /// Count `n` bytes of encoded payload produced on this pool's PE
+    /// (batch frames are built outside the scratch; read by the trace
+    /// report).
     pub fn record_encoded(&mut self, n: usize) {
         self.bytes += n as u64;
     }
@@ -106,46 +109,9 @@ impl EncodePool {
         self.bytes
     }
 
-    /// Fraction of takes satisfied without allocating (0.0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Publish encoded `bytes` as a [`WireBytes`] payload: inline (zero
-    /// allocations) when small and inlining is enabled, otherwise one
-    /// exact-size shared allocation. This is the single exit point of both
-    /// codecs' shared-encode paths, so the inline count here is the
-    /// authoritative per-pool tally.
-    pub fn publish(&mut self, bytes: &[u8]) -> WireBytes {
-        if self.inline_enabled {
-            if let Some(wb) = WireBytes::inline(bytes) {
-                self.inline_count += 1;
-                return wb;
-            }
-        }
-        WireBytes::copy_from_slice(bytes)
-    }
-
     /// Payloads published inline (no `Arc`, no heap) through this pool.
     pub fn inline_count(&self) -> u64 {
         self.inline_count
-    }
-
-    /// Enable or disable small-payload inlining (on by default). The
-    /// runtime's fast-path toggle reaches here so an inlining-off run is
-    /// representation-identical to the pre-fast-path runtime.
-    pub fn set_inline(&mut self, enabled: bool) {
-        self.inline_enabled = enabled;
-    }
-
-    /// Whether small-payload inlining is enabled.
-    pub fn inline_enabled(&self) -> bool {
-        self.inline_enabled
     }
 }
 
@@ -169,64 +135,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_take_misses_then_hits() {
+    fn first_use_misses_then_hits() {
         let mut pool = EncodePool::new();
-        let mut buf = pool.take();
+        let cap = pool.with_scratch(|buf| {
+            buf.extend_from_slice(&[1, 2, 3]);
+            buf.capacity()
+        });
         assert_eq!((pool.hits(), pool.misses()), (0, 1));
-        buf.extend_from_slice(&[1, 2, 3]);
-        let cap = buf.capacity();
-        pool.put(buf);
-        let buf = pool.take();
+        pool.with_scratch(|buf| {
+            assert!(buf.is_empty(), "the scratch comes back cleared");
+            assert_eq!(buf.capacity(), cap, "capacity is retained across reuse");
+        });
         assert_eq!((pool.hits(), pool.misses()), (1, 1));
-        assert!(buf.is_empty(), "pooled buffers come back cleared");
-        assert_eq!(buf.capacity(), cap, "capacity is retained across reuse");
-        assert!(pool.hit_rate() > 0.49 && pool.hit_rate() < 0.51);
     }
 
     #[test]
-    fn oversized_buffers_are_dropped() {
+    fn encode_with_inlines_small_and_shares_large() {
         let mut pool = EncodePool::new();
-        pool.put(Vec::with_capacity(MAX_POOLED_CAP + 1));
-        assert_eq!(pool.pooled(), 0);
-        pool.put(Vec::with_capacity(16));
-        assert_eq!(pool.pooled(), 1);
-    }
-
-    #[test]
-    fn retention_is_bounded() {
-        let mut pool = EncodePool::new();
-        for _ in 0..MAX_POOLED_BUFS + 10 {
-            pool.put(Vec::with_capacity(8));
-        }
-        assert_eq!(pool.pooled(), MAX_POOLED_BUFS);
-    }
-
-    #[test]
-    fn publish_inlines_small_and_shares_large() {
-        let mut pool = EncodePool::new();
-        let small = pool.publish(&[1, 2, 3]);
+        let mut publish = |bytes: &[u8]| {
+            pool.encode_with(|buf| {
+                buf.extend_from_slice(bytes);
+                Ok(())
+            })
+            .unwrap()
+        };
+        let small = publish(&[1, 2, 3]);
         assert!(small.is_inline());
-        let large = pool.publish(&[0u8; 200]);
+        let large = publish(&[0u8; 200]);
         assert!(!large.is_inline());
+        assert_eq!(&small[..], &[1, 2, 3]);
+        assert_eq!(&large[..], &[0u8; 200]);
         assert_eq!(pool.inline_count(), 1);
-
-        pool.set_inline(false);
-        let small_off = pool.publish(&[1, 2, 3]);
-        assert!(!small_off.is_inline(), "inlining off publishes shared");
-        assert_eq!(pool.inline_count(), 1, "disabled publishes don't count");
-        assert_eq!(small, small_off, "representation never changes the bytes");
+        assert_eq!(pool.bytes_encoded(), 203);
     }
 
     #[test]
     fn thread_local_pool_is_reusable() {
         let first = with_pool(|p| {
-            let b = p.take();
-            p.put(b);
+            p.with_scratch(|_| ());
             p.misses()
         });
         let hits = with_pool(|p| {
-            let b = p.take();
-            p.put(b);
+            p.with_scratch(|_| ());
             p.hits()
         });
         assert!(first >= 1);

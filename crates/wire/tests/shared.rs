@@ -66,5 +66,23 @@ fn explicit_pool_is_reused_across_encodes() {
         "only the first encode should allocate scratch"
     );
     assert_eq!(pool.hits(), 7);
-    assert_eq!(pool.pooled(), 1);
+    assert!(
+        pool.with_scratch(|buf| buf.is_empty() && buf.capacity() >= 256),
+        "the scratch is kept across encodes and handed out cleared"
+    );
+}
+
+/// A payload whose encode outgrows `MAX_POOLED_CAP` does not pin its
+/// scratch: the next encode starts from a fresh, small buffer (a miss).
+#[test]
+fn oversized_scratch_is_dropped_after_its_encode() {
+    use charm_wire::pool::MAX_POOLED_CAP;
+    let mut pool = EncodePool::new();
+    let huge = vec![7u8; MAX_POOLED_CAP + 1];
+    Codec::Fast.encode_shared_with(&mut pool, &huge).unwrap();
+    Codec::Fast
+        .encode_shared_with(&mut pool, &sample())
+        .unwrap();
+    assert_eq!((pool.hits(), pool.misses()), (0, 2), "oversize was kept");
+    assert!(pool.with_scratch(|buf| buf.capacity()) <= MAX_POOLED_CAP);
 }
