@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use charm_core::analyze::InjectFault;
 use charm_core::prelude::*;
-use charm_core::CheckCfg;
+use charm_core::{CheckCfg, Store};
 use charm_sim::MachineModel;
 
 const NPES: usize = 2;
@@ -532,4 +532,150 @@ fn empty_schedule_delivers_what_a_plain_sim_run_delivers() {
         assert_eq!(replay.decisions, 0);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// One run across every protocol that lives outside the dispatch switch.
+// ---------------------------------------------------------------------------
+
+/// AtSync worker on a dense array: skewed load, then (after the LB epoch)
+/// a reduction broadcast back to the array, whose result every member
+/// reports to one future.
+struct Cross {
+    seen: i64,
+    ready: Option<Future<RedData>>,
+}
+wire_struct! { Cross { seen, ready } }
+
+enum CrossMsg {
+    Work { ready: Future<RedData> },
+}
+wire_enum! { CrossMsg { Work { ready } } }
+
+const CROSS_TAG: u32 = 7;
+const CROSS_MEMBERS: i64 = 8;
+
+impl Chare for Cross {
+    type Msg = CrossMsg;
+    type Init = ();
+    fn create(_: (), _: &mut Ctx) -> Self {
+        Cross {
+            seen: 0,
+            ready: None,
+        }
+    }
+    fn receive(&mut self, msg: CrossMsg, ctx: &mut Ctx) {
+        let CrossMsg::Work { ready } = msg;
+        self.ready = Some(ready);
+        // Block placement puts all the load on PEs 0 and 1 (two loaded
+        // members each), so both levels of the refine tree move one.
+        if ctx.my_index().first() < 4 {
+            ctx.charge(std::time::Duration::from_millis(8));
+        }
+        ctx.at_sync();
+    }
+    fn resume_from_sync(&mut self, ctx: &mut Ctx) {
+        let target = ctx.this_proxy::<Cross>().reduction_target(CROSS_TAG);
+        ctx.contribute(RedData::I64(1), Reducer::Sum, target);
+    }
+    fn reduced(&mut self, tag: u32, data: RedData, ctx: &mut Ctx) {
+        assert_eq!(tag, CROSS_TAG);
+        self.seen = data.as_i64();
+        let ready = self.ready.take().expect("reduced before Work");
+        ctx.contribute(
+            RedData::I64(self.seen),
+            Reducer::Sum,
+            RedTarget::Future(ready.id()),
+        );
+    }
+}
+
+/// Dense array, a `LbMode::Tree` epoch with migrations, a broadcast
+/// reduction, then a quiescence round that takes the automatic checkpoint
+/// and the telemetry sweep.
+fn cross_program(co: &mut Co<Main>) {
+    let arr = co.ctx().create_array_with::<Cross>(
+        &[CROSS_MEMBERS as i32],
+        (),
+        ArrayOpts {
+            placement: Placement::Block,
+            use_lb: true,
+        },
+    );
+    let ready = co.ctx().create_future::<RedData>();
+    arr.send(co.ctx(), CrossMsg::Work { ready });
+    assert_eq!(co.get(&ready).as_i64(), CROSS_MEMBERS * CROSS_MEMBERS);
+    let q = co.ctx().create_future::<()>();
+    co.ctx().start_quiescence(&q);
+    co.get(&q);
+    co.ctx().exit();
+}
+
+fn cross_runtime() -> Runtime {
+    Runtime::new(4)
+        .simulated(MachineModel::local(4))
+        .meter_compute(false)
+        .register_migratable::<Cross>()
+        .lb_mode(LbMode::Tree { group_size: 2 })
+        .auto_checkpoint(1, Store::Memory)
+        .telemetry(TelemetryCfg::every(1))
+}
+
+/// `(msgs, entries, bytes, migrations, lb_epochs, fwd_hops, lb_peak_stats,
+/// ckpt_bytes, telemetry frames, PEs in the frame, entries in the frame)`.
+type CrossCounters = (u64, u64, u64, u64, u64, u64, u64, u64, usize, u64, u64);
+const GOLD_CROSS_COUNTERS: CrossCounters = (18, 16, 4422, 2, 1, 0, 12, 164, 1, 4, 16);
+/// `(steps, digest)` of the empty-schedule replay.
+const GOLD_CROSS_REPLAY: (usize, u64) = (81, 0xc691_39b3_6abc_ba0d);
+
+/// Everything `pe.rs` hands to a protocol module runs here at once; the
+/// logical counters and the replay digest (delivery sequence + vector
+/// clocks) were generated before the protocols moved out of `pe.rs`.
+#[test]
+fn every_protocol_at_once_golden() {
+    let report = cross_runtime().run(cross_program);
+    assert!(report.clean_exit);
+    let sum = |f: fn(&charm_core::PePerf) -> u64| report.pe_stats.iter().map(f).sum::<u64>();
+    let frame = report.telemetry.first().expect("no telemetry sweep ran");
+    let counters: CrossCounters = (
+        report.msgs,
+        report.entries,
+        report.bytes,
+        report.migrations,
+        report.lb_epochs,
+        sum(|p| p.fwd_hops),
+        sum(|p| p.lb_peak_stats),
+        sum(|p| p.ckpt_bytes),
+        report.telemetry.len(),
+        frame.pes,
+        frame.entries,
+    );
+    assert!(report.migrations > 0, "the LB epoch moved nothing");
+    assert!(sum(|p| p.ckpt_bytes) > 0, "no automatic checkpoint ran");
+
+    let dir = std::env::temp_dir().join(format!("charmrs-check-cross-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("empty.schedule");
+    charm_core::Schedule {
+        npes: 4,
+        note: "empty".into(),
+        choices: Vec::new(),
+    }
+    .save(&artifact)
+    .unwrap();
+    let replay = cross_runtime()
+        .replay_schedule(&artifact, cross_program)
+        .expect("artifact unreadable");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(replay.failure, None);
+    println!(
+        "cross: {counters:?}, {} steps, digest {:#018x}",
+        replay.steps, replay.digest
+    );
+    assert_eq!(counters, GOLD_CROSS_COUNTERS, "logical counters moved");
+    assert_eq!(
+        (replay.steps, replay.digest),
+        GOLD_CROSS_REPLAY,
+        "the replay (delivery sequence, clocks, outcome) moved"
+    );
 }
