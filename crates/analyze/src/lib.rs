@@ -4,8 +4,10 @@
 //! correctness rules as CI-failing lints (DESIGN.md §6):
 //!
 //! * **`panic`** — no `unwrap()` / `expect()` / explicit `panic!` / slice
-//!   or map indexing in the runtime hot paths
-//!   (`crates/core/src/{pe,msg,ctx,proxy,reduction}.rs`) without an
+//!   or map indexing in the runtime hot paths (the files of
+//!   [`PANIC_SCOPE`], plus every `impl PeState` block wherever in
+//!   `crates/core/src` it lives: the scheduler's protocols sit in their own
+//!   modules, and the rule follows the code, not the file name) without an
 //!   explicit justification annotation. Every panic that survives must
 //!   document the invariant that makes it unreachable.
 //! * **`payload-copy`** — `WireBytes` payloads are shared, never deep
@@ -161,11 +163,19 @@ impl fmt::Display for Finding {
 /// Files subject to the `panic` rule (the runtime hot paths).
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/core/src/pe.rs",
+    "crates/core/src/location.rs",
+    "crates/core/src/sweep.rs",
+    "crates/core/src/aggregation.rs",
     "crates/core/src/msg.rs",
     "crates/core/src/ctx.rs",
     "crates/core/src/proxy.rs",
     "crates/core/src/reduction.rs",
 ];
+
+/// Directory whose `impl PeState` blocks are scheduler code whatever file
+/// they sit in: the `panic`, `blocking` and `nondeterminism` rules apply
+/// inside them exactly as they do to the whole of `pe.rs`.
+pub const SCHEDULER_IMPL_DIR: &str = "crates/core/src/";
 
 /// Directory prefixes subject to the `payload-copy` rule.
 pub const COPY_SCOPE: &[&str] = &["crates/core/src/", "crates/wire/src/"];
@@ -174,6 +184,9 @@ pub const COPY_SCOPE: &[&str] = &["crates/core/src/", "crates/wire/src/"];
 /// Net transport runs PE 0's scheduler loop in-process, so it counts).
 pub const BLOCKING_SCOPE: &[&str] = &[
     "crates/core/src/pe.rs",
+    "crates/core/src/location.rs",
+    "crates/core/src/sweep.rs",
+    "crates/core/src/aggregation.rs",
     "crates/core/src/msg.rs",
     "crates/core/src/ctx.rs",
     "crates/core/src/proxy.rs",
@@ -194,6 +207,9 @@ pub const BLOCKING_PREFIX: &[&str] = &["crates/net/src/"];
 /// the driver and supervisor, and every transport.
 pub const NONDET_SCOPE: &[&str] = &[
     "crates/core/src/pe.rs",
+    "crates/core/src/location.rs",
+    "crates/core/src/sweep.rs",
+    "crates/core/src/aggregation.rs",
     "crates/core/src/driver.rs",
     "crates/core/src/runtime.rs",
     "crates/core/src/check.rs",
@@ -527,9 +543,31 @@ fn has_indexing(code: &str) -> bool {
     false
 }
 
+/// Which lines sit inside an `impl PeState { .. }` block of a file under
+/// [`SCHEDULER_IMPL_DIR`]. rustfmt puts a top-level impl's header and its
+/// closing brace at column 0, which is all the bracketing this needs.
+fn scheduler_impl_lines(path: &str, lines: &[MaskedLine]) -> Vec<bool> {
+    let mut inside = false;
+    let in_dir = path.starts_with(SCHEDULER_IMPL_DIR);
+    lines
+        .iter()
+        .map(|l| {
+            if in_dir && l.code.starts_with("impl PeState") {
+                inside = true;
+            } else if inside && l.code.trim_end() == "}" {
+                inside = false;
+                return true;
+            }
+            inside
+        })
+        .collect()
+}
+
+#[allow(clippy::too_many_arguments)]
 fn find_pattern(
     path: &str,
     lines: &[MaskedLine],
+    in_scope: &dyn Fn(usize) -> bool,
     rule: Rule,
     patterns: &[&str],
     what: &str,
@@ -537,6 +575,9 @@ fn find_pattern(
     used: &mut std::collections::BTreeSet<usize>,
 ) {
     for (i, l) in lines.iter().enumerate() {
+        if !in_scope(i) {
+            continue;
+        }
         for pat in patterns {
             if l.code.contains(pat) && !allowed(lines, i, rule, used) {
                 out.push(Finding {
@@ -564,11 +605,24 @@ fn scan_source(
     used: &mut std::collections::BTreeSet<usize>,
 ) {
     check_annotations(path, lines, out);
+    let sched = scheduler_impl_lines(path, lines);
+    let any_sched = sched.contains(&true);
+    // Test modules sit at file end by repo convention; everything after a
+    // `#[cfg(test)]` line is test code, exempt from the copy and
+    // nondeterminism rules (tests may copy buffers to build fixtures, read
+    // the wall clock and iterate hash maps freely).
+    let cut = lines
+        .iter()
+        .position(|l| l.code.trim() == "#[cfg(test)]")
+        .unwrap_or(lines.len());
 
-    if PANIC_SCOPE.contains(&path) {
+    let panic_file = PANIC_SCOPE.contains(&path);
+    if panic_file || any_sched {
+        let in_scope = |i: usize| panic_file || sched[i];
         find_pattern(
             path,
             lines,
+            &in_scope,
             Rule::Panic,
             &[
                 ".unwrap()",
@@ -583,7 +637,7 @@ fn scan_source(
             used,
         );
         for (i, l) in lines.iter().enumerate() {
-            if has_indexing(&l.code) && !allowed(lines, i, Rule::Panic, used) {
+            if in_scope(i) && has_indexing(&l.code) && !allowed(lines, i, Rule::Panic, used) {
                 out.push(Finding {
                     file: path.to_string(),
                     line: i + 1,
@@ -597,16 +651,10 @@ fn scan_source(
     }
 
     if COPY_SCOPE.iter().any(|p| path.starts_with(p)) {
-        // Test modules sit at file end by repo convention; everything after
-        // a `#[cfg(test)]` line is test code and exempt (tests may copy
-        // buffers to build fixtures).
-        let cut = lines
-            .iter()
-            .position(|l| l.code.trim() == "#[cfg(test)]")
-            .unwrap_or(lines.len());
         find_pattern(
             path,
-            &lines[..cut],
+            lines,
+            &|i| i < cut,
             Rule::PayloadCopy,
             &[".to_vec()", ".into_vec()", "Vec::from("],
             "deep copy of a byte buffer in payload-handling code:",
@@ -615,10 +663,13 @@ fn scan_source(
         );
     }
 
-    if BLOCKING_SCOPE.contains(&path) || BLOCKING_PREFIX.iter().any(|p| path.starts_with(p)) {
+    let blocking_file =
+        BLOCKING_SCOPE.contains(&path) || BLOCKING_PREFIX.iter().any(|p| path.starts_with(p));
+    if blocking_file || any_sched {
         find_pattern(
             path,
             lines,
+            &|i| blocking_file || sched[i],
             Rule::Blocking,
             &[
                 "thread::sleep",
@@ -633,16 +684,13 @@ fn scan_source(
         );
     }
 
-    if NONDET_SCOPE.contains(&path) || NONDET_PREFIX.iter().any(|p| path.starts_with(p)) {
-        // Same end-of-file test-module exemption as payload-copy: tests may
-        // read the wall clock and iterate hash maps freely.
-        let cut = lines
-            .iter()
-            .position(|l| l.code.trim() == "#[cfg(test)]")
-            .unwrap_or(lines.len());
+    let nondet_file =
+        NONDET_SCOPE.contains(&path) || NONDET_PREFIX.iter().any(|p| path.starts_with(p));
+    if nondet_file || any_sched {
         find_pattern(
             path,
-            &lines[..cut],
+            lines,
+            &|i| i < cut && (nondet_file || sched[i]),
             Rule::Nondeterminism,
             &[
                 ".keys()",

@@ -331,3 +331,27 @@ fn self_test_detects_every_seeded_violation() {
         );
     }
 }
+
+#[test]
+fn scheduler_rules_follow_impl_pestate_blocks_into_any_core_file() {
+    // `lb.rs` is not a scheduler file, but the protocol it hosts is.
+    let src = concat!(
+        "fn strategy(v: &[u8]) -> u8 {\n",
+        "    v[0]\n",
+        "}\n",
+        "impl PeState {\n",
+        "    fn epoch(&self, v: &[u8]) -> u8 {\n",
+        "        let _ = std::time::Instant::now();\n",
+        "        v[0]\n",
+        "    }\n",
+        "}\n",
+        "fn after(x: Option<u8>) -> u8 {\n",
+        "    x.unwrap()\n",
+        "}\n"
+    );
+    let found = lint_source("crates/core/src/lb.rs", src);
+    let at: Vec<(usize, Rule)> = found.iter().map(|f| (f.line, f.rule)).collect();
+    assert_eq!(at, vec![(7, Rule::Panic), (6, Rule::Nondeterminism)]);
+    // The same text outside `crates/core/src` is nobody's scheduler.
+    assert!(lint_source("crates/lb/src/lib.rs", src).is_empty());
+}

@@ -1,0 +1,168 @@
+//! TRAM-style per-destination message aggregation (`SchedCfg::agg`,
+//! DESIGN.md §9).
+//!
+//! **State:** [`Aggregator`] — one record-framed buffer per destination PE
+//! plus the header-encode scratch; empty when aggregation is off.
+//!
+//! **Envelopes:** none arrive here. This is the send side: `emit` hands
+//! every outgoing envelope to `push_out`, which either coalesces it or
+//! puts it on the outbox; `handle` splits an arriving [`EnvKind::Batch`]
+//! back into its constituents before any accounting.
+//!
+//! **Invariants:** only small remote wire-encoded `Entry` messages batch;
+//! anything else bound for a destination with a pending buffer flushes
+//! that buffer first, so outbox order equals emission order on every
+//! (src → dst) channel. A batch is a physical artifact: never QD-counted,
+//! never traced — its constituents did all of that in `emit`. Buffers are
+//! flushed on scheduler idle, on every quiescence probe and at checkpoint
+//! entry, so no counted send outlives the state that counted it.
+
+use charm_wire::WireBytes;
+
+use crate::ids::Pe;
+use crate::msg::{EnvKind, Envelope, Payload};
+use crate::pe::PeState;
+
+/// One destination's pending aggregation buffer: small outgoing entry
+/// messages accumulate here as length-prefixed records until a flush turns
+/// the frame into one [`EnvKind::Batch`] envelope. The frame `Vec` is
+/// cleared, never dropped, on flush, so its capacity is reused like an
+/// encode-pool buffer.
+#[derive(Default)]
+struct AggBuf {
+    /// Record-framed constituents (see `msg::push_batch_record`).
+    frame: Vec<u8>,
+    /// Number of records in `frame`.
+    count: u32,
+}
+
+/// Per-destination aggregation buffers of one PE.
+pub(crate) struct Aggregator {
+    bufs: Vec<AggBuf>,
+    /// Reusable header-encode scratch for batch records.
+    scratch: Vec<u8>,
+}
+
+impl Aggregator {
+    /// Buffers for `npes` destinations (0 = aggregation off).
+    pub(crate) fn new(npes: usize) -> Aggregator {
+        Aggregator {
+            bufs: (0..npes).map(|_| AggBuf::default()).collect(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl PeState {
+    /// Route an outgoing envelope to the outbox — or, with aggregation on,
+    /// coalesce it into the destination's batch buffer. Only small remote
+    /// wire-encoded `Entry` messages batch; anything else bound for a
+    /// destination with a pending buffer flushes that buffer first, so the
+    /// outbox order equals the emission order on every (src → dst) channel
+    /// and per-channel FIFO survives mixing batched and unbatched traffic.
+    pub(crate) fn push_out(&mut self, dst: Pe, env: Envelope) {
+        let agg = match self.cfg.agg {
+            Some(a) if dst != self.pe && !self.agg.bufs.is_empty() => a,
+            _ => {
+                self.outbox.push((dst, env));
+                return;
+            }
+        };
+        let batchable = matches!(
+            &env.kind,
+            EnvKind::Entry { payload: Payload::Wire(b), .. } if b.len() < agg.max_bytes
+        );
+        if !batchable {
+            self.flush_agg(dst);
+            self.outbox.push((dst, env));
+            return;
+        }
+        #[cfg(feature = "analyze")]
+        let Envelope {
+            kind,
+            sent_ns,
+            trace,
+            ..
+        } = env;
+        #[cfg(not(feature = "analyze"))]
+        let Envelope { kind, sent_ns, .. } = env;
+        let EnvKind::Entry {
+            to,
+            payload: Payload::Wire(bytes),
+            reply,
+            guard,
+        } = kind
+        else {
+            // analyze: allow(panic, "the batchable match above admits exactly this shape")
+            unreachable!("push_out: non-batchable kind after batchable check");
+        };
+        // analyze: allow(panic, "agg_bufs is sized to npes at construction and dst is a routed PE index < npes")
+        let buf = &mut self.agg.bufs[dst];
+        crate::msg::push_batch_record(
+            &mut buf.frame,
+            &mut self.agg.scratch,
+            self.cfg.codec,
+            to,
+            reply,
+            guard,
+            sent_ns,
+            #[cfg(feature = "analyze")]
+            trace,
+            &bytes,
+        )
+        // analyze: allow(panic, "encoding a batch record of an already-encoded entry fails only on a codec bug")
+        .expect("batch record failed to encode");
+        buf.count += 1;
+        if buf.count as usize >= agg.max_count || buf.frame.len() >= agg.max_bytes {
+            self.flush_agg(dst);
+        }
+    }
+
+    /// Flush `dst`'s aggregation buffer (if non-empty) into one
+    /// [`EnvKind::Batch`] envelope on the outbox. The batch itself is a
+    /// *physical* artifact: never QD-counted, never logically traced (trace
+    /// id 0, detector-exempt) — its constituents did all of that in `emit`.
+    pub(crate) fn flush_agg(&mut self, dst: Pe) {
+        // analyze: allow(panic, "agg_bufs is sized to npes at construction and dst is a routed PE index < npes")
+        let buf = &mut self.agg.bufs[dst];
+        if buf.count == 0 {
+            return;
+        }
+        let count = std::mem::take(&mut buf.count);
+        let frame = WireBytes::copy_from_slice(&buf.frame);
+        buf.frame.clear();
+        self.encode_pool.record_encoded(frame.len());
+        self.tracer.batch_flush(count as u64);
+        if self.tracer.full() {
+            let now = self.send_ts_ns();
+            self.tracer.push(
+                now,
+                charm_trace::EventKind::BatchFlush {
+                    msgs: count,
+                    bytes: frame.len().min(u32::MAX as usize) as u32,
+                },
+            );
+        }
+        let mut env = Envelope::new(self.pe, EnvKind::Batch { count, frame });
+        env.epoch = self.cfg.epoch;
+        self.outbox.push((dst, env));
+    }
+
+    /// Flush every destination's pending aggregation buffer, in PE order
+    /// (deterministic under sim). Called on scheduler idle, on quiescence
+    /// probes (a parked message is sent-but-unprocessed, so QD could never
+    /// converge over it) and at checkpoint entry (a snapshot must not
+    /// capture a world where sent traffic sits in a sender-side buffer
+    /// that dies with the incarnation). Returns whether anything flushed.
+    pub(crate) fn flush_aggregation(&mut self) -> bool {
+        let mut any = false;
+        for dst in 0..self.agg.bufs.len() {
+            // analyze: allow(panic, "dst iterates 0..agg_bufs.len()")
+            if self.agg.bufs[dst].count > 0 {
+                self.flush_agg(dst);
+                any = true;
+            }
+        }
+        any
+    }
+}

@@ -9,10 +9,16 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use charm_wire::{wire_enum, wire_struct};
 
-use crate::ids::{ChareTypeId, CollectionId, Index, Pe};
+use charm_trace::{EntryKind, WorkClass};
+use charm_wire::WireBytes;
+
+use crate::ids::{ChareId, ChareTypeId, CollectionId, Index, Pe};
+use crate::msg::{BoxMsg, EnvKind, Envelope, Payload};
+use crate::pe::{PeState, Slot};
 
 /// What shape of collection this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,6 +243,316 @@ pub struct CollState {
 
 /// Per-PE table of known collections.
 pub type CollTable = HashMap<CollectionId, CollState>;
+
+/// One PE's table of known collections, plus the envelopes that arrived
+/// for a collection before its spec did.
+#[derive(Default)]
+pub(crate) struct Colls {
+    table: CollTable,
+    parked: HashMap<CollectionId, Vec<Envelope>>,
+}
+
+impl Colls {
+    pub(crate) fn get(&self, coll: &CollectionId) -> Option<&CollState> {
+        self.table.get(coll)
+    }
+
+    pub(crate) fn get_mut(&mut self, coll: &CollectionId) -> Option<&mut CollState> {
+        self.table.get_mut(coll)
+    }
+
+    pub(crate) fn contains_key(&self, coll: &CollectionId) -> bool {
+        self.table.contains_key(coll)
+    }
+
+    /// Every known spec, in no particular order.
+    pub(crate) fn specs(&self) -> impl Iterator<Item = &CollSpec> {
+        self.table.values().map(|cs| &cs.spec)
+    }
+
+    /// Collections with parked envelopes, and the envelopes parked in total.
+    pub(crate) fn parked(&self) -> (usize, u64) {
+        let msgs = self.parked.values().map(|v| v.len() as u64).sum();
+        (self.parked.len(), msgs)
+    }
+}
+
+impl PeState {
+    /// The collection slice of the dispatch switch.
+    pub(crate) fn on_collection(&mut self, kind: EnvKind) {
+        match kind {
+            EnvKind::CreateCollection { spec, init, root } => {
+                self.create_collection(spec, init, root)
+            }
+            EnvKind::InsertElem {
+                coll,
+                index,
+                init,
+                on_pe,
+                placed,
+            } => self.insert_elem(coll, index, init, on_pe, placed),
+            EnvKind::DoneInserting { coll } => {
+                if let Some(cs) = self.colls.table.get_mut(&coll) {
+                    cs.done_inserting = true;
+                } else {
+                    self.park_unknown_coll(coll, EnvKind::DoneInserting { coll });
+                }
+            }
+            EnvKind::SubtreeAdd { coll, delta } => {
+                if let Some(cs) = self.colls.table.get_mut(&coll) {
+                    cs.subtree_members = (cs.subtree_members as i64 + delta) as u64;
+                } else {
+                    self.park_unknown_coll(coll, EnvKind::SubtreeAdd { coll, delta });
+                    return;
+                }
+                if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
+                    self.emit(parent, EnvKind::SubtreeAdd { coll, delta });
+                }
+            }
+            // analyze: allow(panic, "dispatch hands this module only the four kinds above")
+            other => unreachable!("not a collection envelope: {other:?}"),
+        }
+    }
+
+    pub(crate) fn park_unknown_coll(&mut self, coll: CollectionId, kind: EnvKind) {
+        let env = self.wrap(kind);
+        self.colls.parked.entry(coll).or_default().push(env);
+    }
+
+    pub(crate) fn initial_counts(&self, spec: &CollSpec) -> Vec<u64> {
+        let mut counts = vec![0u64; self.npes];
+        match &spec.kind {
+            // analyze: allow(panic, "pe indices come from placement and are bounded by npes; counts was sized to npes")
+            CollKind::Singleton { pe } => counts[*pe] += 1,
+            CollKind::Group => counts.iter_mut().for_each(|c| *c += 1),
+            CollKind::Dense { dims } => {
+                // Closed form for the analytic placements: every PE runs
+                // this at creation, so the enumeration fallback is
+                // O(members) per PE — O(npes · members) machine-wide,
+                // which dominates bootstrap at 65k PEs.
+                if !spec.dense_counts_closed(&mut counts, self.npes) {
+                    for ix in CollSpec::dense_indices(dims) {
+                        // analyze: allow(panic, "place() reduces indices mod npes; counts was sized to npes")
+                        counts[spec.place(&ix, self.npes, &self.placements)] += 1;
+                    }
+                }
+            }
+            CollKind::Sparse => {}
+        }
+        counts
+    }
+
+    pub(crate) fn subtree_total(&self, counts: &[u64], pe: Pe) -> u64 {
+        // analyze: allow(panic, "pe iterates 0..npes here; counts was sized to npes")
+        let mut total = counts[pe];
+        self.cfg
+            .tree
+            .children_for_each(pe, 0, self.npes, |c| total += self.subtree_total(counts, c));
+        total
+    }
+
+    pub(crate) fn create_collection(&mut self, spec: CollSpec, init: WireBytes, root: Pe) {
+        let tree = self.cfg.tree;
+        tree.children_for_each(self.pe, root, self.npes, |child| {
+            self.emit(
+                child,
+                EnvKind::CreateCollection {
+                    spec: spec.clone(),
+                    init: init.clone(),
+                    root,
+                },
+            );
+        });
+        let counts = self.initial_counts(&spec);
+        let coll = spec.id;
+        // analyze: allow(panic, "self.pe is bounded by npes; counts was sized to npes")
+        let local = counts[self.pe];
+        let subtree = self.subtree_total(&counts, self.pe);
+        self.install_coll(spec.clone(), local, subtree);
+
+        // Construct locally-placed members (deterministic index order).
+        // The analytic placements enumerate only this PE's own linear
+        // positions — the filter-everything fallback is O(members) per PE,
+        // O(npes · members) machine-wide.
+        let mine: Vec<Index> = match &spec.kind {
+            CollKind::Singleton { pe } if *pe == self.pe => vec![Index::SINGLE],
+            CollKind::Group => vec![Index::pe(self.pe)],
+            CollKind::Dense { dims } => match spec.placement {
+                Placement::Block => {
+                    let (lo, hi) = CollSpec::block_range(dims, self.pe, self.npes);
+                    (lo..hi)
+                        .map(|lin| CollSpec::dense_index_at(dims, lin))
+                        .collect()
+                }
+                Placement::RoundRobin => {
+                    let total = CollSpec::dense_len(dims);
+                    (self.pe as u64..total)
+                        .step_by(self.npes)
+                        .map(|lin| CollSpec::dense_index_at(dims, lin))
+                        .collect()
+                }
+                _ => CollSpec::dense_indices(dims)
+                    .filter(|ix| spec.place(ix, self.npes, &self.placements) == self.pe)
+                    .collect(),
+            },
+            _ => Vec::new(),
+        };
+        for index in mine {
+            let id = ChareId { coll, index };
+            self.construct_member(id, &init);
+        }
+
+        // Anything that raced ahead of the create can now be handled.
+        self.replay_parked_coll(coll);
+    }
+
+    /// Make `spec` known on this PE with `local` / `subtree` members
+    /// already counted. Cached decode resolutions are dropped: a collection
+    /// spec just changed hands.
+    pub(crate) fn install_coll(&mut self, spec: CollSpec, local: u64, subtree: u64) {
+        let state = CollState {
+            local_members: local,
+            subtree_members: subtree,
+            done_inserting: !matches!(spec.kind, CollKind::Sparse),
+            red_broadcast_seen: 0,
+            spec,
+        };
+        self.colls.table.insert(state.spec.id, state);
+        self.dispatch_cache.clear();
+    }
+
+    /// Re-dispatch what arrived for `coll` before its spec did.
+    pub(crate) fn replay_parked_coll(&mut self, coll: CollectionId) {
+        if let Some(parked) = self.colls.parked.remove(&coll) {
+            for env in parked {
+                self.dispatch(env);
+            }
+        }
+    }
+
+    pub(crate) fn construct_member(&mut self, id: ChareId, init_bytes: &WireBytes) {
+        // analyze: allow(panic, "construct messages are only routed after the spec broadcast that created the collection")
+        let cs = self.colls.get(&id.coll).expect("construct without spec");
+        let vt = self.registry.vtable(cs.spec.ctype);
+        let init = (vt.decode_init)(self.cfg.codec, init_bytes)
+            // analyze: allow(panic, "constructor bytes come from the matching registered encoder; failure is a codec bug")
+            .unwrap_or_else(|e| panic!("constructor argument decode failed: {e}"));
+        self.construct_member_box(id, init);
+    }
+
+    pub(crate) fn construct_member_box(&mut self, id: ChareId, init: BoxMsg) {
+        // analyze: allow(panic, "spec presence established at the construct lookup above")
+        let cs = self.colls.get(&id.coll).expect("construct without spec");
+        let ctype = cs.spec.ctype;
+        let construct = self.registry.vtable(ctype).construct;
+        let mut ctx = self.new_ctx(Some(id));
+        let trace_begin = if self.tracer.enabled() {
+            self.now_ns()
+        } else {
+            0
+        };
+        // analyze: allow(nondeterminism, "metering clock: metered_ns() discards it on the deterministic sim (meter off)")
+        let t0 = Instant::now();
+        let boxed = construct(init, &mut ctx, ctype);
+        let measured = self.metered_ns(t0);
+        self.chares.insert(id, Slot::new(boxed));
+        self.charge_work(measured, Some(&id), WorkClass::Entry);
+        if self.tracer.enabled() {
+            let end = self.now_ns();
+            self.tracer
+                .entry(trace_begin, end, measured, ctype.0, EntryKind::Construct);
+        }
+        self.exec_ops(ctx.ops, Some(id), None);
+        self.flush_pending_chare(id);
+        self.after_state_change(id);
+    }
+
+    pub(crate) fn insert_elem(
+        &mut self,
+        coll: CollectionId,
+        index: Index,
+        init: Payload,
+        on_pe: Option<Pe>,
+        placed: bool,
+    ) {
+        let Some(cs) = self.colls.get(&coll) else {
+            self.park_unknown_coll(
+                coll,
+                EnvKind::InsertElem {
+                    coll,
+                    index,
+                    init,
+                    on_pe,
+                    placed,
+                },
+            );
+            return;
+        };
+        if !placed {
+            let dst = on_pe.unwrap_or_else(|| cs.spec.place(&index, self.npes, &self.placements));
+            let init = self.reencode_init_for(dst, coll, init);
+            self.emit(
+                dst,
+                EnvKind::InsertElem {
+                    coll,
+                    index,
+                    init,
+                    on_pe,
+                    placed: true,
+                },
+            );
+            return;
+        }
+        let home = cs.spec.home_pe(&index, self.npes);
+        let id = ChareId { coll, index };
+        let vt = self.registry.vtable(cs.spec.ctype);
+        let init_box = match init {
+            Payload::Local(b) => b,
+            Payload::Wire(bytes) => (vt.decode_init)(self.cfg.codec, &bytes)
+                // analyze: allow(panic, "constructor bytes come from the matching registered encoder; failure is a codec bug")
+                .unwrap_or_else(|e| panic!("constructor argument decode failed: {e}")),
+        };
+        {
+            // analyze: allow(panic, "spec presence established earlier in this insert path")
+            let cs = self.colls.get_mut(&coll).unwrap();
+            cs.local_members += 1;
+            cs.subtree_members += 1;
+        }
+        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
+            self.emit(parent, EnvKind::SubtreeAdd { coll, delta: 1 });
+        }
+        if home != self.pe {
+            self.emit(home, EnvKind::LocationUpdate { id, pe: self.pe });
+        }
+        self.construct_member_box(id, init_box);
+    }
+
+    pub(crate) fn reencode_init_for(&self, dst: Pe, coll: CollectionId, init: Payload) -> Payload {
+        if dst == self.pe {
+            return init;
+        }
+        match init {
+            Payload::Wire(b) => Payload::Wire(b),
+            Payload::Local(any) => {
+                let cs = self
+                    .colls
+                    .get(&coll)
+                    // analyze: allow(panic, "the router resolved this collection's spec to pick a destination; the spec is present")
+                    .expect("forwarding unknown collection");
+                let vt = self.registry.vtable(cs.spec.ctype);
+                // Init payloads use the init decoder, so encode via the
+                // generic path: we cannot re-use encode_msg (wrong type).
+                // OutPayload already encoded Wire for remote dests, so a
+                // Local init here means dst was believed local; encode with
+                // the vtable's init encoder.
+                let bytes = (vt.encode_init)(&*any, self.cfg.codec)
+                    // analyze: allow(panic, "re-encoding an argument that was encodable at send time fails only on a codec bug")
+                    .expect("constructor argument re-encode failed");
+                Payload::Wire(WireBytes::from_vec(bytes))
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -17,16 +17,20 @@
 //! suspension.
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Once;
+
+use charm_trace::{EntryKind, WorkClass};
 
 use crate::chare::{Chare, ChareBox};
 use crate::ctx::{Ctx, CtxSeed, Op};
-use crate::future::Future;
-use crate::ids::{ChareId, FutureId};
+use crate::future::{FutState, Future};
+use crate::ids::{ChareId, CoroId, FutureId};
 use crate::msg::{Message, Payload};
+use crate::pe::{CoroLauncher, PeState};
 
 /// Type-erased wait predicate over the chare state.
 pub(crate) type WaitPred = Box<dyn Fn(&dyn Any) -> bool + Send>;
@@ -280,4 +284,228 @@ pub(crate) struct CoroHandle {
     pub chare: ChareId,
     /// Present while the coroutine is suspended.
     pub wait: Option<WaitKind>,
+}
+
+/// One PE's live coroutines.
+#[derive(Default)]
+pub(crate) struct Coros {
+    table: HashMap<u64, CoroHandle>,
+    next: u64,
+}
+
+impl Coros {
+    /// What coroutine `cid` is suspended on, if it is suspended.
+    pub(crate) fn wait_of(&self, cid: CoroId) -> Option<&WaitKind> {
+        self.table.get(&cid.0).and_then(|h| h.wait.as_ref())
+    }
+
+    /// Coroutines currently suspended.
+    pub(crate) fn blocked(&self) -> usize {
+        self.table.values().filter(|h| h.wait.is_some()).count()
+    }
+}
+
+impl PeState {
+    /// Record one coroutine segment as an entry activation. The begin stamp
+    /// is back-dated by the segment's measured work; the tracer clamps ring
+    /// timestamps so this stays monotone.
+    pub(crate) fn trace_coro_segment(&mut self, id: &ChareId, measured_ns: u64) {
+        if self.tracer.enabled() {
+            let end = self.now_ns();
+            let ctype = self.chare_ctype(id);
+            self.tracer.entry(
+                end.saturating_sub(measured_ns),
+                end,
+                measured_ns,
+                ctype,
+                EntryKind::Coroutine,
+            );
+        }
+    }
+
+    /// Coroutine segments self-meter their user code (excluding the thread
+    /// rendezvous, which a real user-level-thread runtime would not pay).
+    pub(crate) fn coro_work_ns(&self, work_ns: u64) -> u64 {
+        if self.cfg.is_sim && !self.cfg.meter {
+            return 0;
+        }
+        work_ns
+    }
+
+    pub(crate) fn launch_coro(&mut self, id: ChareId, f: CoroLauncher, reply: Option<FutureId>) {
+        let (in_tx, in_rx) = mpsc::channel::<CoroInput>();
+        let (out_tx, out_rx) = mpsc::channel::<CoroYield>();
+        let side = CoroSide {
+            rx: in_rx,
+            tx: out_tx,
+            seed: self.seed.clone(),
+            chare_id: id,
+        };
+        let join = std::thread::Builder::new()
+            .name(format!("coro-{id}"))
+            .spawn(move || f(side))
+            // analyze: allow(panic, "OS thread spawn fails only on resource exhaustion; the runtime cannot run coroutines without it")
+            .expect("failed to spawn coroutine thread");
+        let cid = CoroId(self.coros.next);
+        self.coros.next += 1;
+        self.coros.table.insert(
+            cid.0,
+            CoroHandle {
+                tx: in_tx,
+                rx: out_rx,
+                join: Some(join),
+                chare: id,
+                wait: None,
+            },
+        );
+        self.chares
+            .get_mut(&id)
+            // analyze: allow(panic, "launch_coro is called with an id the scheduler just resolved; the slot exists")
+            .expect("go on missing chare")
+            .coros
+            .push(cid);
+        let chare = self
+            .chares
+            .get_mut(&id)
+            // analyze: allow(panic, "slot presence established at the `go on missing chare` check above")
+            .unwrap()
+            .boxed
+            .take()
+            // analyze: allow(panic, "the box is in place when a coroutine launches; entry methods are serialized per chare")
+            .expect("chare checked out at coroutine launch");
+        let now_ns = self.now_ns();
+        // analyze: allow(panic, "the handle was inserted into self.coros.table a few lines above")
+        let handle = self.coros.table.get_mut(&cid.0).unwrap();
+        handle
+            .tx
+            .send(CoroInput::Start {
+                chare,
+                now_ns,
+                reply_to: reply,
+            })
+            // analyze: allow(panic, "the coroutine thread blocks on the rendezvous before any yield; a closed channel means it died, which is fatal")
+            .expect("coroutine died before start");
+        let y = handle.rx.recv();
+        self.process_yield(cid, y);
+    }
+
+    pub(crate) fn resume_coro(&mut self, cid: CoroId, value: Option<Payload>) {
+        let id = self
+            .coros
+            .table
+            .get(&cid.0)
+            // analyze: allow(panic, "resume messages are only generated for coroutines this scheduler created and has not completed")
+            .expect("resume of unknown coroutine")
+            .chare;
+        let chare = self
+            .chares
+            .get_mut(&id)
+            // analyze: allow(panic, "a live coroutine pins its chare; the chare cannot be removed mid-coroutine")
+            .expect("coroutine's chare missing")
+            .boxed
+            .take()
+            // analyze: allow(panic, "the box was returned at the previous yield; no other handler ran for this chare since")
+            .expect("chare checked out at coroutine resume");
+        let now_ns = self.now_ns();
+        // analyze: allow(panic, "handle presence established at the resume lookup above")
+        let handle = self.coros.table.get_mut(&cid.0).unwrap();
+        handle.wait = None;
+        handle
+            .tx
+            .send(CoroInput::Resume {
+                chare,
+                value,
+                now_ns,
+            })
+            // analyze: allow(panic, "a closed rendezvous channel means the coroutine thread died; fatal")
+            .expect("coroutine died before resume");
+        let y = handle.rx.recv();
+        self.process_yield(cid, y);
+    }
+
+    pub(crate) fn process_yield(&mut self, cid: CoroId, y: Result<CoroYield, mpsc::RecvError>) {
+        let id = self
+            .coros
+            .table
+            .get(&cid.0)
+            // analyze: allow(panic, "yields only come from coroutines this scheduler launched")
+            .expect("yield from unknown coroutine")
+            .chare;
+        match y {
+            Ok(CoroYield::Blocked {
+                chare,
+                ops,
+                wait,
+                work_ns,
+            }) => {
+                let measured_ns = self.coro_work_ns(work_ns);
+                // analyze: allow(panic, "the chare slot outlives its coroutines; presence established at launch")
+                self.chares.get_mut(&id).unwrap().boxed = Some(chare);
+                self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
+                self.trace_coro_segment(&id, measured_ns);
+                let register_future = match &wait {
+                    WaitKind::Future(fid) => Some(*fid),
+                    WaitKind::Pred(_) => None,
+                };
+                // analyze: allow(panic, "handle presence established when the yield was received")
+                self.coros.table.get_mut(&cid.0).unwrap().wait = Some(wait);
+                // Flush the coroutine's buffered ops *before* checking for
+                // an already-ready future, so they are never lost.
+                self.exec_ops(ops, Some(id), None);
+                if let Some(fid) = register_future {
+                    match self.futures.remove(&fid) {
+                        Some(FutState::Ready(payload)) => {
+                            // Value already arrived: resume immediately.
+                            self.resume_coro(cid, Some(payload));
+                            return;
+                        }
+                        Some(FutState::Waiting(_)) => {
+                            // analyze: allow(panic, "one-waiter-per-future discipline: wait() consumes the future, so a second waiter is a user bug worth failing fast")
+                            panic!("two coroutines waiting on one future")
+                        }
+                        _ => {
+                            self.futures.insert(fid, FutState::Waiting(cid));
+                        }
+                    }
+                }
+                self.after_state_change(id);
+            }
+            Ok(CoroYield::Done {
+                chare,
+                ops,
+                work_ns,
+            }) => {
+                let measured_ns = self.coro_work_ns(work_ns);
+                // analyze: allow(panic, "the chare slot outlives its coroutines; presence established at resume")
+                self.chares.get_mut(&id).unwrap().boxed = Some(chare);
+                self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
+                self.trace_coro_segment(&id, measured_ns);
+                if let Some(mut h) = self.coros.table.remove(&cid.0) {
+                    if let Some(j) = h.join.take() {
+                        let _ = j.join();
+                    }
+                }
+                if let Some(slot) = self.chares.get_mut(&id) {
+                    slot.coros.retain(|c| *c != cid);
+                }
+                self.exec_ops(ops, Some(id), None);
+                self.after_state_change(id);
+            }
+            Err(_) => {
+                // Recover the original panic payload from the dead thread
+                // so the user's message survives, not a generic wrapper.
+                let payload = self
+                    .coros
+                    .table
+                    .get_mut(&cid.0)
+                    .and_then(|h| h.join.take())
+                    .and_then(|j| j.join().err());
+                match payload {
+                    Some(p) => std::panic::resume_unwind(p),
+                    // analyze: allow(panic, "a coroutine ending without Done or a yield means its thread panicked; propagate the failure")
+                    None => panic!("coroutine for chare {id} terminated unexpectedly"),
+                }
+            }
+        }
+    }
 }

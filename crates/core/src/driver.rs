@@ -14,9 +14,10 @@ use std::time::Duration;
 
 use charm_trace::PeTrace;
 
+use crate::checkpoint::CkptStore;
 use crate::ids::Pe;
 use crate::msg::{EnvKind, Envelope};
-use crate::pe::{CkptStore, CoroLauncher, PeState};
+use crate::pe::{CoroLauncher, PeState};
 use crate::runtime::{finish_report, Launch, RunError, RunReport};
 
 /// What a transport has for the driver.

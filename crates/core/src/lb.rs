@@ -12,7 +12,11 @@
 
 use charm_wire::wire_struct;
 
+use std::collections::HashMap;
+
 use crate::ids::{ChareId, Pe};
+use crate::msg::EnvKind;
+use crate::pe::{Invoke, PeState};
 use crate::tree::TreeShape;
 
 /// How AtSync load balancing is coordinated across PEs
@@ -367,6 +371,456 @@ pub fn truncate_spill(spill: &mut Vec<LbChareStat>, cap: usize) {
     if spill.len() > cap {
         spill.sort_unstable_by(|a, b| b.load_ns.cmp(&a.load_ns).then(a.id.cmp(&b.id)));
         spill.truncate(cap);
+    }
+}
+
+/// One PE's load-balancing state: its own epoch progress, PE 0's
+/// coordinator state, and the hierarchical mode's per-epoch accumulator.
+#[derive(Default)]
+pub(crate) struct Lb {
+    pe: LbPeState,
+    central: LbCentral,
+    tree: LbTreePe,
+}
+
+impl Lb {
+    /// Local participants waiting at their sync point.
+    pub(crate) fn at_sync_count(&self) -> u64 {
+        self.pe.at_sync_count
+    }
+
+    /// Peak LB stat records this PE ever held (`PePerf::lb_peak_stats`).
+    pub(crate) fn peak_stats(&self) -> u64 {
+        self.tree.peak_stats
+    }
+}
+
+impl PeState {
+    /// The load-balancing slice of the dispatch switch.
+    pub(crate) fn on_lb(&mut self, kind: EnvKind) {
+        match kind {
+            EnvKind::LbPoll => {
+                // Only PEs without participants answer; everyone else will
+                // (or already did) report via their own at-sync trigger.
+                if !self.lb.pe.stats_sent && self.lb_participants().is_empty() {
+                    self.lb.pe.stats_sent = true;
+                    self.emit(
+                        0,
+                        EnvKind::LbStats {
+                            stats: Vec::new(),
+                            at_sync: 0,
+                        },
+                    );
+                }
+            }
+            EnvKind::LbStats { stats, at_sync } => self.lb_central_stats(stats, at_sync),
+            EnvKind::LbDoMigrate { moves, total: _ } => {
+                // (The ordering PE tracks the epoch's completion count.)
+                for (id, dst) in moves {
+                    self.migrate_out(id, dst, true);
+                }
+            }
+            EnvKind::LbMigrated => {
+                // A counter rather than a decrement: under `LbMode::Tree`,
+                // interior nodes issue orders before the root knows the
+                // epoch's total, so completions may arrive first.
+                self.lb.central.migrations_done += 1;
+                self.lb_maybe_finish_epoch();
+            }
+            EnvKind::LbKick { epoch } => self.lb_tree_kick(epoch),
+            EnvKind::LbTreePoll { epoch, root } => self.lb_tree_poll(epoch, root),
+            EnvKind::LbTreeReport { report } => self.lb_tree_report_in(*report),
+            EnvKind::LbResume { root } => {
+                let tree = self.cfg.tree;
+                tree.children_for_each(self.pe, root, self.npes, |child| {
+                    self.emit(child, EnvKind::LbResume { root });
+                });
+                self.lb_resume_local();
+            }
+            // analyze: allow(panic, "dispatch hands this module only the eight kinds above")
+            other => unreachable!("not a load-balancing envelope: {other:?}"),
+        }
+    }
+
+    /// `ctx.at_sync()`: park `id` at its sync point and report once every
+    /// local participant has.
+    pub(crate) fn at_sync(&mut self, id: ChareId) {
+        if let Some(slot) = self.chares.get_mut(&id) {
+            if !slot.at_sync {
+                slot.at_sync = true;
+                self.lb.pe.at_sync_count += 1;
+            }
+        }
+        self.lb_check_ready();
+    }
+
+    /// An LB migrant landed here: it counts as parked at its sync point
+    /// (it resumes with everyone else), and the LB root counts the landing.
+    pub(crate) fn lb_migrant_arrived(&mut self) {
+        self.lb.pe.at_sync_count += 1;
+        self.emit(0, EnvKind::LbMigrated);
+    }
+
+    pub(crate) fn lb_participants(&self) -> Vec<ChareId> {
+        let mut v: Vec<ChareId> = self
+            .chares
+            // analyze: allow(nondeterminism, "hash order erased by the sort below")
+            .keys()
+            .filter(|id| {
+                self.colls
+                    .get(&id.coll)
+                    .map(|c| c.spec.use_lb)
+                    .unwrap_or(false)
+            })
+            .copied()
+            .collect();
+        v.sort();
+        v
+    }
+
+    pub(crate) fn lb_check_ready(&mut self) {
+        if self.lb.pe.stats_sent {
+            return;
+        }
+        let participants = self.lb_participants();
+        if participants.is_empty() || self.lb.pe.at_sync_count < participants.len() as u64 {
+            return;
+        }
+        match self.cfg.lb_mode {
+            LbMode::Central => self.lb_send_central_stats(&participants),
+            LbMode::Tree { .. } => {
+                // Nudge the root to start the epoch's poll wave (once per
+                // PE per epoch); report up as soon as we are polled.
+                if !self.lb.tree.kicked {
+                    self.lb.tree.kicked = true;
+                    let epoch = self.lb.tree.epoch;
+                    self.emit(0, EnvKind::LbKick { epoch });
+                }
+                self.lb_tree_try_report();
+            }
+        }
+    }
+
+    pub(crate) fn lb_send_central_stats(&mut self, participants: &[ChareId]) {
+        let stats: Vec<LbChareStat> = participants
+            .iter()
+            .map(|id| {
+                // analyze: allow(panic, "LB stats walk this PE's own chare map keys")
+                let slot = &self.chares[id];
+                let migratable = self
+                    .registry
+                    // analyze: allow(panic, "a chare's collection spec exists wherever the chare lives")
+                    .vtable(self.colls.get(&id.coll).unwrap().spec.ctype)
+                    .migratable;
+                LbChareStat {
+                    id: *id,
+                    pe: self.pe,
+                    load_ns: slot.load_ns,
+                    migratable,
+                }
+            })
+            .collect();
+        // Loads reset at the epoch boundary.
+        for id in participants {
+            // analyze: allow(panic, "participants are keys of self.chares collected above")
+            self.chares.get_mut(id).unwrap().load_ns = 0;
+        }
+        self.lb.pe.stats_sent = true;
+        let at_sync = self.lb.pe.at_sync_count;
+        self.emit(0, EnvKind::LbStats { stats, at_sync });
+    }
+
+    pub(crate) fn lb_central_stats(&mut self, stats: Vec<LbChareStat>, _at_sync: u64) {
+        debug_assert_eq!(self.pe, 0, "LB stats routed to non-central PE");
+        // Fold each batch on arrival (same concatenation order the old
+        // per-batch buffer produced, without holding npes Vec headers).
+        self.lb.central.chares.extend(stats);
+        self.lb.tree.peak_stats = self
+            .lb
+            .tree
+            .peak_stats
+            .max(self.lb.central.chares.len() as u64);
+        self.lb.central.pes_reported += 1;
+        if self.lb.central.pes_reported == 1 {
+            // Epoch begins: stamp it for the trace, then poll every PE so
+            // ones without participants still report (they have no at-sync
+            // trigger of their own).
+            self.lb.central.epoch_start_ns = self.now_ns();
+            for pe in 0..self.npes {
+                self.emit(pe, EnvKind::LbPoll);
+            }
+        }
+        if self.lb.central.pes_reported < self.npes {
+            return;
+        }
+        let chares = std::mem::take(&mut self.lb.central.chares);
+        self.lb.central.pes_reported = 0;
+        self.lb.central.in_epoch = true;
+        let mut stats = LbStats {
+            npes: self.npes,
+            chares,
+        };
+        let assigned = self.cfg.lb.as_ref().map(|s| s.assign(&stats));
+        // The strategy has seen the stats in arrival order; sorted by id
+        // they are this epoch's lookup index (a stable sort, so a lookup
+        // finds what a front-to-back scan would).
+        stats.chares.sort_by_key(|c| c.id);
+        let mut per_pe: HashMap<Pe, Vec<(ChareId, Pe)>> = HashMap::new();
+        let mut total = 0u64;
+        for (id, dst) in assigned.unwrap_or_default() {
+            // A strategy returning a move for a chare absent from its own
+            // input stats is a strategy bug; skip that move instead of
+            // panicking the PE mid-epoch.
+            let first = stats.chares.partition_point(|c| c.id < id);
+            let Some(c) = stats.chares.get(first).filter(|c| c.id == id) else {
+                continue;
+            };
+            if c.migratable && c.pe != dst && dst < self.npes {
+                total += 1;
+                per_pe.entry(c.pe).or_default().push((id, dst));
+            }
+        }
+        // Reclaim the stat buffer's capacity for the next epoch.
+        let mut buf = stats.chares;
+        buf.clear();
+        self.lb.central.chares = buf;
+        if total == 0 {
+            self.lb_finish_epoch();
+            return;
+        }
+        self.lb.central.migrations_pending = total;
+        self.lb.central.migrations_done = 0;
+        for (owner, moves) in per_pe {
+            self.emit(owner, EnvKind::LbDoMigrate { moves, total });
+        }
+    }
+
+    // ---------------------------------------------------------------------
+    // Hierarchical load balancing (`LbMode::Tree`)
+    //
+    // PEs fold chare stats up a group tree; interior nodes refine placement
+    // within their subtree, issue migration orders directly, and pass only
+    // a bounded residual (truncated acceptor list + capped spill) upward.
+    // No PE ever materializes the global stat vector. Orders flow as normal
+    // `LbDoMigrate`s; completion is counted at the root (`LbMigrated`),
+    // which finishes the epoch once every ordered migration landed.
+    // ---------------------------------------------------------------------
+
+    pub(crate) fn lb_tree_kick(&mut self, epoch: u64) {
+        debug_assert_eq!(self.pe, 0, "LbKick routed to non-root PE");
+        // Redundant kicks for a running epoch and stragglers from finished
+        // ones are both dropped; only a kick for the current epoch starts
+        // the wave.
+        if self.lb.central.in_epoch || epoch != self.lb.central.epochs_done {
+            return;
+        }
+        self.lb.central.in_epoch = true;
+        self.lb.central.epoch_start_ns = self.now_ns();
+        // The order total is unknown until the root's own merge runs;
+        // block lb_maybe_finish_epoch until then.
+        self.lb.central.migrations_pending = u64::MAX;
+        self.lb.central.migrations_done = 0;
+        self.lb_tree_poll(epoch, 0);
+    }
+
+    pub(crate) fn lb_tree_poll(&mut self, epoch: u64, root: Pe) {
+        debug_assert!(
+            epoch <= self.lb.tree.epoch + 1,
+            "LB poll wave more than one epoch ahead"
+        );
+        if epoch == self.lb.tree.epoch + 1 {
+            // Next epoch's wave outran this PE's resume; hold it.
+            self.lb.tree.pending_poll = Some((epoch, root));
+            return;
+        }
+        if epoch != self.lb.tree.epoch || self.lb.tree.polled {
+            return; // straggler or duplicate
+        }
+        self.lb.tree.polled = true;
+        let tree = self.cfg.lb_mode.tree_shape();
+        let mut expected = 0usize;
+        tree.children_for_each(self.pe, root, self.npes, |child| {
+            expected += 1;
+            self.emit(child, EnvKind::LbTreePoll { epoch, root });
+        });
+        self.lb.tree.children_expected = expected;
+        self.lb_tree_try_report();
+    }
+
+    pub(crate) fn lb_tree_report_in(&mut self, report: LbTreeReport) {
+        // A child reports only after we polled it, and we cannot resume
+        // (reset) before our whole subtree reported — so a report always
+        // lands in its own epoch.
+        debug_assert!(self.lb.tree.polled, "LB tree report before poll");
+        self.lb.tree.fold(report);
+        let held = self.lb.tree.spill.len() as u64;
+        self.lb.tree.peak_stats = self.lb.tree.peak_stats.max(held);
+        self.lb_tree_try_report();
+    }
+
+    /// Report readiness check, run after every event that could complete
+    /// this PE's subtree: polled, every relayed child reported, and every
+    /// local participant reached at-sync.
+    pub(crate) fn lb_tree_try_report(&mut self) {
+        if !self.lb.tree.polled || self.lb.pe.stats_sent {
+            return;
+        }
+        if self.lb.tree.children_seen < self.lb.tree.children_expected {
+            return;
+        }
+        let participants = self.lb_participants();
+        if !participants.is_empty() && self.lb.pe.at_sync_count < participants.len() as u64 {
+            return;
+        }
+        let LbMode::Tree { group_size } = self.cfg.lb_mode else {
+            debug_assert!(false, "tree report in central mode");
+            return;
+        };
+        // Merge this PE's own contribution: migratable participants become
+        // placement candidates; everything pinned is this PE's fixed load.
+        let mut fixed = 0u64;
+        for id in &participants {
+            // analyze: allow(panic, "LB stats walk this PE's own chare map keys")
+            let slot = &self.chares[id];
+            let migratable = self
+                .registry
+                // analyze: allow(panic, "a chare's collection spec exists wherever the chare lives")
+                .vtable(self.colls.get(&id.coll).unwrap().spec.ctype)
+                .migratable;
+            self.lb.tree.total_load_ns += slot.load_ns;
+            if migratable {
+                self.lb.tree.chare_count += 1;
+                self.lb.tree.spill.push(LbChareStat {
+                    id: *id,
+                    pe: self.pe,
+                    load_ns: slot.load_ns,
+                    migratable: true,
+                });
+            } else {
+                fixed += slot.load_ns;
+            }
+        }
+        // Loads reset at the epoch boundary, as in central mode.
+        for id in &participants {
+            // analyze: allow(panic, "participants are keys of self.chares collected above")
+            self.chares.get_mut(id).unwrap().load_ns = 0;
+        }
+        self.lb.tree.pe_count += 1;
+        self.lb.tree.acceptors.push((self.pe, fixed));
+        self.lb.pe.stats_sent = true;
+        let held = self.lb.tree.spill.len() as u64;
+        self.lb.tree.peak_stats = self.lb.tree.peak_stats.max(held);
+
+        let is_root = self.pe == 0;
+        if is_root || self.lb.tree.children_expected > 0 {
+            // Interior (or root) node: refine placement within the subtree
+            // and issue orders directly. Leaves skip this — refining a
+            // single PE against its own average would keep every chare
+            // local and starve the upper levels of candidates.
+            let limit = refine_limit(
+                self.lb.tree.total_load_ns,
+                self.lb.tree.pe_count,
+                REFINE_THRESHOLD_PERMILLE,
+            );
+            let mut acceptors = std::mem::take(&mut self.lb.tree.acceptors);
+            let candidates = std::mem::take(&mut self.lb.tree.spill);
+            let outcome = greedy_refine_place(&mut acceptors, candidates, limit);
+            let mut per_pe: HashMap<Pe, Vec<(ChareId, Pe)>> = HashMap::new();
+            for (id, from, dst) in outcome.moves {
+                self.lb.tree.ordered += 1;
+                per_pe.entry(from).or_default().push((id, dst));
+            }
+            for (owner, moves) in per_pe {
+                let total = moves.len() as u64;
+                self.emit(owner, EnvKind::LbDoMigrate { moves, total });
+            }
+            self.lb.tree.acceptors = acceptors;
+            self.lb.tree.spill = outcome.leftover;
+        }
+        if is_root {
+            // Residual candidates stay put. The epoch's order total is now
+            // final; the epoch ends when that many LbMigrateds landed.
+            self.lb.central.migrations_pending = self.lb.tree.ordered;
+            self.lb_maybe_finish_epoch();
+        } else {
+            truncate_acceptors(&mut self.lb.tree.acceptors, group_size.max(16));
+            let cap = spill_cap(self.lb.tree.chare_count, self.lb.tree.pe_count);
+            truncate_spill(&mut self.lb.tree.spill, cap);
+            let tree = self.cfg.lb_mode.tree_shape();
+            let parent = tree.parent(self.pe, 0, self.npes);
+            // analyze: allow(panic, "every non-root PE has an LB tree parent")
+            let parent = parent.expect("non-root has parent");
+            let report = LbTreeReport {
+                pe_count: self.lb.tree.pe_count,
+                chare_count: self.lb.tree.chare_count,
+                total_load_ns: self.lb.tree.total_load_ns,
+                ordered: self.lb.tree.ordered,
+                acceptors: std::mem::take(&mut self.lb.tree.acceptors),
+                spill: std::mem::take(&mut self.lb.tree.spill),
+            };
+            self.emit(
+                parent,
+                EnvKind::LbTreeReport {
+                    report: Box::new(report),
+                },
+            );
+        }
+    }
+
+    /// Close the epoch once every ordered migration has landed. `pending`
+    /// holds `u64::MAX` from kick until the root's merge fixes the total,
+    /// so a completion arriving early can never finish the epoch.
+    pub(crate) fn lb_maybe_finish_epoch(&mut self) {
+        if self.lb.central.in_epoch
+            && self.lb.central.migrations_done >= self.lb.central.migrations_pending
+        {
+            self.lb_finish_epoch();
+        }
+    }
+
+    pub(crate) fn lb_finish_epoch(&mut self) {
+        self.lb.central.in_epoch = false;
+        self.lb.central.migrations_pending = 0;
+        self.lb.central.migrations_done = 0;
+        self.lb.central.epochs_done += 1;
+        if self.tracer.full() {
+            let now = self.now_ns();
+            let dur = now.saturating_sub(self.lb.central.epoch_start_ns);
+            self.tracer
+                .push(now, charm_trace::EventKind::LbEpoch { dur_ns: dur });
+        }
+        self.emit(0, EnvKind::LbResume { root: 0 });
+    }
+
+    pub(crate) fn lb_resume_local(&mut self) {
+        self.lb.pe.at_sync_count = 0;
+        self.lb.pe.stats_sent = false;
+        self.lb.tree.reset();
+        self.lb.tree.epoch += 1;
+        // A buffered next-epoch poll (its wave outran this resume) can run
+        // now that the epoch counter caught up.
+        if let Some((epoch, root)) = self.lb.tree.pending_poll.take() {
+            self.lb_tree_poll(epoch, root);
+        }
+        let resumed: Vec<ChareId> = self
+            .chares
+            .iter()
+            .filter(|(_, s)| s.at_sync)
+            .map(|(id, _)| *id)
+            .collect();
+        let mut ids = resumed;
+        ids.sort();
+        for id in ids {
+            if let Some(slot) = self.chares.get_mut(&id) {
+                slot.at_sync = false;
+            }
+            self.invoke(id, Invoke::ResumeFromSync);
+        }
+    }
+
+    /// LB epochs completed (read by the driver for the report; PE 0 only).
+    pub(crate) fn lb_epochs(&self) -> u64 {
+        self.lb.central.epochs_done
     }
 }
 

@@ -38,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 
+pub(crate) mod aggregation;
 #[cfg(feature = "analyze")]
 pub mod analyze;
 pub mod chare;
@@ -51,6 +52,7 @@ pub(crate) mod driver;
 pub mod future;
 pub mod ids;
 pub mod lb;
+pub mod location;
 pub mod msg;
 pub(crate) mod net;
 pub mod pe;
@@ -58,6 +60,7 @@ pub mod proxy;
 pub mod quiescence;
 pub mod reduction;
 pub mod runtime;
+pub(crate) mod sweep;
 pub mod tree;
 
 pub use chare::{Chare, MsgGuard, Registry};

@@ -1,0 +1,336 @@
+//! Location management: where a chare lives, and how it moves
+//! (DESIGN.md §5 "naming").
+//!
+//! **State:** [`Locations`] — the location table (forwarding stubs left by
+//! departures and locations learned from `LocationUpdate`s, one map), the
+//! envelopes parked for chares this PE expects to host, and the count of
+//! stub forwards (`PePerf::fwd_hops`).
+//!
+//! **Envelopes:** `MigrateChare`, `LocationUpdate` ([`PeState::on_location`]).
+//!
+//! **Invariants:** a chare is found by (1) the local slot table, (2) this
+//! table, (3) its collection's placement — initial placement for
+//! singletons, groups and dense arrays, the home PE (an index hash) for
+//! sparse ones. Every departure leaves a stub and tells the home; an
+//! arrival tells the home again and, once the trail of stubs behind the
+//! chare reaches [`MAX_FWD_HOPS`], every stub holder, so a chase costs at
+//! most `MAX_FWD_HOPS` extra hops however often the chare moved.
+
+use std::collections::HashMap;
+
+use crate::collections::CollKind;
+use crate::ids::{ChareId, FutureId, Pe};
+use crate::msg::{EnvKind, Envelope, MigrateMsg};
+use crate::pe::{Buffered, PeState, Slot};
+
+/// Longest forwarding-pointer chain a repeatedly-migrating chare may leave
+/// behind. Each migration leaves a stub on the departing PE (so in-flight
+/// senders still reach the chare in one extra hop); once the trail carried
+/// in the migration message reaches this bound, the arrival PE collapses
+/// the whole chain with `LocationUpdate`s — location lookups stay O(1)
+/// with at most `MAX_FWD_HOPS` extra hops, independent of migration count.
+pub const MAX_FWD_HOPS: usize = 4;
+
+/// Where an envelope for one chare goes next.
+pub(crate) enum Route {
+    Local,
+    /// `.1` is true when the destination came from the location table (a
+    /// forwarding stub or a learned location) rather than from placement.
+    Remote(Pe, bool),
+    /// This PE is the element's home but does not (yet) know a location.
+    BufferHere,
+    UnknownColl,
+}
+
+/// One PE's view of where chares live.
+#[derive(Default)]
+pub(crate) struct Locations {
+    table: HashMap<ChareId, Pe>,
+    /// Envelopes for chares this PE is home to (or will host) but cannot
+    /// place yet; re-dispatched when the chare or its location arrives.
+    parked: HashMap<ChareId, Vec<Envelope>>,
+    /// Entry messages this PE forwarded on behalf of a departed chare.
+    fwd_hops: u64,
+}
+
+impl Locations {
+    /// Record that `id` lives on `pe`.
+    fn learn(&mut self, id: ChareId, pe: Pe) {
+        self.table.insert(id, pe);
+    }
+
+    /// Hold `env` until `id` (or news of it) arrives here.
+    pub(crate) fn park(&mut self, id: ChareId, env: Envelope) {
+        self.parked.entry(id).or_default().push(env);
+    }
+
+    /// Count one entry message forwarded through a stub.
+    pub(crate) fn count_fwd_hop(&mut self) {
+        self.fwd_hops += 1;
+    }
+
+    /// Stub forwards so far (`PePerf::fwd_hops`).
+    pub(crate) fn fwd_hops(&self) -> u64 {
+        self.fwd_hops
+    }
+
+    /// Chares with parked envelopes, and the envelopes parked in total.
+    pub(crate) fn parked(&self) -> (usize, u64) {
+        // analyze: allow(nondeterminism, "order-insensitive sum of pending-chare queue lengths")
+        let msgs = self.parked.values().map(|v| v.len() as u64).sum();
+        (self.parked.len(), msgs)
+    }
+}
+
+impl PeState {
+    /// The location slice of the dispatch switch.
+    pub(crate) fn on_location(&mut self, kind: EnvKind) {
+        match kind {
+            EnvKind::MigrateChare { msg } => self.migrate_in(msg),
+            EnvKind::LocationUpdate { id, pe } => {
+                // "It lives on you" is never news: either the chare is
+                // here (routing checks that first and no entry exists), or
+                // it has left again and the entry is the forwarding stub
+                // its departure wrote — fresher than this update, and the
+                // only thing keeping later messages from parking here for
+                // good.
+                if pe != self.pe {
+                    self.locs.learn(id, pe);
+                }
+                self.flush_pending_chare(id);
+            }
+            // analyze: allow(panic, "dispatch hands this module only the two kinds above")
+            other => unreachable!("not a location envelope: {other:?}"),
+        }
+    }
+
+    pub(crate) fn route_of(&self, id: &ChareId) -> Route {
+        if self.chares.contains_key(id) {
+            return Route::Local;
+        }
+        let Some(cs) = self.colls.get(&id.coll) else {
+            return Route::UnknownColl;
+        };
+        if let Some(&pe) = self.locs.table.get(id) {
+            return Route::Remote(pe, true);
+        }
+        match &cs.spec.kind {
+            // Initial placement is globally computable for these kinds.
+            CollKind::Singleton { .. } | CollKind::Group | CollKind::Dense { .. } => {
+                let pe = cs.spec.place(&id.index, self.npes, &self.placements);
+                if pe == self.pe {
+                    // We host it (or will, when creation lands): buffer.
+                    Route::BufferHere
+                } else {
+                    Route::Remote(pe, false)
+                }
+            }
+            CollKind::Sparse => {
+                let home = cs.spec.home_pe(&id.index, self.npes);
+                if home == self.pe {
+                    Route::BufferHere
+                } else {
+                    Route::Remote(home, false)
+                }
+            }
+        }
+    }
+
+    pub(crate) fn flush_pending_chare(&mut self, id: ChareId) {
+        if let Some(parked) = self.locs.parked.remove(&id) {
+            for env in parked {
+                self.dispatch(env);
+            }
+        }
+    }
+
+    pub(crate) fn migrate_out(&mut self, id: ChareId, to: Pe, for_lb: bool) {
+        if to == self.pe {
+            if for_lb {
+                self.emit(0, EnvKind::LbMigrated);
+            }
+            return;
+        }
+        {
+            let slot = self
+                .chares
+                .get(&id)
+                // analyze: allow(panic, "LbDoMigrate names chares the central LB just saw in this PE's stats; absence means runtime corruption")
+                .unwrap_or_else(|| panic!("migrate_out of missing chare {id}"));
+            assert!(
+                slot.coros.is_empty(),
+                "cannot migrate {id}: a threaded entry method is active"
+            );
+        }
+        let (encode_msg, home) = {
+            // analyze: allow(panic, "a chare cannot exist without its collection's spec on its PE")
+            let cs = self.colls.get(&id.coll).expect("migrate without spec");
+            (
+                self.registry.vtable(cs.spec.ctype).encode_msg,
+                cs.spec.home_pe(&id.index, self.npes),
+            )
+        };
+        // analyze: allow(panic, "presence checked by migrate_out's lookup at entry")
+        let slot = self.chares.remove(&id).unwrap();
+        // analyze: allow(panic, "migration initiates between entry methods; the box is in place")
+        let boxed = slot.boxed.expect("chare checked out at migration");
+        let data = boxed
+            .pack(self.cfg.codec)
+            .unwrap_or_else(|| {
+                // analyze: allow(panic, "migrating a chare type without pack support is a registration bug, surfaced at the first migration attempt")
+                panic!(
+                    "{} is not migratable; use register_migratable",
+                    self.registry.vtable(boxed.type_id()).name
+                )
+            })
+            // analyze: allow(panic, "encoding chare state for migration fails only on a codec bug")
+            .expect("chare state failed to encode");
+        let buffered: Vec<(Vec<u8>, Option<FutureId>, Option<u32>)> = slot
+            .buffered
+            .iter()
+            .map(|b| {
+                (
+                    // analyze: allow(panic, "buffered messages were encodable at send time; re-encode fails only on a codec bug")
+                    encode_msg(&*b.msg, self.cfg.codec).expect("buffered message encode failed"),
+                    b.reply,
+                    b.guard,
+                )
+            })
+            .collect();
+        {
+            // analyze: allow(panic, "spec presence established at migrate_out entry")
+            let cs = self.colls.get_mut(&id.coll).unwrap();
+            cs.local_members -= 1;
+            cs.subtree_members -= 1;
+        }
+        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
+            self.emit(
+                parent,
+                EnvKind::SubtreeAdd {
+                    coll: id.coll,
+                    delta: -1,
+                },
+            );
+        }
+        self.locs.learn(id, to);
+        // The home PE must learn the new location for fresh senders.
+        if home != self.pe && home != to {
+            self.emit(home, EnvKind::LocationUpdate { id, pe: to });
+        }
+        self.tracer.counters.migrations += 1;
+        if self.tracer.full() {
+            let now = self.now_ns();
+            self.tracer.push(
+                now,
+                charm_trace::EventKind::MigrateOut {
+                    bytes: data.len().min(u32::MAX as usize) as u32,
+                },
+            );
+        }
+        // This PE joins the chare's stub chain; the arrival side collapses
+        // the chain once it reaches MAX_FWD_HOPS.
+        let mut trail = slot.fwd_trail;
+        trail.push(self.pe);
+        self.emit(
+            to,
+            EnvKind::MigrateChare {
+                msg: Box::new(MigrateMsg {
+                    coll: id.coll,
+                    index: id.index,
+                    data,
+                    buffered,
+                    load_ns: if for_lb { 0 } else { slot.load_ns },
+                    red_seq: slot.red_seq,
+                    for_lb,
+                    trail,
+                }),
+            },
+        );
+    }
+
+    pub(crate) fn migrate_in(&mut self, msg: Box<MigrateMsg>) {
+        if !self.colls.contains_key(&msg.coll) {
+            let coll = msg.coll;
+            self.park_unknown_coll(coll, EnvKind::MigrateChare { msg });
+            return;
+        }
+        let MigrateMsg {
+            coll,
+            index,
+            data,
+            buffered,
+            load_ns,
+            red_seq,
+            for_lb,
+            mut trail,
+        } = *msg;
+        // analyze: allow(panic, "presence checked above")
+        let cs = self.colls.get(&coll).unwrap();
+        let id = ChareId { coll, index };
+        if self.tracer.full() {
+            let now = self.now_ns();
+            self.tracer.push(
+                now,
+                charm_trace::EventKind::MigrateIn {
+                    bytes: data.len().min(u32::MAX as usize) as u32,
+                },
+            );
+        }
+        let vt = self.registry.vtable(cs.spec.ctype);
+        // analyze: allow(panic, "migrated-in chares were packed by a type whose vtable migrates; missing unpack is a registration bug")
+        let unpack = vt.unpack.expect("migrated chare type lacks unpack");
+        let decode_msg = vt.decode_msg;
+        let boxed = unpack(self.cfg.codec, &data, cs.spec.ctype)
+            // analyze: allow(panic, "state bytes come from the matching pack; decode failure is a codec bug")
+            .unwrap_or_else(|e| panic!("migrated chare decode failed: {e}"));
+        let mut slot = Slot::new(boxed);
+        slot.load_ns = load_ns;
+        slot.red_seq = red_seq;
+        slot.at_sync = for_lb; // LB migrants resume with everyone else
+        if trail.len() < MAX_FWD_HOPS {
+            // Chain still short: carry it along (emptying `trail` so the
+            // collapse loop below has nothing to send).
+            slot.fwd_trail = std::mem::take(&mut trail);
+        }
+        for (bytes, reply, guard) in buffered {
+            let msg = decode_msg(self.cfg.codec, &bytes)
+                // analyze: allow(panic, "buffered bytes come from the matching encoder; decode failure is a codec bug")
+                .unwrap_or_else(|e| panic!("buffered message decode failed: {e}"));
+            slot.buffered.push_back(Buffered { msg, reply, guard });
+        }
+        self.chares.insert(id, slot);
+        self.locs.table.remove(&id);
+        {
+            // analyze: allow(panic, "home routing ships migrations only to PEs that hold the collection spec")
+            let cs = self.colls.get_mut(&coll).unwrap();
+            cs.local_members += 1;
+            cs.subtree_members += 1;
+        }
+        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
+            self.emit(parent, EnvKind::SubtreeAdd { coll, delta: 1 });
+        }
+        let home = self
+            .colls
+            .get(&coll)
+            // analyze: allow(panic, "spec presence established in this same migrate-in path")
+            .unwrap()
+            .spec
+            .home_pe(&index, self.npes);
+        if home != self.pe {
+            self.emit(home, EnvKind::LocationUpdate { id, pe: self.pe });
+        }
+        // Chain at the hop bound: tell every stub holder the real location
+        // so future sends reach this PE in one hop (`trail` is empty unless
+        // the bound was hit above).
+        for p in trail {
+            if p != self.pe && p != home {
+                self.emit(p, EnvKind::LocationUpdate { id, pe: self.pe });
+            }
+        }
+        if for_lb {
+            self.lb_migrant_arrived();
+        }
+        self.flush_pending_chare(id);
+        self.after_state_change(id);
+    }
+}

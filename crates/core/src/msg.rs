@@ -164,7 +164,7 @@ pub struct MigrateMsg {
     pub for_lb: bool,
     /// PEs this chare has left a forwarding stub on, oldest first. Each
     /// hop appends the departing PE; when the trail reaches
-    /// [`crate::pe::MAX_FWD_HOPS`] the arrival PE collapses the chain by
+    /// [`crate::location::MAX_FWD_HOPS`] the arrival PE collapses the chain by
     /// sending every trail PE (and the home) a `LocationUpdate`.
     pub trail: Vec<Pe>,
 }

@@ -13,6 +13,8 @@ use std::sync::Arc;
 use charm_wire::wire_enum;
 
 use crate::ids::{ChareId, CollectionId, FutureId, Index};
+use crate::msg::{EnvKind, OutPayload};
+use crate::pe::{Invoke, PeState};
 
 /// Data contributed to (and produced by) a reduction.
 ///
@@ -280,6 +282,293 @@ pub struct RedState {
 
 /// Map of in-flight reductions on a PE.
 pub type RedTable = HashMap<(CollectionId, u64), RedState>;
+
+/// One PE's in-flight reductions and the custom reducers they may name.
+pub(crate) struct Reductions {
+    table: RedTable,
+    custom: Arc<CustomReducers>,
+}
+
+impl Reductions {
+    pub(crate) fn new(custom: Arc<CustomReducers>) -> Reductions {
+        Reductions {
+            table: HashMap::new(),
+            custom,
+        }
+    }
+
+    /// Reductions still collecting contributions on this PE.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.table.len()
+    }
+
+    /// `(collection, redno, members counted so far)` per in-flight
+    /// reduction, for the stall dump.
+    pub(crate) fn progress(&self) -> Vec<(CollectionId, u64, u64)> {
+        self.table
+            .iter()
+            .map(|((coll, redno), st)| (*coll, *redno, st.count))
+            .collect()
+    }
+}
+
+impl PeState {
+    /// The reduction slice of the dispatch switch.
+    pub(crate) fn on_reduction(&mut self, kind: EnvKind) {
+        match kind {
+            EnvKind::RedPartial {
+                coll,
+                redno,
+                count,
+                data,
+                reducer,
+                target,
+            } => {
+                if !self.colls.contains_key(&coll) {
+                    self.park_unknown_coll(
+                        coll,
+                        EnvKind::RedPartial {
+                            coll,
+                            redno,
+                            count,
+                            data,
+                            reducer,
+                            target,
+                        },
+                    );
+                    return;
+                }
+                self.red_merge(coll, redno, count, data, Some(reducer), target);
+                self.red_try_complete(coll, redno);
+            }
+            EnvKind::RedDeliver { to, tag, data } => self.route_reduced(to, tag, data),
+            EnvKind::RedBroadcast {
+                coll,
+                tag,
+                data,
+                root,
+            } => {
+                if !self.colls.contains_key(&coll) {
+                    self.park_unknown_coll(
+                        coll,
+                        EnvKind::RedBroadcast {
+                            coll,
+                            tag,
+                            data,
+                            root,
+                        },
+                    );
+                    return;
+                }
+                let tree = self.cfg.tree;
+                let members = self.local_members(coll);
+                // Hand the reduced value out without a gratuitous per-hop
+                // deep copy: every consumer but the last clones, and the
+                // final one (last local member, or last child when this PE
+                // hosts none) takes the value by move.
+                let uses = tree.fanout(self.pe, root, self.npes) + members.len();
+                let mut data = Some(data);
+                let mut used = 0;
+                tree.children_for_each(self.pe, root, self.npes, |child| {
+                    used += 1;
+                    let d = if used == uses {
+                        // analyze: allow(panic, "fan-out discipline: exactly `uses` consumers; the last takes, earlier ones clone, so the Option is Some")
+                        data.take().unwrap()
+                    } else {
+                        // analyze: allow(panic, "fan-out discipline: a non-final consumer clones while the Option still holds the value")
+                        data.as_ref().unwrap().clone()
+                    };
+                    self.emit(
+                        child,
+                        EnvKind::RedBroadcast {
+                            coll,
+                            tag,
+                            data: d,
+                            root,
+                        },
+                    );
+                });
+                for id in members {
+                    used += 1;
+                    let d = if used == uses {
+                        // analyze: allow(panic, "fan-out discipline: exactly `uses` consumers; the last takes, earlier ones clone, so the Option is Some")
+                        data.take().unwrap()
+                    } else {
+                        // analyze: allow(panic, "fan-out discipline: a non-final consumer clones while the Option still holds the value")
+                        data.as_ref().unwrap().clone()
+                    };
+                    self.invoke(id, Invoke::Reduced(tag, d));
+                }
+            }
+            // analyze: allow(panic, "dispatch hands this module only the three kinds above")
+            other => unreachable!("not a reduction envelope: {other:?}"),
+        }
+    }
+
+    pub(crate) fn contribute_local(
+        &mut self,
+        id: ChareId,
+        data: RedData,
+        reducer: Reducer,
+        target: RedTarget,
+    ) {
+        if self.tracer.enabled() {
+            self.tracer.red_contributes += 1;
+            if self.tracer.full() {
+                let now = self.now_ns();
+                self.tracer.push(now, charm_trace::EventKind::RedContribute);
+            }
+        }
+        let coll = id.coll;
+        let redno = {
+            let slot = self
+                .chares
+                .get_mut(&id)
+                // analyze: allow(panic, "contribute is invoked by a live chare on this PE; its slot exists")
+                .expect("contribute from missing chare");
+            let n = slot.red_seq;
+            slot.red_seq += 1;
+            n
+        };
+        self.red_merge(coll, redno, 1, data, Some(reducer), Some(target));
+        // analyze: allow(panic, "the reduction state was created by the entry check just above")
+        let st = self.reds.table.get_mut(&(coll, redno)).unwrap();
+        st.local_got += 1;
+        self.red_try_complete(coll, redno);
+    }
+
+    pub(crate) fn red_merge(
+        &mut self,
+        coll: CollectionId,
+        redno: u64,
+        count: u64,
+        data: RedData,
+        reducer: Option<Reducer>,
+        target: Option<RedTarget>,
+    ) {
+        let st = self.reds.table.entry((coll, redno)).or_default();
+        if st.reducer.is_none() {
+            st.reducer = reducer;
+        }
+        if st.target.is_none() {
+            st.target = target;
+        }
+        st.count += count;
+        st.parts.push(data);
+        // Combine incrementally so memory stays bounded for big fan-ins.
+        if st.parts.len() >= 2 {
+            // analyze: allow(panic, "every contribute path sets the reducer before pushing a part")
+            let reducer = st.reducer.expect("reduction without reducer");
+            let parts = std::mem::take(&mut st.parts);
+            let combined = combine(reducer, parts, &self.reds.custom);
+            self.reds
+                .table
+                .get_mut(&(coll, redno))
+                // analyze: allow(panic, "the (coll, redno) entry was fetched mutably two lines up; still present")
+                .unwrap()
+                .parts
+                .push(combined);
+        }
+    }
+
+    pub(crate) fn red_try_complete(&mut self, coll: CollectionId, redno: u64) {
+        let Some(cs) = self.colls.get(&coll) else {
+            return;
+        };
+        let expected = self.subtree_expected(coll);
+        let st = self
+            .reds
+            .table
+            .get(&(coll, redno))
+            // analyze: allow(panic, "callers only check completion for reductions with live state")
+            .expect("red state missing");
+        if expected == 0 || st.count < expected {
+            return;
+        }
+        assert!(
+            st.count == expected,
+            "reduction over-contributed: {} > {} on {} (did members contribute twice?)",
+            st.count,
+            expected,
+            cs.spec.id
+        );
+        // analyze: allow(panic, "completion runs at most once; the caller verified the state is present")
+        let mut st = self.reds.table.remove(&(coll, redno)).unwrap();
+        // analyze: allow(panic, "every contribution set the reducer; a reduction cannot complete without one")
+        let reducer = st.reducer.expect("completing reduction without reducer");
+        let data = if st.parts.len() == 1 {
+            // analyze: allow(panic, "the len()==1 branch guarantees a part to pop")
+            st.parts.pop().unwrap()
+        } else {
+            combine(reducer, std::mem::take(&mut st.parts), &self.reds.custom)
+        };
+        match self.cfg.tree.parent(self.pe, 0, self.npes) {
+            Some(parent) => self.emit(
+                parent,
+                EnvKind::RedPartial {
+                    coll,
+                    redno,
+                    count: expected,
+                    data,
+                    reducer,
+                    target: st.target,
+                },
+            ),
+            None => {
+                // Root: deliver to the target.
+                // analyze: allow(panic, "the reduction's target was recorded at creation from the contribute call")
+                let target = st.target.expect("reduction completed without target");
+                self.red_deliver(target, data);
+            }
+        }
+    }
+
+    pub(crate) fn subtree_expected(&self, coll: CollectionId) -> u64 {
+        self.colls
+            .get(&coll)
+            .map(|c| c.subtree_members)
+            .unwrap_or(0)
+    }
+
+    pub(crate) fn red_deliver(&mut self, target: RedTarget, data: RedData) {
+        if self.tracer.enabled() {
+            self.tracer.red_delivers += 1;
+            if self.tracer.full() {
+                let now = self.now_ns();
+                self.tracer.push(now, charm_trace::EventKind::RedDeliver);
+            }
+        }
+        match target {
+            RedTarget::Future(fid) => {
+                let dst = fid.pe as usize;
+                let payload = OutPayload::new(data)
+                    .into_payload(
+                        dst == self.pe,
+                        self.cfg.same_pe_byref,
+                        self.cfg.codec,
+                        &mut self.encode_pool,
+                    )
+                    // analyze: allow(panic, "encoding the reduction result fails only on a codec bug")
+                    .expect("reduction result failed to encode");
+                self.emit(dst, EnvKind::FutureValue { fid, payload });
+            }
+            RedTarget::Element(id, tag) => {
+                self.route_reduced(id, tag, data);
+            }
+            RedTarget::Broadcast(coll, tag) => {
+                self.emit(
+                    self.pe,
+                    EnvKind::RedBroadcast {
+                        coll,
+                        tag,
+                        data,
+                        root: self.pe,
+                    },
+                );
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -40,6 +40,7 @@ use charm_trace::{MetricFrame, PePerf, PeTrace, TraceConfig, TraceReport, WorkCl
 use charm_wire::Codec;
 
 use crate::chare::{Chare, MsgGuard, MsgGuards, Registry};
+use crate::checkpoint::CkptStore;
 use crate::checkpoint::{self, CkptError, CkptFile, Store};
 use crate::collections::{Placement, Placements};
 use crate::coro::{install_quiet_shutdown_hook, run_coroutine, Co};
@@ -48,7 +49,7 @@ use crate::driver::{drive, supervise, End, Ended, Failed, Poll, Transport};
 use crate::ids::Pe;
 use crate::lb::{LbMode, LbStrategy};
 use crate::msg::{EnvKind, Envelope};
-use crate::pe::{CkptStore, CoroLauncher, PeState, RestoreFrom, SchedCfg};
+use crate::pe::{CoroLauncher, PeState, RestoreFrom, SchedCfg};
 use crate::reduction::{CustomReducers, RedData, Reducer};
 use crate::tree::TreeShape;
 
@@ -1071,7 +1072,7 @@ fn threads_epoch(
                 .map_err(panic_msg);
                 let trace = state.finish_trace();
                 let lb = state.lb_epochs();
-                let store = std::mem::take(&mut state.ckpt_store);
+                let store = state.take_ckpt_store();
                 let _ = status_tx.send((state.pe, end, trace, lb, store));
             })
             .expect("failed to spawn PE thread");
@@ -1347,7 +1348,7 @@ pub(crate) fn virtual_epoch<T: Transport>(
             // newest complete generation the survivors can assemble.
             let stores = pes
                 .iter_mut()
-                .map(|p| (p.pe != victim).then(|| std::mem::take(&mut p.ckpt_store)))
+                .map(|p| (p.pe != victim).then(|| p.take_ckpt_store()))
                 .collect();
             return Ok(Ended::Failed(Failed::killed(victim, stores, at_ns)));
         }
