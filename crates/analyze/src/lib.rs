@@ -838,21 +838,24 @@ fn rel(root: &Path, p: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lint the whole workspace rooted at `root` (the directory holding the
-/// workspace `Cargo.toml`). Every source file gets the path-scoped rules
-/// plus the stale-allow audit; crate roots (lib.rs, or main.rs for
-/// bin-only crates) additionally get the unsafe-code policy.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-
-    // Every source under crates/*/src and src/.
+/// Every source file the workspace walk covers (under `crates/*/src` and
+/// `src/`, sorted), and which of them are crate roots: `lib.rs` (or
+/// `main.rs` for bin-only crates) of every member plus the umbrella crate.
+fn workspace_sources(root: &Path) -> io::Result<(Vec<PathBuf>, Vec<PathBuf>)> {
     let mut files = Vec::new();
+    let mut roots = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         for entry in fs::read_dir(&crates_dir)? {
             let src = entry?.path().join("src");
             if src.is_dir() {
                 walk(&src, &mut files)?;
+                let (lib, main) = (src.join("lib.rs"), src.join("main.rs"));
+                if lib.is_file() {
+                    roots.push(lib);
+                } else if main.is_file() {
+                    roots.push(main);
+                }
             }
         }
     }
@@ -860,37 +863,49 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     if root_src.is_dir() {
         walk(&root_src, &mut files)?;
     }
-    files.sort();
-
-    // Crate roots: lib.rs (or main.rs for bin-only crates) of every
-    // workspace member plus the umbrella crate.
-    let mut roots = Vec::new();
-    if crates_dir.is_dir() {
-        for entry in fs::read_dir(&crates_dir)? {
-            let dir = entry?.path();
-            if !dir.is_dir() {
-                continue;
-            }
-            let lib = dir.join("src/lib.rs");
-            let main = dir.join("src/main.rs");
-            if lib.is_file() {
-                roots.push(lib);
-            } else if main.is_file() {
-                roots.push(main);
-            }
-        }
-    }
     if root_src.join("lib.rs").is_file() {
         roots.push(root_src.join("lib.rs"));
     }
+    files.sort();
+    Ok((files, roots))
+}
 
+/// Lint the whole workspace rooted at `root` (the directory holding the
+/// workspace `Cargo.toml`). Every source file gets the path-scoped rules
+/// plus the stale-allow audit; crate roots additionally get the
+/// unsafe-code policy.
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+    let (files, roots) = workspace_sources(root)?;
+    let mut findings = Vec::new();
     for f in &files {
         let content = fs::read_to_string(f)?;
         findings.extend(lint_file(&rel(root, f), &content, roots.contains(f)));
     }
-
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
+}
+
+/// The size of the exception list the rules carry: well-formed
+/// `analyze: allow(..)` annotations in the workspace files whose relative
+/// path starts with `prefix` (`""` = all), counted by allow-key.
+pub fn count_allows(
+    root: &Path,
+    prefix: &str,
+) -> io::Result<std::collections::BTreeMap<String, usize>> {
+    let mut counts = std::collections::BTreeMap::new();
+    for f in workspace_sources(root)?.0 {
+        if !rel(root, &f).starts_with(prefix) {
+            continue;
+        }
+        for line in mask(&fs::read_to_string(&f)?) {
+            for a in parse_allows(&line.comment) {
+                if a.has_reason {
+                    *counts.entry(a.rule).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    Ok(counts)
 }
 
 // ---------------------------------------------------------------------------

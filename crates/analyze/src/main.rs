@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use charm_analyze::{lint_workspace, self_test, Rule};
+use charm_analyze::{count_allows, lint_workspace, self_test, Rule};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -125,7 +125,17 @@ fn main() -> ExitCode {
                     };
                     fatal.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
                     if fatal.is_empty() {
-                        println!("charm-analyze: workspace clean ({})", root.display());
+                        // The exception list is part of the verdict: a clean
+                        // tree says how many reasoned allows it took.
+                        let allows = count_allows(&root, "").unwrap_or_default();
+                        let by_key: Vec<String> =
+                            allows.iter().map(|(k, n)| format!("{k} {n}")).collect();
+                        println!(
+                            "charm-analyze: workspace clean ({}); allows: {} ({})",
+                            root.display(),
+                            allows.values().sum::<usize>(),
+                            by_key.join(", ")
+                        );
                         ExitCode::SUCCESS
                     } else {
                         eprintln!("charm-analyze: {} finding(s):", fatal.len());

@@ -51,80 +51,71 @@ impl Aggregator {
             scratch: Vec::new(),
         }
     }
+
+    fn buf(&mut self, dst: Pe) -> (&mut AggBuf, &mut Vec<u8>) {
+        // analyze: allow(panic, "bufs is sized to npes when aggregation is on (push_out checks) and dst is a routed PE index < npes")
+        (&mut self.bufs[dst], &mut self.scratch)
+    }
 }
 
 impl PeState {
     /// Route an outgoing envelope to the outbox — or, with aggregation on,
-    /// coalesce it into the destination's batch buffer. Only small remote
-    /// wire-encoded `Entry` messages batch; anything else bound for a
-    /// destination with a pending buffer flushes that buffer first, so the
-    /// outbox order equals the emission order on every (src → dst) channel
-    /// and per-channel FIFO survives mixing batched and unbatched traffic.
+    /// coalesce it into the destination's batch buffer.
     pub(crate) fn push_out(&mut self, dst: Pe, env: Envelope) {
-        let agg = match self.cfg.agg {
-            Some(a) if dst != self.pe && !self.agg.bufs.is_empty() => a,
-            _ => {
-                self.outbox.push((dst, env));
-                return;
-            }
-        };
-        let batchable = matches!(
-            &env.kind,
-            EnvKind::Entry { payload: Payload::Wire(b), .. } if b.len() < agg.max_bytes
-        );
-        if !batchable {
-            self.flush_agg(dst);
-            self.outbox.push((dst, env));
-            return;
-        }
-        #[cfg(feature = "analyze")]
-        let Envelope {
-            kind,
-            sent_ns,
-            trace,
-            ..
-        } = env;
-        #[cfg(not(feature = "analyze"))]
-        let Envelope { kind, sent_ns, .. } = env;
-        let EnvKind::Entry {
-            to,
-            payload: Payload::Wire(bytes),
-            reply,
-            guard,
-        } = kind
+        let Some(agg) = self
+            .cfg
+            .agg
+            .filter(|_| dst != self.pe && !self.agg.bufs.is_empty())
         else {
-            // analyze: allow(panic, "the batchable match above admits exactly this shape")
-            unreachable!("push_out: non-batchable kind after batchable check");
+            return self.outbox.push((dst, env));
         };
-        // analyze: allow(panic, "agg_bufs is sized to npes at construction and dst is a routed PE index < npes")
-        let buf = &mut self.agg.bufs[dst];
-        crate::msg::push_batch_record(
-            &mut buf.frame,
-            &mut self.agg.scratch,
-            self.cfg.codec,
-            to,
-            reply,
-            guard,
-            sent_ns,
-            #[cfg(feature = "analyze")]
-            trace,
-            &bytes,
-        )
-        // analyze: allow(panic, "encoding a batch record of an already-encoded entry fails only on a codec bug")
-        .expect("batch record failed to encode");
-        buf.count += 1;
-        if buf.count as usize >= agg.max_count || buf.frame.len() >= agg.max_bytes {
-            self.flush_agg(dst);
+        match env {
+            Envelope {
+                kind:
+                    EnvKind::Entry {
+                        to,
+                        payload: Payload::Wire(bytes),
+                        reply,
+                        guard,
+                    },
+                sent_ns,
+                #[cfg(feature = "analyze")]
+                trace,
+                ..
+            } if bytes.len() < agg.max_bytes => {
+                let (buf, scratch) = self.agg.buf(dst);
+                crate::msg::push_batch_record(
+                    &mut buf.frame,
+                    scratch,
+                    self.cfg.codec,
+                    to,
+                    reply,
+                    guard,
+                    sent_ns,
+                    #[cfg(feature = "analyze")]
+                    trace,
+                    &bytes,
+                )
+                // analyze: allow(panic, "encoding a batch record of an already-encoded entry fails only on a codec bug")
+                .expect("batch record failed to encode");
+                buf.count += 1;
+                if buf.count as usize >= agg.max_count || buf.frame.len() >= agg.max_bytes {
+                    self.flush_agg(dst);
+                }
+            }
+            // Not batchable: flush what is pending for `dst` first, so the
+            // channel's order stays the emission order.
+            env => {
+                self.flush_agg(dst);
+                self.outbox.push((dst, env));
+            }
         }
     }
 
     /// Flush `dst`'s aggregation buffer (if non-empty) into one
-    /// [`EnvKind::Batch`] envelope on the outbox. The batch itself is a
-    /// *physical* artifact: never QD-counted, never logically traced (trace
-    /// id 0, detector-exempt) — its constituents did all of that in `emit`.
-    pub(crate) fn flush_agg(&mut self, dst: Pe) {
-        // analyze: allow(panic, "agg_bufs is sized to npes at construction and dst is a routed PE index < npes")
-        let buf = &mut self.agg.bufs[dst];
+    /// [`EnvKind::Batch`] envelope on the outbox.
+    fn flush_agg(&mut self, dst: Pe) {
+        let (buf, _) = self.agg.buf(dst);
         if buf.count == 0 {
             return;
         }
@@ -143,26 +134,24 @@ impl PeState {
                 },
             );
         }
-        let mut env = Envelope::new(self.pe, EnvKind::Batch { count, frame });
-        env.epoch = self.cfg.epoch;
+        let env = self.wrap(EnvKind::Batch { count, frame });
         self.outbox.push((dst, env));
     }
 
     /// Flush every destination's pending aggregation buffer, in PE order
-    /// (deterministic under sim). Called on scheduler idle, on quiescence
-    /// probes (a parked message is sent-but-unprocessed, so QD could never
-    /// converge over it) and at checkpoint entry (a snapshot must not
-    /// capture a world where sent traffic sits in a sender-side buffer
-    /// that dies with the incarnation). Returns whether anything flushed.
+    /// (deterministic under sim). Returns whether anything flushed.
     pub(crate) fn flush_aggregation(&mut self) -> bool {
-        let mut any = false;
-        for dst in 0..self.agg.bufs.len() {
-            // analyze: allow(panic, "dst iterates 0..agg_bufs.len()")
-            if self.agg.bufs[dst].count > 0 {
-                self.flush_agg(dst);
-                any = true;
-            }
+        let pending = |(dst, buf): (Pe, &AggBuf)| (buf.count > 0).then_some(dst);
+        let pending: Vec<Pe> = self
+            .agg
+            .bufs
+            .iter()
+            .enumerate()
+            .filter_map(pending)
+            .collect();
+        for &dst in &pending {
+            self.flush_agg(dst);
         }
-        any
+        !pending.is_empty()
     }
 }

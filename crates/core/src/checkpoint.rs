@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use charm_wire::{wire_struct, WireBytes};
 
 use crate::collections::CollSpec;
-use crate::ids::{ChareId, CollectionId, FutureId, Index, Pe};
+use crate::ids::{CollectionId, FutureId, Index, Pe};
 use crate::msg::{EnvKind, MigrateMsg, OutPayload};
 use crate::pe::{main_chare_id, PeState};
 
@@ -379,93 +379,77 @@ pub fn latest_complete_dir(root: &Path) -> Result<(u64, PathBuf), CkptError> {
     })
 }
 
-/// An in-progress machine-wide checkpoint tracked on the initiating PE.
-enum CkptPending {
-    /// `ctx.checkpoint(dir)`: completes the caller's future with the total
-    /// chare count once every PE has acked.
-    Manual {
-        fid: FutureId,
-        left: usize,
-        total: u64,
-    },
+/// What the initiating PE does once every PE has acked its checkpoint.
+enum CkptThen {
+    /// `ctx.checkpoint(dir)`: complete the caller's future with the total
+    /// chare count.
+    Reply { fid: FutureId, total: u64 },
     /// Automatic checkpoint taken at quiescence (PE 0): the quiescence
-    /// waiters are held until every PE has committed, so the application
-    /// only resumes against fully saved state. `telemetry` marks that a
-    /// telemetry sweep fell due at the same quiescence round and must run
-    /// (machine still quiescent, waiters still parked) once the last PE
-    /// acks.
-    Auto {
-        left: usize,
+    /// waiters were held so the application only resumes against fully
+    /// saved state. `telemetry` marks that a telemetry sweep fell due at the
+    /// same round and must run (machine still quiescent, waiters still
+    /// parked) before they go.
+    Release {
         waiters: Vec<FutureId>,
         telemetry: bool,
     },
 }
 
 /// In-memory checkpoint images one PE holds under `Store::Memory` buddy
-/// checkpointing: its own images plus the copies it keeps for its buddy
-/// (PE `self - 1 mod npes`). The last two generations are retained, so a
-/// failure mid-generation `e` still finds generation `e - 1` complete.
+/// checkpointing: its own plus the copies it keeps for the PE it is buddy
+/// to (`self - 1 mod npes`), as `(owner, generation, image)`. The last two
+/// generations per owner are retained, so a failure mid-generation `e`
+/// still finds generation `e - 1` complete.
 #[derive(Default)]
 pub(crate) struct CkptStore {
-    own: Vec<(u64, WireBytes)>,
-    held: Vec<(Pe, u64, WireBytes)>,
+    images: Vec<(Pe, u64, WireBytes)>,
 }
 
 impl CkptStore {
-    /// Generations retained per slot (current + previous).
+    /// Generations retained per owner (current + previous).
     const KEEP: usize = 2;
 
-    fn store_own(&mut self, epoch: u64, image: WireBytes) {
-        self.own.retain(|(e, _)| *e != epoch);
-        self.own.push((epoch, image));
-        self.own.sort_by_key(|(e, _)| *e);
-        while self.own.len() > Self::KEEP {
-            self.own.remove(0);
-        }
-    }
-
-    fn store_held(&mut self, owner: Pe, epoch: u64, image: WireBytes) {
-        self.held.retain(|(o, e, _)| *o != owner || *e != epoch);
-        self.held.push((owner, epoch, image));
-        self.held.sort_by_key(|(_, e, _)| *e);
-        while self.held.iter().filter(|(o, _, _)| *o == owner).count() > Self::KEEP {
-            if let Some(i) = self.held.iter().position(|(o, _, _)| *o == owner) {
-                self.held.remove(i);
+    fn store(&mut self, owner: Pe, epoch: u64, image: WireBytes) {
+        self.images.retain(|(o, e, _)| *o != owner || *e != epoch);
+        self.images.push((owner, epoch, image));
+        self.images.sort_by_key(|(_, e, _)| *e);
+        while self.images.iter().filter(|(o, _, _)| *o == owner).count() > Self::KEEP {
+            if let Some(i) = self.images.iter().position(|(o, _, _)| *o == owner) {
+                self.images.remove(i);
             }
         }
     }
 
-    /// This PE's own image for generation `epoch`.
-    pub(crate) fn own_at(&self, epoch: u64) -> Option<&WireBytes> {
-        self.own.iter().find(|(e, _)| *e == epoch).map(|(_, b)| b)
-    }
-
-    /// The copy held on behalf of `owner` for generation `epoch`.
-    pub(crate) fn held_at(&self, owner: Pe, epoch: u64) -> Option<&WireBytes> {
-        self.held
+    /// `owner`'s image for generation `epoch`, if this store holds it.
+    pub(crate) fn image_of(&self, owner: Pe, epoch: u64) -> Option<&WireBytes> {
+        let found = self
+            .images
             .iter()
-            .find(|(o, e, _)| *o == owner && *e == epoch)
-            .map(|(_, _, b)| b)
+            .find(|(o, e, _)| *o == owner && *e == epoch);
+        found.map(|(_, _, b)| b)
     }
 
     /// Every generation this store has any image for, ascending.
     pub(crate) fn epochs(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .own
-            .iter()
-            .map(|(e, _)| *e)
-            .chain(self.held.iter().map(|(_, e, _)| *e))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
+        let mut v: Vec<u64> = self.images.iter().map(|(_, e, _)| *e).collect();
+        v.dedup(); // `images` is kept sorted by generation
         v
     }
 }
 
 /// One PE's checkpoint state.
+///
+/// **Envelopes:** `CkptSave`, `CkptBuddy`, `CkptAck`, `RestoreColl`
+/// ([`PeState::on_checkpoint`]). **Invariants:** one checkpoint at a time
+/// per initiating PE, and generation numbers it mints only grow (a restart
+/// starts above every committed one). A PE acks through its buddy under
+/// `Store::Memory`, so a committed generation implies buddy coverage. A
+/// late or duplicate ack finds no window and is dropped. A save flushes
+/// the aggregation buffers first and writes specs and chares in id order,
+/// so an image is a function of the machine's state, not of hash order.
 pub(crate) struct Ckpt {
-    /// In-progress checkpoint initiated on this PE.
-    pending: Option<CkptPending>,
+    /// The checkpoint this PE initiated: acks still owed, and what then.
+    pending: Option<(usize, CkptThen)>,
     /// In-memory images (own + buddy-held) under `Store::Memory`; salvaged
     /// by the restart supervisor after a PE failure.
     store: CkptStore,
@@ -496,13 +480,19 @@ impl PeState {
     pub(crate) fn on_checkpoint(&mut self, src: Pe, kind: EnvKind) {
         match kind {
             EnvKind::CkptSave { dir, epoch, buddy } => self.ckpt_save(src, dir, epoch, buddy),
+            // Buddy half of in-memory double checkpointing: hold `owner`'s
+            // image so its death can be recovered from this PE's copy, then
+            // ack the initiator on the owner's behalf.
             EnvKind::CkptBuddy {
                 owner,
                 initiator,
                 epoch,
                 saved,
                 image,
-            } => self.ckpt_buddy(owner, initiator, epoch, saved, image),
+            } => {
+                self.ckpt.store.store(owner, epoch, image);
+                self.emit(initiator, EnvKind::CkptAck { saved });
+            }
             EnvKind::CkptAck { saved } => self.ckpt_ack(saved),
             EnvKind::RestoreColl { spec, root } => self.restore_coll(spec, root),
             // analyze: allow(panic, "dispatch hands this module only the four kinds above")
@@ -510,29 +500,27 @@ impl PeState {
         }
     }
 
-    /// `ctx.checkpoint(dir, &done)`: ask every PE to save into `dir`.
-    pub(crate) fn start_manual_ckpt(&mut self, dir: String, fid: FutureId) {
+    /// Open a checkpoint window on this PE and ask every PE to save the
+    /// next generation: into `dir` if given, and to its buddy if `buddy`.
+    fn ckpt_begin(&mut self, then: CkptThen, dir: impl Fn(u64) -> Option<String>, buddy: bool) {
         assert!(
             self.ckpt.pending.is_none(),
             "checkpoint already in progress"
         );
-        self.ckpt.pending = Some(CkptPending::Manual {
-            fid,
-            left: self.npes,
-            total: 0,
-        });
+        self.ckpt.pending = Some((self.npes, then));
         let epoch = self.ckpt.next_epoch;
         self.ckpt.next_epoch += 1;
+        let dir = dir(epoch);
         for pe in 0..self.npes {
-            self.emit(
-                pe,
-                EnvKind::CkptSave {
-                    dir: Some(dir.clone()),
-                    epoch,
-                    buddy: false,
-                },
-            );
+            let dir = dir.clone();
+            self.emit(pe, EnvKind::CkptSave { dir, epoch, buddy });
         }
+    }
+
+    /// `ctx.checkpoint(dir, &done)`: ask every PE to save into `dir`.
+    pub(crate) fn start_manual_ckpt(&mut self, dir: String, fid: FutureId) {
+        let then = CkptThen::Reply { fid, total: 0 };
+        self.ckpt_begin(then, |_| Some(dir.clone()), false);
     }
 
     /// Whether this quiescence completion should trigger an automatic
@@ -540,59 +528,31 @@ impl PeState {
     /// restore gate's own quiescence round never checkpoints — the machine
     /// is still re-installing chares at that point.
     pub(crate) fn auto_ckpt_due(&self) -> bool {
-        match &self.cfg.auto_ckpt {
-            Some((every, _)) => {
-                *every > 0
-                    && self.ckpt.pending.is_none()
-                    && self.entry_gate.is_none()
-                    && self.sweeps.completions().is_multiple_of(*every)
-            }
-            None => false,
-        }
+        self.cfg.auto_ckpt.as_ref().is_some_and(|(every, _)| {
+            self.ckpt.pending.is_none()
+                && self.entry_gate.is_none()
+                && self.sweeps.round_is_multiple_of(*every)
+        })
     }
 
-    /// PE 0: broadcast `CkptSave` for the next generation, parking the
-    /// quiescence waiters until every PE acks ([`Self::ckpt_ack`]).
-    /// `telemetry` carries a same-round telemetry sweep through the
-    /// checkpoint (it starts once the last PE commits).
+    /// PE 0: take the automatic checkpoint, parking the quiescence waiters
+    /// until every PE acks. `telemetry` carries a same-round telemetry
+    /// sweep through the checkpoint (it starts once the last PE commits).
     pub(crate) fn start_auto_ckpt(&mut self, waiters: Vec<FutureId>, telemetry: bool) {
-        let store = match &self.cfg.auto_ckpt {
-            Some((_, store)) => store.clone(),
-            None => return,
+        let Some((_, store)) = self.cfg.auto_ckpt.clone() else {
+            return;
         };
-        let epoch = self.ckpt.next_epoch;
-        self.ckpt.next_epoch += 1;
-        self.ckpt.pending = Some(CkptPending::Auto {
-            left: self.npes,
-            waiters,
-            telemetry,
-        });
-        let (dir, buddy) = match &store {
-            Store::Disk(root) => (
-                Some(epoch_dir(root, epoch).to_string_lossy().into_owned()),
-                false,
-            ),
-            Store::Memory => (None, true),
-        };
-        for pe in 0..self.npes {
-            self.emit(
-                pe,
-                EnvKind::CkptSave {
-                    dir: dir.clone(),
-                    epoch,
-                    buddy,
-                },
-            );
+        let then = CkptThen::Release { waiters, telemetry };
+        match store {
+            Store::Disk(root) => {
+                let dir = |epoch| Some(epoch_dir(&root, epoch).to_string_lossy().into_owned());
+                self.ckpt_begin(then, dir, false)
+            }
+            Store::Memory => self.ckpt_begin(then, |_| None, true),
         }
     }
 
-    pub(crate) fn ckpt_save(
-        &mut self,
-        initiator: Pe,
-        dir: Option<String>,
-        epoch: u64,
-        buddy: bool,
-    ) {
+    fn ckpt_save(&mut self, initiator: Pe, dir: Option<String>, epoch: u64, buddy: bool) {
         // Checkpoint-entry flush: the snapshot must not capture a machine
         // where already-counted sends sit in a sender-side aggregation
         // buffer — the buffer dies with this incarnation, and a restore
@@ -609,62 +569,21 @@ impl PeState {
         // from them) must not depend on HashMap iteration order, or two
         // replays of one schedule diverge after a checkpoint.
         specs.sort_by_key(|spec| spec.id);
-        let mut ids: Vec<ChareId> = self
-            .chares
-            // analyze: allow(nondeterminism, "hash order erased by the sort below — images are encoded in id order")
-            .keys()
-            .filter(|id| id.coll != main_coll)
-            .copied()
+        let chares: Vec<CkptChare> = self
+            .sorted_chares(|id| id.coll != main_coll)
+            .into_iter()
+            .map(|id| {
+                let slot = self.slot(&id);
+                let (data, buffered) = self.pack_chare(&id, slot, "checkpoint");
+                CkptChare {
+                    coll: id.coll,
+                    index: id.index,
+                    data,
+                    red_seq: slot.red_seq,
+                    buffered,
+                }
+            })
             .collect();
-        ids.sort();
-        let mut chares = Vec::with_capacity(ids.len());
-        for id in ids {
-            // analyze: allow(panic, "checkpoint walks this PE's own chares; their specs exist locally")
-            let cs = self.colls.get(&id.coll).unwrap();
-            let encode_msg = self.registry.vtable(cs.spec.ctype).encode_msg;
-            // analyze: allow(panic, "checkpoint walks this PE's own chare map keys")
-            let slot = &self.chares[&id];
-            assert!(
-                slot.coros.is_empty(),
-                "cannot checkpoint {id}: a threaded entry method is active"
-            );
-            let boxed = slot
-                .boxed
-                .as_ref()
-                // analyze: allow(panic, "checkpoints run between entry methods; the box is in place")
-                .expect("chare checked out at checkpoint");
-            let data = boxed
-                .pack(self.cfg.codec)
-                .unwrap_or_else(|| {
-                    // analyze: allow(panic, "checkpointing a chare type without pack support is a registration bug")
-                    panic!(
-                        "{} is not migratable; checkpointing requires register_migratable",
-                        self.registry.vtable(boxed.type_id()).name
-                    )
-                })
-                // analyze: allow(panic, "encoding chare state for checkpoint fails only on a codec bug")
-                .expect("chare state failed to encode");
-            let buffered: Vec<(Vec<u8>, Option<FutureId>, Option<u32>)> = slot
-                .buffered
-                .iter()
-                .map(|b| {
-                    (
-                        encode_msg(&*b.msg, self.cfg.codec)
-                            // analyze: allow(panic, "buffered messages were encodable at send time")
-                            .expect("buffered message encode failed"),
-                        b.reply,
-                        b.guard,
-                    )
-                })
-                .collect();
-            chares.push(CkptChare {
-                coll: id.coll,
-                index: id.index,
-                data,
-                red_seq: slot.red_seq,
-                buffered,
-            });
-        }
         let saved = chares.len() as u64;
         let file = CkptFile {
             version: CKPT_VERSION,
@@ -675,7 +594,7 @@ impl PeState {
         };
         let mut bytes = 0u64;
         if let Some(dir) = &dir {
-            bytes += write_file(std::path::Path::new(dir), self.pe, &file)
+            bytes += write_file(Path::new(dir), self.pe, &file)
                 // analyze: allow(panic, "an unwritable checkpoint directory is an unrecoverable operator error; fail loudly rather than silently drop the checkpoint")
                 .unwrap_or_else(|e| panic!("checkpoint write failed on PE {}: {e}", self.pe));
         }
@@ -685,7 +604,7 @@ impl PeState {
                 panic!("checkpoint image encode failed on PE {}: {e}", self.pe)
             });
             bytes += image.len() as u64;
-            self.ckpt.store.store_own(epoch, image.clone());
+            self.ckpt.store.store(self.pe, epoch, image.clone());
             // Ship a copy to the buddy; the buddy acks the initiator on our
             // behalf, so a committed generation implies buddy coverage.
             let buddy_pe = (self.pe + 1) % self.npes;
@@ -704,30 +623,11 @@ impl PeState {
         }
         if self.tracer.enabled() {
             self.tracer.ckpt_bytes += bytes;
-            if self.tracer.full() {
-                let now = self.now_ns();
-                self.tracer
-                    .push(now, charm_trace::EventKind::Ckpt { bytes });
-            }
+            self.trace_event(|_| charm_trace::EventKind::Ckpt { bytes });
         }
     }
 
-    /// Buddy half of in-memory double checkpointing: hold `owner`'s image
-    /// so its death can be recovered from this PE's copy, then ack the
-    /// initiator on the owner's behalf.
-    pub(crate) fn ckpt_buddy(
-        &mut self,
-        owner: Pe,
-        initiator: Pe,
-        epoch: u64,
-        saved: u64,
-        image: WireBytes,
-    ) {
-        self.ckpt.store.store_held(owner, epoch, image);
-        self.emit(initiator, EnvKind::CkptAck { saved });
-    }
-
-    pub(crate) fn ckpt_ack(&mut self, saved: u64) {
+    fn ckpt_ack(&mut self, saved: u64) {
         // A late or duplicate ack after the checkpoint window closed is a
         // peer-protocol anomaly, not a local invariant violation: drop it
         // rather than bringing the PE down.
@@ -737,7 +637,7 @@ impl PeState {
         // so the mutation smoke test can prove the model checker
         // rediscovers the original bug and shrinks its schedule.
         #[cfg(feature = "mutation-ckptack")]
-        let Some(pending) = self.ckpt.pending.take() else {
+        let Some((left, mut then)) = self.ckpt.pending.take() else {
             // analyze: allow(panic, "deliberately reintroduced bug behind the test-only mutation-ckptack feature; the model checker must catch this")
             panic!(
                 "stray CkptAck on PE {} with no checkpoint in progress",
@@ -745,68 +645,27 @@ impl PeState {
             );
         };
         #[cfg(not(feature = "mutation-ckptack"))]
-        let Some(pending) = self.ckpt.pending.take() else {
+        let Some((left, mut then)) = self.ckpt.pending.take() else {
             return;
         };
-        match pending {
-            CkptPending::Manual { fid, left, total } => {
-                let total = total + saved;
-                if left > 1 {
-                    self.ckpt.pending = Some(CkptPending::Manual {
-                        fid,
-                        left: left - 1,
-                        total,
-                    });
-                    return;
-                }
-                let dst = fid.pe as usize;
-                let payload = OutPayload::new(total as i64)
-                    .into_payload(
-                        dst == self.pe,
-                        self.cfg.same_pe_byref,
-                        self.cfg.codec,
-                        &mut self.encode_pool,
-                    )
-                    // analyze: allow(panic, "encoding the checkpoint count fails only on a codec bug")
-                    .expect("checkpoint count failed to encode");
-                self.emit(dst, EnvKind::FutureValue { fid, payload });
-            }
-            CkptPending::Auto {
-                left,
-                waiters,
-                telemetry,
-            } => {
-                if left > 1 {
-                    self.ckpt.pending = Some(CkptPending::Auto {
-                        left: left - 1,
-                        waiters,
-                        telemetry,
-                    });
-                    return;
-                }
-                // Generation committed on every PE. A telemetry sweep due
-                // at the same quiescence round runs now — the machine is
-                // still quiescent and the waiters are still parked — then
-                // releases the waiters; otherwise release them here.
-                if telemetry {
-                    self.start_telemetry_sweep(waiters);
-                    return;
-                }
-                self.complete_qd_waiters(waiters);
-            }
+        if let CkptThen::Reply { total, .. } = &mut then {
+            *total += saved;
+        }
+        if left > 1 {
+            self.ckpt.pending = Some((left - 1, then));
+            return;
+        }
+        // Generation committed on every PE.
+        match then {
+            CkptThen::Reply { fid, total } => self.send_future(fid, OutPayload::new(total as i64)),
+            CkptThen::Release { waiters, telemetry } => self.release_qd_waiters(waiters, telemetry),
         }
     }
 
-    pub(crate) fn restore_coll(&mut self, spec: CollSpec, root: Pe) {
-        let tree = self.cfg.tree;
-        tree.children_for_each(self.pe, root, self.npes, |child| {
-            self.emit(
-                child,
-                EnvKind::RestoreColl {
-                    spec: spec.clone(),
-                    root,
-                },
-            );
+    fn restore_coll(&mut self, spec: CollSpec, root: Pe) {
+        self.relay(self.cfg.tree, root, || EnvKind::RestoreColl {
+            spec: spec.clone(),
+            root,
         });
         // A restored collection starts empty everywhere; members arrive as
         // MigrateChare envelopes, which maintain local/subtree counts.
@@ -817,7 +676,7 @@ impl PeState {
                 .coll_seq
                 .fetch_max(spec.id.seq + 1, std::sync::atomic::Ordering::Relaxed);
         }
-        if !self.colls.contains_key(&coll) {
+        if !self.colls.knows(coll) {
             self.install_coll(spec, 0, 0);
         }
         self.replay_parked_coll(coll);
@@ -829,52 +688,38 @@ impl PeState {
     pub(crate) fn restore_from_files(&mut self, files: Vec<CkptFile>) {
         let mut seen = std::collections::HashSet::new();
         let mut specs = Vec::new();
-        for f in &files {
-            for spec in &f.specs {
-                if seen.insert(spec.id) {
-                    specs.push(spec.clone());
-                }
+        for spec in files.iter().flat_map(|f| &f.specs) {
+            if seen.insert(spec.id) {
+                specs.push(spec.clone());
             }
         }
         for spec in &specs {
+            let spec = spec.clone();
+            self.emit(0, EnvKind::RestoreColl { spec, root: 0 });
+        }
+        for c in files.into_iter().flat_map(|f| f.chares) {
+            let spec = specs
+                .iter()
+                .find(|s| s.id == c.coll)
+                // analyze: allow(panic, "a checkpoint naming a collection absent from the restored spec set is corrupt input; fail loudly")
+                .unwrap_or_else(|| panic!("checkpointed chare of unknown collection {}", c.coll));
+            let dest = spec.place(&c.index, self.npes, &self.placements);
             self.emit(
-                0,
-                EnvKind::RestoreColl {
-                    spec: spec.clone(),
-                    root: 0,
+                dest,
+                EnvKind::MigrateChare {
+                    msg: Box::new(MigrateMsg {
+                        coll: c.coll,
+                        index: c.index,
+                        data: c.data,
+                        buffered: c.buffered,
+                        load_ns: 0,
+                        red_seq: c.red_seq,
+                        for_lb: false,
+                        trail: Vec::new(),
+                    }),
                 },
             );
         }
-        let spec_of = |coll: CollectionId| {
-            specs
-                .iter()
-                .find(|s| s.id == coll)
-                // analyze: allow(panic, "a checkpoint naming a collection absent from the restored spec set is corrupt input; fail loudly")
-                .unwrap_or_else(|| panic!("checkpointed chare of unknown collection {coll}"))
-        };
-        let mut restored = 0u64;
-        for f in files {
-            for c in f.chares {
-                let dest = spec_of(c.coll).place(&c.index, self.npes, &self.placements);
-                self.emit(
-                    dest,
-                    EnvKind::MigrateChare {
-                        msg: Box::new(MigrateMsg {
-                            coll: c.coll,
-                            index: c.index,
-                            data: c.data,
-                            buffered: c.buffered,
-                            load_ns: 0,
-                            red_seq: c.red_seq,
-                            for_lb: false,
-                            trail: Vec::new(),
-                        }),
-                    },
-                );
-                restored += 1;
-            }
-        }
-        let _ = restored;
     }
 }
 

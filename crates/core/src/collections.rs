@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use charm_wire::{wire_enum, wire_struct};
 
@@ -18,7 +17,7 @@ use charm_wire::WireBytes;
 
 use crate::ids::{ChareId, ChareTypeId, CollectionId, Index, Pe};
 use crate::msg::{BoxMsg, EnvKind, Envelope, Payload};
-use crate::pe::{PeState, Slot};
+use crate::pe::{meter_start, PeState, Slot};
 
 /// What shape of collection this is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,10 +234,6 @@ pub struct CollState {
     /// included). Maintained at creation, insertion and LB migration; the
     /// reduction protocol's completion counts rest on it.
     pub subtree_members: u64,
-    /// Whether `done_inserting` was seen (sparse arrays).
-    pub done_inserting: bool,
-    /// Next broadcast-delivery bookkeeping could live here later.
-    pub red_broadcast_seen: u64,
 }
 
 /// Per-PE table of known collections.
@@ -246,6 +241,15 @@ pub type CollTable = HashMap<CollectionId, CollState>;
 
 /// One PE's table of known collections, plus the envelopes that arrived
 /// for a collection before its spec did.
+///
+/// **Envelopes:** `CreateCollection`, `InsertElem`, `DoneInserting`,
+/// `SubtreeAdd` ([`PeState::on_collection`]). **Invariants:** a spec is
+/// installed once per incarnation and never removed; `dispatch` parks every
+/// envelope whose [`EnvKind::coll`] is unknown here and installation
+/// replays them, so protocol code may take a spec for granted
+/// ([`PeState::spec`]); member counts change only through
+/// [`PeState::member_delta`], which keeps every ancestor's subtree count
+/// in step.
 #[derive(Default)]
 pub(crate) struct Colls {
     table: CollTable,
@@ -253,16 +257,14 @@ pub(crate) struct Colls {
 }
 
 impl Colls {
-    pub(crate) fn get(&self, coll: &CollectionId) -> Option<&CollState> {
-        self.table.get(coll)
+    /// Read-only view of one collection's state, if its spec has arrived.
+    pub(crate) fn get(&self, coll: CollectionId) -> Option<&CollState> {
+        self.table.get(&coll)
     }
 
-    pub(crate) fn get_mut(&mut self, coll: &CollectionId) -> Option<&mut CollState> {
-        self.table.get_mut(coll)
-    }
-
-    pub(crate) fn contains_key(&self, coll: &CollectionId) -> bool {
-        self.table.contains_key(coll)
+    /// Whether `coll`'s spec has reached this PE.
+    pub(crate) fn knows(&self, coll: CollectionId) -> bool {
+        self.table.contains_key(&coll)
     }
 
     /// Every known spec, in no particular order.
@@ -291,39 +293,65 @@ impl PeState {
                 on_pe,
                 placed,
             } => self.insert_elem(coll, index, init, on_pe, placed),
-            EnvKind::DoneInserting { coll } => {
-                if let Some(cs) = self.colls.table.get_mut(&coll) {
-                    cs.done_inserting = true;
-                } else {
-                    self.park_unknown_coll(coll, EnvKind::DoneInserting { coll });
-                }
-            }
-            EnvKind::SubtreeAdd { coll, delta } => {
-                if let Some(cs) = self.colls.table.get_mut(&coll) {
-                    cs.subtree_members = (cs.subtree_members as i64 + delta) as u64;
-                } else {
-                    self.park_unknown_coll(coll, EnvKind::SubtreeAdd { coll, delta });
-                    return;
-                }
-                if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
-                    self.emit(parent, EnvKind::SubtreeAdd { coll, delta });
-                }
-            }
+            // `ckDoneInserting`: accepted once the collection is known;
+            // nothing in this runtime waits on the end of an insertion phase.
+            EnvKind::DoneInserting { .. } => {}
+            EnvKind::SubtreeAdd { coll, delta } => self.subtree_add(coll, delta),
             // analyze: allow(panic, "dispatch hands this module only the four kinds above")
             other => unreachable!("not a collection envelope: {other:?}"),
         }
     }
 
+    /// The spec of a collection the caller knows has reached this PE.
+    pub(crate) fn spec(&self, coll: CollectionId) -> &CollSpec {
+        let (known, pe) = (self.colls.table.get(&coll), self.pe);
+        // analyze: allow(panic, "dispatch parks every envelope of a collection unknown here, and a chare never outruns its own spec: whoever holds a local chare, a routed destination or a dispatched envelope holds a known collection")
+        let known = known.unwrap_or_else(|| panic!("collection {coll} is unknown on PE {pe}"));
+        &known.spec
+    }
+
+    fn coll_mut(&mut self, coll: CollectionId) -> &mut CollState {
+        let pe = self.pe;
+        let known = self.colls.table.get_mut(&coll);
+        // analyze: allow(panic, "same invariant as spec()")
+        known.unwrap_or_else(|| panic!("collection {coll} is unknown on PE {pe}"))
+    }
+
+    /// Hold `kind` until `coll`'s spec arrives. The parked envelope names
+    /// this PE as its source: once the spec is here, whatever follows is
+    /// this PE's own doing.
     pub(crate) fn park_unknown_coll(&mut self, coll: CollectionId, kind: EnvKind) {
         let env = self.wrap(kind);
         self.colls.parked.entry(coll).or_default().push(env);
     }
 
-    pub(crate) fn initial_counts(&self, spec: &CollSpec) -> Vec<u64> {
+    /// A member joined (`+1`) or left (`-1`) this PE: adjust the local
+    /// count, this subtree's, and every ancestor's.
+    pub(crate) fn member_delta(&mut self, coll: CollectionId, delta: i64) {
+        let cs = self.coll_mut(coll);
+        cs.local_members = cs.local_members.wrapping_add_signed(delta);
+        self.subtree_add(coll, delta);
+    }
+
+    /// Members were added below this PE in the reduction tree (or removed,
+    /// if negative): adjust the subtree count and pass the news up.
+    fn subtree_add(&mut self, coll: CollectionId, delta: i64) {
+        let cs = self.coll_mut(coll);
+        cs.subtree_members = cs.subtree_members.wrapping_add_signed(delta);
+        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
+            self.emit(parent, EnvKind::SubtreeAdd { coll, delta });
+        }
+    }
+
+    /// Members each PE hosts at creation, by initial placement.
+    fn initial_counts(&self, spec: &CollSpec) -> Vec<u64> {
+        fn bump(counts: &mut [u64], pe: Pe) {
+            // analyze: allow(panic, "PE numbers come from checked placement (`create_chare` asserts its PE, `place` reduces mod npes); counts has npes entries")
+            counts[pe] += 1;
+        }
         let mut counts = vec![0u64; self.npes];
         match &spec.kind {
-            // analyze: allow(panic, "pe indices come from placement and are bounded by npes; counts was sized to npes")
-            CollKind::Singleton { pe } => counts[*pe] += 1,
+            CollKind::Singleton { pe } => bump(&mut counts, *pe),
             CollKind::Group => counts.iter_mut().for_each(|c| *c += 1),
             CollKind::Dense { dims } => {
                 // Closed form for the analytic placements: every PE runs
@@ -332,8 +360,7 @@ impl PeState {
                 // which dominates bootstrap at 65k PEs.
                 if !spec.dense_counts_closed(&mut counts, self.npes) {
                     for ix in CollSpec::dense_indices(dims) {
-                        // analyze: allow(panic, "place() reduces indices mod npes; counts was sized to npes")
-                        counts[spec.place(&ix, self.npes, &self.placements)] += 1;
+                        bump(&mut counts, spec.place(&ix, self.npes, &self.placements));
                     }
                 }
             }
@@ -342,31 +369,23 @@ impl PeState {
         counts
     }
 
-    pub(crate) fn subtree_total(&self, counts: &[u64], pe: Pe) -> u64 {
-        // analyze: allow(panic, "pe iterates 0..npes here; counts was sized to npes")
-        let mut total = counts[pe];
+    fn subtree_total(&self, counts: &[u64], pe: Pe) -> u64 {
+        let mut total = counts.get(pe).copied().unwrap_or(0);
         self.cfg
             .tree
             .children_for_each(pe, 0, self.npes, |c| total += self.subtree_total(counts, c));
         total
     }
 
-    pub(crate) fn create_collection(&mut self, spec: CollSpec, init: WireBytes, root: Pe) {
-        let tree = self.cfg.tree;
-        tree.children_for_each(self.pe, root, self.npes, |child| {
-            self.emit(
-                child,
-                EnvKind::CreateCollection {
-                    spec: spec.clone(),
-                    init: init.clone(),
-                    root,
-                },
-            );
+    fn create_collection(&mut self, spec: CollSpec, init: WireBytes, root: Pe) {
+        self.relay(self.cfg.tree, root, || EnvKind::CreateCollection {
+            spec: spec.clone(),
+            init: init.clone(),
+            root,
         });
         let counts = self.initial_counts(&spec);
         let coll = spec.id;
-        // analyze: allow(panic, "self.pe is bounded by npes; counts was sized to npes")
-        let local = counts[self.pe];
+        let local = counts.get(self.pe).copied().unwrap_or(0);
         let subtree = self.subtree_total(&counts, self.pe);
         self.install_coll(spec.clone(), local, subtree);
 
@@ -398,8 +417,8 @@ impl PeState {
             _ => Vec::new(),
         };
         for index in mine {
-            let id = ChareId { coll, index };
-            self.construct_member(id, &init);
+            let member = self.decode_init(coll, &init);
+            self.construct_member(ChareId { coll, index }, member);
         }
 
         // Anything that raced ahead of the create can now be handled.
@@ -413,8 +432,6 @@ impl PeState {
         let state = CollState {
             local_members: local,
             subtree_members: subtree,
-            done_inserting: !matches!(spec.kind, CollKind::Sparse),
-            red_broadcast_seen: 0,
             spec,
         };
         self.colls.table.insert(state.spec.id, state);
@@ -423,27 +440,19 @@ impl PeState {
 
     /// Re-dispatch what arrived for `coll` before its spec did.
     pub(crate) fn replay_parked_coll(&mut self, coll: CollectionId) {
-        if let Some(parked) = self.colls.parked.remove(&coll) {
-            for env in parked {
-                self.dispatch(env);
-            }
+        for env in self.colls.parked.remove(&coll).unwrap_or_default() {
+            self.dispatch(env);
         }
     }
 
-    pub(crate) fn construct_member(&mut self, id: ChareId, init_bytes: &WireBytes) {
-        // analyze: allow(panic, "construct messages are only routed after the spec broadcast that created the collection")
-        let cs = self.colls.get(&id.coll).expect("construct without spec");
-        let vt = self.registry.vtable(cs.spec.ctype);
-        let init = (vt.decode_init)(self.cfg.codec, init_bytes)
+    fn decode_init(&self, coll: CollectionId, bytes: &[u8]) -> BoxMsg {
+        (self.vtable_of(coll).decode_init)(self.cfg.codec, bytes)
             // analyze: allow(panic, "constructor bytes come from the matching registered encoder; failure is a codec bug")
-            .unwrap_or_else(|e| panic!("constructor argument decode failed: {e}"));
-        self.construct_member_box(id, init);
+            .unwrap_or_else(|e| panic!("constructor argument decode failed: {e}"))
     }
 
-    pub(crate) fn construct_member_box(&mut self, id: ChareId, init: BoxMsg) {
-        // analyze: allow(panic, "spec presence established at the construct lookup above")
-        let cs = self.colls.get(&id.coll).expect("construct without spec");
-        let ctype = cs.spec.ctype;
+    fn construct_member(&mut self, id: ChareId, init: BoxMsg) {
+        let ctype = self.spec(id.coll).ctype;
         let construct = self.registry.vtable(ctype).construct;
         let mut ctx = self.new_ctx(Some(id));
         let trace_begin = if self.tracer.enabled() {
@@ -451,8 +460,7 @@ impl PeState {
         } else {
             0
         };
-        // analyze: allow(nondeterminism, "metering clock: metered_ns() discards it on the deterministic sim (meter off)")
-        let t0 = Instant::now();
+        let t0 = meter_start();
         let boxed = construct(init, &mut ctx, ctype);
         let measured = self.metered_ns(t0);
         self.chares.insert(id, Slot::new(boxed));
@@ -467,30 +475,20 @@ impl PeState {
         self.after_state_change(id);
     }
 
-    pub(crate) fn insert_elem(
+    fn insert_elem(
         &mut self,
         coll: CollectionId,
         index: Index,
-        init: Payload,
+        mut init: Payload,
         on_pe: Option<Pe>,
         placed: bool,
     ) {
-        let Some(cs) = self.colls.get(&coll) else {
-            self.park_unknown_coll(
-                coll,
-                EnvKind::InsertElem {
-                    coll,
-                    index,
-                    init,
-                    on_pe,
-                    placed,
-                },
-            );
-            return;
-        };
+        let spec = self.spec(coll);
         if !placed {
-            let dst = on_pe.unwrap_or_else(|| cs.spec.place(&index, self.npes, &self.placements));
-            let init = self.reencode_init_for(dst, coll, init);
+            let dst = on_pe.unwrap_or_else(|| spec.place(&index, self.npes, &self.placements));
+            // The inserter believed the element local and kept its argument
+            // boxed; it must cross a PE boundary after all.
+            self.reencode(dst, coll, &mut init, true);
             self.emit(
                 dst,
                 EnvKind::InsertElem {
@@ -503,54 +501,17 @@ impl PeState {
             );
             return;
         }
-        let home = cs.spec.home_pe(&index, self.npes);
+        let home = spec.home_pe(&index, self.npes);
         let id = ChareId { coll, index };
-        let vt = self.registry.vtable(cs.spec.ctype);
-        let init_box = match init {
+        let init = match init {
             Payload::Local(b) => b,
-            Payload::Wire(bytes) => (vt.decode_init)(self.cfg.codec, &bytes)
-                // analyze: allow(panic, "constructor bytes come from the matching registered encoder; failure is a codec bug")
-                .unwrap_or_else(|e| panic!("constructor argument decode failed: {e}")),
+            Payload::Wire(bytes) => self.decode_init(coll, &bytes),
         };
-        {
-            // analyze: allow(panic, "spec presence established earlier in this insert path")
-            let cs = self.colls.get_mut(&coll).unwrap();
-            cs.local_members += 1;
-            cs.subtree_members += 1;
-        }
-        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
-            self.emit(parent, EnvKind::SubtreeAdd { coll, delta: 1 });
-        }
+        self.member_delta(coll, 1);
         if home != self.pe {
             self.emit(home, EnvKind::LocationUpdate { id, pe: self.pe });
         }
-        self.construct_member_box(id, init_box);
-    }
-
-    pub(crate) fn reencode_init_for(&self, dst: Pe, coll: CollectionId, init: Payload) -> Payload {
-        if dst == self.pe {
-            return init;
-        }
-        match init {
-            Payload::Wire(b) => Payload::Wire(b),
-            Payload::Local(any) => {
-                let cs = self
-                    .colls
-                    .get(&coll)
-                    // analyze: allow(panic, "the router resolved this collection's spec to pick a destination; the spec is present")
-                    .expect("forwarding unknown collection");
-                let vt = self.registry.vtable(cs.spec.ctype);
-                // Init payloads use the init decoder, so encode via the
-                // generic path: we cannot re-use encode_msg (wrong type).
-                // OutPayload already encoded Wire for remote dests, so a
-                // Local init here means dst was believed local; encode with
-                // the vtable's init encoder.
-                let bytes = (vt.encode_init)(&*any, self.cfg.codec)
-                    // analyze: allow(panic, "re-encoding an argument that was encodable at send time fails only on a codec bug")
-                    .expect("constructor argument re-encode failed");
-                Payload::Wire(WireBytes::from_vec(bytes))
-            }
-        }
+        self.construct_member(id, init);
     }
 }
 

@@ -286,7 +286,15 @@ pub(crate) struct CoroHandle {
     pub wait: Option<WaitKind>,
 }
 
-/// One PE's live coroutines.
+/// One PE's live coroutines: the scheduler side of the rendezvous.
+///
+/// **Envelopes:** none; coroutines start from `ctx.go` and wake from
+/// `FutureValue` or a state change of their chare (`after_state_change`).
+/// **Invariants:** a chare's coroutines and its entry methods never run
+/// concurrently — the chare box is moved into the coroutine for a segment
+/// and moved back at its suspension, and `invoke` checks the same box
+/// out; a coroutine pins its chare to its PE (no migration, no checkpoint)
+/// until it is done; one future has one waiter.
 #[derive(Default)]
 pub(crate) struct Coros {
     table: HashMap<u64, CoroHandle>,
@@ -306,32 +314,8 @@ impl Coros {
 }
 
 impl PeState {
-    /// Record one coroutine segment as an entry activation. The begin stamp
-    /// is back-dated by the segment's measured work; the tracer clamps ring
-    /// timestamps so this stays monotone.
-    pub(crate) fn trace_coro_segment(&mut self, id: &ChareId, measured_ns: u64) {
-        if self.tracer.enabled() {
-            let end = self.now_ns();
-            let ctype = self.chare_ctype(id);
-            self.tracer.entry(
-                end.saturating_sub(measured_ns),
-                end,
-                measured_ns,
-                ctype,
-                EntryKind::Coroutine,
-            );
-        }
-    }
-
-    /// Coroutine segments self-meter their user code (excluding the thread
-    /// rendezvous, which a real user-level-thread runtime would not pay).
-    pub(crate) fn coro_work_ns(&self, work_ns: u64) -> u64 {
-        if self.cfg.is_sim && !self.cfg.meter {
-            return 0;
-        }
-        work_ns
-    }
-
+    /// `ctx.go(..)`: spawn `f` as a coroutine of chare `id` and run it to
+    /// its first suspension.
     pub(crate) fn launch_coro(&mut self, id: ChareId, f: CoroLauncher, reply: Option<FutureId>) {
         let (in_tx, in_rx) = mpsc::channel::<CoroInput>();
         let (out_tx, out_rx) = mpsc::channel::<CoroYield>();
@@ -348,164 +332,129 @@ impl PeState {
             .expect("failed to spawn coroutine thread");
         let cid = CoroId(self.coros.next);
         self.coros.next += 1;
-        self.coros.table.insert(
-            cid.0,
-            CoroHandle {
-                tx: in_tx,
-                rx: out_rx,
-                join: Some(join),
-                chare: id,
-                wait: None,
-            },
-        );
-        self.chares
-            .get_mut(&id)
-            // analyze: allow(panic, "launch_coro is called with an id the scheduler just resolved; the slot exists")
-            .expect("go on missing chare")
-            .coros
-            .push(cid);
-        let chare = self
-            .chares
-            .get_mut(&id)
-            // analyze: allow(panic, "slot presence established at the `go on missing chare` check above")
-            .unwrap()
-            .boxed
-            .take()
-            // analyze: allow(panic, "the box is in place when a coroutine launches; entry methods are serialized per chare")
-            .expect("chare checked out at coroutine launch");
-        let now_ns = self.now_ns();
-        // analyze: allow(panic, "the handle was inserted into self.coros.table a few lines above")
-        let handle = self.coros.table.get_mut(&cid.0).unwrap();
-        handle
-            .tx
-            .send(CoroInput::Start {
-                chare,
-                now_ns,
-                reply_to: reply,
-            })
-            // analyze: allow(panic, "the coroutine thread blocks on the rendezvous before any yield; a closed channel means it died, which is fatal")
-            .expect("coroutine died before start");
-        let y = handle.rx.recv();
-        self.process_yield(cid, y);
+        let handle = CoroHandle {
+            tx: in_tx,
+            rx: out_rx,
+            join: Some(join),
+            chare: id,
+            wait: None,
+        };
+        self.coros.table.insert(cid.0, handle);
+        self.slot_mut(&id).coros.push(cid);
+        self.run_coro(cid, |chare, now_ns| CoroInput::Start {
+            chare,
+            now_ns,
+            reply_to: reply,
+        });
     }
 
+    /// Wake coroutine `cid`, with the future's value if it waited on one.
     pub(crate) fn resume_coro(&mut self, cid: CoroId, value: Option<Payload>) {
-        let id = self
-            .coros
+        self.run_coro(cid, |chare, now_ns| CoroInput::Resume {
+            chare,
+            value,
+            now_ns,
+        });
+    }
+
+    fn coro(&mut self, cid: CoroId) -> &mut CoroHandle {
+        self.coros
             .table
-            .get(&cid.0)
-            // analyze: allow(panic, "resume messages are only generated for coroutines this scheduler created and has not completed")
-            .expect("resume of unknown coroutine")
-            .chare;
-        let chare = self
-            .chares
-            .get_mut(&id)
-            // analyze: allow(panic, "a live coroutine pins its chare; the chare cannot be removed mid-coroutine")
-            .expect("coroutine's chare missing")
-            .boxed
-            .take()
-            // analyze: allow(panic, "the box was returned at the previous yield; no other handler ran for this chare since")
-            .expect("chare checked out at coroutine resume");
+            .get_mut(&cid.0)
+            // analyze: allow(panic, "coroutine ids are minted by launch_coro and retired only when their coroutine is done; wake-ups name live ones")
+            .expect("unknown coroutine")
+    }
+
+    /// One rendezvous: move the chare into coroutine `cid` with `input`,
+    /// let it run to its next suspension, and take back what it yields. A
+    /// live coroutine pins its chare, so the slot is there.
+    fn run_coro(&mut self, cid: CoroId, input: impl FnOnce(Box<dyn ChareBox>, u64) -> CoroInput) {
+        let id = self.coro(cid).chare;
+        let chare = self.slot_mut(&id).checkout();
         let now_ns = self.now_ns();
-        // analyze: allow(panic, "handle presence established at the resume lookup above")
-        let handle = self.coros.table.get_mut(&cid.0).unwrap();
+        let handle = self.coro(cid);
         handle.wait = None;
         handle
             .tx
-            .send(CoroInput::Resume {
-                chare,
-                value,
-                now_ns,
-            })
-            // analyze: allow(panic, "a closed rendezvous channel means the coroutine thread died; fatal")
-            .expect("coroutine died before resume");
-        let y = handle.rx.recv();
-        self.process_yield(cid, y);
-    }
-
-    pub(crate) fn process_yield(&mut self, cid: CoroId, y: Result<CoroYield, mpsc::RecvError>) {
-        let id = self
-            .coros
-            .table
-            .get(&cid.0)
-            // analyze: allow(panic, "yields only come from coroutines this scheduler launched")
-            .expect("yield from unknown coroutine")
-            .chare;
-        match y {
+            .send(input(chare, now_ns))
+            // analyze: allow(panic, "the coroutine thread blocks on the rendezvous between segments; a closed channel means it died, which is fatal")
+            .expect("coroutine died at the rendezvous");
+        let (chare, ops, work_ns, wait) = match handle.rx.recv() {
             Ok(CoroYield::Blocked {
                 chare,
                 ops,
                 wait,
                 work_ns,
-            }) => {
-                let measured_ns = self.coro_work_ns(work_ns);
-                // analyze: allow(panic, "the chare slot outlives its coroutines; presence established at launch")
-                self.chares.get_mut(&id).unwrap().boxed = Some(chare);
-                self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
-                self.trace_coro_segment(&id, measured_ns);
-                let register_future = match &wait {
-                    WaitKind::Future(fid) => Some(*fid),
-                    WaitKind::Pred(_) => None,
-                };
-                // analyze: allow(panic, "handle presence established when the yield was received")
-                self.coros.table.get_mut(&cid.0).unwrap().wait = Some(wait);
-                // Flush the coroutine's buffered ops *before* checking for
-                // an already-ready future, so they are never lost.
-                self.exec_ops(ops, Some(id), None);
-                if let Some(fid) = register_future {
-                    match self.futures.remove(&fid) {
-                        Some(FutState::Ready(payload)) => {
-                            // Value already arrived: resume immediately.
-                            self.resume_coro(cid, Some(payload));
-                            return;
-                        }
-                        Some(FutState::Waiting(_)) => {
-                            // analyze: allow(panic, "one-waiter-per-future discipline: wait() consumes the future, so a second waiter is a user bug worth failing fast")
-                            panic!("two coroutines waiting on one future")
-                        }
-                        _ => {
-                            self.futures.insert(fid, FutState::Waiting(cid));
-                        }
-                    }
-                }
-                self.after_state_change(id);
-            }
+            }) => (chare, ops, work_ns, Some(wait)),
             Ok(CoroYield::Done {
                 chare,
                 ops,
                 work_ns,
-            }) => {
-                let measured_ns = self.coro_work_ns(work_ns);
-                // analyze: allow(panic, "the chare slot outlives its coroutines; presence established at resume")
-                self.chares.get_mut(&id).unwrap().boxed = Some(chare);
-                self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
-                self.trace_coro_segment(&id, measured_ns);
-                if let Some(mut h) = self.coros.table.remove(&cid.0) {
-                    if let Some(j) = h.join.take() {
-                        let _ = j.join();
-                    }
-                }
-                if let Some(slot) = self.chares.get_mut(&id) {
-                    slot.coros.retain(|c| *c != cid);
-                }
-                self.exec_ops(ops, Some(id), None);
-                self.after_state_change(id);
-            }
+            }) => (chare, ops, work_ns, None),
             Err(_) => {
                 // Recover the original panic payload from the dead thread
                 // so the user's message survives, not a generic wrapper.
-                let payload = self
-                    .coros
-                    .table
-                    .get_mut(&cid.0)
-                    .and_then(|h| h.join.take())
-                    .and_then(|j| j.join().err());
-                match payload {
+                match handle.join.take().and_then(|j| j.join().err()) {
                     Some(p) => std::panic::resume_unwind(p),
                     // analyze: allow(panic, "a coroutine ending without Done or a yield means its thread panicked; propagate the failure")
                     None => panic!("coroutine for chare {id} terminated unexpectedly"),
                 }
             }
+        };
+        // Coroutine segments self-meter their user code (excluding the
+        // thread rendezvous, which a real user-level-thread runtime would
+        // not pay).
+        let measured_ns = if self.cfg.is_sim && !self.cfg.meter {
+            0
+        } else {
+            work_ns
+        };
+        self.slot_mut(&id).boxed = Some(chare);
+        self.charge_work(measured_ns, Some(&id), WorkClass::Entry);
+        if self.tracer.enabled() {
+            // One segment is one entry activation. The begin stamp is
+            // back-dated by the segment's measured work; the tracer clamps
+            // ring timestamps so this stays monotone.
+            let end = self.now_ns();
+            let (begin, ctype) = (end.saturating_sub(measured_ns), self.chare_ctype(&id));
+            self.tracer
+                .entry(begin, end, measured_ns, ctype, EntryKind::Coroutine);
         }
+        let Some(wait) = wait else {
+            // Done: retire the coroutine.
+            if let Some(j) = self
+                .coros
+                .table
+                .remove(&cid.0)
+                .and_then(|mut h| h.join.take())
+            {
+                let _ = j.join();
+            }
+            self.slot_mut(&id).coros.retain(|c| *c != cid);
+            self.exec_ops(ops, Some(id), None);
+            return self.after_state_change(id);
+        };
+        let register_future = match &wait {
+            WaitKind::Future(fid) => Some(*fid),
+            WaitKind::Pred(_) => None,
+        };
+        self.coro(cid).wait = Some(wait);
+        // Flush the coroutine's buffered ops *before* checking for an
+        // already-ready future, so they are never lost.
+        self.exec_ops(ops, Some(id), None);
+        if let Some(fid) = register_future {
+            match self.futures.remove(&fid) {
+                // Value already arrived: resume immediately.
+                Some(FutState::Ready(payload)) => return self.resume_coro(cid, Some(payload)),
+                Some(FutState::Waiting(_)) => {
+                    // analyze: allow(panic, "one-waiter-per-future discipline: wait() consumes the future, so a second waiter is a user bug worth failing fast")
+                    panic!("two coroutines waiting on one future")
+                }
+                _ => {
+                    self.futures.insert(fid, FutState::Waiting(cid));
+                }
+            }
+        }
+        self.after_state_change(id);
     }
 }

@@ -12,11 +12,12 @@
 
 use charm_wire::wire_struct;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::ids::{ChareId, Pe};
 use crate::msg::EnvKind;
 use crate::pe::{Invoke, PeState};
+use crate::sweep::Wave;
 use crate::tree::TreeShape;
 
 /// How AtSync load balancing is coordinated across PEs
@@ -130,47 +131,14 @@ pub trait LbStrategy: Send + Sync {
     }
 }
 
-/// Per-PE protocol state for one LB epoch.
-#[derive(Default)]
-pub struct LbPeState {
-    /// Local participants that called `at_sync` this epoch.
-    pub at_sync_count: u64,
-    /// Whether this PE already shipped its stats (central) or its tree
-    /// report (hierarchical).
-    pub stats_sent: bool,
-}
-
-/// Central (PE 0) protocol state.
-#[derive(Default)]
-pub struct LbCentral {
-    /// Stats received so far, folded flat on arrival (in arrival order —
-    /// the same order the old one-batch-per-PE drain produced). The
-    /// buffer's capacity is reused across epochs.
-    pub chares: Vec<LbChareStat>,
-    /// PEs heard from.
-    pub pes_reported: usize,
-    /// Migrations ordered in the current epoch.
-    pub migrations_pending: u64,
-    /// Migrations that have landed (`LbMigrated` received). Kept as a
-    /// separate counter rather than decrementing `migrations_pending`
-    /// so completions may arrive *before* the total is known — which
-    /// happens under [`LbMode::Tree`], where interior nodes issue orders
-    /// before the root has finished its own merge.
-    pub migrations_done: u64,
-    /// Whether an epoch is currently running.
-    pub in_epoch: bool,
-    /// Completed LB epochs (reported in `RunReport`).
-    pub epochs_done: u64,
-    /// Clock stamp of the current epoch's first stats arrival (traces the
-    /// epoch duration).
-    pub epoch_start_ns: u64,
-}
-
 /// One subtree's residual picture, reduced up the LB tree
 /// ([`LbMode::Tree`]). Everything a parent needs: subtree totals for the
 /// average, a bounded list of placement targets, and the bounded spill of
-/// chares the subtree could not place under the limit.
-#[derive(Debug, Clone, PartialEq)]
+/// chares the subtree could not place under the limit. A tree node's own
+/// accumulator for an epoch is one of these too: child reports fold into
+/// it, the node adds itself, and what is left after its refine pass is
+/// what it sends up.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LbTreeReport {
     /// PEs in the subtree (drives the load average).
     pub pe_count: u64,
@@ -189,63 +157,9 @@ pub struct LbTreeReport {
 }
 wire_struct! { LbTreeReport { pe_count, chare_count, total_load_ns, ordered, acceptors, spill } }
 
-/// Per-PE protocol state for one hierarchical LB epoch. Buffers are
-/// cleared, not dropped, between epochs.
-#[derive(Default)]
-pub struct LbTreePe {
-    /// This PE has seen the epoch's `LbTreePoll`.
-    pub polled: bool,
-    /// This PE already sent its `LbKick` to the root this epoch.
-    pub kicked: bool,
-    /// LB-tree children this PE relayed the epoch's poll to (and so owes
-    /// reports from before it can report itself).
-    pub children_expected: usize,
-    /// Child reports folded in so far.
-    pub children_seen: usize,
-    /// Folded accumulator over child reports (plus own contribution at
-    /// report time).
-    pub pe_count: u64,
-    /// See [`LbTreeReport::chare_count`].
-    pub chare_count: u64,
-    /// See [`LbTreeReport::total_load_ns`].
-    pub total_load_ns: u64,
-    /// Orders issued in this PE's subtree so far.
-    pub ordered: u64,
-    /// Folded child acceptors (own entry added at report time).
-    pub acceptors: Vec<(Pe, u64)>,
-    /// Folded child spill (own candidates added at report time).
-    pub spill: Vec<LbChareStat>,
-    /// Peak candidate-stat count materialized on this PE this run — the
-    /// O(nchares/npes · group_size) bound the scale tests assert.
-    pub peak_stats: u64,
-    /// LB epochs completed from this PE's point of view (resumes seen).
-    /// Tags kicks so the root can discard stragglers from finished
-    /// epochs; survives [`LbTreePe::reset`].
-    pub epoch: u64,
-    /// A next-epoch poll that outran this PE's `LbResume` (the poll wave
-    /// and the resume broadcast travel different trees). Replayed right
-    /// after the resume lands; survives [`LbTreePe::reset`].
-    pub pending_poll: Option<(u64, Pe)>,
-}
-
-impl LbTreePe {
-    /// Reset for the next epoch, keeping buffer capacity.
-    pub fn reset(&mut self) {
-        self.polled = false;
-        self.kicked = false;
-        self.children_expected = 0;
-        self.children_seen = 0;
-        self.pe_count = 0;
-        self.chare_count = 0;
-        self.total_load_ns = 0;
-        self.ordered = 0;
-        self.acceptors.clear();
-        self.spill.clear();
-    }
-
-    /// Fold one child report into the accumulator.
+impl LbTreeReport {
+    /// Fold one child subtree's report into this accumulator.
     pub fn fold(&mut self, r: LbTreeReport) {
-        self.children_seen += 1;
         self.pe_count += r.pe_count;
         self.chare_count += r.chare_count;
         self.total_load_ns += r.total_load_ns;
@@ -374,24 +288,81 @@ pub fn truncate_spill(spill: &mut Vec<LbChareStat>, cap: usize) {
     }
 }
 
-/// One PE's load-balancing state: its own epoch progress, PE 0's
-/// coordinator state, and the hierarchical mode's per-epoch accumulator.
+/// The epoch coordinator's state (PE 0, both modes).
+#[derive(Default)]
+struct LbRoot {
+    /// Central mode: stats received so far, folded flat in arrival order.
+    /// The buffer's capacity is reused across epochs.
+    chares: Vec<LbChareStat>,
+    /// Central mode: PEs heard from.
+    pes_reported: usize,
+    /// Migrations ordered in the current epoch. Tree mode holds `u64::MAX`
+    /// from the kick until the root's own merge fixes the total.
+    migrations_pending: u64,
+    /// Migrations that have landed (`LbMigrated` received). A counter of
+    /// its own rather than a decrement of `migrations_pending`, so
+    /// completions may arrive *before* the total is known — which happens
+    /// under [`LbMode::Tree`], where interior nodes issue orders before the
+    /// root has finished its own merge.
+    migrations_done: u64,
+    /// Whether an epoch is currently running.
+    in_epoch: bool,
+    /// Completed LB epochs (reported in `RunReport`).
+    epochs_done: u64,
+    /// Clock stamp of the epoch's start (traces the epoch duration).
+    epoch_start_ns: u64,
+}
+
+/// One PE's load-balancing state.
+///
+/// **Envelopes:** `LbPoll`, `LbStats`, `LbDoMigrate`, `LbMigrated`,
+/// `LbResume`, `LbKick`, `LbTreePoll`, `LbTreeReport`
+/// ([`PeState::on_lb`]). **Invariants:** a PE reports once per epoch
+/// (`stats_sent`), and only when every local participant sits at its sync
+/// point; measured loads restart from zero in the same step. The tree
+/// mode's poll wave and the resume broadcast travel different trees, so a
+/// poll may be one epoch ahead of this PE's resume, never more: it waits in
+/// `pending_poll`. A tree node reports up only after it was polled and
+/// every child it relayed the poll to has reported, so a report always
+/// lands in its own epoch and needs no tag. The epoch ends at the root when
+/// as many `LbMigrated` landed as migrations were ordered.
 #[derive(Default)]
 pub(crate) struct Lb {
-    pe: LbPeState,
-    central: LbCentral,
-    tree: LbTreePe,
+    /// Local participants parked at their sync point this epoch.
+    at_sync_count: u64,
+    /// Whether this PE already shipped its stats (central) or its subtree
+    /// report (tree) this epoch.
+    stats_sent: bool,
+    /// LB epochs completed from this PE's point of view (resumes seen).
+    /// Tags kicks and polls so stragglers from finished epochs are dropped.
+    epoch: u64,
+    /// Tree mode: the epoch's poll wave as it crosses this PE, folding the
+    /// child subtrees' reports.
+    wave: Wave<LbTreeReport>,
+    /// Tree mode: this PE already sent its `LbKick` to the root this epoch.
+    kicked: bool,
+    /// Tree mode: a next-epoch poll that outran this PE's `LbResume`,
+    /// replayed right after the resume lands.
+    pending_poll: Option<(u64, Pe)>,
+    /// Peak candidate-stat count materialized on this PE this run — the
+    /// O(nchares/npes · group_size) bound the scale tests assert.
+    peak_stats: u64,
+    root: LbRoot,
 }
 
 impl Lb {
     /// Local participants waiting at their sync point.
     pub(crate) fn at_sync_count(&self) -> u64 {
-        self.pe.at_sync_count
+        self.at_sync_count
     }
 
     /// Peak LB stat records this PE ever held (`PePerf::lb_peak_stats`).
     pub(crate) fn peak_stats(&self) -> u64 {
-        self.tree.peak_stats
+        self.peak_stats
+    }
+
+    fn saw_stats(&mut self, held: usize) {
+        self.peak_stats = self.peak_stats.max(held as u64);
     }
 }
 
@@ -402,39 +373,26 @@ impl PeState {
             EnvKind::LbPoll => {
                 // Only PEs without participants answer; everyone else will
                 // (or already did) report via their own at-sync trigger.
-                if !self.lb.pe.stats_sent && self.lb_participants().is_empty() {
-                    self.lb.pe.stats_sent = true;
-                    self.emit(
-                        0,
-                        EnvKind::LbStats {
-                            stats: Vec::new(),
-                            at_sync: 0,
-                        },
-                    );
+                if !self.lb.stats_sent && self.lb_participants().is_empty() {
+                    self.lb_send_central_stats(&[]);
                 }
             }
-            EnvKind::LbStats { stats, at_sync } => self.lb_central_stats(stats, at_sync),
-            EnvKind::LbDoMigrate { moves, total: _ } => {
-                // (The ordering PE tracks the epoch's completion count.)
+            EnvKind::LbStats { stats, .. } => self.lb_central_stats(stats),
+            // (The ordering PE tracks the epoch's completion count.)
+            EnvKind::LbDoMigrate { moves, .. } => {
                 for (id, dst) in moves {
                     self.migrate_out(id, dst, true);
                 }
             }
             EnvKind::LbMigrated => {
-                // A counter rather than a decrement: under `LbMode::Tree`,
-                // interior nodes issue orders before the root knows the
-                // epoch's total, so completions may arrive first.
-                self.lb.central.migrations_done += 1;
+                self.lb.root.migrations_done += 1;
                 self.lb_maybe_finish_epoch();
             }
             EnvKind::LbKick { epoch } => self.lb_tree_kick(epoch),
             EnvKind::LbTreePoll { epoch, root } => self.lb_tree_poll(epoch, root),
             EnvKind::LbTreeReport { report } => self.lb_tree_report_in(*report),
             EnvKind::LbResume { root } => {
-                let tree = self.cfg.tree;
-                tree.children_for_each(self.pe, root, self.npes, |child| {
-                    self.emit(child, EnvKind::LbResume { root });
-                });
+                self.relay(self.cfg.tree, root, || EnvKind::LbResume { root });
                 self.lb_resume_local();
             }
             // analyze: allow(panic, "dispatch hands this module only the eight kinds above")
@@ -448,42 +406,14 @@ impl PeState {
         if let Some(slot) = self.chares.get_mut(&id) {
             if !slot.at_sync {
                 slot.at_sync = true;
-                self.lb.pe.at_sync_count += 1;
+                self.lb.at_sync_count += 1;
             }
         }
-        self.lb_check_ready();
-    }
-
-    /// An LB migrant landed here: it counts as parked at its sync point
-    /// (it resumes with everyone else), and the LB root counts the landing.
-    pub(crate) fn lb_migrant_arrived(&mut self) {
-        self.lb.pe.at_sync_count += 1;
-        self.emit(0, EnvKind::LbMigrated);
-    }
-
-    pub(crate) fn lb_participants(&self) -> Vec<ChareId> {
-        let mut v: Vec<ChareId> = self
-            .chares
-            // analyze: allow(nondeterminism, "hash order erased by the sort below")
-            .keys()
-            .filter(|id| {
-                self.colls
-                    .get(&id.coll)
-                    .map(|c| c.spec.use_lb)
-                    .unwrap_or(false)
-            })
-            .copied()
-            .collect();
-        v.sort();
-        v
-    }
-
-    pub(crate) fn lb_check_ready(&mut self) {
-        if self.lb.pe.stats_sent {
+        if self.lb.stats_sent {
             return;
         }
         let participants = self.lb_participants();
-        if participants.is_empty() || self.lb.pe.at_sync_count < participants.len() as u64 {
+        if participants.is_empty() || self.lb.at_sync_count < participants.len() as u64 {
             return;
         }
         match self.cfg.lb_mode {
@@ -491,9 +421,9 @@ impl PeState {
             LbMode::Tree { .. } => {
                 // Nudge the root to start the epoch's poll wave (once per
                 // PE per epoch); report up as soon as we are polled.
-                if !self.lb.tree.kicked {
-                    self.lb.tree.kicked = true;
-                    let epoch = self.lb.tree.epoch;
+                if !self.lb.kicked {
+                    self.lb.kicked = true;
+                    let epoch = self.lb.epoch;
                     self.emit(0, EnvKind::LbKick { epoch });
                 }
                 self.lb_tree_try_report();
@@ -501,98 +431,103 @@ impl PeState {
         }
     }
 
-    pub(crate) fn lb_send_central_stats(&mut self, participants: &[ChareId]) {
-        let stats: Vec<LbChareStat> = participants
-            .iter()
-            .map(|id| {
-                // analyze: allow(panic, "LB stats walk this PE's own chare map keys")
-                let slot = &self.chares[id];
-                let migratable = self
-                    .registry
-                    // analyze: allow(panic, "a chare's collection spec exists wherever the chare lives")
-                    .vtable(self.colls.get(&id.coll).unwrap().spec.ctype)
-                    .migratable;
-                LbChareStat {
-                    id: *id,
-                    pe: self.pe,
-                    load_ns: slot.load_ns,
-                    migratable,
-                }
-            })
-            .collect();
-        // Loads reset at the epoch boundary.
-        for id in participants {
-            // analyze: allow(panic, "participants are keys of self.chares collected above")
-            self.chares.get_mut(id).unwrap().load_ns = 0;
-        }
-        self.lb.pe.stats_sent = true;
-        let at_sync = self.lb.pe.at_sync_count;
+    /// An LB migrant landed here: it counts as parked at its sync point
+    /// (it resumes with everyone else), and the LB root counts the landing.
+    pub(crate) fn lb_migrant_arrived(&mut self) {
+        self.lb.at_sync_count += 1;
+        self.emit(0, EnvKind::LbMigrated);
+    }
+
+    fn lb_participants(&self) -> Vec<ChareId> {
+        self.sorted_chares(|id| self.colls.get(id.coll).is_some_and(|c| c.spec.use_lb))
+    }
+
+    /// This PE's `participants` with the loads measured since the last
+    /// epoch — which restart from zero here: this is the epoch boundary.
+    fn lb_take_local_stats(&mut self, participants: &[ChareId]) -> Vec<LbChareStat> {
+        let stat = |id: &ChareId| LbChareStat {
+            id: *id,
+            pe: self.pe,
+            load_ns: std::mem::take(&mut self.slot_mut(id).load_ns),
+            migratable: self.vtable_of(id.coll).migratable,
+        };
+        participants.iter().map(stat).collect()
+    }
+
+    fn lb_send_central_stats(&mut self, participants: &[ChareId]) {
+        let stats = self.lb_take_local_stats(participants);
+        self.lb.stats_sent = true;
+        let at_sync = self.lb.at_sync_count;
         self.emit(0, EnvKind::LbStats { stats, at_sync });
     }
 
-    pub(crate) fn lb_central_stats(&mut self, stats: Vec<LbChareStat>, _at_sync: u64) {
+    /// Group `(chare, from, to)` moves into one `LbDoMigrate` per owner,
+    /// in PE order; returns how many moves were ordered.
+    fn lb_order_moves(&mut self, moves: Vec<(ChareId, Pe, Pe)>) -> u64 {
+        let mut per_pe: BTreeMap<Pe, Vec<(ChareId, Pe)>> = BTreeMap::new();
+        let mut ordered = 0;
+        for (id, from, to) in moves {
+            ordered += 1;
+            per_pe.entry(from).or_default().push((id, to));
+        }
+        for (owner, moves) in per_pe {
+            let total = moves.len() as u64;
+            self.emit(owner, EnvKind::LbDoMigrate { moves, total });
+        }
+        ordered
+    }
+
+    fn lb_central_stats(&mut self, stats: Vec<LbChareStat>) {
         debug_assert_eq!(self.pe, 0, "LB stats routed to non-central PE");
-        // Fold each batch on arrival (same concatenation order the old
-        // per-batch buffer produced, without holding npes Vec headers).
-        self.lb.central.chares.extend(stats);
-        self.lb.tree.peak_stats = self
-            .lb
-            .tree
-            .peak_stats
-            .max(self.lb.central.chares.len() as u64);
-        self.lb.central.pes_reported += 1;
-        if self.lb.central.pes_reported == 1 {
+        let root = &mut self.lb.root;
+        root.chares.extend(stats);
+        let held = root.chares.len();
+        root.pes_reported += 1;
+        let first = root.pes_reported == 1;
+        self.lb.saw_stats(held);
+        if first {
             // Epoch begins: stamp it for the trace, then poll every PE so
             // ones without participants still report (they have no at-sync
             // trigger of their own).
-            self.lb.central.epoch_start_ns = self.now_ns();
+            self.lb.root.epoch_start_ns = self.now_ns();
             for pe in 0..self.npes {
                 self.emit(pe, EnvKind::LbPoll);
             }
         }
-        if self.lb.central.pes_reported < self.npes {
+        if self.lb.root.pes_reported < self.npes {
             return;
         }
-        let chares = std::mem::take(&mut self.lb.central.chares);
-        self.lb.central.pes_reported = 0;
-        self.lb.central.in_epoch = true;
+        let root = &mut self.lb.root;
+        root.pes_reported = 0;
+        root.in_epoch = true;
         let mut stats = LbStats {
             npes: self.npes,
-            chares,
+            chares: std::mem::take(&mut root.chares),
         };
         let assigned = self.cfg.lb.as_ref().map(|s| s.assign(&stats));
         // The strategy has seen the stats in arrival order; sorted by id
         // they are this epoch's lookup index (a stable sort, so a lookup
         // finds what a front-to-back scan would).
         stats.chares.sort_by_key(|c| c.id);
-        let mut per_pe: HashMap<Pe, Vec<(ChareId, Pe)>> = HashMap::new();
-        let mut total = 0u64;
-        for (id, dst) in assigned.unwrap_or_default() {
-            // A strategy returning a move for a chare absent from its own
-            // input stats is a strategy bug; skip that move instead of
-            // panicking the PE mid-epoch.
-            let first = stats.chares.partition_point(|c| c.id < id);
-            let Some(c) = stats.chares.get(first).filter(|c| c.id == id) else {
-                continue;
-            };
-            if c.migratable && c.pe != dst && dst < self.npes {
-                total += 1;
-                per_pe.entry(c.pe).or_default().push((id, dst));
-            }
-        }
+        let npes = self.npes;
+        let moves = assigned
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|(id, dst)| {
+                // A strategy returning a move for a chare absent from its own
+                // input stats is a strategy bug; skip that move instead of
+                // panicking the PE mid-epoch.
+                let first = stats.chares.partition_point(|c| c.id < id);
+                let c = stats.chares.get(first).filter(|c| c.id == id)?;
+                (c.migratable && c.pe != dst && dst < npes).then_some((id, c.pe, dst))
+            });
+        let total = self.lb_order_moves(moves.collect());
         // Reclaim the stat buffer's capacity for the next epoch.
-        let mut buf = stats.chares;
-        buf.clear();
-        self.lb.central.chares = buf;
-        if total == 0 {
-            self.lb_finish_epoch();
-            return;
-        }
-        self.lb.central.migrations_pending = total;
-        self.lb.central.migrations_done = 0;
-        for (owner, moves) in per_pe {
-            self.emit(owner, EnvKind::LbDoMigrate { moves, total });
-        }
+        stats.chares.clear();
+        self.lb.root.chares = stats.chares;
+        self.lb.root.migrations_pending = total;
+        self.lb.root.migrations_done = 0;
+        self.lb_maybe_finish_epoch();
     }
 
     // ---------------------------------------------------------------------
@@ -606,211 +541,160 @@ impl PeState {
     // which finishes the epoch once every ordered migration landed.
     // ---------------------------------------------------------------------
 
-    pub(crate) fn lb_tree_kick(&mut self, epoch: u64) {
+    fn lb_tree_kick(&mut self, epoch: u64) {
         debug_assert_eq!(self.pe, 0, "LbKick routed to non-root PE");
         // Redundant kicks for a running epoch and stragglers from finished
         // ones are both dropped; only a kick for the current epoch starts
         // the wave.
-        if self.lb.central.in_epoch || epoch != self.lb.central.epochs_done {
+        let root = &mut self.lb.root;
+        if root.in_epoch || epoch != root.epochs_done {
             return;
         }
-        self.lb.central.in_epoch = true;
-        self.lb.central.epoch_start_ns = self.now_ns();
+        root.in_epoch = true;
         // The order total is unknown until the root's own merge runs;
         // block lb_maybe_finish_epoch until then.
-        self.lb.central.migrations_pending = u64::MAX;
-        self.lb.central.migrations_done = 0;
+        root.migrations_pending = u64::MAX;
+        root.migrations_done = 0;
+        self.lb.root.epoch_start_ns = self.now_ns();
         self.lb_tree_poll(epoch, 0);
     }
 
-    pub(crate) fn lb_tree_poll(&mut self, epoch: u64, root: Pe) {
+    fn lb_tree_poll(&mut self, epoch: u64, root: Pe) {
         debug_assert!(
-            epoch <= self.lb.tree.epoch + 1,
+            epoch <= self.lb.epoch + 1,
             "LB poll wave more than one epoch ahead"
         );
-        if epoch == self.lb.tree.epoch + 1 {
+        if epoch == self.lb.epoch + 1 {
             // Next epoch's wave outran this PE's resume; hold it.
-            self.lb.tree.pending_poll = Some((epoch, root));
+            self.lb.pending_poll = Some((epoch, root));
             return;
         }
-        if epoch != self.lb.tree.epoch || self.lb.tree.polled {
+        if epoch != self.lb.epoch || self.lb.wave.is_open() || self.lb.stats_sent {
             return; // straggler or duplicate
         }
-        self.lb.tree.polled = true;
         let tree = self.cfg.lb_mode.tree_shape();
-        let mut expected = 0usize;
-        tree.children_for_each(self.pe, root, self.npes, |child| {
-            expected += 1;
-            self.emit(child, EnvKind::LbTreePoll { epoch, root });
-        });
-        self.lb.tree.children_expected = expected;
+        let owed = self.relay(tree, root, || EnvKind::LbTreePoll { epoch, root });
+        self.lb
+            .wave
+            .open(epoch, root, owed, LbTreeReport::default());
         self.lb_tree_try_report();
     }
 
-    pub(crate) fn lb_tree_report_in(&mut self, report: LbTreeReport) {
-        // A child reports only after we polled it, and we cannot resume
-        // (reset) before our whole subtree reported — so a report always
-        // lands in its own epoch.
-        debug_assert!(self.lb.tree.polled, "LB tree report before poll");
-        self.lb.tree.fold(report);
-        let held = self.lb.tree.spill.len() as u64;
-        self.lb.tree.peak_stats = self.lb.tree.peak_stats.max(held);
+    fn lb_tree_report_in(&mut self, report: LbTreeReport) {
+        let epoch = self.lb.epoch;
+        let Some(acc) = self.lb.wave.answer(epoch) else {
+            debug_assert!(false, "LB tree report before poll");
+            return;
+        };
+        acc.fold(report);
+        let held = acc.spill.len();
+        self.lb.saw_stats(held);
         self.lb_tree_try_report();
     }
 
     /// Report readiness check, run after every event that could complete
     /// this PE's subtree: polled, every relayed child reported, and every
     /// local participant reached at-sync.
-    pub(crate) fn lb_tree_try_report(&mut self) {
-        if !self.lb.tree.polled || self.lb.pe.stats_sent {
-            return;
-        }
-        if self.lb.tree.children_seen < self.lb.tree.children_expected {
+    fn lb_tree_try_report(&mut self) {
+        if self.lb.stats_sent || !self.lb.wave.ready() {
             return;
         }
         let participants = self.lb_participants();
-        if !participants.is_empty() && self.lb.pe.at_sync_count < participants.len() as u64 {
+        if !participants.is_empty() && self.lb.at_sync_count < participants.len() as u64 {
             return;
         }
         let LbMode::Tree { group_size } = self.cfg.lb_mode else {
             debug_assert!(false, "tree report in central mode");
             return;
         };
+        let Some((_, root, mut acc)) = self.lb.wave.finish() else {
+            return;
+        };
+        // A child subtree reported into the accumulator: an interior node.
+        let interior = acc.pe_count > 0;
         // Merge this PE's own contribution: migratable participants become
         // placement candidates; everything pinned is this PE's fixed load.
         let mut fixed = 0u64;
-        for id in &participants {
-            // analyze: allow(panic, "LB stats walk this PE's own chare map keys")
-            let slot = &self.chares[id];
-            let migratable = self
-                .registry
-                // analyze: allow(panic, "a chare's collection spec exists wherever the chare lives")
-                .vtable(self.colls.get(&id.coll).unwrap().spec.ctype)
-                .migratable;
-            self.lb.tree.total_load_ns += slot.load_ns;
-            if migratable {
-                self.lb.tree.chare_count += 1;
-                self.lb.tree.spill.push(LbChareStat {
-                    id: *id,
-                    pe: self.pe,
-                    load_ns: slot.load_ns,
-                    migratable: true,
-                });
+        for stat in self.lb_take_local_stats(&participants) {
+            acc.total_load_ns += stat.load_ns;
+            if stat.migratable {
+                acc.chare_count += 1;
+                acc.spill.push(stat);
             } else {
-                fixed += slot.load_ns;
+                fixed += stat.load_ns;
             }
         }
-        // Loads reset at the epoch boundary, as in central mode.
-        for id in &participants {
-            // analyze: allow(panic, "participants are keys of self.chares collected above")
-            self.chares.get_mut(id).unwrap().load_ns = 0;
-        }
-        self.lb.tree.pe_count += 1;
-        self.lb.tree.acceptors.push((self.pe, fixed));
-        self.lb.pe.stats_sent = true;
-        let held = self.lb.tree.spill.len() as u64;
-        self.lb.tree.peak_stats = self.lb.tree.peak_stats.max(held);
+        acc.pe_count += 1;
+        acc.acceptors.push((self.pe, fixed));
+        self.lb.stats_sent = true;
+        self.lb.saw_stats(acc.spill.len());
 
-        let is_root = self.pe == 0;
-        if is_root || self.lb.tree.children_expected > 0 {
+        let parent = self
+            .cfg
+            .lb_mode
+            .tree_shape()
+            .parent(self.pe, root, self.npes);
+        if parent.is_none() || interior {
             // Interior (or root) node: refine placement within the subtree
             // and issue orders directly. Leaves skip this — refining a
             // single PE against its own average would keep every chare
             // local and starve the upper levels of candidates.
-            let limit = refine_limit(
-                self.lb.tree.total_load_ns,
-                self.lb.tree.pe_count,
-                REFINE_THRESHOLD_PERMILLE,
-            );
-            let mut acceptors = std::mem::take(&mut self.lb.tree.acceptors);
-            let candidates = std::mem::take(&mut self.lb.tree.spill);
-            let outcome = greedy_refine_place(&mut acceptors, candidates, limit);
-            let mut per_pe: HashMap<Pe, Vec<(ChareId, Pe)>> = HashMap::new();
-            for (id, from, dst) in outcome.moves {
-                self.lb.tree.ordered += 1;
-                per_pe.entry(from).or_default().push((id, dst));
-            }
-            for (owner, moves) in per_pe {
-                let total = moves.len() as u64;
-                self.emit(owner, EnvKind::LbDoMigrate { moves, total });
-            }
-            self.lb.tree.acceptors = acceptors;
-            self.lb.tree.spill = outcome.leftover;
+            let limit = refine_limit(acc.total_load_ns, acc.pe_count, REFINE_THRESHOLD_PERMILLE);
+            let candidates = std::mem::take(&mut acc.spill);
+            let outcome = greedy_refine_place(&mut acc.acceptors, candidates, limit);
+            acc.ordered += self.lb_order_moves(outcome.moves);
+            acc.spill = outcome.leftover;
         }
-        if is_root {
+        match parent {
             // Residual candidates stay put. The epoch's order total is now
             // final; the epoch ends when that many LbMigrateds landed.
-            self.lb.central.migrations_pending = self.lb.tree.ordered;
-            self.lb_maybe_finish_epoch();
-        } else {
-            truncate_acceptors(&mut self.lb.tree.acceptors, group_size.max(16));
-            let cap = spill_cap(self.lb.tree.chare_count, self.lb.tree.pe_count);
-            truncate_spill(&mut self.lb.tree.spill, cap);
-            let tree = self.cfg.lb_mode.tree_shape();
-            let parent = tree.parent(self.pe, 0, self.npes);
-            // analyze: allow(panic, "every non-root PE has an LB tree parent")
-            let parent = parent.expect("non-root has parent");
-            let report = LbTreeReport {
-                pe_count: self.lb.tree.pe_count,
-                chare_count: self.lb.tree.chare_count,
-                total_load_ns: self.lb.tree.total_load_ns,
-                ordered: self.lb.tree.ordered,
-                acceptors: std::mem::take(&mut self.lb.tree.acceptors),
-                spill: std::mem::take(&mut self.lb.tree.spill),
-            };
-            self.emit(
-                parent,
-                EnvKind::LbTreeReport {
-                    report: Box::new(report),
-                },
-            );
+            None => {
+                self.lb.root.migrations_pending = acc.ordered;
+                self.lb_maybe_finish_epoch();
+            }
+            Some(parent) => {
+                truncate_acceptors(&mut acc.acceptors, group_size.max(16));
+                let cap = spill_cap(acc.chare_count, acc.pe_count);
+                truncate_spill(&mut acc.spill, cap);
+                let report = Box::new(acc);
+                self.emit(parent, EnvKind::LbTreeReport { report });
+            }
         }
     }
 
     /// Close the epoch once every ordered migration has landed. `pending`
     /// holds `u64::MAX` from kick until the root's merge fixes the total,
     /// so a completion arriving early can never finish the epoch.
-    pub(crate) fn lb_maybe_finish_epoch(&mut self) {
-        if self.lb.central.in_epoch
-            && self.lb.central.migrations_done >= self.lb.central.migrations_pending
-        {
-            self.lb_finish_epoch();
+    fn lb_maybe_finish_epoch(&mut self) {
+        let root = &mut self.lb.root;
+        if !root.in_epoch || root.migrations_done < root.migrations_pending {
+            return;
         }
-    }
-
-    pub(crate) fn lb_finish_epoch(&mut self) {
-        self.lb.central.in_epoch = false;
-        self.lb.central.migrations_pending = 0;
-        self.lb.central.migrations_done = 0;
-        self.lb.central.epochs_done += 1;
-        if self.tracer.full() {
-            let now = self.now_ns();
-            let dur = now.saturating_sub(self.lb.central.epoch_start_ns);
-            self.tracer
-                .push(now, charm_trace::EventKind::LbEpoch { dur_ns: dur });
-        }
+        root.in_epoch = false;
+        root.migrations_pending = 0;
+        root.migrations_done = 0;
+        root.epochs_done += 1;
+        let start = root.epoch_start_ns;
+        self.trace_event(|s| charm_trace::EventKind::LbEpoch {
+            dur_ns: s.now_ns().saturating_sub(start),
+        });
         self.emit(0, EnvKind::LbResume { root: 0 });
     }
 
-    pub(crate) fn lb_resume_local(&mut self) {
-        self.lb.pe.at_sync_count = 0;
-        self.lb.pe.stats_sent = false;
-        self.lb.tree.reset();
-        self.lb.tree.epoch += 1;
+    fn lb_resume_local(&mut self) {
+        self.lb.at_sync_count = 0;
+        self.lb.stats_sent = false;
+        self.lb.wave.reset();
+        self.lb.kicked = false;
+        self.lb.epoch += 1;
         // A buffered next-epoch poll (its wave outran this resume) can run
         // now that the epoch counter caught up.
-        if let Some((epoch, root)) = self.lb.tree.pending_poll.take() {
+        if let Some((epoch, root)) = self.lb.pending_poll.take() {
             self.lb_tree_poll(epoch, root);
         }
-        let resumed: Vec<ChareId> = self
-            .chares
-            .iter()
-            .filter(|(_, s)| s.at_sync)
-            .map(|(id, _)| *id)
-            .collect();
-        let mut ids = resumed;
-        ids.sort();
-        for id in ids {
+        for id in self.sorted_chares(|id| self.slot(id).at_sync) {
+            // (A resume handler may migrate a later chare's neighbour away,
+            // never the later chare itself; `invoke` re-checks anyway.)
             if let Some(slot) = self.chares.get_mut(&id) {
                 slot.at_sync = false;
             }
@@ -819,8 +703,8 @@ impl PeState {
     }
 
     /// LB epochs completed (read by the driver for the report; PE 0 only).
-    pub(crate) fn lb_epochs(&self) -> u64 {
-        self.lb.central.epochs_done
+    pub fn lb_epochs(&self) -> u64 {
+        self.lb.root.epochs_done
     }
 }
 
@@ -979,7 +863,7 @@ mod tests {
 
     #[test]
     fn tree_report_fold_accumulates() {
-        let mut t = LbTreePe::default();
+        let mut t = LbTreeReport::default();
         t.fold(LbTreeReport {
             pe_count: 3,
             chare_count: 4,
@@ -996,17 +880,12 @@ mod tests {
             acceptors: vec![(4, 0)],
             spill: vec![],
         });
-        assert_eq!(t.children_seen, 2);
         assert_eq!(t.pe_count, 5);
         assert_eq!(t.chare_count, 5);
         assert_eq!(t.total_load_ns, 150);
         assert_eq!(t.ordered, 2);
         assert_eq!(t.acceptors.len(), 2);
         assert_eq!(t.spill.len(), 1);
-        let cap = t.acceptors.capacity();
-        t.reset();
-        assert_eq!(t.acceptors.capacity(), cap, "reset keeps capacity");
-        assert!(!t.polled && t.pe_count == 0);
     }
 
     #[test]

@@ -31,6 +31,10 @@ use crate::pe::{Buffered, PeState, Slot};
 /// with at most `MAX_FWD_HOPS` extra hops, independent of migration count.
 pub const MAX_FWD_HOPS: usize = 4;
 
+/// A packed chare: its state bytes, and its when-guard-deferred messages
+/// as `(bytes, reply future, guard id)`.
+pub(crate) type PackedChare = (Vec<u8>, Vec<(Vec<u8>, Option<FutureId>, Option<u32>)>);
+
 /// Where an envelope for one chare goes next.
 pub(crate) enum Route {
     Local,
@@ -86,7 +90,7 @@ impl PeState {
     /// The location slice of the dispatch switch.
     pub(crate) fn on_location(&mut self, kind: EnvKind) {
         match kind {
-            EnvKind::MigrateChare { msg } => self.migrate_in(msg),
+            EnvKind::MigrateChare { msg } => self.migrate_in(*msg),
             EnvKind::LocationUpdate { id, pe } => {
                 // "It lives on you" is never news: either the chare is
                 // here (routing checks that first and no entry exists), or
@@ -104,44 +108,67 @@ impl PeState {
         }
     }
 
+    /// Where an envelope for `id` goes next, as far as this PE knows.
     pub(crate) fn route_of(&self, id: &ChareId) -> Route {
         if self.chares.contains_key(id) {
             return Route::Local;
         }
-        let Some(cs) = self.colls.get(&id.coll) else {
+        let Some(cs) = self.colls.get(id.coll) else {
             return Route::UnknownColl;
         };
         if let Some(&pe) = self.locs.table.get(id) {
             return Route::Remote(pe, true);
         }
-        match &cs.spec.kind {
+        let pe = match &cs.spec.kind {
             // Initial placement is globally computable for these kinds.
             CollKind::Singleton { .. } | CollKind::Group | CollKind::Dense { .. } => {
-                let pe = cs.spec.place(&id.index, self.npes, &self.placements);
-                if pe == self.pe {
-                    // We host it (or will, when creation lands): buffer.
-                    Route::BufferHere
-                } else {
-                    Route::Remote(pe, false)
-                }
+                cs.spec.place(&id.index, self.npes, &self.placements)
             }
-            CollKind::Sparse => {
-                let home = cs.spec.home_pe(&id.index, self.npes);
-                if home == self.pe {
-                    Route::BufferHere
-                } else {
-                    Route::Remote(home, false)
-                }
-            }
+            CollKind::Sparse => cs.spec.home_pe(&id.index, self.npes),
+        };
+        if pe == self.pe {
+            // We host it (or will, when creation or an insert lands), or we
+            // are its home and will hear where it went: hold the envelope.
+            Route::BufferHere
+        } else {
+            Route::Remote(pe, false)
         }
     }
 
+    /// Re-dispatch what was parked for `id`: it (or news of it) is here.
     pub(crate) fn flush_pending_chare(&mut self, id: ChareId) {
-        if let Some(parked) = self.locs.parked.remove(&id) {
-            for env in parked {
-                self.dispatch(env);
-            }
+        for env in self.locs.parked.remove(&id).unwrap_or_default() {
+            self.dispatch(env);
         }
+    }
+
+    /// Serialize a resting chare for `doing` (a migration, a checkpoint):
+    /// its state, and its when-guard-deferred messages with their reply
+    /// futures and guard ids.
+    pub(crate) fn pack_chare(&self, id: &ChareId, slot: &Slot, doing: &str) -> PackedChare {
+        assert!(
+            slot.coros.is_empty(),
+            "cannot {doing} {id}: a threaded entry method is active"
+        );
+        let (chare, codec) = (slot.chare(), self.cfg.codec);
+        let data = chare
+            .pack(codec)
+            .unwrap_or_else(|| {
+                // analyze: allow(panic, "packing a chare type without pack support is a registration bug, surfaced at the first attempt")
+                panic!(
+                    "{} is not migratable; to {doing} it, use register_migratable",
+                    self.registry.vtable(chare.type_id()).name
+                )
+            })
+            // analyze: allow(panic, "encoding chare state fails only on a codec bug")
+            .expect("chare state failed to encode");
+        let encode_msg = self.vtable_of(id.coll).encode_msg;
+        let buffered = slot.buffered.iter().map(|b| {
+            // analyze: allow(panic, "buffered messages were encodable at send time; re-encode fails only on a codec bug")
+            let bytes = encode_msg(&*b.msg, codec).expect("buffered message encode failed");
+            (bytes, b.reply, b.guard)
+        });
+        (data, buffered.collect())
     }
 
     pub(crate) fn migrate_out(&mut self, id: ChareId, to: Pe, for_lb: bool) {
@@ -151,82 +178,23 @@ impl PeState {
             }
             return;
         }
-        {
-            let slot = self
-                .chares
-                .get(&id)
-                // analyze: allow(panic, "LbDoMigrate names chares the central LB just saw in this PE's stats; absence means runtime corruption")
-                .unwrap_or_else(|| panic!("migrate_out of missing chare {id}"));
-            assert!(
-                slot.coros.is_empty(),
-                "cannot migrate {id}: a threaded entry method is active"
-            );
-        }
-        let (encode_msg, home) = {
-            // analyze: allow(panic, "a chare cannot exist without its collection's spec on its PE")
-            let cs = self.colls.get(&id.coll).expect("migrate without spec");
-            (
-                self.registry.vtable(cs.spec.ctype).encode_msg,
-                cs.spec.home_pe(&id.index, self.npes),
-            )
-        };
-        // analyze: allow(panic, "presence checked by migrate_out's lookup at entry")
-        let slot = self.chares.remove(&id).unwrap();
-        // analyze: allow(panic, "migration initiates between entry methods; the box is in place")
-        let boxed = slot.boxed.expect("chare checked out at migration");
-        let data = boxed
-            .pack(self.cfg.codec)
-            .unwrap_or_else(|| {
-                // analyze: allow(panic, "migrating a chare type without pack support is a registration bug, surfaced at the first migration attempt")
-                panic!(
-                    "{} is not migratable; use register_migratable",
-                    self.registry.vtable(boxed.type_id()).name
-                )
-            })
-            // analyze: allow(panic, "encoding chare state for migration fails only on a codec bug")
-            .expect("chare state failed to encode");
-        let buffered: Vec<(Vec<u8>, Option<FutureId>, Option<u32>)> = slot
-            .buffered
-            .iter()
-            .map(|b| {
-                (
-                    // analyze: allow(panic, "buffered messages were encodable at send time; re-encode fails only on a codec bug")
-                    encode_msg(&*b.msg, self.cfg.codec).expect("buffered message encode failed"),
-                    b.reply,
-                    b.guard,
-                )
-            })
-            .collect();
-        {
-            // analyze: allow(panic, "spec presence established at migrate_out entry")
-            let cs = self.colls.get_mut(&id.coll).unwrap();
-            cs.local_members -= 1;
-            cs.subtree_members -= 1;
-        }
-        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
-            self.emit(
-                parent,
-                EnvKind::SubtreeAdd {
-                    coll: id.coll,
-                    delta: -1,
-                },
-            );
-        }
+        let slot = self
+            .chares
+            .remove(&id)
+            // analyze: allow(panic, "migrate_me runs under its own chare and LbDoMigrate names chares the balancer just saw in this PE's stats; absence means runtime corruption")
+            .unwrap_or_else(|| panic!("migrate_out of missing chare {id}"));
+        let (data, buffered) = self.pack_chare(&id, &slot, "migrate");
+        let home = self.spec(id.coll).home_pe(&id.index, self.npes);
+        self.member_delta(id.coll, -1);
         self.locs.learn(id, to);
         // The home PE must learn the new location for fresh senders.
         if home != self.pe && home != to {
             self.emit(home, EnvKind::LocationUpdate { id, pe: to });
         }
         self.tracer.counters.migrations += 1;
-        if self.tracer.full() {
-            let now = self.now_ns();
-            self.tracer.push(
-                now,
-                charm_trace::EventKind::MigrateOut {
-                    bytes: data.len().min(u32::MAX as usize) as u32,
-                },
-            );
-        }
+        self.trace_event(|_| charm_trace::EventKind::MigrateOut {
+            bytes: data.len().min(u32::MAX as usize) as u32,
+        });
         // This PE joins the chare's stub chain; the arrival side collapses
         // the chain once it reaches MAX_FWD_HOPS.
         let mut trail = slot.fwd_trail;
@@ -248,12 +216,7 @@ impl PeState {
         );
     }
 
-    pub(crate) fn migrate_in(&mut self, msg: Box<MigrateMsg>) {
-        if !self.colls.contains_key(&msg.coll) {
-            let coll = msg.coll;
-            self.park_unknown_coll(coll, EnvKind::MigrateChare { msg });
-            return;
-        }
+    fn migrate_in(&mut self, msg: MigrateMsg) {
         let MigrateMsg {
             coll,
             index,
@@ -263,24 +226,16 @@ impl PeState {
             red_seq,
             for_lb,
             mut trail,
-        } = *msg;
-        // analyze: allow(panic, "presence checked above")
-        let cs = self.colls.get(&coll).unwrap();
+        } = msg;
         let id = ChareId { coll, index };
-        if self.tracer.full() {
-            let now = self.now_ns();
-            self.tracer.push(
-                now,
-                charm_trace::EventKind::MigrateIn {
-                    bytes: data.len().min(u32::MAX as usize) as u32,
-                },
-            );
-        }
-        let vt = self.registry.vtable(cs.spec.ctype);
+        self.trace_event(|_| charm_trace::EventKind::MigrateIn {
+            bytes: data.len().min(u32::MAX as usize) as u32,
+        });
+        let (ctype, vt) = (self.spec(coll).ctype, self.vtable_of(coll));
         // analyze: allow(panic, "migrated-in chares were packed by a type whose vtable migrates; missing unpack is a registration bug")
         let unpack = vt.unpack.expect("migrated chare type lacks unpack");
         let decode_msg = vt.decode_msg;
-        let boxed = unpack(self.cfg.codec, &data, cs.spec.ctype)
+        let boxed = unpack(self.cfg.codec, &data, ctype)
             // analyze: allow(panic, "state bytes come from the matching pack; decode failure is a codec bug")
             .unwrap_or_else(|e| panic!("migrated chare decode failed: {e}"));
         let mut slot = Slot::new(boxed);
@@ -300,22 +255,8 @@ impl PeState {
         }
         self.chares.insert(id, slot);
         self.locs.table.remove(&id);
-        {
-            // analyze: allow(panic, "home routing ships migrations only to PEs that hold the collection spec")
-            let cs = self.colls.get_mut(&coll).unwrap();
-            cs.local_members += 1;
-            cs.subtree_members += 1;
-        }
-        if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
-            self.emit(parent, EnvKind::SubtreeAdd { coll, delta: 1 });
-        }
-        let home = self
-            .colls
-            .get(&coll)
-            // analyze: allow(panic, "spec presence established in this same migrate-in path")
-            .unwrap()
-            .spec
-            .home_pe(&index, self.npes);
+        self.member_delta(coll, 1);
+        let home = self.spec(coll).home_pe(&index, self.npes);
         if home != self.pe {
             self.emit(home, EnvKind::LocationUpdate { id, pe: self.pe });
         }

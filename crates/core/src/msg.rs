@@ -398,7 +398,8 @@ pub enum EnvKind {
     LbDoMigrate {
         /// `(chare, destination)` pairs owned by the receiving PE.
         moves: Vec<(ChareId, Pe)>,
-        /// Total number of migrations in the epoch (for completion count).
+        /// Number of moves in this order (the ordering PE tracks the
+        /// epoch's completion count itself).
         total: u64,
     },
     /// A migrated chare arrived somewhere (destination → PE 0).
@@ -582,6 +583,24 @@ impl EnvKind {
                 | EnvKind::RedBroadcast { .. }
                 | EnvKind::MigrateChare { .. }
         )
+    }
+
+    /// The collection whose spec a PE must hold before it can act on this
+    /// envelope: its destination chare's, or the one it names. A scheduler
+    /// parks the envelope until that spec arrives (creation is a tree
+    /// broadcast, so traffic for a new collection can outrun it).
+    pub fn coll(&self) -> Option<CollectionId> {
+        match self {
+            EnvKind::Entry { to, .. } | EnvKind::RedDeliver { to, .. } => Some(to.coll),
+            EnvKind::BroadcastEntry { coll, .. }
+            | EnvKind::InsertElem { coll, .. }
+            | EnvKind::DoneInserting { coll }
+            | EnvKind::RedPartial { coll, .. }
+            | EnvKind::RedBroadcast { coll, .. }
+            | EnvKind::SubtreeAdd { coll, .. } => Some(*coll),
+            EnvKind::MigrateChare { msg } => Some(msg.coll),
+            _ => None,
+        }
     }
 
     /// How many QD-counted *deliveries* this envelope carries: `count` for

@@ -22,8 +22,8 @@ use charm_trace::{EntryKind, PeTracer, TraceConfig, WorkClass};
 use charm_wire::{Codec, EncodePool, WireBytes};
 
 use crate::aggregation::Aggregator;
-use crate::chare::{MsgGuards, Registry};
-use crate::checkpoint::{Ckpt, CkptFile, CkptStore, Store};
+use crate::chare::{ChareBox, ChareVTable, MsgGuards, Registry};
+use crate::checkpoint::{Ckpt, CkptFile, Store};
 use crate::collections::{CollKind, CollSpec, Colls, Placements};
 use crate::coro::{CoroSide, Coros, WaitKind};
 use crate::ctx::{Ctx, CtxSeed, Op};
@@ -31,7 +31,7 @@ use crate::future::{FutState, FutTable};
 use crate::ids::{ChareId, CollectionId, FutureId, Index, Pe};
 use crate::lb::{Lb, LbMode, LbStrategy};
 use crate::location::{Locations, Route};
-use crate::msg::{BoxMsg, EnvKind, Envelope, Payload};
+use crate::msg::{BoxMsg, EnvKind, Envelope, OutPayload, Payload};
 use crate::reduction::{CustomReducers, RedData, Reductions};
 use crate::sweep::Sweeps;
 use crate::tree::TreeShape;
@@ -109,11 +109,10 @@ pub(crate) struct Buffered {
 
 /// One local chare.
 pub(crate) struct Slot {
-    pub(crate) boxed: Option<Box<dyn crate::chare::ChareBox>>,
+    pub(crate) boxed: Option<Box<dyn ChareBox>>,
     /// When-guard-deferred messages in arrival order. A deque so the drain
-    /// in `after_state_change` can pull the ready message without shifting
-    /// the whole tail: the common case (front is ready) pops in O(1),
-    /// where a `Vec::remove` drain degraded to O(n²) over a long buffer.
+    /// in `after_state_change` pulls the ready message without shifting the
+    /// whole tail: the common case (front is ready) pops in O(1).
     pub(crate) buffered: VecDeque<Buffered>,
     pub(crate) load_ns: u64,
     pub(crate) red_seq: u64,
@@ -128,7 +127,21 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    pub(crate) fn new(boxed: Box<dyn crate::chare::ChareBox>) -> Slot {
+    /// The chare, in place between handler invocations.
+    pub(crate) fn chare(&self) -> &dyn ChareBox {
+        self.boxed
+            .as_deref()
+            // analyze: allow(panic, "entry methods and coroutine segments are serialized per chare and each returns the box before anything else touches the slot (checked dynamically under --features analyze)")
+            .expect("chare is checked out")
+    }
+
+    /// Check the chare out for one handler or coroutine segment.
+    pub(crate) fn checkout(&mut self) -> Box<dyn ChareBox> {
+        // analyze: allow(panic, "same serialization invariant as chare()")
+        self.boxed.take().expect("re-entrant use of one chare")
+    }
+
+    pub(crate) fn new(boxed: Box<dyn ChareBox>) -> Slot {
         Slot {
             boxed: Some(boxed),
             buffered: VecDeque::new(),
@@ -151,12 +164,10 @@ pub(crate) enum Invoke {
 /// A chare type's resolved message decoder.
 type DecodeFn = fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>;
 
-/// Per-PE devirtualized entry-dispatch cache (`DispatchMode::Native`).
-///
-/// Steady-state delivery used to pay a `colls` hash lookup plus a registry
-/// vtable indirection per decoded message just to rediscover a function
-/// pointer that never changes for a given collection. This caches the
-/// resolved `CollectionId → decode fn` pairs; with the handful of live
+/// Per-PE devirtualized entry-dispatch cache (`DispatchMode::Native`): the
+/// resolved `CollectionId → decode fn` pairs, so steady-state delivery skips
+/// the spec lookup and the registry vtable walk for a function pointer that
+/// never changes for a given collection. With the handful of live
 /// collections a PE hosts, the linear probe over a dense vec is one or two
 /// compares on the hot path. Conservatively cleared whenever a collection
 /// spec lands (creation or post-recovery restore).
@@ -240,7 +251,6 @@ pub(crate) struct PeState {
     /// PE 0, restore path: the entry launch waits on this internal future
     /// (completed by quiescence detection once every restored chare landed).
     pub(crate) entry_gate: Option<FutureId>,
-    main_id: ChareId,
 
     /// Happens-before detector (vector clocks + send/deliver accounting).
     #[cfg(feature = "analyze")]
@@ -308,16 +318,10 @@ impl PeState {
             exited: false,
             entry,
             entry_gate: None,
-            main_id: main_chare_id(),
             #[cfg(feature = "analyze")]
             det,
             cfg,
         }
-    }
-
-    /// Hand this PE's in-memory checkpoint images to the restart supervisor.
-    pub fn take_ckpt_store(&mut self) -> CkptStore {
-        self.ckpt.take_store()
     }
 
     /// Send/deliver id accounting for the end-of-run balance check.
@@ -352,6 +356,42 @@ impl PeState {
         }
     }
 
+    /// Record an event on the ring under full capture; `kind` is built only
+    /// then, after the timestamp is read.
+    pub(crate) fn trace_event(&mut self, kind: impl FnOnce(&Self) -> charm_trace::EventKind) {
+        if self.tracer.full() {
+            let now = self.now_ns();
+            let kind = kind(self);
+            self.tracer.push(now, kind);
+        }
+    }
+
+    /// The slot of a chare the caller knows to be on this PE.
+    pub(crate) fn slot(&self, id: &ChareId) -> &Slot {
+        self.chares
+            .get(id)
+            // analyze: allow(panic, "callers hold an id they just routed to, walked out of the slot table or are executing for; a chare leaves its PE only through migrate_out, never under a running handler")
+            .unwrap_or_else(|| panic!("chare {id} is not on PE {}", self.pe))
+    }
+
+    /// [`Self::slot`], mutably.
+    pub(crate) fn slot_mut(&mut self, id: &ChareId) -> &mut Slot {
+        let pe = self.pe;
+        self.chares
+            .get_mut(id)
+            // analyze: allow(panic, "same invariant as slot()")
+            .unwrap_or_else(|| panic!("chare {id} is not on PE {pe}"))
+    }
+
+    /// Ids of the local chares `keep` selects, sorted: every walk over the
+    /// slot table that feeds emission order goes through here.
+    pub(crate) fn sorted_chares(&self, keep: impl Fn(&ChareId) -> bool) -> Vec<ChareId> {
+        // analyze: allow(nondeterminism, "hash order erased by the sort below")
+        let mut ids: Vec<ChareId> = self.chares.keys().filter(|id| keep(id)).copied().collect();
+        ids.sort();
+        ids
+    }
+
     /// Queue an envelope for `dst` (counting for QD and traffic stats).
     ///
     /// All *logical* accounting happens here, per message — QD counts,
@@ -381,8 +421,7 @@ impl PeState {
                 );
             }
         }
-        let mut env = Envelope::new(self.pe, kind);
-        env.epoch = self.cfg.epoch;
+        let mut env = self.wrap(kind);
         // Emission stamp for the receiver-side send→deliver latency sample;
         // 0 (tracing off) records nothing.
         if self.tracer.enabled() {
@@ -393,6 +432,44 @@ impl PeState {
             env.trace = self.det.on_send();
         }
         self.push_out(dst, env);
+    }
+
+    /// Emit `mk()` to each of this PE's children in `tree` rooted at
+    /// `root` (one step of a down-wave); returns how many there were.
+    pub(crate) fn relay(
+        &mut self,
+        tree: TreeShape,
+        root: Pe,
+        mut mk: impl FnMut() -> EnvKind,
+    ) -> usize {
+        let mut children = 0;
+        tree.children_for_each(self.pe, root, self.npes, |child| {
+            children += 1;
+            self.emit(child, mk());
+        });
+        children
+    }
+
+    /// Turn a runtime-built typed payload into its transit form: kept boxed
+    /// when the destination is `local` (and §II-D by-reference is on),
+    /// serialized through the encode pool otherwise.
+    pub(crate) fn encode_for(&mut self, local: bool, payload: OutPayload) -> Payload {
+        payload
+            .into_payload(
+                local,
+                self.cfg.same_pe_byref,
+                self.cfg.codec,
+                &mut self.encode_pool,
+            )
+            // analyze: allow(panic, "the value was built by this runtime or handed to a typed send; its encoder fails only on a codec bug")
+            .expect("outgoing payload failed to encode")
+    }
+
+    /// Complete future `fid` with `value`.
+    pub(crate) fn send_future(&mut self, fid: FutureId, value: OutPayload) {
+        let dst = fid.pe as usize;
+        let payload = self.encode_for(dst == self.pe, value);
+        self.emit(dst, EnvKind::FutureValue { fid, payload });
     }
 
     /// Charge compute to the current event (and, optionally, a chare),
@@ -441,10 +518,7 @@ impl PeState {
                 EnvKind::Batch { count, .. } => *count as u64,
                 _ => 1,
             };
-            if self.tracer.full() {
-                let now = self.now_ns();
-                self.tracer.push(now, charm_trace::EventKind::StaleDrop);
-            }
+            self.trace_event(|_| charm_trace::EventKind::StaleDrop);
             return;
         }
         // A batch is a transport frame, not a delivery: split it back into
@@ -475,22 +549,12 @@ impl PeState {
             // (QD-counted) traffic only; `saturating_sub` is the monotone
             // clamp across per-PE clocks.
             if env.sent_ns > 0 && env.kind.counts_for_qd() {
-                let now = if self.cfg.is_sim {
-                    self.clock_ns + self.event_work_ns
-                } else {
-                    self.now_cache_ns
-                };
+                let now = self.send_ts_ns();
                 self.tracer.latency(now.saturating_sub(env.sent_ns));
             }
-            if self.tracer.full() {
-                let now = self.now_ns();
-                self.tracer.push(
-                    now,
-                    charm_trace::EventKind::MsgRecv {
-                        bytes: sz.min(u32::MAX as u64) as u32,
-                    },
-                );
-            }
+            self.trace_event(|_| charm_trace::EventKind::MsgRecv {
+                bytes: sz.min(u32::MAX as u64) as u32,
+            });
         }
         // Delivery event: dedup + per-channel FIFO + clock join. Parked
         // envelopes re-enter via `dispatch()` below, so each delivery is
@@ -502,10 +566,17 @@ impl PeState {
 
     /// Dispatch without QD counting — used for re-processing envelopes that
     /// were parked (they were counted when they first arrived). A switch and
-    /// nothing else: every kind goes to the module that owns its protocol.
+    /// nothing else: an envelope for a collection whose spec has not reached
+    /// this PE is parked, every other one goes to the module that owns its
+    /// protocol.
     pub(crate) fn dispatch(&mut self, env: Envelope) {
-        let src = env.src;
-        match env.kind {
+        let Envelope { src, kind, .. } = env;
+        if let Some(coll) = kind.coll() {
+            if !self.colls.knows(coll) {
+                return self.park_unknown_coll(coll, kind);
+            }
+        }
+        match kind {
             EnvKind::Entry {
                 to,
                 payload,
@@ -558,68 +629,89 @@ impl PeState {
     /// An entry broadcast crossing this PE: relay it down the tree, then
     /// deliver to every local member from the one shared buffer.
     fn broadcast_entry(&mut self, coll: CollectionId, bytes: WireBytes, root: Pe) {
-        if !self.colls.contains_key(&coll) {
-            self.park_unknown_coll(coll, EnvKind::BroadcastEntry { coll, bytes, root });
-            return;
-        }
         let tree = self.cfg.tree;
         let members = self.local_members(coll);
         if self.tracer.enabled() {
             self.tracer.bcast_relays += 1;
-            if self.tracer.full() {
-                let now = self.now_ns();
-                self.tracer.push(
-                    now,
-                    charm_trace::EventKind::BcastFanout {
-                        children: tree.fanout(self.pe, root, self.npes) as u32,
-                        members: members.len() as u32,
-                    },
-                );
-            }
+            self.trace_event(|s| charm_trace::EventKind::BcastFanout {
+                children: tree.fanout(s.pe, root, s.npes) as u32,
+                members: members.len() as u32,
+            });
         }
-        tree.children_for_each(self.pe, root, self.npes, |child| {
-            self.emit(
-                child,
-                EnvKind::BroadcastEntry {
-                    coll,
-                    bytes: bytes.clone(),
-                    root,
-                },
-            );
+        self.relay(tree, root, || EnvKind::BroadcastEntry {
+            coll,
+            bytes: bytes.clone(),
+            root,
         });
         for id in members {
             self.deliver_wire_entry(id, &bytes, None);
         }
     }
 
-    /// Re-wrap a kind for local parking, stamped with this PE's epoch so it
-    /// stays valid when later re-dispatched.
+    /// Wrap a kind in an envelope from this PE in this incarnation — for
+    /// emission, or for parking (so it stays valid when re-dispatched).
     pub(crate) fn wrap(&self, kind: EnvKind) -> Envelope {
         let mut env = Envelope::new(self.pe, kind);
         env.epoch = self.cfg.epoch;
         env
     }
 
+    /// Local members of `coll`, in the deterministic delivery order.
     pub(crate) fn local_members(&self, coll: CollectionId) -> Vec<ChareId> {
-        let mut v: Vec<ChareId> = self
-            .chares
-            // analyze: allow(nondeterminism, "hash order erased by the sort below")
-            .keys()
-            .filter(|id| id.coll == coll)
-            .copied()
-            .collect();
-        v.sort(); // deterministic delivery order
-        v
+        self.sorted_chares(|id| id.coll == coll)
     }
 
     // =====================================================================
     // Routing and entry delivery
     // =====================================================================
 
-    /// Route an entry message; when this PE forwards somebody else's
-    /// message (the chare moved on), tell the original sender where the
-    /// chare lives now, so migration-induced forwarding chains collapse
-    /// after one use (Charm++'s location-update piggyback).
+    /// Send `kind` — an `Entry` or a `RedDeliver` for chare `to`, arrived
+    /// from `src` — one step closer: deliver it, forward it, or hold it
+    /// until this PE learns more. When this PE forwards somebody else's
+    /// entry message (the chare moved on), it tells the original sender
+    /// where the chare lives now, so migration-induced forwarding chains
+    /// collapse after one use (Charm++'s location-update piggyback).
+    fn route(&mut self, src: Pe, to: ChareId, mut kind: EnvKind) {
+        match self.route_of(&to) {
+            Route::Local => match kind {
+                EnvKind::Entry {
+                    payload,
+                    reply,
+                    guard,
+                    ..
+                } => {
+                    let msg = match payload {
+                        Payload::Local(b) => b,
+                        Payload::Wire(bytes) => self.decode_wire(&to, &bytes),
+                    };
+                    self.deliver_msg(to, msg, reply, guard)
+                }
+                EnvKind::RedDeliver { tag, data, .. } => {
+                    self.invoke(to, Invoke::Reduced(tag, data))
+                }
+                // analyze: allow(panic, "route is private to the two wrappers below, which build exactly these kinds")
+                other => unreachable!("not routable to a chare: {other:?}"),
+            },
+            Route::Remote(pe, stub) => {
+                if let EnvKind::Entry { payload, .. } = &mut kind {
+                    if src != self.pe {
+                        if stub {
+                            self.locs.count_fwd_hop();
+                        }
+                        self.emit(src, EnvKind::LocationUpdate { id: to, pe });
+                    }
+                    self.reencode(pe, to.coll, payload, false);
+                }
+                self.emit(pe, kind);
+            }
+            Route::BufferHere => {
+                let env = self.wrap(kind);
+                self.locs.park(to, env);
+            }
+            Route::UnknownColl => self.park_unknown_coll(to.coll, kind),
+        }
+    }
+
     pub(crate) fn route_entry_from(
         &mut self,
         src: Pe,
@@ -628,99 +720,40 @@ impl PeState {
         reply: Option<FutureId>,
         guard: Option<u32>,
     ) {
-        match self.route_of(&to) {
-            Route::Local => self.deliver_entry(to, payload, reply, guard),
-            Route::Remote(pe, stub) => {
-                if src != self.pe {
-                    if stub {
-                        self.locs.count_fwd_hop();
-                    }
-                    self.emit(src, EnvKind::LocationUpdate { id: to, pe });
-                }
-                let payload = self.reencode_for(pe, to.coll, payload);
-                self.emit(
-                    pe,
-                    EnvKind::Entry {
-                        to,
-                        payload,
-                        reply,
-                        guard,
-                    },
-                );
-            }
-            Route::BufferHere => {
-                let env = self.wrap(EnvKind::Entry {
-                    to,
-                    payload,
-                    reply,
-                    guard,
-                });
-                self.locs.park(to, env);
-            }
-            Route::UnknownColl => self.park_unknown_coll(
-                to.coll,
-                EnvKind::Entry {
-                    to,
-                    payload,
-                    reply,
-                    guard,
-                },
-            ),
-        }
+        let kind = EnvKind::Entry {
+            to,
+            payload,
+            reply,
+            guard,
+        };
+        self.route(src, to, kind);
     }
 
     pub(crate) fn route_reduced(&mut self, to: ChareId, tag: u32, data: RedData) {
-        match self.route_of(&to) {
-            Route::Local => self.invoke(to, Invoke::Reduced(tag, data)),
-            Route::Remote(pe, _) => self.emit(pe, EnvKind::RedDeliver { to, tag, data }),
-            Route::BufferHere => {
-                let env = self.wrap(EnvKind::RedDeliver { to, tag, data });
-                self.locs.park(to, env);
-            }
-            Route::UnknownColl => {
-                self.park_unknown_coll(to.coll, EnvKind::RedDeliver { to, tag, data })
-            }
-        }
+        self.route(self.pe, to, EnvKind::RedDeliver { to, tag, data });
     }
 
-    /// A `Local` payload being forwarded to another PE must be serialized
-    /// now (the §II-D by-reference shortcut only holds same-PE).
-    fn reencode_for(&mut self, dst: Pe, coll: CollectionId, payload: Payload) -> Payload {
+    /// The registered hooks of `coll`'s chare type.
+    pub(crate) fn vtable_of(&self, coll: CollectionId) -> &ChareVTable {
+        self.registry.vtable(self.spec(coll).ctype)
+    }
+
+    /// A `Local` payload leaving for another PE must be serialized now (the
+    /// §II-D by-reference shortcut only holds same-PE): with the type's
+    /// message encoder, or its constructor-argument encoder for `init`.
+    pub(crate) fn reencode(&self, dst: Pe, coll: CollectionId, payload: &mut Payload, init: bool) {
+        let Payload::Local(any) = payload else {
+            return;
+        };
         if dst == self.pe {
-            return payload;
+            return;
         }
-        match payload {
-            Payload::Wire(b) => Payload::Wire(b),
-            Payload::Local(any) => {
-                let cs = self
-                    .colls
-                    .get(&coll)
-                    // analyze: allow(panic, "the router resolved this collection's spec to pick a destination; the spec is present")
-                    .expect("forwarding unknown collection");
-                let vt = self.registry.vtable(cs.spec.ctype);
-                let bytes = (vt.encode_msg)(&*any, self.cfg.codec)
-                    // analyze: allow(panic, "re-encoding a message that was encodable at send time fails only on a codec bug")
-                    .expect("message re-encode for forwarding failed");
-                Payload::Wire(WireBytes::from_vec(bytes))
-            }
-        }
-    }
-
-    fn decode_payload(&mut self, id: &ChareId, payload: Payload) -> BoxMsg {
-        match payload {
-            Payload::Local(b) => b,
-            Payload::Wire(bytes) => self.decode_wire(id, &bytes),
-        }
-    }
-
-    /// The message decoder of `coll`'s chare type, looked up the long way.
-    fn resolve_decode(&self, coll: CollectionId) -> DecodeFn {
-        let cs = self
-            .colls
-            .get(&coll)
-            // analyze: allow(panic, "delivery paths park messages until the collection spec arrives; decode runs only after it is known")
-            .expect("decode for unknown collection");
-        self.registry.vtable(cs.spec.ctype).decode_msg
+        let vt = self.vtable_of(coll);
+        let encode = if init { vt.encode_init } else { vt.encode_msg };
+        let bytes = encode(&**any, self.cfg.codec)
+            // analyze: allow(panic, "re-encoding a value that was encodable at send time fails only on a codec bug")
+            .expect("re-encode for forwarding failed");
+        *payload = Payload::Wire(WireBytes::from_vec(bytes));
     }
 
     /// Decode a serialized entry message for `id` straight from a borrowed
@@ -733,12 +766,12 @@ impl PeState {
         // vtable walk per message; dynamic (CharmPy-like) mode keeps the
         // measured per-message lookup cost.
         let decode_msg = if self.cfg.dynamic() {
-            self.resolve_decode(id.coll)
+            self.vtable_of(id.coll).decode_msg
         } else {
             match self.dispatch_cache.lookup(id.coll) {
                 Some(f) => f,
                 None => {
-                    let f = self.resolve_decode(id.coll);
+                    let f = self.vtable_of(id.coll).decode_msg;
                     self.dispatch_cache.insert(id.coll, f);
                     f
                 }
@@ -753,22 +786,17 @@ impl PeState {
                 self.charge_work(ns, Some(id), WorkClass::Overhead);
             }
         }
-        let codec = self.cfg.codec;
-        self.metered(Some(*id), move || {
-            decode_msg(codec, bytes)
+        self.metered(Some(*id), |s| {
+            decode_msg(s.cfg.codec, bytes)
                 // analyze: allow(panic, "wire bytes come from the matching registered encoder; failure is a codec/registration bug")
                 .unwrap_or_else(|e| panic!("entry message decode failed: {e}"))
         })
     }
 
-    /// Same-PE delivery of a shared broadcast/multicast payload.
-    ///
-    /// Ownership flow: the encoded bytes are owned by the caller's
-    /// refcounted buffer for the whole fan-out; each local member only
-    /// *reads* them to decode its own `BoxMsg`. Wrapping the bytes in an
-    /// owned `Payload::Wire` here (as this used to do) deep-copied the
-    /// entire buffer per member just so `decode_payload` could consume it —
-    /// O(members × size) copies that the decoder never needed.
+    /// Same-PE delivery of a shared broadcast/multicast payload: the
+    /// encoded bytes stay owned by the caller's refcounted buffer for the
+    /// whole fan-out, and each local member only *reads* them to decode its
+    /// own `BoxMsg` — no per-member copy.
     pub(crate) fn deliver_wire_entry(
         &mut self,
         id: ChareId,
@@ -782,28 +810,14 @@ impl PeState {
     /// Both the type's receiver-side guard and the optional per-message
     /// sender-side guard must pass for a message to be deliverable.
     fn guards_pass(&self, id: &ChareId, msg: &BoxMsg, guard: Option<u32>) -> bool {
-        // analyze: allow(panic, "guards_pass is called only for ids the caller just looked up or buffered under; the slot exists")
-        let slot = self.chares.get(id).expect("guard check on missing chare");
-        // analyze: allow(panic, "guards never run while the chare is checked out; invoke() returns the box before draining buffers")
-        let boxed = slot.boxed.as_ref().expect("chare checked out during guard");
-        if !boxed.guard_ok(msg) {
+        let chare = self.slot(id).chare();
+        if !chare.guard_ok(msg) {
             return false;
         }
         match guard {
-            Some(g) => self.cfg.msg_guards.get(g)(boxed.any_ref(), msg),
+            Some(g) => self.cfg.msg_guards.get(g)(chare.any_ref(), msg),
             None => true,
         }
-    }
-
-    fn deliver_entry(
-        &mut self,
-        id: ChareId,
-        payload: Payload,
-        reply: Option<FutureId>,
-        guard: Option<u32>,
-    ) {
-        let msg = self.decode_payload(&id, payload);
-        self.deliver_msg(id, msg, reply, guard);
     }
 
     fn deliver_msg(
@@ -814,27 +828,15 @@ impl PeState {
         guard: Option<u32>,
     ) {
         let guard_ok = self.guards_pass(&id, &msg, guard);
-        // analyze: allow(panic, "route_entry inserted or located this chare before delivery; the slot exists")
-        let at_sync = self.chares.get(&id).unwrap().at_sync;
-        if !guard_ok || at_sync {
+        let slot = self.slot_mut(&id);
+        if !guard_ok || slot.at_sync {
             // Deferred by a when-guard, or parked while the chare sits at an
             // LB sync point (AtSync chares do no work until resumed).
-            let depth = {
-                let slot = self
-                    .chares
-                    .get_mut(&id)
-                    // analyze: allow(panic, "slot presence established at the at_sync lookup above in this same delivery")
-                    .unwrap();
-                slot.buffered.push_back(Buffered { msg, reply, guard });
-                slot.buffered.len() as u32
-            };
+            slot.buffered.push_back(Buffered { msg, reply, guard });
+            let depth = slot.buffered.len() as u32;
             if self.tracer.enabled() {
                 self.tracer.guard_buffered += 1;
-                if self.tracer.full() {
-                    let now = self.now_ns();
-                    self.tracer
-                        .push(now, charm_trace::EventKind::GuardBuffer { depth });
-                }
+                self.trace_event(|_| charm_trace::EventKind::GuardBuffer { depth });
             }
             return;
         }
@@ -857,8 +859,7 @@ impl PeState {
             }
             return;
         };
-        // analyze: allow(panic, "the scheduler serializes entry methods per chare, so the box is present (checked dynamically under --features analyze)")
-        let mut boxed = slot.boxed.take().expect("re-entrant invoke on one chare");
+        let mut boxed = slot.checkout();
         #[cfg(feature = "analyze")]
         self.det.enter_chare(&id);
         let mut ctx = self.new_ctx(Some(id));
@@ -867,8 +868,7 @@ impl PeState {
         } else {
             0
         };
-        // analyze: allow(nondeterminism, "metering clock: metered_ns() discards it on the deterministic sim (meter off), so wall time never reaches virtual time there")
-        let t0 = Instant::now();
+        let t0 = meter_start();
         let ekind = match &what {
             Invoke::Entry(..) => EntryKind::Receive,
             Invoke::Reduced(..) => EntryKind::Reduced,
@@ -887,12 +887,7 @@ impl PeState {
             Invoke::ResumeFromSync => boxed.resume_from_sync_dyn(&mut ctx),
         }
         let measured = self.metered_ns(t0);
-        let slot = self
-            .chares
-            .get_mut(&id)
-            // analyze: allow(panic, "chares are removed only by migration/exit, which cannot interleave with an in-flight invoke on this PE")
-            .expect("slot vanished during invoke");
-        slot.boxed = Some(boxed);
+        self.slot_mut(&id).boxed = Some(boxed);
         #[cfg(feature = "analyze")]
         self.det.exit_chare(&id);
         self.charge_work(measured, Some(&id), WorkClass::Entry);
@@ -908,10 +903,7 @@ impl PeState {
     /// Chare type id for trace attribution (0 when the collection spec is
     /// not locally known — cannot happen for an invokable chare).
     pub(crate) fn chare_ctype(&self, id: &ChareId) -> u32 {
-        self.colls
-            .get(&id.coll)
-            .map(|cs| cs.spec.ctype.0)
-            .unwrap_or(0)
+        self.colls.get(id.coll).map_or(0, |cs| cs.spec.ctype.0)
     }
 
     pub(crate) fn metered_ns(&self, t0: Instant) -> u64 {
@@ -921,12 +913,11 @@ impl PeState {
         t0.elapsed().as_nanos() as u64
     }
 
-    /// Meter a closure's real time and charge it as PE work (attributed to
+    /// Meter `f`'s real time and charge it as PE work (attributed to
     /// `chare` if given). Used for serialization costs on both directions.
-    fn metered<R>(&mut self, chare: Option<ChareId>, f: impl FnOnce() -> R) -> R {
-        // analyze: allow(nondeterminism, "metering clock: metered_ns() discards it on the deterministic sim (meter off)")
-        let t0 = Instant::now();
-        let r = f();
+    fn metered<R>(&mut self, chare: Option<ChareId>, f: impl FnOnce(&mut Self) -> R) -> R {
+        let t0 = meter_start();
+        let r = f(self);
         let ns = self.metered_ns(t0);
         self.charge_work(ns, chare.as_ref(), WorkClass::Overhead);
         r
@@ -949,8 +940,7 @@ impl PeState {
             #[cfg(feature = "analyze")]
             let mut fifo_violation: Option<String> = None;
             let ready_msg = {
-                // analyze: allow(panic, "after_state_change only walks ids that own slots on this PE")
-                let slot = &self.chares[&id];
+                let slot = self.slot(&id);
                 let pos = slot
                     .buffered
                     .iter()
@@ -972,8 +962,7 @@ impl PeState {
                         ));
                     }
                 }
-                // analyze: allow(panic, "slot presence established above in the same drain pass")
-                pos.and_then(|pos| self.chares.get_mut(&id).unwrap().buffered.remove(pos))
+                pos.and_then(|pos| self.slot_mut(&id).buffered.remove(pos))
             };
             #[cfg(feature = "analyze")]
             if let Some(v) = fifo_violation {
@@ -982,31 +971,24 @@ impl PeState {
             if let Some(b) = ready_msg {
                 if self.tracer.enabled() {
                     self.tracer.guard_drained += 1;
-                    if self.tracer.full() {
-                        let now = self.now_ns();
-                        // analyze: allow(trace-hook, "depth probe for the drain event; the slot was checked at the top of this drain pass")
-                        let depth = self.chares[&id].buffered.len() as u32;
-                        self.tracer
-                            .push(now, charm_trace::EventKind::GuardDrain { depth });
-                    }
+                    self.trace_event(|s| charm_trace::EventKind::GuardDrain {
+                        depth: s.slot(&id).buffered.len() as u32,
+                    });
                 }
                 self.invoke(id, Invoke::Entry(b.msg, b.reply, b.guard));
                 continue;
             }
             // 2. A coroutine whose wait-predicate is now satisfied.
-            let ready_coro = {
-                // analyze: allow(panic, "slot presence established by the caller of this guard re-check")
-                let slot = self.chares.get(&id).unwrap();
-                // analyze: allow(panic, "the box is in place between handler invocations (checked dynamically under --features analyze)")
-                let boxed = slot.boxed.as_ref().unwrap();
+            let slot = self.slot(&id);
+            let chare = slot.chare();
+            let ready_coro =
                 slot.coros
                     .iter()
                     .copied()
                     .find(|cid| match self.coros.wait_of(*cid) {
-                        Some(WaitKind::Pred(p)) => p(boxed.any_ref()),
+                        Some(WaitKind::Pred(p)) => p(chare.any_ref()),
                         _ => false,
-                    })
-            };
+                    });
             if let Some(cid) = ready_coro {
                 self.resume_coro(cid, None);
                 continue;
@@ -1025,6 +1007,8 @@ impl PeState {
         this: Option<ChareId>,
         reply: Option<FutureId>,
     ) {
+        // analyze: allow(panic, "API contract: contribute, migrate_me, at_sync and go exist only on the Ctx of a running entry method")
+        let in_chare = |what: &str| this.unwrap_or_else(|| panic!("{what} outside a chare"));
         for op in ops {
             match op {
                 Op::SendElem {
@@ -1038,18 +1022,7 @@ impl PeState {
                         Route::Remote(pe, _) => (false, pe),
                         Route::BufferHere | Route::UnknownColl => (false, self.pe),
                     };
-                    let (byref, codec) = (self.cfg.same_pe_byref, self.cfg.codec);
-                    // The pool is lent out for the metered closure (the
-                    // meter needs `&mut self`); takes on it never allocate
-                    // at steady state, so the loan is the whole cost.
-                    let mut pool = std::mem::take(&mut self.encode_pool);
-                    let payload = self.metered(this, || {
-                        payload
-                            .into_payload(is_local, byref, codec, &mut pool)
-                            // analyze: allow(panic, "encoding a runtime-built entry message fails only on a codec bug")
-                            .expect("entry message failed to encode")
-                    });
-                    self.encode_pool = pool;
+                    let payload = self.metered(this, |s| s.encode_for(is_local, payload));
                     // Always goes through the queue, even locally: entry
                     // methods are asynchronous and never run re-entrantly.
                     self.emit(
@@ -1088,24 +1061,12 @@ impl PeState {
                     }
                 }
                 Op::Broadcast { coll, bytes } => {
-                    self.emit(
-                        self.pe,
-                        EnvKind::BroadcastEntry {
-                            coll,
-                            bytes,
-                            root: self.pe,
-                        },
-                    );
+                    let root = self.pe;
+                    self.emit(root, EnvKind::BroadcastEntry { coll, bytes, root });
                 }
                 Op::CreateCollection { spec, init_bytes } => {
-                    self.emit(
-                        self.pe,
-                        EnvKind::CreateCollection {
-                            spec,
-                            init: init_bytes,
-                            root: self.pe,
-                        },
-                    );
+                    let (init, root) = (init_bytes, self.pe);
+                    self.emit(root, EnvKind::CreateCollection { spec, init, root });
                 }
                 Op::InsertElem {
                     coll,
@@ -1115,20 +1076,12 @@ impl PeState {
                 } => {
                     // Decide the destination if we can; otherwise loop to
                     // self until the spec arrives.
-                    let dest = self.colls.get(&coll).map(|cs| {
+                    let dest = self.colls.get(coll).map(|cs| {
                         on_pe.unwrap_or_else(|| cs.spec.place(&index, self.npes, &self.placements))
                     });
                     let placed = dest.is_some();
                     let dst = dest.unwrap_or(self.pe);
-                    let init = init
-                        .into_payload(
-                            dst == self.pe,
-                            self.cfg.same_pe_byref,
-                            self.cfg.codec,
-                            &mut self.encode_pool,
-                        )
-                        // analyze: allow(panic, "encoding a just-built constructor argument fails only on a codec bug")
-                        .expect("constructor argument failed to encode");
+                    let init = self.encode_for(dst == self.pe, init);
                     self.emit(
                         dst,
                         EnvKind::InsertElem {
@@ -1145,59 +1098,26 @@ impl PeState {
                         self.emit(pe, EnvKind::DoneInserting { coll });
                     }
                 }
-                Op::SendFuture { fid, payload } => {
-                    let dst = fid.pe as usize;
-                    let payload = payload
-                        .into_payload(
-                            dst == self.pe,
-                            self.cfg.same_pe_byref,
-                            self.cfg.codec,
-                            &mut self.encode_pool,
-                        )
-                        // analyze: allow(panic, "encoding a future value fails only on a codec bug")
-                        .expect("future value failed to encode");
-                    self.emit(dst, EnvKind::FutureValue { fid, payload });
-                }
+                Op::SendFuture { fid, payload } => self.send_future(fid, payload),
                 Op::Contribute {
                     data,
                     reducer,
                     target,
-                } => {
-                    // analyze: allow(panic, "API contract: contribute is only callable inside an entry method")
-                    let id = this.expect("contribute outside a chare");
-                    self.contribute_local(id, data, reducer, target);
-                }
-                Op::MigrateMe { to } => {
-                    // analyze: allow(panic, "API contract: migrate_me is only callable inside an entry method")
-                    let id = this.expect("migrate_me outside a chare");
-                    self.migrate_out(id, to, false);
-                }
-                Op::AtSync => {
-                    // analyze: allow(panic, "API contract: at_sync is only callable inside an entry method")
-                    let id = this.expect("at_sync outside a chare");
-                    self.at_sync(id);
-                }
-                Op::Go(f) => {
-                    // analyze: allow(panic, "API contract: go is only callable inside an entry method")
-                    let id = this.expect("go outside a chare");
-                    self.launch_coro(id, f, reply);
-                }
+                } => self.contribute_local(in_chare("contribute"), data, reducer, target),
+                Op::MigrateMe { to } => self.migrate_out(in_chare("migrate_me"), to, false),
+                Op::AtSync => self.at_sync(in_chare("at_sync")),
+                Op::Go(f) => self.launch_coro(in_chare("go"), f, reply),
                 Op::Charge(dt) => {
-                    if self.cfg.is_sim {
-                        self.charge_work(dt.as_nanos() as u64, this.as_ref(), WorkClass::Entry);
-                    } else {
+                    if !self.cfg.is_sim {
                         // analyze: allow(blocking, "Charge deliberately burns wall time on the threads backend to emulate compute; it blocks only the charging chare's PE, exactly as real work would")
                         std::thread::sleep(dt);
-                        // Same accounting as the sim arm: summary bins,
-                        // the hot-chare sketch, and the chare's measured
-                        // load all see the charge.
                         self.now_cache_ns = self.now_ns();
-                        self.charge_work(dt.as_nanos() as u64, this.as_ref(), WorkClass::Entry);
                     }
+                    // Summary bins, the hot-chare sketch and the chare's
+                    // measured load see the charge on every backend.
+                    self.charge_work(dt.as_nanos() as u64, this.as_ref(), WorkClass::Entry);
                 }
-                Op::StartQd { fid } => {
-                    self.emit(0, EnvKind::QdRequest { fid });
-                }
+                Op::StartQd { fid } => self.emit(0, EnvKind::QdRequest { fid }),
                 Op::Checkpoint { dir, fid } => self.start_manual_ckpt(dir, fid),
                 Op::Exit => {
                     for pe in 0..self.npes {
@@ -1205,11 +1125,7 @@ impl PeState {
                     }
                 }
                 Op::TraceMark(label) => {
-                    if self.tracer.full() {
-                        let now = self.now_ns();
-                        self.tracer
-                            .push(now, charm_trace::EventKind::Mark { label });
-                    }
+                    self.trace_event(move |_| charm_trace::EventKind::Mark { label })
                 }
             }
         }
@@ -1270,8 +1186,8 @@ impl PeState {
     /// Diagnostic snapshot printed when a simulated run stalls (runs out of
     /// events without an `exit()`): everything that could be waiting.
     pub fn debug_dump(&self) {
-        // analyze: allow(nondeterminism, "order-insensitive sum for stall diagnostics; never feeds scheduling")
-        let buffered: usize = self.chares.values().map(|s| s.buffered.len()).sum();
+        let ids = self.sorted_chares(|_| true);
+        let buffered: usize = ids.iter().map(|id| self.slot(id).buffered.len()).sum();
         let blocked = self.coros.blocked();
         let (pending_chare, pending_coll) = (self.locs.parked().0, self.colls.parked().0);
         let at_sync = self.lb.at_sync_count();
@@ -1288,7 +1204,7 @@ impl PeState {
         eprintln!(
             "  PE {}: {} chares, {} buffered msgs, {} blocked coros, {} reductions in flight, {} pending-chare, {} pending-coll, at_sync={}, sent={} processed={} remote_bytes={} entries={} migrations={}",
             self.pe,
-            self.chares.len(),
+            ids.len(),
             buffered,
             blocked,
             self.reds.in_flight(),
@@ -1307,12 +1223,8 @@ impl PeState {
                 self.subtree_expected(coll)
             );
         }
-        // analyze: allow(nondeterminism, "hash order erased by the sort below; diagnostic output only")
-        let mut ids: Vec<_> = self.chares.keys().copied().collect();
-        ids.sort();
         for id in ids {
-            // analyze: allow(panic, "debug dump walks this PE's own chare map keys")
-            let slot = &self.chares[&id];
+            let slot = self.slot(&id);
             if !slot.buffered.is_empty() || slot.at_sync || slot.red_seq > 0 {
                 eprintln!(
                     "    chare {id}: buffered={} at_sync={} red_seq={}",
@@ -1356,26 +1268,30 @@ impl PeState {
     }
 
     fn launch_main(&mut self) {
-        let id = self.main_id;
+        let id = main_chare_id();
+        let ctype = self.registry.type_of::<crate::runtime::Main>();
         // The main chare lives in a synthetic singleton collection known
         // only to PE 0 — it is never addressed remotely.
         let spec = CollSpec {
             id: id.coll,
-            ctype: self.registry.type_of::<crate::runtime::Main>(),
+            ctype,
             kind: CollKind::Singleton { pe: 0 },
             placement: crate::collections::Placement::Hash,
             use_lb: false,
         };
         self.install_coll(spec, 1, 1);
-        self.chares.insert(
-            id,
-            Slot::new(Box::new(crate::chare::holder_for(
-                crate::runtime::Main,
-                self.registry.type_of::<crate::runtime::Main>(),
-            ))),
-        );
+        let main = crate::chare::holder_for(crate::runtime::Main, ctype);
+        self.chares.insert(id, Slot::new(Box::new(main)));
         // analyze: allow(panic, "bootstrap runs exactly once and Runtime::run always sets the entry closure first")
         let entry = self.entry.take().expect("bootstrap without entry closure");
         self.launch_coro(id, entry, None);
     }
+}
+
+/// Start of a metered span. The reading is wall time: `metered_ns` discards
+/// it on the deterministic sim (meter off), so it never reaches virtual
+/// time there.
+pub(crate) fn meter_start() -> Instant {
+    // analyze: allow(nondeterminism, "metering clock: metered_ns() discards it on the deterministic sim (meter off)")
+    Instant::now()
 }

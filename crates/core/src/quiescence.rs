@@ -14,29 +14,12 @@
 //! *sent* at emit time but will never be *processed* until the buffer
 //! flushes, so `sent == processed` could never hold over it. Every PE
 //! therefore flushes all of its aggregation buffers when a probe reaches it
-//! (`PeState::qd_probe`), putting the parked traffic in flight; detection
+//! (`sweep.rs`), putting the parked traffic in flight; detection
 //! then converges through the ordinary two-identical-rounds rule, merely
 //! taking extra rounds. No counter arithmetic changes — batch envelopes
 //! themselves are never QD-counted, only their constituents are.
 
 use crate::ids::FutureId;
-
-/// Per-PE state for combining one probe round up the tree.
-#[derive(Default)]
-pub struct QdPeState {
-    /// Probe round being combined.
-    pub round: u64,
-    /// Child replies still outstanding.
-    pub pending_children: usize,
-    /// Accumulated sent counter (self + finished children).
-    pub sent: u64,
-    /// Accumulated processed counter.
-    pub done: u64,
-    /// PEs covered by the accumulation.
-    pub pes: u64,
-    /// Whether a probe is being combined right now.
-    pub active: bool,
-}
 
 /// PE 0 coordinator state.
 #[derive(Default)]

@@ -7,7 +7,7 @@
 //! blocks, and multiple reductions (even on one collection) can be in
 //! flight, sequenced per member by contribution order.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use charm_wire::wire_enum;
@@ -266,26 +266,28 @@ pub enum RedTarget {
 wire_enum! { RedTarget { Future(a), Element(a, b), Broadcast(a, b) } }
 
 /// Per-PE state of one in-flight reduction `(collection, redno)`.
-#[derive(Default)]
-pub struct RedState {
-    /// Contributions from members local to this PE (pre-combined lazily).
-    pub parts: Vec<RedData>,
-    /// Members covered by `parts` (locals plus child-subtree counts).
-    pub count: u64,
-    /// Local members that have contributed so far.
-    pub local_got: usize,
+struct RedState {
+    /// Everything contributed so far, combined on arrival so memory stays
+    /// bounded for big fan-ins.
+    acc: Option<RedData>,
+    /// Members covered by `acc` (locals plus child-subtree counts).
+    count: u64,
     /// The reducer, fixed by the first contribution seen.
-    pub reducer: Option<Reducer>,
+    reducer: Reducer,
     /// The target, fixed by the first *member* contribution seen.
-    pub target: Option<RedTarget>,
+    target: Option<RedTarget>,
 }
 
-/// Map of in-flight reductions on a PE.
-pub type RedTable = HashMap<(CollectionId, u64), RedState>;
-
 /// One PE's in-flight reductions and the custom reducers they may name.
+///
+/// **Envelopes:** `RedPartial`, `RedDeliver`, `RedBroadcast`
+/// ([`PeState::on_reduction`]). **Invariants:** members number their
+/// contributions per collection (`Slot::red_seq`), so reductions on one
+/// collection may overlap; a PE sends its subtree's partial up the moment
+/// the count reaches `CollState::subtree_members`, and a count above it is
+/// a double contribution — fatal, never silently absorbed.
 pub(crate) struct Reductions {
-    table: RedTable,
+    table: HashMap<(CollectionId, u64), RedState>,
     custom: Arc<CustomReducers>,
 }
 
@@ -312,6 +314,34 @@ impl Reductions {
     }
 }
 
+/// One value for a known number of consumers: every consumer but the last
+/// gets a clone, the last takes the value by move — a fan-out without a
+/// gratuitous deep copy per hop.
+struct FanOut<T> {
+    value: Option<T>,
+    left: usize,
+}
+
+impl<T: Clone> FanOut<T> {
+    fn new(value: T, consumers: usize) -> FanOut<T> {
+        FanOut {
+            value: Some(value),
+            left: consumers,
+        }
+    }
+
+    fn next(&mut self) -> T {
+        self.left = self.left.saturating_sub(1);
+        let value = if self.left == 0 {
+            self.value.take()
+        } else {
+            self.value.clone()
+        };
+        // analyze: allow(panic, "callers announce their consumer count up front and call next() once per consumer, so the value is taken only by the last")
+        value.expect("more fan-out consumers than announced")
+    }
+}
+
 impl PeState {
     /// The reduction slice of the dispatch switch.
     pub(crate) fn on_reduction(&mut self, kind: EnvKind) {
@@ -324,21 +354,7 @@ impl PeState {
                 reducer,
                 target,
             } => {
-                if !self.colls.contains_key(&coll) {
-                    self.park_unknown_coll(
-                        coll,
-                        EnvKind::RedPartial {
-                            coll,
-                            redno,
-                            count,
-                            data,
-                            reducer,
-                            target,
-                        },
-                    );
-                    return;
-                }
-                self.red_merge(coll, redno, count, data, Some(reducer), target);
+                self.red_merge(coll, redno, count, data, reducer, target);
                 self.red_try_complete(coll, redno);
             }
             EnvKind::RedDeliver { to, tag, data } => self.route_reduced(to, tag, data),
@@ -348,56 +364,21 @@ impl PeState {
                 data,
                 root,
             } => {
-                if !self.colls.contains_key(&coll) {
-                    self.park_unknown_coll(
-                        coll,
-                        EnvKind::RedBroadcast {
-                            coll,
-                            tag,
-                            data,
-                            root,
-                        },
-                    );
-                    return;
-                }
                 let tree = self.cfg.tree;
                 let members = self.local_members(coll);
-                // Hand the reduced value out without a gratuitous per-hop
-                // deep copy: every consumer but the last clones, and the
-                // final one (last local member, or last child when this PE
-                // hosts none) takes the value by move.
-                let uses = tree.fanout(self.pe, root, self.npes) + members.len();
-                let mut data = Some(data);
-                let mut used = 0;
-                tree.children_for_each(self.pe, root, self.npes, |child| {
-                    used += 1;
-                    let d = if used == uses {
-                        // analyze: allow(panic, "fan-out discipline: exactly `uses` consumers; the last takes, earlier ones clone, so the Option is Some")
-                        data.take().unwrap()
-                    } else {
-                        // analyze: allow(panic, "fan-out discipline: a non-final consumer clones while the Option still holds the value")
-                        data.as_ref().unwrap().clone()
-                    };
-                    self.emit(
-                        child,
-                        EnvKind::RedBroadcast {
-                            coll,
-                            tag,
-                            data: d,
-                            root,
-                        },
-                    );
+                // Children first, then local members; the last of them
+                // (last member, or last child when this PE hosts none)
+                // takes the value by move.
+                let consumers = tree.fanout(self.pe, root, self.npes) + members.len();
+                let mut data = FanOut::new(data, consumers);
+                self.relay(tree, root, || EnvKind::RedBroadcast {
+                    coll,
+                    tag,
+                    data: data.next(),
+                    root,
                 });
                 for id in members {
-                    used += 1;
-                    let d = if used == uses {
-                        // analyze: allow(panic, "fan-out discipline: exactly `uses` consumers; the last takes, earlier ones clone, so the Option is Some")
-                        data.take().unwrap()
-                    } else {
-                        // analyze: allow(panic, "fan-out discipline: a non-final consumer clones while the Option still holds the value")
-                        data.as_ref().unwrap().clone()
-                    };
-                    self.invoke(id, Invoke::Reduced(tag, d));
+                    self.invoke(id, Invoke::Reduced(tag, data.next()));
                 }
             }
             // analyze: allow(panic, "dispatch hands this module only the three kinds above")
@@ -414,94 +395,65 @@ impl PeState {
     ) {
         if self.tracer.enabled() {
             self.tracer.red_contributes += 1;
-            if self.tracer.full() {
-                let now = self.now_ns();
-                self.tracer.push(now, charm_trace::EventKind::RedContribute);
-            }
+            self.trace_event(|_| charm_trace::EventKind::RedContribute);
         }
-        let coll = id.coll;
-        let redno = {
-            let slot = self
-                .chares
-                .get_mut(&id)
-                // analyze: allow(panic, "contribute is invoked by a live chare on this PE; its slot exists")
-                .expect("contribute from missing chare");
-            let n = slot.red_seq;
-            slot.red_seq += 1;
-            n
-        };
-        self.red_merge(coll, redno, 1, data, Some(reducer), Some(target));
-        // analyze: allow(panic, "the reduction state was created by the entry check just above")
-        let st = self.reds.table.get_mut(&(coll, redno)).unwrap();
-        st.local_got += 1;
-        self.red_try_complete(coll, redno);
+        let slot = self.slot_mut(&id);
+        let redno = slot.red_seq;
+        slot.red_seq += 1;
+        self.red_merge(id.coll, redno, 1, data, reducer, Some(target));
+        self.red_try_complete(id.coll, redno);
     }
 
-    pub(crate) fn red_merge(
+    /// Fold `count` members' worth of `data` into reduction `(coll, redno)`.
+    fn red_merge(
         &mut self,
         coll: CollectionId,
         redno: u64,
         count: u64,
         data: RedData,
-        reducer: Option<Reducer>,
+        reducer: Reducer,
         target: Option<RedTarget>,
     ) {
-        let st = self.reds.table.entry((coll, redno)).or_default();
-        if st.reducer.is_none() {
-            st.reducer = reducer;
-        }
+        let Reductions { table, custom } = &mut self.reds;
+        let st = table.entry((coll, redno)).or_insert(RedState {
+            acc: None,
+            count: 0,
+            reducer,
+            target: None,
+        });
         if st.target.is_none() {
             st.target = target;
         }
         st.count += count;
-        st.parts.push(data);
-        // Combine incrementally so memory stays bounded for big fan-ins.
-        if st.parts.len() >= 2 {
-            // analyze: allow(panic, "every contribute path sets the reducer before pushing a part")
-            let reducer = st.reducer.expect("reduction without reducer");
-            let parts = std::mem::take(&mut st.parts);
-            let combined = combine(reducer, parts, &self.reds.custom);
-            self.reds
-                .table
-                .get_mut(&(coll, redno))
-                // analyze: allow(panic, "the (coll, redno) entry was fetched mutably two lines up; still present")
-                .unwrap()
-                .parts
-                .push(combined);
-        }
+        st.acc = Some(match st.acc.take() {
+            None => data,
+            Some(acc) => combine(st.reducer, vec![acc, data], custom),
+        });
     }
 
-    pub(crate) fn red_try_complete(&mut self, coll: CollectionId, redno: u64) {
-        let Some(cs) = self.colls.get(&coll) else {
+    /// Send this subtree's partial up (or, at the root, deliver the result)
+    /// once every member below has been counted.
+    fn red_try_complete(&mut self, coll: CollectionId, redno: u64) {
+        let expected = self.subtree_expected(coll);
+        let Entry::Occupied(st) = self.reds.table.entry((coll, redno)) else {
             return;
         };
-        let expected = self.subtree_expected(coll);
-        let st = self
-            .reds
-            .table
-            .get(&(coll, redno))
-            // analyze: allow(panic, "callers only check completion for reductions with live state")
-            .expect("red state missing");
-        if expected == 0 || st.count < expected {
+        if expected == 0 || st.get().count < expected {
             return;
         }
         assert!(
-            st.count == expected,
-            "reduction over-contributed: {} > {} on {} (did members contribute twice?)",
-            st.count,
-            expected,
-            cs.spec.id
+            st.get().count == expected,
+            "reduction over-contributed: {} > {expected} on {coll} (did members contribute twice?)",
+            st.get().count,
         );
-        // analyze: allow(panic, "completion runs at most once; the caller verified the state is present")
-        let mut st = self.reds.table.remove(&(coll, redno)).unwrap();
-        // analyze: allow(panic, "every contribution set the reducer; a reduction cannot complete without one")
-        let reducer = st.reducer.expect("completing reduction without reducer");
-        let data = if st.parts.len() == 1 {
-            // analyze: allow(panic, "the len()==1 branch guarantees a part to pop")
-            st.parts.pop().unwrap()
-        } else {
-            combine(reducer, std::mem::take(&mut st.parts), &self.reds.custom)
-        };
+        let RedState {
+            acc,
+            reducer,
+            target,
+            ..
+        } = st.remove();
+        // analyze: allow(panic, "expected > 0 members were counted, and red_merge folds a value in with every count")
+        let data = acc.expect("counted reduction holds no value");
         match self.cfg.tree.parent(self.pe, 0, self.npes) {
             Some(parent) => self.emit(
                 parent,
@@ -511,58 +463,39 @@ impl PeState {
                     count: expected,
                     data,
                     reducer,
-                    target: st.target,
+                    target,
                 },
             ),
             None => {
                 // Root: deliver to the target.
-                // analyze: allow(panic, "the reduction's target was recorded at creation from the contribute call")
-                let target = st.target.expect("reduction completed without target");
+                // analyze: allow(panic, "every member contribution carries the target, and the root only completes after counting members")
+                let target = target.expect("reduction completed without target");
                 self.red_deliver(target, data);
             }
         }
     }
 
     pub(crate) fn subtree_expected(&self, coll: CollectionId) -> u64 {
-        self.colls
-            .get(&coll)
-            .map(|c| c.subtree_members)
-            .unwrap_or(0)
+        self.colls.get(coll).map_or(0, |c| c.subtree_members)
     }
 
-    pub(crate) fn red_deliver(&mut self, target: RedTarget, data: RedData) {
+    fn red_deliver(&mut self, target: RedTarget, data: RedData) {
         if self.tracer.enabled() {
             self.tracer.red_delivers += 1;
-            if self.tracer.full() {
-                let now = self.now_ns();
-                self.tracer.push(now, charm_trace::EventKind::RedDeliver);
-            }
+            self.trace_event(|_| charm_trace::EventKind::RedDeliver);
         }
         match target {
-            RedTarget::Future(fid) => {
-                let dst = fid.pe as usize;
-                let payload = OutPayload::new(data)
-                    .into_payload(
-                        dst == self.pe,
-                        self.cfg.same_pe_byref,
-                        self.cfg.codec,
-                        &mut self.encode_pool,
-                    )
-                    // analyze: allow(panic, "encoding the reduction result fails only on a codec bug")
-                    .expect("reduction result failed to encode");
-                self.emit(dst, EnvKind::FutureValue { fid, payload });
-            }
-            RedTarget::Element(id, tag) => {
-                self.route_reduced(id, tag, data);
-            }
+            RedTarget::Future(fid) => self.send_future(fid, OutPayload::new(data)),
+            RedTarget::Element(id, tag) => self.route_reduced(id, tag, data),
             RedTarget::Broadcast(coll, tag) => {
+                let root = self.pe;
                 self.emit(
-                    self.pe,
+                    root,
                     EnvKind::RedBroadcast {
                         coll,
                         tag,
                         data,
-                        root: self.pe,
+                        root,
                     },
                 );
             }

@@ -902,11 +902,8 @@ pub(crate) fn assemble_images(
 ) -> Option<Vec<CkptFile>> {
     let mut files = Vec::with_capacity(npes);
     for pe in 0..npes {
-        let own = stores[pe].as_ref().and_then(|s| s.own_at(epoch));
-        let held = stores[(pe + 1) % npes]
-            .as_ref()
-            .and_then(|s| s.held_at(pe, epoch));
-        let image = own.or(held)?;
+        let held_by = |holder: Pe| stores[holder].as_ref().and_then(|s| s.image_of(pe, epoch));
+        let image = held_by(pe).or_else(|| held_by((pe + 1) % npes))?;
         files.push(checkpoint::decode_image(image).ok()?);
     }
     Some(files)
@@ -1072,7 +1069,7 @@ fn threads_epoch(
                 .map_err(panic_msg);
                 let trace = state.finish_trace();
                 let lb = state.lb_epochs();
-                let store = state.take_ckpt_store();
+                let store = state.ckpt.take_store();
                 let _ = status_tx.send((state.pe, end, trace, lb, store));
             })
             .expect("failed to spawn PE thread");
@@ -1348,7 +1345,7 @@ pub(crate) fn virtual_epoch<T: Transport>(
             // newest complete generation the survivors can assemble.
             let stores = pes
                 .iter_mut()
-                .map(|p| (p.pe != victim).then(|| p.take_ckpt_store()))
+                .map(|p| (p.pe != victim).then(|| p.ckpt.take_store()))
                 .collect();
             return Ok(Ended::Failed(Failed::killed(victim, stores, at_ns)));
         }

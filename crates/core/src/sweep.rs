@@ -1,89 +1,158 @@
 //! Machine-wide sweeps: quiescence detection and in-band telemetry
-//! (DESIGN.md §8, §12).
+//! (DESIGN.md §8, §12), and the wave they and the hierarchical balancer's
+//! poll share.
 //!
-//! Both are the same shape — PE 0 sends a probe down the PE tree, every PE
-//! folds its children's answers into its own sample and sends the result
-//! up — so they share this module.
+//! All three are one shape — a probe goes down a PE tree, every PE folds
+//! its children's answers into its own sample and sends the result up —
+//! so the bookkeeping is written once, as [`Wave`].
 //!
-//! **State:** [`Sweeps`] — the quiescence round being combined on this PE,
-//! PE 0's detection state (waiters, last round's sums, completed rounds),
-//! and the telemetry sweep crossing this PE (owed child frames, the
-//! partial frame) plus, on PE 0, the retained series and held waiters.
+//! **State:** [`Sweeps`] — the quiescence round crossing this PE, PE 0's
+//! detection state (waiters, last round's sums, completed rounds), the
+//! telemetry sweep crossing this PE and, on PE 0, the waiters it holds and
+//! the retained series; plus the hot-chare sketch frames sample.
 //!
 //! **Envelopes:** `QdRequest`, `QdProbe`, `QdCounts`, `TelemetryProbe`,
 //! `TelemetryFrame` ([`PeState::on_sweep`]).
 //!
 //! **Invariants:** quiescence is declared after two consecutive rounds
 //! with identical sums and `sent == processed` (the rule and its reasons:
-//! `quiescence.rs`). A probe flushes this PE's aggregation buffers first.
-//! The automatic checkpoint and the telemetry sweep both hang off a
-//! completed round and hold its waiters, so they run on a quiescent
-//! machine: a telemetry frame is a function of the program, not of the
-//! schedule.
+//! `quiescence.rs`). A probe flushes this PE's aggregation buffers first:
+//! a message parked there is sent-but-unprocessed forever, so no round
+//! could balance over it. The automatic checkpoint and the telemetry sweep
+//! both hang off a completed round and hold its waiters, so they run on a
+//! quiescent machine whose only traffic is their own: a telemetry frame is
+//! a function of the program, not of the schedule. Neither runs on the
+//! restore gate's own round, and a sweep in flight is never overlapped.
+
+use charm_trace::{MetricFrame, SpaceSaving};
 
 use crate::ids::{ChareId, FutureId, Pe};
 use crate::msg::{EnvKind, OutPayload, TelemetryBody};
 use crate::pe::PeState;
-use crate::quiescence::{QdCentral, QdPeState};
+use crate::quiescence::QdCentral;
+
+/// One probe-down / fold-up wave as one PE sees it: the answers its tree
+/// children still owe, and the accumulator they fold into. The PE relays
+/// the probe (`PeState::relay` counts the children), opens the wave with
+/// its own sample, folds each child's answer in, and takes the result to
+/// pass up once nothing is owed.
+pub(crate) struct Wave<T> {
+    /// What distinguishes this wave from a stale one (a round, a sweep
+    /// sequence number, an epoch).
+    tag: u64,
+    /// Root of the tree the wave travels (parent routing).
+    root: Pe,
+    /// Child answers still outstanding.
+    owed: usize,
+    /// `Some` while the wave is open here.
+    acc: Option<T>,
+}
+
+impl<T> Default for Wave<T> {
+    fn default() -> Wave<T> {
+        Wave {
+            tag: 0,
+            root: 0,
+            owed: 0,
+            acc: None,
+        }
+    }
+}
+
+impl<T> Wave<T> {
+    /// The probe of wave `tag` just crossed this PE on its way to `owed`
+    /// children; `acc` is this PE's own contribution.
+    pub(crate) fn open(&mut self, tag: u64, root: Pe, owed: usize, acc: T) {
+        *self = Wave {
+            tag,
+            root,
+            owed,
+            acc: Some(acc),
+        };
+    }
+
+    pub(crate) fn is_open(&self) -> bool {
+        self.acc.is_some()
+    }
+
+    /// A child's answer to wave `tag` arrived: the accumulator to fold it
+    /// into. `None`, and nothing counted, when that wave is not open here
+    /// (an answer to a round that was superseded).
+    pub(crate) fn answer(&mut self, tag: u64) -> Option<&mut T> {
+        if self.tag != tag || !self.is_open() {
+            return None;
+        }
+        debug_assert!(self.owed > 0, "more answers than children");
+        self.owed = self.owed.saturating_sub(1);
+        self.acc.as_mut()
+    }
+
+    /// Open, and every child has answered.
+    pub(crate) fn ready(&self) -> bool {
+        self.is_open() && self.owed == 0
+    }
+
+    /// Close a [`ready`](Self::ready) wave: `(tag, root, accumulator)`.
+    pub(crate) fn finish(&mut self) -> Option<(u64, Pe, T)> {
+        if !self.ready() {
+            return None;
+        }
+        self.acc.take().map(|acc| (self.tag, self.root, acc))
+    }
+
+    /// Forget the wave, answered or not.
+    pub(crate) fn reset(&mut self) {
+        self.acc = None;
+    }
+}
+
+/// The `(sent, processed, PEs covered)` sums of one quiescence round.
+struct QdSums {
+    sent: u64,
+    done: u64,
+    pes: u64,
+}
 
 /// One PE's sweep state.
+#[derive(Default)]
 pub(crate) struct Sweeps {
-    qd_pe: QdPeState,
-    qd_central: QdCentral,
+    /// The quiescence round crossing this PE.
+    qd: Wave<QdSums>,
+    /// PE 0: the detector.
+    central: QdCentral,
     /// PE 0: completed quiescence rounds (drives the auto-checkpoint and
     /// telemetry cadences).
     completions: u64,
-
+    /// The telemetry sweep crossing this PE.
+    tel: Wave<Box<MetricFrame>>,
     /// PE 0: next telemetry sweep sequence number.
     tel_seq: u64,
-    /// PE 0: a sweep is in flight (waiters parked in `tel_waiters`).
-    tel_active: bool,
-    /// Child subtree frames still owed for the sweep crossing this node.
-    tel_pending: usize,
-    /// This node's partially merged frame for the sweep in progress.
-    tel_acc: Option<Box<charm_trace::MetricFrame>>,
-    /// Tree root of the sweep in progress (parent routing).
-    tel_root: Pe,
-    /// PE 0: quiescence waiters held until the merged frame lands.
-    tel_waiters: Vec<FutureId>,
+    /// PE 0: the quiescence waiters held while a sweep is in flight.
+    tel_held: Option<Vec<FutureId>>,
     /// PE 0: the retained telemetry time series (`RunReport::telemetry`).
-    tel_series: Vec<charm_trace::MetricFrame>,
-    /// Hot-chare sketch (charged entry nanoseconds), sampled into frames.
-    tel_sketch: charm_trace::SpaceSaving<ChareId>,
-}
-
-impl Default for Sweeps {
-    fn default() -> Sweeps {
-        Sweeps {
-            qd_pe: QdPeState::default(),
-            qd_central: QdCentral::default(),
-            completions: 0,
-            tel_seq: 0,
-            tel_active: false,
-            tel_pending: 0,
-            tel_acc: None,
-            tel_root: 0,
-            tel_waiters: Vec::new(),
-            tel_series: Vec::new(),
-            tel_sketch: charm_trace::SpaceSaving::new(charm_trace::DEFAULT_TOP_K),
-        }
-    }
+    tel_series: Vec<MetricFrame>,
+    /// Hot-chare sketch (charged entry nanoseconds), sampled into frames;
+    /// built on first use, so a run without telemetry never carries one.
+    tel_sketch: Option<SpaceSaving<ChareId>>,
 }
 
 impl Sweeps {
     /// Feed the hot-chare sketch: `ns` of entry work charged to `id`.
     pub(crate) fn observe(&mut self, id: &ChareId, ns: u64) {
-        self.tel_sketch.observe(id, ns);
-    }
-
-    /// Completed quiescence rounds (PE 0).
-    pub(crate) fn completions(&self) -> u64 {
-        self.completions
+        self.tel_sketch
+            .get_or_insert_with(|| SpaceSaving::new(charm_trace::DEFAULT_TOP_K))
+            .observe(id, ns);
     }
 
     /// Hand over the telemetry series collected here (PE 0).
-    pub(crate) fn take_series(&mut self) -> Vec<charm_trace::MetricFrame> {
+    pub(crate) fn take_series(&mut self) -> Vec<MetricFrame> {
         std::mem::take(&mut self.tel_series)
+    }
+
+    /// PE 0: whether something that runs every `every`-th completed round
+    /// is due now.
+    pub(crate) fn round_is_multiple_of(&self, every: u64) -> bool {
+        every > 0 && self.completions.is_multiple_of(every)
     }
 }
 
@@ -98,243 +167,164 @@ impl PeState {
                 sent,
                 done,
                 pes,
-            } => self.qd_counts(round, sent, done, pes),
+            } => {
+                // (An answer to a superseded round is dropped.)
+                if let Some(sums) = self.sweeps.qd.answer(round) {
+                    sums.sent += sent;
+                    sums.done += done;
+                    sums.pes += pes;
+                    self.qd_maybe_reply();
+                }
+            }
             EnvKind::TelemetryProbe { seq, root } => self.telemetry_probe(seq, root),
-            EnvKind::TelemetryFrame { seq, frame } => self.telemetry_frame(seq, frame.0),
+            EnvKind::TelemetryFrame { seq, frame } => {
+                if let Some(acc) = self.sweeps.tel.answer(seq) {
+                    acc.merge(&frame.0);
+                }
+                self.tel_maybe_send_up();
+            }
             // analyze: allow(panic, "dispatch hands this module only the five kinds above")
             other => unreachable!("not a sweep envelope: {other:?}"),
         }
     }
 
-    pub(crate) fn qd_request(&mut self, fid: FutureId) {
+    fn qd_request(&mut self, fid: FutureId) {
         debug_assert_eq!(self.pe, 0);
-        self.sweeps.qd_central.waiters.push(fid);
-        if !self.sweeps.qd_central.active {
-            self.sweeps.qd_central.active = true;
-            self.sweeps.qd_central.last = None;
+        let central = &mut self.sweeps.central;
+        central.waiters.push(fid);
+        if !central.active {
+            central.active = true;
+            central.last = None;
             self.qd_start_round();
         }
     }
 
-    pub(crate) fn qd_start_round(&mut self) {
-        self.sweeps.qd_central.round += 1;
-        let round = self.sweeps.qd_central.round;
+    fn qd_start_round(&mut self) {
+        self.sweeps.central.round += 1;
+        let round = self.sweeps.central.round;
         self.emit(0, EnvKind::QdProbe { round, root: 0 });
     }
 
-    pub(crate) fn qd_probe(&mut self, round: u64, root: Pe) {
-        // Quiescence-entry flush: a message parked in an aggregation buffer
-        // is sent-but-unprocessed forever, so no `(sent, processed)` sample
-        // could ever balance over it. Flushing here puts the traffic in
-        // flight; the two-consecutive-identical-rounds rule then converges
-        // normally (just with extra rounds). See `QdCentral::round_complete`.
+    fn qd_probe(&mut self, round: u64, root: Pe) {
         self.flush_aggregation();
-        let tree = self.cfg.tree;
-        self.sweeps.qd_pe = QdPeState {
-            round,
-            pending_children: tree.fanout(self.pe, root, self.npes),
-            sent: self.tracer.counters.sent,
-            done: self.tracer.counters.processed,
+        let owed = self.relay(self.cfg.tree, root, || EnvKind::QdProbe { round, root });
+        let c = self.tracer.counters;
+        let own = QdSums {
+            sent: c.sent,
+            done: c.processed,
             pes: 1,
-            active: true,
         };
-        tree.children_for_each(self.pe, root, self.npes, |child| {
-            self.emit(child, EnvKind::QdProbe { round, root });
-        });
-        self.qd_maybe_reply(root);
+        self.sweeps.qd.open(round, root, owed, own);
+        self.qd_maybe_reply();
     }
 
-    pub(crate) fn qd_counts(&mut self, round: u64, sent: u64, done: u64, pes: u64) {
-        if !self.sweeps.qd_pe.active || self.sweeps.qd_pe.round != round {
-            return; // stale round
-        }
-        self.sweeps.qd_pe.pending_children -= 1;
-        self.sweeps.qd_pe.sent += sent;
-        self.sweeps.qd_pe.done += done;
-        self.sweeps.qd_pe.pes += pes;
-        self.qd_maybe_reply(0);
-    }
-
-    pub(crate) fn qd_maybe_reply(&mut self, root: Pe) {
-        if !self.sweeps.qd_pe.active || self.sweeps.qd_pe.pending_children > 0 {
+    fn qd_maybe_reply(&mut self) {
+        let Some((round, root, QdSums { sent, done, pes })) = self.sweeps.qd.finish() else {
             return;
+        };
+        if let Some(parent) = self.cfg.tree.parent(self.pe, root, self.npes) {
+            let counts = EnvKind::QdCounts {
+                round,
+                sent,
+                done,
+                pes,
+            };
+            return self.emit(parent, counts);
         }
-        self.sweeps.qd_pe.active = false;
-        let (round, sent, done, pes) = (
-            self.sweeps.qd_pe.round,
-            self.sweeps.qd_pe.sent,
-            self.sweeps.qd_pe.done,
-            self.sweeps.qd_pe.pes,
-        );
-        match self.cfg.tree.parent(self.pe, root, self.npes) {
-            Some(parent) => self.emit(
-                parent,
-                EnvKind::QdCounts {
-                    round,
-                    sent,
-                    done,
-                    pes,
-                },
-            ),
-            None => {
-                // Root evaluates.
-                let stuck = self.sweeps.qd_central.last == Some((sent, done));
-                if self.sweeps.qd_central.round_complete(sent, done) {
-                    self.sweeps.qd_central.active = false;
-                    self.sweeps.completions += 1;
-                    let waiters = std::mem::take(&mut self.sweeps.qd_central.waiters);
-                    let telemetry = self.telemetry_due();
-                    if self.auto_ckpt_due() {
-                        // The machine is quiescent — exactly when a
-                        // consistent image exists. Hold the quiescence
-                        // waiters until every PE commits, so the app only
-                        // resumes against fully saved state. A telemetry
-                        // sweep due at the same round runs after the last
-                        // ack (the machine stays quiescent throughout).
-                        self.start_auto_ckpt(waiters, telemetry);
-                        return;
-                    }
-                    if telemetry {
-                        // The machine is quiescent: every PE's counters
-                        // are stable and only sweep traffic will be in
-                        // flight, so the reduced frame is a deterministic
-                        // function of the program (not the schedule).
-                        self.start_telemetry_sweep(waiters);
-                        return;
-                    }
-                    self.complete_qd_waiters(waiters);
-                } else {
-                    // Two identical rounds mean nothing moved in between;
-                    // if they also show more processed than sent, some
-                    // message was delivered twice and no later round can
-                    // ever balance. Fail loudly instead of probing forever.
-                    assert!(
-                        !(stuck && done > sent),
-                        "quiescence is unreachable: {done} messages processed but only {sent} \
-                         sent, stable across probe rounds — a message was delivered twice"
-                    );
-                    self.qd_start_round();
-                }
-            }
+        // Root evaluates.
+        let central = &mut self.sweeps.central;
+        let stuck = central.last == Some((sent, done));
+        if !central.round_complete(sent, done) {
+            // Two identical rounds mean nothing moved in between; if they
+            // also show more processed than sent, some message was
+            // delivered twice and no later round can ever balance. Fail
+            // loudly instead of probing forever.
+            assert!(
+                !(stuck && done > sent),
+                "quiescence is unreachable: {done} messages processed but only {sent} \
+                 sent, stable across probe rounds — a message was delivered twice"
+            );
+            return self.qd_start_round();
+        }
+        central.active = false;
+        let waiters = std::mem::take(&mut central.waiters);
+        self.sweeps.completions += 1;
+        let telemetry = self.telemetry_due();
+        if self.auto_ckpt_due() {
+            // The machine is quiescent — exactly when a consistent image
+            // exists. Hold the quiescence waiters until every PE commits,
+            // so the app only resumes against fully saved state. A
+            // telemetry sweep due at the same round runs after the last
+            // ack (the machine stays quiescent throughout).
+            self.start_auto_ckpt(waiters, telemetry);
+        } else {
+            self.release_qd_waiters(waiters, telemetry);
         }
     }
 
-    /// Complete every pending quiescence future with `()`.
-    pub(crate) fn complete_qd_waiters(&mut self, waiters: Vec<FutureId>) {
+    /// A completed round's waiters may go — after the telemetry sweep, if
+    /// one fell due at this round (`telemetry`): the sweep holds them, so
+    /// the machine stays quiescent while it samples.
+    pub(crate) fn release_qd_waiters(&mut self, waiters: Vec<FutureId>, telemetry: bool) {
+        if telemetry {
+            self.sweeps.tel_held = Some(waiters);
+            let seq = self.sweeps.tel_seq;
+            self.sweeps.tel_seq += 1;
+            return self.telemetry_probe(seq, 0);
+        }
         for fid in waiters {
-            let dst = fid.pe as usize;
-            let payload = OutPayload::new(())
-                .into_payload(
-                    dst == self.pe,
-                    self.cfg.same_pe_byref,
-                    self.cfg.codec,
-                    &mut self.encode_pool,
-                )
-                // analyze: allow(panic, "encoding the unit value fails only on a codec bug")
-                .expect("() failed to encode");
-            self.emit(dst, EnvKind::FutureValue { fid, payload });
+            self.send_future(fid, OutPayload::new(()));
         }
     }
 
     /// Whether this quiescence completion should trigger a telemetry sweep
-    /// (PE 0; cadence from `Runtime::telemetry`). Mirrors
-    /// [`Self::auto_ckpt_due`]: the restore gate's own round never sweeps,
-    /// and a sweep already in flight is never overlapped.
-    pub(crate) fn telemetry_due(&self) -> bool {
-        match &self.cfg.telemetry {
-            Some(t) => {
-                t.every > 0
-                    && !self.sweeps.tel_active
-                    && self.entry_gate.is_none()
-                    && self.sweeps.completions.is_multiple_of(t.every)
-            }
-            None => false,
-        }
-    }
-
-    /// PE 0: start an in-band telemetry sweep over the PE tree. The
-    /// quiescence waiters stay parked until the merged frame lands back
-    /// here, so the only traffic in flight during the sweep is the sweep's
-    /// own — every PE samples stable counters, and the reduced frame is
-    /// schedule-independent (the determinism the permuted-schedule suite
-    /// asserts).
-    pub(crate) fn start_telemetry_sweep(&mut self, waiters: Vec<FutureId>) {
-        self.sweeps.tel_active = true;
-        self.sweeps.tel_waiters = waiters;
-        let seq = self.sweeps.tel_seq;
-        self.sweeps.tel_seq += 1;
-        self.telemetry_probe(seq, 0);
+    /// (PE 0; cadence from `Runtime::telemetry`).
+    fn telemetry_due(&self) -> bool {
+        self.cfg.telemetry.as_ref().is_some_and(|t| {
+            self.sweeps.tel_held.is_none()
+                && self.entry_gate.is_none()
+                && self.sweeps.round_is_multiple_of(t.every)
+        })
     }
 
     /// A telemetry probe crossing this node (or starting on the root):
     /// relay it to the tree children, sample this PE's own frame — the
     /// machine is quiescent, so the counters are stable — and send the
     /// merged frame up once every child subtree has answered.
-    pub(crate) fn telemetry_probe(&mut self, seq: u64, root: Pe) {
-        let tree = self.cfg.tree;
-        self.sweeps.tel_pending = tree.fanout(self.pe, root, self.npes);
-        self.sweeps.tel_root = root;
-        tree.children_for_each(self.pe, root, self.npes, |child| {
-            self.emit(child, EnvKind::TelemetryProbe { seq, root });
+    fn telemetry_probe(&mut self, seq: u64, root: Pe) {
+        let owed = self.relay(self.cfg.tree, root, || EnvKind::TelemetryProbe {
+            seq,
+            root,
         });
-        let frame = self.sample_frame(seq);
-        self.sweeps.tel_acc = Some(Box::new(frame));
-        self.tel_maybe_send_up(seq);
-    }
-
-    /// A child subtree's merged frame: fold it into this node's
-    /// accumulator.
-    pub(crate) fn telemetry_frame(&mut self, seq: u64, frame: Box<charm_trace::MetricFrame>) {
-        if let Some(acc) = self.sweeps.tel_acc.as_deref_mut() {
-            acc.merge(&frame);
-        }
-        self.sweeps.tel_pending = self.sweeps.tel_pending.saturating_sub(1);
-        self.tel_maybe_send_up(seq);
+        let frame = Box::new(self.sample_frame(seq));
+        self.sweeps.tel.open(seq, root, owed, frame);
+        self.tel_maybe_send_up();
     }
 
     /// Once the local sample and every child frame are merged, ship the
-    /// subtree frame to the parent — or, on the root, complete the sweep.
-    pub(crate) fn tel_maybe_send_up(&mut self, seq: u64) {
-        if self.sweeps.tel_pending > 0 {
-            return;
-        }
-        let Some(frame) = self.sweeps.tel_acc.take() else {
+    /// subtree frame to the parent — or, on the root, complete the sweep:
+    /// feed the sink, retain the frame for `RunReport::telemetry`, and
+    /// release the held quiescence waiters.
+    fn tel_maybe_send_up(&mut self) {
+        let Some((seq, root, frame)) = self.sweeps.tel.finish() else {
             return;
         };
-        match self
-            .cfg
-            .tree
-            .parent(self.pe, self.sweeps.tel_root, self.npes)
-        {
-            Some(parent) => self.emit(
-                parent,
-                EnvKind::TelemetryFrame {
-                    seq,
-                    frame: TelemetryBody(frame),
-                },
-            ),
-            None => self.tel_root_complete(*frame),
+        if let Some(parent) = self.cfg.tree.parent(self.pe, root, self.npes) {
+            let frame = TelemetryBody(frame);
+            return self.emit(parent, EnvKind::TelemetryFrame { seq, frame });
         }
-    }
-
-    /// PE 0: the cluster-wide frame is complete — feed the sink, retain it
-    /// for `RunReport::telemetry`, and release the held quiescence waiters.
-    pub(crate) fn tel_root_complete(&mut self, frame: charm_trace::MetricFrame) {
-        if let Some(t) = &self.cfg.telemetry {
-            if let Some(sink) = &t.sink {
-                sink(&frame);
-            }
+        if let Some(sink) = self.cfg.telemetry.as_ref().and_then(|t| t.sink.as_ref()) {
+            sink(&frame);
         }
-        self.sweeps.tel_series.push(frame);
-        self.sweeps.tel_active = false;
-        let waiters = std::mem::take(&mut self.sweeps.tel_waiters);
-        self.complete_qd_waiters(waiters);
+        self.sweeps.tel_series.push(*frame);
+        let waiters = self.sweeps.tel_held.take().unwrap_or_default();
+        self.release_qd_waiters(waiters, false);
     }
 
     /// Snapshot this PE's metrics into a single-PE frame. Runs at probe
     /// arrival, when the machine is quiescent except for sweep traffic, so
     /// every field the logical digest covers is stable.
-    pub(crate) fn sample_frame(&mut self, seq: u64) -> charm_trace::MetricFrame {
+    fn sample_frame(&mut self, seq: u64) -> MetricFrame {
         let now = self.now_ns();
         let (busy, idle, overhead) = self.tracer.time_split();
         let wall = busy + idle + overhead;
@@ -346,16 +336,12 @@ impl PeState {
         let c = self.tracer.counters;
         // Parked-message census; each sum is order-insensitive, so hash
         // iteration order cannot leak into the frame.
-        let mut queue_depth = 0u64;
         // analyze: allow(nondeterminism, "order-insensitive sum of when-guard buffer lengths")
-        for s in self.chares.values() {
-            queue_depth += s.buffered.len() as u64;
-        }
-        queue_depth += self.locs.parked().1 + self.colls.parked().1;
-        let top = self
-            .sweeps
-            .tel_sketch
-            .items()
+        let buffered: usize = self.chares.values().map(|s| s.buffered.len()).sum();
+        let queue_depth = buffered as u64 + self.locs.parked().1 + self.colls.parked().1;
+        let hot = self.sweeps.tel_sketch.as_ref().map(|s| s.items());
+        let top = hot
+            .unwrap_or_default()
             .into_iter()
             .map(|(id, weight, err)| charm_trace::TopItem {
                 label: self.chare_label(&id),
@@ -363,7 +349,7 @@ impl PeState {
                 err,
             })
             .collect();
-        charm_trace::MetricFrame {
+        MetricFrame {
             seq,
             pes: 1,
             sampled_at_ns: now,
@@ -389,8 +375,8 @@ impl PeState {
 
     /// Human label for a hot chare: `TypeName[index]` when the collection
     /// spec is locally known, the raw id otherwise.
-    pub(crate) fn chare_label(&self, id: &ChareId) -> String {
-        match self.colls.get(&id.coll) {
+    fn chare_label(&self, id: &ChareId) -> String {
+        match self.colls.get(id.coll) {
             Some(cs) => format!("{}{}", self.registry.name_of(cs.spec.ctype), id.index),
             None => format!("{id}"),
         }
