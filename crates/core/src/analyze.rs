@@ -25,6 +25,11 @@
 //! * **FIFO when-guard drains** — the scheduler must always hand the
 //!   *earliest* deliverable buffered message to a chare; skipping a ready
 //!   message is reported (hook in `after_state_change`).
+//! * **Bounded forwarding** — an envelope chasing a migrated chare through
+//!   location records never takes more than `MAX_FWD_HOPS` hops plus one
+//!   per migration the chare made meanwhile (the growth of the records'
+//!   `seq` along the chain). A chain that keeps hopping while `seq` stands
+//!   still is bouncing between stale records; it is reported and cut.
 //!
 //! Violations go to the run's [`FaultProbe`] when one is installed (the
 //! fault-injection tests read it), and panic with an `analyze:` prefix
@@ -57,8 +62,13 @@ pub struct EnvTrace {
     pub id: u64,
     /// Sender's vector clock (length = npes) at the moment of send.
     pub clock: Vec<u64>,
+    /// Location-record forwards on the chain that led to this envelope (0
+    /// for one sent by its originator).
+    pub fwd_hops: u64,
+    /// The record `seq` the first of those forwards followed.
+    pub fwd_first_seq: u64,
 }
-charm_wire::wire_struct! { EnvTrace { id, clock } }
+charm_wire::wire_struct! { EnvTrace { id, clock, fwd_hops, fwd_first_seq } }
 
 /// Shared sink for detector findings. Installed via
 /// `Runtime::analyze_probe`/`analyze_inject`; when present, violations are
@@ -139,6 +149,10 @@ pub struct Detector {
     /// Last sender-component stamp seen per source PE (FIFO channel check).
     last_from: HashMap<Pe, u64>,
     executing: HashSet<ChareId>,
+    /// `(fwd_hops, fwd_first_seq)` of the envelope being dispatched.
+    chain: (u64, u64),
+    /// The chain the next minted trace continues (set by `on_forward`).
+    forwarding: Option<(u64, u64)>,
     probe: Option<FaultProbe>,
 }
 
@@ -153,6 +167,8 @@ impl Detector {
             delivered: HashSet::new(),
             last_from: HashMap::new(),
             executing: HashSet::new(),
+            chain: (0, 0),
+            forwarding: None,
             probe,
         }
     }
@@ -172,10 +188,40 @@ impl Detector {
         self.next_seq += 1;
         let id = (self.epoch << 56) | ((self.pe as u64 + 1) << 40) | self.next_seq;
         self.sent.insert(id);
+        let (fwd_hops, fwd_first_seq) = self.forwarding.take().unwrap_or_default();
         EnvTrace {
             id,
             clock: self.clock.clone(),
+            fwd_hops,
+            fwd_first_seq,
         }
+    }
+
+    /// Dispatch of an envelope begins (a fresh delivery or a parked one
+    /// re-entering): remember the forwarding chain it arrived on.
+    pub fn on_dispatch(&mut self, trace: &EnvTrace) {
+        self.chain = (trace.fwd_hops, trace.fwd_first_seq);
+    }
+
+    /// The envelope being dispatched is about to be forwarded to where the
+    /// `seq`-th migration took chare `id`; the next minted trace continues
+    /// its chain. Returns `false` — after reporting — when the chain broke
+    /// the bound, so the scheduler stops chasing and the run can end.
+    pub fn on_forward(&mut self, id: &ChareId, seq: u64) -> bool {
+        let (hops, first) = self.chain;
+        let (hops, first) = (hops + 1, if hops == 0 { seq } else { first });
+        let bound = crate::location::MAX_FWD_HOPS as u64 + seq.saturating_sub(first);
+        if hops > bound {
+            self.violation(format!(
+                "forwarding chain for chare {id} reached {hops} hops on PE {} while its location \
+                 records only advanced from migration {first} to {seq} — envelopes are bouncing \
+                 between stale records",
+                self.pe
+            ));
+            return false;
+        }
+        self.forwarding = Some((hops, first));
+        true
     }
 
     /// A delivery event: epoch check, dedup-check, per-channel FIFO check,

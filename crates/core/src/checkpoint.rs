@@ -23,12 +23,6 @@
 //! (quiescence detection is the easy way to guarantee this — the automatic
 //! cadence piggybacks on it). Futures and coroutine stacks are *not*
 //! checkpointed.
-//!
-//! With TRAM-style aggregation on (`Runtime::aggregation`), "no messages in
-//! flight" additionally requires that no message sits parked in a
-//! sender-side batch buffer: `PeState::ckpt_save` flushes every aggregation
-//! buffer before packing chares, so a snapshot never captures a world whose
-//! already-counted sends would die with the failed incarnation's buffers.
 
 use std::path::{Path, PathBuf};
 
@@ -676,8 +670,8 @@ impl PeState {
                 .coll_seq
                 .fetch_max(spec.id.seq + 1, std::sync::atomic::Ordering::Relaxed);
         }
-        if !self.colls.knows(coll) {
-            self.install_coll(spec, 0, 0);
+        if self.colls.get(coll).is_none() {
+            self.install_coll(spec, 0);
         }
         self.replay_parked_coll(coll);
     }
@@ -716,6 +710,7 @@ impl PeState {
                         red_seq: c.red_seq,
                         for_lb: false,
                         trail: Vec::new(),
+                        seq: 0,
                     }),
                 },
             );

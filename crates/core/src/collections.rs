@@ -228,16 +228,11 @@ impl CollSpec {
 pub struct CollState {
     /// The replicated spec.
     pub spec: CollSpec,
-    /// Members currently hosted by this PE.
-    pub local_members: u64,
     /// Members hosted by this PE's reduction-tree subtree (this PE
     /// included). Maintained at creation, insertion and LB migration; the
     /// reduction protocol's completion counts rest on it.
     pub subtree_members: u64,
 }
-
-/// Per-PE table of known collections.
-pub type CollTable = HashMap<CollectionId, CollState>;
 
 /// One PE's table of known collections, plus the envelopes that arrived
 /// for a collection before its spec did.
@@ -252,7 +247,7 @@ pub type CollTable = HashMap<CollectionId, CollState>;
 /// in step.
 #[derive(Default)]
 pub(crate) struct Colls {
-    table: CollTable,
+    table: HashMap<CollectionId, CollState>,
     parked: HashMap<CollectionId, Vec<Envelope>>,
 }
 
@@ -260,11 +255,6 @@ impl Colls {
     /// Read-only view of one collection's state, if its spec has arrived.
     pub(crate) fn get(&self, coll: CollectionId) -> Option<&CollState> {
         self.table.get(&coll)
-    }
-
-    /// Whether `coll`'s spec has reached this PE.
-    pub(crate) fn knows(&self, coll: CollectionId) -> bool {
-        self.table.contains_key(&coll)
     }
 
     /// Every known spec, in no particular order.
@@ -296,7 +286,7 @@ impl PeState {
             // `ckDoneInserting`: accepted once the collection is known;
             // nothing in this runtime waits on the end of an insertion phase.
             EnvKind::DoneInserting { .. } => {}
-            EnvKind::SubtreeAdd { coll, delta } => self.subtree_add(coll, delta),
+            EnvKind::SubtreeAdd { coll, delta } => self.member_delta(coll, delta),
             // analyze: allow(panic, "dispatch hands this module only the four kinds above")
             other => unreachable!("not a collection envelope: {other:?}"),
         }
@@ -310,13 +300,6 @@ impl PeState {
         &known.spec
     }
 
-    fn coll_mut(&mut self, coll: CollectionId) -> &mut CollState {
-        let pe = self.pe;
-        let known = self.colls.table.get_mut(&coll);
-        // analyze: allow(panic, "same invariant as spec()")
-        known.unwrap_or_else(|| panic!("collection {coll} is unknown on PE {pe}"))
-    }
-
     /// Hold `kind` until `coll`'s spec arrives. The parked envelope names
     /// this PE as its source: once the spec is here, whatever follows is
     /// this PE's own doing.
@@ -325,18 +308,13 @@ impl PeState {
         self.colls.parked.entry(coll).or_default().push(env);
     }
 
-    /// A member joined (`+1`) or left (`-1`) this PE: adjust the local
-    /// count, this subtree's, and every ancestor's.
+    /// A member joined (`+1`) or left (`-1`) this PE, or `delta` members
+    /// did somewhere below it in the reduction tree: adjust this subtree's
+    /// count and pass the news up to every ancestor.
     pub(crate) fn member_delta(&mut self, coll: CollectionId, delta: i64) {
-        let cs = self.coll_mut(coll);
-        cs.local_members = cs.local_members.wrapping_add_signed(delta);
-        self.subtree_add(coll, delta);
-    }
-
-    /// Members were added below this PE in the reduction tree (or removed,
-    /// if negative): adjust the subtree count and pass the news up.
-    fn subtree_add(&mut self, coll: CollectionId, delta: i64) {
-        let cs = self.coll_mut(coll);
+        let (known, pe) = (self.colls.table.get_mut(&coll), self.pe);
+        // analyze: allow(panic, "same invariant as spec()")
+        let cs = known.unwrap_or_else(|| panic!("collection {coll} is unknown on PE {pe}"));
         cs.subtree_members = cs.subtree_members.wrapping_add_signed(delta);
         if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
             self.emit(parent, EnvKind::SubtreeAdd { coll, delta });
@@ -385,9 +363,8 @@ impl PeState {
         });
         let counts = self.initial_counts(&spec);
         let coll = spec.id;
-        let local = counts.get(self.pe).copied().unwrap_or(0);
         let subtree = self.subtree_total(&counts, self.pe);
-        self.install_coll(spec.clone(), local, subtree);
+        self.install_coll(spec.clone(), subtree);
 
         // Construct locally-placed members (deterministic index order).
         // The analytic placements enumerate only this PE's own linear
@@ -425,13 +402,12 @@ impl PeState {
         self.replay_parked_coll(coll);
     }
 
-    /// Make `spec` known on this PE with `local` / `subtree` members
-    /// already counted. Cached decode resolutions are dropped: a collection
+    /// Make `spec` known on this PE with `subtree` members already counted
+    /// in its subtree. Cached decode resolutions are dropped: a collection
     /// spec just changed hands.
-    pub(crate) fn install_coll(&mut self, spec: CollSpec, local: u64, subtree: u64) {
+    pub(crate) fn install_coll(&mut self, spec: CollSpec, subtree_members: u64) {
         let state = CollState {
-            local_members: local,
-            subtree_members: subtree,
+            subtree_members,
             spec,
         };
         self.colls.table.insert(state.spec.id, state);
@@ -509,7 +485,12 @@ impl PeState {
         };
         self.member_delta(coll, 1);
         if home != self.pe {
-            self.emit(home, EnvKind::LocationUpdate { id, pe: self.pe });
+            let here = EnvKind::LocationUpdate {
+                id,
+                pe: self.pe,
+                seq: 0,
+            };
+            self.emit(home, here);
         }
         self.construct_member(id, init);
     }

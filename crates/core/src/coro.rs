@@ -416,7 +416,7 @@ impl PeState {
             // back-dated by the segment's measured work; the tracer clamps
             // ring timestamps so this stays monotone.
             let end = self.now_ns();
-            let (begin, ctype) = (end.saturating_sub(measured_ns), self.chare_ctype(&id));
+            let (begin, ctype) = (end.saturating_sub(measured_ns), self.spec(id.coll).ctype.0);
             self.tracer
                 .entry(begin, end, measured_ns, ctype, EntryKind::Coroutine);
         }

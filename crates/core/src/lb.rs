@@ -377,9 +377,8 @@ impl PeState {
                     self.lb_send_central_stats(&[]);
                 }
             }
-            EnvKind::LbStats { stats, .. } => self.lb_central_stats(stats),
-            // (The ordering PE tracks the epoch's completion count.)
-            EnvKind::LbDoMigrate { moves, .. } => {
+            EnvKind::LbStats { stats } => self.lb_central_stats(stats),
+            EnvKind::LbDoMigrate { moves } => {
                 for (id, dst) in moves {
                     self.migrate_out(id, dst, true);
                 }
@@ -457,8 +456,7 @@ impl PeState {
     fn lb_send_central_stats(&mut self, participants: &[ChareId]) {
         let stats = self.lb_take_local_stats(participants);
         self.lb.stats_sent = true;
-        let at_sync = self.lb.at_sync_count;
-        self.emit(0, EnvKind::LbStats { stats, at_sync });
+        self.emit(0, EnvKind::LbStats { stats });
     }
 
     /// Group `(chare, from, to)` moves into one `LbDoMigrate` per owner,
@@ -471,8 +469,7 @@ impl PeState {
             per_pe.entry(from).or_default().push((id, to));
         }
         for (owner, moves) in per_pe {
-            let total = moves.len() as u64;
-            self.emit(owner, EnvKind::LbDoMigrate { moves, total });
+            self.emit(owner, EnvKind::LbDoMigrate { moves });
         }
         ordered
     }

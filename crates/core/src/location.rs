@@ -2,19 +2,29 @@
 //! (DESIGN.md §5 "naming").
 //!
 //! **State:** [`Locations`] — the location table (forwarding stubs left by
-//! departures and locations learned from `LocationUpdate`s, one map), the
-//! envelopes parked for chares this PE expects to host, and the count of
-//! stub forwards (`PePerf::fwd_hops`).
+//! departures and locations learned from `LocationUpdate`s, one map of
+//! versioned records), the envelopes parked for chares this PE expects to
+//! host, and the count of stub forwards (`PePerf::fwd_hops`).
 //!
 //! **Envelopes:** `MigrateChare`, `LocationUpdate` ([`PeState::on_location`]).
 //!
 //! **Invariants:** a chare is found by (1) the local slot table, (2) this
 //! table, (3) its collection's placement — initial placement for
 //! singletons, groups and dense arrays, the home PE (an index hash) for
-//! sparse ones. Every departure leaves a stub and tells the home; an
-//! arrival tells the home again and, once the trail of stubs behind the
-//! chare reaches [`MAX_FWD_HOPS`], every stub holder, so a chase costs at
-//! most `MAX_FWD_HOPS` extra hops however often the chare moved.
+//! sparse ones. Every chare counts its migrations (`Slot::seq`), and every
+//! record says "the `seq`-th migration took it to `pe`": the stub a
+//! departure writes, the updates it sends to the home and (on arrival, once
+//! the trail behind the chare reaches [`MAX_FWD_HOPS`]) to every stub
+//! holder, the update a forwarder sends back to the original sender, and
+//! the one it sends *ahead* of the forwarded envelope. [`Locations::learn`]
+//! is the table's only writer and keeps the record with the higher `seq`,
+//! so a stale update can never replace fresher knowledge. A record naming
+//! this PE means the chare is in flight to here (had it come and gone, the
+//! departure's stub would be newer): envelopes for it park until it lands.
+//! Together these make every forwarding chain climb strictly in `seq` —
+//! the next hop either hosts the chare, or is told by the look-ahead update
+//! to wait for it, or knows a later migration — so a chase takes at most as
+//! many hops as the chare made moves, under any delivery order.
 
 use std::collections::HashMap;
 
@@ -38,9 +48,9 @@ pub(crate) type PackedChare = (Vec<u8>, Vec<(Vec<u8>, Option<FutureId>, Option<u
 /// Where an envelope for one chare goes next.
 pub(crate) enum Route {
     Local,
-    /// `.1` is true when the destination came from the location table (a
-    /// forwarding stub or a learned location) rather than from placement.
-    Remote(Pe, bool),
+    /// `.1` is the `seq` of the location record the destination came from,
+    /// `None` when it came from placement instead.
+    Remote(Pe, Option<u64>),
     /// This PE is the element's home but does not (yet) know a location.
     BufferHere,
     UnknownColl,
@@ -49,7 +59,8 @@ pub(crate) enum Route {
 /// One PE's view of where chares live.
 #[derive(Default)]
 pub(crate) struct Locations {
-    table: HashMap<ChareId, Pe>,
+    /// `(pe, seq)`: the chare's `seq`-th migration took it to `pe`.
+    table: HashMap<ChareId, (Pe, u64)>,
     /// Envelopes for chares this PE is home to (or will host) but cannot
     /// place yet; re-dispatched when the chare or its location arrives.
     parked: HashMap<ChareId, Vec<Envelope>>,
@@ -58,9 +69,15 @@ pub(crate) struct Locations {
 }
 
 impl Locations {
-    /// Record that `id` lives on `pe`.
-    fn learn(&mut self, id: ChareId, pe: Pe) {
-        self.table.insert(id, pe);
+    /// Record that `id`'s `seq`-th migration took it to `pe` — unless a
+    /// later migration is already on record: newer wins, whatever order the
+    /// news arrives in. (The test-only `mutation-stale-locupdate` feature
+    /// writes unconditionally, so the checkers can be shown to catch it.)
+    fn learn(&mut self, id: ChareId, pe: Pe, seq: u64) {
+        let stale = self.table.get(&id).is_some_and(|&(_, known)| known >= seq);
+        if !stale || cfg!(feature = "mutation-stale-locupdate") {
+            self.table.insert(id, (pe, seq));
+        }
     }
 
     /// Hold `env` until `id` (or news of it) arrives here.
@@ -91,16 +108,8 @@ impl PeState {
     pub(crate) fn on_location(&mut self, kind: EnvKind) {
         match kind {
             EnvKind::MigrateChare { msg } => self.migrate_in(*msg),
-            EnvKind::LocationUpdate { id, pe } => {
-                // "It lives on you" is never news: either the chare is
-                // here (routing checks that first and no entry exists), or
-                // it has left again and the entry is the forwarding stub
-                // its departure wrote — fresher than this update, and the
-                // only thing keeping later messages from parking here for
-                // good.
-                if pe != self.pe {
-                    self.locs.learn(id, pe);
-                }
+            EnvKind::LocationUpdate { id, pe, seq } => {
+                self.locs.learn(id, pe, seq);
                 self.flush_pending_chare(id);
             }
             // analyze: allow(panic, "dispatch hands this module only the two kinds above")
@@ -116,8 +125,11 @@ impl PeState {
         let Some(cs) = self.colls.get(id.coll) else {
             return Route::UnknownColl;
         };
-        if let Some(&pe) = self.locs.table.get(id) {
-            return Route::Remote(pe, true);
+        match self.locs.table.get(id) {
+            // In flight to this PE: hold the envelope until it lands.
+            Some(&(pe, _)) if pe == self.pe => return Route::BufferHere,
+            Some(&(pe, seq)) => return Route::Remote(pe, Some(seq)),
+            None => {}
         }
         let pe = match &cs.spec.kind {
             // Initial placement is globally computable for these kinds.
@@ -131,7 +143,7 @@ impl PeState {
             // are its home and will hear where it went: hold the envelope.
             Route::BufferHere
         } else {
-            Route::Remote(pe, false)
+            Route::Remote(pe, None)
         }
     }
 
@@ -186,10 +198,11 @@ impl PeState {
         let (data, buffered) = self.pack_chare(&id, &slot, "migrate");
         let home = self.spec(id.coll).home_pe(&id.index, self.npes);
         self.member_delta(id.coll, -1);
-        self.locs.learn(id, to);
+        let seq = slot.seq + 1;
+        self.locs.learn(id, to, seq);
         // The home PE must learn the new location for fresh senders.
         if home != self.pe && home != to {
-            self.emit(home, EnvKind::LocationUpdate { id, pe: to });
+            self.emit(home, EnvKind::LocationUpdate { id, pe: to, seq });
         }
         self.tracer.counters.migrations += 1;
         self.trace_event(|_| charm_trace::EventKind::MigrateOut {
@@ -211,6 +224,7 @@ impl PeState {
                     red_seq: slot.red_seq,
                     for_lb,
                     trail,
+                    seq,
                 }),
             },
         );
@@ -226,6 +240,7 @@ impl PeState {
             red_seq,
             for_lb,
             mut trail,
+            seq,
         } = msg;
         let id = ChareId { coll, index };
         self.trace_event(|_| charm_trace::EventKind::MigrateIn {
@@ -241,6 +256,7 @@ impl PeState {
         let mut slot = Slot::new(boxed);
         slot.load_ns = load_ns;
         slot.red_seq = red_seq;
+        slot.seq = seq;
         slot.at_sync = for_lb; // LB migrants resume with everyone else
         if trail.len() < MAX_FWD_HOPS {
             // Chain still short: carry it along (emptying `trail` so the
@@ -254,18 +270,21 @@ impl PeState {
             slot.buffered.push_back(Buffered { msg, reply, guard });
         }
         self.chares.insert(id, slot);
-        self.locs.table.remove(&id);
         self.member_delta(coll, 1);
         let home = self.spec(coll).home_pe(&index, self.npes);
-        if home != self.pe {
-            self.emit(home, EnvKind::LocationUpdate { id, pe: self.pe });
+        let pe = self.pe;
+        let here = || EnvKind::LocationUpdate { id, pe, seq };
+        // A real migration's departure already told the home (or was the
+        // home); only a restored chare (`seq` 0) arrives unannounced.
+        if home != pe && seq == 0 {
+            self.emit(home, here());
         }
         // Chain at the hop bound: tell every stub holder the real location
         // so future sends reach this PE in one hop (`trail` is empty unless
         // the bound was hit above).
         for p in trail {
             if p != self.pe && p != home {
-                self.emit(p, EnvKind::LocationUpdate { id, pe: self.pe });
+                self.emit(p, here());
             }
         }
         if for_lb {

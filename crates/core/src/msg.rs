@@ -167,8 +167,11 @@ pub struct MigrateMsg {
     /// [`crate::location::MAX_FWD_HOPS`] the arrival PE collapses the chain by
     /// sending every trail PE (and the home) a `LocationUpdate`.
     pub trail: Vec<Pe>,
+    /// How many migrations the chare has made, this one included: the
+    /// version of every location record this move gives rise to.
+    pub seq: u64,
 }
-wire_struct! { MigrateMsg { coll, index, data, buffered, load_ns, red_seq, for_lb, trail } }
+wire_struct! { MigrateMsg { coll, index, data, buffered, load_ns, red_seq, for_lb, trail, seq } }
 
 /// The body of a [`EnvKind::TelemetryFrame`]: boxed — a frame carries two
 /// dense histograms and would otherwise dominate the enum size. Telemetry
@@ -369,12 +372,15 @@ pub enum EnvKind {
         /// The migration body.
         msg: Box<MigrateMsg>,
     },
-    /// Tell a PE where a chare now lives (location cache update).
+    /// Tell a PE where a chare lives (or is about to land) as of its
+    /// `seq`-th migration; the receiver keeps the newest record it has seen.
     LocationUpdate {
         /// The chare.
         id: ChareId,
-        /// Its current PE.
+        /// The PE that migration took it to.
         pe: Pe,
+        /// The chare's migration count at that point.
+        seq: u64,
     },
     /// Adjust the reduction-tree subtree member count (sparse inserts).
     SubtreeAdd {
@@ -391,16 +397,12 @@ pub enum EnvKind {
     LbStats {
         /// One entry per LB-participating local chare.
         stats: Vec<LbChareStat>,
-        /// Number of local chares that reached at_sync (sanity check).
-        at_sync: u64,
     },
     /// PE 0 instructs a PE to emigrate the listed chares.
     LbDoMigrate {
-        /// `(chare, destination)` pairs owned by the receiving PE.
+        /// `(chare, destination)` pairs owned by the receiving PE. (The
+        /// ordering PE tracks the epoch's completion count.)
         moves: Vec<(ChareId, Pe)>,
-        /// Number of moves in this order (the ordering PE tracks the
-        /// epoch's completion count itself).
-        total: u64,
     },
     /// A migrated chare arrived somewhere (destination → PE 0).
     LbMigrated,
@@ -543,11 +545,11 @@ wire_enum! {
         RedDeliver { to, tag, data },
         RedBroadcast { coll, tag, data, root },
         MigrateChare { msg },
-        LocationUpdate { id, pe },
+        LocationUpdate { id, pe, seq },
         SubtreeAdd { coll, delta },
         LbPoll,
-        LbStats { stats, at_sync },
-        LbDoMigrate { moves, total },
+        LbStats { stats },
+        LbDoMigrate { moves },
         LbMigrated,
         LbResume { root },
         LbKick { epoch },

@@ -117,6 +117,9 @@ pub(crate) struct Slot {
     pub(crate) load_ns: u64,
     pub(crate) red_seq: u64,
     pub(crate) at_sync: bool,
+    /// Migrations this chare has made: the version of the location records
+    /// its next move writes (`location.rs`).
+    pub(crate) seq: u64,
     pub(crate) coros: Vec<crate::ids::CoroId>,
     /// PEs that still hold a forwarding stub chain for this chare from its
     /// previous migrations. Travels with the chare; when it reaches
@@ -148,6 +151,7 @@ impl Slot {
             load_ns: 0,
             red_seq: 0,
             at_sync: false,
+            seq: 0,
             coros: Vec::new(),
             fwd_trail: Vec::new(),
         }
@@ -322,12 +326,6 @@ impl PeState {
             det,
             cfg,
         }
-    }
-
-    /// Send/deliver id accounting for the end-of-run balance check.
-    #[cfg(feature = "analyze")]
-    pub fn det_summary(&self) -> (Vec<u64>, Vec<u64>) {
-        self.det.summary()
     }
 
     /// Current time in nanoseconds (virtual under sim, real elapsed under
@@ -570,19 +568,18 @@ impl PeState {
     /// this PE is parked, every other one goes to the module that owns its
     /// protocol.
     pub(crate) fn dispatch(&mut self, env: Envelope) {
+        #[cfg(feature = "analyze")]
+        self.det.on_dispatch(&env.trace);
         let Envelope { src, kind, .. } = env;
         if let Some(coll) = kind.coll() {
-            if !self.colls.knows(coll) {
+            if self.colls.get(coll).is_none() {
                 return self.park_unknown_coll(coll, kind);
             }
         }
         match kind {
-            EnvKind::Entry {
-                to,
-                payload,
-                reply,
-                guard,
-            } => self.route_entry_from(src, to, payload, reply, guard),
+            kind @ (EnvKind::Entry { to, .. } | EnvKind::RedDeliver { to, .. }) => {
+                self.route(src, to, kind)
+            }
             EnvKind::Batch { .. } => {
                 // analyze: allow(panic, "handle() splits every batch before dispatch; reaching here is a scheduler bug")
                 unreachable!("batch envelope reached dispatch unsplit")
@@ -595,9 +592,9 @@ impl PeState {
             | EnvKind::InsertElem { .. }
             | EnvKind::DoneInserting { .. }
             | EnvKind::SubtreeAdd { .. }) => self.on_collection(kind),
-            kind @ (EnvKind::RedPartial { .. }
-            | EnvKind::RedDeliver { .. }
-            | EnvKind::RedBroadcast { .. }) => self.on_reduction(kind),
+            kind @ (EnvKind::RedPartial { .. } | EnvKind::RedBroadcast { .. }) => {
+                self.on_reduction(kind)
+            }
             kind @ (EnvKind::MigrateChare { .. } | EnvKind::LocationUpdate { .. }) => {
                 self.on_location(kind)
             }
@@ -630,7 +627,7 @@ impl PeState {
     /// deliver to every local member from the one shared buffer.
     fn broadcast_entry(&mut self, coll: CollectionId, bytes: WireBytes, root: Pe) {
         let tree = self.cfg.tree;
-        let members = self.local_members(coll);
+        let members = self.sorted_chares(|id| id.coll == coll);
         if self.tracer.enabled() {
             self.tracer.bcast_relays += 1;
             self.trace_event(|s| charm_trace::EventKind::BcastFanout {
@@ -643,8 +640,12 @@ impl PeState {
             bytes: bytes.clone(),
             root,
         });
+        // The encoded bytes stay owned by the one refcounted buffer for the
+        // whole fan-out: each local member only *reads* them to decode its
+        // own message — no per-member copy.
         for id in members {
-            self.deliver_wire_entry(id, &bytes, None);
+            let msg = self.decode_wire(&id, &bytes);
+            self.deliver_msg(id, msg, None, None);
         }
     }
 
@@ -656,11 +657,6 @@ impl PeState {
         env
     }
 
-    /// Local members of `coll`, in the deterministic delivery order.
-    pub(crate) fn local_members(&self, coll: CollectionId) -> Vec<ChareId> {
-        self.sorted_chares(|id| id.coll == coll)
-    }
-
     // =====================================================================
     // Routing and entry delivery
     // =====================================================================
@@ -668,10 +664,11 @@ impl PeState {
     /// Send `kind` — an `Entry` or a `RedDeliver` for chare `to`, arrived
     /// from `src` — one step closer: deliver it, forward it, or hold it
     /// until this PE learns more. When this PE forwards somebody else's
-    /// entry message (the chare moved on), it tells the original sender
-    /// where the chare lives now, so migration-induced forwarding chains
-    /// collapse after one use (Charm++'s location-update piggyback).
-    fn route(&mut self, src: Pe, to: ChareId, mut kind: EnvKind) {
+    /// entry message on a location record (the chare moved on), it tells
+    /// the original sender what the record says, so migration-induced
+    /// forwarding chains collapse after one use (Charm++'s location-update
+    /// piggyback).
+    pub(crate) fn route(&mut self, src: Pe, to: ChareId, mut kind: EnvKind) {
         match self.route_of(&to) {
             Route::Local => match kind {
                 EnvKind::Entry {
@@ -689,17 +686,30 @@ impl PeState {
                 EnvKind::RedDeliver { tag, data, .. } => {
                     self.invoke(to, Invoke::Reduced(tag, data))
                 }
-                // analyze: allow(panic, "route is private to the two wrappers below, which build exactly these kinds")
+                // analyze: allow(panic, "callers pass the two kinds addressed to a chare: dispatch by pattern, the re-route and the reduction root by construction")
                 other => unreachable!("not routable to a chare: {other:?}"),
             },
-            Route::Remote(pe, stub) => {
-                if let EnvKind::Entry { payload, .. } = &mut kind {
-                    if src != self.pe {
-                        if stub {
-                            self.locs.count_fwd_hop();
+            Route::Remote(pe, record) => {
+                if let Some(seq) = record {
+                    // Forwarding on a location record: tell the next hop
+                    // first what this PE knows ("it was headed for you as
+                    // of `seq`"), so that it holds the envelope if the
+                    // chare has not landed yet instead of sending it round
+                    // on an older record of its own.
+                    let knows = || EnvKind::LocationUpdate { id: to, pe, seq };
+                    if src != self.pe && matches!(kind, EnvKind::Entry { .. }) {
+                        self.locs.count_fwd_hop();
+                        if src != pe {
+                            self.emit(src, knows());
                         }
-                        self.emit(src, EnvKind::LocationUpdate { id: to, pe });
                     }
+                    self.emit(pe, knows());
+                    #[cfg(feature = "analyze")]
+                    if !self.det.on_forward(&to, seq) {
+                        return; // reported; stop chasing so the run can end
+                    }
+                }
+                if let EnvKind::Entry { payload, .. } = &mut kind {
                     self.reencode(pe, to.coll, payload, false);
                 }
                 self.emit(pe, kind);
@@ -710,27 +720,6 @@ impl PeState {
             }
             Route::UnknownColl => self.park_unknown_coll(to.coll, kind),
         }
-    }
-
-    pub(crate) fn route_entry_from(
-        &mut self,
-        src: Pe,
-        to: ChareId,
-        payload: Payload,
-        reply: Option<FutureId>,
-        guard: Option<u32>,
-    ) {
-        let kind = EnvKind::Entry {
-            to,
-            payload,
-            reply,
-            guard,
-        };
-        self.route(src, to, kind);
-    }
-
-    pub(crate) fn route_reduced(&mut self, to: ChareId, tag: u32, data: RedData) {
-        self.route(self.pe, to, EnvKind::RedDeliver { to, tag, data });
     }
 
     /// The registered hooks of `coll`'s chare type.
@@ -793,20 +782,6 @@ impl PeState {
         })
     }
 
-    /// Same-PE delivery of a shared broadcast/multicast payload: the
-    /// encoded bytes stay owned by the caller's refcounted buffer for the
-    /// whole fan-out, and each local member only *reads* them to decode its
-    /// own `BoxMsg` — no per-member copy.
-    pub(crate) fn deliver_wire_entry(
-        &mut self,
-        id: ChareId,
-        bytes: &WireBytes,
-        reply: Option<FutureId>,
-    ) {
-        let msg = self.decode_wire(&id, bytes);
-        self.deliver_msg(id, msg, reply, None);
-    }
-
     /// Both the type's receiver-side guard and the optional per-message
     /// sender-side guard must pass for a message to be deliverable.
     fn guards_pass(&self, id: &ChareId, msg: &BoxMsg, guard: Option<u32>) -> bool {
@@ -849,15 +824,23 @@ impl PeState {
         let Some(slot) = self.chares.get_mut(&id) else {
             // The chare migrated away between routing and invocation
             // (possible when draining buffers); re-route.
-            match what {
+            let to = id;
+            return match what {
                 Invoke::Entry(msg, reply, guard) => {
                     let payload = Payload::Local(msg);
-                    self.route_entry_from(self.pe, id, payload, reply, guard);
+                    let kind = EnvKind::Entry {
+                        to,
+                        payload,
+                        reply,
+                        guard,
+                    };
+                    self.route(self.pe, to, kind)
                 }
-                Invoke::Reduced(tag, data) => self.route_reduced(id, tag, data),
+                Invoke::Reduced(tag, data) => {
+                    self.route(self.pe, to, EnvKind::RedDeliver { to, tag, data })
+                }
                 Invoke::ResumeFromSync => {}
-            }
-            return;
+            };
         };
         let mut boxed = slot.checkout();
         #[cfg(feature = "analyze")]
@@ -893,17 +876,11 @@ impl PeState {
         self.charge_work(measured, Some(&id), WorkClass::Entry);
         if self.tracer.enabled() {
             let end = self.now_ns();
-            let ctype = self.chare_ctype(&id);
+            let ctype = self.spec(id.coll).ctype.0;
             self.tracer.entry(trace_begin, end, measured, ctype, ekind);
         }
         self.exec_ops(ctx.ops, Some(id), ctx.reply_to);
         self.after_state_change(id);
-    }
-
-    /// Chare type id for trace attribution (0 when the collection spec is
-    /// not locally known — cannot happen for an invokable chare).
-    pub(crate) fn chare_ctype(&self, id: &ChareId) -> u32 {
-        self.colls.get(id.coll).map_or(0, |cs| cs.spec.ctype.0)
     }
 
     pub(crate) fn metered_ns(&self, t0: Instant) -> u64 {
@@ -1190,10 +1167,10 @@ impl PeState {
         let buffered: usize = ids.iter().map(|id| self.slot(id).buffered.len()).sum();
         let blocked = self.coros.blocked();
         let (pending_chare, pending_coll) = (self.locs.parked().0, self.colls.parked().0);
-        let at_sync = self.lb.at_sync_count();
+        let (at_sync, reds) = (self.lb.at_sync_count(), self.reds.progress());
         if buffered == 0
             && blocked == 0
-            && self.reds.in_flight() == 0
+            && reds.is_empty()
             && pending_chare == 0
             && pending_coll == 0
             && at_sync == 0
@@ -1207,7 +1184,7 @@ impl PeState {
             ids.len(),
             buffered,
             blocked,
-            self.reds.in_flight(),
+            reds.len(),
             pending_chare,
             pending_coll,
             at_sync,
@@ -1217,7 +1194,7 @@ impl PeState {
             c.entries,
             c.migrations,
         );
-        for (coll, redno, count) in self.reds.progress() {
+        for (coll, redno, count) in reds {
             eprintln!(
                 "    red {coll} #{redno}: count {count} of subtree {}",
                 self.subtree_expected(coll)
@@ -1279,7 +1256,7 @@ impl PeState {
             placement: crate::collections::Placement::Hash,
             use_lb: false,
         };
-        self.install_coll(spec, 1, 1);
+        self.install_coll(spec, 1);
         let main = crate::chare::holder_for(crate::runtime::Main, ctype);
         self.chares.insert(id, Slot::new(Box::new(main)));
         // analyze: allow(panic, "bootstrap runs exactly once and Runtime::run always sets the entry closure first")

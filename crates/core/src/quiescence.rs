@@ -7,17 +7,8 @@
 //! `sent == processed` — which rules out both in-flight messages and
 //! activity between the probes.
 //!
-//! ## Interaction with message aggregation
-//!
-//! With TRAM-style aggregation on (`Runtime::aggregation`, DESIGN.md §9), a
-//! message can be parked in a sender-side batch buffer: it was counted as
-//! *sent* at emit time but will never be *processed* until the buffer
-//! flushes, so `sent == processed` could never hold over it. Every PE
-//! therefore flushes all of its aggregation buffers when a probe reaches it
-//! (`sweep.rs`), putting the parked traffic in flight; detection
-//! then converges through the ordinary two-identical-rounds rule, merely
-//! taking extra rounds. No counter arithmetic changes — batch envelopes
-//! themselves are never QD-counted, only their constituents are.
+//! This module is the rule; the probe wave that feeds it (and why a probe
+//! first flushes the PE's aggregation buffers) is `sweep.rs`.
 
 use crate::ids::FutureId;
 

@@ -280,8 +280,8 @@ struct RedState {
 
 /// One PE's in-flight reductions and the custom reducers they may name.
 ///
-/// **Envelopes:** `RedPartial`, `RedDeliver`, `RedBroadcast`
-/// ([`PeState::on_reduction`]). **Invariants:** members number their
+/// **Envelopes:** `RedPartial`, `RedBroadcast` ([`PeState::on_reduction`]);
+/// a `RedDeliver` is routed to its chare like an entry message (`pe.rs`). **Invariants:** members number their
 /// contributions per collection (`Slot::red_seq`), so reductions on one
 /// collection may overlap; a PE sends its subtree's partial up the moment
 /// the count reaches `CollState::subtree_members`, and a count above it is
@@ -299,13 +299,8 @@ impl Reductions {
         }
     }
 
-    /// Reductions still collecting contributions on this PE.
-    pub(crate) fn in_flight(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `(collection, redno, members counted so far)` per in-flight
-    /// reduction, for the stall dump.
+    /// `(collection, redno, members counted so far)` per reduction still
+    /// collecting contributions here, for the stall dump.
     pub(crate) fn progress(&self) -> Vec<(CollectionId, u64, u64)> {
         self.table
             .iter()
@@ -357,7 +352,6 @@ impl PeState {
                 self.red_merge(coll, redno, count, data, reducer, target);
                 self.red_try_complete(coll, redno);
             }
-            EnvKind::RedDeliver { to, tag, data } => self.route_reduced(to, tag, data),
             EnvKind::RedBroadcast {
                 coll,
                 tag,
@@ -365,7 +359,7 @@ impl PeState {
                 root,
             } => {
                 let tree = self.cfg.tree;
-                let members = self.local_members(coll);
+                let members = self.sorted_chares(|id| id.coll == coll);
                 // Children first, then local members; the last of them
                 // (last member, or last child when this PE hosts none)
                 // takes the value by move.
@@ -381,7 +375,7 @@ impl PeState {
                     self.invoke(id, Invoke::Reduced(tag, data.next()));
                 }
             }
-            // analyze: allow(panic, "dispatch hands this module only the three kinds above")
+            // analyze: allow(panic, "dispatch hands this module only the two kinds above")
             other => unreachable!("not a reduction envelope: {other:?}"),
         }
     }
@@ -486,7 +480,9 @@ impl PeState {
         }
         match target {
             RedTarget::Future(fid) => self.send_future(fid, OutPayload::new(data)),
-            RedTarget::Element(id, tag) => self.route_reduced(id, tag, data),
+            RedTarget::Element(to, tag) => {
+                self.route(self.pe, to, EnvKind::RedDeliver { to, tag, data })
+            }
             RedTarget::Broadcast(coll, tag) => {
                 let root = self.pe;
                 self.emit(

@@ -1360,7 +1360,7 @@ pub(crate) fn virtual_epoch<T: Transport>(
     {
         let probe = pes[0].cfg.analyze_probe.as_ref();
         crate::analyze::check_balance(
-            pes.iter().map(|p| p.det_summary()).collect(),
+            pes.iter().map(|p| p.det.summary()).collect(),
             !clean_exit,
             probe,
         );

@@ -101,21 +101,21 @@ fn one_of_each() -> Vec<EnvKind> {
                 red_seq: 4,
                 for_lb: true,
                 trail: vec![0, 3],
+                seq: 6,
             }),
         },
         EnvKind::LocationUpdate {
             id: chare(4),
             pe: 2,
+            seq: 6,
         },
         EnvKind::SubtreeAdd { coll, delta: -3 },
         EnvKind::LbPoll,
         EnvKind::LbStats {
             stats: vec![stat.clone()],
-            at_sync: 1,
         },
         EnvKind::LbDoMigrate {
             moves: vec![(chare(5), 3)],
-            total: 1,
         },
         EnvKind::LbMigrated,
         EnvKind::LbResume { root: 0 },

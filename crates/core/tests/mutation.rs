@@ -1,6 +1,15 @@
-//! Mutation smoke test (`--features mutation-ckptack`, DESIGN.md §11).
+//! Mutation smoke tests (DESIGN.md §11): each `mutation-*` feature puts one
+//! known bug back into the runtime, and `charm-check` must rediscover it
+//! and shrink the counterexample. Every item below is gated on the feature
+//! whose half it belongs to, so either feature alone builds and runs.
 //!
-//! The feature reintroduces the seed's stray-CkptAck panic (fixed in the
+//! `mutation-stale-locupdate` makes `Locations::learn` write
+//! unconditionally, so a stale `LocationUpdate` can replace the fresher
+//! record a departure or a look-ahead update just wrote: the forwarding bug
+//! versioned location records removed. The chase program `check.rs`
+//! exhausts cleanly must then lose its increment under some delivery order.
+//!
+//! `mutation-ckptack` reintroduces the seed's stray-CkptAck panic (fixed in the
 //! static-analysis PR by demoting it to a drop) and restores its
 //! reachability: the pre-fix network layer drew no app/control distinction,
 //! so the fault injector could duplicate a checkpoint ack. One duplicated
@@ -10,26 +19,37 @@
 //! counterexample to a handful of scheduling decisions, and produce a
 //! replay artifact that reproduces the failure bit-identically.
 
-#![cfg(feature = "mutation-ckptack")]
+#![cfg(any(feature = "mutation-ckptack", feature = "mutation-stale-locupdate"))]
 
-use charm_core::analyze::InjectFault;
-use charm_core::prelude::*;
-use charm_core::{CheckCfg, Store};
+use charm_core::CheckCfg;
+#[cfg(feature = "mutation-ckptack")]
+use charm_core::{analyze::InjectFault, prelude::*, Store};
+#[cfg(feature = "mutation-ckptack")]
 use charm_sim::MachineModel;
 
+#[cfg(feature = "mutation-stale-locupdate")]
+#[path = "common/chase.rs"]
+mod chase;
+
+#[cfg(feature = "mutation-ckptack")]
 const NPES: usize = 2;
 
+#[cfg(feature = "mutation-ckptack")]
 struct Bump {
     total: i64,
 }
+#[cfg(feature = "mutation-ckptack")]
 wire_struct! { Bump { total } }
 
+#[cfg(feature = "mutation-ckptack")]
 enum BumpMsg {
     Add(i64),
     Total,
 }
+#[cfg(feature = "mutation-ckptack")]
 wire_enum! { BumpMsg { Add(a), Total } }
 
+#[cfg(feature = "mutation-ckptack")]
 impl Chare for Bump {
     type Msg = BumpMsg;
     type Init = ();
@@ -47,6 +67,7 @@ impl Chare for Bump {
 /// One bump on PE 1, a quiescence round (whose completion takes the
 /// automatic checkpoint — the protocol under attack), then a verified
 /// total and exit.
+#[cfg(feature = "mutation-ckptack")]
 fn program(co: &mut Co<Main>) {
     let c = co.ctx().create_chare::<Bump>((), Some(1));
     c.send(co.ctx(), BumpMsg::Add(7));
@@ -58,6 +79,7 @@ fn program(co: &mut Co<Main>) {
     co.ctx().exit();
 }
 
+#[cfg(feature = "mutation-ckptack")]
 fn mutated_runtime(n: u64) -> Runtime {
     let (rt, _probe) = Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
@@ -72,6 +94,7 @@ fn mutated_runtime(n: u64) -> Runtime {
 /// detail, so scan the first few positions until the duplicate lands on
 /// one — the mutated panic, not the detector's double-delivery finding,
 /// is the failure that proves the reintroduced bug was reached.
+#[cfg(feature = "mutation-ckptack")]
 #[test]
 fn check_rediscovers_and_shrinks_the_stray_ckptack_bug() {
     let dir = std::env::temp_dir().join(format!("charmrs-mutation-{}", std::process::id()));
@@ -149,6 +172,7 @@ fn check_rediscovers_and_shrinks_the_stray_ckptack_bug() {
 /// Without the injected duplicate the mutated runtime is indistinguishable
 /// from the fixed one on this program: every ack finds its window, so a
 /// bounded exploration reports no counterexample.
+#[cfg(feature = "mutation-ckptack")]
 #[test]
 fn mutated_runtime_is_clean_without_the_injected_duplicate() {
     let rt = Runtime::new(NPES)
@@ -167,5 +191,46 @@ fn mutated_runtime_is_clean_without_the_injected_duplicate() {
         report.counterexample.is_none(),
         "clean program produced a counterexample: {:?}",
         report.counterexample
+    );
+}
+
+/// With location records written unconditionally, some delivery order of
+/// the chase program lets a stale update replace a fresher record, and the
+/// increment then waits forever for a runner that already left (or chases
+/// it in circles, which the detector's forwarding bound cuts): `check` must
+/// find such an order without being told where to look, and shrink it.
+#[cfg(feature = "mutation-stale-locupdate")]
+#[test]
+fn check_rediscovers_and_shrinks_the_stale_location_update_bug() {
+    let report = chase::runtime().check(
+        CheckCfg {
+            max_executions: 20_000,
+            oracle: Some(std::sync::Arc::new(chase::stalled)),
+            ..CheckCfg::default()
+        },
+        chase::program,
+    );
+    let cx = report.counterexample.unwrap_or_else(|| {
+        panic!(
+            "{} executions of the mutated runtime lost nothing",
+            report.executions
+        )
+    });
+    println!(
+        "stale-locupdate: caught after {} executions: {} ({} decisions, {} before shrinking)",
+        report.executions, cx.failure, cx.decisions, cx.original_len
+    );
+    assert!(
+        cx.failure.contains("never landed") || cx.failure.contains("forwarding chain"),
+        "caught something else: {}",
+        cx.failure
+    );
+    // Golden `(executions, decisions found, decisions after shrinking)`:
+    // the mutant loses the increment in the very first (default) schedule,
+    // whose 18 forced decisions shrink to none.
+    assert_eq!(
+        (report.executions, cx.original_len, cx.decisions),
+        (1, 18, 0),
+        "how the stale-update mutant is caught moved"
     );
 }
