@@ -588,12 +588,13 @@ impl EnvKind {
     }
 
     /// The collection whose spec a PE must hold before it can act on this
-    /// envelope: its destination chare's, or the one it names. A scheduler
-    /// parks the envelope until that spec arrives (creation is a tree
-    /// broadcast, so traffic for a new collection can outrun it).
+    /// envelope; a scheduler parks the envelope until that spec arrives
+    /// (creation is a tree broadcast, so traffic for a new collection can
+    /// outrun it). `None` also for the two kinds addressed to one chare,
+    /// `Entry` and `RedDeliver`: routing decides for them, after the local
+    /// slot lookup that settles the common case without touching the specs.
     pub fn coll(&self) -> Option<CollectionId> {
         match self {
-            EnvKind::Entry { to, .. } | EnvKind::RedDeliver { to, .. } => Some(to.coll),
             EnvKind::BroadcastEntry { coll, .. }
             | EnvKind::InsertElem { coll, .. }
             | EnvKind::DoneInserting { coll }

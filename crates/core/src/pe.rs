@@ -824,23 +824,17 @@ impl PeState {
         let Some(slot) = self.chares.get_mut(&id) else {
             // The chare migrated away between routing and invocation
             // (possible when draining buffers); re-route.
-            let to = id;
-            return match what {
-                Invoke::Entry(msg, reply, guard) => {
-                    let payload = Payload::Local(msg);
-                    let kind = EnvKind::Entry {
-                        to,
-                        payload,
-                        reply,
-                        guard,
-                    };
-                    self.route(self.pe, to, kind)
-                }
-                Invoke::Reduced(tag, data) => {
-                    self.route(self.pe, to, EnvKind::RedDeliver { to, tag, data })
-                }
-                Invoke::ResumeFromSync => {}
+            let kind = match what {
+                Invoke::Entry(msg, reply, guard) => EnvKind::Entry {
+                    to: id,
+                    payload: Payload::Local(msg),
+                    reply,
+                    guard,
+                },
+                Invoke::Reduced(tag, data) => EnvKind::RedDeliver { to: id, tag, data },
+                Invoke::ResumeFromSync => return,
             };
+            return self.route(self.pe, id, kind);
         };
         let mut boxed = slot.checkout();
         #[cfg(feature = "analyze")]
