@@ -75,10 +75,7 @@ pub use coro::Co;
 pub use ctx::{ArrayOpts, Ctx};
 pub use future::Future;
 pub use ids::{ChareId, CollectionId, FutureId, Index, Pe};
-pub use lb::{
-    greedy_refine_place, refine_limit, LbChareStat, LbMode, LbStats, LbStrategy, RefineOutcome,
-    REFINE_THRESHOLD_PERMILLE,
-};
+pub use lb::{GreedyRefineLb, LbChareStat, LbStats, LbStrategy};
 pub use msg::Message;
 pub use proxy::{Proxy, Section};
 pub use reduction::{RedData, RedTarget, Reducer};
@@ -113,7 +110,7 @@ pub mod prelude {
     pub use crate::ctx::{ArrayOpts, Ctx};
     pub use crate::future::Future;
     pub use crate::ids::{ChareId, Index, Pe};
-    pub use crate::lb::{LbChareStat, LbMode, LbStats, LbStrategy};
+    pub use crate::lb::{LbChareStat, LbStats, LbStrategy};
     pub use crate::msg::Message;
     pub use crate::proxy::{Proxy, Section};
     pub use crate::reduction::{RedData, RedTarget, Reducer};

@@ -16,7 +16,6 @@ use charm_wire::{
 
 use crate::collections::CollSpec;
 use crate::ids::{ChareId, CollectionId, FutureId, Index, Pe};
-use crate::lb::LbChareStat;
 use crate::reduction::{RedData, RedTarget, Reducer};
 
 /// Marker for types usable as entry-method arguments, constructor arguments
@@ -389,16 +388,8 @@ pub enum EnvKind {
         /// Members added (or removed, if negative) below this PE.
         delta: i64,
     },
-    /// PE 0 asks every PE to report LB stats; only PEs with *no local
-    /// participants* answer immediately (they would otherwise never reach
-    /// their at-sync trigger and the epoch would hang).
-    LbPoll,
-    /// Per-PE load statistics, sent to PE 0 at an LB sync point.
-    LbStats {
-        /// One entry per LB-participating local chare.
-        stats: Vec<LbChareStat>,
-    },
-    /// PE 0 instructs a PE to emigrate the listed chares.
+    /// An LB tree node (interior or root) instructs a PE to emigrate the
+    /// listed chares.
     LbDoMigrate {
         /// `(chare, destination)` pairs owned by the receiving PE. (The
         /// ordering PE tracks the epoch's completion count.)
@@ -411,19 +402,19 @@ pub enum EnvKind {
         /// Tree root of the relay (PE 0).
         root: Pe,
     },
-    /// Hierarchical LB ([`crate::lb::LbMode::Tree`]): a PE whose local
-    /// participants all reached at-sync nudges the LB root to start the
-    /// epoch's poll wave. At most one per PE per epoch; the root starts
-    /// the wave on the first matching kick and drops the rest.
+    /// A PE whose local LB participants all reached at-sync nudges the LB
+    /// root to start the epoch's poll wave. At most one per PE per epoch;
+    /// the root starts the wave on the first matching kick and drops the
+    /// rest.
     LbKick {
         /// The sender's LB epoch number (resumes seen); the root ignores
         /// kicks from any epoch but its current one, so a kick that
         /// arrives after its epoch completed cannot start a bogus wave.
         epoch: u64,
     },
-    /// Hierarchical LB: poll wave relayed down the LB group tree. A PE
-    /// reports up only after it has been polled, so child reports can
-    /// never race ahead of the epoch start.
+    /// LB poll wave relayed down the LB group tree. A PE reports up only
+    /// after it has been polled, so child reports can never race ahead of
+    /// the epoch start.
     LbTreePoll {
         /// LB epoch this wave belongs to. A PE that receives next epoch's
         /// poll before its own `LbResume` (the two travel different
@@ -432,8 +423,8 @@ pub enum EnvKind {
         /// LB tree root (PE 0).
         root: Pe,
     },
-    /// Hierarchical LB: a subtree's folded, bounded LB summary flowing up
-    /// the LB group tree (boxed — it carries three vectors).
+    /// A subtree's folded, bounded LB summary flowing up the LB group tree
+    /// (boxed — it carries three vectors).
     LbTreeReport {
         /// The subtree summary.
         report: Box<crate::lb::LbTreeReport>,
@@ -547,8 +538,6 @@ wire_enum! {
         MigrateChare { msg },
         LocationUpdate { id, pe, seq },
         SubtreeAdd { coll, delta },
-        LbPoll,
-        LbStats { stats },
         LbDoMigrate { moves },
         LbMigrated,
         LbResume { root },
@@ -717,7 +706,6 @@ impl EnvKind {
             // A frame wires two sparse histograms plus scalars; the cost
             // model only needs the order of magnitude.
             EnvKind::TelemetryFrame { .. } => HDR + 512,
-            EnvKind::LbStats { stats, .. } => HDR + stats.len() * 48,
             EnvKind::LbDoMigrate { moves, .. } => HDR + moves.len() * 40,
             EnvKind::LbTreeReport { report } => {
                 HDR + report.acceptors.len() * 16 + report.spill.len() * 48

@@ -29,7 +29,7 @@ use crate::coro::{CoroSide, Coros, WaitKind};
 use crate::ctx::{Ctx, CtxSeed, Op};
 use crate::future::{FutState, FutTable};
 use crate::ids::{ChareId, CollectionId, FutureId, Index, Pe};
-use crate::lb::{Lb, LbMode, LbStrategy};
+use crate::lb::{Lb, LbStrategy};
 use crate::location::{Locations, Route};
 use crate::msg::{BoxMsg, EnvKind, Envelope, OutPayload, Payload};
 use crate::reduction::{CustomReducers, RedData, Reductions};
@@ -43,10 +43,10 @@ pub(crate) struct SchedCfg {
     /// §II-D same-PE by-reference optimization (ablation toggle).
     pub same_pe_byref: bool,
     pub tree: TreeShape,
-    pub lb: Option<Arc<dyn LbStrategy>>,
-    /// How AtSync load balancing is coordinated (`Central` reproduces the
-    /// pre-hierarchical protocol bit for bit).
-    pub lb_mode: LbMode,
+    /// The strategy the LB tree's root runs.
+    pub lb: Arc<dyn LbStrategy>,
+    /// Fan-in of the LB tree (`npes` by default: one level).
+    pub lb_group_size: usize,
     /// Charge measured handler time to the virtual clock (sim backend).
     pub meter: bool,
     /// Machine model (sim backend only) for the dynamic-dispatch overhead.
@@ -598,9 +598,7 @@ impl PeState {
             kind @ (EnvKind::MigrateChare { .. } | EnvKind::LocationUpdate { .. }) => {
                 self.on_location(kind)
             }
-            kind @ (EnvKind::LbPoll
-            | EnvKind::LbStats { .. }
-            | EnvKind::LbDoMigrate { .. }
+            kind @ (EnvKind::LbDoMigrate { .. }
             | EnvKind::LbMigrated
             | EnvKind::LbResume { .. }
             | EnvKind::LbKick { .. }

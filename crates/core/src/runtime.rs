@@ -47,7 +47,7 @@ use crate::coro::{install_quiet_shutdown_hook, run_coroutine, Co};
 use crate::ctx::Ctx;
 use crate::driver::{drive, supervise, End, Ended, Failed, Poll, Transport};
 use crate::ids::Pe;
-use crate::lb::{LbMode, LbStrategy};
+use crate::lb::{GreedyRefineLb, LbStrategy};
 use crate::msg::{EnvKind, Envelope};
 use crate::pe::{CoroLauncher, PeState, RestoreFrom, SchedCfg};
 use crate::reduction::{CustomReducers, RedData, Reducer};
@@ -308,8 +308,8 @@ pub struct Runtime {
     same_pe_byref: bool,
     meter: bool,
     tree: TreeShape,
-    lb: Option<Arc<dyn LbStrategy>>,
-    lb_mode: LbMode,
+    lb: Arc<dyn LbStrategy>,
+    lb_group_size: usize,
     idle_timeout: Duration,
     registry: Registry,
     reducers: CustomReducers,
@@ -347,8 +347,8 @@ impl Runtime {
             same_pe_byref: true,
             meter: true,
             tree: TreeShape::default(),
-            lb: None,
-            lb_mode: LbMode::default(),
+            lb: Arc::new(GreedyRefineLb),
+            lb_group_size: npes,
             idle_timeout: Duration::from_secs(30),
             registry: Registry::default(),
             reducers: CustomReducers::default(),
@@ -452,20 +452,21 @@ impl Runtime {
         self
     }
 
-    /// Install a load-balancing strategy (enables at-sync LB).
+    /// The strategy the LB tree's root runs at every AtSync epoch over
+    /// what reaches it (default [`GreedyRefineLb`]).
     pub fn lb_strategy(mut self, lb: Arc<dyn LbStrategy>) -> Self {
-        self.lb = Some(lb);
+        self.lb = lb;
         self
     }
 
-    /// How at-sync stats are collected and placement decided:
-    /// [`LbMode::Central`] (default) gathers every chare stat on PE 0 and
-    /// runs the installed [`LbStrategy`]; [`LbMode::Tree`] refines
-    /// hierarchically up a group tree so no PE materializes the global
-    /// stat vector (the strategy object is not consulted). Sim backend
-    /// only for `Tree`.
-    pub fn lb_mode(mut self, mode: LbMode) -> Self {
-        self.lb_mode = mode;
+    /// Fan-in of the LB tree that gathers AtSync loads to PE 0. The
+    /// default, `npes`, is one level: the root's strategy sees every
+    /// candidate. A smaller group makes the tree hierarchical: interior
+    /// nodes refine placement within their subtree and pass only a bounded
+    /// residual up, so no PE holds the global stat vector.
+    pub fn lb_group_size(mut self, group_size: usize) -> Self {
+        assert!(group_size >= 1, "LB group size must be at least 1");
+        self.lb_group_size = group_size;
         self
     }
 
@@ -621,14 +622,6 @@ impl Runtime {
                 "telemetry sweeps are not supported on the Net backend".into(),
             ));
         }
-        // The hierarchical LB protocol's control messages have no wire
-        // form (orders are issued mid-fold from interior PEs, which the
-        // multi-process completion accounting does not cover yet).
-        if matches!(self.backend, Backend::Net(_)) && matches!(self.lb_mode, LbMode::Tree { .. }) {
-            return Err(RunError::Bootstrap(
-                "hierarchical LB (LbMode::Tree) is not supported on the Net backend".into(),
-            ));
-        }
         let restore_dir = self.restore_dir.take();
         let mut launch = self.launch();
         // Pre-validate a directory restore — a bad set is a typed error
@@ -683,8 +676,8 @@ impl Runtime {
                 },
                 same_pe_byref: self.same_pe_byref,
                 tree: self.tree,
-                lb: self.lb.clone(),
-                lb_mode: self.lb_mode,
+                lb: Arc::clone(&self.lb),
+                lb_group_size: self.lb_group_size,
                 meter: self.meter,
                 is_sim: sim_model.is_some(),
                 sim_model,

@@ -590,7 +590,7 @@ impl Chare for Cross {
     }
 }
 
-/// Dense array, a `LbMode::Tree` epoch with migrations, a broadcast
+/// Dense array, a 2-ary LB tree epoch with migrations, a broadcast
 /// reduction, then a quiescence round that takes the automatic checkpoint
 /// and the telemetry sweep.
 fn cross_program(co: &mut Co<Main>) {
@@ -616,7 +616,7 @@ fn cross_runtime() -> Runtime {
         .simulated(MachineModel::local(4))
         .meter_compute(false)
         .register_migratable::<Cross>()
-        .lb_mode(LbMode::Tree { group_size: 2 })
+        .lb_group_size(2)
         .auto_checkpoint(1, Store::Memory)
         .telemetry(TelemetryCfg::every(1))
 }

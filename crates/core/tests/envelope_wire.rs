@@ -37,7 +37,6 @@ fn one_of_each() -> Vec<EnvKind> {
         id: chare(1),
         pe: 2,
         load_ns: 12_345,
-        migratable: true,
     };
     vec![
         EnvKind::Entry {
@@ -110,10 +109,6 @@ fn one_of_each() -> Vec<EnvKind> {
             seq: 6,
         },
         EnvKind::SubtreeAdd { coll, delta: -3 },
-        EnvKind::LbPoll,
-        EnvKind::LbStats {
-            stats: vec![stat.clone()],
-        },
         EnvKind::LbDoMigrate {
             moves: vec![(chare(5), 3)],
         },

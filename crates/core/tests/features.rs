@@ -507,7 +507,7 @@ impl LbStrategy for AllToZero {
         stats
             .chares
             .iter()
-            .filter(|c| c.migratable && c.pe != 0)
+            .filter(|c| c.pe != 0)
             .map(|c| (c.id, 0))
             .collect()
     }

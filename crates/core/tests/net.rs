@@ -13,7 +13,9 @@
 //!    the analyze harness) is detected, respawned, restored from the disk
 //!    checkpoint, and the run finishes identical to the failure-free run;
 //! 3. failure modes are typed errors (`Bootstrap`, `PeerLost`,
-//!    `RecoveryImpossible`), never hangs or panics.
+//!    `RecoveryImpossible`), never hangs or panics;
+//! 4. an AtSync LB epoch over a hierarchical LB tree places every chare
+//!    where the sim backend places it.
 //!
 //! Worker processes never return from `Runtime::run` — they exit inside
 //! the runtime when the run completes — so everything after `run()` in a
@@ -365,5 +367,131 @@ fn telemetry_on_net_backend_is_rejected_up_front() {
     assert!(
         matches!(err, RunError::Bootstrap(_)),
         "unexpected error: {err}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 4. AtSync load balancing across processes ≡ sim.
+// ---------------------------------------------------------------------------
+
+/// The LB root's strategy: every candidate that reached it moves to PE 0.
+struct AllToZero;
+
+impl LbStrategy for AllToZero {
+    fn assign(&self, stats: &LbStats) -> Vec<(ChareId, Pe)> {
+        stats
+            .chares
+            .iter()
+            .filter(|c| c.pe != 0)
+            .map(|c| (c.id, 0))
+            .collect()
+    }
+}
+
+/// An AtSync participant that reports where it ended up.
+struct Balanced {
+    done: Option<Future<RedData>>,
+}
+wire_struct! { Balanced { done } }
+
+enum BalancedMsg {
+    Sync { done: Future<RedData> },
+}
+wire_enum! { BalancedMsg { Sync { done } } }
+
+impl Chare for Balanced {
+    type Msg = BalancedMsg;
+    type Init = ();
+    fn create(_: (), _: &mut Ctx) -> Self {
+        Balanced { done: None }
+    }
+    fn receive(&mut self, BalancedMsg::Sync { done }: BalancedMsg, ctx: &mut Ctx) {
+        self.done = Some(done);
+        // Block placement puts elements 2 and 3 on PE 1, whose LB-tree
+        // subtree is {1, 3} under a 2-ary tree: 39 ms overflow PE 1 alone
+        // but fit the pair, so interior PE 1 orders element 3 to PE 3. The
+        // margins (20 ms against a 20.475 ms limit) dwarf the measured
+        // handler time a real process adds.
+        let ms = match ctx.my_index().first() {
+            2 => 20,
+            3 => 19,
+            _ => 0,
+        };
+        ctx.charge(Duration::from_millis(ms));
+        ctx.at_sync();
+    }
+    fn resume_from_sync(&mut self, ctx: &mut Ctx) {
+        // One slot per element; Sum-reducing the one-hot rows yields the
+        // final index -> PE map.
+        let done = self.done.take().expect("resumed without Sync");
+        let mut v = vec![0i64; N as usize];
+        v[ctx.my_index().first() as usize] = ctx.my_pe() as i64;
+        ctx.contribute(
+            RedData::VecI64(v),
+            Reducer::Sum,
+            RedTarget::Future(done.id()),
+        );
+    }
+}
+
+/// One LB epoch over a 2-ary LB tree with [`AllToZero`] at its root;
+/// returns (final placements, report).
+fn balanced_once(rt: Runtime) -> (Vec<i64>, RunReport) {
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&out);
+    let report = rt
+        .register_migratable::<Balanced>()
+        .lb_strategy(Arc::new(AllToZero))
+        .lb_group_size(2)
+        .run(move |co| {
+            let arr = co.ctx().create_array_with::<Balanced>(
+                &[N],
+                (),
+                ArrayOpts {
+                    placement: Placement::Block,
+                    use_lb: true,
+                },
+            );
+            let done = co.ctx().create_future::<RedData>();
+            arr.send(co.ctx(), BalancedMsg::Sync { done });
+            let RedData::VecI64(placed) = co.get(&done) else {
+                panic!("no placement map");
+            };
+            *sink.lock().unwrap() = placed;
+            co.ctx().exit();
+        });
+    let placed = out.lock().unwrap().clone();
+    (placed, report)
+}
+
+/// Interior PEs issue migration orders and the root runs the installed
+/// strategy across real processes exactly as in the sim: same placements,
+/// same migration and epoch counts.
+#[test]
+fn four_process_lb_tree_matches_sim_backend() {
+    let sim = if is_net_worker() {
+        None
+    } else {
+        let rt = Runtime::new(NPES)
+            .simulated(charm_sim::MachineModel::local(NPES))
+            .meter_compute(false);
+        Some(balanced_once(rt))
+    };
+
+    let rt = Runtime::new(NPES).backend(Backend::Net(net_cfg(
+        "four_process_lb_tree_matches_sim_backend",
+    )));
+    let (placed, report) = balanced_once(rt);
+
+    let (sim_placed, sim_report) = sim.expect("only the root returns from the net run");
+    // Element 3 moved by interior PE 1, elements 4 and 5 by the root.
+    assert_eq!(sim_placed, [0, 0, 1, 3, 0, 0, 3, 3], "sim baseline moved");
+    assert_eq!((sim_report.migrations, sim_report.lb_epochs), (3, 1));
+    assert!(report.clean_exit, "net run must end via exit()");
+    assert_eq!(placed, sim_placed, "net placements diverged from the sim's");
+    assert_eq!(
+        (report.migrations, report.lb_epochs),
+        (sim_report.migrations, sim_report.lb_epochs),
+        "LB counters must not depend on the backend"
     );
 }

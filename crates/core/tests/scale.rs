@@ -186,7 +186,7 @@ fn lb_wave(npes: usize, nchares: u32, group_size: usize) -> charm_core::RunRepor
         )))
         .meter_compute(false)
         .register_migratable::<Worker>()
-        .lb_mode(LbMode::Tree { group_size });
+        .lb_group_size(group_size);
     rt.run(move |co| {
         let done = co.ctx().create_future::<RedData>();
         let arr = co.ctx().create_array_with::<Worker>(
