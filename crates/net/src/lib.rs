@@ -51,3 +51,4 @@ pub use cfg::{NetCfg, Spawn};
 pub use error::NetError;
 pub use launch::{is_net_worker, kill_self_hard, worker_env, Launcher, WorkerEnv};
 pub use node::{CounterSnapshot, NetEvent, NetNode};
+pub use peer::Body;

@@ -21,7 +21,7 @@ use crate::backoff::Backoff;
 use crate::cfg::NetCfg;
 use crate::error::NetError;
 use crate::frame;
-use crate::peer::{next_frame, spawn_writer, Inbound, PeerSender, Spares};
+use crate::peer::{next_frame, spawn_writer, Body, Inbound, PeerSender, Returns, Spares};
 use crate::proto::{
     Hello, Restart, Table, TableEntry, K_BYE, K_HELLO, K_PAYLOAD, K_PING, K_RESTART, K_STATS,
     K_TABLE,
@@ -47,7 +47,7 @@ pub enum NetEvent {
         /// Sending PE.
         src: usize,
         /// The encoded envelope, exactly as sent.
-        bytes: Vec<u8>,
+        bytes: Body,
     },
     /// A peer's connection was admitted (rendezvous, reconnect, readmit).
     PeerUp {
@@ -78,7 +78,7 @@ pub enum NetEvent {
         /// Reporting PE.
         pe: usize,
         /// Runtime-encoded counters.
-        bytes: Vec<u8>,
+        bytes: Body,
     },
 }
 
@@ -279,13 +279,14 @@ impl Shared {
 
     /// Read frames until the connection dies or says goodbye.
     fn reader_loop(self: &Arc<Self>, pe: usize, conn_epoch: u64, gen: u64, mut stream: TcpStream) {
+        let returns = Returns::new();
         let reason = loop {
             let Inbound {
                 kind,
                 src,
                 body,
                 wire_len,
-            } = match next_frame(&mut stream, self.cfg.max_frame) {
+            } = match next_frame(&mut stream, self.cfg.max_frame, &returns) {
                 Ok(f) => f,
                 Err(frame::FrameError::Closed) => break "connection closed".to_string(),
                 Err(frame::FrameError::Io(k, m))

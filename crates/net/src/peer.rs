@@ -15,11 +15,15 @@
 //! it with one `write` (the tests below count) and hands a large buffer
 //! back to the senders for the next frame ([`Spares`]). The reader takes
 //! the `src` prefix off a payload before reading the body straight into
-//! the `Vec` that becomes the event. The socket has `TCP_NODELAY` and no
-//! user-space buffer in front of it, so there is nothing to flush.
+//! the buffer that becomes the event's [`Body`]; a large one comes back
+//! to the reader when the consumer drops it ([`Returns`]). The socket has
+//! `TCP_NODELAY` and no user-space buffer in front of it, so there is
+//! nothing to flush.
 
+use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -38,7 +42,8 @@ pub(crate) enum WriteCmd {
     Close,
 }
 
-/// Frame sizes whose buffers the writer hands back for the next send. Below
+/// Frame sizes whose buffers go round a connection's loops: the writer's
+/// back to the senders, and the consumer's back to the reader. Below
 /// the range the allocator serves a buffer from a free list at no cost worth
 /// the hand-over; inside it glibc gives the pages of a freed buffer back to
 /// the kernel whenever they end up next to the top of a heap, and the next
@@ -48,20 +53,21 @@ pub(crate) enum WriteCmd {
 /// range frames are rare, and keeping them would make the bound on what a
 /// connection holds meaningless.
 const SPARE_LENS: std::ops::RangeInclusive<usize> = 64 << 10..=2 << 20;
-/// Most buffers on their way back at once; one more is dropped. Eight is
-/// the benchmark's stream window, so at most 16 MiB a connection.
+/// Most buffers on their way back at once, in each direction; one more is
+/// dropped. Eight is the benchmark's stream window, so at most 16 MiB a
+/// connection on each side.
 const SPARE_FRAMES: usize = 8;
 
-/// The senders' end of a connection's buffer loop: written frame buffers in
-/// [`SPARE_LENS`], oldest first. Not a cache of anything: a buffer here is
-/// one the connection had in flight a moment ago, so the loop is full-grown
-/// after the first window of large messages and holds nothing for a
-/// connection that sends none.
+/// The taking end of a connection's buffer loop: written frames (senders)
+/// or dropped bodies (reader) in [`SPARE_LENS`], oldest first. Not a cache
+/// of anything: a buffer here is one the connection had in flight a moment
+/// ago, so the loop is full-grown after the first window of large messages
+/// and holds nothing for a connection that moves none.
 pub(crate) struct Spares(Receiver<Vec<u8>>);
 
 impl Spares {
-    /// A buffer for a frame of `len` bytes: a written one if the frame is
-    /// in range and one is back, else none (`Vec::new()`).
+    /// A buffer for `len` bytes: one that came back if `len` is in range
+    /// and one is there, else none (`Vec::new()`).
     pub(crate) fn take(&self, len: usize) -> Vec<u8> {
         if !SPARE_LENS.contains(&len) {
             return Vec::new();
@@ -209,33 +215,129 @@ fn writer_loop<W: Write>(
     }
 }
 
+/// The bytes of one received frame after its `src` prefix: what a
+/// [`NetEvent::Payload`](crate::NetEvent::Payload) or `Stats` carries.
+/// Reads as a `[u8]`. A buffer in [`SPARE_LENS`] goes back to the
+/// connection's reader when the body is dropped, for the next frame of
+/// that range; any other is freed as a `Vec` would be.
+pub struct Body {
+    bytes: Vec<u8>,
+    /// The reader's loop, for an in-range buffer only.
+    home: Option<SyncSender<Vec<u8>>>,
+}
+
+impl Body {
+    /// The bytes, as a slice.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl Deref for Body {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl Drop for Body {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.take() {
+            // A full loop or a gone reader: the buffer is freed here.
+            let _ = home.try_send(std::mem::take(&mut self.bytes));
+        }
+    }
+}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.bytes.fmt(f)
+    }
+}
+
+impl PartialEq<[u8]> for Body {
+    fn eq(&self, other: &[u8]) -> bool {
+        self.bytes == other
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for Body {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        self.bytes == other
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Body {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        self.bytes == *other
+    }
+}
+
+impl PartialEq<Vec<u8>> for Body {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.bytes == *other
+    }
+}
+
+/// The reader's end of a connection's receive loop: where dropped
+/// [`Body`]s in [`SPARE_LENS`] come back, and where the next body of that
+/// range is read into.
+pub(crate) struct Returns {
+    home: SyncSender<Vec<u8>>,
+    spares: Spares,
+}
+
+impl Returns {
+    pub(crate) fn new() -> Returns {
+        let (home, spares) = sync_channel(SPARE_FRAMES);
+        Returns {
+            home,
+            spares: Spares(spares),
+        }
+    }
+
+    /// `bytes` as a body that comes back here if its buffer is in range.
+    fn lease(&self, bytes: Vec<u8>) -> Body {
+        let home = SPARE_LENS
+            .contains(&bytes.capacity())
+            .then(|| self.home.clone());
+        Body { bytes, home }
+    }
+}
+
 /// One inbound frame as the node consumes it.
 pub(crate) struct Inbound {
     /// Frame kind byte.
     pub(crate) kind: u8,
     /// The sending PE, for the kinds whose payload starts with it.
     pub(crate) src: Option<u32>,
-    /// The payload after that prefix, in a buffer of its own.
-    pub(crate) body: Vec<u8>,
+    /// The payload after that prefix.
+    pub(crate) body: Body,
     /// Bytes the frame took on the wire, header included.
     pub(crate) wire_len: usize,
 }
 
 /// The read half: the next frame off `rd`. For payload and stats frames the
 /// 4-byte `src` prefix is taken off *before* the body is read, so the body
-/// lands in the exact-size `Vec` the event carries away, untouched
-/// afterwards. A frame of those kinds too short to hold the prefix comes
-/// back whole with `src: None`.
-pub(crate) fn next_frame<R: Read>(rd: &mut R, max_frame: usize) -> Result<Inbound, FrameError> {
+/// lands in the buffer the event carries away, untouched afterwards: one
+/// back from `returns` when the body is in range, else an exact-size `Vec`.
+/// A frame of those kinds too short to hold the prefix comes back whole
+/// with `src: None`.
+pub(crate) fn next_frame<R: Read>(
+    rd: &mut R,
+    max_frame: usize,
+    returns: &Returns,
+) -> Result<Inbound, FrameError> {
     let head = frame::read_header(rd, max_frame)?;
     let mut src = [0u8; 4];
     let prefixed = matches!(head.kind, K_PAYLOAD | K_STATS) && head.len >= src.len();
     let prefix = if prefixed { &mut src[..] } else { &mut [] };
-    let body = frame::read_body(rd, &head, prefix)?;
+    let spare = returns.spares.take(head.len - prefix.len());
+    let body = frame::read_body_in(rd, &head, prefix, spare)?;
     Ok(Inbound {
         kind: head.kind,
         src: prefixed.then_some(u32::from_le_bytes(src)),
-        body,
+        body: returns.lease(body),
         wire_len: frame::HDR_LEN + head.len,
     })
 }
@@ -267,10 +369,15 @@ mod tests {
     }
 
     /// Every frame in `bytes`, and the error that ended the stream.
-    fn read_all(mut bytes: &[u8]) -> (Vec<Inbound>, FrameError) {
+    fn read_all(bytes: &[u8]) -> (Vec<Inbound>, FrameError) {
+        read_all_in(bytes, &Returns::new())
+    }
+
+    /// [`read_all`] with the bodies' buffers taken from `returns`.
+    fn read_all_in(mut bytes: &[u8], returns: &Returns) -> (Vec<Inbound>, FrameError) {
         let mut got = Vec::new();
         loop {
-            match next_frame(&mut bytes, frame::DEFAULT_MAX_FRAME) {
+            match next_frame(&mut bytes, frame::DEFAULT_MAX_FRAME, returns) {
                 Ok(f) => got.push(f),
                 Err(e) => return (got, e),
             }
@@ -305,7 +412,7 @@ mod tests {
             let (got, end) = read_all(&out.bytes);
             assert_eq!(end, FrameError::Closed);
             assert_eq!(got.len(), 1);
-            assert_eq!((got[0].src, &got[0].body), (Some(1), &body));
+            assert_eq!((got[0].src, got[0].body.as_slice()), (Some(1), &body[..]));
         }
     }
 
@@ -390,5 +497,78 @@ mod tests {
             };
             assert_eq!(end, want, "cut at {cut}");
         }
+    }
+
+    /// A body of `len` bytes that differ from their neighbours.
+    fn varied(len: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 31) >> 3) as u8).collect()
+    }
+
+    #[test]
+    fn a_returned_buffer_longer_than_the_body_holds_exactly_the_body() {
+        let lo = *SPARE_LENS.start();
+        let returns = Returns::new();
+        returns.home.send(vec![0xEE; 2 * lo]).unwrap();
+        let body = varied(lo);
+        let bytes = frame::sealed(K_PAYLOAD, &[&1u32.to_le_bytes(), &body]);
+        let (got, end) = read_all_in(&bytes, &returns);
+        assert_eq!(end, FrameError::Closed);
+        assert_eq!(got[0].src, Some(1));
+        assert!(got[0].body == body, "the body and no stale tail");
+        assert_eq!(got[0].body.bytes.capacity(), 2 * lo, "read in place");
+        // Dropped, it goes back for the next frame of the range.
+        drop(got);
+        assert_eq!(returns.spares.take(lo).capacity(), 2 * lo);
+    }
+
+    #[test]
+    fn a_returned_buffer_keeps_torn_and_bad_crc_frames_typed() {
+        let lo = *SPARE_LENS.start();
+        let body = varied(lo);
+        let mut sealed = frame::sealed(K_PAYLOAD, &[&1u32.to_le_bytes(), &body]);
+        let returns = Returns::new();
+        let end = frame::HDR_LEN + 4 + lo;
+        // Every offset of the header and prefix, the last stretch, a stride.
+        for cut in (1..end).filter(|&c| c < 64 || end - c < 64 || c % 251 == 0) {
+            // A cut header takes none; the loop keeps the spares it has.
+            let _ = returns.home.try_send(vec![0xEE; 2 * lo]);
+            let (got, err) = read_all_in(&sealed[..cut], &returns);
+            assert!(got.is_empty());
+            let want = match cut {
+                c if c < frame::HDR_LEN => FrameError::Torn {
+                    needed: frame::HDR_LEN,
+                    got: c,
+                },
+                c => FrameError::Torn {
+                    needed: 4 + lo,
+                    got: c - frame::HDR_LEN,
+                },
+            };
+            assert_eq!(err, want, "cut at {cut}");
+        }
+        sealed[end - 1] ^= 1;
+        let (got, err) = read_all_in(&sealed, &returns);
+        assert!(got.is_empty());
+        assert!(matches!(err, FrameError::BadPayloadCrc { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn only_in_range_bodies_come_back_and_at_most_spare_frames_of_them() {
+        let (lo, hi) = (*SPARE_LENS.start(), *SPARE_LENS.end());
+        let returns = Returns::new();
+        for len in [0, 8, lo - 1, hi + 1] {
+            let body = returns.lease(vec![1; len]);
+            assert!(body.home.is_none(), "{len} bytes");
+            drop(body);
+            assert!(
+                returns.spares.0.try_recv().is_err(),
+                "{len} bytes went back"
+            );
+        }
+        let bodies: Vec<Body> = (0..=SPARE_FRAMES)
+            .map(|_| returns.lease(vec![1; lo]))
+            .collect();
+        drop(bodies);
+        assert_eq!(returns.spares.0.try_iter().count(), SPARE_FRAMES);
     }
 }

@@ -1,7 +1,8 @@
 //! Copy accounting on the real path, under a counting allocator: a large
 //! payload is given memory once where it is sent and once where it
-//! arrives. (The syscall half of the budget is counted with `Write` /
-//! `Read` doubles in `src/peer.rs`.)
+//! arrives, and once the connection's buffers are back, not at all. (The
+//! syscall half of the budget is counted with `Write` / `Read` doubles in
+//! `src/peer.rs`.)
 //!
 //! One test only: the count is process-wide.
 
@@ -10,7 +11,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use charm_net::{NetCfg, NetEvent, NetNode};
+use charm_net::{Body, NetCfg, NetEvent, NetNode};
 
 const MIB: usize = 1 << 20;
 
@@ -55,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-fn next_payload(node: &NetNode) -> Vec<u8> {
+fn next_payload(node: &NetNode) -> Body {
     loop {
         match node.events().recv_timeout(Duration::from_secs(5)) {
             Ok(NetEvent::Payload { bytes, .. }) => return bytes,
@@ -65,8 +66,34 @@ fn next_payload(node: &NetNode) -> Vec<u8> {
     }
 }
 
+/// Wait until `node`'s writers have put `n` more bytes on the wire than
+/// `from`: past that, each written frame buffer is back with its senders.
+fn written(node: &NetNode, from: u64, n: usize) {
+    while node.counters().bytes_sent < from + n as u64 {
+        std::thread::yield_now();
+    }
+}
+
+/// Large allocations one 1 MiB round trip makes: `(sending, receiving)`,
+/// where this thread does every send and the nodes' readers every receive.
+/// Each body is dropped before the next arrives.
+fn round_trip(root: &NetNode, worker: &NetNode, msg: &[u8]) -> (usize, usize) {
+    let (big0, mine0) = (BIG.load(Ordering::SeqCst), MINE.get());
+    let wire = (root.counters().bytes_sent, worker.counters().bytes_sent);
+    root.send_payload(1, msg).expect("send");
+    let there = next_payload(worker);
+    assert!(there == *msg);
+    worker.send_payload(0, &there).expect("echo");
+    drop(there);
+    assert!(next_payload(root) == *msg);
+    written(root, wire.0, MIB);
+    written(worker, wire.1, MIB);
+    let mine = MINE.get() - mine0;
+    (mine, BIG.load(Ordering::SeqCst) - big0 - mine)
+}
+
 #[test]
-fn a_1mib_payload_is_given_memory_once_on_each_side() {
+fn a_1mib_payload_is_given_memory_once_on_each_side_then_never() {
     let cfg = NetCfg::new();
     let root = NetNode::root(&cfg, 2, 0xACC0).expect("root");
     let addr = root.listen_addr();
@@ -76,35 +103,21 @@ fn a_1mib_payload_is_given_memory_once_on_each_side() {
     };
     root.await_workers().expect("rendezvous");
     let worker = joining.join().expect("worker thread").expect("worker");
-    // Both directions warm: threads up, burst and read buffers in place.
+    // Both directions warm: threads up, small buffers in place.
     root.send_payload(1, b"warm").expect("send");
     assert_eq!(next_payload(&worker), b"warm");
+    worker.send_payload(0, b"warm").expect("send");
+    assert_eq!(next_payload(&root), b"warm");
 
     let msg: Vec<u8> = (0..MIB).map(|i| ((i * 31) >> 3) as u8).collect();
-    let wire0 = root.counters().bytes_sent;
-    let (big0, mine0) = (BIG.load(Ordering::SeqCst), MINE.get());
-    root.send_payload(1, &msg).expect("send");
-    let got = next_payload(&worker);
-    let mine = MINE.get() - mine0;
-    let theirs = BIG.load(Ordering::SeqCst) - big0 - mine;
-    assert_eq!(mine, 1, "sending side: the frame buffer and nothing else");
     assert_eq!(
-        theirs, 1,
-        "receiving side: the event's Vec and nothing else"
+        round_trip(&root, &worker, &msg),
+        (2, 2),
+        "a frame buffer where each message is sent, a body where it arrives"
     );
-    assert_eq!(got.capacity(), got.len());
-    assert!(got == msg);
-
-    // The writer has the frame buffer back once it has counted the frame,
-    // so the next large message is given no memory where it is sent.
-    while root.counters().bytes_sent < wire0 + MIB as u64 {
-        std::thread::yield_now();
-    }
-    let (big0, mine0) = (BIG.load(Ordering::SeqCst), MINE.get());
-    root.send_payload(1, &msg).expect("send");
-    assert!(next_payload(&worker) == msg);
-    assert_eq!(MINE.get() - mine0, 0, "sending side: the spare buffer");
-    assert_eq!(BIG.load(Ordering::SeqCst) - big0, 1, "receiving side");
+    // The writers have their frame buffers back and the readers the bodies
+    // the consumer dropped, so the next round trip is given no memory.
+    assert_eq!(round_trip(&root, &worker, &msg), (0, 0));
 
     worker.drain(cfg.drain_timeout).expect("drain");
     root.drain(cfg.drain_timeout).expect("drain");

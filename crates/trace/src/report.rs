@@ -86,8 +86,8 @@ pub struct PePerf {
     /// forwarding-trail collapse.
     pub fwd_hops: u64,
     /// Peak load-balancing chare-stat records materialized on this PE at
-    /// once. Central mode concentrates O(nchares) on PE 0; hierarchical
-    /// mode bounds this by the group size.
+    /// once. A one-level LB tree (group size `npes`) gathers all O(nchares)
+    /// on its root; a deeper tree bounds this by the group size.
     pub lb_peak_stats: u64,
 }
 

@@ -36,7 +36,7 @@
 //!   ([`build_in`]: in a buffer the caller already owns);
 //!   [`read_header`] + [`read_body`] let a reader peel a fixed prefix off
 //!   the payload *before* the rest is read straight into the `Vec` it will
-//!   hand on.
+//!   hand on ([`read_body_in`]: into a buffer the reader got back).
 
 use std::io::{Read, Write};
 
@@ -393,15 +393,32 @@ pub fn read_header<R: Read>(r: &mut R, max: usize) -> Result<Head, FrameError> {
 
 /// Second phase: fill `prefix` from the front of the payload, read the
 /// rest straight into a fresh `Vec` and verify the checksum over both.
-///
-/// The `Vec` is reserved once, to the body's exact length when that is at
-/// most [`RESERVE_CAP`], and is filled in place: no zero-fill before the
-/// read and no shifting after it, so the caller can hand it on as is. A
-/// `prefix` longer than the payload reads as a torn frame.
+/// A `prefix` longer than the payload reads as a torn frame.
 pub fn read_body<R: Read>(
     r: &mut R,
     head: &Head,
     prefix: &mut [u8],
+) -> Result<Vec<u8>, FrameError> {
+    read_body_in(r, head, prefix, Vec::new())
+}
+
+/// Bytes [`read_body_in`] asks the stream for at a time: each step is
+/// summed right after the kernel wrote it, while it is still in cache.
+const STEP: usize = 64 << 10;
+
+/// [`read_body`] into `out`'s allocation when it holds the body, whatever
+/// `out` held: a reader that gets its delivered bodies back reads the next
+/// one without asking the allocator for anything. The bytes `out` already
+/// holds are read over in place; past them the body lands in spare
+/// capacity, with no zero-fill either way, and the result is exactly the
+/// body. An `out` too small is replaced by a fresh `Vec`, reserved to the
+/// body's length when that is at most [`RESERVE_CAP`] and grown after it
+/// with the bytes actually received.
+pub fn read_body_in<R: Read>(
+    r: &mut R,
+    head: &Head,
+    prefix: &mut [u8],
+    out: Vec<u8>,
 ) -> Result<Vec<u8>, FrameError> {
     let torn = |got| FrameError::Torn {
         needed: head.len,
@@ -414,14 +431,35 @@ pub fn read_body<R: Read>(
     if got < prefix.len() {
         return Err(torn(got));
     }
-    let mut body = Vec::with_capacity(body_len.min(RESERVE_CAP));
-    let got = r.take(body_len as u64).read_to_end(&mut body)?;
-    if got < body_len {
-        return Err(torn(prefix.len() + got));
-    }
     let mut sum = Sum32::new();
     sum.update(prefix);
-    sum.update(&body);
+    let mut body = if out.capacity() >= body_len {
+        out
+    } else {
+        Vec::with_capacity(body_len.min(RESERVE_CAP))
+    };
+    let mut at = 0;
+    while at < body_len {
+        let step = (body_len - at).min(STEP);
+        // Over bytes a reused buffer holds, in place: clearing it and
+        // appending instead cost ~7 % of a 1 MiB stream (EXPERIMENTS.md).
+        let got = if at + step <= body.len() {
+            read_full(r, &mut body[at..at + step])?
+        } else {
+            body.truncate(at);
+            if body.capacity() < at + step {
+                // Past the reserve: at most double what has arrived.
+                body.reserve_exact(body_len.min(2 * body.capacity()) - at);
+            }
+            r.by_ref().take(step as u64).read_to_end(&mut body)?
+        };
+        sum.update(&body[at..at + got]);
+        at += got;
+        if got < step {
+            return Err(torn(prefix.len() + at));
+        }
+    }
+    body.truncate(body_len);
     let found = sum.finish();
     if found != head.pcrc {
         return Err(FrameError::BadPayloadCrc {
@@ -631,6 +669,47 @@ mod tests {
         }
         bytes[HDR_LEN + 1] ^= 1;
         let err = read_body(&mut Cursor::new(&bytes[HDR_LEN..]), &head, &mut [0; 4]);
+        assert!(
+            matches!(err, Err(FrameError::BadPayloadCrc { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn read_body_in_reads_over_a_reused_buffer_and_keeps_every_check() {
+        let body = garbage(29, 2 * STEP + 40);
+        let bytes = sealed(4, &[&7u32.to_le_bytes(), &body]);
+        let head = read_header(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME).unwrap();
+        let payload = &bytes[HDR_LEN..];
+        let read_in = |payload: &[u8], out: Vec<u8>| {
+            read_body_in(&mut Cursor::new(payload), &head, &mut [0; 4], out)
+        };
+        // Longer than the body, or holding less of it than it has room for:
+        // exactly the body either way, in the same allocation.
+        let mut part_full = Vec::with_capacity(body.len());
+        part_full.extend_from_slice(&[0xEE; STEP + 9]);
+        for out in [vec![0xEEu8; body.len() + 100], part_full] {
+            let ptr = out.as_ptr();
+            let got = read_in(payload, out).unwrap();
+            assert!(got == body, "no stale byte");
+            assert_eq!(got.as_ptr(), ptr);
+        }
+        // Cut near the start, each step boundary and the end, and on a
+        // stride between: torn, with the bytes that did arrive.
+        let edges = [0, 4 + STEP, 4 + 2 * STEP, payload.len()];
+        for cut in (0..payload.len())
+            .filter(|c| c % 509 == 0 || edges.iter().any(|e| c.abs_diff(*e) <= 40))
+        {
+            let err = read_in(&payload[..cut], vec![0xEEu8; body.len() + 100]);
+            let want = FrameError::Torn {
+                needed: head.len,
+                got: cut,
+            };
+            assert_eq!(err, Err(want), "cut at {cut}");
+        }
+        let mut bad = payload.to_vec();
+        bad[4 + STEP + 1] ^= 1;
+        let err = read_in(&bad, vec![0xEEu8; body.len()]);
         assert!(
             matches!(err, Err(FrameError::BadPayloadCrc { .. })),
             "{err:?}"
