@@ -6,9 +6,12 @@
 //! `cap` and then spreads attempts with ±`jitter_pct`% of deterministic,
 //! seed-derived jitter — deterministic because the runtime's whole test
 //! story is reproducibility: given the same seed the schedule is a pure
-//! function, no wall clock or OS entropy involved.
+//! function, no wall clock or OS entropy involved. The jitter comes from
+//! the workspace's one PRNG ([`SplitMix64`]).
 
 use std::time::Duration;
+
+use crate::rng::SplitMix64;
 
 /// Backoff schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +55,7 @@ impl BackoffCfg {
 pub struct Backoff {
     cfg: BackoffCfg,
     attempt: u32,
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl Backoff {
@@ -62,23 +65,13 @@ impl Backoff {
         Backoff {
             cfg,
             attempt: 0,
-            // A zero xorshift state would stay zero; fold in a constant.
-            rng: seed ^ 0x9e37_79b9_7f4a_7c15,
+            rng: SplitMix64::new(seed),
         }
     }
 
     /// Attempts taken so far.
     pub fn attempts(&self) -> u32 {
         self.attempt
-    }
-
-    fn xorshift(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
     }
 
     /// The next delay to sleep before redialing, or `None` once the retry
@@ -101,7 +94,7 @@ impl Backoff {
             return Some(nominal);
         }
         // Uniform in [-amp, +amp] around the nominal delay.
-        let r = self.xorshift() % (2 * amp + 1);
+        let r = self.rng.below(2 * amp + 1);
         let jittered = nominal_ns - amp + r;
         Some(Duration::from_nanos(jittered))
     }

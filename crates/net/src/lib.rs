@@ -10,7 +10,8 @@
 //!   `{pe, epoch, nonce}` and their own listen port; the root broadcasts
 //!   the peer table; the mesh completes with a fixed dial direction (the
 //!   higher PE dials the lower PE's listener), so no connection is ever
-//!   established twice.
+//!   established twice. Each wait on the way (`accept`, the mesh wait)
+//!   wakes on its event, bounded by a deadline; none polls a timer.
 //! * **Heartbeats** — each connection's writer emits a ping whenever it has
 //!   been idle for `heartbeat_every`; each reader arms a read timeout of
 //!   `heartbeat_timeout`, so silent peer death is detected even when the
@@ -26,13 +27,15 @@
 //!   dropped at the door).
 //! * **Graceful drain** — shutdown flushes every bounded outbound queue,
 //!   sends a `Bye` so the peer can distinguish clean close from death, and
-//!   bounds the whole teardown with a deadline.
+//!   bounds the whole teardown with a deadline. A node dropped without a
+//!   drain is killed: port closed, connections severed.
 //!
 //! The crate is std-only and knows nothing about envelopes, chares or
 //! checkpoints — `charm-core`'s Net driver maps [`NetEvent`]s onto the
 //! restart supervisor. The framing layer is compiled from
 //! `charm-wire`'s hardened `frame` module source, so both crates agree on
-//! the byte format while this crate stays dependency-free.
+//! the byte format while this crate stays dependency-free; the backoff
+//! jitter draws from `charm-wire`'s `SplitMix64` the same way.
 
 #![forbid(unsafe_code)]
 
@@ -45,6 +48,10 @@ pub mod launch;
 pub mod node;
 pub mod peer;
 pub mod proto;
+// The jitter source for `backoff`; the rest of the module goes unused here.
+#[allow(dead_code)]
+#[path = "../../wire/src/rng.rs"]
+mod rng;
 
 pub use backoff::{Backoff, BackoffCfg};
 pub use cfg::{NetCfg, Spawn};

@@ -12,9 +12,9 @@
 //! clock, only the ordered event stream.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::backoff::Backoff;
@@ -37,6 +37,30 @@ pub(crate) fn now() -> Instant {
 pub(crate) fn pause(d: Duration) {
     // analyze: allow(net-hook, "supervision threads (backoff, watchdogs, polls) sleep by design; never runs on a scheduler thread")
     std::thread::sleep(d);
+}
+
+/// The waiting end of a thread's exit signal. The thread holds the other
+/// end and never sends on it, so the channel disconnects exactly when the
+/// thread is gone, however it left: a return, a panic, or a spawn that
+/// never ran it.
+pub(crate) struct Exited(mpsc::Receiver<()>);
+
+impl Exited {
+    /// The end the thread drops on its way out, and this one.
+    pub(crate) fn pair() -> (mpsc::Sender<()>, Exited) {
+        let (alive, exited) = mpsc::channel();
+        (alive, Exited(exited))
+    }
+
+    /// Wait until the thread has exited or `deadline` passes; whether it
+    /// has exited.
+    pub(crate) fn wait(&self, deadline: Instant) -> bool {
+        let left = deadline.saturating_duration_since(now());
+        matches!(
+            self.0.recv_timeout(left),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        )
+    }
 }
 
 /// What the transport reports up to the runtime driver.
@@ -98,7 +122,6 @@ pub(crate) struct Counters {
     pub(crate) corrupt_frames: AtomicU64,
     pub(crate) proto_errors: AtomicU64,
     pub(crate) byes_recv: AtomicU64,
-    pub(crate) writers_done: AtomicU64,
 }
 
 /// A point-in-time copy of the transport counters.
@@ -143,6 +166,8 @@ struct Slot {
     sender: Option<PeerSender>,
     /// Where that writer's large frame buffers come back for the next send.
     spares: Option<Spares>,
+    /// Fires when that writer has exited (what a drain waits on).
+    exited: Option<Exited>,
     /// Shutdown handle on the live connection (a clone of the stream), so
     /// an abrupt teardown can sever the socket out from under its threads.
     raw: Option<TcpStream>,
@@ -162,6 +187,8 @@ struct Shared {
     shutting: AtomicBool,
     // analyze: allow(net-hook, "peer table and address book are shared with reader/supervision threads; guarded by coarse short-lived mutexes")
     peers: Mutex<Vec<Slot>>,
+    /// Notified by every `install`: the mesh wait sleeps on it.
+    installed: Condvar,
     // analyze: allow(net-hook, "see above: address book mutex")
     table: Mutex<Vec<Option<(u64, SocketAddr)>>>,
     events: mpsc::Sender<NetEvent>,
@@ -237,7 +264,7 @@ impl Shared {
         stream: TcpStream,
     ) {
         let _ = stream.set_read_timeout(Some(self.cfg.heartbeat_timeout));
-        let (sender, spares) = spawn_writer(
+        let (sender, spares, exited) = spawn_writer(
             pe,
             match stream.try_clone() {
                 Ok(s) => s,
@@ -254,6 +281,13 @@ impl Shared {
         let gen;
         {
             let mut peers = self.peers();
+            // Checked under the lock `kill` and `drain` clear the table
+            // under, after they set the flag: a connection is either in
+            // the table they clear or never admitted. Dropping the writer's
+            // handle and the stream here closes it.
+            if self.shutting.load(Ordering::SeqCst) {
+                return;
+            }
             let slot = &mut peers[pe];
             slot.gen += 1;
             gen = slot.gen;
@@ -261,11 +295,13 @@ impl Shared {
             slot.bye = false;
             slot.sender = Some(sender);
             slot.spares = Some(spares);
+            slot.exited = Some(exited);
             slot.raw = raw;
             if let Some(a) = advertised {
                 slot.advertised = Some(a);
             }
         }
+        self.installed.notify_all();
         let me = Arc::clone(self);
         let spawned = std::thread::Builder::new()
             .name(format!("net-rd-{pe}"))
@@ -385,6 +421,7 @@ impl Shared {
             was_bye = slot.bye;
             slot.sender = None;
             slot.spares = None;
+            slot.exited = None;
             slot.raw = None;
             slot.gen += 1;
             want_gen = slot.gen;
@@ -553,28 +590,44 @@ impl Shared {
         self.install(pe, hello.epoch, advertised, stream);
     }
 
-    /// Accept loop: non-blocking listener polled so shutdown can stop it.
+    /// Accept loop: a blocking `accept`, so a dialer's handshake starts the
+    /// moment it connects. Shutdown sets `shutting` and then connects to
+    /// the listen address itself ([`Shared::wake_listener`]); whatever
+    /// `accept` returns once the flag is set is dropped unread and the loop
+    /// ends, closing the listener with it. A wake that fails only delays
+    /// the exit to the next dialer, who is turned away the same way.
     fn accept_loop(self: &Arc<Self>, listener: TcpListener) {
-        let _ = listener.set_nonblocking(true);
         loop {
+            let accepted = listener.accept();
             if self.shutting.load(Ordering::SeqCst) {
                 return;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     let me = Arc::clone(self);
                     let spawned = std::thread::Builder::new()
                         .name("net-accept".to_string())
                         .spawn(move || me.handshake_in(stream));
                     drop(spawned);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    pause(Duration::from_millis(10));
-                }
+                // Out of descriptors and the like: the error comes straight
+                // back, so back off rather than spin on it.
                 Err(_) => pause(Duration::from_millis(10)),
             }
         }
+    }
+
+    /// Knock on our own listener so a blocked `accept` returns and sees
+    /// `shutting` (set by the caller first). A node bound to an unspecified
+    /// address is reached over loopback.
+    fn wake_listener(&self, budget: Duration) {
+        let ip = match self.listen_addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        let addr = SocketAddr::new(ip, self.listen_addr.port());
+        let _ = TcpStream::connect_timeout(&addr, budget.max(Duration::from_millis(1)));
     }
 
     /// Queue a frame made by [`frame::build`] on `dst`'s writer.
@@ -615,6 +668,8 @@ impl Shared {
 pub struct NetNode {
     shared: Arc<Shared>,
     events: mpsc::Receiver<NetEvent>,
+    /// Fires when the listener thread has exited and the port is closed.
+    listener: Exited,
 }
 
 impl NetNode {
@@ -644,17 +699,26 @@ impl NetNode {
             shutting: AtomicBool::new(false),
             // analyze: allow(net-hook, "constructing the shared peer table; see the field declarations")
             peers: Mutex::new((0..npes).map(|_| Slot::default()).collect()),
+            installed: Condvar::new(),
             // analyze: allow(net-hook, "constructing the shared address book; see the field declarations")
             table: Mutex::new(vec![None; npes]),
             events: tx,
             counters: Arc::new(Counters::default()),
         });
         let accept = Arc::clone(&shared);
+        let (alive, listener_exited) = Exited::pair();
         std::thread::Builder::new()
             .name(format!("net-listen-{me}"))
-            .spawn(move || accept.accept_loop(listener))
+            .spawn(move || {
+                accept.accept_loop(listener);
+                drop(alive);
+            })
             .map_err(|e| NetError::Io(std::io::ErrorKind::Other, e.to_string()))?;
-        Ok(NetNode { shared, events: rx })
+        Ok(NetNode {
+            shared,
+            events: rx,
+            listener: listener_exited,
+        })
     }
 
     /// Bind the root's endpoint (PE 0). Workers are awaited separately so
@@ -703,26 +767,27 @@ impl NetNode {
         Ok(node)
     }
 
-    /// Poll until every remote slot has a live connection.
+    /// Wait until every remote slot has a live connection: each `install`
+    /// wakes the wait, and `budget` bounds it.
     fn wait_mesh(&self, budget: Duration) -> Result<(), NetError> {
         let deadline = now() + budget;
-        loop {
-            let missing: Vec<usize> = {
-                let peers = self.shared.peers();
-                (0..self.shared.npes)
-                    .filter(|&p| p != self.shared.me && peers[p].sender.is_none())
-                    .collect()
-            };
-            if missing.is_empty() {
-                return Ok(());
-            }
-            if now() >= deadline {
+        let (me, npes) = (self.shared.me, self.shared.npes);
+        let down = |peers: &[Slot], p: usize| p != me && peers[p].sender.is_none();
+        let mut peers = self.shared.peers();
+        while (0..npes).any(|p| down(&peers, p)) {
+            let left = deadline.saturating_duration_since(now());
+            if left.is_zero() {
+                let missing: Vec<usize> = (0..npes).filter(|&p| down(&peers, p)).collect();
                 return Err(NetError::Bootstrap(format!(
                     "mesh incomplete after {budget:?}: no connection to PE(s) {missing:?}"
                 )));
             }
-            pause(Duration::from_millis(5));
+            peers = match self.shared.installed.wait_timeout(peers, left) {
+                Ok((g, _)) => g,
+                Err(e) => e.into_inner().0,
+            };
         }
+        Ok(())
     }
 
     /// The local listener's address.
@@ -850,42 +915,68 @@ impl NetNode {
     /// whose drain already failed.
     pub fn kill(&self) {
         self.shared.shutting.store(true, Ordering::SeqCst);
-        let mut peers = self.shared.peers();
-        for slot in peers.iter_mut() {
-            slot.sender = None; // writers exit on disconnect, silently
-            slot.spares = None;
-            if let Some(raw) = slot.raw.take() {
-                let _ = raw.shutdown(std::net::Shutdown::Both);
+        self.shared.wake_listener(self.shared.cfg.connect_timeout);
+        {
+            let mut peers = self.shared.peers();
+            for slot in peers.iter_mut() {
+                slot.sender = None; // writers exit on disconnect, silently
+                slot.spares = None;
+                slot.exited = None;
+                if let Some(raw) = slot.raw.take() {
+                    let _ = raw.shutdown(std::net::Shutdown::Both);
+                }
             }
         }
+        // Bounded like the wake itself; an abrupt teardown reports nothing.
+        self.listener.wait(now() + self.shared.cfg.connect_timeout);
     }
 
-    /// Graceful shutdown: stop supervision, ask every writer to drain its
-    /// queue and say goodbye, and wait (bounded) for the flushes.
+    /// Graceful shutdown: stop admission and supervision, ask every writer
+    /// to drain its queue and say goodbye, and wait for the flushes and the
+    /// listener's exit, all within `timeout`.
     pub fn drain(&self, timeout: Duration) -> Result<(), NetError> {
-        self.shared.shutting.store(true, Ordering::SeqCst);
         let deadline = now() + timeout;
-        let done0 = self.shared.counters.writers_done.load(Ordering::SeqCst);
-        let taken: Vec<PeerSender> = {
+        self.shared.shutting.store(true, Ordering::SeqCst);
+        self.shared.wake_listener(timeout);
+        let taken: Vec<(PeerSender, Option<Exited>)> = {
             let mut peers = self.shared.peers();
-            peers.iter_mut().filter_map(|s| s.sender.take()).collect()
+            peers
+                .iter_mut()
+                .filter_map(|s| Some((s.sender.take()?, s.exited.take())))
+                .collect()
         };
-        let live = taken.len() as u64;
-        for sender in taken {
-            sender.close(timeout / 4);
-            // The handle drops here; the writer exits after the queued
-            // Close (or the disconnect) reaches it.
+        let exits: Vec<Exited> = taken
+            .into_iter()
+            .filter_map(|(sender, exited)| {
+                sender.close(timeout / 4);
+                // The handle drops here; the writer exits after the queued
+                // Close (or the disconnect) reaches it.
+                exited
+            })
+            .collect();
+        let flushing = exits.iter().filter(|e| !e.wait(deadline)).count();
+        if flushing > 0 {
+            return Err(NetError::Drain(format!(
+                "{flushing} writer(s) still flushing after {timeout:?}"
+            )));
         }
-        let target = done0.saturating_add(live);
-        while self.shared.counters.writers_done.load(Ordering::SeqCst) < target {
-            if now() >= deadline {
-                return Err(NetError::Drain(format!(
-                    "{} writer(s) still flushing after {timeout:?}",
-                    target - self.shared.counters.writers_done.load(Ordering::SeqCst)
-                )));
-            }
-            pause(Duration::from_millis(2));
+        if !self.listener.wait(deadline) {
+            return Err(NetError::Drain(format!(
+                "listener still open after {timeout:?}"
+            )));
         }
         Ok(())
+    }
+}
+
+impl Drop for NetNode {
+    /// A node nobody drained or killed goes down as [`NetNode::kill`] takes
+    /// it: the listener closes, the connections are severed and the peers
+    /// see them go down. Without this it would go on admitting dialers and
+    /// heartbeating its connections with no owner left to use them.
+    fn drop(&mut self) {
+        if !self.shared.shutting.load(Ordering::SeqCst) {
+            self.kill();
+        }
     }
 }

@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use crate::error::NetError;
 use crate::frame::{self, FrameError};
-use crate::node::Counters;
+use crate::node::{Counters, Exited};
 use crate::proto::{K_BYE, K_PAYLOAD, K_PING, K_STATS};
 
 /// What the owning node asks of a writer.
@@ -131,9 +131,9 @@ impl PeerSender {
 }
 
 /// Spawn the writer thread for one connection; the second handle is where
-/// its written buffers come back. `epoch` is stamped into heartbeat pings;
-/// `counters.writers_done` ticks when the thread exits, so a drain can wait
-/// for the last write without a timed join.
+/// its written buffers come back, the third fires when the thread has
+/// exited, so a drain can wait for the last write with a deadline.
+/// `epoch` is stamped into heartbeat pings.
 pub(crate) fn spawn_writer(
     pe: usize,
     mut stream: TcpStream,
@@ -141,9 +141,10 @@ pub(crate) fn spawn_writer(
     epoch: u64,
     cap: usize,
     counters: Arc<Counters>,
-) -> (PeerSender, Spares) {
+) -> (PeerSender, Spares, Exited) {
     let (tx, rx) = sync_channel::<WriteCmd>(cap.max(1));
     let (back, spares) = sync_channel(SPARE_FRAMES);
+    let (alive, exited) = Exited::pair();
     let builder = std::thread::Builder::new().name(format!("net-wr-{pe}"));
     let spawned = builder.spawn(move || {
         let wrote = writer_loop(&mut stream, &rx, heartbeat_every, epoch, &counters, &back);
@@ -151,12 +152,12 @@ pub(crate) fn spawn_writer(
             // After the goodbye: the peer's reader sees EOF, not a death.
             let _ = stream.shutdown(std::net::Shutdown::Write);
         }
-        counters.writers_done.fetch_add(1, Ordering::SeqCst);
+        drop(alive);
     });
     // A spawn failure leaves the channel sender-less; sends surface it as
     // PeerDown and the peer lifecycle treats the connection as dead.
     drop(spawned);
-    (PeerSender { tx }, Spares(spares))
+    (PeerSender { tx }, Spares(spares), exited)
 }
 
 /// Seal `buf`, put it on the wire with one call, count it, hand it back.

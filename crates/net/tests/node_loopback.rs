@@ -3,14 +3,16 @@
 //! Each test builds a small mesh of [`NetNode`]s on 127.0.0.1 inside this
 //! process (one node per would-be PE) and drives the full lifecycle:
 //! rendezvous, payload exchange, abrupt connection loss, reconnect,
-//! epoch-fenced readmission, and drain. The multi-*process* flavour (with
+//! epoch-fenced readmission, drain, and what each wait in that lifecycle
+//! costs in wall time. The multi-*process* flavour (with
 //! real `SIGKILL`s) lives in `multiproc.rs`; this file isolates the
 //! transport state machine from process management.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::mpsc::RecvTimeoutError;
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use charm_net::frame;
 use charm_net::proto::{Hello, K_HELLO, K_PAYLOAD};
@@ -400,4 +402,109 @@ fn interleaved_small_and_large_payloads_arrive_in_order_and_intact() {
     for node in &nodes {
         node.drain(cfg.drain_timeout).expect("drain");
     }
+}
+
+/// Held while a test times mesh assembly, so the timed tests do not load
+/// each other's cores.
+static TIMED: Mutex<()> = Mutex::new(());
+
+/// Median wall time, in ms, of assembling an `npes` mesh (root bind to
+/// every node bootstrapped) over ten meshes. Each is drained before the
+/// next is built.
+fn median_assembly_ms(npes: usize, nonce: u64) -> f64 {
+    let _alone = TIMED.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = test_cfg();
+    let mut ms: Vec<f64> = (0..10u64)
+        .map(|i| {
+            let t = Instant::now();
+            let nodes = mesh(&cfg, npes, nonce + i);
+            let took = t.elapsed().as_secs_f64() * 1e3;
+            for node in &nodes {
+                node.drain(cfg.drain_timeout).expect("drain");
+            }
+            took
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+#[test]
+fn a_two_node_mesh_assembles_without_waiting_out_a_timer() {
+    // Nothing to wait for but two handshakes on loopback; a 5-10 ms sleep
+    // quantum anywhere in accept or the mesh wait shows up whole.
+    let ms = median_assembly_ms(2, 0xC000);
+    assert!(ms < 5.0, "2-node mesh assembly median {ms:.2} ms");
+}
+
+#[test]
+fn a_four_node_mesh_assembles_without_waiting_out_a_timer() {
+    // Two rounds of dials: workers to the root, then, after the table,
+    // workers to each other.
+    let ms = median_assembly_ms(4, 0xD000);
+    assert!(ms < 10.0, "4-node mesh assembly median {ms:.2} ms");
+}
+
+/// Whether a connection to `addr` is refused right now. A node bound to an
+/// unspecified address is tried over loopback.
+fn refused(addr: SocketAddr) -> bool {
+    let addr = if addr.ip().is_unspecified() {
+        SocketAddr::new(Ipv4Addr::LOCALHOST.into(), addr.port())
+    } else {
+        addr
+    };
+    match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+        Ok(_) => false,
+        Err(e) => e.kind() == ErrorKind::ConnectionRefused,
+    }
+}
+
+#[test]
+fn a_listener_blocked_in_accept_closes_on_drain_and_on_kill() {
+    let cfg = test_cfg();
+    let any_ip = NetCfg {
+        bind_ip: Ipv4Addr::UNSPECIFIED.into(),
+        ..test_cfg()
+    };
+    for (how, cfg) in [("drain", &cfg), ("kill", &cfg), ("kill", &any_ip)] {
+        let root = NetNode::root(cfg, 2, 0xE000).expect("root");
+        let addr = root.listen_addr();
+        // Give the listener time to block in accept with nobody dialing.
+        std::thread::sleep(Duration::from_millis(50));
+        let t = Instant::now();
+        if how == "drain" {
+            root.drain(cfg.drain_timeout).expect("drain");
+        } else {
+            root.kill();
+        }
+        assert!(
+            t.elapsed() < cfg.drain_timeout,
+            "{how} took {:?}",
+            t.elapsed()
+        );
+        // Closed by the time the call returns: nobody can be admitted.
+        assert!(refused(addr), "{how} left {addr} accepting");
+    }
+}
+
+#[test]
+fn dropping_a_node_closes_its_port_and_its_connections() {
+    let cfg = test_cfg();
+    let mut nodes = mesh(&cfg, 2, 0xF000);
+    let worker = nodes.pop().unwrap();
+    let addr = worker.listen_addr();
+    drop(worker);
+    assert!(refused(addr), "a dropped node still accepts on {addr}");
+    // Severed, not left heartbeating: the root's reader sees it at once,
+    // well inside its heartbeat timeout.
+    let deadline = Instant::now() + cfg.heartbeat_timeout / 2;
+    while nodes[0].peer_live(1) {
+        assert!(
+            Instant::now() < deadline,
+            "the dropped node's connection is still up"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(nodes[0].counters().disconnects, 1);
+    nodes[0].drain(cfg.drain_timeout).expect("drain");
 }
