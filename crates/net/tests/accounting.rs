@@ -6,55 +6,15 @@
 //!
 //! One test only: the count is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../trace/tests/common/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::time::Duration;
 
 use charm_net::{Body, NetCfg, NetEvent, NetNode};
+use counting_alloc::{count_requests_from, large_requests};
 
 const MIB: usize = 1 << 20;
-
-/// Requests for at least 1 MiB, by any thread.
-static BIG: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// The same, by this thread.
-    static MINE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    if size >= MIB {
-        BIG.fetch_add(1, Ordering::SeqCst);
-        // `try_with`: the allocator also runs while a thread's TLS is torn down.
-        let _ = MINE.try_with(|c| c.set(c.get() + 1));
-    }
-}
-
-struct Counting;
-
-// SAFETY: defers every operation to `System` unchanged; the only addition
-// is a count of the large requests in an atomic and a const-initialised
-// thread-local (neither allocates).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 fn next_payload(node: &NetNode) -> Body {
     loop {
@@ -78,7 +38,7 @@ fn written(node: &NetNode, from: u64, n: usize) {
 /// where this thread does every send and the nodes' readers every receive.
 /// Each body is dropped before the next arrives.
 fn round_trip(root: &NetNode, worker: &NetNode, msg: &[u8]) -> (usize, usize) {
-    let (big0, mine0) = (BIG.load(Ordering::SeqCst), MINE.get());
+    let (big0, mine0) = large_requests();
     let wire = (root.counters().bytes_sent, worker.counters().bytes_sent);
     root.send_payload(1, msg).expect("send");
     let there = next_payload(worker);
@@ -88,12 +48,14 @@ fn round_trip(root: &NetNode, worker: &NetNode, msg: &[u8]) -> (usize, usize) {
     assert!(next_payload(root) == *msg);
     written(root, wire.0, MIB);
     written(worker, wire.1, MIB);
-    let mine = MINE.get() - mine0;
-    (mine, BIG.load(Ordering::SeqCst) - big0 - mine)
+    let (big, mine) = large_requests();
+    let mine = mine - mine0;
+    (mine, big - big0 - mine)
 }
 
 #[test]
 fn a_1mib_payload_is_given_memory_once_on_each_side_then_never() {
+    count_requests_from(MIB);
     let cfg = NetCfg::new();
     let root = NetNode::root(&cfg, 2, 0xACC0).expect("root");
     let addr = root.listen_addr();

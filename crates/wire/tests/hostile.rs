@@ -4,53 +4,16 @@
 //! input has not paid for. Also pins both layouts and the frame layout
 //! byte-for-byte.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../trace/tests/common/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::collections::BTreeMap;
 
 use std::io::{BufReader, Cursor};
 
 use charm_wire::frame::{self, FrameError};
 use charm_wire::{wire_enum, wire_struct, Buf, Codec, WireError};
-
-thread_local! {
-    /// Largest single allocation this thread (= this test) has requested.
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note_alloc(size: usize) {
-    // `try_with`: the allocator also runs while a thread's TLS is torn down.
-    let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(size)));
-}
-
-fn largest_alloc() -> usize {
-    LARGEST_ALLOC.with(Cell::get)
-}
-
-struct Watching;
-
-// SAFETY: defers every operation to `System` unchanged; the only addition
-// is a max over the requested sizes in a const-initialised thread-local
-// (which itself never allocates).
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc(new_size);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Watching = Watching;
+use counting_alloc::largest_request;
 
 /// No input in this file is longer than a few hundred bytes, so nothing a
 /// decoder allocates on its behalf may come near this.
@@ -141,7 +104,11 @@ fn truncation_at_every_offset_is_a_typed_error() {
             );
         }
     }
-    assert!(largest_alloc() < ALLOC_BOUND, "{} bytes", largest_alloc());
+    assert!(
+        largest_request() < ALLOC_BOUND,
+        "{} bytes",
+        largest_request()
+    );
 }
 
 /// LEB128 of `v` (test-side copy so the inputs are built independently).
@@ -200,9 +167,9 @@ fn length_larger_than_the_input_never_sizes_an_allocation() {
         assert!(Codec::Pickle.decode::<Shape>(&st).is_err());
     }
     assert!(
-        largest_alloc() < ALLOC_BOUND,
+        largest_request() < ALLOC_BOUND,
         "a decoder allocated {} bytes for a few-byte input",
-        largest_alloc()
+        largest_request()
     );
 }
 
@@ -408,9 +375,9 @@ fn a_frame_header_cannot_size_an_allocation_the_stream_has_not_paid_for() {
         }
     );
     assert!(
-        largest_alloc() <= frame::RESERVE_CAP + (4 << 10),
+        largest_request() <= frame::RESERVE_CAP + (4 << 10),
         "{} bytes reserved on a header's word",
-        largest_alloc()
+        largest_request()
     );
     // The same promise, then 3 MiB: memory follows the bytes received (the
     // body's Vec doubles 1, 2, 4 MiB; this stream itself is under 4 MiB).
@@ -425,9 +392,9 @@ fn a_frame_header_cannot_size_an_allocation_the_stream_has_not_paid_for() {
         }
     );
     assert!(
-        largest_alloc() <= 8 << 20,
+        largest_request() <= 8 << 20,
         "{} bytes allocated for 3 MiB received",
-        largest_alloc()
+        largest_request()
     );
 }
 
@@ -461,7 +428,11 @@ fn frame_truncation_at_every_offset_is_closed_or_torn() {
     }
     let mut buffered = BufReader::with_capacity(32, Cursor::new(&bytes));
     assert_eq!(frame::read_frame(&mut buffered, 100), Ok((4, payload)));
-    assert!(largest_alloc() < ALLOC_BOUND, "{} bytes", largest_alloc());
+    assert!(
+        largest_request() < ALLOC_BOUND,
+        "{} bytes",
+        largest_request()
+    );
 }
 
 #[test]
