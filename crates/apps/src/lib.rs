@@ -13,8 +13,9 @@
 //!   exchange in one program.
 //! * [`taskbench`] — the Task Bench overhead benchmark: a `width × steps`
 //!   task grid under five dependency patterns with a tunable per-task
-//!   grain, used by `benches/metg.rs` to measure the runtime's minimum
-//!   effective task granularity.
+//!   grain, whose minimum effective task granularity the `tb/*` rows of
+//!   `BENCH_tb.json` record (`cargo run -p charm-bench --bin ledger`
+//!   rewrites them).
 
 #![forbid(unsafe_code)]
 

@@ -7,7 +7,8 @@
 //! dependency [`Pattern`]. Because the useful work per task is a knob, the
 //! grid isolates exactly one quantity: the runtime's per-message overhead.
 //! Sweeping the grain downward until efficiency drops below 50% yields the
-//! METG (minimum effective task granularity) reported by `benches/metg.rs`.
+//! METG (minimum effective task granularity) recorded in the `tb/*` rows of
+//! `BENCH_tb.json` (`cargo run -p charm-bench --bin ledger` rewrites them).
 //!
 //! Every arrival is folded through a commutative wrapping sum before the
 //! value mix, so results are bit-identical under any delivery order — the

@@ -150,7 +150,6 @@ pub(crate) enum Ended {
     /// The run is over; this is what the report is folded from.
     Finished {
         traces: Vec<PeTrace>,
-        lb_epochs: u64,
         /// Application time when it is not the wall time (virtual makespan).
         time: Option<Duration>,
         clean_exit: bool,
@@ -236,7 +235,6 @@ pub(crate) fn supervise(
         let failed = match run(pes, boot, kill)? {
             Ended::Finished {
                 traces,
-                lb_epochs,
                 time,
                 clean_exit,
             } => {
@@ -244,7 +242,6 @@ pub(crate) fn supervise(
                 return Ok(finish_report(
                     wall,
                     time.unwrap_or(wall),
-                    lb_epochs,
                     recoveries,
                     clean_exit,
                     traces,

@@ -341,6 +341,11 @@ impl Lb {
         self.peak_stats
     }
 
+    /// LB epochs completed with this PE as the root (`PePerf::lb_epochs`).
+    pub(crate) fn epochs_done(&self) -> u64 {
+        self.root.epochs_done
+    }
+
     fn saw_stats(&mut self, held: usize) {
         self.peak_stats = self.peak_stats.max(held as u64);
     }
@@ -608,11 +613,6 @@ impl PeState {
             }
             self.invoke(id, Invoke::ResumeFromSync);
         }
-    }
-
-    /// LB epochs completed (read by the driver for the report; PE 0 only).
-    pub fn lb_epochs(&self) -> u64 {
-        self.lb.root.epochs_done
     }
 }
 

@@ -10,6 +10,7 @@
 
 use std::any::Any;
 
+use charm_trace::{Hist, MetricFrame, TopItem};
 use charm_wire::{
     wire_enum, wire_struct, Codec, EncodePool, Reader, Wire, WireBytes, WireError, Writer,
 };
@@ -173,23 +174,42 @@ pub struct MigrateMsg {
 wire_struct! { MigrateMsg { coll, index, data, buffered, load_ns, red_seq, for_lb, trail, seq } }
 
 /// The body of a [`EnvKind::TelemetryFrame`]: boxed — a frame carries two
-/// dense histograms and would otherwise dominate the enum size. Telemetry
-/// frames are in-process only (the Net backend rejects telemetry at
-/// configuration time), so both directions of the wire form are the typed
-/// "not wire-representable" error.
+/// dense histograms and would otherwise dominate the enum size. On the wire
+/// it is the frame's row words (`MetricFrame::to_words`), each histogram's
+/// words (`Hist::to_words`, checked on the way back in), the top-K list and
+/// its cap.
 #[derive(Debug)]
-pub struct TelemetryBody(pub Box<charm_trace::MetricFrame>);
+pub struct TelemetryBody(pub Box<MetricFrame>);
 
-impl TelemetryBody {
-    const NO_WIRE_FORM: WireError = WireError::Unsupported("telemetry frames on the Net backend");
-}
+/// What a [`TelemetryBody`] is on the wire.
+type FrameWire = (
+    (Vec<u64>, Vec<u64>, Vec<u64>),
+    (Vec<(String, u64, u64)>, u64),
+);
 
 impl Wire for TelemetryBody {
-    fn encode<W: Writer>(&self, _: &mut W) -> charm_wire::Result<()> {
-        Err(Self::NO_WIRE_FORM)
+    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+        let f = &*self.0;
+        let top = f.top.iter().map(|t| (t.label.clone(), t.weight, t.err));
+        let words = (f.to_words(), f.exec.to_words(), f.latency.to_words());
+        (words, (top.collect::<Vec<_>>(), f.top_cap as u64)).encode(w)
     }
-    fn decode<R: Reader>(_: &mut R) -> charm_wire::Result<Self> {
-        Err(Self::NO_WIRE_FORM)
+    fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
+        let ((words, exec, latency), (top, cap)) = FrameWire::decode(r)?;
+        let bad = |why| WireError::TypeMismatch {
+            found: why,
+            expected: "a telemetry frame",
+        };
+        let mut f = MetricFrame::from_words(&words)
+            .map_err(|e| WireError::InvalidLength(e.found as u64))?;
+        f.exec = Hist::from_words(&exec).map_err(bad)?;
+        f.latency = Hist::from_words(&latency).map_err(bad)?;
+        f.top = top
+            .into_iter()
+            .map(|(label, weight, err)| TopItem { label, weight, err })
+            .collect();
+        f.top_cap = usize::try_from(cap).map_err(|_| WireError::InvalidLength(cap))?;
+        Ok(TelemetryBody(Box::new(f)))
     }
 }
 

@@ -16,16 +16,15 @@
 //! (§13.1).
 //!
 //! Documented v1 limits (see DESIGN.md §13.5): the root process itself is
-//! not recoverable, recovery requires [`Store::Disk`] on a filesystem all
-//! processes share, and telemetry sweeps are rejected at configuration
-//! time.
+//! not recoverable, and recovery requires [`Store::Disk`] on a filesystem
+//! all processes share.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use charm_net::{Launcher, NetCfg, NetEvent, NetNode, WorkerEnv};
 use charm_trace::{PePerf, PeTrace};
-use charm_wire::{Codec, Reader, Wire, WireError, Writer};
+use charm_wire::Codec;
 
 use crate::checkpoint::Store;
 use crate::driver::{drive, supervise, End, Ended, Failed, Poll, Transport};
@@ -42,36 +41,6 @@ fn now() -> Instant {
 
 fn boot_err(e: charm_net::NetError) -> RunError {
     RunError::Bootstrap(e.to_string())
-}
-
-/// A worker's end-of-run statistics block — its [`PePerf`] plus the LB
-/// epochs it participated in — shipped to the root at shutdown so the
-/// [`RunReport`] covers every process. On the wire it is the counters in
-/// declaration order; the destructuring below makes a new `PePerf` field a
-/// compile error here rather than a silently dropped statistic.
-struct WirePerf(PePerf, u64);
-
-macro_rules! wire_perf {
-    ($($f:ident),*) => {
-        impl Wire for WirePerf {
-            fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
-                let WirePerf(PePerf { $($f),* }, lb_epochs) = self;
-                vec![$(*$f as u64,)* *lb_epochs].encode(w)
-            }
-            fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
-                let mut words = Vec::<u64>::decode(r)?.into_iter();
-                let mut next = || words.next().ok_or(WireError::Eof);
-                Ok(WirePerf(PePerf { $($f: next()? as _),* }, next()?))
-            }
-        }
-    };
-}
-wire_perf! {
-    pe, wall_ns, busy_ns, idle_ns, overhead_ns, msgs_sent, msgs_processed, sent_remote,
-    sent_local, bytes_sent_remote, bytes_sent_local, bytes_recv, bytes_encoded, entries,
-    migrations, guard_buffered, guard_drained, red_contributes, red_delivers, bcast_relays,
-    ckpt_bytes, stale_discarded, batches_sent, batch_msgs, slab_hits, slab_misses,
-    inline_payloads, dispatch_hits, dispatch_misses, events_dropped, fwd_hops, lb_peak_stats
 }
 
 /// This process's end of the mesh: the [`NetNode`], a loop-back queue for
@@ -103,7 +72,7 @@ struct Net {
     /// failed (reaping the process can race the last bytes in flight).
     suspects: Vec<(Pe, Instant)>,
     /// Root: workers' end-of-run statistics, by PE.
-    stats: Vec<Option<WirePerf>>,
+    stats: Vec<Option<PePerf>>,
 }
 
 impl Net {
@@ -143,9 +112,13 @@ impl Net {
         self.codec.decode(bytes).ok()
     }
 
+    /// A worker's end-of-run [`PePerf`] arrives as its word vector; one
+    /// that does not decode, or has the wrong length, leaves the slot empty
+    /// (and the drain reports the worker's statistics missing).
     fn record_stats(&mut self, pe: Pe, bytes: &[u8]) {
         if let Some(slot) = self.stats.get_mut(pe) {
-            *slot = self.codec.decode::<WirePerf>(bytes).ok();
+            let words = self.codec.decode::<Vec<u64>>(bytes).ok();
+            *slot = words.and_then(|w| PePerf::from_words(&w).ok());
         }
     }
 }
@@ -373,18 +346,14 @@ fn run_root(
                 t.node
                     .drain(netcfg.drain_timeout)
                     .map_err(|e| RunError::Drain(e.to_string()))?;
-                let mut lb_epochs = pes[0].lb_epochs();
                 let mut traces = vec![pes[0].finish_trace()];
                 let mut missing = Vec::new();
                 for (pe, slot) in t.stats.iter_mut().enumerate().skip(1) {
                     match slot.take() {
-                        Some(WirePerf(perf, lb)) => {
-                            lb_epochs += lb;
-                            traces.push(PeTrace {
-                                perf,
-                                ..PeTrace::default()
-                            });
-                        }
+                        Some(perf) => traces.push(PeTrace {
+                            perf,
+                            ..PeTrace::default()
+                        }),
                         None => missing.push(pe),
                     }
                 }
@@ -396,7 +365,6 @@ fn run_root(
                 }
                 Ok(Ended::Finished {
                     traces,
-                    lb_epochs,
                     time: None,
                     clean_exit: true,
                 })
@@ -483,8 +451,7 @@ fn run_worker(launch: Launch, netcfg: NetCfg, idle_timeout: Duration, we: Worker
         match drive(std::slice::from_mut(&mut state), &mut t, kill) {
             End::Exited => {
                 let trace = state.finish_trace();
-                let lb = state.lb_epochs();
-                if let Ok(bytes) = t.codec.encode(&WirePerf(trace.perf, lb)) {
+                if let Ok(bytes) = t.codec.encode(&trace.perf.to_words()) {
                     let _ = t.node.send_stats(&bytes);
                 }
                 match t.node.drain(netcfg.drain_timeout) {
@@ -532,14 +499,16 @@ mod tests {
             bytes_recv: 1234,
             stale_discarded: 5,
             lb_peak_stats: 7,
+            lb_epochs: 3,
             ..PePerf::default()
         };
         for codec in [Codec::Fast, Codec::Pickle] {
-            let bytes = codec.encode(&WirePerf(perf.clone(), 3)).unwrap();
-            let WirePerf(back, lb) = codec.decode(&bytes).unwrap();
-            assert_eq!((&back, lb), (&perf, 3));
+            let bytes = codec.encode(&perf.to_words()).unwrap();
+            let words: Vec<u64> = codec.decode(&bytes).unwrap();
+            assert_eq!(PePerf::from_words(&words), Ok(perf.clone()));
             // A block cut short is a typed error, not a zero-filled report.
-            assert!(codec.decode::<WirePerf>(&bytes[..bytes.len() - 1]).is_err());
+            assert!(codec.decode::<Vec<u64>>(&bytes[..bytes.len() - 1]).is_err());
+            assert!(PePerf::from_words(&words[1..]).is_err());
         }
     }
 }

@@ -1141,6 +1141,7 @@ impl PeState {
         trace.perf.dispatch_misses = self.dispatch_cache.misses;
         trace.perf.fwd_hops = self.locs.fwd_hops();
         trace.perf.lb_peak_stats = self.lb.peak_stats();
+        trace.perf.lb_epochs = self.lb.epochs_done();
         // The telemetry series lives where the sweeps complete (PE 0).
         trace.telemetry = self.sweeps.take_series();
         trace

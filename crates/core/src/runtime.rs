@@ -615,13 +615,6 @@ impl Runtime {
         mut self,
         entry: impl FnOnce(&mut Co<Main>) + Send + 'static,
     ) -> Result<RunReport, RunError> {
-        // Telemetry sweeps reduce `MetricFrame`s, which carry quantile
-        // sketches with no wire form — unsupported across processes (§13.5).
-        if matches!(self.backend, Backend::Net(_)) && self.telemetry.is_some() {
-            return Err(RunError::Bootstrap(
-                "telemetry sweeps are not supported on the Net backend".into(),
-            ));
-        }
         let restore_dir = self.restore_dir.take();
         let mut launch = self.launch();
         // Pre-validate a directory restore — a bad set is a typed error
@@ -1045,8 +1038,8 @@ fn threads_epoch(
         .collect();
     transports[0].start(0, boot);
 
-    /// `(pe, drive's end or the panic message, trace, LB epochs, salvage)`.
-    type Status = (Pe, Result<End, String>, PeTrace, u64, CkptStore);
+    /// `(pe, drive's end or the panic message, trace, salvage)`.
+    type Status = (Pe, Result<End, String>, PeTrace, CkptStore);
     let (status_tx, status_rx) = mpsc::channel::<Status>();
     for (mut state, mut t) in pes.into_iter().zip(transports) {
         let status_tx = status_tx.clone();
@@ -1061,9 +1054,8 @@ fn threads_epoch(
                 }))
                 .map_err(panic_msg);
                 let trace = state.finish_trace();
-                let lb = state.lb_epochs();
                 let store = state.ckpt.take_store();
-                let _ = status_tx.send((state.pe, end, trace, lb, store));
+                let _ = status_tx.send((state.pe, end, trace, store));
             })
             .expect("failed to spawn PE thread");
     }
@@ -1075,7 +1067,6 @@ fn threads_epoch(
     // handler) is leaked, and the buddy copies cover its images.
     let mut traces: Vec<Option<PeTrace>> = (0..npes).map(|_| None).collect();
     let mut stores: Vec<Option<CkptStore>> = (0..npes).map(|_| None).collect();
-    let mut lb_epochs = 0u64;
     let mut dead: Option<Failed> = None;
     let mut deadline: Option<Instant> = None;
     let failed = |unarmed: RunError| Failed {
@@ -1092,11 +1083,10 @@ fn threads_epoch(
                 .recv_timeout(d.saturating_duration_since(Instant::now()))
                 .ok(),
         };
-        let Some((pe, end, trace, lb, store)) = received else {
+        let Some((pe, end, trace, store)) = received else {
             break;
         };
         traces[pe] = Some(trace);
-        lb_epochs += lb;
         // A panicked or killed PE is dead: its memory is gone in the
         // machine model, so its salvage is dropped and recovery must come
         // from the buddy copy (or disk).
@@ -1126,7 +1116,6 @@ fn threads_epoch(
     Ok(match dead {
         None => Ended::Finished {
             traces: traces.into_iter().flatten().collect(),
-            lb_epochs,
             time: None,
             clean_exit: true,
         },
@@ -1138,20 +1127,13 @@ fn threads_epoch(
 pub(crate) fn finish_report(
     wall: Duration,
     time: Duration,
-    lb_epochs: u64,
     recoveries: u64,
     clean_exit: bool,
     pes: Vec<PeTrace>,
 ) -> RunReport {
-    let mut msgs = 0;
-    let mut bytes = 0;
-    let mut entries = 0;
-    let mut migrations = 0;
+    let mut total = PePerf::default();
     for t in &pes {
-        msgs += t.perf.msgs_processed;
-        bytes += t.perf.bytes_sent_remote;
-        entries += t.perf.entries;
-        migrations += t.perf.migrations;
+        total.merge(&t.perf);
     }
     let enabled = pes.iter().any(|t| t.enabled);
     let pe_stats = pes.iter().map(|t| t.perf.clone()).collect();
@@ -1164,11 +1146,11 @@ pub(crate) fn finish_report(
     RunReport {
         wall,
         time,
-        msgs,
-        bytes,
-        entries,
-        migrations,
-        lb_epochs,
+        msgs: total.msgs_processed,
+        bytes: total.bytes_sent_remote,
+        entries: total.entries,
+        migrations: total.migrations,
+        lb_epochs: total.lb_epochs,
         recoveries,
         clean_exit,
         pe_stats,
@@ -1365,7 +1347,6 @@ pub(crate) fn virtual_epoch<T: Transport>(
     }
     let makespan = pes.iter().map(|p| p.clock_ns).max().unwrap_or(0);
     Ok(Ended::Finished {
-        lb_epochs: pes[0].lb_epochs(),
         traces: pes.iter_mut().map(|p| p.finish_trace()).collect(),
         time: Some(Duration::from_nanos(makespan)),
         clean_exit,

@@ -1,13 +1,14 @@
 //! The Net backend's envelope encoding (DESIGN.md §13.1): `Envelope` and
 //! `EnvKind` cross a process boundary as their own `Wire` form. Every
-//! variant must round-trip under both codecs, and the two values that live
-//! only inside one process must end in the typed "not wire-representable"
-//! error instead of a panic or a silent drop.
+//! variant must round-trip under both codecs, and the one value that lives
+//! only inside one process (a `Payload::Local`) must end in the typed "not
+//! wire-representable" error instead of a panic or a silent drop.
 
 use charm_core::collections::{CollKind, CollSpec, Placement};
 use charm_core::ids::{ChareTypeId, CollectionId, FutureId};
 use charm_core::msg::{EnvKind, Envelope, MigrateMsg, Payload, TelemetryBody};
 use charm_core::{ChareId, Index, LbChareStat, RedData, RedTarget, Reducer};
+use charm_trace::{MetricFrame, TopItem};
 use charm_wire::{Codec, WireBytes, WireError};
 
 fn chare(seq: u32) -> ChareId {
@@ -149,24 +150,52 @@ fn one_of_each() -> Vec<EnvKind> {
         EnvKind::RestoreColl { spec, root: 0 },
         EnvKind::QdRequest { fid },
         EnvKind::TelemetryProbe { seq: 4, root: 0 },
+        telemetry_frame(),
         EnvKind::Bootstrap,
         EnvKind::Exit,
         EnvKind::Halt,
     ]
 }
 
+/// A frame with every row, both histograms and the top-K list non-empty.
 fn telemetry_frame() -> EnvKind {
+    let mut words = vec![0; MetricFrame::LEN];
+    for (i, (w, row)) in words.iter_mut().zip(MetricFrame::ROWS).enumerate() {
+        *w = if row.float {
+            (i as f64 + 0.5).to_bits()
+        } else {
+            i as u64 + 1
+        };
+    }
+    let mut frame = MetricFrame::from_words(&words).unwrap();
+    for v in [3, 40, 40, 5_000] {
+        frame.exec.record(v);
+    }
+    frame.latency.record(u64::MAX);
+    frame.top = vec![
+        TopItem {
+            label: "Ring[3]".into(),
+            weight: 9,
+            err: 1,
+        },
+        TopItem {
+            label: "Ring[0]".into(),
+            weight: 2,
+            err: 0,
+        },
+    ];
+    frame.top_cap = 8;
     EnvKind::TelemetryFrame {
         seq: 1,
-        frame: TelemetryBody(Box::default()),
+        frame: TelemetryBody(Box::new(frame)),
     }
 }
 
 /// Replaces the compile-time exhaustiveness of the old envelope mirror:
 /// every variant crosses the Net encoding (both codecs) and comes back
 /// re-encoding to the same bytes, and the samples provably cover the
-/// whole enum — their compact variant indices, plus the one
-/// unrepresentable variant, are exactly `0..n` with `n` rejected.
+/// whole enum — their compact variant indices are exactly `0..n` with `n`
+/// rejected.
 #[test]
 fn every_kind_round_trips_through_the_net_encoding() {
     let mut indices = Vec::new();
@@ -188,17 +217,17 @@ fn every_kind_round_trips_through_the_net_encoding() {
             assert_eq!(codec.encode(&back).unwrap(), bytes, "{:?}", env.kind);
         }
     }
-    // TelemetryFrame has an index but no wire form; find it by elimination.
     indices.sort_unstable();
-    let n = indices.len() as u8 + 1;
-    let missing: Vec<u8> = (0..n).filter(|i| !indices.contains(i)).collect();
-    assert_eq!(missing.len(), 1, "samples skip a variant: {indices:?}");
-    for index in [missing[0], n] {
-        assert!(
-            Codec::Fast.decode::<EnvKind>(&[index, 0, 0]).is_err(),
-            "variant index {index} must not decode"
-        );
-    }
+    let n = indices.len() as u8;
+    assert_eq!(
+        indices,
+        (0..n).collect::<Vec<_>>(),
+        "samples skip a variant"
+    );
+    assert!(
+        Codec::Fast.decode::<EnvKind>(&[n, 0, 0]).is_err(),
+        "variant index {n} must not decode"
+    );
 }
 
 #[test]
@@ -238,13 +267,11 @@ fn process_local_values_are_typed_errors_not_panics() {
         reply: None,
         guard: None,
     };
-    for (kind, what) in [(local, "Local"), (telemetry_frame(), "telemetry")] {
-        let env = Envelope::new(0, kind);
-        for codec in [Codec::Fast, Codec::Pickle] {
-            match codec.encode(&env) {
-                Err(WireError::Unsupported(why)) => assert!(why.contains(what), "{why}"),
-                other => panic!("expected Unsupported({what}), got {other:?}"),
-            }
+    let env = Envelope::new(0, local);
+    for codec in [Codec::Fast, Codec::Pickle] {
+        match codec.encode(&env) {
+            Err(WireError::Unsupported(why)) => assert!(why.contains("Local"), "{why}"),
+            other => panic!("expected Unsupported(Local), got {other:?}"),
         }
     }
 }

@@ -15,7 +15,9 @@
 //! 3. failure modes are typed errors (`Bootstrap`, `PeerLost`,
 //!    `RecoveryImpossible`), never hangs or panics;
 //! 4. an AtSync LB epoch over a hierarchical LB tree places every chare
-//!    where the sim backend places it.
+//!    where the sim backend places it;
+//! 5. telemetry sweeps reduce their frames across processes to the same
+//!    logical series the sim backend produces.
 //!
 //! Worker processes never return from `Runtime::run` — they exit inside
 //! the runtime when the run completes — so everything after `run()` in a
@@ -353,23 +355,6 @@ fn bootstrap_times_out_when_no_worker_arrives() {
     }
 }
 
-/// Telemetry sweeps have no cross-process wire form; configuring them with
-/// the Net backend is rejected up front, before any process spawns.
-#[test]
-fn telemetry_on_net_backend_is_rejected_up_front() {
-    let err = Runtime::new(2)
-        .backend(Backend::Net(net_cfg(
-            "telemetry_on_net_backend_is_rejected_up_front",
-        )))
-        .telemetry(TelemetryCfg::every(1))
-        .try_run(|co| co.ctx().exit())
-        .unwrap_err();
-    assert!(
-        matches!(err, RunError::Bootstrap(_)),
-        "unexpected error: {err}"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // 4. AtSync load balancing across processes ≡ sim.
 // ---------------------------------------------------------------------------
@@ -494,4 +479,51 @@ fn four_process_lb_tree_matches_sim_backend() {
         (sim_report.migrations, sim_report.lb_epochs),
         "LB counters must not depend on the backend"
     );
+}
+
+// ---------------------------------------------------------------------------
+// 5. Telemetry sweeps across processes ≡ sim.
+// ---------------------------------------------------------------------------
+
+/// Telemetry frames cross the process boundary in their wire form: a
+/// telemetry-armed stencil on four processes yields the sim's series — as
+/// many frames, and per frame the same sweep number, PE count, logical
+/// message and entry counters and number of executions recorded.
+#[test]
+fn telemetry_on_net_matches_sim_backend() {
+    let sim = if is_net_worker() {
+        None
+    } else {
+        let rt = Runtime::new(NPES)
+            .simulated(charm_sim::MachineModel::local(NPES))
+            .meter_compute(false)
+            .telemetry(TelemetryCfg::every(1));
+        Some(stencil_once(rt))
+    };
+
+    let rt = Runtime::new(NPES)
+        .backend(Backend::Net(net_cfg(
+            "telemetry_on_net_matches_sim_backend",
+        )))
+        .telemetry(TelemetryCfg::every(1));
+    let (hists, report) = stencil_once(rt);
+
+    let (sim_hists, sim_report) = sim.expect("only the root returns from the net run");
+    assert_eq!(sim_hists, expected_hists(ROUNDS), "sim baseline diverged");
+    assert_eq!(hists, sim_hists, "net run diverged from the sim's");
+    let logical = |r: &RunReport| -> Vec<_> {
+        r.telemetry
+            .iter()
+            .map(|f| {
+                let counts = (f.msgs_sent, f.msgs_processed, f.entries, f.exec.count());
+                (f.seq, f.pes, counts)
+            })
+            .collect()
+    };
+    assert_eq!(
+        sim_report.telemetry.len(),
+        ROUNDS as usize,
+        "one frame a round"
+    );
+    assert_eq!(logical(&report), logical(&sim_report));
 }

@@ -57,25 +57,9 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
+use charm_trace::counters::{field, num};
 use charm_trace::json::{Reader, Token};
-use charm_trace::Hist;
-
-/// One time bin of a summary-mode profile (`bin` line).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SummaryBinRec {
-    /// Entry-execution time in this quantum (ns).
-    pub busy_ns: u64,
-    /// Idle wait in this quantum (ns).
-    pub idle_ns: u64,
-    /// Runtime overhead in this quantum (ns).
-    pub overhead_ns: u64,
-    /// Entry activations in this quantum.
-    pub entries: u64,
-    /// Messages processed in this quantum.
-    pub msgs: u64,
-    /// Payload bytes handled in this quantum.
-    pub bytes: u64,
-}
+use charm_trace::{Hist, MetricFrame, SummaryBin, TopItem};
 
 /// One PE's summary-mode profile (`pe` header + its `bin` lines).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,19 +79,15 @@ pub struct SummaryPe {
     /// Header overhead total — equals the runtime's `PePerf::overhead_ns`.
     pub overhead_ns: u64,
     /// The time bins, oldest first.
-    pub bins: Vec<SummaryBinRec>,
+    pub bins: Vec<SummaryBin>,
 }
 
 impl SummaryPe {
     /// Re-derive the per-class totals by summing the bins.
     pub fn bin_totals(&self) -> (u64, u64, u64) {
-        let mut t = (0, 0, 0);
-        for b in &self.bins {
-            t.0 += b.busy_ns;
-            t.1 += b.idle_ns;
-            t.2 += b.overhead_ns;
-        }
-        t
+        let mut t = SummaryBin::default();
+        self.bins.iter().for_each(|b| t.merge(b));
+        (t.busy_ns, t.idle_ns, t.overhead_ns)
     }
 
     /// Busy fraction of attributed time for bin `i`.
@@ -119,97 +99,6 @@ impl SummaryPe {
         } else {
             b.busy_ns as f64 / wall as f64
         }
-    }
-}
-
-/// One telemetry frame parsed back from a `charm-telemetry v1` artifact.
-///
-/// The histograms are rebuilt by replaying each bucket's lower bound
-/// `count` times into a fresh [`Hist`] on the same grid, so quantile
-/// queries keep the recorded bounded relative error (exact min/max inside
-/// the extreme buckets are not persisted).
-#[derive(Debug, Clone, Default)]
-pub struct FrameRec {
-    /// Sweep sequence number.
-    pub seq: u64,
-    /// PEs merged into the frame.
-    pub pes: u64,
-    /// Root PE-clock timestamp of the sample (ns).
-    pub at_ns: u64,
-    /// Cluster-wide busy total (ns).
-    pub busy_ns: u64,
-    /// Cluster-wide idle total (ns).
-    pub idle_ns: u64,
-    /// Cluster-wide overhead total (ns).
-    pub overhead_ns: u64,
-    /// Lowest per-PE utilization.
-    pub util_min: f64,
-    /// Highest per-PE utilization.
-    pub util_max: f64,
-    /// Sum of per-PE utilizations (avg = sum / pes).
-    pub util_sum: f64,
-    /// Sum of squared per-PE utilizations (for σ).
-    pub util_sumsq: f64,
-    /// Messages sent so far.
-    pub msgs_sent: u64,
-    /// Messages processed so far.
-    pub msgs_processed: u64,
-    /// Entry activations so far.
-    pub entries: u64,
-    /// Remote payload bytes so far.
-    pub bytes_remote: u64,
-    /// Buffered messages at the sample point.
-    pub queue: u64,
-    /// High-water buffered-message mark.
-    pub queue_max: u64,
-    /// Entry execution-time histogram (ns).
-    pub exec: Hist,
-    /// Send→deliver latency histogram (ns).
-    pub latency: Hist,
-    /// Hot chares, heaviest first: (label, weight_ns, max_overestimate).
-    pub top: Vec<(String, u64, u64)>,
-}
-
-impl FrameRec {
-    /// Mean per-PE utilization.
-    pub fn util_avg(&self) -> f64 {
-        if self.pes == 0 {
-            0.0
-        } else {
-            self.util_sum / self.pes as f64
-        }
-    }
-
-    /// Population standard deviation of per-PE utilization.
-    pub fn util_sigma(&self) -> f64 {
-        if self.pes == 0 {
-            return 0.0;
-        }
-        let n = self.pes as f64;
-        let mean = self.util_sum / n;
-        (self.util_sumsq / n - mean * mean).max(0.0).sqrt()
-    }
-}
-
-fn field<'a>(tok: &'a str, key: &str) -> Result<&'a str, String> {
-    match tok.split_once('=') {
-        Some((k, v)) if k == key => Ok(v),
-        _ => Err(format!("expected `{key}=...`, got `{tok}`")),
-    }
-}
-
-fn num<T: std::str::FromStr>(tok: &str, key: &str) -> Result<T, String> {
-    field(tok, key)?
-        .parse()
-        .map_err(|_| format!("bad numeric field `{tok}`"))
-}
-
-/// A float field that must be finite: `NaN` and `inf` parse as `f64` but
-/// would poison every average a report derives from them.
-fn finite(tok: &str, key: &str) -> Result<f64, String> {
-    match num::<f64>(tok, key)? {
-        v if v.is_finite() => Ok(v),
-        _ => Err(format!("non-finite field `{tok}`")),
     }
 }
 
@@ -277,15 +166,8 @@ pub fn parse_summary(text: &str) -> Result<Vec<SummaryPe>, String> {
                         p.bins.len()
                     ));
                 }
-                let err = |e| format!("line {no}: {e}");
-                p.bins.push(SummaryBinRec {
-                    busy_ns: num(t.next().unwrap_or(""), "busy_ns").map_err(err)?,
-                    idle_ns: num(t.next().unwrap_or(""), "idle_ns").map_err(err)?,
-                    overhead_ns: num(t.next().unwrap_or(""), "overhead_ns").map_err(err)?,
-                    entries: num(t.next().unwrap_or(""), "entries").map_err(err)?,
-                    msgs: num(t.next().unwrap_or(""), "msgs").map_err(err)?,
-                    bytes: num(t.next().unwrap_or(""), "bytes").map_err(err)?,
-                });
+                let bin = SummaryBin::read_fields(&mut t).map_err(|e| format!("line {no}: {e}"))?;
+                p.bins.push(bin);
             }
             None => continue,
             Some(head) => return Err(format!("line {no}: unknown line head `{head}`")),
@@ -307,7 +189,7 @@ struct HistsSeen {
 impl HistsSeen {
     /// A frame is complete when both its histograms have been read; one
     /// that ends (next `frame` line or end of file) without them was cut.
-    fn check(&self, frames: &[FrameRec], no: usize) -> Result<(), String> {
+    fn check(&self, frames: &[MetricFrame], no: usize) -> Result<(), String> {
         match frames.last() {
             Some(f) if !(self.exec && self.latency) => Err(format!(
                 "line {no}: frame seq={} ends without both its hist lines",
@@ -319,12 +201,12 @@ impl HistsSeen {
 }
 
 /// Parse a `charm-telemetry v1` artifact.
-pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
+pub fn parse_telemetry(text: &str) -> Result<Vec<MetricFrame>, String> {
     let mut lines = text.lines();
     if lines.next() != Some("charm-telemetry v1") {
         return Err("not a charm-telemetry v1 artifact".into());
     }
-    let mut frames: Vec<FrameRec> = Vec::new();
+    let mut frames: Vec<MetricFrame> = Vec::new();
     let mut seen = HistsSeen::default();
     let mut no = 1;
     for line in lines {
@@ -335,25 +217,7 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
             Some("frame") => {
                 seen.check(&frames, no)?;
                 seen = HistsSeen::default();
-                frames.push(FrameRec {
-                    seq: num(t.next().unwrap_or(""), "seq").map_err(err)?,
-                    pes: num(t.next().unwrap_or(""), "pes").map_err(err)?,
-                    at_ns: num(t.next().unwrap_or(""), "at_ns").map_err(err)?,
-                    busy_ns: num(t.next().unwrap_or(""), "busy_ns").map_err(err)?,
-                    idle_ns: num(t.next().unwrap_or(""), "idle_ns").map_err(err)?,
-                    overhead_ns: num(t.next().unwrap_or(""), "overhead_ns").map_err(err)?,
-                    util_min: finite(t.next().unwrap_or(""), "util_min").map_err(err)?,
-                    util_max: finite(t.next().unwrap_or(""), "util_max").map_err(err)?,
-                    util_sum: finite(t.next().unwrap_or(""), "util_sum").map_err(err)?,
-                    util_sumsq: finite(t.next().unwrap_or(""), "util_sumsq").map_err(err)?,
-                    msgs_sent: num(t.next().unwrap_or(""), "msgs_sent").map_err(err)?,
-                    msgs_processed: num(t.next().unwrap_or(""), "msgs_processed").map_err(err)?,
-                    entries: num(t.next().unwrap_or(""), "entries").map_err(err)?,
-                    bytes_remote: num(t.next().unwrap_or(""), "bytes_remote").map_err(err)?,
-                    queue: num(t.next().unwrap_or(""), "queue").map_err(err)?,
-                    queue_max: num(t.next().unwrap_or(""), "queue_max").map_err(err)?,
-                    ..FrameRec::default()
-                });
+                frames.push(MetricFrame::read_fields(&mut t).map_err(err)?);
             }
             Some("hist") => {
                 let f = frames
@@ -393,7 +257,11 @@ pub fn parse_telemetry(text: &str) -> Result<Vec<FrameRec>, String> {
                     .to_string();
                 let weight = num(t.next().unwrap_or(""), "weight").map_err(err)?;
                 let e = num(t.next().unwrap_or(""), "err").map_err(err)?;
-                f.top.push((label, weight, e));
+                f.top.push(TopItem {
+                    label,
+                    weight,
+                    err: e,
+                });
             }
             None => continue,
             Some(head) => return Err(format!("line {no}: unknown line head `{head}`")),
@@ -631,7 +499,7 @@ pub fn timeline(pes: &[SummaryPe]) -> String {
 
 /// Telemetry time-series report: per-frame utilization spread, queue
 /// depths, exec/latency quantiles, then the final frame's hot chares.
-pub fn telemetry_report(frames: &[FrameRec], top_n: usize) -> String {
+pub fn telemetry_report(frames: &[MetricFrame], top_n: usize) -> String {
     let mut out = String::new();
     if frames.is_empty() {
         out.push_str("telemetry: no frames\n");
@@ -645,13 +513,13 @@ pub fn telemetry_report(frames: &[FrameRec], top_n: usize) -> String {
         out.push_str(&format!(
             "{:<4} {:>10.3} {:>7.1}% {:>7.1}% {:>7.1}% {:>6.3} {:>5} {:>4} {:>8} {:>8} {:>7} {:>7}\n",
             f.seq,
-            ms(f.at_ns),
+            ms(f.sampled_at_ns),
             100.0 * f.util_avg(),
             100.0 * f.util_min,
             100.0 * f.util_max,
             f.util_sigma(),
-            f.queue,
-            f.queue_max,
+            f.queue_depth,
+            f.queue_depth_max,
             q(&f.exec, 0.5),
             q(&f.exec, 0.99),
             q(&f.latency, 0.5),
@@ -661,11 +529,12 @@ pub fn telemetry_report(frames: &[FrameRec], top_n: usize) -> String {
     let last = frames.last().expect("non-empty");
     if !last.top.is_empty() {
         out.push_str(&format!("\nhot chares (final frame, top {top_n}):\n"));
-        for (label, weight, err) in last.top.iter().take(top_n) {
+        for t in last.top.iter().take(top_n) {
             out.push_str(&format!(
-                "  {label:<24} {:>10.3} ms (+/- {:.3})\n",
-                ms(*weight),
-                ms(*err),
+                "  {:<24} {:>10.3} ms (+/- {:.3})\n",
+                t.label,
+                ms(t.weight),
+                ms(t.err),
             ));
         }
     }
@@ -772,7 +641,7 @@ mod tests {
         let frames = parse_telemetry(&text).expect("parses");
         assert_eq!(frames.len(), 1);
         let r = &frames[0];
-        assert_eq!((r.seq, r.pes, r.busy_ns, r.queue), (3, 4, 1000, 7));
+        assert_eq!((r.seq, r.pes, r.busy_ns, r.queue_depth), (3, 4, 1000, 7));
         assert!((r.util_avg() - 0.5).abs() < 1e-9);
         assert_eq!(r.exec.count(), 4);
         // Replayed bucket lows stay within the recorded relative error.
@@ -780,7 +649,7 @@ mod tests {
         let orig = f.exec.quantile(0.5).expect("quantile") as f64;
         let tol = f.exec.max_rel_error() * 2.0;
         assert!((p50 - orig).abs() <= orig * tol + 1.0, "{p50} vs {orig}");
-        assert_eq!(r.top, vec![("Worker[3]".to_string(), 900, 0)]);
+        assert_eq!(r.top, f.top);
         let report = telemetry_report(&frames, 5);
         assert!(report.contains("Worker[3]"));
         assert!(report.contains("exec_p50"));

@@ -300,6 +300,54 @@ impl Hist {
         })
     }
 
+    /// The stored state as words: `sub_bits`, the grid index of the first
+    /// stored bucket, `total`, `sum`, `min`, `max`, then the stored counts
+    /// (the wire form; [`Hist::from_words`] reads it back).
+    pub fn to_words(&self) -> Vec<u64> {
+        let (b, base) = (u64::from(self.sub_bits), u64::from(self.base));
+        let head = [b, base, self.total, self.sum, self.min, self.max];
+        [&head[..], &self.counts].concat()
+    }
+
+    /// A histogram from its [`Hist::to_words`] form, checked: `sub_bits`
+    /// in `1..=10`; an empty histogram exactly as [`Hist::new`] builds it;
+    /// otherwise a stored range inside the grid whose end counts are
+    /// non-zero, `total` equal to the (saturating) sum of the counts, and
+    /// `min <= max <= sum` (a merge across grids re-buckets midpoints, so
+    /// `min` and `max` need not lie in the end buckets).
+    pub fn from_words(words: &[u64]) -> Result<Hist, &'static str> {
+        let [sub_bits, base, total, sum, min, max, ref counts @ ..] = *words else {
+            return Err("histogram words end before their head");
+        };
+        let b = sub_bits.clamp(1, 10) as u32;
+        let grid = u64::from(65 - b) << b;
+        let summed = counts.iter().fold(0u64, |s, &n| s.saturating_add(n));
+        let bad = match (counts.first(), counts.last()) {
+            _ if u64::from(b) != sub_bits => Some("histogram sub_bits outside 1..=10"),
+            (None, _) if (base, total, sum, min, max) == (0, 0, 0, u64::MAX, 0) => None,
+            (None, _) => Some("empty histogram with samples"),
+            (Some(0), _) | (_, Some(0)) => Some("histogram range does not end on occupied buckets"),
+            _ if base.saturating_add(counts.len() as u64) > grid => {
+                Some("histogram range outside its grid")
+            }
+            _ if summed != total => Some("histogram total is not the sum of its counts"),
+            _ if min > max || max > sum => Some("histogram min, max and sum disagree"),
+            _ => None,
+        };
+        if let Some(why) = bad {
+            return Err(why);
+        }
+        Ok(Hist {
+            sub_bits: b,
+            base: base as u32,
+            counts: counts.to_vec(),
+            total,
+            sum,
+            min,
+            max,
+        })
+    }
+
     /// Order-sensitive FNV-1a digest over the bucket contents (grid,
     /// non-empty buckets, total) — the logical-identity fingerprint the
     /// telemetry determinism suites compare. Timing-free only if the
@@ -450,5 +498,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn words_round_trip_and_refuse_an_inconsistent_state() {
+        let mut cross = Hist::new(5);
+        cross.merge(&{
+            let mut h = Hist::new(1);
+            h.record_n(11, 2);
+            h
+        });
+        let mut top = Hist::new(10);
+        top.record(u64::MAX);
+        top.record_n(3, u64::MAX);
+        for h in [Hist::new(3), cross, top] {
+            assert_eq!(Hist::from_words(&h.to_words()), Ok(h));
+        }
+        let mut h = Hist::new(5);
+        h.record(40);
+        h.record(4_000);
+        let good = h.to_words();
+        let with = |i: usize, v: u64| {
+            let mut w = good.clone();
+            w[i] = v;
+            Hist::from_words(&w)
+        };
+        assert!(Hist::from_words(&good[..5]).is_err(), "short head");
+        assert!(with(0, 0).is_err() && with(0, 11).is_err(), "sub_bits");
+        assert!(with(1, (60 << 5) - 1).is_err(), "range past the grid");
+        assert!(with(1, u64::MAX).is_err(), "range past the grid");
+        assert!(with(2, 3).is_err(), "total");
+        assert!(with(4, 4_001).is_err(), "min above max");
+        assert!(with(5, 1 << 20).is_err(), "max above sum");
+        assert!(with(6, 0).is_err(), "a range starting on an empty bucket");
+        assert!(with(good.len() - 1, 0).is_err(), "ending on one");
+        let mut empty = Hist::new(5).to_words();
+        assert_eq!(Hist::from_words(&empty), Ok(Hist::new(5)));
+        empty[3] = 1;
+        assert!(Hist::from_words(&empty).is_err(), "empty with a sum");
     }
 }

@@ -28,6 +28,11 @@
 //! defines the mergeable [`MetricFrame`] the runtime reduces over its PE
 //! spanning tree at a quiescence cadence (`Runtime::telemetry`).
 //!
+//! [`counters`] is the counter table: each count of [`PePerf`],
+//! [`MetricFrame`] and [`SummaryBin`] is declared there once, as a row, and
+//! the records' structs, wire words, merges and artifact fields are
+//! generated from the rows.
+//!
 //! Two exporters live in [`report`]: [`TraceReport::chrome_json`] emits
 //! Chrome trace-event JSON (load it in Perfetto or `chrome://tracing`; one
 //! track per PE) and [`TraceReport::summary`] prints a plain-text
@@ -42,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod counters;
 pub mod event;
 pub mod fnv;
 pub mod hist;

@@ -5,6 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
+pub use crate::counters::PePerf;
 use crate::event::{EntryKind, Event, EventKind};
 use crate::hist::Hist;
 use crate::json;
@@ -13,124 +14,40 @@ use crate::telemetry::MetricFrame;
 use crate::text::{push_dec, push_us};
 use crate::tracer::EntryStat;
 
-/// Cheap per-PE performance counters — always present in `RunReport`,
-/// whatever the trace level.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PePerf {
-    /// Which PE this block describes.
-    pub pe: usize,
-    /// Scheduler lifetime in ns (virtual time under the sim backend).
-    pub wall_ns: u64,
-    /// Entry-method / coroutine execution time.
-    pub busy_ns: u64,
-    /// Time spent waiting for work.
-    pub idle_ns: u64,
-    /// Runtime bookkeeping, codec work, and unattributed scheduler time.
-    pub overhead_ns: u64,
-    /// QD-counted envelopes emitted.
-    pub msgs_sent: u64,
-    /// QD-counted envelopes handled.
-    pub msgs_processed: u64,
-    /// Cross-PE envelopes emitted (trace-level ≥ counters).
-    pub sent_remote: u64,
-    /// Same-PE envelopes emitted (trace-level ≥ counters).
-    pub sent_local: u64,
-    /// Bytes shipped to other PEs.
-    pub bytes_sent_remote: u64,
-    /// Bytes of same-PE sends (delivered by reference).
-    pub bytes_sent_local: u64,
-    /// Bytes received by this scheduler.
-    pub bytes_recv: u64,
-    /// Bytes produced by this PE's wire-encode pool.
-    pub bytes_encoded: u64,
-    /// Entry-method activations.
-    pub entries: u64,
-    /// Chares migrated away.
-    pub migrations: u64,
-    /// Messages buffered behind a when-guard.
-    pub guard_buffered: u64,
-    /// Buffered messages later drained.
-    pub guard_drained: u64,
-    /// Reduction contributions.
-    pub red_contributes: u64,
-    /// Reductions delivered at a root here.
-    pub red_delivers: u64,
-    /// Broadcasts relayed down the spanning tree.
-    pub bcast_relays: u64,
-    /// Checkpoint bytes written.
-    pub ckpt_bytes: u64,
-    /// Envelopes from a previous recovery epoch discarded by this PE.
-    pub stale_discarded: u64,
-    /// Aggregation batch frames flushed — physical envelopes, vs. the
-    /// logical per-message `sent_remote`/`msgs_sent` counts (which are
-    /// unaffected by batching).
-    pub batches_sent: u64,
-    /// Logical messages carried inside those batches.
-    pub batch_msgs: u64,
-    /// Encode-scratch takes served from the per-PE envelope slab (the
-    /// `EncodePool` freelist) without allocating.
-    pub slab_hits: u64,
-    /// Encode-scratch takes that had to allocate a fresh buffer.
-    pub slab_misses: u64,
-    /// Payloads published inline inside the envelope (< 64 B), skipping
-    /// the shared allocation entirely.
-    pub inline_payloads: u64,
-    /// Entry-dispatch lookups served from the per-PE dispatch cache.
-    pub dispatch_hits: u64,
-    /// Entry-dispatch lookups that resolved through the registry.
-    pub dispatch_misses: u64,
-    /// Events overwritten in the full-capture ring.
-    pub events_dropped: u64,
-    /// Entry messages this PE forwarded through a migration stub (the
-    /// chare lived here and moved on). Bounded per chain by the runtime's
-    /// forwarding-trail collapse.
-    pub fwd_hops: u64,
-    /// Peak load-balancing chare-stat records materialized on this PE at
-    /// once. A one-level LB tree (group size `npes`) gathers all O(nchares)
-    /// on its root; a deeper tree bounds this by the group size.
-    pub lb_peak_stats: u64,
+/// `num / den`, or 0 when `den` is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
 impl PePerf {
     /// Fraction of wall time spent in entry methods (0 when wall is 0).
     pub fn utilization(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.wall_ns as f64
-        }
+        ratio(self.busy_ns, self.wall_ns)
     }
 
     /// Mean coalesced messages per flushed aggregation batch (0 when no
     /// batch was ever flushed, i.e. aggregation off or never triggered).
     pub fn batch_occupancy(&self) -> f64 {
-        if self.batches_sent == 0 {
-            0.0
-        } else {
-            self.batch_msgs as f64 / self.batches_sent as f64
-        }
+        ratio(self.batch_msgs, self.batches_sent)
     }
 
     /// Fraction of encode-scratch takes served by the envelope slab
     /// without allocating (0 when the slab was never used).
     pub fn slab_hit_rate(&self) -> f64 {
-        let total = self.slab_hits + self.slab_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.slab_hits as f64 / total as f64
-        }
+        ratio(self.slab_hits, self.slab_hits + self.slab_misses)
     }
 
     /// Fraction of entry-dispatch lookups served from the dispatch cache
     /// (0 when dispatch never ran, e.g. dynamic mode or cache disabled).
     pub fn dispatch_hit_rate(&self) -> f64 {
-        let total = self.dispatch_hits + self.dispatch_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.dispatch_hits as f64 / total as f64
-        }
+        ratio(
+            self.dispatch_hits,
+            self.dispatch_hits + self.dispatch_misses,
+        )
     }
 }
 
@@ -561,17 +478,7 @@ impl TraceReport {
             for (i, b) in s.bins.iter().enumerate() {
                 out.push_str("bin ");
                 push_dec(&mut out, i as u64);
-                for (key, v) in [
-                    (" busy_ns=", b.busy_ns),
-                    (" idle_ns=", b.idle_ns),
-                    (" overhead_ns=", b.overhead_ns),
-                    (" entries=", b.entries),
-                    (" msgs=", b.msgs),
-                    (" bytes=", b.bytes),
-                ] {
-                    out.push_str(key);
-                    push_dec(&mut out, v);
-                }
+                b.write_fields(&mut out);
                 out.push('\n');
             }
         }

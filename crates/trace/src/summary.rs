@@ -18,33 +18,7 @@
 //! * **Exact counts**: entry/msg/byte counts are binned at their event
 //!   timestamp and never rescaled by merging.
 
-/// One wall-clock quantum of a PE's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SummaryBin {
-    /// Entry-method execution nanoseconds inside this quantum.
-    pub busy_ns: u64,
-    /// Idle nanoseconds.
-    pub idle_ns: u64,
-    /// Runtime-overhead nanoseconds.
-    pub overhead_ns: u64,
-    /// Entry activations that *ended* in this quantum.
-    pub entries: u64,
-    /// Messages emitted in this quantum.
-    pub msgs: u64,
-    /// Payload bytes emitted in this quantum.
-    pub bytes: u64,
-}
-
-impl SummaryBin {
-    fn absorb(&mut self, other: &SummaryBin) {
-        self.busy_ns += other.busy_ns;
-        self.idle_ns += other.idle_ns;
-        self.overhead_ns += other.overhead_ns;
-        self.entries += other.entries;
-        self.msgs += other.msgs;
-        self.bytes += other.bytes;
-    }
-}
+pub use crate::counters::SummaryBin;
 
 /// Which per-class accumulator a span charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +70,7 @@ impl SummaryRec {
                 .map(|pair| {
                     let mut m = pair[0];
                     if let Some(b) = pair.get(1) {
-                        m.absorb(b);
+                        m.merge(b);
                     }
                     m
                 })

@@ -4,7 +4,7 @@
 //! A [`MetricFrame`] is one PE's metrics snapshot, shaped so frames merge
 //! associatively up a spanning tree: sums for counters, min/max/Σ/Σ² for
 //! the utilization moments (enough for max/avg and the imbalance σ at any
-//! fan-in), bucket-wise [`Hist`] merges for the execution-time and
+//! fan-in), bucket-wise [`Hist`](crate::Hist) merges for the execution-time and
 //! message-latency distributions, and a bounded top-K merge for the hot
 //! chares. The runtime reduces frames over its PE tree to PE 0 at a
 //! quiescence-round cadence; every field is O(1) or O(K) in run length, so
@@ -19,10 +19,8 @@
 //! function of the program, which is what the permuted-schedule and
 //! exhaustive-exploration suites assert.
 
-use std::fmt::Write;
-
+pub use crate::counters::MetricFrame;
 use crate::fnv::Fnv;
-use crate::hist::Hist;
 use crate::text::push_dec;
 
 /// A space-saving heavy-hitters sketch: tracks at most `cap` keys with
@@ -91,87 +89,38 @@ pub struct TopItem {
 /// Default number of hot chares a frame carries.
 pub const DEFAULT_TOP_K: usize = 8;
 
-/// One PE's (or, after merging, one subtree's) metrics snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct MetricFrame {
-    /// Telemetry sweep sequence number.
-    pub seq: u64,
-    /// PEs merged into this frame.
-    pub pes: u64,
-    /// Latest contributing PE clock (ns) — the sample's time coordinate.
-    pub sampled_at_ns: u64,
-    /// Σ entry-execution nanoseconds (deterministic under charged work).
-    pub busy_ns: u64,
-    /// Σ idle nanoseconds (wall-derived).
-    pub idle_ns: u64,
-    /// Σ overhead nanoseconds (wall-derived).
-    pub overhead_ns: u64,
-    /// Min per-PE utilization (busy/clock) among contributors.
-    pub util_min: f64,
-    /// Max per-PE utilization among contributors.
-    pub util_max: f64,
-    /// Σ utilization — avg is `util_sum / pes`.
-    pub util_sum: f64,
-    /// Σ utilization² — with `util_sum` this yields the imbalance σ.
-    pub util_sumsq: f64,
-    /// Σ QD-counted messages emitted.
-    pub msgs_sent: u64,
-    /// Σ QD-counted messages handled.
-    pub msgs_processed: u64,
-    /// Σ entry activations.
-    pub entries: u64,
-    /// Σ bytes shipped cross-PE.
-    pub bytes_remote: u64,
-    /// Σ messages parked behind when-guards or pending placement.
-    pub queue_depth: u64,
-    /// Max per-PE parked-message count among contributors.
-    pub queue_depth_max: u64,
-    /// Merged entry-execution-time histogram.
-    pub exec: Hist,
-    /// Merged send→deliver latency histogram (wall-derived).
-    pub latency: Hist,
-    /// Hot chares by charged execution time, heaviest first, at most K.
-    pub top: Vec<TopItem>,
-    /// The top-K capacity the merge keeps.
-    pub top_cap: usize,
-}
-
 impl MetricFrame {
-    /// Fold `other` (a sibling subtree's frame) into this one.
-    pub fn merge(&mut self, other: &MetricFrame) {
+    /// The generated `merge`'s hook for what is not a row: histograms merge
+    /// bucket-wise; top-K items with the same label add, and the heaviest
+    /// `top_cap` stay. Labels are unique within a frame (a sketch tracks
+    /// each key once), so a label of `other` not found here is new: it is
+    /// cloned only if it makes the cut.
+    pub(crate) fn merge_rest(&mut self, other: &MetricFrame) {
         debug_assert_eq!(self.seq, other.seq);
-        self.pes += other.pes;
-        self.sampled_at_ns = self.sampled_at_ns.max(other.sampled_at_ns);
-        self.busy_ns += other.busy_ns;
-        self.idle_ns += other.idle_ns;
-        self.overhead_ns += other.overhead_ns;
-        self.util_min = self.util_min.min(other.util_min);
-        self.util_max = self.util_max.max(other.util_max);
-        self.util_sum += other.util_sum;
-        self.util_sumsq += other.util_sumsq;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_processed += other.msgs_processed;
-        self.entries += other.entries;
-        self.bytes_remote += other.bytes_remote;
-        self.queue_depth += other.queue_depth;
-        self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
         self.exec.merge(&other.exec);
         self.latency.merge(&other.latency);
-        // Top-K merge: same label ⇒ weights and errors add; then keep the
-        // heaviest `top_cap` with a deterministic tie order.
-        for it in &other.top {
-            match self.top.iter_mut().find(|t| t.label == it.label) {
-                Some(t) => {
-                    t.weight += it.weight;
-                    t.err += it.err;
-                }
-                None => self.top.push(it.clone()),
-            }
-        }
-        self.top
-            .sort_by(|a, b| (b.weight, &a.label).cmp(&(a.weight, &b.label)));
+        let heavier = |a: &TopItem, b: &TopItem| (b.weight, &a.label).cmp(&(a.weight, &b.label));
         let cap = self.top_cap.max(other.top_cap).max(1);
         self.top_cap = cap;
+        for it in &other.top {
+            if let Some(t) = self.top.iter_mut().find(|t| t.label == it.label) {
+                t.weight += it.weight;
+                t.err += it.err;
+            }
+        }
+        // Labels are unique, so the order is total and needs no stability.
+        self.top.sort_unstable_by(heavier);
+        for it in &other.top {
+            if self.top.iter().any(|t| t.label == it.label) {
+                continue;
+            }
+            // Entries only ever join the list, so a newcomer with `cap`
+            // heavier entries ahead of it now cannot make the final cut.
+            let at = self.top.partition_point(|t| heavier(t, it).is_lt());
+            if at < cap {
+                self.top.insert(at, it.clone());
+            }
+        }
         self.top.truncate(cap);
     }
 
@@ -234,29 +183,9 @@ pub fn frames_artifact(frames: &[MetricFrame]) -> String {
     let mut out = String::with_capacity(size + 32);
     out.push_str("charm-telemetry v1\n");
     for f in frames {
-        // `fmt::Write` for `String` cannot fail.
-        let _ = writeln!(
-            out,
-            "frame seq={} pes={} at_ns={} busy_ns={} idle_ns={} overhead_ns={} util_min={:.6} \
-             util_max={:.6} util_sum={:.6} util_sumsq={:.6} msgs_sent={} msgs_processed={} \
-             entries={} bytes_remote={} queue={} queue_max={}",
-            f.seq,
-            f.pes,
-            f.sampled_at_ns,
-            f.busy_ns,
-            f.idle_ns,
-            f.overhead_ns,
-            f.util_min,
-            f.util_max,
-            f.util_sum,
-            f.util_sumsq,
-            f.msgs_sent,
-            f.msgs_processed,
-            f.entries,
-            f.bytes_remote,
-            f.queue_depth,
-            f.queue_depth_max
-        );
+        out.push_str("frame");
+        f.write_fields(&mut out);
+        out.push('\n');
         for (name, h) in [("exec", &f.exec), ("latency", &f.latency)] {
             out.push_str("hist ");
             out.push_str(name);

@@ -13,7 +13,10 @@ use crate::summary::{BinClass, SummaryRec};
 use crate::{TraceConfig, TraceLevel};
 
 /// Message/byte counters (quiescence detection + `RunReport`). Maintained
-/// unconditionally, even at [`TraceLevel::Off`].
+/// unconditionally, even at [`TraceLevel::Off`]. Kept as live fields rather
+/// than a [`PePerf`] (33 words) so a PE's tracer stays small; the benchmark
+/// crate under `benchmark/` reads `sent`, `processed`, `entries` and
+/// `bytes` by name.
 #[derive(Default, Debug, Clone, Copy)]
 pub struct Counters {
     /// QD-counted envelopes emitted by this PE.
@@ -428,17 +431,11 @@ impl PeTracer {
             stale_discarded: self.stale_discarded,
             batches_sent: self.batches_sent,
             batch_msgs: self.batch_msgs,
-            // Fast-path counters live in runtime-side structures (encode
-            // pool, dispatch cache); the scheduler assigns them onto the
-            // finished trace. Zero here keeps `finish` signature-stable.
-            slab_hits: 0,
-            slab_misses: 0,
-            inline_payloads: 0,
-            dispatch_hits: 0,
-            dispatch_misses: 0,
             events_dropped: dropped,
-            fwd_hops: 0,
-            lb_peak_stats: 0,
+            // Fast-path counters live in runtime-side structures (encode
+            // pool, dispatch cache, LB); the scheduler assigns them onto
+            // the finished trace. Zero here keeps `finish` signature-stable.
+            ..PePerf::default()
         };
         let entries = std::mem::take(&mut self.entries)
             .into_iter()

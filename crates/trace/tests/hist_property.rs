@@ -11,7 +11,7 @@ mod counting_alloc;
 #[path = "common/synthetic.rs"]
 mod synthetic;
 
-use charm_trace::{EntryKind, Hist, MetricFrame, PeTracer, TraceConfig, WorkClass};
+use charm_trace::{EntryKind, Hist, MetricFrame, PeTracer, TopItem, TraceConfig, WorkClass};
 use counting_alloc::measure;
 use synthetic::SplitMix64;
 
@@ -423,4 +423,72 @@ fn cloning_a_frame_copies_its_occupied_buckets_only() {
     assert!((180..=220).contains(&occupied), "{occupied}");
     let (_copy, heap) = measure(|| f.clone());
     assert!(heap.requested < 4096, "{heap:?}");
+}
+
+/// A frame of `n` hot chares labelled `{prefix}{k}`, weights from `rng`
+/// below `max`, and histograms over the same value range.
+fn hot_frame(rng: &mut SplitMix64, prefix: &str, n: u64, max: u64) -> MetricFrame {
+    let mut f = MetricFrame {
+        top_cap: 8,
+        ..MetricFrame::default()
+    };
+    for v in [100, 5_000, 70_000] {
+        f.exec.record(v);
+        f.latency.record(v);
+    }
+    f.top = (0..n)
+        .map(|k| TopItem {
+            label: format!("{prefix}{k}"),
+            weight: rng.below(max),
+            err: rng.below(10),
+        })
+        .collect();
+    f
+}
+
+/// The top-K merge as it was: clone every new label, sort, truncate.
+fn merge_top_by_full_sort(a: &MetricFrame, b: &MetricFrame) -> Vec<TopItem> {
+    let mut top = a.top.clone();
+    for it in &b.top {
+        match top.iter_mut().find(|t| t.label == it.label) {
+            Some(t) => {
+                t.weight += it.weight;
+                t.err += it.err;
+            }
+            None => top.push(it.clone()),
+        }
+    }
+    top.sort_by(|x, y| (y.weight, &x.label).cmp(&(x.weight, &y.label)));
+    top.truncate(a.top_cap.max(b.top_cap).max(1));
+    top
+}
+
+#[test]
+fn top_k_merge_keeps_what_a_full_sort_keeps() {
+    let mut rng = SplitMix64(0x70b);
+    for case in 0..500 {
+        // Overlapping label sets of any size, ties included.
+        let (na, nb) = (rng.below(12), rng.below(12));
+        let mut a = hot_frame(&mut rng, "C", na, 6);
+        let mut b = hot_frame(&mut rng, "C", nb, 6);
+        b.top.retain(|t| !t.label.ends_with('3'));
+        a.top_cap = 1 + rng.below(9) as usize;
+        b.top_cap = rng.below(9) as usize;
+        let want = merge_top_by_full_sort(&a, &b);
+        a.merge(&b);
+        assert_eq!(a.top, want, "case {case}");
+    }
+}
+
+#[test]
+fn merging_a_frame_whose_top_items_all_lose_allocates_nothing() {
+    let mut rng = SplitMix64(0x10e);
+    let mut a = hot_frame(&mut rng, "heavy", 8, 1 << 20);
+    a.top.iter_mut().for_each(|t| t.weight += 1 << 20);
+    let b = hot_frame(&mut rng, "light", 8, 1 << 20);
+    let want = merge_top_by_full_sort(&a, &b);
+    let (_, heap) = measure(|| a.merge(&b));
+    assert_eq!(heap.allocs, 0, "{heap:?}");
+    assert_eq!(a.top, want);
+    assert_eq!(a.exec.count(), 6);
 }
