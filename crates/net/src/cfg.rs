@@ -51,8 +51,6 @@ pub struct NetCfg {
     pub drain_timeout: Duration,
     /// Reconnect schedule for the dialing side of a lost connection.
     pub reconnect: BackoffCfg,
-    /// Bounded outbound queue depth per peer (frames, not bytes).
-    pub queue_cap: usize,
     /// How long a send may wait on a full outbound queue before the peer
     /// is treated as collapsed.
     pub send_timeout: Duration,
@@ -73,7 +71,6 @@ impl Default for NetCfg {
             rendezvous_timeout: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(5),
             reconnect: BackoffCfg::default(),
-            queue_cap: 1024,
             send_timeout: Duration::from_secs(5),
             max_frame: crate::frame::DEFAULT_MAX_FRAME,
             spawn: Spawn::SelfExec {

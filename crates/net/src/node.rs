@@ -274,7 +274,6 @@ impl Shared {
             },
             self.cfg.heartbeat_every,
             conn_epoch,
-            self.cfg.queue_cap,
             Arc::clone(&self.counters),
         );
         let raw = stream.try_clone().ok();

@@ -11,17 +11,18 @@
 //!
 //! Every frame reaches the writer as one finished `[header | payload]`
 //! buffer ([`frame::build`]); the writer seals the checksum into it, so the
-//! pass over the payload runs here and not on the sender's thread, writes
-//! it with one `write` (the tests below count) and hands a large buffer
-//! back to the senders for the next frame ([`Spares`]). The reader takes
-//! the `src` prefix off a payload before reading the body straight into
-//! the buffer that becomes the event's [`Body`]; a large one comes back
-//! to the reader when the consumer drops it ([`Returns`]). The socket has
-//! `TCP_NODELAY` and no user-space buffer in front of it, so there is
-//! nothing to flush.
+//! pass over the payload runs here and not on the sender's thread. Each
+//! wake-up puts the frame that woke it and every frame queued behind it,
+//! up to [`BATCH`], on the wire with one `writev` (the tests below count)
+//! and hands the large buffers back to the senders for the next frames
+//! ([`Spares`]). The reader takes the `src` prefix off a payload before
+//! reading the body straight into the buffer that becomes the event's
+//! [`Body`]; a large one comes back to the reader when the consumer drops
+//! it ([`Returns`]). The socket has `TCP_NODELAY` and no user-space buffer
+//! in front of it, so there is nothing to flush.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::ops::Deref;
 use std::sync::atomic::Ordering;
@@ -53,6 +54,14 @@ pub(crate) enum WriteCmd {
 /// range frames are rare, and keeping them would make the bound on what a
 /// connection holds meaningless.
 const SPARE_LENS: std::ops::RangeInclusive<usize> = 64 << 10..=2 << 20;
+/// Outbound queue depth per connection, in frames: a send that finds it
+/// full for a whole send timeout treats the peer as collapsed.
+const QUEUE_CAP: usize = 1024;
+/// Most frames one wake-up of the writer puts on the socket in one
+/// vectored call. A burst longer than this takes one call per `BATCH`,
+/// and a large frame ends its batch (see [`writer_loop`]).
+const BATCH: usize = 64;
+
 /// Most buffers on their way back at once, in each direction; one more is
 /// dropped. Eight is the benchmark's stream window, so at most 16 MiB a
 /// connection on each side.
@@ -139,10 +148,9 @@ pub(crate) fn spawn_writer(
     mut stream: TcpStream,
     heartbeat_every: Duration,
     epoch: u64,
-    cap: usize,
     counters: Arc<Counters>,
 ) -> (PeerSender, Spares, Exited) {
-    let (tx, rx) = sync_channel::<WriteCmd>(cap.max(1));
+    let (tx, rx) = sync_channel::<WriteCmd>(QUEUE_CAP);
     let (back, spares) = sync_channel(SPARE_FRAMES);
     let (alive, exited) = Exited::pair();
     let builder = std::thread::Builder::new().name(format!("net-wr-{pe}"));
@@ -160,27 +168,50 @@ pub(crate) fn spawn_writer(
     (PeerSender { tx }, Spares(spares), exited)
 }
 
-/// Seal `buf`, put it on the wire with one call, count it, hand it back.
-fn write_one<W: Write>(
+/// Seal every frame in `batch`, put them all on the wire with one
+/// vectored call (more only if the socket takes less than offered), hand
+/// the in-range buffers back, count the frames. Leaves `batch` empty.
+fn write_batch<W: Write>(
     out: &mut W,
-    mut buf: Vec<u8>,
+    batch: &mut Vec<Vec<u8>>,
     counters: &Counters,
     back: &SyncSender<Vec<u8>>,
-) -> std::io::Result<()> {
-    frame::seal(&mut buf);
-    out.write_all(&buf)?;
-    let len = buf.len() as u64;
-    // Back first: whoever sees the counters move may take it.
-    if SPARE_LENS.contains(&buf.capacity()) {
-        let _ = back.try_send(buf);
+) -> io::Result<()> {
+    for buf in batch.iter_mut() {
+        frame::seal(buf);
     }
-    counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-    counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
+    let mut slices = [IoSlice::new(&[]); BATCH];
+    for (slice, buf) in slices.iter_mut().zip(batch.iter()) {
+        *slice = IoSlice::new(buf);
+    }
+    let mut rest = &mut slices[..batch.len()];
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let frames = batch.len() as u64;
+    let mut bytes = 0;
+    for buf in batch.drain(..) {
+        bytes += buf.len() as u64;
+        // Back first: whoever sees the counters move may take it.
+        if SPARE_LENS.contains(&buf.capacity()) {
+            let _ = back.try_send(buf);
+        }
+    }
+    counters.frames_sent.fetch_add(frames, Ordering::Relaxed);
+    counters.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     Ok(())
 }
 
 /// Drain `rx` into `out` until told to close (`Ok(true)`: the goodbye went
 /// out), the queue's senders are gone (`Ok(false)`), or a write fails.
+/// Each wake-up takes the frame that woke it and whatever else is queued
+/// at that moment, up to [`BATCH`] frames or the first large one, without
+/// waiting for more, so a lone frame leaves the moment it arrives.
 fn writer_loop<W: Write>(
     out: &mut W,
     rx: &Receiver<WriteCmd>,
@@ -188,30 +219,56 @@ fn writer_loop<W: Write>(
     epoch: u64,
     counters: &Counters,
     back: &SyncSender<Vec<u8>>,
-) -> std::io::Result<bool> {
+) -> io::Result<bool> {
+    let mut batch = Vec::with_capacity(BATCH);
+    let mut closing = false;
     loop {
-        match rx.recv_timeout(heartbeat_every) {
-            Ok(WriteCmd::Frame(buf)) => write_one(out, buf, counters, back)?,
-            Ok(WriteCmd::Close) => {
-                // Frames queued behind a Close were sent after the drain
-                // began; they still go out ahead of the Bye.
-                while let Ok(cmd) = rx.try_recv() {
-                    if let WriteCmd::Frame(buf) = cmd {
-                        write_one(out, buf, counters, back)?;
-                    }
+        let first = if closing {
+            // Frames queued behind a Close were sent after the drain
+            // began; they still go out ahead of the Bye.
+            match rx.try_recv() {
+                Ok(cmd) => cmd,
+                Err(_) => {
+                    batch.push(frame::build(K_BYE, &[]));
+                    write_batch(out, &mut batch, counters, back)?;
+                    return Ok(true);
                 }
-                write_one(out, frame::build(K_BYE, &[]), counters, back)?;
-                return Ok(true);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle: prove liveness.
-                let ping = frame::build(K_PING, &[&epoch.to_le_bytes()]);
-                write_one(out, ping, counters, back)?;
-                counters.pings_sent.fetch_add(1, Ordering::Relaxed);
+        } else {
+            match rx.recv_timeout(heartbeat_every) {
+                Ok(cmd) => cmd,
+                Err(RecvTimeoutError::Timeout) => {
+                    // Idle: prove liveness.
+                    batch.push(frame::build(K_PING, &[&epoch.to_le_bytes()]));
+                    write_batch(out, &mut batch, counters, back)?;
+                    counters.pings_sent.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                // The sender was dropped: the connection was superseded.
+                // Nothing is held back here, so just leave, no goodbye.
+                Err(RecvTimeoutError::Disconnected) => return Ok(false),
             }
-            // The sender was dropped: the connection was superseded.
-            // Nothing is held back here, so just leave, no goodbye.
-            Err(RecvTimeoutError::Disconnected) => return Ok(false),
+        };
+        // A Close ends the batch, and so does a frame as large as the
+        // smallest in `SPARE_LENS`: its buffer must be back before the
+        // senders build the next large frame, or they allocate another
+        // that later comes back to a full loop and is freed.
+        let mut next = Some(first);
+        while let Some(cmd) = next {
+            let WriteCmd::Frame(buf) = cmd else {
+                closing = true;
+                break;
+            };
+            let large = buf.len() >= *SPARE_LENS.start();
+            batch.push(buf);
+            next = if batch.len() < BATCH && !large {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
+        }
+        if !batch.is_empty() {
+            write_batch(out, &mut batch, counters, back)?;
         }
     }
 }
@@ -347,20 +404,33 @@ pub(crate) fn next_frame<R: Read>(
 mod tests {
     use super::*;
 
-    /// Counts the calls a writer makes and keeps the bytes.
+    /// Counts the calls a writer makes and keeps the bytes. A vectored
+    /// call is one call that takes every slice, as `writev` does (the
+    /// default impl would take only the first and hide the batch), unless
+    /// `short` caps what one call takes.
     #[derive(Default)]
     struct CountingWrite {
         calls: usize,
         bytes: Vec<u8>,
+        short: Option<usize>,
     }
 
     impl Write for CountingWrite {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.calls += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
         }
-        fn flush(&mut self) -> std::io::Result<()> {
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.short.unwrap_or(usize::MAX);
+            let before = self.bytes.len();
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.bytes.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
@@ -388,17 +458,144 @@ mod tests {
     /// Run a writer over `frames` queued ahead of it, then superseded (no
     /// goodbye): what it wrote, what it counted, what came back.
     fn write_all_of(frames: Vec<Vec<u8>>) -> (CountingWrite, Counters, Spares) {
-        let (tx, rx) = sync_channel(frames.len().max(1));
-        for f in frames {
-            tx.send(WriteCmd::Frame(f)).unwrap();
+        let cmds = frames.into_iter().map(WriteCmd::Frame).collect();
+        let (out, counters, spares, said_bye) = run_writer(cmds, CountingWrite::default());
+        assert!(!said_bye);
+        (out, counters, spares)
+    }
+
+    /// Run a writer into `out` over `cmds` queued ahead of it, then
+    /// superseded: also whether it said goodbye.
+    fn run_writer(
+        cmds: Vec<WriteCmd>,
+        mut out: CountingWrite,
+    ) -> (CountingWrite, Counters, Spares, bool) {
+        let (tx, rx) = sync_channel(cmds.len().max(1));
+        for cmd in cmds {
+            tx.send(cmd).unwrap();
         }
         drop(tx);
         let (back, spares) = sync_channel(SPARE_FRAMES);
-        let mut out = CountingWrite::default();
         let counters = Counters::default();
         let said_bye = writer_loop(&mut out, &rx, Duration::from_secs(5), 0, &counters, &back);
-        assert!(!said_bye.unwrap());
-        (out, counters, Spares(spares))
+        (out, counters, Spares(spares), said_bye.unwrap())
+    }
+
+    /// `n` 64-byte payload frames whose bodies tell them apart.
+    fn small_frames(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| payload_frame(1, &[i as u8; 64])).collect()
+    }
+
+    /// `frames` sealed and laid end to end, as one write each would.
+    fn sealed_one_at_a_time(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for f in frames {
+            let mut f = f.clone();
+            frame::seal(&mut f);
+            wire.extend_from_slice(&f);
+        }
+        wire
+    }
+
+    #[test]
+    fn a_queued_burst_leaves_in_one_writev_with_the_bytes_of_one_write_each() {
+        let frames = small_frames(BATCH);
+        let (out, counters, _) = write_all_of(frames.clone());
+        assert!(out.calls <= 2, "{} calls for {BATCH} frames", out.calls);
+        assert_eq!(out.bytes, sealed_one_at_a_time(&frames));
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), BATCH as u64);
+        let len = frames.iter().map(Vec::len).sum::<usize>() as u64;
+        assert_eq!(counters.bytes_sent.load(Ordering::Relaxed), len);
+        let (got, end) = read_all(&out.bytes);
+        assert_eq!(end, FrameError::Closed);
+        assert_eq!(got.len(), BATCH);
+        for (i, f) in got.iter().enumerate() {
+            assert_eq!((f.kind, f.src), (K_PAYLOAD, Some(1)));
+            assert_eq!(f.body, [i as u8; 64], "frame {i}");
+        }
+    }
+
+    #[test]
+    fn a_burst_past_the_bound_takes_one_call_per_batch() {
+        let frames = small_frames(2 * BATCH + 1);
+        let (out, _, _) = write_all_of(frames.clone());
+        assert_eq!(out.calls, 3);
+        assert_eq!(out.bytes, sealed_one_at_a_time(&frames));
+    }
+
+    #[test]
+    fn a_short_write_resumes_where_it_stopped() {
+        let mut frames = small_frames(5);
+        frames.insert(2, payload_frame(1, &varied(1000)));
+        for short in [1, 7, 84, 85, 1000] {
+            let out = CountingWrite {
+                short: Some(short),
+                ..CountingWrite::default()
+            };
+            let cmds = frames.iter().cloned().map(WriteCmd::Frame).collect();
+            let (out, counters, _, _) = run_writer(cmds, out);
+            let wire = sealed_one_at_a_time(&frames);
+            assert_eq!(out.bytes, wire, "{short} bytes a call");
+            assert_eq!(out.calls, wire.len().div_ceil(short));
+            assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 6);
+        }
+    }
+
+    #[test]
+    fn frames_queued_around_a_close_go_out_then_one_bye_last() {
+        let frames = small_frames(6);
+        let mut cmds: Vec<WriteCmd> = frames.iter().cloned().map(WriteCmd::Frame).collect();
+        cmds.insert(4, WriteCmd::Close);
+        let (out, counters, _, said_bye) = run_writer(cmds, CountingWrite::default());
+        assert!(said_bye);
+        let (got, end) = read_all(&out.bytes);
+        assert_eq!(end, FrameError::Closed);
+        assert_eq!(got.len(), 7);
+        for (i, f) in got[..6].iter().enumerate() {
+            assert_eq!((f.kind, f.src), (K_PAYLOAD, Some(1)));
+            assert_eq!(f.body, [i as u8; 64], "frame {i}");
+        }
+        assert_eq!(got[6].kind, K_BYE);
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn a_large_frame_ends_its_batch_and_is_back_before_it_is_counted() {
+        let big = |i: u8| payload_frame(1, &vec![i; (1 << 20) - frame::HDR_LEN - 4]);
+        let small = |i: u8| payload_frame(1, &[i; 64]);
+        let frames = vec![small(0), big(1), small(2), big(3), big(4), small(5)];
+        let (tx, rx) = sync_channel(frames.len());
+        for f in frames.iter().cloned() {
+            tx.send(WriteCmd::Frame(f)).unwrap();
+        }
+        let (back, spares) = sync_channel(SPARE_FRAMES);
+        let spares = Spares(spares);
+        let mut out = CountingWrite::default();
+        let counters = Counters::default();
+        std::thread::scope(|sc| {
+            let (out, counters, back) = (&mut out, &counters, &back);
+            sc.spawn(move || writer_loop(out, &rx, Duration::from_secs(5), 0, counters, back));
+            // Count first, then look: every large buffer among the frames
+            // counted so far must already be back.
+            let mut back_now = Vec::new();
+            loop {
+                let sent = counters.frames_sent.load(Ordering::Relaxed) as usize;
+                back_now.extend(spares.0.try_iter().map(|b| b.capacity()));
+                let owed = frames[..sent].iter().filter(|f| f.len() == 1 << 20);
+                assert!(back_now.len() >= owed.count(), "{sent} counted");
+                if sent == frames.len() {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            assert_eq!(back_now, [1 << 20; 3]);
+            drop(tx);
+        });
+        assert_eq!(out.calls, 4, "[0 1] [2 3] [4] [5]");
+        assert_eq!(out.bytes, sealed_one_at_a_time(&frames));
+        let (got, _) = read_all(&out.bytes);
+        let firsts: Vec<u8> = got.iter().map(|f| f.body[0]).collect();
+        assert_eq!(firsts, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
