@@ -184,6 +184,47 @@ fn json_nesting_and_numbers_cannot_hurt_the_reader() {
 }
 
 #[test]
+fn chrome_track_ids_and_drop_counts_must_be_whole_numbers_an_f64_holds() {
+    let small = heap_bound(0);
+    // The parent cast these: -1.5 joined track 0, 1e300 became u64::MAX.
+    for bad in [
+        "-1",
+        "-1.5",
+        "0.5",
+        "1e300",
+        "9007199254740994",
+        "1.7976931348623157e308",
+    ] {
+        let doc = format!("[{{\"ph\":\"X\",\"tid\":{bad}}}]");
+        let err = lie(&doc, small, parse_chrome).expect_err(&doc);
+        assert_eq!(
+            err, "`tid` at byte 17 is not a whole number in 0..=2^53",
+            "{doc}"
+        );
+        let doc = format!(
+            "[{{\"ph\":\"M\",\"name\":\"charm_stats\",\"args\":{{\"events_dropped\":{bad}}}}}]"
+        );
+        let err = lie(&doc, small, parse_chrome).expect_err(&doc);
+        assert_eq!(
+            err, "`events_dropped` at byte 57 is not a whole number in 0..=2^53",
+            "{doc}"
+        );
+    }
+    for (good, tid) in [
+        ("-0", 0),
+        ("2.0", 2),
+        ("3e2", 300),
+        ("9007199254740992", 1 << 53),
+    ] {
+        let doc = format!(
+            "[{{\"ph\":\"M\",\"name\":\"charm_stats\",\"tid\":{good},\"args\":{{\"events_dropped\":{good}}}}}]"
+        );
+        let p = lie(&doc, small, parse_chrome).expect(&doc);
+        assert_eq!((p.tracks[0].tid, p.tracks[0].events_dropped), (tid, tid));
+    }
+}
+
+#[test]
 fn summary_lengths_that_lie_size_nothing() {
     let text = synthetic::report(0x5eed, 24).summary_artifact();
     let bound = heap_bound(text.len());
