@@ -4,17 +4,28 @@
 
 use std::fmt::Write;
 
+/// `"00" ..= "99"`: two digits a step halve the chain of divisions.
+const PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
 /// Append `v` in decimal.
 pub(crate) fn push_dec(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
+    while v >= 10 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    // What is left is one digit, unless `v` was two digits a pair.
+    if v > 0 || i == buf.len() {
         i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        buf[i] = b'0' + v as u8;
     }
     out.extend(buf[i..].iter().map(|&b| char::from(b)));
 }
@@ -62,7 +73,24 @@ mod tests {
 
     #[test]
     fn push_dec_equals_display() {
-        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let edges = powers.flat_map(|p| {
+            [
+                p - 1,
+                p,
+                p + 1,
+                p.saturating_mul(2) - 1,
+                p.saturating_mul(5),
+            ]
+        });
+        let mut state = 0xdec_u64;
+        let seeded = (0..10_000).map(|i: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> (i % 64)
+        });
+        for v in edges.chain([u64::from(u32::MAX), u64::MAX]).chain(seeded) {
             let mut out = String::from("x");
             push_dec(&mut out, v);
             assert_eq!(out, format!("x{v}"));
