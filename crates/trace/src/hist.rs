@@ -169,6 +169,34 @@ impl Hist {
         }
     }
 
+    /// Grow the window once so that it also spans grid buckets
+    /// `lo..=hi`, with one allocation at most. The buckets it gains hold 0,
+    /// so the caller must then add to `lo` and `hi` to keep the window
+    /// tight.
+    fn span(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.base = lo as u32;
+            self.counts = vec![0; hi - lo + 1];
+            return;
+        }
+        let base = self.base as usize;
+        let end = base + self.counts.len() - 1;
+        if lo >= base {
+            if hi > end {
+                self.counts.reserve_exact(hi - end);
+                self.counts.resize(hi - base + 1, 0);
+            }
+        } else {
+            // Growth at the front moves every count: build the union once.
+            let mut counts = Vec::with_capacity(hi.max(end) - lo + 1);
+            counts.resize(base - lo, 0);
+            counts.extend_from_slice(&self.counts);
+            counts.resize(hi.max(end) - lo + 1, 0);
+            self.counts = counts;
+            self.base = lo as u32;
+        }
+    }
+
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
@@ -187,6 +215,18 @@ impl Hist {
         self.max = self.max.max(v);
     }
 
+    /// Record `n` samples of `v` for each `(v, n)` pair, growing the window
+    /// at most once: a reader that meets a histogram's lowest and highest
+    /// buckets first sizes its window with them.
+    pub fn record_pair(&mut self, a: (u64, u64), b: (u64, u64)) {
+        let at = |(v, n): (u64, u64)| (n > 0).then(|| index_of(self.sub_bits, v));
+        if let (Some(i), Some(j)) = (at(a), at(b)) {
+            self.span(i.min(j), i.max(j));
+        }
+        self.record_n(a.0, a.1);
+        self.record_n(b.0, b.1);
+    }
+
     /// Merge another histogram into this one. Equal grids add bucket-wise
     /// (exact); a different grid is folded in by re-bucketing midpoints.
     pub fn merge(&mut self, other: &Hist) {
@@ -198,11 +238,10 @@ impl Hist {
                 self.base = other.base;
                 self.counts.extend_from_slice(&other.counts);
             } else {
-                // Both windows end on occupied buckets, so touching the
-                // other's two ends grows this one to exactly their union.
+                // Both windows end on occupied buckets, so their union is
+                // tight once the other's counts are added.
                 let lo = other.base as usize;
-                self.add_at(lo + other.counts.len() - 1, 0);
-                self.add_at(lo, 0);
+                self.span(lo, lo + other.counts.len() - 1);
                 let dst = &mut self.counts[lo - self.base as usize..];
                 // Until a total saturates, each side's buckets sum to its
                 // total: if the totals add without overflow, so does every
@@ -280,6 +319,14 @@ impl Hist {
             }
             None => self.max,
         })
+    }
+
+    /// At least the number of non-empty buckets, found without a walk: the
+    /// window's length, or the sample count if that is smaller.
+    pub(crate) fn buckets_bound(&self) -> usize {
+        self.counts
+            .len()
+            .min(usize::try_from(self.total).unwrap_or(usize::MAX))
     }
 
     /// Non-empty buckets as `(grid index, count)`, in value order.

@@ -419,6 +419,21 @@ impl<'a> Reader<'a> {
         Ok(token)
     }
 
+    /// Read the next value as [`Reader::value`] does, but give a number
+    /// back as its literal, unconverted (checked exactly as `value` checks
+    /// it, finite included); `None` for a value of any other kind.
+    #[inline]
+    pub fn number_text(&mut self) -> Result<Option<&'a str>, String> {
+        self.ws();
+        if !self.filled && matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            let start = self.i;
+            self.number(false)?;
+            self.filled = true;
+            return Ok(Some(&self.src[start..self.i]));
+        }
+        self.read_value(true).map(|_| None)
+    }
+
     /// Inside an array: `true` if another element follows (read it with
     /// [`Reader::value`] or [`Reader::skip`]), `false` once the closing
     /// `]` has been read.
@@ -906,6 +921,49 @@ mod tests {
             };
             assert!(parse(&text).is_ok(), "seed {seed:#x} case {case}: {text}");
             same_as_str_parse(&text);
+        }
+    }
+
+    #[test]
+    fn number_text_reads_what_value_reads() {
+        let docs = [
+            "0",
+            "-0",
+            "12",
+            "1.5",
+            "-2.5e-3",
+            "1e400",
+            "01",
+            "1.",
+            "-",
+            "1e",
+            "\"7\"",
+            "true",
+            "null",
+            "[1]",
+            "{}",
+            " 42 ",
+            "9007199254740993",
+            "1,2",
+        ];
+        for doc in docs {
+            let (mut a, mut b) = (Reader::new(doc), Reader::new(doc));
+            let want = a.value();
+            let got = b.number_text();
+            match (&want, &got) {
+                (Ok(Token::Num(n)), Ok(Some(text))) => {
+                    assert_eq!(
+                        text.parse::<f64>().map(f64::to_bits),
+                        Ok(n.to_bits()),
+                        "{doc}"
+                    );
+                }
+                (Ok(_), Ok(None)) => {}
+                (Err(e), Err(f)) => assert_eq!(e, f, "{doc}"),
+                _ => panic!("{doc}: value {want:?}, number_text {got:?}"),
+            }
+            assert_eq!(a.offset(), b.offset(), "{doc}");
+            assert_eq!(a.finish(), b.finish(), "{doc}");
         }
     }
 

@@ -55,7 +55,7 @@ pub mod json;
 pub mod report;
 pub mod summary;
 pub mod telemetry;
-mod text;
+pub mod text;
 pub mod tracer;
 
 pub use event::{EntryKind, Event, EventKind};

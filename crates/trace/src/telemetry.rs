@@ -90,63 +90,77 @@ pub struct TopItem {
 /// Default number of hot chares a frame carries.
 pub const DEFAULT_TOP_K: usize = 8;
 
+/// The top-K order: heavier first, ties by label.
+fn heavier(a: &TopItem, b: &TopItem) -> std::cmp::Ordering {
+    (b.weight, &a.label).cmp(&(a.weight, &b.label))
+}
+
+/// Label equality compared from the last byte: labels are ids whose
+/// distinguishing digits come last, so two different ones of one length
+/// mostly part at once.
+fn same_label(a: &str, b: &str) -> bool {
+    a.len() == b.len() && a.bytes().rev().eq(b.bytes().rev())
+}
+
 impl MetricFrame {
     /// The generated `merge`'s hook for what is not a row: histograms merge
     /// bucket-wise; top-K items with the same label add, and the heaviest
     /// `top_cap` stay, heaviest first. Labels are unique within a frame (a
     /// sketch tracks each key once), so a label of `other` not found here
-    /// is new. One pass over `other` adds what both carry and keeps the new
-    /// items that can still make the cut; those go in heaviest first, and
-    /// only a label that stays is copied, into the buffer of the label it
-    /// pushes out when there is one.
+    /// is new. The list here is kept sorted throughout: a summed item moves
+    /// up into place, and a new one that makes the cut goes in where it
+    /// belongs, into the buffer of the entry it pushes out when the list is
+    /// full. Nothing allocates but a label longer than the one it replaces,
+    /// or one the list had no room for.
     pub(crate) fn merge_rest(&mut self, other: &MetricFrame) {
         debug_assert_eq!(self.seq, other.seq);
         self.exec.merge(&other.exec);
         self.latency.merge(&other.latency);
-        let heavier = |a: &TopItem, b: &TopItem| (b.weight, &a.label).cmp(&(a.weight, &b.label));
         let cap = self.top_cap.max(other.top_cap).max(1);
         self.top_cap = cap;
+        let top = &mut self.top;
         // Labels are unique, so the order is total and needs no stability.
-        self.top.sort_unstable_by(heavier);
-        // Weights here only grow, so a new item no heavier than the
-        // `cap`-th one now has `cap` heavier ones ahead of it in the end.
-        let bar = self.top.get(cap - 1).map(|t| t.weight);
-        let mut fresh: Vec<&TopItem> = Vec::new();
-        let mut summed = false;
-        for it in &other.top {
-            if let Some(t) = self.top.iter_mut().find(|t| t.label == it.label) {
-                t.weight += it.weight;
-                t.err += it.err;
-                summed = true;
-            } else if bar.is_none_or(|w| (it.weight, &self.top[cap - 1].label) > (w, &it.label)) {
-                fresh.push(it);
-            }
+        if !top.is_sorted_by(|a, b| heavier(a, b).is_lt()) {
+            top.sort_unstable_by(heavier);
         }
-        if summed {
-            self.top.sort_unstable_by(heavier);
-        }
-        self.top.truncate(cap);
-        fresh.sort_unstable_by(|a, b| heavier(a, b));
-        for it in fresh {
-            let at = self.top.partition_point(|t| heavier(t, it).is_lt());
-            if at == cap {
-                break;
-            }
-            // The last entry of a full list drops out; the new one takes
-            // over its label's buffer.
-            let full = self.top.len() == cap;
-            let item = match self.top.pop_if(|_| full) {
-                Some(mut out) => {
-                    out.label.clone_from(&it.label);
-                    TopItem {
-                        weight: it.weight,
-                        err: it.err,
-                        ..out
-                    }
+        // Shared labels add first: an item that would fall below the cut
+        // now may yet stay once its other half is added. Bit `i` marks
+        // `other.top[i]` as added (the few past 64 are looked up again).
+        let mut added = 0u64;
+        for (i, it) in other.top.iter().enumerate() {
+            if let Some(mut at) = top.iter().position(|t| same_label(&t.label, &it.label)) {
+                top[at].weight += it.weight;
+                top[at].err += it.err;
+                // Heavier now: it moves towards the front.
+                while at > 0 && heavier(&top[at], &top[at - 1]).is_lt() {
+                    top.swap(at, at - 1);
+                    at -= 1;
                 }
-                None => it.clone(),
+                added |= 1u64.checked_shl(i as u32).unwrap_or(0);
+            }
+        }
+        top.truncate(cap);
+        for (i, it) in other.top.iter().enumerate() {
+            // Past bit 63, a label still listed was added above. One added
+            // but pushed out since is not heavier than what pushed it out,
+            // so the test below drops it again.
+            let done = match 1u64.checked_shl(i as u32) {
+                Some(bit) => added & bit != 0,
+                None => top.iter().any(|t| same_label(&t.label, &it.label)),
             };
-            self.top.insert(at, item);
+            if done || top.len() == cap && heavier(it, &top[cap - 1]).is_ge() {
+                continue;
+            }
+            let at = top.partition_point(|t| heavier(t, it).is_lt());
+            if top.len() == cap {
+                // The last entry drops out; its buffer takes the new label.
+                let out = &mut top[cap - 1];
+                out.label.clone_from(&it.label);
+                (out.weight, out.err) = (it.weight, it.err);
+            } else {
+                top.push(it.clone());
+            }
+            top[at..].rotate_right(1);
         }
     }
 
@@ -199,12 +213,11 @@ impl MetricFrame {
 /// (line-oriented text; `charm-perf telemetry` parses it back).
 pub fn frames_artifact(frames: &[MetricFrame]) -> String {
     // ~300 bytes a `frame` line and its two `hist` heads, up to ~24 a
-    // bucket (two 10-digit numbers), ~64 a `top` line.
+    // bucket (two 10-digit numbers), ~64 a `top` line. The buckets are
+    // bounded, not counted: the count is a walk of every window.
     let size: usize = frames
         .iter()
-        .map(|f| {
-            384 + 24 * (f.exec.buckets().count() + f.latency.buckets().count()) + 64 * f.top.len()
-        })
+        .map(|f| 384 + 24 * (f.exec.buckets_bound() + f.latency.buckets_bound()) + 64 * f.top.len())
         .sum();
     let mut out = String::with_capacity(size + 32);
     out.push_str("charm-telemetry v1\n");
