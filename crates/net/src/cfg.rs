@@ -51,8 +51,11 @@ pub struct NetCfg {
     pub drain_timeout: Duration,
     /// Reconnect schedule for the dialing side of a lost connection.
     pub reconnect: BackoffCfg,
-    /// How long a send may wait on a full outbound queue before the peer
-    /// is treated as collapsed.
+    /// How long a send may wait before the peer is treated as collapsed:
+    /// on a full outbound queue, or, for a frame of 64 KiB or more that the
+    /// sending thread writes itself, on the socket (it is the socket's write
+    /// timeout, so a writer thread's batch is bounded by it too). A write
+    /// that times out severs the connection.
     pub send_timeout: Duration,
     /// Largest frame payload a reader will accept.
     pub max_frame: usize,

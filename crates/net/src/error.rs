@@ -31,8 +31,10 @@ pub enum NetError {
         /// The unreachable PE.
         pe: usize,
     },
-    /// The peer's bounded outbound queue stayed full for the whole send
-    /// timeout — the peer is alive-but-stuck or the link has collapsed.
+    /// A send could not hand its frame on within the send timeout: the
+    /// peer's bounded outbound queue stayed full, or the socket would not
+    /// take a large frame's bytes (the connection is then severed). The
+    /// peer is alive-but-stuck or the link has collapsed.
     QueueTimeout {
         /// The backpressuring PE.
         pe: usize,
@@ -58,10 +60,7 @@ impl std::fmt::Display for NetError {
             }
             NetError::PeerDown { pe } => write!(f, "no live connection to PE {pe}"),
             NetError::QueueTimeout { pe } => {
-                write!(
-                    f,
-                    "outbound queue to PE {pe} stayed full past the send timeout"
-                )
+                write!(f, "send to PE {pe} stalled past the send timeout")
             }
             NetError::Drain(msg) => write!(f, "drain failed: {msg}"),
         }

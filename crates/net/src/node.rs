@@ -21,7 +21,7 @@ use crate::backoff::Backoff;
 use crate::cfg::NetCfg;
 use crate::error::NetError;
 use crate::frame;
-use crate::peer::{next_frame, spawn_writer, Body, Inbound, PeerSender, Returns, Spares};
+use crate::peer::{next_frame, spawn_writer, Body, Inbound, PeerSender, Returns};
 use crate::proto::{
     Hello, Restart, Table, TableEntry, K_BYE, K_HELLO, K_PAYLOAD, K_PING, K_RESTART, K_STATS,
     K_TABLE,
@@ -162,10 +162,8 @@ struct Slot {
     /// Bumps on every install/teardown; supervision threads carry the
     /// generation they acted for and stand down when it has moved on.
     gen: u64,
-    /// Live writer handle, `None` while down.
-    sender: Option<PeerSender>,
-    /// Where that writer's large frame buffers come back for the next send.
-    spares: Option<Spares>,
+    /// Live connection's send handle, `None` while down.
+    sender: Option<Arc<PeerSender>>,
     /// Fires when that writer has exited (what a drain waits on).
     exited: Option<Exited>,
     /// Shutdown handle on the live connection (a clone of the stream), so
@@ -173,6 +171,9 @@ struct Slot {
     raw: Option<TcpStream>,
     /// The peer's advertised listener (root: from its Hello).
     advertised: Option<SocketAddr>,
+    /// Where to dial the peer: the root's address, then what the root's
+    /// tables say.
+    book: Option<SocketAddr>,
     /// A clean goodbye was received on the current connection.
     bye: bool,
 }
@@ -185,12 +186,10 @@ struct Shared {
     listen_addr: SocketAddr,
     epoch: AtomicU64,
     shutting: AtomicBool,
-    // analyze: allow(net-hook, "peer table and address book are shared with reader/supervision threads; guarded by coarse short-lived mutexes")
+    // analyze: allow(net-hook, "peer table and address book are shared with reader/supervision threads; guarded by one coarse short-lived mutex")
     peers: Mutex<Vec<Slot>>,
     /// Notified by every `install`: the mesh wait sleeps on it.
     installed: Condvar,
-    // analyze: allow(net-hook, "see above: address book mutex")
-    table: Mutex<Vec<Option<(u64, SocketAddr)>>>,
     events: mpsc::Sender<NetEvent>,
     counters: Arc<Counters>,
 }
@@ -199,11 +198,6 @@ impl Shared {
     fn peers(&self) -> MutexGuard<'_, Vec<Slot>> {
         // analyze: allow(net-hook, "single lock helper; poisoning cannot happen (no panics while held) and would only abort supervision")
         self.peers.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn addr_book(&self) -> MutexGuard<'_, Vec<Option<(u64, SocketAddr)>>> {
-        // analyze: allow(net-hook, "single lock helper for the address book")
-        self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn cur_epoch(&self) -> u64 {
@@ -264,7 +258,11 @@ impl Shared {
         stream: TcpStream,
     ) {
         let _ = stream.set_read_timeout(Some(self.cfg.heartbeat_timeout));
-        let (sender, spares, exited) = spawn_writer(
+        // Bounds every write: the writer's batches and a sender's own. A
+        // zero timeout would set none at all.
+        let bound = self.cfg.send_timeout.max(Duration::from_millis(1));
+        let _ = stream.set_write_timeout(Some(bound));
+        let (sender, exited) = spawn_writer(
             pe,
             match stream.try_clone() {
                 Ok(s) => s,
@@ -292,8 +290,7 @@ impl Shared {
             gen = slot.gen;
             slot.epoch = conn_epoch;
             slot.bye = false;
-            slot.sender = Some(sender);
-            slot.spares = Some(spares);
+            slot.sender = Some(Arc::new(sender));
             slot.exited = Some(exited);
             slot.raw = raw;
             if let Some(a) = advertised {
@@ -419,7 +416,6 @@ impl Shared {
             }
             was_bye = slot.bye;
             slot.sender = None;
-            slot.spares = None;
             slot.exited = None;
             slot.raw = None;
             slot.gen += 1;
@@ -458,13 +454,13 @@ impl Shared {
             if self.shutting.load(Ordering::SeqCst) {
                 return;
             }
-            {
+            let addr = {
                 let peers = self.peers();
                 if peers[pe].gen != want_gen || peers[pe].sender.is_some() {
                     return; // superseded (e.g. a readmitted peer dialed us)
                 }
-            }
-            let addr = self.addr_book()[pe].map(|(_, a)| a);
+                peers[pe].book
+            };
             if let Some(addr) = addr {
                 if self.dial(pe, addr).is_ok() {
                     self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -507,34 +503,29 @@ impl Shared {
     /// higher PE always dials, so entries above `me` are address book
     /// updates only — those peers dial us.)
     fn handle_table(self: &Arc<Self>, t: Table) {
+        let mut dial = Vec::new();
         {
-            let mut book = self.addr_book();
+            let mut peers = self.peers();
             for e in &t.entries {
                 let pe = e.pe as usize;
-                if pe < book.len() {
-                    book[pe] = Some((e.epoch, e.addr));
+                let Some(slot) = peers.get_mut(pe) else {
+                    continue;
+                };
+                slot.book = Some(e.addr);
+                if pe < self.me && (slot.sender.is_none() || slot.epoch < e.epoch) {
+                    dial.push((pe, e.epoch));
                 }
             }
         }
-        for e in t.entries {
-            let pe = e.pe as usize;
-            if pe >= self.me || pe >= self.npes {
-                continue;
-            }
-            let need = {
-                let peers = self.peers();
-                peers[pe].sender.is_none() || peers[pe].epoch < e.epoch
-            };
-            if need {
-                let me = Arc::clone(self);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("net-dial-{pe}"))
-                    .spawn(move || {
-                        let gen = me.peers()[pe].gen;
-                        me.reconnect(pe, e.epoch, gen, "table update".to_string());
-                    });
-                drop(spawned);
-            }
+        for (pe, epoch) in dial {
+            let me = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name(format!("net-dial-{pe}"))
+                .spawn(move || {
+                    let gen = me.peers()[pe].gen;
+                    me.reconnect(pe, epoch, gen, "table update".to_string());
+                });
+            drop(spawned);
         }
     }
 
@@ -629,36 +620,25 @@ impl Shared {
         let _ = TcpStream::connect_timeout(&addr, budget.max(Duration::from_millis(1)));
     }
 
-    /// Queue a frame made by [`frame::build`] on `dst`'s writer.
-    fn send_frame(&self, dst: usize, frame: Vec<u8>) -> Result<(), NetError> {
-        if dst >= self.npes {
-            return Err(NetError::PeerDown { pe: dst });
-        }
-        let sender = {
-            let peers = self.peers();
-            match &peers[dst].sender {
-                Some(s) => s.clone(),
-                None => return Err(NetError::PeerDown { pe: dst }),
-            }
-        };
-        sender.send(dst, frame, self.cfg.send_timeout)
+    /// The send handle of `dst`'s live connection.
+    fn sender(&self, dst: usize) -> Result<Arc<PeerSender>, NetError> {
+        let peers = self.peers();
+        let slot = peers.get(dst).and_then(|s| s.sender.clone());
+        slot.ok_or(NetError::PeerDown { pe: dst })
     }
 
-    /// Build `[header | me | bytes]` and queue it on `dst`'s writer: the one
-    /// copy a payload needs on its way out, made in a buffer that writer has
-    /// finished with when the frame is large and one is back.
+    /// Queue a frame made by [`frame::build`] on `dst`'s writer.
+    fn send_frame(&self, dst: usize, frame: Vec<u8>) -> Result<(), NetError> {
+        self.sender(dst)?.send(dst, frame, self.cfg.send_timeout)
+    }
+
+    /// Send `[header | me | bytes]` to `dst`: from this thread, uncopied,
+    /// when the frame is large and nothing is queued ahead of it, else
+    /// built and queued ([`PeerSender::send_from`]).
     fn send_from_me(&self, dst: usize, kind: u8, bytes: &[u8]) -> Result<(), NetError> {
         let me = (self.me as u32).to_le_bytes();
-        let (sender, spare) = {
-            let peers = self.peers();
-            let slot = peers.get(dst).ok_or(NetError::PeerDown { pe: dst })?;
-            let sender = slot.sender.clone().ok_or(NetError::PeerDown { pe: dst })?;
-            let len = frame::HDR_LEN + me.len() + bytes.len();
-            let spare = slot.spares.as_ref().map_or_else(Vec::new, |s| s.take(len));
-            (sender, spare)
-        };
-        let frame = frame::build_in(spare, kind, &[&me, bytes]);
-        sender.send(dst, frame, self.cfg.send_timeout)
+        self.sender(dst)?
+            .send_from(dst, kind, &me, bytes, self.cfg.send_timeout)
     }
 }
 
@@ -699,8 +679,6 @@ impl NetNode {
             // analyze: allow(net-hook, "constructing the shared peer table; see the field declarations")
             peers: Mutex::new((0..npes).map(|_| Slot::default()).collect()),
             installed: Condvar::new(),
-            // analyze: allow(net-hook, "constructing the shared address book; see the field declarations")
-            table: Mutex::new(vec![None; npes]),
             events: tx,
             counters: Arc::new(Counters::default()),
         });
@@ -745,7 +723,7 @@ impl NetNode {
         epoch: u64,
     ) -> Result<NetNode, NetError> {
         let node = NetNode::bind(cfg, me, npes, nonce, epoch)?;
-        node.shared.addr_book()[0] = Some((epoch, root));
+        node.shared.peers()[0].book = Some(root);
         let deadline = now() + cfg.rendezvous_timeout;
         // The root may not be listening yet under an external launcher;
         // keep dialing until the rendezvous window closes.
@@ -919,7 +897,6 @@ impl NetNode {
             let mut peers = self.shared.peers();
             for slot in peers.iter_mut() {
                 slot.sender = None; // writers exit on disconnect, silently
-                slot.spares = None;
                 slot.exited = None;
                 if let Some(raw) = slot.raw.take() {
                     let _ = raw.shutdown(std::net::Shutdown::Both);
@@ -937,7 +914,7 @@ impl NetNode {
         let deadline = now() + timeout;
         self.shared.shutting.store(true, Ordering::SeqCst);
         self.shared.wake_listener(timeout);
-        let taken: Vec<(PeerSender, Option<Exited>)> = {
+        let taken: Vec<(Arc<PeerSender>, Option<Exited>)> = {
             let mut peers = self.shared.peers();
             peers
                 .iter_mut()

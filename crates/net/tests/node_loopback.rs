@@ -427,6 +427,122 @@ fn interleaved_small_and_large_payloads_arrive_in_order_and_intact() {
     }
 }
 
+/// `n` payloads of `len` bytes each, told apart by their first four bytes.
+fn numbered(n: std::ops::Range<u32>, len: usize) -> Vec<Vec<u8>> {
+    n.map(|i| {
+        let mut body = vec![i as u8; len];
+        body[..4].copy_from_slice(&i.to_le_bytes());
+        body
+    })
+    .collect()
+}
+
+#[test]
+fn small_frames_then_a_large_one_then_small_ones_arrive_in_send_order() {
+    let _shared = untimed();
+    let cfg = test_cfg();
+    let nodes = mesh(&cfg, 2, 0xBBBC);
+    // A burst long enough that some of it is still queued when the 1 MiB
+    // frame is sent: that one must queue behind it, not leave first.
+    let mut msgs = numbered(0..300, 64);
+    msgs.extend(numbered(300..301, 1 << 20));
+    msgs.extend(numbered(301..600, 64));
+    for _ in 0..3 {
+        for m in &msgs {
+            nodes[0].send_payload(1, m).expect("send");
+        }
+        for (i, want) in msgs.iter().enumerate() {
+            let got = wait_event(&nodes[1], Duration::from_secs(10), |ev| match ev {
+                NetEvent::Payload { src: 0, bytes } => Some(bytes),
+                _ => None,
+            });
+            assert!(got == *want, "message {i} out of order or changed");
+        }
+    }
+    for node in &nodes {
+        node.drain(cfg.drain_timeout).expect("drain");
+    }
+}
+
+#[test]
+fn a_large_send_to_a_root_that_never_reads_fails_typed_within_the_send_timeout() {
+    let _shared = untimed();
+    let nonce = 0x5A11;
+    let cfg = NetCfg {
+        send_timeout: Duration::from_millis(500),
+        // No ping and no read timeout inside the test: only the send stalls.
+        ..test_cfg().heartbeat(Duration::from_secs(30), Duration::from_secs(60))
+    };
+    // A root that completes the handshake and then reads nothing.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let root_addr = listener.local_addr().expect("addr");
+    let root = std::thread::spawn(move || {
+        let (mut raw, _) = listener.accept().expect("accept");
+        let (kind, hello) = frame::read_frame(&mut raw, frame::DEFAULT_MAX_FRAME).expect("hello");
+        assert_eq!(kind, K_HELLO);
+        let ack = Hello {
+            pe: 0,
+            npes: 2,
+            epoch: 0,
+            nonce: Hello::decode(&hello).expect("hello decodes").nonce,
+            listen_port: root_addr.port(),
+        };
+        frame::write_frame(&mut raw, K_HELLO, &ack.encode()).expect("ack");
+        raw
+    });
+    let worker = NetNode::worker(&cfg, 1, 2, nonce, root_addr, 0).expect("worker");
+    let mut raw = root.join().expect("root thread");
+    let msgs = numbered(0..256, 1 << 20);
+    let mut failed = None;
+    for (i, m) in msgs.iter().enumerate() {
+        let t = Instant::now();
+        if let Err(e) = worker.send_payload(0, m) {
+            failed = Some((i, e, t.elapsed()));
+            break;
+        }
+    }
+    let (sent, err, took) = failed.expect("a stream into a socket nobody reads fails");
+    assert_eq!(err, charm_net::NetError::QueueTimeout { pe: 0 });
+    // Margin: the first call may find room for part of the frame, and the
+    // host may be busy.
+    let bound = cfg.send_timeout + Duration::from_secs(1);
+    assert!(
+        took <= bound,
+        "the failing send took {took:?} (bound {bound:?})"
+    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while worker.peer_live(0) {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled connection is still up"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The root reads whole frames in order, then a torn one or the end:
+    // never a frame spliced onto a cut one.
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut got = 0;
+    let end = loop {
+        match frame::read_frame(&mut raw, frame::DEFAULT_MAX_FRAME) {
+            Ok((kind, payload)) => {
+                assert_eq!(kind, K_PAYLOAD);
+                assert!(payload[4..] == msgs[got][..], "frame {got}");
+                got += 1;
+            }
+            Err(e) => break e,
+        }
+    };
+    assert!(
+        matches!(
+            end,
+            frame::FrameError::Torn { .. } | frame::FrameError::Closed
+        ),
+        "{end:?}"
+    );
+    assert_eq!(got, sent, "every frame sent whole, none of the cut one");
+}
+
 /// Median wall time, in ms, of assembling an `npes` mesh (root bind to
 /// every node bootstrapped) over ten meshes. Each is drained before the
 /// next is built.

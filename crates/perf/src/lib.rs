@@ -566,8 +566,8 @@ pub fn parse_chrome(text: &str) -> Result<ChromeProfile, String> {
         let (mut ph, mut name, mut cat) = (Cow::from(""), Cow::from(""), Cow::from(""));
         // Where the last `args` value starts. What it must hold depends on
         // `ph` and `name`, which may follow it: checked for syntax now,
-        // read once the event is complete.
-        let mut args: Option<Reader<'_>> = None;
+        // read from there once the event is complete.
+        let mut args = None;
         while let Some(key) = r.key()? {
             match &*key {
                 "tid" => tid = json_whole(&mut r, &key, &mut last_tid)?,
@@ -576,7 +576,7 @@ pub fn parse_chrome(text: &str) -> Result<ChromeProfile, String> {
                 "name" => name = json_str(&mut r, &key)?,
                 "cat" => cat = json_str(&mut r, &key)?,
                 "args" => {
-                    args = Some(r.clone());
+                    args = Some(r.offset());
                     r.skip()?;
                 }
                 _ => r.skip()?,
@@ -585,7 +585,8 @@ pub fn parse_chrome(text: &str) -> Result<ChromeProfile, String> {
         let track = tracks.get(tid);
         match &*ph {
             "M" if name == "charm_stats" => {
-                if let Some(args) = args {
+                if let Some(at) = args {
+                    let args = Reader::at(text, at);
                     (track.events_dropped, track.slab_hit_rate) = charm_stats(args)?;
                 }
             }

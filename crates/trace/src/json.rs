@@ -325,6 +325,16 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Start reading `src` at byte `at`, as if the value there were the
+    /// whole document: how a caller comes back to a value it skipped, by
+    /// its [`offset`](Reader::offset). Errors name offsets in `src`.
+    pub fn at(src: &'a str, at: usize) -> Reader<'a> {
+        Reader {
+            i: at,
+            ..Reader::new(src)
+        }
+    }
+
     /// Byte offset of the next unread byte.
     pub fn offset(&self) -> usize {
         self.i
@@ -922,6 +932,48 @@ mod tests {
             assert!(parse(&text).is_ok(), "seed {seed:#x} case {case}: {text}");
             same_as_str_parse(&text);
         }
+    }
+
+    #[test]
+    fn a_reader_at_a_skipped_value_reads_what_the_skipping_reader_would() {
+        let doc = r#"[{"k": {"a": 1, "b": [true, "x\n"], "c": {}}, "z": 2}]"#;
+        let mut r = Reader::new(doc);
+        assert_eq!(r.value(), Ok(Token::ArrBegin));
+        assert!(r.elem().unwrap());
+        assert_eq!(r.value(), Ok(Token::ObjBegin));
+        assert_eq!(r.key().unwrap().as_deref(), Some("k"));
+        let (mut clone, mut at) = (r.clone(), Reader::at(doc, r.offset()));
+        r.skip().unwrap();
+        // Pull both readers through the value token by token.
+        assert_eq!(clone.value(), at.value());
+        let mut depth = 1;
+        while depth > 0 {
+            let (a, b) = if clone.object {
+                (
+                    clone.key().map(|k| k.is_some()),
+                    at.key().map(|k| k.is_some()),
+                )
+            } else {
+                (clone.elem(), at.elem())
+            };
+            assert_eq!(a, b);
+            if a != Ok(true) {
+                depth -= 1;
+                continue;
+            }
+            let (a, b) = (clone.value(), at.value());
+            assert_eq!(a, b);
+            if matches!(a, Ok(Token::ArrBegin | Token::ObjBegin)) {
+                depth += 1;
+            }
+            assert_eq!(clone.offset(), at.offset());
+        }
+        assert_eq!(at.offset(), r.offset(), "both end where the skip did");
+        // Errors name offsets in the whole text.
+        assert_eq!(
+            Reader::at("[1, ]", 4).value(),
+            Err("unexpected byte at 4".into())
+        );
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //!
 //! * [`write_frame`] / [`read_frame`] take and return a bare payload.
 //! * [`build`] + [`seal`] (or [`sealed`]) assemble `[header | parts..]` in
-//!   one owned buffer that a writer hands to a single `write_all`
-//!   ([`build_in`]: in a buffer the caller already owns);
+//!   one owned buffer that a writer hands to a single `write_all`, and
+//!   [`header_of`] seals the header of parts that stay where they lie, for
+//!   one vectored write of `[header | parts..]`;
 //!   [`read_header`] + [`read_body`] let a reader peel a fixed prefix off
 //!   the payload *before* the rest is read straight into the `Vec` it will
 //!   hand on ([`read_body_in`]: into a buffer the reader got back).
@@ -268,28 +269,29 @@ fn header(kind: u8, len: usize, pcrc: u32) -> [u8; HDR_LEN] {
 
 /// Build the 16-byte header for `payload` tagged with `kind`.
 pub fn encode_header(kind: u8, payload: &[u8]) -> [u8; HDR_LEN] {
-    header(kind, payload.len(), sum32(payload))
+    header_of(kind, &[payload])
+}
+
+/// The sealed header of the frame whose payload is `parts` back to back,
+/// summed where they lie: a writer that puts `[header | parts..]` on the
+/// wire with one vectored call never copies the payload at all.
+pub fn header_of(kind: u8, parts: &[&[u8]]) -> [u8; HDR_LEN] {
+    let mut sum = Sum32::new();
+    let mut len = 0;
+    for p in parts {
+        sum.update(p);
+        len += p.len();
+    }
+    header(kind, len, sum.finish())
 }
 
 /// Assemble an *unsealed* frame in one exact-size buffer: the header (its
-/// `PAYLOAD_CRC` still zero) followed by `parts` back to back. This is the
-/// only copy a payload needs on its way out; [`seal`] finishes the frame on
+/// `PAYLOAD_CRC` still zero) followed by `parts` back to back, the one copy
+/// of the payload a queued frame needs; [`seal`] finishes the frame on
 /// whichever thread is about to write it.
 pub fn build(kind: u8, parts: &[&[u8]]) -> Vec<u8> {
-    build_in(Vec::new(), kind, parts)
-}
-
-/// [`build`] into `out`'s allocation, whatever `out` held: a sender that
-/// gets its written frames back makes the next one without asking the
-/// allocator for anything. An `out` too small for the frame is replaced by
-/// one of the exact size.
-pub fn build_in(mut out: Vec<u8>, kind: u8, parts: &[&[u8]]) -> Vec<u8> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
-    out.clear();
-    if out.capacity() < HDR_LEN + len {
-        // Not `reserve`, which may move the stale bytes along.
-        out = Vec::with_capacity(HDR_LEN + len);
-    }
+    let mut out = Vec::with_capacity(HDR_LEN + len);
     out.extend_from_slice(&header(kind, len, 0));
     for p in parts {
         out.extend_from_slice(p);
@@ -620,16 +622,20 @@ mod tests {
     }
 
     #[test]
-    fn build_in_reuses_a_buffer_that_fits_and_replaces_one_that_does_not() {
-        let payload = garbage(23, 100);
-        let stale = vec![0xEEu8; 4096];
-        let (ptr, cap) = (stale.as_ptr(), stale.capacity());
-        let reused = build_in(stale, 9, &[&payload]);
-        assert_eq!((reused.as_ptr(), reused.capacity()), (ptr, cap));
-        assert_eq!(reused, build(9, &[&payload]));
-        let replaced = build_in(vec![0xEEu8; 8], 9, &[&payload]);
-        assert_eq!(replaced.capacity(), HDR_LEN + payload.len());
-        assert_eq!(replaced, reused);
+    fn header_of_parts_is_the_header_build_and_seal_make_for_any_split() {
+        let payload = garbage(31, 300);
+        for n in [0, 1, 31, 32, 33, 100, 300] {
+            let payload = &payload[..n];
+            let whole = sealed(5, &[payload]);
+            for a in 0..=n {
+                for b in [a, (a + 9).min(n), (a + 40).min(n), n] {
+                    let parts = [&payload[..a], &payload[a..b], &payload[b..]];
+                    assert_eq!(header_of(5, &parts), whole[..HDR_LEN], "{n}: {a}, {b}");
+                    assert_eq!(sealed(5, &parts), whole, "{n}: {a}, {b}");
+                }
+            }
+        }
+        assert_eq!(header_of(1, &[]), sealed(1, &[])[..]);
     }
 
     #[test]
