@@ -245,7 +245,8 @@ impl Restart {
 
 /// Prefix opaque bytes with the sending PE: the payload of a payload or
 /// stats frame as a buffer of its own. The node builds that layout inside
-/// the frame buffer instead (`frame::build`), so this and [`decode_from`]
+/// the frame buffer instead (`frame::build`), or writes the prefix and the
+/// bytes side by side (`frame::header_of`), so this and [`decode_from`]
 /// serve callers that hold a bare payload.
 pub fn encode_from(pe: u32, bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + bytes.len());
