@@ -12,40 +12,47 @@
 //! [`MAX_DEPTH`], and a number literal that does not fit a finite `f64`.
 //!
 //! The [`Reader`]'s contract: strict (every byte it passes over is
-//! validated, including values the caller [`Reader::skip`]s), bounded (no
-//! recursion, no state that grows with the input) and borrowing (a string
-//! without escapes is a slice of the input; only one with an escape is
-//! copied). Errors name the byte offset.
+//! validated, including values the caller [`Reader::skip`]s; the one
+//! exception is an element the caller has read and validated itself and
+//! then [`Reader::step_past`]s), bounded (no recursion, no state that
+//! grows with the input) and borrowing (a string without escapes is a
+//! slice of the input; only one with an escape is copied). Errors name the
+//! byte offset.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Append `s`, escaped for inclusion inside a JSON string literal (no
-/// quotes), to `out`.
+/// quotes), to `out`. The bytes that need an escape are the ones that stop
+/// the reader's scan of a plain string (`plain_end`): one definition
+/// serves both directions.
 pub fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
     let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
+    loop {
+        let i = plain_end(bytes, clean);
+        // Every escaped byte is ASCII, so both cuts are char boundaries.
+        out.push_str(&s[clean..i]);
+        let Some(&b) = bytes.get(i) else {
+            return;
+        };
         let short = match b {
             b'"' => "\\\"",
             b'\\' => "\\\\",
             b'\n' => "\\n",
             b'\r' => "\\r",
             b'\t' => "\\t",
-            0x20.. => continue,
             _ => "",
         };
-        // Every escaped byte is ASCII, so both cuts are char boundaries.
-        out.push_str(&s[clean..i]);
-        clean = i + 1;
         if short.is_empty() {
             // `fmt::Write` for `String` cannot fail.
             let _ = write!(out, "\\u{b:04x}");
         } else {
             out.push_str(short);
         }
+        clean = i + 1;
     }
-    out.push_str(&s[clean..]);
 }
 
 /// Escape `s` for inclusion inside a JSON string literal (no quotes).
@@ -239,8 +246,8 @@ const fn splat(b: u8) -> u64 {
 /// step: a byte's top bit is set in `stop` if it equals `"` or `\` (a zero
 /// after the xor) or is below `0x20`; a borrow can only set it in bytes
 /// after the first that qualifies, so the lowest one set is exact.
-#[inline]
-fn plain_end(bytes: &[u8], mut i: usize) -> usize {
+#[inline(always)]
+pub(crate) fn plain_end(bytes: &[u8], mut i: usize) -> usize {
     while let Some(word) = bytes.get(i..).and_then(<[u8]>::first_chunk::<8>) {
         let w = u64::from_le_bytes(*word);
         let quote = w ^ splat(b'"');
@@ -300,16 +307,24 @@ fn decimal(negative: bool, int: &[u8], frac: &[u8], exp: (bool, &[u8])) -> Optio
         .iter()
         .fold(0i64, |x, &d| x * 10 + i64::from(d - b'0'));
     let e = if exp.0 { -x } else { x } - frac.len() as i64;
+    let v = exact(m, e)?;
+    Some(if negative { -v } else { v })
+}
+
+/// `m * 10^e` when one correctly rounded operation yields it (`m <= 2^53`,
+/// `|e| <= 22`: see [`decimal`]), `None` otherwise. The value of the
+/// literal whose digits, read as one integer, are `m`, and whose point and
+/// exponent scale them by `10^e`.
+pub(crate) fn exact(m: u64, e: i64) -> Option<f64> {
     if m > 1 << 53 {
         return None;
     }
     let scale = *POW10.get(e.unsigned_abs() as usize)?;
-    let v = if e < 0 {
+    Some(if e < 0 {
         m as f64 / scale
     } else {
         m as f64 * scale
-    };
-    Some(if negative { -v } else { v })
+    })
 }
 
 impl<'a> Reader<'a> {
@@ -429,21 +444,6 @@ impl<'a> Reader<'a> {
         Ok(token)
     }
 
-    /// Read the next value as [`Reader::value`] does, but give a number
-    /// back as its literal, unconverted (checked exactly as `value` checks
-    /// it, finite included); `None` for a value of any other kind.
-    #[inline]
-    pub fn number_text(&mut self) -> Result<Option<&'a str>, String> {
-        self.ws();
-        if !self.filled && matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-            let start = self.i;
-            self.number(false)?;
-            self.filled = true;
-            return Ok(Some(&self.src[start..self.i]));
-        }
-        self.read_value(true).map(|_| None)
-    }
-
     /// Inside an array: `true` if another element follows (read it with
     /// [`Reader::value`] or [`Reader::skip`]), `false` once the closing
     /// `]` has been read.
@@ -459,6 +459,27 @@ impl<'a> Reader<'a> {
         }
         self.comma()?;
         Ok(true)
+    }
+
+    /// Inside an array, where [`Reader::value`] would read the next element
+    /// (after [`Reader::elem`] has returned `true`): step past that element,
+    /// which the caller has read itself and found to be one whole JSON value
+    /// ending at byte `end`. The reader takes the caller's word for those
+    /// bytes. Anywhere else, or for an `end` that is not a char boundary
+    /// after the offset, it is an error.
+    #[inline]
+    pub fn step_past(&mut self, end: usize) -> Result<(), String> {
+        if self.depth == 0
+            || self.object
+            || self.filled
+            || end <= self.i
+            || !self.src.is_char_boundary(end)
+        {
+            return Err(fail("no element to step past at byte", self.i));
+        }
+        self.i = end;
+        self.filled = true;
+        Ok(())
     }
 
     /// Inside an object: the next member's key (its value is read with
@@ -977,46 +998,36 @@ mod tests {
     }
 
     #[test]
-    fn number_text_reads_what_value_reads() {
-        let docs = [
-            "0",
-            "-0",
-            "12",
-            "1.5",
-            "-2.5e-3",
-            "1e400",
-            "01",
-            "1.",
-            "-",
-            "1e",
-            "\"7\"",
-            "true",
-            "null",
-            "[1]",
-            "{}",
-            " 42 ",
-            "9007199254740993",
-            "1,2",
-        ];
-        for doc in docs {
-            let (mut a, mut b) = (Reader::new(doc), Reader::new(doc));
-            let want = a.value();
-            let got = b.number_text();
-            match (&want, &got) {
-                (Ok(Token::Num(n)), Ok(Some(text))) => {
-                    assert_eq!(
-                        text.parse::<f64>().map(f64::to_bits),
-                        Ok(n.to_bits()),
-                        "{doc}"
-                    );
-                }
-                (Ok(_), Ok(None)) => {}
-                (Err(e), Err(f)) => assert_eq!(e, f, "{doc}"),
-                _ => panic!("{doc}: value {want:?}, number_text {got:?}"),
-            }
-            assert_eq!(a.offset(), b.offset(), "{doc}");
-            assert_eq!(a.finish(), b.finish(), "{doc}");
-        }
+    fn step_past_only_where_an_array_element_is_next() {
+        let doc = r#"[{"a":1}, {"π":2}, 3]"#;
+        let mut r = Reader::new(doc);
+        assert!(r.step_past(1).is_err(), "at the top level");
+        assert_eq!(r.value(), Ok(Token::ArrBegin));
+        assert_eq!(r.elem(), Ok(true));
+        let first = r.offset();
+        assert!(r.step_past(first).is_err(), "an empty element");
+        assert!(r.step_past(doc.len() + 1).is_err(), "past the text");
+        assert_eq!(r.step_past(first + 7), Ok(()));
+        assert!(
+            r.step_past(first + 8).is_err(),
+            "a second element without its comma"
+        );
+        assert_eq!(r.elem(), Ok(true));
+        // Not inside an object, nor where a char does not begin.
+        let mut inner = r.clone();
+        assert_eq!(inner.value(), Ok(Token::ObjBegin));
+        assert!(
+            inner.step_past(inner.offset() + 1).is_err(),
+            "inside an object"
+        );
+        let quote = r.offset() + 1;
+        assert!(r.step_past(quote + 2).is_err(), "inside the two bytes of π");
+        assert_eq!(r.step_past(quote + 7), Ok(()));
+        assert_eq!(r.elem(), Ok(true));
+        assert_eq!(r.value(), Ok(Token::Num(3.0)));
+        assert_eq!(r.elem(), Ok(false));
+        assert!(r.step_past(doc.len()).is_err(), "after the array closed");
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub fn push_dec(out: &mut String, mut v: u64) {
 /// exactly the integer quotient and remainder. At `2^43` microseconds
 /// (about 102 days) the spacing doubles and the argument ends at once: the
 /// float prints `FLOAT_FROM_NS + 1` as `...208.002`.
-const FLOAT_FROM_NS: u64 = 1000 << 43;
+pub(crate) const FLOAT_FROM_NS: u64 = 1000 << 43;
 
 /// Append `ns` nanoseconds as microseconds with three decimals: the bytes
 /// of `format!("{:.3}", ns as f64 / 1000.0)`.
