@@ -17,6 +17,12 @@
 //! flushed on scheduler idle, on every quiescence probe and at checkpoint
 //! entry, so no counted send outlives the state that counted it.
 
+// Scheduler hot path (DESIGN.md §6): the panic, blocking and nondeterminism rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::iter_over_hash_type))]
+
 use charm_wire::WireBytes;
 
 use crate::ids::Pe;
@@ -52,8 +58,8 @@ impl Aggregator {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "panic: bufs has npes entries")]
     fn buf(&mut self, dst: Pe) -> (&mut AggBuf, &mut Vec<u8>) {
-        // analyze: allow(panic, "bufs is sized to npes when aggregation is on (push_out checks) and dst is a routed PE index < npes")
         (&mut self.bufs[dst], &mut self.scratch)
     }
 }
@@ -84,6 +90,7 @@ impl PeState {
                 ..
             } if bytes.len() < agg.max_bytes => {
                 let (buf, scratch) = self.agg.buf(dst);
+                #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
                 crate::msg::push_batch_record(
                     &mut buf.frame,
                     scratch,
@@ -96,7 +103,6 @@ impl PeState {
                     trace,
                     &bytes,
                 )
-                // analyze: allow(panic, "encoding a batch record of an already-encoded entry fails only on a codec bug")
                 .expect("batch record failed to encode");
                 buf.count += 1;
                 if buf.count as usize >= agg.max_count || buf.frame.len() >= agg.max_bytes {

@@ -79,6 +79,7 @@ pub struct FaultProbe {
     findings: Arc<Mutex<Vec<String>>>,
 }
 
+#[expect(clippy::disallowed_methods, reason = "blocking: one push or one clone")]
 impl FaultProbe {
     /// A fresh, empty probe.
     pub fn new() -> FaultProbe {

@@ -2,6 +2,9 @@
 //! plus the type registry that lets every PE construct, dispatch to, pack
 //! and unpack chares of any registered type.
 
+// Entry-method execution path (DESIGN.md §6): the blocking rule.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
@@ -130,7 +133,7 @@ pub(crate) type UnpackFn = fn(Codec, &[u8], ChareTypeId) -> charm_wire::Result<B
 pub struct ChareVTable {
     /// Human-readable type name (diagnostics).
     pub name: &'static str,
-    #[allow(dead_code)]
+    #[expect(dead_code, reason = "diagnostics only")]
     pub(crate) rust_type: TypeId,
     pub(crate) decode_msg: fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>,
     pub(crate) encode_msg: fn(&dyn Any, Codec) -> charm_wire::Result<Vec<u8>>,

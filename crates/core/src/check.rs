@@ -35,6 +35,9 @@
 //! enumerating them. Use permutation for cheap smoke coverage at scale,
 //! `check` for exhaustive coverage at small configs.
 
+// Decides message order (DESIGN.md §6): the nondeterminism rule.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -271,6 +274,7 @@ pub(crate) fn run_replay(mut launch: Launch, entry: MainFn, schedule: &Schedule)
 
 /// Execute the program once under a prescribed schedule prefix, catching
 /// panics (a panic *is* a counterexample) and classifying the outcome.
+#[expect(clippy::disallowed_methods, reason = "nondeterminism: the wall field")]
 fn run_once(
     launch: &mut Launch,
     entry: &MainFn,
@@ -280,7 +284,6 @@ fn run_once(
     // Every execution gets a fresh findings probe and wall-clock origin.
     let probe = FaultProbe::new();
     launch.cfg.analyze_probe = Some(probe.clone());
-    // analyze: allow(nondeterminism, "wall-clock origin for the report's wall field only; scheduling runs on virtual channel time")
     launch.start = Instant::now();
     let launch = &*launch;
     let mut t = Controlled::new(ModelNet::new(None, launch), prefix, launch.npes);
@@ -358,7 +361,7 @@ impl<'a> Controlled<'a> {
         self.pending
             .iter()
             .filter_map(|(c, q)| {
-                // analyze: allow(payload-copy, "vector-clock u64 snapshot, not a wire payload")
+                #[expect(clippy::disallowed_methods, reason = "payload-copy: a vector clock")]
                 q.front().map(|m| (*c, m.send_clock.to_vec()))
             })
             .collect()

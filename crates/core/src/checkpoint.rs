@@ -468,6 +468,11 @@ impl Ckpt {
     }
 }
 
+// Scheduler code wherever it sits: the hot-path rules (DESIGN.md §6).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing, clippy::disallowed_types)]
+#[deny(clippy::iter_over_hash_type)]
 impl PeState {
     /// The checkpoint slice of the dispatch switch; `src` is the sending PE
     /// (the initiator of a `CkptSave`).
@@ -489,7 +494,7 @@ impl PeState {
             }
             EnvKind::CkptAck { saved } => self.ckpt_ack(saved),
             EnvKind::RestoreColl { spec, root } => self.restore_coll(spec, root),
-            // analyze: allow(panic, "dispatch hands this module only the four kinds above")
+            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
             other => unreachable!("not a checkpoint envelope: {other:?}"),
         }
     }
@@ -546,6 +551,7 @@ impl PeState {
         }
     }
 
+    #[expect(clippy::panic, reason = "panic: a lost checkpoint must fail loudly")]
     fn ckpt_save(&mut self, initiator: Pe, dir: Option<String>, epoch: u64, buddy: bool) {
         // Checkpoint-entry flush: the snapshot must not capture a machine
         // where already-counted sends sit in a sender-side aggregation
@@ -589,12 +595,10 @@ impl PeState {
         let mut bytes = 0u64;
         if let Some(dir) = &dir {
             bytes += write_file(Path::new(dir), self.pe, &file)
-                // analyze: allow(panic, "an unwritable checkpoint directory is an unrecoverable operator error; fail loudly rather than silently drop the checkpoint")
                 .unwrap_or_else(|e| panic!("checkpoint write failed on PE {}: {e}", self.pe));
         }
         if buddy {
             let image = encode_image(&file).unwrap_or_else(|e| {
-                // analyze: allow(recovery-hook, "encoding the in-memory checkpoint image fails only on a codec bug; without the image there is nothing to recover from")
                 panic!("checkpoint image encode failed on PE {}: {e}", self.pe)
             });
             bytes += image.len() as u64;
@@ -631,8 +635,8 @@ impl PeState {
         // so the mutation smoke test can prove the model checker
         // rediscovers the original bug and shrinks its schedule.
         #[cfg(feature = "mutation-ckptack")]
+        #[expect(clippy::panic, reason = "panic: the reintroduced bug (mutation test)")]
         let Some((left, mut then)) = self.ckpt.pending.take() else {
-            // analyze: allow(panic, "deliberately reintroduced bug behind the test-only mutation-ckptack feature; the model checker must catch this")
             panic!(
                 "stray CkptAck on PE {} with no checkpoint in progress",
                 self.pe
@@ -692,10 +696,10 @@ impl PeState {
             self.emit(0, EnvKind::RestoreColl { spec, root: 0 });
         }
         for c in files.into_iter().flat_map(|f| f.chares) {
+            #[expect(clippy::panic, reason = "panic: corrupt checkpoint input")]
             let spec = specs
                 .iter()
                 .find(|s| s.id == c.coll)
-                // analyze: allow(panic, "a checkpoint naming a collection absent from the restored spec set is corrupt input; fail loudly")
                 .unwrap_or_else(|| panic!("checkpointed chare of unknown collection {}", c.coll));
             let dest = spec.place(&c.index, self.npes, &self.placements);
             self.emit(

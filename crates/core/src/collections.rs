@@ -258,17 +258,24 @@ impl Colls {
     }
 
     /// Every known spec, in no particular order.
+    #[expect(clippy::disallowed_methods, reason = "nondeterminism: ckpt_save sorts")]
     pub(crate) fn specs(&self) -> impl Iterator<Item = &CollSpec> {
         self.table.values().map(|cs| &cs.spec)
     }
 
     /// Collections with parked envelopes, and the envelopes parked in total.
     pub(crate) fn parked(&self) -> (usize, u64) {
+        #[expect(clippy::disallowed_methods, reason = "nondeterminism: order-free sum")]
         let msgs = self.parked.values().map(|v| v.len() as u64).sum();
         (self.parked.len(), msgs)
     }
 }
 
+// Scheduler code wherever it sits: the hot-path rules (DESIGN.md §6).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing, clippy::disallowed_types)]
+#[deny(clippy::iter_over_hash_type)]
 impl PeState {
     /// The collection slice of the dispatch switch.
     pub(crate) fn on_collection(&mut self, kind: EnvKind) {
@@ -287,15 +294,18 @@ impl PeState {
             // nothing in this runtime waits on the end of an insertion phase.
             EnvKind::DoneInserting { .. } => {}
             EnvKind::SubtreeAdd { coll, delta } => self.member_delta(coll, delta),
-            // analyze: allow(panic, "dispatch hands this module only the four kinds above")
+            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
             other => unreachable!("not a collection envelope: {other:?}"),
         }
     }
 
     /// The spec of a collection the caller knows has reached this PE.
+    /// Dispatch parks every envelope of a collection unknown here, and a
+    /// chare never outruns its own spec: whoever holds a local chare, a
+    /// routed destination or a dispatched envelope holds a known collection.
     pub(crate) fn spec(&self, coll: CollectionId) -> &CollSpec {
         let (known, pe) = (self.colls.table.get(&coll), self.pe);
-        // analyze: allow(panic, "dispatch parks every envelope of a collection unknown here, and a chare never outruns its own spec: whoever holds a local chare, a routed destination or a dispatched envelope holds a known collection")
+        #[expect(clippy::panic, reason = "panic: a dispatched collection is known")]
         let known = known.unwrap_or_else(|| panic!("collection {coll} is unknown on PE {pe}"));
         &known.spec
     }
@@ -313,7 +323,7 @@ impl PeState {
     /// count and pass the news up to every ancestor.
     pub(crate) fn member_delta(&mut self, coll: CollectionId, delta: i64) {
         let (known, pe) = (self.colls.table.get_mut(&coll), self.pe);
-        // analyze: allow(panic, "same invariant as spec()")
+        #[expect(clippy::panic, reason = "panic: same invariant as spec()")]
         let cs = known.unwrap_or_else(|| panic!("collection {coll} is unknown on PE {pe}"));
         cs.subtree_members = cs.subtree_members.wrapping_add_signed(delta);
         if let Some(parent) = self.cfg.tree.parent(self.pe, 0, self.npes) {
@@ -323,8 +333,8 @@ impl PeState {
 
     /// Members each PE hosts at creation, by initial placement.
     fn initial_counts(&self, spec: &CollSpec) -> Vec<u64> {
+        #[expect(clippy::indexing_slicing, reason = "panic: placement is mod npes")]
         fn bump(counts: &mut [u64], pe: Pe) {
-            // analyze: allow(panic, "PE numbers come from checked placement (`create_chare` asserts its PE, `place` reduces mod npes); counts has npes entries")
             counts[pe] += 1;
         }
         let mut counts = vec![0u64; self.npes];
@@ -421,9 +431,9 @@ impl PeState {
         }
     }
 
+    #[expect(clippy::panic, reason = "panic: fails only on a codec bug")]
     fn decode_init(&self, coll: CollectionId, bytes: &[u8]) -> BoxMsg {
         (self.vtable_of(coll).decode_init)(self.cfg.codec, bytes)
-            // analyze: allow(panic, "constructor bytes come from the matching registered encoder; failure is a codec bug")
             .unwrap_or_else(|e| panic!("constructor argument decode failed: {e}"))
     }
 

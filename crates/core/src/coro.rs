@@ -16,6 +16,9 @@
 //! expressible here with zero `unsafe` and no lock held across a
 //! suspension.
 
+// Entry-method execution path (DESIGN.md §6): the blocking rule.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::any::Any;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -66,9 +69,6 @@ pub(crate) enum CoroInput {
         value: Option<Payload>,
         now_ns: u64,
     },
-    /// The runtime is exiting; unwind quietly.
-    #[allow(dead_code)]
-    Shutdown,
 }
 
 /// Coroutine → scheduler control. Both variants return the chare and flush
@@ -186,7 +186,7 @@ impl<T: Chare> Co<T> {
             }) => {
                 self.slot = Some(chare);
                 self.ctx.now_ns = now_ns;
-                self.segment_start = std::time::Instant::now();
+                self.segment_start = crate::pe::meter_start();
                 value
             }
             _ => shutdown(),
@@ -248,7 +248,7 @@ pub(crate) fn run_coroutine<T: Chare>(side: CoroSide, body: impl FnOnce(&mut Co<
         tx: side.tx,
         rx: side.rx,
         slot: Some(chare),
-        segment_start: std::time::Instant::now(),
+        segment_start: crate::pe::meter_start(),
         _ph: PhantomData,
     };
     let result = catch_unwind(AssertUnwindSafe(|| body(&mut co)));
@@ -308,11 +308,16 @@ impl Coros {
     }
 
     /// Coroutines currently suspended.
+    #[expect(clippy::disallowed_methods, reason = "nondeterminism: only counts")]
     pub(crate) fn blocked(&self) -> usize {
         self.table.values().filter(|h| h.wait.is_some()).count()
     }
 }
 
+// Scheduler code wherever it sits: the hot-path rules (DESIGN.md §6).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
 impl PeState {
     /// `ctx.go(..)`: spawn `f` as a coroutine of chare `id` and run it to
     /// its first suspension.
@@ -325,10 +330,10 @@ impl PeState {
             seed: self.seed.clone(),
             chare_id: id,
         };
+        #[expect(clippy::expect_used, reason = "panic: only on resource exhaustion")]
         let join = std::thread::Builder::new()
             .name(format!("coro-{id}"))
             .spawn(move || f(side))
-            // analyze: allow(panic, "OS thread spawn fails only on resource exhaustion; the runtime cannot run coroutines without it")
             .expect("failed to spawn coroutine thread");
         let cid = CoroId(self.coros.next);
         self.coros.next += 1;
@@ -357,12 +362,9 @@ impl PeState {
         });
     }
 
+    #[expect(clippy::expect_used, reason = "panic: wake-ups name live coroutines")]
     fn coro(&mut self, cid: CoroId) -> &mut CoroHandle {
-        self.coros
-            .table
-            .get_mut(&cid.0)
-            // analyze: allow(panic, "coroutine ids are minted by launch_coro and retired only when their coroutine is done; wake-ups name live ones")
-            .expect("unknown coroutine")
+        self.coros.table.get_mut(&cid.0).expect("unknown coroutine")
     }
 
     /// One rendezvous: move the chare into coroutine `cid` with `input`,
@@ -374,10 +376,10 @@ impl PeState {
         let now_ns = self.now_ns();
         let handle = self.coro(cid);
         handle.wait = None;
+        #[expect(clippy::expect_used, reason = "panic: the coroutine thread died")]
         handle
             .tx
             .send(input(chare, now_ns))
-            // analyze: allow(panic, "the coroutine thread blocks on the rendezvous between segments; a closed channel means it died, which is fatal")
             .expect("coroutine died at the rendezvous");
         let (chare, ops, work_ns, wait) = match handle.rx.recv() {
             Ok(CoroYield::Blocked {
@@ -396,7 +398,7 @@ impl PeState {
                 // so the user's message survives, not a generic wrapper.
                 match handle.join.take().and_then(|j| j.join().err()) {
                     Some(p) => std::panic::resume_unwind(p),
-                    // analyze: allow(panic, "a coroutine ending without Done or a yield means its thread panicked; propagate the failure")
+                    #[expect(clippy::panic, reason = "panic: its thread panicked; propagate it")]
                     None => panic!("coroutine for chare {id} terminated unexpectedly"),
                 }
             }
@@ -446,8 +448,8 @@ impl PeState {
             match self.futures.remove(&fid) {
                 // Value already arrived: resume immediately.
                 Some(FutState::Ready(payload)) => return self.resume_coro(cid, Some(payload)),
+                #[expect(clippy::panic, reason = "panic: one waiter per future; user bug")]
                 Some(FutState::Waiting(_)) => {
-                    // analyze: allow(panic, "one-waiter-per-future discipline: wait() consumes the future, so a second waiter is a user bug worth failing fast")
                     panic!("two coroutines waiting on one future")
                 }
                 _ => {

@@ -9,6 +9,12 @@
 //! and gives the simulated backend a single point at which to timestamp
 //! outgoing traffic.
 
+// Scheduler hot path (DESIGN.md §6): the panic and blocking rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -184,22 +190,26 @@ impl Ctx {
         self.seed.epoch
     }
 
+    /// The current chare, for the accessor `what`.
+    #[expect(clippy::panic, reason = "panic: API contract, as in CharmPy")]
+    fn this_chare(&self, what: &str) -> ChareId {
+        self.this
+            .unwrap_or_else(|| panic!("{what} outside a chare"))
+    }
+
     /// Index of the current chare within its collection (`thisIndex`).
     pub fn my_index(&self) -> Index {
-        // analyze: allow(panic, "API contract: my_index is only callable from inside an entry method, as in CharmPy; elsewhere is user error")
-        self.this.expect("my_index outside a chare").index
+        self.this_chare("my_index").index
     }
 
     /// Proxy to the current chare's whole collection (`thisProxy`).
     pub fn this_proxy<T: Chare>(&self) -> Proxy<T> {
-        // analyze: allow(panic, "API contract: this_proxy requires an active chare context; user error otherwise")
-        Proxy::collection(self.this.expect("this_proxy outside a chare").coll)
+        Proxy::collection(self.this_chare("this_proxy").coll)
     }
 
     /// Proxy to the current chare itself.
     pub fn this_elem<T: Chare>(&self) -> Proxy<T> {
-        // analyze: allow(panic, "API contract: this_elem requires an active chare context; user error otherwise")
-        let id = self.this.expect("this_elem outside a chare");
+        let id = self.this_chare("this_elem");
         Proxy::element(id.coll, id.index)
     }
 
@@ -305,7 +315,7 @@ impl Ctx {
             id,
             ctype: crate::ids::ChareTypeId(u32::MAX),
             kind: CollKind::Dense {
-                // analyze: allow(payload-copy, "copies a short user-supplied dims slice into collection metadata, not a wire payload")
+                #[expect(clippy::disallowed_methods, reason = "payload-copy: a dims slice")]
                 dims: dims.to_vec(),
             },
             placement: opts.placement,
@@ -333,11 +343,11 @@ impl Ctx {
     }
 
     fn push_create<T: Chare>(&mut self, spec: CollSpec, init: T::Init) {
+        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
         let bytes = self
             .seed
             .codec
             .encode_shared(&init)
-            // analyze: allow(panic, "encoding a just-built constructor argument fails only on a codec bug; no recovery is possible")
             .expect("constructor argument failed to encode");
         self.push_create_raw::<T>(spec, bytes);
     }
@@ -366,11 +376,11 @@ impl Ctx {
     /// Contribute a typed value to a gather reduction; the target receives
     /// all values sorted by member index.
     pub fn contribute_gather<V: Message>(&mut self, value: &V, target: RedTarget) {
+        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
         let bytes = self
             .seed
             .codec
             .encode(value)
-            // analyze: allow(panic, "encoding the user's gather contribution fails only on a codec bug")
             .expect("gather contribution failed to encode");
         let index = self.my_index();
         self.contribute(

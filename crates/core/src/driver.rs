@@ -9,6 +9,9 @@
 //! envelope, the recovery verdicts, the run report — is written once,
 //! here.
 
+// Decides message order (DESIGN.md §6): the nondeterminism rule.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+
 use std::ops::Range;
 use std::time::Duration;
 

@@ -351,6 +351,11 @@ impl Lb {
     }
 }
 
+// Scheduler code wherever it sits: the hot-path rules (DESIGN.md §6).
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#[deny(clippy::indexing_slicing, clippy::disallowed_types)]
+#[deny(clippy::iter_over_hash_type)]
 impl PeState {
     /// The load-balancing slice of the dispatch switch.
     pub(crate) fn on_lb(&mut self, kind: EnvKind) {
@@ -371,7 +376,7 @@ impl PeState {
                 self.relay(self.cfg.tree, root, || EnvKind::LbResume { root });
                 self.lb_resume_local();
             }
-            // analyze: allow(panic, "dispatch hands this module only the six kinds above")
+            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
             other => unreachable!("not a load-balancing envelope: {other:?}"),
         }
     }

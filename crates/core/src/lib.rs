@@ -37,6 +37,9 @@
 //! recovery (DESIGN.md §13).
 
 #![forbid(unsafe_code)]
+// The payload-copy rule, and the method lists of the blocking and
+// nondeterminism rules (crates/clippy.toml; DESIGN.md §6).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub(crate) mod aggregation;
 #[cfg(feature = "analyze")]

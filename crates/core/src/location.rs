@@ -26,6 +26,12 @@
 //! to wait for it, or knows a later migration — so a chase takes at most as
 //! many hops as the chare made moves, under any delivery order.
 
+// Scheduler hot path (DESIGN.md §6): the panic, blocking and nondeterminism rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::iter_over_hash_type))]
+
 use std::collections::HashMap;
 
 use crate::collections::CollKind;
@@ -97,7 +103,7 @@ impl Locations {
 
     /// Chares with parked envelopes, and the envelopes parked in total.
     pub(crate) fn parked(&self) -> (usize, u64) {
-        // analyze: allow(nondeterminism, "order-insensitive sum of pending-chare queue lengths")
+        #[expect(clippy::disallowed_methods, reason = "nondeterminism: order-free sum")]
         let msgs = self.parked.values().map(|v| v.len() as u64).sum();
         (self.parked.len(), msgs)
     }
@@ -112,7 +118,7 @@ impl PeState {
                 self.locs.learn(id, pe, seq);
                 self.flush_pending_chare(id);
             }
-            // analyze: allow(panic, "dispatch hands this module only the two kinds above")
+            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
             other => unreachable!("not a location envelope: {other:?}"),
         }
     }
@@ -157,6 +163,11 @@ impl PeState {
     /// Serialize a resting chare for `doing` (a migration, a checkpoint):
     /// its state, and its when-guard-deferred messages with their reply
     /// futures and guard ids.
+    #[expect(
+        clippy::panic,
+        clippy::expect_used,
+        reason = "panic: a type without pack support is a registration bug; encode fails only on a codec bug"
+    )]
     pub(crate) fn pack_chare(&self, id: &ChareId, slot: &Slot, doing: &str) -> PackedChare {
         assert!(
             slot.coros.is_empty(),
@@ -166,17 +177,14 @@ impl PeState {
         let data = chare
             .pack(codec)
             .unwrap_or_else(|| {
-                // analyze: allow(panic, "packing a chare type without pack support is a registration bug, surfaced at the first attempt")
                 panic!(
                     "{} is not migratable; to {doing} it, use register_migratable",
                     self.registry.vtable(chare.type_id()).name
                 )
             })
-            // analyze: allow(panic, "encoding chare state fails only on a codec bug")
             .expect("chare state failed to encode");
         let encode_msg = self.vtable_of(id.coll).encode_msg;
         let buffered = slot.buffered.iter().map(|b| {
-            // analyze: allow(panic, "buffered messages were encodable at send time; re-encode fails only on a codec bug")
             let bytes = encode_msg(&*b.msg, codec).expect("buffered message encode failed");
             (bytes, b.reply, b.guard)
         });
@@ -190,10 +198,10 @@ impl PeState {
             }
             return;
         }
+        #[expect(clippy::panic, reason = "panic: only local chares migrate out")]
         let slot = self
             .chares
             .remove(&id)
-            // analyze: allow(panic, "migrate_me runs under its own chare and LbDoMigrate names chares the balancer just saw in this PE's stats; absence means runtime corruption")
             .unwrap_or_else(|| panic!("migrate_out of missing chare {id}"));
         let (data, buffered) = self.pack_chare(&id, &slot, "migrate");
         let home = self.spec(id.coll).home_pe(&id.index, self.npes);
@@ -230,6 +238,11 @@ impl PeState {
         );
     }
 
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "panic: a missing unpack is a registration bug; decode fails only on a codec bug"
+    )]
     fn migrate_in(&mut self, msg: MigrateMsg) {
         let MigrateMsg {
             coll,
@@ -247,11 +260,9 @@ impl PeState {
             bytes: data.len().min(u32::MAX as usize) as u32,
         });
         let (ctype, vt) = (self.spec(coll).ctype, self.vtable_of(coll));
-        // analyze: allow(panic, "migrated-in chares were packed by a type whose vtable migrates; missing unpack is a registration bug")
         let unpack = vt.unpack.expect("migrated chare type lacks unpack");
         let decode_msg = vt.decode_msg;
         let boxed = unpack(self.cfg.codec, &data, ctype)
-            // analyze: allow(panic, "state bytes come from the matching pack; decode failure is a codec bug")
             .unwrap_or_else(|e| panic!("migrated chare decode failed: {e}"));
         let mut slot = Slot::new(boxed);
         slot.load_ns = load_ns;
@@ -265,7 +276,6 @@ impl PeState {
         }
         for (bytes, reply, guard) in buffered {
             let msg = decode_msg(self.cfg.codec, &bytes)
-                // analyze: allow(panic, "buffered bytes come from the matching encoder; decode failure is a codec bug")
                 .unwrap_or_else(|e| panic!("buffered message decode failed: {e}"));
             slot.buffered.push_back(Buffered { msg, reply, guard });
         }

@@ -8,6 +8,12 @@
 //! (broadcast, multicast, collection creation) clones the handle, never the
 //! bytes, so N destinations share one allocation.
 
+// Scheduler hot path (DESIGN.md §6): the panic and blocking rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::any::Any;
 
 use charm_trace::{Hist, MetricFrame, TopItem};
@@ -46,14 +52,13 @@ impl Payload {
     }
 
     /// Recover a typed value: downcast if local, decode if serialized.
+    #[expect(clippy::panic, reason = "panic: a registration or codec bug")]
     pub fn take<V: Message>(self, codec: Codec) -> V {
         match self {
             Payload::Local(b) => *b.downcast::<V>().unwrap_or_else(|_| {
-                // analyze: allow(panic, "sender and receiver can disagree on an entry's message type only via a registration bug; surfaced loudly on first use")
                 panic!("payload type mismatch for {}", std::any::type_name::<V>())
             }),
             Payload::Wire(bytes) => codec.decode::<V>(&bytes).unwrap_or_else(|e| {
-                // analyze: allow(panic, "bytes were produced by this codec's own encoder; decode failure is a codec bug")
                 panic!(
                     "payload decode failed for {}: {e}",
                     std::any::type_name::<V>()
@@ -105,9 +110,9 @@ impl OutPayload {
         OutPayload {
             any: Box::new(m),
             encode: |any, codec, pool| {
+                #[expect(clippy::expect_used, reason = "panic: built with the same type")]
                 let m = any
                     .downcast_ref::<M>()
-                    // analyze: allow(panic, "the encoder closure is built alongside `any` with the same concrete type; the downcast cannot fail")
                     .expect("OutPayload encoder type invariant");
                 codec.encode_shared_with(pool, m)
             },
@@ -763,7 +768,7 @@ wire_struct! { BatchHdr { to, reply, guard, sent_ns, trace } }
 /// `varint(hdr_len) ++ codec(BatchHdr) ++ varint(payload_len) ++ payload`.
 /// `scratch` is a caller-owned buffer reused across records so the header
 /// encode never allocates at steady state.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one per header field")]
 pub(crate) fn push_batch_record(
     frame: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
@@ -798,6 +803,7 @@ pub(crate) fn push_batch_record(
 /// per-message unpack cost the receiver pays (and the sim model charges).
 /// The copies of sub-64B records land inline in the envelope (no per-record
 /// allocation).
+#[expect(clippy::indexing_slicing, reason = "panic: off <= frame.len() holds")]
 pub(crate) fn split_batch(
     src: Pe,
     epoch: u64,
@@ -808,13 +814,11 @@ pub(crate) fn split_batch(
     let mut envs = Vec::new();
     let mut off = 0usize;
     while off < frame.len() {
-        // analyze: allow(panic, "the loop condition and the bounded get() below keep off <= frame.len(); a tail slice at the boundary is empty, not out of bounds")
         let (hlen, used) = charm_wire::varint::read_u64(&frame[off..])?;
         off += used;
         let hdr_bytes = frame.get(off..off + hlen as usize).ok_or(WireError::Eof)?;
         let hdr: BatchHdr = codec.decode(hdr_bytes)?;
         off += hlen as usize;
-        // analyze: allow(panic, "off was bounded to frame.len() by the successful get() above; a tail slice at the boundary is empty, not out of bounds")
         let (plen, used) = charm_wire::varint::read_u64(&frame[off..])?;
         off += used;
         let payload_bytes = frame.get(off..off + plen as usize).ok_or(WireError::Eof)?;

@@ -19,6 +19,9 @@
 //! not recoverable, and recovery requires [`Store::Disk`] on a filesystem
 //! all processes share.
 
+// Runs PE 0's scheduler loop (DESIGN.md §6): the blocking and nondeterminism rules.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::iter_over_hash_type))]
+
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -34,8 +37,8 @@ use crate::pe::{CoroLauncher, PeState};
 use crate::runtime::{panic_msg, Launch, RunError, RunReport};
 
 /// Read the wall clock (single sanctioned call site for this module).
+#[expect(clippy::disallowed_methods, reason = "nondeterminism: Net deadlines")]
 fn now() -> Instant {
-    // analyze: allow(net-hook, "Net transport deadlines are wall-clock by design, like the threads transport's; virtual-time machines never run this module")
     Instant::now()
 }
 
@@ -262,7 +265,7 @@ fn run_root(
 ) -> Result<RunReport, RunError> {
     let npes = launch.npes;
     // The nonce only has to differ between overlapping runs on one host.
-    // analyze: allow(nondeterminism, "run-identity nonce: wall clock + pid is exactly the entropy wanted here")
+    #[expect(clippy::disallowed_methods, reason = "nondeterminism: a run nonce")]
     let nonce = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .unwrap_or_default()

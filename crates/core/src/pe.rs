@@ -12,6 +12,12 @@
 //! `checkpoint`, `aggregation` and `coro`. `dispatch` hands each envelope
 //! kind to its module's `on_*` entry point and holds no protocol logic.
 
+// Scheduler hot path (DESIGN.md §6): the panic, blocking and nondeterminism rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::iter_over_hash_type))]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
@@ -130,17 +136,18 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    /// The chare, in place between handler invocations.
+    /// The chare, in place between handler invocations. Entry methods and
+    /// coroutine segments run one at a time per chare and each returns the
+    /// box before anything else touches the slot (checked dynamically under
+    /// `--features analyze`).
+    #[expect(clippy::expect_used, reason = "panic: a chare runs one at a time")]
     pub(crate) fn chare(&self) -> &dyn ChareBox {
-        self.boxed
-            .as_deref()
-            // analyze: allow(panic, "entry methods and coroutine segments are serialized per chare and each returns the box before anything else touches the slot (checked dynamically under --features analyze)")
-            .expect("chare is checked out")
+        self.boxed.as_deref().expect("chare is checked out")
     }
 
     /// Check the chare out for one handler or coroutine segment.
+    #[expect(clippy::expect_used, reason = "panic: same invariant as chare()")]
     pub(crate) fn checkout(&mut self) -> Box<dyn ChareBox> {
-        // analyze: allow(panic, "same serialization invariant as chare()")
         self.boxed.take().expect("re-entrant use of one chare")
     }
 
@@ -273,7 +280,7 @@ pub(crate) fn main_chare_id() -> ChareId {
 }
 
 impl PeState {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one per shared table")]
     pub fn new(
         pe: Pe,
         npes: usize,
@@ -364,27 +371,30 @@ impl PeState {
         }
     }
 
-    /// The slot of a chare the caller knows to be on this PE.
+    /// The slot of a chare the caller knows to be on this PE: an id it just
+    /// routed to, walked out of the slot table or is executing for. A chare
+    /// leaves its PE only through `migrate_out`, never under a running
+    /// handler.
+    #[expect(clippy::panic, reason = "panic: the caller knows it is here")]
     pub(crate) fn slot(&self, id: &ChareId) -> &Slot {
         self.chares
             .get(id)
-            // analyze: allow(panic, "callers hold an id they just routed to, walked out of the slot table or are executing for; a chare leaves its PE only through migrate_out, never under a running handler")
             .unwrap_or_else(|| panic!("chare {id} is not on PE {}", self.pe))
     }
 
     /// [`Self::slot`], mutably.
+    #[expect(clippy::panic, reason = "panic: same invariant as slot()")]
     pub(crate) fn slot_mut(&mut self, id: &ChareId) -> &mut Slot {
         let pe = self.pe;
         self.chares
             .get_mut(id)
-            // analyze: allow(panic, "same invariant as slot()")
             .unwrap_or_else(|| panic!("chare {id} is not on PE {pe}"))
     }
 
     /// Ids of the local chares `keep` selects, sorted: every walk over the
     /// slot table that feeds emission order goes through here.
     pub(crate) fn sorted_chares(&self, keep: impl Fn(&ChareId) -> bool) -> Vec<ChareId> {
-        // analyze: allow(nondeterminism, "hash order erased by the sort below")
+        #[expect(clippy::disallowed_methods, reason = "nondeterminism: sorted below")]
         let mut ids: Vec<ChareId> = self.chares.keys().filter(|id| keep(id)).copied().collect();
         ids.sort();
         ids
@@ -451,6 +461,7 @@ impl PeState {
     /// Turn a runtime-built typed payload into its transit form: kept boxed
     /// when the destination is `local` (and §II-D by-reference is on),
     /// serialized through the encode pool otherwise.
+    #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
     pub(crate) fn encode_for(&mut self, local: bool, payload: OutPayload) -> Payload {
         payload
             .into_payload(
@@ -459,7 +470,6 @@ impl PeState {
                 self.cfg.codec,
                 &mut self.encode_pool,
             )
-            // analyze: allow(panic, "the value was built by this runtime or handed to a typed send; its encoder fails only on a codec bug")
             .expect("outgoing payload failed to encode")
     }
 
@@ -527,11 +537,9 @@ impl PeState {
         // (one decode + copy per record, via the metered entry decode path
         // downstream) is the per-message unpack cost of aggregation.
         if let EnvKind::Batch { frame, .. } = env.kind {
+            #[expect(clippy::panic, reason = "panic: our own batch frame; a framing bug")]
             let constituents = crate::msg::split_batch(env.src, env.epoch, &frame, self.cfg.codec)
-                .unwrap_or_else(|e| {
-                    // analyze: allow(panic, "the frame was produced by this runtime's own batch encoder; a split failure is a framing bug")
-                    panic!("batch frame split failed: {e}")
-                });
+                .unwrap_or_else(|e| panic!("batch frame split failed: {e}"));
             for constituent in constituents {
                 self.handle(constituent);
             }
@@ -580,8 +588,8 @@ impl PeState {
             kind @ (EnvKind::Entry { to, .. } | EnvKind::RedDeliver { to, .. }) => {
                 self.route(src, to, kind)
             }
+            #[expect(clippy::unreachable, reason = "panic: handle() splits every batch")]
             EnvKind::Batch { .. } => {
-                // analyze: allow(panic, "handle() splits every batch before dispatch; reaching here is a scheduler bug")
                 unreachable!("batch envelope reached dispatch unsplit")
             }
             EnvKind::BroadcastEntry { coll, bytes, root } => {
@@ -684,7 +692,7 @@ impl PeState {
                 EnvKind::RedDeliver { tag, data, .. } => {
                     self.invoke(to, Invoke::Reduced(tag, data))
                 }
-                // analyze: allow(panic, "callers pass the two kinds addressed to a chare: dispatch by pattern, the re-route and the reduction root by construction")
+                #[expect(clippy::unreachable, reason = "panic: callers pass chare kinds only")]
                 other => unreachable!("not routable to a chare: {other:?}"),
             },
             Route::Remote(pe, record) => {
@@ -737,9 +745,8 @@ impl PeState {
         }
         let vt = self.vtable_of(coll);
         let encode = if init { vt.encode_init } else { vt.encode_msg };
-        let bytes = encode(&**any, self.cfg.codec)
-            // analyze: allow(panic, "re-encoding a value that was encodable at send time fails only on a codec bug")
-            .expect("re-encode for forwarding failed");
+        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
+        let bytes = encode(&**any, self.cfg.codec).expect("re-encode for forwarding failed");
         *payload = Payload::Wire(WireBytes::from_vec(bytes));
     }
 
@@ -774,8 +781,8 @@ impl PeState {
             }
         }
         self.metered(Some(*id), |s| {
+            #[expect(clippy::panic, reason = "panic: a codec or registration bug")]
             decode_msg(s.cfg.codec, bytes)
-                // analyze: allow(panic, "wire bytes come from the matching registered encoder; failure is a codec/registration bug")
                 .unwrap_or_else(|e| panic!("entry message decode failed: {e}"))
         })
     }
@@ -976,7 +983,7 @@ impl PeState {
         this: Option<ChareId>,
         reply: Option<FutureId>,
     ) {
-        // analyze: allow(panic, "API contract: contribute, migrate_me, at_sync and go exist only on the Ctx of a running entry method")
+        #[expect(clippy::panic, reason = "panic: API contract: inside a chare only")]
         let in_chare = |what: &str| this.unwrap_or_else(|| panic!("{what} outside a chare"));
         for op in ops {
             match op {
@@ -1078,7 +1085,10 @@ impl PeState {
                 Op::Go(f) => self.launch_coro(in_chare("go"), f, reply),
                 Op::Charge(dt) => {
                     if !self.cfg.is_sim {
-                        // analyze: allow(blocking, "Charge deliberately burns wall time on the threads backend to emulate compute; it blocks only the charging chare's PE, exactly as real work would")
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "blocking: emulated compute"
+                        )]
                         std::thread::sleep(dt);
                         self.now_cache_ns = self.now_ns();
                     }
@@ -1114,7 +1124,7 @@ impl PeState {
         }
         match self.futures.remove(&fid) {
             Some(FutState::Waiting(cid)) => self.resume_coro(cid, Some(payload)),
-            // analyze: allow(panic, "futures complete exactly once by protocol; a second FutureValue is runtime corruption (the analyze detector reports it as double delivery)")
+            #[expect(clippy::panic, reason = "panic: a future completes once")]
             Some(FutState::Ready(_)) => panic!("future {fid:?} completed twice"),
             _ => {
                 self.futures.insert(fid, FutState::Ready(payload));
@@ -1217,8 +1227,8 @@ impl PeState {
             // until quiescence confirms every restored chare has landed —
             // otherwise the entry's first broadcast could race migrants.
             let files = match restore {
+                #[expect(clippy::panic, reason = "panic: the driver checked the directory")]
                 RestoreFrom::Dir(dir) => crate::checkpoint::read_all(dir)
-                    // analyze: allow(recovery-hook, "the driver pre-validates the restore directory; a failure here means it was ripped out from under a running restore")
                     .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}")),
                 RestoreFrom::Images(files) => files.clone(),
             };
@@ -1252,16 +1262,17 @@ impl PeState {
         self.install_coll(spec, 1);
         let main = crate::chare::holder_for(crate::runtime::Main, ctype);
         self.chares.insert(id, Slot::new(Box::new(main)));
-        // analyze: allow(panic, "bootstrap runs exactly once and Runtime::run always sets the entry closure first")
+        #[expect(clippy::expect_used, reason = "panic: bootstrap runs exactly once")]
         let entry = self.entry.take().expect("bootstrap without entry closure");
         self.launch_coro(id, entry, None);
     }
 }
 
-/// Start of a metered span. The reading is wall time: `metered_ns` discards
-/// it on the deterministic sim (meter off), so it never reaches virtual
-/// time there.
+/// Start of a metered span (an entry's decode, encode or handler, or a
+/// coroutine segment). The reading is wall time: `metered_ns` and
+/// `resume_coro` discard it on the deterministic sim (meter off), so it
+/// never reaches virtual time there.
+#[expect(clippy::disallowed_methods, reason = "nondeterminism: sim discards it")]
 pub(crate) fn meter_start() -> Instant {
-    // analyze: allow(nondeterminism, "metering clock: metered_ns() discards it on the deterministic sim (meter off)")
     Instant::now()
 }

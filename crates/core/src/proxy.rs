@@ -5,6 +5,12 @@
 //! Proxies are plain data — `Copy`, serializable — so they can be passed to
 //! other chares inside messages, as CharmPy allows.
 
+// Scheduler hot path (DESIGN.md §6): the panic and blocking rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -89,11 +95,11 @@ impl<T: Chare> Proxy<T> {
                 // Broadcasts are encoded once at the call site into shared
                 // bytes and decoded per member; every tree hop and local
                 // fan-out clones the handle, never the allocation.
+                #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
                 let bytes = ctx
                     .seed
                     .codec
                     .encode_shared(&msg)
-                    // analyze: allow(panic, "encoding the user's broadcast message fails only on a codec bug")
                     .expect("broadcast message failed to encode");
                 ctx.ops.push(Op::Broadcast {
                     coll: self.coll,
@@ -107,9 +113,9 @@ impl<T: Chare> Proxy<T> {
     /// `ret=True` mechanism (§II-D). The callee fulfills it with
     /// `ctx.reply(value)`. Element proxies only.
     pub fn call<V: Message>(&self, ctx: &mut Ctx, msg: T::Msg) -> Future<V> {
+        #[expect(clippy::expect_used, reason = "panic: API contract: element proxies")]
         let index = self
             .index
-            // analyze: allow(panic, "API contract: call() on a whole-collection proxy is a user error, reported like CharmPy's exception")
             .expect("call() needs an element proxy; use reductions for collective results");
         let fut = ctx.create_future::<V>();
         ctx.ops.push(Op::SendElem {
@@ -130,10 +136,8 @@ impl<T: Chare> Proxy<T> {
     /// over its state, in addition to the type's own [`Chare::guard`].
     /// Element proxies only.
     pub fn send_when(&self, ctx: &mut Ctx, msg: T::Msg, guard: MsgGuard) {
-        let index = self
-            .index
-            // analyze: allow(panic, "API contract: send_when requires an element proxy; user error otherwise")
-            .expect("send_when needs an element proxy");
+        #[expect(clippy::expect_used, reason = "panic: API contract: element proxies")]
+        let index = self.index.expect("send_when needs an element proxy");
         ctx.ops.push(Op::SendElem {
             to: ChareId {
                 coll: self.coll,
@@ -259,11 +263,11 @@ impl<T: Chare> Section<T> {
     /// Multicast `msg` to every member of the section: one encode, one
     /// shared allocation, however many members.
     pub fn send(&self, ctx: &mut Ctx, msg: T::Msg) {
+        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
         let bytes = ctx
             .seed
             .codec
             .encode_shared(&msg)
-            // analyze: allow(panic, "encoding the user's multicast message fails only on a codec bug")
             .expect("multicast message failed to encode");
         ctx.ops.push(Op::Multicast {
             coll: self.coll,

@@ -7,6 +7,12 @@
 //! blocks, and multiple reductions (even on one collection) can be in
 //! flight, sequenced per member by contribution order.
 
+// Scheduler hot path (DESIGN.md §6): the panic and blocking rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
@@ -56,12 +62,18 @@ impl RedData {
         }
     }
 
+    /// The `as_*` accessors' failure: the program asked for `expected` but
+    /// the reducer yielded another kind.
+    #[expect(clippy::panic, reason = "panic: API contract: a user bug")]
+    fn mismatch(&self, expected: &str) -> ! {
+        panic!("reduction produced {}, expected {expected}", self.kind())
+    }
+
     /// Extract an `i64`, panicking with a clear message otherwise.
     pub fn as_i64(&self) -> i64 {
         match self {
             RedData::I64(v) => *v,
-            // analyze: allow(panic, "API contract: the program asked for i64 but the reducer yielded another kind; user bug surfaced at the boundary")
-            other => panic!("reduction produced {}, expected i64", other.kind()),
+            other => other.mismatch("i64"),
         }
     }
 
@@ -69,8 +81,7 @@ impl RedData {
     pub fn as_f64(&self) -> f64 {
         match self {
             RedData::F64(v) => *v,
-            // analyze: allow(panic, "API contract: result-kind mismatch (expected f64) is a user bug surfaced at the boundary")
-            other => panic!("reduction produced {}, expected f64", other.kind()),
+            other => other.mismatch("f64"),
         }
     }
 
@@ -78,8 +89,7 @@ impl RedData {
     pub fn as_vec_f64(&self) -> &[f64] {
         match self {
             RedData::VecF64(v) => v,
-            // analyze: allow(panic, "API contract: result-kind mismatch (expected vec<f64>) is a user bug surfaced at the boundary")
-            other => panic!("reduction produced {}, expected vec<f64>", other.kind()),
+            other => other.mismatch("vec<f64>"),
         }
     }
 
@@ -87,8 +97,7 @@ impl RedData {
     pub fn as_vec_i64(&self) -> &[i64] {
         match self {
             RedData::VecI64(v) => v,
-            // analyze: allow(panic, "API contract: result-kind mismatch (expected vec<i64>) is a user bug surfaced at the boundary")
-            other => panic!("reduction produced {}, expected vec<i64>", other.kind()),
+            other => other.mismatch("vec<i64>"),
         }
     }
 
@@ -161,16 +170,17 @@ impl CustomReducers {
             .map(|i| Reducer::Custom(i as u32))
     }
 
+    #[expect(clippy::panic, reason = "panic: an unregistered id is a user bug")]
     fn get(&self, id: u32) -> &CustomReduceFn {
         &*self
             .fns
             .get(id as usize)
-            // analyze: allow(panic, "using a custom reducer id that was never registered is a user bug; no sane fallback exists")
             .unwrap_or_else(|| panic!("custom reducer {id} not registered"))
             .1
     }
 }
 
+#[expect(clippy::panic, reason = "panic: API contract: a user bug")]
 fn combine2(r: Reducer, a: RedData, b: RedData) -> RedData {
     use RedData::*;
     use Reducer::*;
@@ -196,7 +206,6 @@ fn combine2(r: Reducer, a: RedData, b: RedData) -> RedData {
                     Product => xi.wrapping_mul(*yi),
                     Max => (*xi).max(*yi),
                     Min => (*xi).min(*yi),
-                    // analyze: allow(panic, "API contract: applying this reducer to vec<i64> is undefined; user bug")
                     _ => panic!("reducer {op:?} not applicable to vec<i64>"),
                 };
             }
@@ -210,7 +219,6 @@ fn combine2(r: Reducer, a: RedData, b: RedData) -> RedData {
                     Product => *xi * yi,
                     Max => xi.max(*yi),
                     Min => xi.min(*yi),
-                    // analyze: allow(panic, "API contract: applying this reducer to vec<f64> is undefined; user bug")
                     _ => panic!("reducer {op:?} not applicable to vec<f64>"),
                 };
             }
@@ -221,7 +229,6 @@ fn combine2(r: Reducer, a: RedData, b: RedData) -> RedData {
             x.sort_by_key(|a| a.0);
             RedData::Gather(x)
         }
-        // analyze: allow(panic, "API contract: contributions of mismatched kinds cannot be combined; user bug")
         (op, a, b) => panic!(
             "reducer {op:?} cannot combine {} with {}",
             a.kind(),
@@ -243,7 +250,7 @@ pub fn combine(reducer: Reducer, mut parts: Vec<RedData>, custom: &CustomReducer
         return RedData::Unit;
     }
     let mut acc = match parts.is_empty() {
-        // analyze: allow(panic, "combine is only called once at least one part exists; empty input is a scheduler bug worth failing fast")
+        #[expect(clippy::panic, reason = "panic: callers pass at least one part")]
         true => panic!("combine called with no contributions"),
         false => parts.remove(0),
     };
@@ -332,7 +339,7 @@ impl<T: Clone> FanOut<T> {
         } else {
             self.value.clone()
         };
-        // analyze: allow(panic, "callers announce their consumer count up front and call next() once per consumer, so the value is taken only by the last")
+        #[expect(clippy::expect_used, reason = "panic: consumer count is announced")]
         value.expect("more fan-out consumers than announced")
     }
 }
@@ -375,7 +382,7 @@ impl PeState {
                     self.invoke(id, Invoke::Reduced(tag, data.next()));
                 }
             }
-            // analyze: allow(panic, "dispatch hands this module only the two kinds above")
+            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
             other => unreachable!("not a reduction envelope: {other:?}"),
         }
     }
@@ -446,7 +453,7 @@ impl PeState {
             target,
             ..
         } = st.remove();
-        // analyze: allow(panic, "expected > 0 members were counted, and red_merge folds a value in with every count")
+        #[expect(clippy::expect_used, reason = "panic: every count folds in a value")]
         let data = acc.expect("counted reduction holds no value");
         match self.cfg.tree.parent(self.pe, 0, self.npes) {
             Some(parent) => self.emit(
@@ -462,7 +469,7 @@ impl PeState {
             ),
             None => {
                 // Root: deliver to the target.
-                // analyze: allow(panic, "every member contribution carries the target, and the root only completes after counting members")
+                #[expect(clippy::expect_used, reason = "panic: contributions carry the target")]
                 let target = target.expect("reduction completed without target");
                 self.red_deliver(target, data);
             }
@@ -601,7 +608,6 @@ mod tests {
                 let idx: Vec<i32> = items.iter().map(|(i, _)| i.first()).collect();
                 assert_eq!(idx, vec![1, 2, 3]);
             }
-            // analyze: allow(panic, "API contract: reading a gather result from a non-gather reduction is a user bug")
             other => panic!("expected gather, got {other:?}"),
         }
     }

@@ -31,6 +31,9 @@
 //! controlled transport (`check.rs`); the multi-process transport is in
 //! `net.rs`.
 
+// Decides message order (DESIGN.md §6): the nondeterminism rule.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -660,7 +663,7 @@ impl Runtime {
             registry: Arc::new(std::mem::take(&mut self.registry)),
             placements: Arc::new(self.placements.clone()),
             reducers: Arc::new(self.reducers.clone()),
-            // analyze: allow(nondeterminism, "wall-clock origin: feeds the report's wall field and the threads backend's real-time clocks; sim ordering runs on virtual time")
+            #[expect(clippy::disallowed_methods, reason = "nondeterminism: the wall field")]
             start: Instant::now(),
             cfg: SchedCfg {
                 codec: match self.dispatch {
@@ -1011,6 +1014,7 @@ impl Transport for Threads {
 /// One incarnation on the threads backend: one OS thread per PE, each
 /// driving its own [`Threads`] transport, and this thread collecting how
 /// they end.
+#[expect(clippy::disallowed_methods, reason = "nondeterminism: a wall deadline")]
 fn threads_epoch(
     pes: Vec<PeState>,
     boot: Envelope,
@@ -1079,7 +1083,6 @@ fn threads_epoch(
         let received = match deadline {
             None => status_rx.recv().ok(),
             Some(d) => status_rx
-                // analyze: allow(nondeterminism, "threads-backend collection deadline; wall time by design, virtual-time machines never run this loop")
                 .recv_timeout(d.saturating_duration_since(Instant::now()))
                 .ok(),
         };
@@ -1104,7 +1107,6 @@ fn threads_epoch(
         };
         if let (Some(f), None) = (failure, &dead) {
             dead = Some(f);
-            // analyze: allow(nondeterminism, "threads-backend collection deadline; wall time by design, virtual-time machines never run this loop")
             deadline = Some(Instant::now() + idle_timeout + Duration::from_secs(2));
             for tx in &senders {
                 let mut halt = Envelope::new(0, EnvKind::Halt);

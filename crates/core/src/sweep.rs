@@ -24,6 +24,12 @@
 //! a function of the program, not of the schedule. Neither runs on the
 //! restore gate's own round, and a sweep in flight is never overlapped.
 
+// Scheduler hot path (DESIGN.md §6): the panic, blocking and nondeterminism rules.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::iter_over_hash_type))]
+
 use charm_trace::{MetricFrame, SpaceSaving};
 
 use crate::ids::{ChareId, FutureId, Pe};
@@ -183,7 +189,7 @@ impl PeState {
                 }
                 self.tel_maybe_send_up();
             }
-            // analyze: allow(panic, "dispatch hands this module only the five kinds above")
+            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
             other => unreachable!("not a sweep envelope: {other:?}"),
         }
     }
@@ -336,7 +342,7 @@ impl PeState {
         let c = self.tracer.counters;
         // Parked-message census; each sum is order-insensitive, so hash
         // iteration order cannot leak into the frame.
-        // analyze: allow(nondeterminism, "order-insensitive sum of when-guard buffer lengths")
+        #[expect(clippy::disallowed_methods, reason = "nondeterminism: order-free sum")]
         let buffered: usize = self.chares.values().map(|s| s.buffered.len()).sum();
         let queue_depth = buffered as u64 + self.locs.parked().1 + self.colls.parked().1;
         let hot = self.sweeps.tel_sketch.as_ref().map(|s| s.items());

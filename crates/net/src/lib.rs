@@ -38,6 +38,10 @@
 //! jitter draws from `charm-wire`'s `SplitMix64` the same way.
 
 #![forbid(unsafe_code)]
+// Every blocking call and clock read is an exception that names why it
+// never reaches a deterministic scheduler (DESIGN.md §6).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod backoff;
 pub mod cfg;
@@ -49,7 +53,7 @@ pub mod node;
 pub mod peer;
 pub mod proto;
 // The jitter source for `backoff`; the rest of the module goes unused here.
-#[allow(dead_code)]
+#[cfg_attr(not(test), expect(dead_code, reason = "only its jitter source"))]
 #[path = "../../wire/src/rng.rs"]
 mod rng;
 

@@ -14,6 +14,7 @@
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[expect(clippy::disallowed_types, reason = "blocking: see `Shared::peers`")]
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -28,14 +29,14 @@ use crate::proto::{
 };
 
 /// Read the monotonic clock. Single sanctioned call site for the crate.
+#[expect(clippy::disallowed_methods, reason = "nondeterminism: wall deadlines")]
 pub(crate) fn now() -> Instant {
-    // analyze: allow(net-hook, "transport deadlines are wall-clock by definition; the deterministic schedulers never call into this crate")
     Instant::now()
 }
 
 /// Sleep. Single sanctioned call site for the crate.
+#[expect(clippy::disallowed_methods, reason = "blocking: supervision threads")]
 pub(crate) fn pause(d: Duration) {
-    // analyze: allow(net-hook, "supervision threads (backoff, watchdogs, polls) sleep by design; never runs on a scheduler thread")
     std::thread::sleep(d);
 }
 
@@ -186,7 +187,7 @@ struct Shared {
     listen_addr: SocketAddr,
     epoch: AtomicU64,
     shutting: AtomicBool,
-    // analyze: allow(net-hook, "peer table and address book are shared with reader/supervision threads; guarded by one coarse short-lived mutex")
+    #[expect(clippy::disallowed_types, reason = "blocking: one short-lived lock")]
     peers: Mutex<Vec<Slot>>,
     /// Notified by every `install`: the mesh wait sleeps on it.
     installed: Condvar,
@@ -195,8 +196,8 @@ struct Shared {
 }
 
 impl Shared {
+    #[expect(clippy::disallowed_methods, reason = "blocking: one short-lived lock")]
     fn peers(&self) -> MutexGuard<'_, Vec<Slot>> {
-        // analyze: allow(net-hook, "single lock helper; poisoning cannot happen (no panics while held) and would only abort supervision")
         self.peers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -676,7 +677,11 @@ impl NetNode {
             listen_addr,
             epoch: AtomicU64::new(epoch),
             shutting: AtomicBool::new(false),
-            // analyze: allow(net-hook, "constructing the shared peer table; see the field declarations")
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::disallowed_types,
+                reason = "blocking: constructing the shared peer table; see the field declaration"
+            )]
             peers: Mutex::new((0..npes).map(|_| Slot::default()).collect()),
             installed: Condvar::new(),
             events: tx,
@@ -799,6 +804,7 @@ impl NetNode {
     }
 
     /// Queue a copy of `frame` on every live peer's writer.
+    #[expect(clippy::disallowed_methods, reason = "payload-copy: control frames")]
     fn broadcast(&self, frame: &[u8]) {
         for pe in 0..self.shared.npes {
             if pe != self.shared.me {

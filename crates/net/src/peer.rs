@@ -40,6 +40,7 @@ use std::net::{Shutdown, TcpStream};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+#[expect(clippy::disallowed_types, reason = "blocking: see `Link::half`")]
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -105,7 +106,7 @@ struct Out<W> {
 /// One connection's write half, shared by its writer thread and the
 /// senders of large frames.
 pub(crate) struct Link<W> {
-    // analyze: allow(net-hook, "the write half: held by the writer for one batch or by a sender for one large frame, each write bounded by the socket's write timeout")
+    #[expect(clippy::disallowed_types, reason = "blocking: a bounded write")]
     half: Mutex<Out<W>>,
     /// Frames queued and not yet written, plus one for a `Close`. A sender
     /// counts a frame before it queues it; the writer takes a batch's count
@@ -123,7 +124,11 @@ pub(crate) struct Link<W> {
 impl<W> Link<W> {
     fn new(w: W, counters: Arc<Counters>) -> Link<W> {
         Link {
-            // analyze: allow(net-hook, "constructing the write half's lock; see the field declaration")
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::disallowed_types,
+                reason = "blocking: constructing the write half's lock; see the field declaration"
+            )]
             half: Mutex::new(Out { w, direct_at: None }),
             queued: AtomicUsize::new(0),
             counters,
@@ -131,8 +136,8 @@ impl<W> Link<W> {
     }
 
     /// The write half, locked.
+    #[expect(clippy::disallowed_methods, reason = "blocking: a bounded write")]
     fn out(&self) -> MutexGuard<'_, Out<W>> {
-        // analyze: allow(net-hook, "single lock helper for the write half; a panic while it is held only ends the connection")
         self.half.lock().unwrap_or_else(|e| e.into_inner())
     }
 

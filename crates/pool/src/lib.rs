@@ -173,8 +173,6 @@ impl Chare for PoolWorker {
 // ---------------------------------------------------------------------------
 
 struct Job {
-    #[allow(dead_code)] // retained for diagnostics/serialization parity
-    func: u64,
     tasks: Vec<Vec<u8>>,
     results: Vec<Option<Vec<u8>>>,
     next_task: u64,
@@ -295,7 +293,6 @@ impl Chare for MapManager {
                 self.jobs.insert(
                     job_id,
                     Job {
-                        func,
                         tasks: tasks.clone(),
                         results: vec![None; n],
                         next_task: 0,

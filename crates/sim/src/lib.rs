@@ -21,6 +21,9 @@
 //! consumer of these types.
 
 #![forbid(unsafe_code)]
+// A virtual-time engine: the nondeterminism rule (DESIGN.md §6).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod model;
 pub mod permute;

@@ -10,7 +10,7 @@
 //! process, after [`count_requests_from`]: requests of at least a given
 //! size, by any thread and by this one.
 
-#![allow(dead_code)]
+#![expect(dead_code, reason = "each includer uses part of it")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,6 +73,7 @@ struct Counting;
 // SAFETY: defers every operation to `System` unchanged; the only addition
 // is bookkeeping in two atomics and a const-initialised thread-local `Cell`
 // (none of which allocates).
+#[expect(unsafe_code, reason = "unsafe: a global allocator is an unsafe impl")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(0, layout.size());

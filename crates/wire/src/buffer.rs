@@ -74,7 +74,7 @@ impl<T: Scalar> Buf<T> {
     }
 
     /// View the elements as raw bytes.
-    #[allow(unsafe_code)] // crate denies unsafe; this is one of the two sanctioned blocks
+    #[expect(unsafe_code, reason = "unsafe: zero-copy view of sealed POD scalars")]
     pub fn as_bytes(&self) -> &[u8] {
         let ptr = self.data.as_ptr() as *const u8;
         let len = self.data.len() * std::mem::size_of::<T>();
@@ -87,7 +87,7 @@ impl<T: Scalar> Buf<T> {
     /// Rebuild a buffer from raw bytes produced by [`Buf::as_bytes`].
     ///
     /// Returns `None` if `bytes` is not a whole number of elements.
-    #[allow(unsafe_code)] // crate denies unsafe; this is one of the two sanctioned blocks
+    #[expect(unsafe_code, reason = "unsafe: copy bytes into sealed POD scalars")]
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let esz = std::mem::size_of::<T>();
         if !bytes.len().is_multiple_of(esz) {

@@ -16,8 +16,9 @@
 //! the workspace's one seeded PRNG ([`SplitMix64`]), being the lowest crate
 //! every user of it reaches.
 
-// analyze: allow(unsafe, "buffer.rs reinterprets sealed POD scalar slices as bytes for zero-copy pup; both unsafe blocks carry SAFETY proofs")
-#![deny(unsafe_code)]
+// The payload-copy rule (DESIGN.md §6). Unsafe code is denied workspace-wide;
+// buffer.rs holds the only two exceptions.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod buffer;
 pub mod codec;

@@ -59,7 +59,7 @@ macro_rules! wire_enum {
     }) => {
         impl $crate::Wire for $name {
             fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) -> $crate::Result<()> {
-                #[allow(dead_code)]
+                #[allow(dead_code, reason = "a variant the invocation never names")]
                 enum Ix { $($v),* }
                 match self {
                     $( $name::$v $( ( $($t),+ ) )? $( { $($f),* } )? => {
@@ -72,7 +72,7 @@ macro_rules! wire_enum {
                 Ok(())
             }
             fn decode<WireR: $crate::Reader>(r: &mut WireR) -> $crate::Result<Self> {
-                #[allow(dead_code)]
+                #[allow(dead_code, reason = "a variant the invocation never names")]
                 enum Ix { $($v),* }
                 const VARIANTS: &[&str] = &[$(stringify!($v)),*];
                 let ix = r.variant(stringify!($name), VARIANTS)?;
@@ -147,7 +147,7 @@ macro_rules! __wire_put_fields {
 #[macro_export]
 macro_rules! __wire_get_fields {
     ($r:ident, $name:expr, $ctor:path; $($f:ident),*) => {{
-        #[allow(non_camel_case_types, dead_code)]
+        #[allow(non_camel_case_types, dead_code, reason = "variants are the field names")]
         enum Ix { $($f),* }
         const FIELDS: &[&str] = &[$(stringify!($f)),*];
         $( let mut $f = None; )*

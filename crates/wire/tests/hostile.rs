@@ -250,9 +250,7 @@ fn a_missing_field_is_named() {
     wire_struct! { Narrow { a } }
     #[derive(Debug)]
     struct Wide {
-        #[allow(dead_code)]
         a: u8,
-        #[allow(dead_code)]
         b: u8,
     }
     wire_struct! { Wide { a, b } }

@@ -262,7 +262,6 @@ fn wrong_enum_variant_name_fails_cleanly_in_pickle() {
     wire_enum! { A { OnlyInA(a) } }
     #[derive(Debug)]
     enum B {
-        #[allow(dead_code)]
         OnlyInB(u8),
     }
     wire_enum! { B { OnlyInB(a) } }

@@ -114,7 +114,10 @@ impl Chare for Segment {
 }
 
 impl Segment {
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "the stencil reads i - 1, i and i + 1"
+    )]
     fn step(&mut self) {
         const C2: f64 = 0.25; // (c dt / dx)^2
         let mut next = vec![0.0; POINTS];
