@@ -87,11 +87,11 @@ fn codecs() {
         };
         for (name, codec) in [("fast", Codec::Fast), ("pickle", Codec::Pickle)] {
             bench(&format!("codec_roundtrip/{name}_vec/{n}"), REPS, || {
-                codec.decode::<GhostVec>(&codec.encode(&vec_msg).unwrap())
+                codec.decode::<GhostVec>(&codec.encode(&vec_msg))
             });
             // The "NumPy bypass": a `Buf` stays memcpy-fast under pickle.
             bench(&format!("codec_roundtrip/{name}_buf/{n}"), REPS, || {
-                codec.decode::<GhostBuf>(&codec.encode(&buf_msg).unwrap())
+                codec.decode::<GhostBuf>(&codec.encode(&buf_msg))
             });
         }
     }
@@ -128,12 +128,10 @@ fn payloads() {
         iter: 7,
         data: (0..1024).map(|i| i as f64).collect(),
     };
-    bench("encode_fresh_vec", REPS, || {
-        Codec::Fast.encode(&msg).unwrap()
-    });
+    bench("encode_fresh_vec", REPS, || Codec::Fast.encode(&msg));
     let mut pool = EncodePool::new();
     bench("encode_pooled_shared", REPS, || {
-        Codec::Fast.encode_shared_with(&mut pool, &msg).unwrap()
+        Codec::Fast.encode_shared_with(&mut pool, &msg)
     });
 }
 

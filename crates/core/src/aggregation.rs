@@ -26,7 +26,7 @@
 use charm_wire::WireBytes;
 
 use crate::ids::Pe;
-use crate::msg::{EnvKind, Envelope, Payload};
+use crate::msg::{push_batch_record, BatchHdr, EnvKind, Envelope, Payload};
 use crate::pe::PeState;
 
 /// One destination's pending aggregation buffer: small outgoing entry
@@ -89,21 +89,16 @@ impl PeState {
                 trace,
                 ..
             } if bytes.len() < agg.max_bytes => {
-                let (buf, scratch) = self.agg.buf(dst);
-                #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
-                crate::msg::push_batch_record(
-                    &mut buf.frame,
-                    scratch,
-                    self.cfg.codec,
+                let hdr = BatchHdr {
                     to,
                     reply,
                     guard,
                     sent_ns,
                     #[cfg(feature = "analyze")]
                     trace,
-                    &bytes,
-                )
-                .expect("batch record failed to encode");
+                };
+                let (buf, scratch) = self.agg.buf(dst);
+                push_batch_record(&mut buf.frame, scratch, self.cfg.codec, &hdr, &bytes);
                 buf.count += 1;
                 if buf.count as usize >= agg.max_count || buf.frame.len() >= agg.max_bytes {
                     self.flush_agg(dst);

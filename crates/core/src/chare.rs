@@ -70,13 +70,13 @@ pub trait ChareBox: Send {
     fn resume_from_sync_dyn(&mut self, ctx: &mut Ctx);
     /// Serialize the chare for migration; `None` if the type was not
     /// registered as migratable.
-    fn pack(&self, codec: Codec) -> Option<charm_wire::Result<Vec<u8>>>;
+    fn pack(&self, codec: Codec) -> Option<Vec<u8>>;
     /// Registered type of this chare.
     fn type_id(&self) -> ChareTypeId;
 }
 
 /// Serializer hook stored by migratable holders.
-type PackFn<T> = fn(&T, Codec) -> charm_wire::Result<Vec<u8>>;
+type PackFn<T> = fn(&T, Codec) -> Vec<u8>;
 
 /// The concrete `ChareBox` implementation for a chare type `T`.
 pub(crate) struct Holder<T: Chare> {
@@ -116,7 +116,7 @@ impl<T: Chare> ChareBox for Holder<T> {
     fn resume_from_sync_dyn(&mut self, ctx: &mut Ctx) {
         self.inner.resume_from_sync(ctx);
     }
-    fn pack(&self, codec: Codec) -> Option<charm_wire::Result<Vec<u8>>> {
+    fn pack(&self, codec: Codec) -> Option<Vec<u8>> {
         self.pack_fn.map(|f| f(&self.inner, codec))
     }
     fn type_id(&self) -> ChareTypeId {
@@ -133,12 +133,10 @@ pub(crate) type UnpackFn = fn(Codec, &[u8], ChareTypeId) -> charm_wire::Result<B
 pub struct ChareVTable {
     /// Human-readable type name (diagnostics).
     pub name: &'static str,
-    #[expect(dead_code, reason = "diagnostics only")]
-    pub(crate) rust_type: TypeId,
     pub(crate) decode_msg: fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>,
-    pub(crate) encode_msg: fn(&dyn Any, Codec) -> charm_wire::Result<Vec<u8>>,
+    pub(crate) encode_msg: fn(&dyn Any, Codec) -> Vec<u8>,
     pub(crate) decode_init: fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>,
-    pub(crate) encode_init: fn(&dyn Any, Codec) -> charm_wire::Result<Vec<u8>>,
+    pub(crate) encode_init: fn(&dyn Any, Codec) -> Vec<u8>,
     pub(crate) construct: fn(BoxMsg, &mut Ctx, ChareTypeId) -> Box<dyn ChareBox>,
     pub(crate) unpack: Option<UnpackFn>,
     /// Whether instances can migrate.
@@ -148,7 +146,7 @@ pub struct ChareVTable {
 fn decode_msg_impl<T: Chare>(codec: Codec, bytes: &[u8]) -> charm_wire::Result<BoxMsg> {
     Ok(Box::new(codec.decode::<T::Msg>(bytes)?) as BoxMsg)
 }
-fn encode_msg_impl<T: Chare>(any: &dyn Any, codec: Codec) -> charm_wire::Result<Vec<u8>> {
+fn encode_msg_impl<T: Chare>(any: &dyn Any, codec: Codec) -> Vec<u8> {
     let m = any
         .downcast_ref::<T::Msg>()
         .expect("encode_msg type invariant");
@@ -157,7 +155,7 @@ fn encode_msg_impl<T: Chare>(any: &dyn Any, codec: Codec) -> charm_wire::Result<
 fn decode_init_impl<T: Chare>(codec: Codec, bytes: &[u8]) -> charm_wire::Result<BoxMsg> {
     Ok(Box::new(codec.decode::<T::Init>(bytes)?) as BoxMsg)
 }
-fn encode_init_impl<T: Chare>(any: &dyn Any, codec: Codec) -> charm_wire::Result<Vec<u8>> {
+fn encode_init_impl<T: Chare>(any: &dyn Any, codec: Codec) -> Vec<u8> {
     let m = any
         .downcast_ref::<T::Init>()
         .expect("encode_init type invariant");
@@ -267,7 +265,6 @@ impl Registry {
     pub fn register<T: Chare>(&mut self) -> ChareTypeId {
         self.insert::<T>(ChareVTable {
             name: std::any::type_name::<T>(),
-            rust_type: TypeId::of::<T>(),
             decode_msg: decode_msg_impl::<T>,
             encode_msg: encode_msg_impl::<T>,
             decode_init: decode_init_impl::<T>,
@@ -283,7 +280,6 @@ impl Registry {
     pub fn register_migratable<T: Chare + Wire>(&mut self) -> ChareTypeId {
         self.insert::<T>(ChareVTable {
             name: std::any::type_name::<T>(),
-            rust_type: TypeId::of::<T>(),
             decode_msg: decode_msg_impl::<T>,
             encode_msg: encode_msg_impl::<T>,
             decode_init: decode_init_impl::<T>,

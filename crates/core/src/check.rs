@@ -44,6 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use charm_check::{Chan, Execution, ExploreCfg, Schedule, StepInfo};
+use charm_trace::fnv::Fnv;
 
 use crate::analyze::FaultProbe;
 use crate::driver::{supervise, End, Poll, Transport};
@@ -241,34 +242,20 @@ pub(crate) fn run_replay(mut launch: Launch, entry: MainFn, schedule: &Schedule)
     };
     // FNV-1a over the delivery sequence and the outcome text: the
     // bit-identity digest two replays of one artifact must agree on.
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut digest = FNV_OFFSET;
-    let mut eat = |byte: u8| digest = (digest ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    let mut digest = Fnv::new();
     for s in &exec.steps {
-        for b in s
-            .chan
-            .0
-            .to_le_bytes()
-            .into_iter()
-            .chain(s.chan.1.to_le_bytes())
-        {
-            eat(b);
-        }
-        for b in &s.clock_after {
-            for byte in b.to_le_bytes() {
-                eat(byte);
-            }
-        }
+        digest.eat_u64(s.chan.0 as u64);
+        digest.eat_u64(s.chan.1 as u64);
+        s.clock_after.iter().for_each(|&c| digest.eat_u64(c));
     }
     for b in exec.failure.as_deref().unwrap_or("ok").bytes() {
-        eat(b);
+        digest.eat(b);
     }
     ReplayOutcome {
         failure: exec.failure,
         decisions: schedule.choices.len(),
         steps: exec.steps.len(),
-        digest,
+        digest: digest.finish(),
     }
 }
 

@@ -203,10 +203,8 @@ pub fn pe_file(dir: &Path, pe: usize) -> PathBuf {
 /// Encode a checkpoint image into a shareable byte buffer (the same wire
 /// format the files use). Used for the in-memory buddy copies, which travel
 /// as refcounted payloads instead of touching the filesystem.
-pub fn encode_image(file: &CkptFile) -> Result<charm_wire::WireBytes, String> {
-    charm_wire::Codec::Fast
-        .encode_shared(file)
-        .map_err(|e| e.to_string())
+pub fn encode_image(file: &CkptFile) -> charm_wire::WireBytes {
+    charm_wire::Codec::Fast.encode_shared(file)
 }
 
 /// Decode a checkpoint image produced by [`encode_image`] or read from a
@@ -230,9 +228,7 @@ pub fn write_file(dir: &Path, pe: usize, file: &CkptFile) -> std::io::Result<u64
     std::fs::create_dir_all(dir)?;
     charm_wire::pool::with_pool(|pool| {
         pool.with_scratch(|buf| {
-            charm_wire::Codec::Fast
-                .encode_into(buf, file)
-                .map_err(|e| std::io::Error::other(format!("checkpoint encode: {e}")))?;
+            charm_wire::Codec::Fast.encode_into(buf, file);
             write_atomic(dir, pe, buf)?;
             Ok(buf.len() as u64)
         })
@@ -598,9 +594,7 @@ impl PeState {
                 .unwrap_or_else(|e| panic!("checkpoint write failed on PE {}: {e}", self.pe));
         }
         if buddy {
-            let image = encode_image(&file).unwrap_or_else(|e| {
-                panic!("checkpoint image encode failed on PE {}: {e}", self.pe)
-            });
+            let image = encode_image(&file);
             bytes += image.len() as u64;
             self.ckpt.store.store(self.pe, epoch, image.clone());
             // Ship a copy to the buddy; the buddy acks the initiator on our
@@ -774,7 +768,7 @@ mod tests {
     fn image_roundtrip_matches_file_format() {
         let dir = tmpdir("image");
         let f = sample(1, 9);
-        let image = encode_image(&f).unwrap();
+        let image = encode_image(&f);
         let back = decode_image(&image).unwrap();
         assert_eq!(back.epoch, 9);
         assert_eq!(back.chares[0].data, vec![1, 2, 3]);

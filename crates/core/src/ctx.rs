@@ -343,12 +343,7 @@ impl Ctx {
     }
 
     fn push_create<T: Chare>(&mut self, spec: CollSpec, init: T::Init) {
-        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
-        let bytes = self
-            .seed
-            .codec
-            .encode_shared(&init)
-            .expect("constructor argument failed to encode");
+        let bytes = self.seed.codec.encode_shared(&init);
         self.push_create_raw::<T>(spec, bytes);
     }
 
@@ -376,12 +371,7 @@ impl Ctx {
     /// Contribute a typed value to a gather reduction; the target receives
     /// all values sorted by member index.
     pub fn contribute_gather<V: Message>(&mut self, value: &V, target: RedTarget) {
-        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
-        let bytes = self
-            .seed
-            .codec
-            .encode(value)
-            .expect("gather contribution failed to encode");
+        let bytes = self.seed.codec.encode(value);
         let index = self.my_index();
         self.contribute(
             RedData::Gather(vec![(index, bytes)]),

@@ -64,8 +64,8 @@ impl<V: Message> fmt::Debug for Future<V> {
 }
 
 impl<V: Message> Wire for Future<V> {
-    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
-        self.id.encode(w)
+    fn encode<W: Writer>(&self, w: &mut W) {
+        self.id.encode(w);
     }
     fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
         FutureId::decode(r).map(Future::new)

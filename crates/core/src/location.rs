@@ -165,8 +165,7 @@ impl PeState {
     /// futures and guard ids.
     #[expect(
         clippy::panic,
-        clippy::expect_used,
-        reason = "panic: a type without pack support is a registration bug; encode fails only on a codec bug"
+        reason = "panic: a type without pack support is a registration bug"
     )]
     pub(crate) fn pack_chare(&self, id: &ChareId, slot: &Slot, doing: &str) -> PackedChare {
         assert!(
@@ -174,20 +173,17 @@ impl PeState {
             "cannot {doing} {id}: a threaded entry method is active"
         );
         let (chare, codec) = (slot.chare(), self.cfg.codec);
-        let data = chare
-            .pack(codec)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{} is not migratable; to {doing} it, use register_migratable",
-                    self.registry.vtable(chare.type_id()).name
-                )
-            })
-            .expect("chare state failed to encode");
-        let encode_msg = self.vtable_of(id.coll).encode_msg;
-        let buffered = slot.buffered.iter().map(|b| {
-            let bytes = encode_msg(&*b.msg, codec).expect("buffered message encode failed");
-            (bytes, b.reply, b.guard)
+        let data = chare.pack(codec).unwrap_or_else(|| {
+            panic!(
+                "{} is not migratable; to {doing} it, use register_migratable",
+                self.registry.vtable(chare.type_id()).name
+            )
         });
+        let encode_msg = self.vtable_of(id.coll).encode_msg;
+        let buffered = slot
+            .buffered
+            .iter()
+            .map(|b| (encode_msg(&*b.msg, codec), b.reply, b.guard));
         (data, buffered.collect())
     }
 

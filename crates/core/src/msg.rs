@@ -69,16 +69,21 @@ impl Payload {
 }
 
 /// A payload crosses a process boundary as one raw byte block, written
-/// straight from the shared allocation. A [`Payload::Local`] box reaching
-/// an encoder means the scheduler classified a remote destination as
-/// same-PE — a runtime bug that surfaces as a typed error, never as a
-/// silent drop of the box.
+/// straight from the shared allocation. No [`Payload::Local`] box reaches
+/// an encoder: `PeState::encode_for` serializes every payload bound for
+/// another PE, and `Net::send` queues an envelope for its own PE locally
+/// before it encodes anything. One that got here is a scheduler bug.
 impl Wire for Payload {
-    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         match self {
-            Payload::Local(_) => Err(WireError::Unsupported(
-                "Payload::Local at a process boundary",
-            )),
+            #[expect(
+                clippy::unreachable,
+                reason = "panic: encode_for serializes every remote payload"
+            )]
+            Payload::Local(_) => unreachable!(
+                "Payload::Local at a process boundary: encode_for serializes every payload \
+                 bound for another PE, and Net::send keeps dst == me local"
+            ),
             Payload::Wire(b) => b.encode(w),
         }
     }
@@ -101,7 +106,7 @@ impl std::fmt::Debug for Payload {
 /// destination turns out to be remote — without any type registry lookup.
 pub struct OutPayload {
     pub(crate) any: BoxMsg,
-    pub(crate) encode: fn(&dyn Any, Codec, &mut EncodePool) -> charm_wire::Result<WireBytes>,
+    pub(crate) encode: fn(&dyn Any, Codec, &mut EncodePool) -> WireBytes,
 }
 
 impl OutPayload {
@@ -129,11 +134,11 @@ impl OutPayload {
         same_pe_byref: bool,
         codec: Codec,
         pool: &mut EncodePool,
-    ) -> charm_wire::Result<Payload> {
+    ) -> Payload {
         if local && same_pe_byref {
-            Ok(Payload::Local(self.any))
+            Payload::Local(self.any)
         } else {
-            Ok(Payload::Wire((self.encode)(&*self.any, codec, pool)?))
+            Payload::Wire((self.encode)(&*self.any, codec, pool))
         }
     }
 }
@@ -193,11 +198,11 @@ type FrameWire = (
 );
 
 impl Wire for TelemetryBody {
-    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         let f = &*self.0;
         let top = f.top.iter().map(|t| (t.label.clone(), t.weight, t.err));
         let words = (f.to_words(), f.exec.to_words(), f.latency.to_words());
-        (words, (top.collect::<Vec<_>>(), f.top_cap as u64)).encode(w)
+        (words, (top.collect::<Vec<_>>(), f.top_cap as u64)).encode(w);
     }
     fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
         let ((words, exec, latency), (top, cap)) = FrameWire::decode(r)?;
@@ -747,17 +752,17 @@ impl EnvKind {
 /// Per-record header inside an [`EnvKind::Batch`] frame: everything an
 /// `Entry` envelope carries besides its payload bytes. `src` and `epoch`
 /// are batch-level — one sender, one incarnation per frame.
-struct BatchHdr {
-    to: ChareId,
-    reply: Option<FutureId>,
-    guard: Option<u32>,
+pub(crate) struct BatchHdr {
+    pub(crate) to: ChareId,
+    pub(crate) reply: Option<FutureId>,
+    pub(crate) guard: Option<u32>,
     /// The constituent's emit stamp (sender clock, ns) — aggregation must
     /// not hide queueing delay from the latency histogram.
-    sent_ns: u64,
+    pub(crate) sent_ns: u64,
     /// The constituent's happens-before trace, minted at emit time and
     /// carried through the frame so batching is invisible to the detector.
     #[cfg(feature = "analyze")]
-    trace: crate::analyze::EnvTrace,
+    pub(crate) trace: crate::analyze::EnvTrace,
 }
 #[cfg(not(feature = "analyze"))]
 wire_struct! { BatchHdr { to, reply, guard, sent_ns } }
@@ -768,33 +773,19 @@ wire_struct! { BatchHdr { to, reply, guard, sent_ns, trace } }
 /// `varint(hdr_len) ++ codec(BatchHdr) ++ varint(payload_len) ++ payload`.
 /// `scratch` is a caller-owned buffer reused across records so the header
 /// encode never allocates at steady state.
-#[expect(clippy::too_many_arguments, reason = "one per header field")]
 pub(crate) fn push_batch_record(
     frame: &mut Vec<u8>,
     scratch: &mut Vec<u8>,
     codec: Codec,
-    to: ChareId,
-    reply: Option<FutureId>,
-    guard: Option<u32>,
-    sent_ns: u64,
-    #[cfg(feature = "analyze")] trace: crate::analyze::EnvTrace,
+    hdr: &BatchHdr,
     payload: &[u8],
-) -> charm_wire::Result<()> {
-    let hdr = BatchHdr {
-        to,
-        reply,
-        guard,
-        sent_ns,
-        #[cfg(feature = "analyze")]
-        trace,
-    };
+) {
     scratch.clear();
-    codec.encode_into(scratch, &hdr)?;
+    codec.encode_into(scratch, hdr);
     charm_wire::varint::write_u64(frame, scratch.len() as u64);
     frame.extend_from_slice(scratch);
     charm_wire::varint::write_u64(frame, payload.len() as u64);
     frame.extend_from_slice(payload);
-    Ok(())
 }
 
 /// Split a batch frame back into `Entry` envelopes, in frame (= emission)

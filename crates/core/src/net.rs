@@ -133,18 +133,18 @@ impl Transport for Net {
         self.local.push_front(boot);
     }
 
-    /// Same-PE envelopes loop through the local queue; remote ones are
-    /// serialized onto the mesh. Send failures are the node's problem (its
-    /// loss path reports them); an envelope with no wire form is dropped.
+    /// Same-PE envelopes loop through the local queue, before anything is
+    /// encoded, so a by-reference `Payload::Local` never reaches the codec;
+    /// remote ones are serialized onto the mesh. Send failures are the
+    /// node's problem (its loss path reports them).
     fn send(&mut self, _src: &PeState, dst: Pe, env: Envelope) {
         if dst == self.me {
             self.local.push_back(env);
             return;
         }
         self.wire.clear();
-        if self.codec.encode_into(&mut self.wire, &env).is_ok() {
-            let _ = self.node.send_payload(dst, &self.wire);
-        }
+        self.codec.encode_into(&mut self.wire, &env);
+        let _ = self.node.send_payload(dst, &self.wire);
     }
 
     fn poll(&mut self) -> Poll {
@@ -454,9 +454,7 @@ fn run_worker(launch: Launch, netcfg: NetCfg, idle_timeout: Duration, we: Worker
         match drive(std::slice::from_mut(&mut state), &mut t, kill) {
             End::Exited => {
                 let trace = state.finish_trace();
-                if let Ok(bytes) = t.codec.encode(&trace.perf.to_words()) {
-                    let _ = t.node.send_stats(&bytes);
-                }
+                let _ = t.node.send_stats(&t.codec.encode(&trace.perf.to_words()));
                 match t.node.drain(netcfg.drain_timeout) {
                     Ok(()) => std::process::exit(0),
                     Err(e) => die(5, format!("drain failed: {e}")),
@@ -506,7 +504,7 @@ mod tests {
             ..PePerf::default()
         };
         for codec in [Codec::Fast, Codec::Pickle] {
-            let bytes = codec.encode(&perf.to_words()).unwrap();
+            let bytes = codec.encode(&perf.to_words());
             let words: Vec<u64> = codec.decode(&bytes).unwrap();
             assert_eq!(PePerf::from_words(&words), Ok(perf.clone()));
             // A block cut short is a typed error, not a zero-filled report.

@@ -461,16 +461,13 @@ impl PeState {
     /// Turn a runtime-built typed payload into its transit form: kept boxed
     /// when the destination is `local` (and §II-D by-reference is on),
     /// serialized through the encode pool otherwise.
-    #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
     pub(crate) fn encode_for(&mut self, local: bool, payload: OutPayload) -> Payload {
-        payload
-            .into_payload(
-                local,
-                self.cfg.same_pe_byref,
-                self.cfg.codec,
-                &mut self.encode_pool,
-            )
-            .expect("outgoing payload failed to encode")
+        payload.into_payload(
+            local,
+            self.cfg.same_pe_byref,
+            self.cfg.codec,
+            &mut self.encode_pool,
+        )
     }
 
     /// Complete future `fid` with `value`.
@@ -745,9 +742,7 @@ impl PeState {
         }
         let vt = self.vtable_of(coll);
         let encode = if init { vt.encode_init } else { vt.encode_msg };
-        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
-        let bytes = encode(&**any, self.cfg.codec).expect("re-encode for forwarding failed");
-        *payload = Payload::Wire(WireBytes::from_vec(bytes));
+        *payload = Payload::Wire(WireBytes::from_vec(encode(&**any, self.cfg.codec)));
     }
 
     /// Decode a serialized entry message for `id` straight from a borrowed

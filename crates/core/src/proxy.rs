@@ -95,12 +95,7 @@ impl<T: Chare> Proxy<T> {
                 // Broadcasts are encoded once at the call site into shared
                 // bytes and decoded per member; every tree hop and local
                 // fan-out clones the handle, never the allocation.
-                #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
-                let bytes = ctx
-                    .seed
-                    .codec
-                    .encode_shared(&msg)
-                    .expect("broadcast message failed to encode");
+                let bytes = ctx.seed.codec.encode_shared(&msg);
                 ctx.ops.push(Op::Broadcast {
                     coll: self.coll,
                     bytes,
@@ -228,12 +223,12 @@ struct ProxyWire {
 wire_struct! { ProxyWire { coll, index } }
 
 impl<T: Chare> Wire for Proxy<T> {
-    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         ProxyWire {
             coll: self.coll,
             index: self.index,
         }
-        .encode(w)
+        .encode(w);
     }
     fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
         let ProxyWire { coll, index } = ProxyWire::decode(r)?;
@@ -263,12 +258,7 @@ impl<T: Chare> Section<T> {
     /// Multicast `msg` to every member of the section: one encode, one
     /// shared allocation, however many members.
     pub fn send(&self, ctx: &mut Ctx, msg: T::Msg) {
-        #[expect(clippy::expect_used, reason = "panic: fails only on a codec bug")]
-        let bytes = ctx
-            .seed
-            .codec
-            .encode_shared(&msg)
-            .expect("multicast message failed to encode");
+        let bytes = ctx.seed.codec.encode_shared(&msg);
         ctx.ops.push(Op::Multicast {
             coll: self.coll,
             members: self.members.clone(),
@@ -306,12 +296,12 @@ struct SectionWire {
 wire_struct! { SectionWire { coll, members } }
 
 impl<T: Chare> Wire for Section<T> {
-    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         SectionWire {
             coll: self.coll,
             members: self.members.clone(),
         }
-        .encode(w)
+        .encode(w);
     }
     fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
         let SectionWire { coll, members } = SectionWire::decode(r)?;

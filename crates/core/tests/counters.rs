@@ -79,7 +79,7 @@ macro_rules! check_record {
         let b = <$rec>::from_words(&wb).expect("one word a row");
         assert_eq!(a.to_words(), wa, "{}: words round trip", stringify!($rec));
         for codec in CODECS {
-            let bytes = codec.encode(&a.to_words()).unwrap();
+            let bytes = codec.encode(&a.to_words());
             let back = <$rec>::from_words(&codec.decode::<Vec<u64>>(&bytes).unwrap()).unwrap();
             assert_eq!(back.to_words(), wa, "{}: {codec:?}", stringify!($rec));
         }
@@ -179,9 +179,9 @@ fn judge(codec: Codec, bytes: &[u8], what: &str) {
     let (result, heap) = measure(|| codec.decode::<Envelope>(bytes));
     assert!(heap.peak < ALLOC_BOUND, "{codec:?} {what}: {heap:?}");
     if let Ok(env) = result {
-        let again = codec.encode(&env).unwrap();
+        let again = codec.encode(&env);
         let back: Envelope = codec.decode(&again).expect(what);
-        assert_eq!(codec.encode(&back).unwrap(), again, "{codec:?} {what}");
+        assert_eq!(codec.encode(&back), again, "{codec:?} {what}");
     }
 }
 
@@ -189,11 +189,9 @@ fn judge(codec: Codec, bytes: &[u8], what: &str) {
 fn a_telemetry_envelope_cut_or_corrupted_is_an_error_or_a_value() {
     let env = telemetry_envelope();
     for codec in CODECS {
-        let bytes = codec.encode(&env).unwrap();
+        let bytes = codec.encode(&env);
         assert_eq!(
-            codec
-                .encode(&codec.decode::<Envelope>(&bytes).unwrap())
-                .unwrap(),
+            codec.encode(&codec.decode::<Envelope>(&bytes).unwrap()),
             bytes
         );
         for cut in 0..bytes.len() {
@@ -230,7 +228,7 @@ fn pe_perf_words_of_any_other_length_are_refused() {
     // The same words through a codec, cut anywhere: a typed error at one
     // layer or the other.
     for codec in CODECS {
-        let bytes = codec.encode(&good).unwrap();
+        let bytes = codec.encode(&good);
         for cut in 0..bytes.len() {
             let (words, heap) = measure(|| codec.decode::<Vec<u64>>(&bytes[..cut]));
             assert!(heap.peak < ALLOC_BOUND);

@@ -89,7 +89,7 @@ fn index_roundtrips_and_orders() {
         assert_eq!(ix.dims(), coords.len(), "seed {seed}");
         // Wire roundtrip under both codecs.
         for codec in [charm_wire::Codec::Fast, charm_wire::Codec::Pickle] {
-            let bytes = codec.encode(&ix).unwrap();
+            let bytes = codec.encode(&ix);
             let back: Index = codec.decode(&bytes).unwrap();
             assert_eq!(back, ix, "seed {seed} {codec:?}");
         }

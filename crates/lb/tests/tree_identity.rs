@@ -39,9 +39,9 @@ wire_struct! { Skew { round, index, init } }
 struct LoggedIndex(u32);
 
 impl Wire for LoggedIndex {
-    fn encode<W: Writer>(&self, w: &mut W) -> charm_wire::Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         PACKED.with(|p| p.borrow_mut().push(self.0));
-        self.0.encode(w)
+        self.0.encode(w);
     }
     fn decode<R: Reader>(r: &mut R) -> charm_wire::Result<Self> {
         u32::decode(r).map(LoggedIndex)

@@ -155,9 +155,7 @@ impl<'a> Rank<'a> {
     /// call returns immediately (like MPI's small-message send path and
     /// mpi4py's default).
     pub fn send<T: Message>(&mut self, dest: usize, tag: i32, value: &T) {
-        let bytes = Codec::Fast
-            .encode(value)
-            .expect("mpi payload encode failed");
+        let bytes = Codec::Fast.encode(value);
         let me = self.rank() as u32;
         let proxy = self.co.ctx().this_proxy::<RankChare>();
         proxy.elem(dest).send(
@@ -332,11 +330,7 @@ impl<'a> Rank<'a> {
             let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
             // Rank 0's own value roundtrips through the codec so `T` need
             // not be `Clone`.
-            out[0] = Some(
-                Codec::Fast
-                    .decode(&Codec::Fast.encode(value).unwrap())
-                    .unwrap(),
-            );
+            out[0] = Some(Codec::Fast.decode(&Codec::Fast.encode(value)).unwrap());
             for _ in 1..n {
                 let (v, st) = self.recv::<T>(ANY_SOURCE, Some(GATHER_TAG));
                 out[st.src] = Some(v);

@@ -67,9 +67,7 @@ pub fn register_task<I: Message, O: Message>(
 ) -> TaskFn<I, O> {
     let raw = move |bytes: &[u8]| -> Vec<u8> {
         let input: I = Codec::Fast.decode(bytes).expect("task input decode failed");
-        Codec::Fast
-            .encode(&f(input))
-            .expect("task output encode failed")
+        Codec::Fast.encode(&f(input))
     };
     let mut table = task_table().lock().unwrap();
     table.push(std::sync::Arc::new(raw));
@@ -417,10 +415,7 @@ impl PoolHandle {
         num_procs: usize,
         tasks: &[I],
     ) -> JobHandle<O> {
-        let encoded: Vec<Vec<u8>> = tasks
-            .iter()
-            .map(|t| Codec::Fast.encode(t).expect("task encode failed"))
-            .collect();
+        let encoded: Vec<Vec<u8>> = tasks.iter().map(|t| Codec::Fast.encode(t)).collect();
         let future = ctx.create_future::<Vec<Vec<u8>>>();
         self.mgr.send(
             ctx,

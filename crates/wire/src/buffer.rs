@@ -140,9 +140,8 @@ impl<T: Scalar + fmt::Debug> fmt::Debug for Buf<T> {
 }
 
 impl<T: Scalar> Wire for Buf<T> {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.put_bytes(self.as_bytes());
-        Ok(())
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         let bytes = r.get_bytes()?;
@@ -330,9 +329,8 @@ impl fmt::Debug for WireBytes {
 /// crosses a process boundary writes its payload straight from the shared
 /// allocation, and the receiver rebuilds one exact-size allocation.
 impl Wire for WireBytes {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.put_bytes(self.as_slice());
-        Ok(())
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         r.get_bytes().map(WireBytes::copy_from_slice)

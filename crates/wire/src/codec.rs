@@ -119,9 +119,10 @@ pub trait Reader {
 
 /// A value with a wire representation under both formats.
 pub trait Wire: Sized {
-    /// Write `self` to `w`. Fails only for values that have no wire form
-    /// (a process-local handle at a process boundary).
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()>;
+    /// Write `self` to `w`. Encoding cannot fail: a type has a wire form
+    /// or it does not implement `Wire`. Only decoding, which reads bytes
+    /// from outside the process, returns an error.
+    fn encode<W: Writer>(&self, w: &mut W);
     /// Read one value from `r`.
     fn decode<R: Reader>(r: &mut R) -> Result<Self>;
 }
@@ -137,9 +138,8 @@ macro_rules! wire_scalar {
     ($($t:ty => $put:ident, $get:ident;)*) => {$(
         impl Wire for $t {
             #[inline]
-            fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+            fn encode<W: Writer>(&self, w: &mut W) {
                 w.$put(*self);
-                Ok(())
             }
             #[inline]
             fn decode<R: Reader>(r: &mut R) -> Result<Self> {
@@ -166,9 +166,8 @@ macro_rules! wire_narrow_int {
     ($($t:ty => $wide:ty, $put:ident, $get:ident;)*) => {$(
         impl Wire for $t {
             #[inline]
-            fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+            fn encode<W: Writer>(&self, w: &mut W) {
                 w.$put(*self as $wide);
-                Ok(())
             }
             #[inline]
             fn decode<R: Reader>(r: &mut R) -> Result<Self> {
@@ -187,9 +186,8 @@ wire_narrow_int! {
 }
 
 impl Wire for () {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.put_unit();
-        Ok(())
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         r.get_unit()
@@ -197,9 +195,8 @@ impl Wire for () {
 }
 
 impl Wire for String {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.put_str(self);
-        Ok(())
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         r.get_str().map(str::to_owned)
@@ -207,8 +204,8 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Box<T> {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
-        (**self).encode(w)
+    fn encode<W: Writer>(&self, w: &mut W) {
+        (**self).encode(w);
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         T::decode(r).map(Box::new)
@@ -216,11 +213,10 @@ impl<T: Wire> Wire for Box<T> {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.put_option(self.is_some());
-        match self {
-            Some(v) => v.encode(w),
-            None => Ok(()),
+        if let Some(v) = self {
+            v.encode(w);
         }
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
@@ -233,9 +229,9 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.begin_seq(self.len());
-        self.iter().try_for_each(|v| v.encode(w))
+        self.iter().for_each(|v| v.encode(w));
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         let len = r.begin_seq()?;
@@ -250,9 +246,9 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl<T: Wire, const N: usize> Wire for [T; N] {
-    fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+    fn encode<W: Writer>(&self, w: &mut W) {
         w.begin_tuple(N);
-        self.iter().try_for_each(|v| v.encode(w))
+        self.iter().for_each(|v| v.encode(w));
     }
     fn decode<R: Reader>(r: &mut R) -> Result<Self> {
         r.begin_tuple(N)?;
@@ -275,10 +271,9 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
 macro_rules! wire_tuple {
     ($len:expr; $($t:ident $i:tt),+) => {
         impl<$($t: Wire),+> Wire for ($($t,)+) {
-            fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+            fn encode<W: Writer>(&self, w: &mut W) {
                 w.begin_tuple($len);
-                $(self.$i.encode(w)?;)+
-                Ok(())
+                $(self.$i.encode(w);)+
             }
             fn decode<R: Reader>(r: &mut R) -> Result<Self> {
                 r.begin_tuple($len)?;
@@ -294,12 +289,12 @@ wire_tuple!(3; A 0, B 1, C 2);
 macro_rules! wire_map {
     ($map:ident: $($bound:tt)+) => {
         impl<K: Wire + $($bound)+, V: Wire> Wire for $map<K, V> {
-            fn encode<W: Writer>(&self, w: &mut W) -> Result<()> {
+            fn encode<W: Writer>(&self, w: &mut W) {
                 w.begin_map(self.len());
-                self.iter().try_for_each(|(k, v)| {
-                    k.encode(w)?;
-                    v.encode(w)
-                })
+                self.iter().for_each(|(k, v)| {
+                    k.encode(w);
+                    v.encode(w);
+                });
             }
             fn decode<R: Reader>(r: &mut R) -> Result<Self> {
                 // Grown by insertion: the claimed length reserves nothing.

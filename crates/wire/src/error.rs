@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Error produced while encoding or decoding a message.
+/// Error produced while decoding a message (encoding cannot fail).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The input ended before a complete value could be decoded.
@@ -26,8 +26,8 @@ pub enum WireError {
     },
     /// Trailing bytes remained after decoding a complete value.
     TrailingBytes(usize),
-    /// The value has no wire representation (a process-local handle at a
-    /// process boundary), or the input nests deeper than a reader will walk.
+    /// The input nests deeper than the self-describing reader will walk
+    /// while skipping a value the reading type does not declare.
     Unsupported(&'static str),
     /// A struct field the reading type requires was absent from the input
     /// (self-describing format only).
@@ -69,5 +69,5 @@ impl From<crate::frame::FrameError> for WireError {
     }
 }
 
-/// Result alias for wire operations.
+/// Result alias for wire decoding.
 pub type Result<T> = std::result::Result<T, WireError>;

@@ -56,14 +56,14 @@ pub enum Codec {
 
 impl Codec {
     /// Encode `value` under this codec.
-    pub fn encode<T: Wire>(self, value: &T) -> Result<Vec<u8>> {
+    pub fn encode<T: Wire>(self, value: &T) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        self.encode_into(&mut out, value)?;
-        Ok(out)
+        self.encode_into(&mut out, value);
+        out
     }
 
     /// Encode `value` under this codec, appending to `out`.
-    pub fn encode_into<T: Wire>(self, out: &mut Vec<u8>, value: &T) -> Result<()> {
+    pub fn encode_into<T: Wire>(self, out: &mut Vec<u8>, value: &T) {
         match self {
             Codec::Fast => value.encode(&mut FastWriter::new(out)),
             Codec::Pickle => value.encode(&mut PickleWriter::new(out)),
@@ -72,7 +72,7 @@ impl Codec {
 
     /// Encode `value` into a shared, refcounted [`WireBytes`] payload,
     /// using the calling thread's scratch pool for the transient encode.
-    pub fn encode_shared<T: Wire>(self, value: &T) -> Result<WireBytes> {
+    pub fn encode_shared<T: Wire>(self, value: &T) -> WireBytes {
         pool::with_pool(|p| self.encode_shared_with(p, value))
     }
 
@@ -82,11 +82,7 @@ impl Codec {
     /// steady state pays no growth reallocation); the result is published
     /// by the pool — inline for small payloads (zero allocations), one
     /// exact-size shared allocation otherwise.
-    pub fn encode_shared_with<T: Wire>(
-        self,
-        pool: &mut EncodePool,
-        value: &T,
-    ) -> Result<WireBytes> {
+    pub fn encode_shared_with<T: Wire>(self, pool: &mut EncodePool, value: &T) -> WireBytes {
         pool.encode_with(|scratch| self.encode_into(scratch, value))
     }
 

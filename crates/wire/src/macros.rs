@@ -27,10 +27,9 @@
 macro_rules! wire_struct {
     ($name:ident { $($f:ident),* $(,)? }) => {
         impl $crate::Wire for $name {
-            fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) -> $crate::Result<()> {
+            fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) {
                 let $name { $($f),* } = self;
                 $crate::__wire_put_fields!(w, stringify!($name); $($f),*);
-                Ok(())
             }
             fn decode<WireR: $crate::Reader>(r: &mut WireR) -> $crate::Result<Self> {
                 Ok($crate::__wire_get_fields!(r, stringify!($name), $name; $($f),*))
@@ -39,10 +38,9 @@ macro_rules! wire_struct {
     };
     ($name:ident ( $($t:ident),+ $(,)? )) => {
         impl $crate::Wire for $name {
-            fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) -> $crate::Result<()> {
+            fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) {
                 let $name($($t),+) = self;
                 $crate::__wire_put_payload!(w, stringify!($name); ($($t),+));
-                Ok(())
             }
             fn decode<WireR: $crate::Reader>(r: &mut WireR) -> $crate::Result<Self> {
                 Ok($crate::__wire_get_payload!(r, stringify!($name), $name; ($($t),+)))
@@ -58,7 +56,7 @@ macro_rules! wire_enum {
         $( $v:ident $( ( $($t:ident),+ $(,)? ) )? $( { $($f:ident),* $(,)? } )? ),* $(,)?
     }) => {
         impl $crate::Wire for $name {
-            fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) -> $crate::Result<()> {
+            fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) {
                 #[allow(dead_code, reason = "a variant the invocation never names")]
                 enum Ix { $($v),* }
                 match self {
@@ -69,7 +67,6 @@ macro_rules! wire_enum {
                         );
                     } )*
                 }
-                Ok(())
             }
             fn decode<WireR: $crate::Reader>(r: &mut WireR) -> $crate::Result<Self> {
                 #[allow(dead_code, reason = "a variant the invocation never names")]
@@ -95,11 +92,11 @@ macro_rules! __wire_put_payload {
         $w.put_unit();
     };
     ($w:ident, $name:expr; ($a:ident)) => {
-        $crate::Wire::encode($a, $w)?;
+        $crate::Wire::encode($a, $w);
     };
     ($w:ident, $name:expr; ($($t:ident),+)) => {
         $w.begin_tuple(<[&str]>::len(&[$(stringify!($t)),+]));
-        $( $crate::Wire::encode($t, $w)?; )+
+        $( $crate::Wire::encode($t, $w); )+
     };
     ($w:ident, $name:expr; { $($f:ident),* }) => {
         $crate::__wire_put_fields!($w, $name; $($f),*);
@@ -135,7 +132,7 @@ macro_rules! __wire_put_fields {
         $w.begin_struct($name, <[&str]>::len(&[$(stringify!($f)),*]));
         $(
             $w.field(stringify!($f));
-            $crate::Wire::encode($f, $w)?;
+            $crate::Wire::encode($f, $w);
         )*
     };
 }

@@ -73,18 +73,14 @@ impl EncodePool {
     /// otherwise one exact-size shared allocation. This is the single exit
     /// point of both codecs' shared-encode paths, so the inline and byte
     /// counts here are the authoritative per-pool tallies.
-    pub fn encode_with(
-        &mut self,
-        fill: impl FnOnce(&mut Vec<u8>) -> crate::Result<()>,
-    ) -> crate::Result<WireBytes> {
+    pub fn encode_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> WireBytes {
         let published = self.with_scratch(|scratch| {
-            fill(scratch).map(|()| {
-                WireBytes::inline(scratch).unwrap_or_else(|| WireBytes::copy_from_slice(scratch))
-            })
-        })?;
+            fill(scratch);
+            WireBytes::inline(scratch).unwrap_or_else(|| WireBytes::copy_from_slice(scratch))
+        });
         self.inline_count += u64::from(published.is_inline());
         self.record_encoded(published.len());
-        Ok(published)
+        published
     }
 
     /// Scratch uses that found a buffer.
@@ -152,13 +148,7 @@ mod tests {
     #[test]
     fn encode_with_inlines_small_and_shares_large() {
         let mut pool = EncodePool::new();
-        let mut publish = |bytes: &[u8]| {
-            pool.encode_with(|buf| {
-                buf.extend_from_slice(bytes);
-                Ok(())
-            })
-            .unwrap()
-        };
+        let mut publish = |bytes: &[u8]| pool.encode_with(|buf| buf.extend_from_slice(bytes));
         let small = publish(&[1, 2, 3]);
         assert!(small.is_inline());
         let large = publish(&[0u8; 200]);

@@ -84,7 +84,7 @@ fn sample() -> Everything {
 #[test]
 fn every_shape_round_trips() {
     for codec in CODECS {
-        let bytes = codec.encode(&sample()).unwrap();
+        let bytes = codec.encode(&sample());
         assert_eq!(codec.decode::<Everything>(&bytes).unwrap(), sample());
     }
 }
@@ -92,7 +92,7 @@ fn every_shape_round_trips() {
 #[test]
 fn truncation_at_every_offset_is_a_typed_error() {
     for codec in CODECS {
-        let bytes = codec.encode(&sample()).unwrap();
+        let bytes = codec.encode(&sample());
         for cut in 0..bytes.len() {
             let err = codec.decode::<Everything>(&bytes[..cut]).unwrap_err();
             assert!(
@@ -195,7 +195,7 @@ fn unknown_tags_and_variants_are_typed_errors() {
         WireError::InvalidLength(4)
     );
     // Self-describing: a variant name the reader does not declare.
-    let mut bytes = Codec::Pickle.encode(&Shape::Unit).unwrap();
+    let mut bytes = Codec::Pickle.encode(&Shape::Unit);
     let at = bytes.iter().position(|&b| b == b'U').unwrap();
     bytes[at] = b'X';
     assert_eq!(
@@ -233,7 +233,7 @@ fn unknown_tags_and_variants_are_typed_errors() {
 #[test]
 fn trailing_bytes_are_rejected() {
     for codec in CODECS {
-        let mut bytes = codec.encode(&sample()).unwrap();
+        let mut bytes = codec.encode(&sample());
         bytes.extend_from_slice(&[0, 0, 0]);
         assert_eq!(
             codec.decode::<Everything>(&bytes).unwrap_err(),
@@ -254,7 +254,7 @@ fn a_missing_field_is_named() {
         b: u8,
     }
     wire_struct! { Wide { a, b } }
-    let bytes = Codec::Pickle.encode(&Narrow { a: 1 }).unwrap();
+    let bytes = Codec::Pickle.encode(&Narrow { a: 1 });
     assert_eq!(
         Codec::Pickle.decode::<Wide>(&bytes).unwrap_err(),
         WireError::MissingField("b")
@@ -294,7 +294,7 @@ fn golden_bytes_pin_both_layouts() {
     };
     let one: [u8; 8] = 1.0f64.to_le_bytes();
     let fast = [&[3][..], &one, &[1, 2, b'a', b'b']].concat();
-    assert_eq!(Codec::Fast.encode(&v).unwrap(), fast);
+    assert_eq!(Codec::Fast.encode(&v), fast);
     let pickle = [
         &[0x0d, 5][..],
         b"Shape",
@@ -309,28 +309,25 @@ fn golden_bytes_pin_both_layouts() {
         &[0x0a, 1, 0x08, 2, b'a', b'b'],
     ]
     .concat();
-    assert_eq!(Codec::Pickle.encode(&v).unwrap(), pickle);
+    assert_eq!(Codec::Pickle.encode(&v), pickle);
 
     // Scalars, options, tuples, maps, unit variants, raw blocks.
     let t = (300u32, (-2i16, Some(true)), (7u8, -1i8));
+    assert_eq!(Codec::Fast.encode(&t), [0xac, 0x02, 0x03, 1, 1, 7, 0xff]);
     assert_eq!(
-        Codec::Fast.encode(&t).unwrap(),
-        [0xac, 0x02, 0x03, 1, 1, 7, 0xff]
-    );
-    assert_eq!(
-        Codec::Pickle.encode(&t).unwrap(),
+        Codec::Pickle.encode(&t),
         [
             0x0a, 3, 0x04, 0xac, 0x02, 0x0a, 2, 0x03, 0x03, 0x0e, 0x02, 0x0a, 2, 0x04, 7, 0x03,
             0x01
         ]
     );
-    assert_eq!(Codec::Fast.encode(&Shape::Unit).unwrap(), [0]);
+    assert_eq!(Codec::Fast.encode(&Shape::Unit), [0]);
     assert_eq!(
-        Codec::Pickle.encode(&Shape::Unit).unwrap(),
+        Codec::Pickle.encode(&Shape::Unit),
         [&[0x0d, 5][..], b"Shape", &[4], b"Unit", &[0x00]].concat()
     );
     assert_eq!(
-        Codec::Pickle.encode(&Shape::Two(1, String::new())).unwrap(),
+        Codec::Pickle.encode(&Shape::Two(1, String::new())),
         [
             &[0x0d, 5][..],
             b"Shape",
@@ -341,14 +338,14 @@ fn golden_bytes_pin_both_layouts() {
         .concat()
     );
     let m: BTreeMap<u8, ()> = [(5, ())].into_iter().collect();
-    assert_eq!(Codec::Fast.encode(&m).unwrap(), [1, 5]);
-    assert_eq!(Codec::Pickle.encode(&m).unwrap(), [0x0b, 1, 0x04, 5, 0x00]);
+    assert_eq!(Codec::Fast.encode(&m), [1, 5]);
+    assert_eq!(Codec::Pickle.encode(&m), [0x0b, 1, 0x04, 5, 0x00]);
     let b: Buf<u16> = vec![1, 2].into();
-    assert_eq!(Codec::Fast.encode(&b).unwrap(), [4, 1, 0, 2, 0]);
-    assert_eq!(Codec::Pickle.encode(&b).unwrap(), [0x09, 4, 1, 0, 2, 0]);
-    assert_eq!(Codec::Pickle.encode(&Option::<u8>::None).unwrap(), [0x0f]);
-    assert_eq!(Codec::Pickle.encode(&'a').unwrap(), [0x07, 97]);
-    assert_eq!(Codec::Fast.encode(&'a').unwrap(), [97]);
+    assert_eq!(Codec::Fast.encode(&b), [4, 1, 0, 2, 0]);
+    assert_eq!(Codec::Pickle.encode(&b), [0x09, 4, 1, 0, 2, 0]);
+    assert_eq!(Codec::Pickle.encode(&Option::<u8>::None), [0x0f]);
+    assert_eq!(Codec::Pickle.encode(&'a'), [0x07, 97]);
+    assert_eq!(Codec::Fast.encode(&'a'), [97]);
 }
 
 /// A header that passes every header check and promises `len` payload bytes.

@@ -96,7 +96,7 @@ fn for_each_msg(check: impl Fn(u64, ArbMsg)) {
 #[test]
 fn roundtrip_fast() {
     for_each_msg(|seed, msg| {
-        let bytes = Codec::Fast.encode(&msg).unwrap();
+        let bytes = Codec::Fast.encode(&msg);
         let back: ArbMsg = Codec::Fast.decode(&bytes).unwrap();
         assert_eq!(back, msg, "seed {seed}");
     });
@@ -105,7 +105,7 @@ fn roundtrip_fast() {
 #[test]
 fn roundtrip_pickle() {
     for_each_msg(|seed, msg| {
-        let bytes = Codec::Pickle.encode(&msg).unwrap();
+        let bytes = Codec::Pickle.encode(&msg);
         let back: ArbMsg = Codec::Pickle.decode(&bytes).unwrap();
         assert_eq!(back, msg, "seed {seed}");
     });
@@ -114,8 +114,8 @@ fn roundtrip_pickle() {
 #[test]
 fn fast_never_larger_than_pickle() {
     for_each_msg(|seed, msg| {
-        let f = Codec::Fast.encode(&msg).unwrap();
-        let p = Codec::Pickle.encode(&msg).unwrap();
+        let f = Codec::Fast.encode(&msg);
+        let p = Codec::Pickle.encode(&msg);
         assert!(
             f.len() <= p.len(),
             "seed {seed}: fast {} > pickle {} for {msg:?}",
@@ -173,7 +173,7 @@ fn buf_roundtrip() {
         let v: Vec<f64> = (0..rng.below(128)).map(|_| arb_f64(&mut rng)).collect();
         let b = Buf::from_vec(v.clone());
         for codec in [Codec::Fast, Codec::Pickle] {
-            let bytes = codec.encode(&b).unwrap();
+            let bytes = codec.encode(&b);
             let back: Buf<f64> = codec.decode(&bytes).unwrap();
             assert_eq!(&*back, &v[..], "seed {seed} {codec:?}");
         }

@@ -10,7 +10,7 @@ where
     T: Wire + PartialEq + std::fmt::Debug,
 {
     for codec in [Codec::Fast, Codec::Pickle] {
-        let bytes = codec.encode(value).unwrap();
+        let bytes = codec.encode(value);
         let back: T = codec.decode(&bytes).unwrap();
         assert_eq!(&back, value, "codec {codec:?}");
     }
@@ -138,7 +138,7 @@ fn deeply_nested() {
 fn buf_roundtrips_in_both_codecs() {
     let b: Buf<f64> = vec![1.0, 2.0, -3.0, 4.5].into();
     for codec in [Codec::Fast, Codec::Pickle] {
-        let bytes = codec.encode(&b).unwrap();
+        let bytes = codec.encode(&b);
         let back: Buf<f64> = codec.decode(&bytes).unwrap();
         assert_eq!(&*back, &*b);
     }
@@ -148,7 +148,7 @@ fn buf_roundtrips_in_both_codecs() {
 
 fn roundtrip_buf<T: charm_wire::Scalar + PartialEq + std::fmt::Debug>(b: &Buf<T>) {
     for codec in [Codec::Fast, Codec::Pickle] {
-        let bytes = codec.encode(b).unwrap();
+        let bytes = codec.encode(b);
         let back: Buf<T> = codec.decode(&bytes).unwrap();
         assert_eq!(&*back, &**b);
     }
@@ -160,8 +160,8 @@ fn buf_is_zero_copyish_in_pickle_mode() {
     // while a Vec<f64> under pickle pays a tag per element.
     let n = 1000usize;
     let vals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let buf_bytes = Codec::Pickle.encode(&Buf::from_vec(vals.clone())).unwrap();
-    let vec_bytes = Codec::Pickle.encode(&vals).unwrap();
+    let buf_bytes = Codec::Pickle.encode(&Buf::from_vec(vals.clone()));
+    let vec_bytes = Codec::Pickle.encode(&vals);
     assert!(buf_bytes.len() <= 8 * n + 16, "buf={}", buf_bytes.len());
     assert!(
         vec_bytes.len() >= 9 * n,
@@ -177,8 +177,8 @@ fn fast_is_smaller_than_pickle_for_structs() {
         face: 1,
         data: vec![0.5; 16],
     };
-    let f = Codec::Fast.encode(&g).unwrap();
-    let p = Codec::Pickle.encode(&g).unwrap();
+    let f = Codec::Fast.encode(&g);
+    let p = Codec::Pickle.encode(&g);
     assert!(
         f.len() < p.len(),
         "fast ({}) should be smaller than pickle ({})",
@@ -203,12 +203,10 @@ fn pickle_tolerates_field_reordering_like_pickle() {
         a: u32,
     }
     wire_struct! { ReaderSide { b, a } }
-    let bytes = Codec::Pickle
-        .encode(&WriterSide {
-            a: 9,
-            b: "hi".into(),
-        })
-        .unwrap();
+    let bytes = Codec::Pickle.encode(&WriterSide {
+        a: 9,
+        b: "hi".into(),
+    });
     let r: ReaderSide = Codec::Pickle.decode(&bytes).unwrap();
     assert_eq!(
         r,
@@ -227,7 +225,7 @@ fn truncated_input_is_eof_not_panic() {
         data: vec![3.0; 8],
     });
     for codec in [Codec::Fast, Codec::Pickle] {
-        let bytes = codec.encode(&g).unwrap();
+        let bytes = codec.encode(&g);
         for cut in 0..bytes.len() {
             let err = codec.decode::<StencilMsg>(&bytes[..cut]).unwrap_err();
             // Any structured error is fine; panics/successes are not.
@@ -247,7 +245,7 @@ fn truncated_input_is_eof_not_panic() {
 #[test]
 fn trailing_bytes_detected() {
     for codec in [Codec::Fast, Codec::Pickle] {
-        let mut bytes = codec.encode(&7u32).unwrap();
+        let mut bytes = codec.encode(&7u32);
         bytes.push(0xAB);
         let err = codec.decode::<u32>(&bytes).unwrap_err();
         assert!(matches!(err, WireError::TrailingBytes(1)), "{codec:?}");
@@ -265,14 +263,14 @@ fn wrong_enum_variant_name_fails_cleanly_in_pickle() {
         OnlyInB(u8),
     }
     wire_enum! { B { OnlyInB(a) } }
-    let bytes = Codec::Pickle.encode(&A::OnlyInA(1)).unwrap();
+    let bytes = Codec::Pickle.encode(&A::OnlyInA(1));
     assert!(Codec::Pickle.decode::<B>(&bytes).is_err());
 }
 
 #[test]
 fn fast_prefix_decoding() {
-    let mut bytes = Codec::Fast.encode(&42u32).unwrap();
-    let tail = Codec::Fast.encode(&String::from("rest")).unwrap();
+    let mut bytes = Codec::Fast.encode(&42u32);
+    let tail = Codec::Fast.encode(&String::from("rest"));
     bytes.extend_from_slice(&tail);
     let mut r = FastReader::new(&bytes);
     assert_eq!(u32::decode(&mut r).unwrap(), 42);
@@ -293,12 +291,10 @@ fn pickle_skips_unknown_fields() {
         keep: u32,
     }
     wire_struct! { R { keep } }
-    let bytes = Codec::Pickle
-        .encode(&W {
-            keep: 5,
-            extra: vec!["a".into(), "b".into()],
-        })
-        .unwrap();
+    let bytes = Codec::Pickle.encode(&W {
+        keep: 5,
+        extra: vec!["a".into(), "b".into()],
+    });
     let r: R = Codec::Pickle.decode(&bytes).unwrap();
     assert_eq!(r.keep, 5);
 }
@@ -336,7 +332,7 @@ fn all_buf_scalar_types_roundtrip() {
     fn rt<T: charm_wire::Scalar + PartialEq + std::fmt::Debug>(v: Vec<T>) {
         let b = Buf::from_vec(v);
         for codec in [Codec::Fast, Codec::Pickle] {
-            let bytes = codec.encode(&b).unwrap();
+            let bytes = codec.encode(&b);
             let back: Buf<T> = codec.decode(&bytes).unwrap();
             assert_eq!(&*back, &*b);
         }

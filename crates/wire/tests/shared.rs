@@ -24,7 +24,7 @@ fn sample() -> Payload {
 /// allocation — a clone that deep-copied would break pointer equality.
 #[test]
 fn multicast_fanout_shares_one_allocation() {
-    let bytes = Codec::Fast.encode_shared(&sample()).unwrap();
+    let bytes = Codec::Fast.encode_shared(&sample());
     let members: Vec<WireBytes> = (0..16).map(|_| bytes.clone()).collect();
     assert_eq!(bytes.ref_count(), 17);
     for m in &members {
@@ -42,8 +42,8 @@ fn multicast_fanout_shares_one_allocation() {
 #[test]
 fn encode_shared_matches_plain_encode() {
     for codec in [Codec::Fast, Codec::Pickle] {
-        let shared = codec.encode_shared(&sample()).unwrap();
-        let plain = codec.encode(&sample()).unwrap();
+        let shared = codec.encode_shared(&sample());
+        let plain = codec.encode(&sample());
         assert_eq!(&shared[..], &plain[..]);
         let decoded: Payload = codec.decode(&shared).unwrap();
         assert_eq!(decoded, sample());
@@ -54,9 +54,7 @@ fn encode_shared_matches_plain_encode() {
 fn explicit_pool_is_reused_across_encodes() {
     let mut pool = EncodePool::new();
     for _ in 0..8 {
-        let b = Codec::Fast
-            .encode_shared_with(&mut pool, &sample())
-            .unwrap();
+        let b = Codec::Fast.encode_shared_with(&mut pool, &sample());
         let decoded: Payload = Codec::Fast.decode(&b).unwrap();
         assert_eq!(decoded.a, 0xDEAD_BEEF);
     }
@@ -79,10 +77,8 @@ fn oversized_scratch_is_dropped_after_its_encode() {
     use charm_wire::pool::MAX_POOLED_CAP;
     let mut pool = EncodePool::new();
     let huge = vec![7u8; MAX_POOLED_CAP + 1];
-    Codec::Fast.encode_shared_with(&mut pool, &huge).unwrap();
-    Codec::Fast
-        .encode_shared_with(&mut pool, &sample())
-        .unwrap();
+    Codec::Fast.encode_shared_with(&mut pool, &huge);
+    Codec::Fast.encode_shared_with(&mut pool, &sample());
     assert_eq!((pool.hits(), pool.misses()), (0, 2), "oversize was kept");
     assert!(pool.with_scratch(|buf| buf.capacity()) <= MAX_POOLED_CAP);
 }
