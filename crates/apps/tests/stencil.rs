@@ -15,9 +15,9 @@ fn sim_rt(npes: usize) -> Runtime {
         .meter_compute(false)
 }
 
-/// Held by the tests that are sensitive to host load: the harness runs
-/// tests on parallel threads, and metered virtual time is host wall-clock
-/// per handler, so a second compute-heavy test inflates the measurement.
+/// Serializes the tests that take it against each other. Only the
+/// load-balancing comparison takes it, and that test charges its kernel
+/// (`meter_compute(false)`), so host load cannot reach its virtual times.
 static QUIET_HOST: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn reference_checksum(params: &StencilParams) -> (f64, f64) {
@@ -193,23 +193,14 @@ fn imbalanced_run_slower_than_balanced_and_lb_recovers() {
 
 #[test]
 fn weak_scaling_time_roughly_flat_in_virtual_time() {
-    let _quiet = QUIET_HOST.lock().unwrap_or_else(|e| e.into_inner());
     // Fixed block per PE; more PEs → similar time per step (Fig 1's shape).
+    // The 8^3-cell block's kernel is charged at the ledger's rate (Fig 3's
+    // 100 µs per 4,096 cells), not metered, so host load cannot move it.
     let t = |npes: usize, chares: [usize; 3]| {
-        // Best of three runs: this test shares the host with the rest of
-        // the (parallel) test suite, and metered virtual time inherits that
-        // noise.
-        (0..3)
-            .map(|_| {
-                let params =
-                    StencilParams::new([8 * chares[0], 8 * chares[1], 8 * chares[2]], chares, 10);
-                run_charm(
-                    params,
-                    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes))),
-                )
-                .time_per_step_ms
-            })
-            .fold(f64::INFINITY, f64::min)
+        let mut params =
+            StencilParams::new([8 * chares[0], 8 * chares[1], 8 * chares[2]], chares, 10);
+        params.nominal_kernel_s = Some(512.0 * 100e-6 / 4096.0);
+        run_charm(params, sim_rt(npes)).time_per_step_ms
     };
     let t1 = t(1, [1, 1, 1]);
     let t8 = t(8, [2, 2, 2]);

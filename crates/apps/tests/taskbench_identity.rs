@@ -2,9 +2,9 @@
 //! `--features analyze`: every dependency pattern, under ≥16 permuted sim
 //! schedules and aggregation `{off, count(64)}`, must read the row recorded
 //! below. The rows were generated while a switch still turned inline
-//! publish, the dispatch cache and the receive ring off, and held on both
-//! sides of it (off zeroed the inline and dispatch columns, nothing else),
-//! so they keep checking identity with that deleted path.
+//! publish, a dispatch cache and a receive ring off, and held on both
+//! sides of it (off zeroed the inline column and the cache's, nothing
+//! else), so they keep checking identity with that deleted path.
 
 use charm_apps::taskbench::{expected, run_taskbench, Pattern, TaskBenchParams, TaskBenchResult};
 #[cfg(feature = "analyze")]
@@ -30,9 +30,8 @@ struct Pin {
     checksum: i64,
     /// `RunReport::{msgs, entries, bytes}`.
     logical: (u64, u64, u64),
-    /// `PePerf::{slab_hits, slab_misses, inline_payloads, dispatch_hits,
-    /// dispatch_misses}` summed over PEs.
-    per_msg: [u64; 5],
+    /// `PePerf::{slab_hits, slab_misses, inline_payloads}` summed over PEs.
+    per_msg: [u64; 3],
     /// `PePerf::batches_sent` summed over PEs under `count(64)`; 0 with
     /// aggregation off.
     batches: u64,
@@ -40,11 +39,11 @@ struct Pin {
 
 #[rustfmt::skip]
 const PINS: [Pin; 5] = [
-    Pin { pattern: Pattern::Trivial, checksum: 20_429_945_918, logical: (48, 48, 681),    per_msg: [0, 0, 0, 4, 4],     batches: 0 },
-    Pin { pattern: Pattern::Stencil, checksum: 14_279_904_689, logical: (118, 118, 1850), per_msg: [26, 4, 30, 34, 4],  batches: 30 },
-    Pin { pattern: Pattern::Fft,     checksum: 18_370_449_121, logical: (88, 88, 1616),   per_msg: [20, 4, 24, 28, 4],  batches: 12 },
-    Pin { pattern: Pattern::Random,  checksum: 19_053_988_155, logical: (128, 128, 3097), per_msg: [58, 4, 62, 66, 4],  batches: 40 },
-    Pin { pattern: Pattern::Tree,    checksum: 20_746_308_862, logical: (48, 48, 1851),   per_msg: [28, 2, 30, 34, 4],  batches: 6 },
+    Pin { pattern: Pattern::Trivial, checksum: 20_429_945_918, logical: (48, 48, 681),    per_msg: [0, 0, 0],   batches: 0 },
+    Pin { pattern: Pattern::Stencil, checksum: 14_279_904_689, logical: (118, 118, 1850), per_msg: [26, 4, 30], batches: 30 },
+    Pin { pattern: Pattern::Fft,     checksum: 18_370_449_121, logical: (88, 88, 1616),   per_msg: [20, 4, 24], batches: 12 },
+    Pin { pattern: Pattern::Random,  checksum: 19_053_988_155, logical: (128, 128, 3097), per_msg: [58, 4, 62], batches: 40 },
+    Pin { pattern: Pattern::Tree,    checksum: 20_746_308_862, logical: (48, 48, 1851),   per_msg: [28, 2, 30], batches: 6 },
 ];
 
 /// The row a finished run reads.
@@ -58,8 +57,6 @@ fn read(pattern: Pattern, r: &TaskBenchResult) -> Pin {
             sum(|p| p.slab_hits),
             sum(|p| p.slab_misses),
             sum(|p| p.inline_payloads),
-            sum(|p| p.dispatch_hits),
-            sum(|p| p.dispatch_misses),
         ],
         batches: sum(|p| p.batches_sent),
     }

@@ -7,7 +7,10 @@
 //! * the fan-in (`charm_bench::workloads::fan_in`) on the sim backend,
 //!   labelled `detector_on` when built with `--features analyze`;
 //! * the same fan-in with buddy and disk checkpoints at every quiescence,
-//!   and on `Backend::Net` (one OS process per PE over loopback TCP).
+//!   and on `Backend::Net` (one OS process per PE over loopback TCP);
+//! * the threads layer on 2-PE `Backend::Threads`: a 32 B ping-pong, and
+//!   floods of 32 B (native and dynamic dispatch) and 256 B payloads
+//!   (`charm_bench::workloads::{pingpong, flood}`).
 //!
 //! ```sh
 //! cargo bench -p charm-bench --bench host
@@ -20,7 +23,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use charm_bench::workloads::fan_in;
+use charm_bench::workloads::{fan_in, flood, pingpong};
 use charm_core::prelude::*;
 use charm_core::{is_net_worker, NetCfg};
 use charm_sim::MachineModel;
@@ -219,6 +222,32 @@ fn fan_ins() {
     bench("fan_in/net/by_qd", 10, || fan_in(net(), true));
 }
 
+/// Round trips per ping-pong call.
+const ROUNDS: u64 = 1_000;
+/// Payloads per flood call.
+const FLOOD: u64 = 10_000;
+
+/// Per-message cost between two PE threads. Ping-pong keeps one message
+/// in flight, so a PE waits for every reply; a flood queues them all at
+/// once. 32 B payloads travel inline in the envelope, 256 B ones in a
+/// shared buffer; dynamic dispatch decodes through the pickle codec.
+fn threads() {
+    let native = || Runtime::new(2).backend(Backend::Threads);
+    let dynamic = || native().dispatch(DispatchMode::Dynamic);
+    bench("threads/pingpong/32B/native", REPS, || {
+        pingpong(native(), ROUNDS, 32)
+    });
+    bench("threads/flood/32B/native", REPS, || {
+        flood(native(), FLOOD, 32)
+    });
+    bench("threads/flood/32B/dynamic", REPS, || {
+        flood(dynamic(), FLOOD, 32)
+    });
+    bench("threads/flood/256B/native", REPS, || {
+        flood(native(), FLOOD, 256)
+    });
+}
+
 fn main() {
     if is_net_worker() {
         fan_in(net(), true);
@@ -228,4 +257,5 @@ fn main() {
     payloads();
     guard_drain();
     fan_ins();
+    threads();
 }

@@ -1,6 +1,7 @@
 //! The chare programs the ledger rows run (and the `host` bench times):
-//! a group barrier loop, a token ring, a fan-in into one chare, and a
-//! ring pulse across every PE. The mini-apps live in `charm-apps`.
+//! a group barrier loop, a token ring, a fan-in into one chare, a ring
+//! pulse across every PE, and a 2-PE ping-pong and flood. The mini-apps
+//! live in `charm-apps`.
 
 use std::cell::Cell;
 
@@ -297,4 +298,105 @@ pub fn ring_pulse(rt: Runtime, at_last_token: fn()) -> RunReport {
     });
     AT_LAST_TOKEN.set(|| {});
     report
+}
+
+// ---------------------------------------------------------------------------
+// Ping-pong and flood: PE 0 sends byte payloads to PE 1 of a 2-PE runtime,
+// the threads layer's per-message cost. Ping-pong keeps one payload in
+// flight; flood queues them all from one handler.
+// ---------------------------------------------------------------------------
+
+/// What PE 1 received: payloads, and the sum of their bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    pub msgs: u64,
+    pub sum: u64,
+}
+wire_struct! { Tally { msgs, sum } }
+
+struct Pair {
+    tally: Tally,
+    notify: Option<(u64, Future<Tally>)>,
+}
+
+enum PairMsg {
+    /// To PE 0: send `n` payloads of `len` bytes, each after PE 1 has
+    /// returned the last one (`volley`) or all at once.
+    Go { n: u64, len: u64, volley: bool },
+    /// A payload; PE 1 returns it while `left` more are to follow.
+    Item { left: u64, data: Vec<u8> },
+    /// To PE 1: complete `done` once `after` payloads have arrived.
+    Notify { after: u64, done: Future<Tally> },
+}
+wire_enum! { PairMsg { Go { n, len, volley }, Item { left, data }, Notify { after, done } } }
+
+impl Chare for Pair {
+    type Msg = PairMsg;
+    type Init = ();
+    fn create(_: (), _: &mut Ctx) -> Self {
+        Pair {
+            tally: Tally::default(),
+            notify: None,
+        }
+    }
+    fn receive(&mut self, msg: PairMsg, ctx: &mut Ctx) {
+        let other = ctx.this_proxy::<Pair>().elem(1 - ctx.my_pe());
+        match msg {
+            PairMsg::Go { n, len, volley } => {
+                // A volley is one payload that PE 1 returns `n - 1` times.
+                let (sends, left) = if volley { (1, n - 1) } else { (n, 0) };
+                for k in 0..sends {
+                    // Payload `k` is the bytes `k, k + 1, ..` (mod 256).
+                    let data = (0..len).map(|i| (k + i) as u8).collect();
+                    other.send(ctx, PairMsg::Item { left, data });
+                }
+            }
+            PairMsg::Item { left, data } if ctx.my_pe() == 0 => {
+                let left = left - 1;
+                other.send(ctx, PairMsg::Item { left, data });
+            }
+            PairMsg::Item { left, data } => {
+                self.tally.msgs += 1;
+                self.tally.sum = data.iter().fold(self.tally.sum, |s, &b| s + u64::from(b));
+                if left > 0 {
+                    other.send(ctx, PairMsg::Item { left, data });
+                }
+            }
+            PairMsg::Notify { after, done } => self.notify = Some((after, done)),
+        }
+        if let Some((after, done)) = self.notify {
+            if self.tally.msgs >= after {
+                self.notify = None;
+                ctx.send_future(&done, self.tally);
+            }
+        }
+    }
+}
+
+/// Run PE 0's `Go` and return PE 1's tally once all `n` payloads arrived.
+fn pair(rt: Runtime, n: u64, len: u64, volley: bool) -> (Tally, RunReport) {
+    assert!(n >= 1 && rt.npes() == 2);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let report = rt.register::<Pair>().run(move |co| {
+        let pair = co.ctx().create_group::<Pair>(());
+        let done = co.ctx().create_future::<Tally>();
+        let after = n;
+        pair.elem(1).send(co.ctx(), PairMsg::Notify { after, done });
+        pair.elem(0).send(co.ctx(), PairMsg::Go { n, len, volley });
+        let _ = tx.send(co.get(&done));
+        co.ctx().exit();
+    });
+    let tally = rx.try_recv().expect("the run ended without its tally");
+    (tally, report)
+}
+
+/// `n` round trips of one `len`-byte payload (the last return is the
+/// tally's future).
+pub fn pingpong(rt: Runtime, n: u64, len: u64) -> (Tally, RunReport) {
+    pair(rt, n, len, true)
+}
+
+/// `n` payloads of `len` bytes sent from one handler.
+pub fn flood(rt: Runtime, n: u64, len: u64) -> (Tally, RunReport) {
+    pair(rt, n, len, false)
 }

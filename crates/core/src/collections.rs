@@ -413,15 +413,13 @@ impl PeState {
     }
 
     /// Make `spec` known on this PE with `subtree` members already counted
-    /// in its subtree. Cached decode resolutions are dropped: a collection
-    /// spec just changed hands.
+    /// in its subtree.
     pub(crate) fn install_coll(&mut self, spec: CollSpec, subtree_members: u64) {
         let state = CollState {
             subtree_members,
             spec,
         };
         self.colls.table.insert(state.spec.id, state);
-        self.dispatch_cache.clear();
     }
 
     /// Re-dispatch what arrived for `coll` before its spec did.

@@ -172,46 +172,6 @@ pub(crate) enum Invoke {
     ResumeFromSync,
 }
 
-/// A chare type's resolved message decoder.
-type DecodeFn = fn(Codec, &[u8]) -> charm_wire::Result<BoxMsg>;
-
-/// Per-PE devirtualized entry-dispatch cache (`DispatchMode::Native`): the
-/// resolved `CollectionId → decode fn` pairs, so steady-state delivery skips
-/// the spec lookup and the registry vtable walk for a function pointer that
-/// never changes for a given collection. With the handful of live
-/// collections a PE hosts, the linear probe over a dense vec is one or two
-/// compares on the hot path. Conservatively cleared whenever a collection
-/// spec lands (creation or post-recovery restore).
-#[derive(Default)]
-pub(crate) struct DispatchCache {
-    slots: Vec<(CollectionId, DecodeFn)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl DispatchCache {
-    #[inline]
-    fn lookup(&mut self, coll: CollectionId) -> Option<DecodeFn> {
-        for &(c, f) in &self.slots {
-            if c == coll {
-                self.hits += 1;
-                return Some(f);
-            }
-        }
-        self.misses += 1;
-        None
-    }
-
-    fn insert(&mut self, coll: CollectionId, f: DecodeFn) {
-        self.slots.push((coll, f));
-    }
-
-    /// Drop every cached resolution (a collection spec just changed hands).
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-    }
-}
-
 pub(crate) struct PeState {
     pub pe: Pe,
     pub npes: usize,
@@ -229,8 +189,6 @@ pub(crate) struct PeState {
 
     /// Scratch buffers for message encodes on this PE's send path.
     pub(crate) encode_pool: EncodePool,
-    /// Devirtualized `CollectionId → decode fn` cache for native dispatch.
-    pub(crate) dispatch_cache: DispatchCache,
     /// Per-destination aggregation buffers (`cfg.agg` on; empty when off).
     pub(crate) agg: Aggregator,
     /// Cached wall timestamp for the threads send path: refreshed once per
@@ -315,7 +273,6 @@ impl PeState {
             coros: Coros::default(),
             reds: Reductions::new(reducers),
             encode_pool: EncodePool::new(),
-            dispatch_cache: DispatchCache::default(),
             agg: Aggregator::new(if cfg.agg.is_some() { npes } else { 0 }),
             now_cache_ns: 0,
             lb: Lb::default(),
@@ -750,22 +707,7 @@ impl PeState {
     /// payloads are owned once by the sender's shared buffer and every
     /// local member decodes from that borrow.
     fn decode_wire(&mut self, id: &ChareId, bytes: &[u8]) -> BoxMsg {
-        // Native dispatch resolves the decode fn from the per-PE cache (one
-        // short linear probe) instead of the `colls` hash lookup + registry
-        // vtable walk per message; dynamic (CharmPy-like) mode keeps the
-        // measured per-message lookup cost.
-        let decode_msg = if self.cfg.dynamic() {
-            self.vtable_of(id.coll).decode_msg
-        } else {
-            match self.dispatch_cache.lookup(id.coll) {
-                Some(f) => f,
-                None => {
-                    let f = self.vtable_of(id.coll).decode_msg;
-                    self.dispatch_cache.insert(id.coll, f);
-                    f
-                }
-            }
-        };
+        let decode_msg = self.vtable_of(id.coll).decode_msg;
         // Dynamic dispatch (CharmPy mode): the measured Rust cost of
         // the pickle codec runs for real; the interpreter premium is
         // charged from the machine model (sim backend only).
@@ -1137,13 +1079,11 @@ impl PeState {
         let mut trace = tracer.finish(self.pe, wall, self.encode_pool.bytes_encoded(), move |ct| {
             registry.name_of(crate::ids::ChareTypeId(ct)).to_string()
         });
-        // Fast-path counters live where the fast paths run (the encode
-        // pool and the dispatch cache); fold them into the report here.
+        // Counters kept outside the tracer (encode pool, locations, LB)
+        // fold into the report here.
         trace.perf.slab_hits = self.encode_pool.hits();
         trace.perf.slab_misses = self.encode_pool.misses();
         trace.perf.inline_payloads = self.encode_pool.inline_count();
-        trace.perf.dispatch_hits = self.dispatch_cache.hits;
-        trace.perf.dispatch_misses = self.dispatch_cache.misses;
         trace.perf.fwd_hops = self.locs.fwd_hops();
         trace.perf.lb_peak_stats = self.lb.peak_stats();
         trace.perf.lb_epochs = self.lb.epochs_done();

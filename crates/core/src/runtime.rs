@@ -34,7 +34,6 @@
 // Decides message order (DESIGN.md §6): the nondeterminism rule.
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
-use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -908,16 +907,12 @@ pub(crate) fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One PE thread's end of the threads interconnect: an `mpsc` receiver, a
-/// sender to every PE, a local receive ring, and a sticky spin in front of
-/// the blocking wait.
+/// One PE thread's end of the threads interconnect: an `mpsc` receiver and
+/// a sender to every PE.
 struct Threads {
     pe: Pe,
     rx: mpsc::Receiver<Envelope>,
     senders: Vec<mpsc::Sender<Envelope>>,
-    /// One channel drain per wakeup fills this ring, so the hot loop pops
-    /// envelopes without paying channel synchronization per message.
-    ring: VecDeque<Envelope>,
     idle_timeout: Duration,
     /// Real-time origin shared with the PEs' clocks.
     origin: Instant,
@@ -928,9 +923,6 @@ struct Threads {
 }
 
 impl Threads {
-    const RING_BURST: usize = 256;
-    const STICKY_SPINS: u32 = 64;
-
     fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
@@ -956,32 +948,10 @@ impl Transport for Threads {
     }
 
     fn poll(&mut self) -> Poll {
-        if let Some(env) = self.ring.pop_front() {
-            return self.ready(env);
-        }
         match self.rx.try_recv() {
-            Ok(env) => {
-                // Batched receive: drain the channel in a burst while the
-                // queue is hot.
-                while self.ring.len() < Self::RING_BURST {
-                    match self.rx.try_recv() {
-                        Ok(e) => self.ring.push_back(e),
-                        Err(_) => break,
-                    }
-                }
-                self.ready(env)
-            }
+            Ok(env) => self.ready(env),
             Err(mpsc::TryRecvError::Disconnected) => Poll::End(End::Drained),
             Err(mpsc::TryRecvError::Empty) => {
-                // Sticky backoff: spin briefly before committing to the
-                // blocking wait — absorbs ping-pong gaps without a
-                // sleep/wake round trip.
-                for _ in 0..Self::STICKY_SPINS {
-                    std::hint::spin_loop();
-                    if let Ok(env) = self.rx.try_recv() {
-                        return self.ready(env);
-                    }
-                }
                 self.went_idle = self.timed.then(|| self.now_ns());
                 Poll::Empty
             }
@@ -1033,7 +1003,6 @@ fn threads_epoch(
             pe: state.pe,
             rx,
             senders: senders.clone(),
-            ring: VecDeque::new(),
             idle_timeout,
             origin,
             went_idle: None,

@@ -393,10 +393,6 @@ counters! {
         /// Payloads published inline inside the envelope (< 64 B), skipping
         /// the shared allocation entirely.
         inline_payloads: u64 = Sum;
-        /// Entry-dispatch lookups served from the per-PE dispatch cache.
-        dispatch_hits: u64 = Sum;
-        /// Entry-dispatch lookups that resolved through the registry.
-        dispatch_misses: u64 = Sum;
         /// Events overwritten in the full-capture ring.
         events_dropped: u64 = Sum;
         /// Entry messages this PE forwarded through a migration stub (the

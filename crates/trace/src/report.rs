@@ -40,15 +40,6 @@ impl PePerf {
     pub fn slab_hit_rate(&self) -> f64 {
         ratio(self.slab_hits, self.slab_hits + self.slab_misses)
     }
-
-    /// Fraction of entry-dispatch lookups served from the dispatch cache
-    /// (0 when dispatch never ran, e.g. dynamic mode or cache disabled).
-    pub fn dispatch_hit_rate(&self) -> f64 {
-        ratio(
-            self.dispatch_hits,
-            self.dispatch_hits + self.dispatch_misses,
-        )
-    }
 }
 
 /// One (chare type, entry kind) row of the per-entry statistics.
@@ -506,7 +497,9 @@ impl TraceReport {
         // A row per PE and per distinct entry, none over 160 bytes.
         let rows = self.pes.iter().map(|t| 2 + t.entries.len()).sum::<usize>();
         let mut out = String::with_capacity(160 * (rows + 3));
-        let _ = writeln!(out, "{:>4}  {:>12} {:>7} {:>7} {:>7}  {:>8} {:>8}  {:>12} {:>8} {:>6} {:>6} {:>7} {:>6} {:>8}",
+        let _ = writeln!(
+            out,
+            "{:>4}  {:>12} {:>7} {:>7} {:>7}  {:>8} {:>8}  {:>12} {:>8} {:>6} {:>6} {:>7} {:>8}",
             "PE",
             "wall_ms",
             "busy%",
@@ -519,7 +512,6 @@ impl TraceReport {
             "occ",
             "slab%",
             "inline",
-            "disp%",
             "dropped"
         );
         for t in &self.pes {
@@ -531,7 +523,7 @@ impl TraceReport {
                     100.0 * ns as f64 / p.wall_ns as f64
                 }
             };
-            let _ = writeln!(out, "{:>4}  {:>12.3} {:>7.1} {:>7.1} {:>7.1}  {:>8} {:>8}  {:>12} {:>8} {:>6.1} {:>6.1} {:>7} {:>6.1} {:>8}",
+            let _ = writeln!(out, "{:>4}  {:>12.3} {:>7.1} {:>7.1} {:>7.1}  {:>8} {:>8}  {:>12} {:>8} {:>6.1} {:>6.1} {:>7} {:>8}",
                 p.pe,
                 p.wall_ns as f64 / 1e6,
                 pct(p.busy_ns),
@@ -544,7 +536,6 @@ impl TraceReport {
                 p.batch_occupancy(),
                 100.0 * p.slab_hit_rate(),
                 p.inline_payloads,
-                100.0 * p.dispatch_hit_rate(),
                 p.events_dropped,
             );
         }
@@ -1377,20 +1368,15 @@ mod tests {
             p.slab_hits = 90;
             p.slab_misses = 10;
             p.inline_payloads = 75;
-            p.dispatch_hits = 99;
-            p.dispatch_misses = 1;
         }
         let p = &rep.pes[0].perf;
         assert!((p.slab_hit_rate() - 0.9).abs() < 1e-9);
-        assert!((p.dispatch_hit_rate() - 0.99).abs() < 1e-9);
         let text = rep.summary();
         assert!(text.contains("slab%"));
         assert!(text.contains("inline"));
-        assert!(text.contains("disp%"));
         assert!(text.contains("75"), "inline count appears in the row");
         // Untouched blocks report 0, not NaN.
         assert_eq!(PePerf::default().slab_hit_rate(), 0.0);
-        assert_eq!(PePerf::default().dispatch_hit_rate(), 0.0);
     }
 
     #[test]

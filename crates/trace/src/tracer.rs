@@ -433,7 +433,7 @@ impl PeTracer {
             batch_msgs: self.batch_msgs,
             events_dropped: dropped,
             // Fast-path counters live in runtime-side structures (encode
-            // pool, dispatch cache, LB); the scheduler assigns them onto
+            // pool, locations, LB); the scheduler assigns them onto
             // the finished trace. Zero here keeps `finish` signature-stable.
             ..PePerf::default()
         };

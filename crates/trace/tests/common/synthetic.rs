@@ -244,9 +244,12 @@ pub fn report(seed: u64, events_per_pe: usize) -> TraceReport {
                     slab_hits: rng.below(1_000),
                     slab_misses: rng.below(10) * pe as u64,
                     inline_payloads: rng.below(1_000),
-                    dispatch_hits: rng.below(1_000) * pe as u64,
-                    dispatch_misses: rng.below(10) * pe as u64,
-                    events_dropped: rng.below(3) * 1_000,
+                    events_dropped: {
+                        // Two draws fed counters since deleted; drawing
+                        // them keeps the stream, and so the pins, in place.
+                        let _ = (rng.below(1_000), rng.below(10));
+                        rng.below(3) * 1_000
+                    },
                     ..PePerf::default()
                 },
                 entries: names

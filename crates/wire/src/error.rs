@@ -28,16 +28,13 @@ pub enum WireError {
     TrailingBytes(usize),
     /// The input nests deeper than the self-describing reader will walk
     /// while skipping a value the reading type does not declare.
-    Unsupported(&'static str),
+    TooDeep,
     /// A struct field the reading type requires was absent from the input
     /// (self-describing format only).
     MissingField(&'static str),
     /// The input named a variant the reading enum (named here) does not
     /// declare (self-describing format only).
     UnknownVariant(&'static str),
-    /// A framing-layer failure on an untrusted byte stream (bad magic,
-    /// checksum mismatch, torn read, over-cap length).
-    Frame(crate::frame::FrameError),
 }
 
 impl fmt::Display for WireError {
@@ -53,21 +50,14 @@ impl fmt::Display for WireError {
                 write!(f, "type mismatch: found {found}, expected {expected}")
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
-            WireError::Unsupported(what) => write!(f, "not wire-representable: {what}"),
+            WireError::TooDeep => write!(f, "value nested too deeply to skip"),
             WireError::MissingField(name) => write!(f, "missing field `{name}`"),
             WireError::UnknownVariant(ty) => write!(f, "unknown variant of enum `{ty}`"),
-            WireError::Frame(e) => write!(f, "framing error: {e}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
-
-impl From<crate::frame::FrameError> for WireError {
-    fn from(e: crate::frame::FrameError) -> Self {
-        WireError::Frame(e)
-    }
-}
 
 /// Result alias for wire decoding.
 pub type Result<T> = std::result::Result<T, WireError>;

@@ -34,7 +34,6 @@ pub mod varint;
 pub use buffer::{Buf, Scalar, WireBytes, INLINE_CAP};
 pub use codec::{Reader, Wire, Writer};
 pub use error::{Result, WireError};
-pub use frame::FrameError;
 pub use pool::EncodePool;
 pub use rng::{splitmix64, SplitMix64};
 

@@ -178,7 +178,7 @@ impl<'a> PickleReader<'a> {
     /// Walk past one tagged value of any shape.
     fn skip(&mut self, depth: u32) -> Result<()> {
         if depth > MAX_SKIP_DEPTH {
-            return Err(WireError::Unsupported("value nested too deeply to skip"));
+            return Err(WireError::TooDeep);
         }
         match self.tag()? {
             T_UNIT | T_FALSE | T_TRUE | T_NONE => {}

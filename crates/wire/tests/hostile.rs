@@ -276,7 +276,7 @@ fn skipping_an_unknown_field_is_depth_bounded() {
     bytes.extend_from_slice(&[4, b'k', b'e', b'e', b'p', 0x04, 1]);
     assert!(matches!(
         Codec::Pickle.decode::<Keep>(&bytes).map(|k| k.keep),
-        Err(WireError::Unsupported(_))
+        Err(WireError::TooDeep)
     ));
     // Shallow junk is skipped and the wanted field still found.
     bytes.drain(12..12 + 100_000 - 3);

@@ -52,6 +52,5 @@ fn main() {
         params.grain_ns
     );
     let inline: u64 = r.report.pe_stats.iter().map(|p| p.inline_payloads).sum();
-    let disp: u64 = r.report.pe_stats.iter().map(|p| p.dispatch_hits).sum();
-    println!("fast paths: {inline} payloads inlined, {disp} dispatch-cache hits");
+    println!("fast path : {inline} payloads inlined");
 }
