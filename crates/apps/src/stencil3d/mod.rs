@@ -38,10 +38,10 @@ pub struct StencilParams {
     /// balancing worthwhile) instead of being pipelined away.
     pub sync_every: u32,
     /// Modeled kernel time in seconds (per block-step). When set, the
-    /// compute cost is *charged* instead of measured — combine with the
-    /// runtime's `meter_compute(false)` for fully deterministic virtual
-    /// times (used by the LB figure, where measured-noise × alpha would
-    /// otherwise dominate).
+    /// compute cost is *charged* (`ctx.charge`) and also drives the
+    /// imbalance charge: on the sim, whose clock reads no host time, the
+    /// charge is the kernel's only cost (the LB figure, where measured
+    /// noise × alpha would otherwise dominate).
     pub nominal_kernel_s: Option<f64>,
 }
 wire_struct! {

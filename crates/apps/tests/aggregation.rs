@@ -11,9 +11,7 @@ use charm_core::{AggCfg, Backend, Runtime};
 use charm_sim::MachineModel;
 
 fn sim(npes: usize) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes)))
 }
 
 fn batches(report: &charm_core::RunReport) -> u64 {

@@ -6,9 +6,7 @@ use charm_core::{Backend, DispatchMode, Runtime};
 use charm_sim::MachineModel;
 
 fn sim(npes: usize) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes)))
 }
 
 fn input_key_sum(params: &HistoParams) -> (u64, u64) {

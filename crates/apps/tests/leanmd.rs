@@ -6,9 +6,7 @@ use charm_core::{Backend, DispatchMode, Runtime};
 use charm_sim::MachineModel;
 
 fn sim_rt(npes: usize) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes)))
 }
 
 #[test]
@@ -116,4 +114,48 @@ fn fine_grained_many_chares_per_pe() {
     // Cells + computes comfortably exceed 100 chares per PE.
     let computes = params.all_computes().len();
     assert!(computes > 200, "expected fine-grained: {computes} computes");
+}
+
+#[test]
+fn example_config_is_bit_identical_across_runs_and_dispatch_modes() {
+    // `examples/leanmd.rs`'s machine and particles, for a few steps (one
+    // migration): the sim's clock reads no host time, so delivery order,
+    // and with it every floating-point sum, repeats exactly.
+    let params = MdParams {
+        cells: [4, 4, 4],
+        per_cell: 32,
+        cell_size: 4.0,
+        cutoff: 4.0,
+        dt: 0.002,
+        steps: 6,
+        migrate_every: 5,
+        seed: 2018,
+    };
+    let run = |mode: DispatchMode| {
+        let rt = Runtime::new(4)
+            .backend(Backend::Sim(MachineModel::bluewaters(8)))
+            .dispatch(mode);
+        let r = run_charm(params.clone(), rt);
+        assert_eq!(r.particles as usize, params.num_particles());
+        (r.kinetic, r.momentum)
+    };
+    let bits = |(k, m): (f64, [f64; 3])| (k.to_bits(), m.map(f64::to_bits));
+    let native = run(DispatchMode::Native);
+    let dynamic = run(DispatchMode::Dynamic);
+    assert_eq!(bits(native), bits(run(DispatchMode::Native)), "native");
+    assert_eq!(bits(dynamic), bits(run(DispatchMode::Dynamic)), "dynamic");
+    // Across modes the physics is the same, but the interpreter charge
+    // moves arrival times, so the cells' `Sum` partials combine in another
+    // order: momentum, a sum that cancels to ~1e-15, keeps only its
+    // magnitude, while the kinetic energy (what the example asserts) keeps
+    // every bit.
+    assert_eq!(native.0.to_bits(), dynamic.0.to_bits(), "kinetic energy");
+    for k in 0..3 {
+        assert!(
+            (native.1[k] - dynamic.1[k]).abs() < 1e-12,
+            "momentum {:?} against {:?}",
+            native.1,
+            dynamic.1
+        );
+    }
 }

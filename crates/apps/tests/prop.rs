@@ -12,9 +12,7 @@ use charm_wire::SplitMix64;
 const CASES: u64 = 10;
 
 fn sim_rt(npes: usize) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes)))
 }
 
 fn reference_checksum(params: &StencilParams) -> (f64, f64) {

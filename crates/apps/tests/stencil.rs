@@ -10,15 +10,8 @@ use charm_lb::GreedyLb;
 use charm_sim::MachineModel;
 
 fn sim_rt(npes: usize) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes)))
 }
-
-/// Serializes the tests that take it against each other. Only the
-/// load-balancing comparison takes it, and that test charges its kernel
-/// (`meter_compute(false)`), so host load cannot reach its virtual times.
-static QUIET_HOST: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn reference_checksum(params: &StencilParams) -> (f64, f64) {
     // Build the global grid, run the naive solver, checksum per-block in
@@ -151,7 +144,6 @@ fn load_balancing_preserves_results() {
 
 #[test]
 fn imbalanced_run_slower_than_balanced_and_lb_recovers() {
-    let _quiet = QUIET_HOST.lock().unwrap_or_else(|e| e.into_inner());
     // The §V-B shape on a small scale, in deterministic virtual time: the
     // kernel cost is charged, not measured (as in the LB figure — measured
     // noise x alpha would otherwise decide the outcome), and sized so the
@@ -195,7 +187,7 @@ fn imbalanced_run_slower_than_balanced_and_lb_recovers() {
 fn weak_scaling_time_roughly_flat_in_virtual_time() {
     // Fixed block per PE; more PEs → similar time per step (Fig 1's shape).
     // The 8^3-cell block's kernel is charged at the ledger's rate (Fig 3's
-    // 100 µs per 4,096 cells), not metered, so host load cannot move it.
+    // 100 µs per 4,096 cells); the sim's clock reads no host time.
     let t = |npes: usize, chares: [usize; 3]| {
         let mut params =
             StencilParams::new([8 * chares[0], 8 * chares[1], 8 * chares[2]], chares, 10);

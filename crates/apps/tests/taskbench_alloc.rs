@@ -19,9 +19,7 @@ fn allocs_per_task(pattern: Pattern) -> f64 {
         ..TaskBenchParams::small_with(pattern)
     };
     let want = expected(&params);
-    let rt = Runtime::new(1)
-        .backend(Backend::Sim(MachineModel::local(1)))
-        .meter_compute(false);
+    let rt = Runtime::new(1).backend(Backend::Sim(MachineModel::local(1)));
     let (r, heap) = measure(|| run_taskbench(params.clone(), rt));
     assert_eq!((r.checksum, r.tasks), want);
     heap.allocs as f64 / params.total_tasks() as f64

@@ -17,9 +17,7 @@ use charm_sim::MachineModel;
 const NPES: usize = 4;
 
 fn sim() -> Runtime {
-    Runtime::new(NPES)
-        .backend(Backend::Sim(MachineModel::local(NPES)))
-        .meter_compute(false)
+    Runtime::new(NPES).backend(Backend::Sim(MachineModel::local(NPES)))
 }
 
 /// What `TaskBenchParams::small_with(pattern)` reads on `sim()`, the same
@@ -127,7 +125,6 @@ fn taskbench_trivial_is_clean_under_exhaustive_exploration() {
 
     let rt = Runtime::new(CHECK_NPES)
         .backend(Backend::Sim(MachineModel::local(CHECK_NPES)))
-        .meter_compute(false)
         .register::<TaskCol>();
     let report = rt.check(
         CheckCfg {

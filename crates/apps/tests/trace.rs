@@ -11,7 +11,10 @@ use charm_trace::json::{parse, Value};
 const NPES: usize = 2;
 
 fn traced_stencil() -> charm_core::RunReport {
-    let params = StencilParams::new([8, 8, 8], [2, 2, 1], 4);
+    let mut params = StencilParams::new([8, 8, 8], [2, 2, 1], 4);
+    // The sim's clock reads no host time: charge the ledger's nominal
+    // kernel (100 µs per 4,096 cells) for each 128-cell block.
+    params.nominal_kernel_s = Some(128.0 * 100e-6 / 4096.0);
     let rt = Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
         .trace(TraceConfig::full());

@@ -11,12 +11,12 @@
 //! | `BENCH_tb.json` | Task Bench: five patterns down the grain ladder, METG, allocations per task |
 //! | `BENCH_sim.json` | the ring pulse at 1,024 / 16,384 / 65,536 PEs: entries, envelopes, heap per PE |
 //!
-//! Every row runs on the simulated backend with analytic charging
-//! (`meter_compute(false)`; the stencil charges a nominal kernel), so it is
-//! a pure function of the code: virtual nanoseconds, envelopes, bytes and
-//! allocations, with no noise model. `cargo run -p charm-bench --bin ledger`
-//! rewrites the files; a change that moves a row regenerates them and says
-//! why. Host-timed layers live in the `host` bench target.
+//! Every row runs on the simulated backend, whose clock reads no host time
+//! (the stencil charges a nominal kernel), so it is a pure function of the
+//! code: virtual nanoseconds, envelopes, bytes and allocations, with no
+//! noise model. `cargo run -p charm-bench --bin ledger` rewrites the files;
+//! a change that moves a row regenerates them and says why. Host-timed
+//! layers live in the `host` bench target.
 
 #![forbid(unsafe_code)]
 
@@ -89,9 +89,7 @@ fn gather(groups: &[&(dyn Fn() -> Vec<Row> + Sync)]) -> Vec<Row> {
 
 /// A sim runtime with analytic charging.
 fn sim_rt(npes: usize, model: MachineModel) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(model))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(model))
 }
 
 /// Virtual makespan, envelopes handled and cross-PE bytes: the fields

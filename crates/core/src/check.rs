@@ -23,11 +23,11 @@
 //!   handler emitted. Clocks are tagged with the recovery epoch so a
 //!   restart acts as a happens-before barrier.
 //!
-//! Metering is forced off (`meter_compute(false)`) so an execution is a
-//! pure function of its delivery order — the property that makes replay
-//! bit-identical. Everything else a run can arm (fault injection,
-//! aggregation, fast paths, checkpointing and restart recovery) runs armed
-//! under exploration, because it is the same code.
+//! The sim clock reads no host time, so an execution is a pure function
+//! of its delivery order — the property that makes replay bit-identical.
+//! Everything else a run can arm (fault injection, aggregation, fast
+//! paths, checkpointing and restart recovery) runs armed under
+//! exploration, because it is the same code.
 //!
 //! The schedule-permutation harness (`Runtime::permute_schedule`,
 //! `charm_sim::PermuteSchedule`) is the sampling mode of this same
@@ -184,7 +184,7 @@ fn tag_clock(epoch: u64, clock: &[u64]) -> Vec<u64> {
 }
 
 /// Run the explorer over the program `entry` on `launch`'s machine. `launch`
-/// is the one a plain run is built from (metering off, sim model pinned);
+/// is the one a plain run is built from (sim model pinned);
 /// `entry` is re-runnable — each execution restarts the program from scratch.
 pub(crate) fn run_check(mut launch: Launch, entry: MainFn, cfg: CheckCfg) -> CheckReport {
     let explore_cfg = ExploreCfg {

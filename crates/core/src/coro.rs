@@ -405,8 +405,8 @@ impl PeState {
         };
         // Coroutine segments self-meter their user code (excluding the
         // thread rendezvous, which a real user-level-thread runtime would
-        // not pay).
-        let measured_ns = if self.cfg.is_sim && !self.cfg.meter {
+        // not pay); the sim charges none of it.
+        let measured_ns = if self.cfg.sim_model.is_some() {
             0
         } else {
             work_ns

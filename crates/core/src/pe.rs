@@ -53,11 +53,9 @@ pub(crate) struct SchedCfg {
     pub lb: Arc<dyn LbStrategy>,
     /// Fan-in of the LB tree (`npes` by default: one level).
     pub lb_group_size: usize,
-    /// Charge measured handler time to the virtual clock (sim backend).
-    pub meter: bool,
-    /// Machine model (sim backend only) for the dynamic-dispatch overhead.
+    /// Machine model (sim backend only): its presence puts the PE on
+    /// virtual time, and it prices the dynamic-dispatch overhead.
     pub sim_model: Option<MachineModel>,
-    pub is_sim: bool,
     /// Restore a checkpoint at bootstrap (PE 0).
     pub restore: Option<RestoreFrom>,
     /// Recovery epoch (machine incarnation): 0 on first launch, bumped by
@@ -295,7 +293,7 @@ impl PeState {
     /// Current time in nanoseconds (virtual under sim, real elapsed under
     /// threads).
     pub fn now_ns(&self) -> u64 {
-        if self.cfg.is_sim {
+        if self.cfg.sim_model.is_some() {
             self.clock_ns + self.event_work_ns
         } else {
             self.start.elapsed().as_nanos() as u64
@@ -311,7 +309,7 @@ impl PeState {
     /// calling `Instant::now` per emitted envelope; the trace ring's
     /// monotone clamp absorbs the sub-event coarseness.
     pub(crate) fn send_ts_ns(&self) -> u64 {
-        if self.cfg.is_sim {
+        if self.cfg.sim_model.is_some() {
             self.clock_ns + self.event_work_ns
         } else {
             self.now_cache_ns
@@ -466,7 +464,7 @@ impl PeState {
         // the incoming latency sample minted while this envelope is handled
         // shares one `Instant::now` read instead of paying one per emitted
         // envelope.
-        if !self.cfg.is_sim && self.tracer.enabled() {
+        if self.cfg.sim_model.is_none() && self.tracer.enabled() {
             self.now_cache_ns = self.start.elapsed().as_nanos() as u64;
         }
         // Stale-epoch guard: an envelope from a previous incarnation (in
@@ -488,7 +486,7 @@ impl PeState {
         // emission) order. All per-message accounting — QD processed
         // counts, recv stats, detector delivery checks — happens in the
         // recursive calls, exactly once per constituent; the split itself
-        // (one decode + copy per record, via the metered entry decode path
+        // (one decode + copy per record, via the entry decode path
         // downstream) is the per-message unpack cost of aggregation.
         if let EnvKind::Batch { frame, .. } = env.kind {
             #[expect(clippy::panic, reason = "panic: our own batch frame; a framing bug")]
@@ -708,11 +706,11 @@ impl PeState {
     /// local member decodes from that borrow.
     fn decode_wire(&mut self, id: &ChareId, bytes: &[u8]) -> BoxMsg {
         let decode_msg = self.vtable_of(id.coll).decode_msg;
-        // Dynamic dispatch (CharmPy mode): the measured Rust cost of
-        // the pickle codec runs for real; the interpreter premium is
-        // charged from the machine model (sim backend only).
+        // Dynamic dispatch (CharmPy mode): the pickle codec runs for real
+        // (measured off the sim); the interpreter premium is charged from
+        // the machine model (sim backend only).
         if self.cfg.dynamic() {
-            if let Some(model) = self.cfg.sim_model.clone() {
+            if let Some(model) = &self.cfg.sim_model {
                 let ns = model.dynamic_overhead(bytes.len()).as_nanos() as u64;
                 self.charge_work(ns, Some(id), WorkClass::Overhead);
             }
@@ -819,15 +817,18 @@ impl PeState {
         self.after_state_change(id);
     }
 
+    /// Host time since `t0` off the sim; the sim's clock reads no host
+    /// time, so there it is 0.
     pub(crate) fn metered_ns(&self, t0: Instant) -> u64 {
-        if self.cfg.is_sim && !self.cfg.meter {
+        if self.cfg.sim_model.is_some() {
             return 0;
         }
         t0.elapsed().as_nanos() as u64
     }
 
     /// Meter `f`'s real time and charge it as PE work (attributed to
-    /// `chare` if given). Used for serialization costs on both directions.
+    /// `chare` if given; nothing on the sim). Used for serialization costs
+    /// on both directions.
     fn metered<R>(&mut self, chare: Option<ChareId>, f: impl FnOnce(&mut Self) -> R) -> R {
         let t0 = meter_start();
         let r = f(self);
@@ -1021,7 +1022,7 @@ impl PeState {
                 Op::AtSync => self.at_sync(in_chare("at_sync")),
                 Op::Go(f) => self.launch_coro(in_chare("go"), f, reply),
                 Op::Charge(dt) => {
-                    if !self.cfg.is_sim {
+                    if self.cfg.sim_model.is_none() {
                         #[expect(
                             clippy::disallowed_methods,
                             reason = "blocking: emulated compute"
@@ -1204,10 +1205,13 @@ impl PeState {
 }
 
 /// Start of a metered span (an entry's decode, encode or handler, or a
-/// coroutine segment). The reading is wall time: `metered_ns` and
-/// `resume_coro` discard it on the deterministic sim (meter off), so it
-/// never reaches virtual time there.
-#[expect(clippy::disallowed_methods, reason = "nondeterminism: sim discards it")]
+/// coroutine segment). The reading is wall time: Threads and Net charge
+/// it (LB reads measured load there); `metered_ns` and `resume_coro`
+/// discard it on the sim, so it never reaches virtual time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "nondeterminism: only Threads and Net charge it; the sim discards it"
+)]
 pub(crate) fn meter_start() -> Instant {
     Instant::now()
 }

@@ -23,7 +23,9 @@
 //! * [`Backend::Sim`] — all PEs multiplexed on a deterministic
 //!   virtual-time event heap, with message delays from a [`MachineModel`].
 //!   This is the substitution for the paper's Blue Waters/Cori testbeds:
-//!   handler execution is metered and charged to per-PE virtual clocks, so
+//!   per-PE virtual clocks advance only by what the model and the program
+//!   charge (`ctx.charge`, the dynamic-dispatch overhead), never by host
+//!   time, so a run is a pure function of code, seed and model, and
 //!   parallel performance (the figures) is read off virtual time. A PE
 //!   death is an injected kill.
 //!
@@ -125,8 +127,8 @@ pub type TelemetrySink = Arc<dyn Fn(&MetricFrame) + Send + Sync>;
 /// the normal envelope path, so the reduction composes with aggregation,
 /// recovery epochs and the model checker. The sweep runs while the
 /// quiescence waiters are parked, so it samples a quiescent machine:
-/// under the sim backend with metering off the merged frames are a pure
-/// function of the program (see [`MetricFrame::logical_digest`]).
+/// under the sim backend the merged frames are a pure function of the
+/// program (see [`MetricFrame::logical_digest`]).
 ///
 /// PE 0 retains every merged frame in [`RunReport::telemetry`]; `sink`
 /// additionally streams each frame as it completes.
@@ -308,7 +310,6 @@ pub struct Runtime {
     backend: Backend,
     dispatch: DispatchMode,
     same_pe_byref: bool,
-    meter: bool,
     tree: TreeShape,
     lb: Arc<dyn LbStrategy>,
     lb_group_size: usize,
@@ -347,7 +348,6 @@ impl Runtime {
             backend: Backend::Threads,
             dispatch: DispatchMode::Native,
             same_pe_byref: true,
-            meter: true,
             tree: TreeShape::default(),
             lb: Arc::new(GreedyRefineLb),
             lb_group_size: npes,
@@ -437,14 +437,6 @@ impl Runtime {
     /// ablation switch; `true` by default.
     pub fn same_pe_byref(mut self, on: bool) -> Self {
         self.same_pe_byref = on;
-        self
-    }
-
-    /// Sim backend: whether measured handler time is charged to the virtual
-    /// clock (`true`, default) or only explicit `ctx.charge` calls count
-    /// (`false`, for deterministic tests).
-    pub fn meter_compute(mut self, on: bool) -> Self {
-        self.meter = on;
         self
     }
 
@@ -673,8 +665,6 @@ impl Runtime {
                 tree: self.tree,
                 lb: Arc::clone(&self.lb),
                 lb_group_size: self.lb_group_size,
-                meter: self.meter,
-                is_sim: sim_model.is_some(),
                 sim_model,
                 // The first incarnation's values; `Launch::cfg` sets these
                 // three per incarnation.
@@ -709,9 +699,9 @@ impl Runtime {
     ///
     /// `entry` must be re-runnable — each explored execution restarts the
     /// program from scratch — hence `Fn`, not the `FnOnce` of
-    /// [`Runtime::run`]. Compute metering is forced off so executions are
-    /// pure functions of their delivery order; the backend setting is
-    /// ignored (exploration always runs the controlled transport).
+    /// [`Runtime::run`]. Executions run on virtual time, so each is a pure
+    /// function of its delivery order; the backend setting is ignored
+    /// (exploration always runs the controlled transport).
     ///
     /// [`CheckCfg::artifact`]: crate::check::CheckCfg::artifact
     pub fn check(
@@ -747,11 +737,6 @@ impl Runtime {
             "Runtime::check starts from scratch every execution; run_restored is not supported"
         );
         let mut launch = self.launch();
-        // Metering ties virtual time to measured host time; forced off so
-        // an execution is a pure function of its delivery order (the
-        // replay bit-identity contract).
-        launch.cfg.meter = false;
-        launch.cfg.is_sim = true;
         // A configured sim model is honored; the other backends fall back
         // to the default model (only default delivery *priorities* depend
         // on it).
@@ -1133,11 +1118,11 @@ pub(crate) fn finish_report(
 /// The modeled network the virtual-time transports (sim, check) share:
 /// what happens to an envelope between leaving a PE and becoming
 /// deliverable — optional fault injection, the machine model's latency,
-/// the schedule permutation, and (under `analyze`) a per-channel FIFO
-/// clamp. An aggregation batch crosses as ONE envelope — one latency event
-/// for the whole frame is the modeled win of aggregation; the receiver
-/// pays per-message unpack cost when it splits the frame. Who picks the
-/// next deliverable envelope is the transports' business, not this one's.
+/// the schedule permutation, and a per-channel FIFO clamp. An aggregation
+/// batch crosses as ONE envelope — one latency event for the whole frame
+/// is the modeled win of aggregation; the receiver pays per-message unpack
+/// cost when it splits the frame. Who picks the next deliverable envelope
+/// is the transports' business, not this one's.
 pub(crate) struct ModelNet {
     model: MachineModel,
     /// Deterministic per-seed jitter on delivery times, preserving
@@ -1147,11 +1132,11 @@ pub(crate) struct ModelNet {
     /// Network fault injection: `(fault, QD-counted envelopes shipped)`.
     #[cfg(feature = "analyze")]
     inject: Option<(crate::analyze::InjectFault, u64)>,
-    /// Per-channel arrival clamp: the delay model is size-dependent and
-    /// may reorder one channel's messages; under the detector channels are
-    /// pinned FIFO so an ordering violation is a runtime bug, not a model
-    /// artifact.
-    #[cfg(feature = "analyze")]
+    /// Per-channel arrival clamp: the delay model is size-dependent, so a
+    /// small message would overtake a larger one shipped before it on the
+    /// same channel. Channels are FIFO on every backend, so no arrival
+    /// precedes the channel's previous one; equal arrivals keep ship order
+    /// through the event queue's tie-break.
     last_arrival: std::collections::HashMap<(Pe, Pe), u64>,
 }
 
@@ -1165,7 +1150,6 @@ impl ModelNet {
             permuter: permute.map(charm_sim::PermuteSchedule::new),
             #[cfg(feature = "analyze")]
             inject: launch.inject.map(|f| (f, 0)),
-            #[cfg(feature = "analyze")]
             last_arrival: std::collections::HashMap::new(),
         }
     }
@@ -1208,13 +1192,9 @@ impl ModelNet {
         if let Some(p) = &mut self.permuter {
             at = p.delivery_time(src, dst, at);
         }
-        let at = at.as_nanos();
-        #[cfg(feature = "analyze")]
-        let at = {
-            let last = self.last_arrival.entry((src, dst)).or_insert(0);
-            *last = at.max(*last + 1);
-            *last
-        };
+        let last = self.last_arrival.entry((src, dst)).or_insert(0);
+        *last = at.as_nanos().max(*last);
+        let at = *last;
         arrive(at, env);
         #[cfg(feature = "analyze")]
         if let Some(dup) = duplicate {

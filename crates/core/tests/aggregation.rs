@@ -201,7 +201,6 @@ fn aggregated_fan_in_is_clean_under_exhaustive_exploration() {
 
     let rt = Runtime::new(CHECK_NPES)
         .simulated(MachineModel::local(CHECK_NPES))
-        .meter_compute(false)
         .register::<Fan>()
         .register::<Pusher>()
         // PE 1's pusher emits exactly two cross-PE pushes from one handler,
@@ -463,7 +462,6 @@ fn drive(co: &mut Co<Main>, arr: &Proxy<Ring>, from: i64, out: &Arc<Mutex<Vec<Ve
 fn stencil_run(kill: bool, seed: Option<u64>) -> (Vec<Vec<i64>>, RunReport, u64, Vec<String>) {
     let rt = Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
-        .meter_compute(false)
         .register_migratable::<Ring>()
         .auto_checkpoint(1, Store::Memory)
         .aggregation(AggCfg::default());

@@ -198,7 +198,6 @@ fn fan_in_is_deterministic_under_exhaustive_exploration() {
 
     let rt = Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
-        .meter_compute(false)
         .register::<Fan>()
         .register::<Pusher>();
     let report = rt.check(

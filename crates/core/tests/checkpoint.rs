@@ -55,7 +55,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn rt(npes: usize) -> Runtime {
     Runtime::new(npes)
         .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
         .register_migratable::<Counter>()
 }
 

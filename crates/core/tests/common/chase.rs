@@ -60,6 +60,5 @@ pub fn stalled(report: &RunReport) -> Option<String> {
 pub fn runtime() -> Runtime {
     Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
-        .meter_compute(false)
         .register_migratable::<Runner>()
 }

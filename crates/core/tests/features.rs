@@ -432,17 +432,15 @@ fn reduction_broadcast_to_collection() {
                         to_collection: true,
                     },
                 );
-                // Every member eventually sees the broadcast result (10).
-                // Poll with a second pass: ask each element.
+                // Once the machine is quiet the broadcast result (10) has
+                // reached every member.
+                let quiet = co.ctx().create_future::<()>();
+                co.ctx().start_quiescence(&quiet);
+                co.get(&quiet);
                 for i in 0..4 {
-                    loop {
-                        let done = co.ctx().create_future::<i64>();
-                        arr.elem(i).send(co.ctx(), RedSinkMsg::Check { done });
-                        if co.get(&done) == 10 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+                    let done = co.ctx().create_future::<i64>();
+                    arr.elem(i).send(co.ctx(), RedSinkMsg::Check { done });
+                    assert_eq!(co.get(&done), 10, "member {i}");
                 }
                 co.ctx().exit();
             });
@@ -591,10 +589,8 @@ fn at_sync_lb_migrates_and_resumes() {
 #[test]
 fn sim_backend_is_deterministic() {
     let run = || {
-        let mut order = Vec::new();
         let r = Runtime::new(4)
             .backend(Backend::Sim(MachineModel::local(4)))
-            .meter_compute(false)
             .register::<Chain>()
             .run(|co| {
                 let grp = co.ctx().create_group::<Chain>(());
@@ -604,12 +600,67 @@ fn sim_backend_is_deterministic() {
                 co.get(&f);
                 co.ctx().exit();
             });
-        order.push((r.msgs, r.entries, r.bytes));
-        order
+        let clocks: Vec<(u64, u64)> = r.pe_stats.iter().map(|p| (p.busy_ns, p.wall_ns)).collect();
+        (r.msgs, r.entries, r.bytes, r.time, clocks)
     };
+    let first = run();
+    assert!(first.3.as_nanos() > 0, "the chain takes virtual time");
     assert_eq!(
+        first,
         run(),
-        run(),
-        "identical runs must produce identical traffic"
+        "identical runs must produce identical traffic and clocks"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Channel order: a small message never overtakes a large one sent before it
+// on the same PE-to-PE channel, on the sim as on the threads backend
+// ---------------------------------------------------------------------------
+
+struct Inbox {
+    seen: Vec<i64>,
+}
+
+enum InboxMsg {
+    Large(Vec<u8>),
+    Small,
+    Seen { done: Future<Vec<i64>> },
+}
+wire_enum! { InboxMsg { Large(a), Small, Seen { done } } }
+
+impl Chare for Inbox {
+    type Msg = InboxMsg;
+    type Init = ();
+    fn create(_: (), _: &mut Ctx) -> Self {
+        Inbox { seen: Vec::new() }
+    }
+    fn receive(&mut self, msg: InboxMsg, ctx: &mut Ctx) {
+        match msg {
+            InboxMsg::Large(bytes) => self.seen.push(bytes.len() as i64),
+            InboxMsg::Small => self.seen.push(0),
+            InboxMsg::Seen { done } => ctx.send_future(&done, self.seen.clone()),
+        }
+    }
+}
+
+#[test]
+fn a_small_message_never_overtakes_a_large_one_on_its_channel() {
+    const LARGE: usize = 64 * 1024;
+    for (name, backend) in both_backends() {
+        Runtime::new(2)
+            .backend(backend)
+            .register::<Inbox>()
+            .run(move |co| {
+                let inbox = co.ctx().create_chare::<Inbox>((), Some(1));
+                // One handler, two sends down the PE 0 -> PE 1 channel: the
+                // model's transfer time alone would land the small one
+                // first.
+                inbox.send(co.ctx(), InboxMsg::Large(vec![7; LARGE]));
+                inbox.send(co.ctx(), InboxMsg::Small);
+                let done = co.ctx().create_future::<Vec<i64>>();
+                inbox.send(co.ctx(), InboxMsg::Seen { done });
+                assert_eq!(co.get(&done), [LARGE as i64, 0], "backend {name}");
+                co.ctx().exit();
+            });
+    }
 }

@@ -133,7 +133,6 @@ fn restored_ring() -> Proxy<Ring> {
 fn stencil_run(kill: bool, seed: Option<u64>) -> (Vec<Vec<i64>>, RunReport, u64, Vec<String>) {
     let rt = Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
-        .meter_compute(false)
         .register_migratable::<Ring>()
         .auto_checkpoint(1, Store::Memory);
     let (mut rt, probe) = if kill {
@@ -205,7 +204,9 @@ fn killed_pe_recovers_bit_identical() {
 /// commit before the scheduler loops were folded into one driver: virtual
 /// makespan (ns), messages, entries, recoveries and stale discards are pure
 /// functions of the program, the machine model and the seed, so a refactor
-/// of the drive/supervise path must reproduce them untouched.
+/// of the drive/supervise path must reproduce them untouched. The unseeded
+/// makespan moved once since, 21,522 -> 21,486 ns, when the channel clamp
+/// stopped spacing a channel's arrivals 1 ns apart.
 #[test]
 fn killed_pe_recovery_golden_constants() {
     for (seed, want) in [
@@ -228,7 +229,7 @@ fn killed_pe_recovery_golden_constants() {
 }
 
 /// `(makespan ns, msgs, entries, recoveries, stale_discarded)`.
-const GOLD_KILL_RECOVER: (u64, u64, u64, u64, u64) = (21522, 66, 57, 1, 9);
+const GOLD_KILL_RECOVER: (u64, u64, u64, u64, u64) = (21486, 66, 57, 1, 9);
 const GOLD_KILL_RECOVER_SEED7: (u64, u64, u64, u64, u64) = (3_310_670, 66, 57, 1, 4);
 
 // ---------------------------------------------------------------------------
@@ -319,7 +320,6 @@ fn killed_pe_recovery_is_clean_under_exhaustive_exploration() {
 
     let (rt, _probe) = Runtime::new(2)
         .simulated(MachineModel::local(2))
-        .meter_compute(false)
         .register_migratable::<MiniRing>()
         .auto_checkpoint(1, Store::Memory)
         .analyze_inject(InjectFault::KillPe {
@@ -371,7 +371,6 @@ fn killed_pe_recovery_is_clean_under_exhaustive_exploration() {
 /// committed (see the exhaustive test above), recovery armed.
 fn mini_kill_runtime(rt: Runtime) -> Runtime {
     let (rt, _probe) = rt
-        .meter_compute(false)
         .register_migratable::<MiniRing>()
         .auto_checkpoint(1, Store::Memory)
         .analyze_inject(InjectFault::KillPe {
@@ -468,7 +467,7 @@ fn supervisor_verdicts_agree_across_backends() {
     ];
     for (row, arm, expected) in rows {
         let build = |rt: Runtime| {
-            arm(rt.meter_compute(false).register_migratable::<MiniRing>())
+            arm(rt.register_migratable::<MiniRing>())
                 .analyze_inject(InjectFault::KillPe {
                     pe: 1,
                     after_nth: 0,
@@ -499,7 +498,6 @@ fn supervisor_verdicts_agree_across_backends() {
 fn kill_without_checkpointing_is_recovery_impossible() {
     let (rt, _probe) = Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
-        .meter_compute(false)
         .register_migratable::<Ring>()
         .analyze_inject(InjectFault::KillPe {
             pe: 1,
@@ -649,7 +647,6 @@ fn disk_generations_restore_onto_different_pe_count() {
     let sink = Arc::clone(&out);
     Runtime::new(NPES)
         .simulated(MachineModel::local(NPES))
-        .meter_compute(false)
         .register_migratable::<Ring>()
         .auto_checkpoint(4, Store::Disk(root.clone()))
         .run(move |co| {
@@ -675,7 +672,6 @@ fn disk_generations_restore_onto_different_pe_count() {
     let sink = Arc::clone(&out);
     Runtime::new(5)
         .simulated(MachineModel::local(5))
-        .meter_compute(false)
         .register_migratable::<Ring>()
         .run_restored(dir, move |co| {
             let arr = restored_ring();

@@ -185,9 +185,7 @@ fn four_process_run_matches_sim_backend() {
     let sim = if is_net_worker() {
         None
     } else {
-        let rt = Runtime::new(NPES)
-            .simulated(charm_sim::MachineModel::local(NPES))
-            .meter_compute(false);
+        let rt = Runtime::new(NPES).simulated(charm_sim::MachineModel::local(NPES));
         Some(stencil_once(rt))
     };
 
@@ -457,9 +455,7 @@ fn four_process_lb_tree_matches_sim_backend() {
     let sim = if is_net_worker() {
         None
     } else {
-        let rt = Runtime::new(NPES)
-            .simulated(charm_sim::MachineModel::local(NPES))
-            .meter_compute(false);
+        let rt = Runtime::new(NPES).simulated(charm_sim::MachineModel::local(NPES));
         Some(balanced_once(rt))
     };
 
@@ -496,7 +492,6 @@ fn telemetry_on_net_matches_sim_backend() {
     } else {
         let rt = Runtime::new(NPES)
             .simulated(charm_sim::MachineModel::local(NPES))
-            .meter_compute(false)
             .telemetry(TelemetryCfg::every(1));
         Some(stencil_once(rt))
     };

@@ -170,7 +170,6 @@ fn chaos_run(seed: u64) -> (i64, u64, u64) {
     let out2 = std::sync::Arc::clone(&out);
     let report = Runtime::new(4)
         .backend(Backend::Sim(MachineModel::local(4)))
-        .meter_compute(false)
         .register::<Chaos>()
         .run(move |co| {
             let arr = co.ctx().create_array::<Chaos>(&[16], ());

@@ -184,7 +184,6 @@ fn lb_wave(npes: usize, nchares: u32, group_size: usize) -> charm_core::RunRepor
         .backend(Backend::Sim(MachineModel::bluewaters(
             npes.div_ceil(32).max(8),
         )))
-        .meter_compute(false)
         .register_migratable::<Worker>()
         .lb_group_size(group_size);
     rt.run(move |co| {

@@ -104,23 +104,13 @@ fn migration_storm_loses_nothing() {
 }
 
 /// `(messages, migrations, fwd_hops, final total)` of the storm on the
-/// deterministic sim (metering off), generated before location management
-/// left `pe.rs`: moving the code must not move how far messages chase.
-/// Two tuples, because the `analyze` build's modeled network clamps every
-/// channel to FIFO and so delivers in another order. In the default build
-/// no stub forward is counted (every send outruns the array's creation
-/// broadcast, is parked, and re-enters routing with its host as source);
-/// under the clamp the increments chase the nomads for real.
-#[cfg(not(feature = "analyze"))]
-const GOLD_STORM_SIM: (u64, u64, u64, i64) = (807, 94, 0, 304);
-#[cfg(feature = "analyze")]
-const GOLD_STORM_SIM: (u64, u64, u64, i64) = (2447, 94, 1765, 304);
+/// deterministic sim: moving location management must not move how far
+/// messages chase.
+const GOLD_STORM_SIM: (u64, u64, u64, i64) = (807, 94, 125, 304);
 
 #[test]
 fn migration_storm_sim_golden() {
-    let rt = Runtime::new(4)
-        .backend(Backend::Sim(MachineModel::local(4)))
-        .meter_compute(false);
+    let rt = Runtime::new(4).backend(Backend::Sim(MachineModel::local(4)));
     let (report, total) = migration_storm(rt);
     let fwd_hops: u64 = report.pe_stats.iter().map(|p| p.fwd_hops).sum();
     assert_eq!(
@@ -253,7 +243,6 @@ fn coroutine_swarm_all_wake() {
 fn message_counters_conserved_at_quiescence() {
     let report = Runtime::new(4)
         .backend(Backend::Sim(MachineModel::local(4)))
-        .meter_compute(false)
         .register::<Nomad>()
         .run(|co| {
             let arr = co.ctx().create_array::<Nomad>(&[12], ());

@@ -18,7 +18,7 @@ use charm_sim::MachineModel;
 // ---------------------------------------------------------------------------
 // Workload: a Pusher group floods a Fan chare on PE 0; every push charges
 // deterministic virtual compute, so the hot-chare sketch and busy totals
-// are exact functions of the message counts (meter stays off).
+// are exact functions of the message counts.
 // ---------------------------------------------------------------------------
 
 struct Fan {
@@ -397,7 +397,6 @@ fn telemetry_digests_are_schedule_and_aggregation_independent() {
     fn digests(agg: Option<AggCfg>, seed: Option<u64>) -> Vec<u64> {
         let (mut rt, probe) = Runtime::new(NPES)
             .simulated(MachineModel::local(NPES))
-            .meter_compute(false)
             .telemetry(TelemetryCfg::every(1))
             .register::<Fan>()
             .register::<Pusher>()
@@ -458,7 +457,6 @@ fn telemetry_is_clean_under_exhaustive_exploration() {
 
     let rt = Runtime::new(2)
         .simulated(MachineModel::local(2))
-        .meter_compute(false)
         .telemetry(TelemetryCfg::every(1))
         .register::<Fan>()
         .register::<Pusher>();

@@ -34,7 +34,12 @@ impl Chare for Counter {
     }
     fn receive(&mut self, msg: CounterMsg, ctx: &mut Ctx) {
         match msg {
-            CounterMsg::Bump(v) => self.total += v,
+            CounterMsg::Bump(v) => {
+                self.total += v;
+                // The sim's clock reads no host time: a nominal charge
+                // makes each bump busy time.
+                ctx.charge(std::time::Duration::from_micros(1));
+            }
             CounterMsg::Total => ctx.reply(self.total),
         }
     }

@@ -138,7 +138,6 @@ fn run_skew_with(
         .backend(Backend::Sim(MachineModel::bluewaters(
             npes.div_ceil(32).max(8),
         )))
-        .meter_compute(false)
         .register_migratable::<Skew>()
         .lb_strategy(strategy);
     if let Some(group_size) = group_size {
@@ -365,7 +364,6 @@ fn a_chare_that_fits_nowhere_in_its_subtree_spills_to_the_root() {
     let out2 = Arc::clone(&out);
     let report = Runtime::new(4)
         .backend(Backend::Sim(MachineModel::bluewaters(8)))
-        .meter_compute(false)
         .register::<Pinned>()
         .register_migratable::<Movable>()
         .lb_group_size(2)

@@ -3,7 +3,12 @@
 //! with periodic particle migration between cells.
 //!
 //! Prints conservation diagnostics (particle count, momentum) and the
-//! native-vs-dynamic dispatch comparison on the simulated backend.
+//! native-vs-dynamic dispatch comparison on the simulated backend. The
+//! sim's clock reads no host time and LeanMD charges no kernel compute
+//! (yet), so both times per step are network and runtime time only, and
+//! the printed gap is the dynamic mode's runtime overhead (interpreter
+//! charge and pickle bytes), not a share of a compute-bound step. Two runs
+//! print the same bytes.
 //!
 //! Run with: `cargo run --release --example leanmd`
 //! Knobs: CHARMRS_PES (default 4), CHARMRS_STEPS (default 20)
@@ -66,7 +71,7 @@ fn main() {
             .dispatch(DispatchMode::Dynamic),
     );
     println!(
-        "  dynamic : {:8.3} ms/step (CharmPy-analog overhead {:+.1}%)",
+        "  dynamic : {:8.3} ms/step (CharmPy-analog runtime overhead {:+.1}%)",
         dynamic.time_per_step_ms,
         (dynamic.time_per_step_ms / native.time_per_step_ms - 1.0) * 100.0,
     );

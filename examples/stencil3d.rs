@@ -27,7 +27,10 @@ fn env(name: &str, default: usize) -> usize {
 fn main() {
     let pes = env("CHARMRS_PES", 4);
     let iters = env("CHARMRS_ITERS", 50) as u32;
-    let params = StencilParams::new([16 * pes, 32, 32], [pes, 1, 1], iters);
+    let mut params = StencilParams::new([16 * pes, 32, 32], [pes, 1, 1], iters);
+    // The sim's clock reads no host time: charge each 16x32x32 block the
+    // ledger's nominal kernel (100 us per 4,096 cells).
+    params.nominal_kernel_s = Some(400e-6);
     let sim = || Backend::Sim(MachineModel::local(pes));
 
     println!(
@@ -68,16 +71,12 @@ fn main() {
     imb.imbalance = Some(pes);
     imb.sync_every = 1;
     imb.nominal_kernel_s = Some(100e-6);
-    let no_lb = run_charm(
-        imb.clone(),
-        Runtime::new(pes).backend(sim()).meter_compute(false),
-    );
+    let no_lb = run_charm(imb.clone(), Runtime::new(pes).backend(sim()));
     imb.lb_every = Some(30);
     let with_lb = run_charm(
         imb,
         Runtime::new(pes)
             .backend(sim())
-            .meter_compute(false)
             .lb_strategy(Arc::new(GreedyLb)),
     );
     println!(

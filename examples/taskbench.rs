@@ -29,9 +29,7 @@ fn main() {
     let (oracle, tasks) = expected(&params);
     let ideal_ns = params.total_tasks() * params.grain_ns / NPES as u64;
 
-    let rt = Runtime::new(NPES)
-        .backend(Backend::Sim(MachineModel::local(NPES)))
-        .meter_compute(false);
+    let rt = Runtime::new(NPES).backend(Backend::Sim(MachineModel::local(NPES)));
     let r = run_taskbench(params.clone(), rt);
     assert_eq!((r.checksum, r.tasks), (oracle, tasks), "result mismatch");
 

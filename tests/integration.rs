@@ -12,9 +12,7 @@ use charm_rs::pool::{register_pool, register_task, PoolHandle};
 use charm_rs::sim::MachineModel;
 
 fn sim(npes: usize) -> Runtime {
-    Runtime::new(npes)
-        .backend(Backend::Sim(MachineModel::local(npes)))
-        .meter_compute(false)
+    Runtime::new(npes).backend(Backend::Sim(MachineModel::local(npes)))
 }
 
 #[test]
