@@ -16,11 +16,18 @@
 //!
 //! enum Msg { Start, Ghost(Ghost), Done { residual: f64 }, Pair(i32, String) }
 //! wire_enum! { Msg { Start, Ghost(g), Done { residual }, Pair(a, b) } }
+//!
+//! enum Ctl { Stop, Pause { ms: u64 } }
+//! enum Cmd { Go, Ctl(Ctl) }
+//! wire_enum! { Cmd { Go, Halt = Ctl(Ctl::Stop), Wait = Ctl(Ctl::Pause) { ms } } }
 //! ```
 //!
 //! Tuple fields are named by arbitrary binders (`m`, `g`, `a`, `b` above).
 //! A one-field tuple struct or variant is transparent (encodes as its
-//! field); a unit struct is written `wire_struct! { Marker {} }`.
+//! field); a unit struct is written `wire_struct! { Marker {} }`. A variant
+//! may live one enum down: `Halt = Ctl(Ctl::Stop)` travels as `Cmd`'s own
+//! variant `Halt` (its place in the list, its name) with `Ctl::Stop`'s
+//! payload, so nesting the Rust type leaves the wire form flat.
 
 /// Implement [`Wire`](crate::Wire) for a struct; see the [module docs](self).
 #[macro_export]
@@ -53,14 +60,17 @@ macro_rules! wire_struct {
 #[macro_export]
 macro_rules! wire_enum {
     ($name:ident {
-        $( $v:ident $( ( $($t:ident),+ $(,)? ) )? $( { $($f:ident),* $(,)? } )? ),* $(,)?
+        $( $v:ident $( = $o:ident ( $i:ident :: $iv:ident ) )?
+           $( ( $($t:ident),+ $(,)? ) )? $( { $($f:ident),* $(,)? } )? ),* $(,)?
     }) => {
         impl $crate::Wire for $name {
             fn encode<WireW: $crate::Writer>(&self, w: &mut WireW) {
                 #[allow(dead_code, reason = "a variant the invocation never names")]
                 enum Ix { $($v),* }
                 match self {
-                    $( $name::$v $( ( $($t),+ ) )? $( { $($f),* } )? => {
+                    $( $crate::__wire_variant!(
+                        $name $v [$($o $i $iv)?] $( ( $($t),+ ) )? $( { $($f),* } )?
+                    ) => {
                         w.begin_variant(stringify!($name), Ix::$v as u32, stringify!($v));
                         $crate::__wire_put_payload!(
                             w, stringify!($v); $( ( $($t),+ ) )? $( { $($f),* } )?
@@ -74,13 +84,33 @@ macro_rules! wire_enum {
                 const VARIANTS: &[&str] = &[$(stringify!($v)),*];
                 let ix = r.variant(stringify!($name), VARIANTS)?;
                 $( if ix == Ix::$v as u32 {
-                    return Ok($crate::__wire_get_payload!(
-                        r, stringify!($v), $name::$v; $( ( $($t),+ ) )? $( { $($f),* } )?
+                    return Ok($crate::__wire_get_variant!(
+                        r, $name $v [$($o $i $iv)?] $( ( $($t),+ ) )? $( { $($f),* } )?
                     ));
                 } )*
                 Err($crate::WireError::InvalidLength(ix as u64))
             }
         }
+    };
+}
+
+/// The pattern of a variant, at the top or one enum down.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_variant {
+    ($name:ident $v:ident [] $($p:tt)?) => { $name::$v $($p)? };
+    ($name:ident $v:ident [$o:ident $i:ident $iv:ident] $($p:tt)?) => { $name::$o($i::$iv $($p)?) };
+}
+
+/// Decode a variant's payload, at the top or one enum down.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_get_variant {
+    ($r:ident, $name:ident $v:ident [] $($p:tt)?) => {
+        $crate::__wire_get_payload!($r, stringify!($v), $name::$v; $($p)?)
+    };
+    ($r:ident, $name:ident $v:ident [$o:ident $i:ident $iv:ident] $($p:tt)?) => {
+        $name::$o($crate::__wire_get_payload!($r, stringify!($v), $i::$iv; $($p)?))
     };
 }
 

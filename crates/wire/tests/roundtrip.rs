@@ -369,3 +369,56 @@ fn unit_struct_and_newtype_shapes() {
 fn codec_default_is_fast() {
     assert_eq!(Codec::default(), Codec::Fast);
 }
+
+/// A variant that lives one enum down keeps its place and name in the
+/// outer enum's wire form: the nested type encodes byte for byte as a flat
+/// one with the same variant list.
+#[test]
+fn a_nested_variant_encodes_as_the_flat_one() {
+    #[derive(PartialEq, Debug)]
+    enum Flat {
+        Data(Vec<u8>),
+        Halt,
+        Wait { ms: u64 },
+        Pair(u8, i32),
+    }
+    wire_enum! { Flat { Data(d), Halt, Wait { ms }, Pair(a, b) } }
+    #[derive(PartialEq, Debug)]
+    enum Ctl {
+        Stop,
+        Pause { ms: u64 },
+        Two(u8, i32),
+    }
+    #[derive(PartialEq, Debug)]
+    enum Nested {
+        Data(Vec<u8>),
+        Ctl(Ctl),
+    }
+    wire_enum! {
+        Nested {
+            Data(d),
+            Halt = Ctl(Ctl::Stop),
+            Wait = Ctl(Ctl::Pause) { ms },
+            Pair = Ctl(Ctl::Two)(a, b),
+        }
+    }
+    let pairs = [
+        (Flat::Data(vec![1, 2]), Nested::Data(vec![1, 2])),
+        (Flat::Halt, Nested::Ctl(Ctl::Stop)),
+        (Flat::Wait { ms: 300 }, Nested::Ctl(Ctl::Pause { ms: 300 })),
+        (Flat::Pair(7, -9), Nested::Ctl(Ctl::Two(7, -9))),
+    ];
+    for (flat, nested) in pairs {
+        for codec in [Codec::Fast, Codec::Pickle] {
+            let bytes = codec.encode(&flat);
+            let nested_bytes = codec.encode(&nested);
+            // Pickle names the type; everything after the name agrees.
+            let tail = |b: &[u8], ty: &str| b[2 + ty.len()..].to_vec();
+            match codec {
+                Codec::Fast => assert_eq!(nested_bytes, bytes),
+                Codec::Pickle => assert_eq!(tail(&nested_bytes, "Nested"), tail(&bytes, "Flat")),
+            }
+            assert_eq!(codec.decode::<Nested>(&nested_bytes).unwrap(), nested);
+        }
+    }
+}
