@@ -6,7 +6,7 @@
 //! versioned records), the envelopes parked for chares this PE expects to
 //! host, and the count of stub forwards (`PePerf::fwd_hops`).
 //!
-//! **Envelopes:** `MigrateChare`, `LocationUpdate` ([`PeState::on_location`]).
+//! **Envelopes:** [`LocMsg`] ([`PeState::on_location`]).
 //!
 //! **Invariants:** a chare is found by (1) the local slot table, (2) this
 //! table, (3) its collection's placement — initial placement for
@@ -36,7 +36,7 @@ use std::collections::HashMap;
 
 use crate::collections::CollKind;
 use crate::ids::{ChareId, FutureId, Pe};
-use crate::msg::{EnvKind, Envelope, MigrateMsg};
+use crate::msg::{EnvKind, Envelope, LbMsg, MigrateMsg};
 use crate::pe::{Buffered, PeState, Slot};
 
 /// Longest forwarding-pointer chain a repeatedly-migrating chare may leave
@@ -109,17 +109,36 @@ impl Locations {
     }
 }
 
+/// The messages [`PeState::on_location`] takes.
+#[derive(Debug)]
+pub enum LocMsg {
+    /// A migrating chare: its packed state plus its runtime baggage
+    /// (boxed — see [`MigrateMsg`]).
+    Migrate {
+        /// The migration body.
+        msg: Box<MigrateMsg>,
+    },
+    /// Tell a PE where a chare lives (or is about to land) as of its
+    /// `seq`-th migration; the receiver keeps the newest record it has seen.
+    Update {
+        /// The chare.
+        id: ChareId,
+        /// The PE that migration took it to.
+        pe: Pe,
+        /// The chare's migration count at that point.
+        seq: u64,
+    },
+}
+
 impl PeState {
     /// The location slice of the dispatch switch.
-    pub(crate) fn on_location(&mut self, kind: EnvKind) {
-        match kind {
-            EnvKind::MigrateChare { msg } => self.migrate_in(*msg),
-            EnvKind::LocationUpdate { id, pe, seq } => {
+    pub(crate) fn on_location(&mut self, msg: LocMsg) {
+        match msg {
+            LocMsg::Migrate { msg } => self.migrate_in(*msg),
+            LocMsg::Update { id, pe, seq } => {
                 self.locs.learn(id, pe, seq);
                 self.flush_pending_chare(id);
             }
-            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
-            other => unreachable!("not a location envelope: {other:?}"),
         }
     }
 
@@ -190,7 +209,7 @@ impl PeState {
     pub(crate) fn migrate_out(&mut self, id: ChareId, to: Pe, for_lb: bool) {
         if to == self.pe {
             if for_lb {
-                self.emit(0, EnvKind::LbMigrated);
+                self.emit(0, EnvKind::Lb(LbMsg::Migrated));
             }
             return;
         }
@@ -206,7 +225,7 @@ impl PeState {
         self.locs.learn(id, to, seq);
         // The home PE must learn the new location for fresh senders.
         if home != self.pe && home != to {
-            self.emit(home, EnvKind::LocationUpdate { id, pe: to, seq });
+            self.emit(home, EnvKind::Loc(LocMsg::Update { id, pe: to, seq }));
         }
         self.tracer.counters.migrations += 1;
         self.trace_event(|_| charm_trace::EventKind::MigrateOut {
@@ -216,22 +235,18 @@ impl PeState {
         // the chain once it reaches MAX_FWD_HOPS.
         let mut trail = slot.fwd_trail;
         trail.push(self.pe);
-        self.emit(
-            to,
-            EnvKind::MigrateChare {
-                msg: Box::new(MigrateMsg {
-                    coll: id.coll,
-                    index: id.index,
-                    data,
-                    buffered,
-                    load_ns: if for_lb { 0 } else { slot.load_ns },
-                    red_seq: slot.red_seq,
-                    for_lb,
-                    trail,
-                    seq,
-                }),
-            },
-        );
+        let msg = Box::new(MigrateMsg {
+            coll: id.coll,
+            index: id.index,
+            data,
+            buffered,
+            load_ns: if for_lb { 0 } else { slot.load_ns },
+            red_seq: slot.red_seq,
+            for_lb,
+            trail,
+            seq,
+        });
+        self.emit(to, EnvKind::Loc(LocMsg::Migrate { msg }));
     }
 
     #[expect(
@@ -279,7 +294,7 @@ impl PeState {
         self.member_delta(coll, 1);
         let home = self.spec(coll).home_pe(&index, self.npes);
         let pe = self.pe;
-        let here = || EnvKind::LocationUpdate { id, pe, seq };
+        let here = || EnvKind::Loc(LocMsg::Update { id, pe, seq });
         // A real migration's departure already told the home (or was the
         // home); only a restored chare (`seq` 0) arrives unannounced.
         if home != pe && seq == 0 {

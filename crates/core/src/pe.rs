@@ -37,7 +37,7 @@ use crate::future::{FutState, FutTable};
 use crate::ids::{ChareId, CollectionId, FutureId, Index, Pe};
 use crate::lb::{Lb, LbStrategy};
 use crate::location::{Locations, Route};
-use crate::msg::{BoxMsg, EnvKind, Envelope, OutPayload, Payload};
+use crate::msg::{BoxMsg, CollMsg, EnvKind, Envelope, LocMsg, OutPayload, Payload, SweepMsg};
 use crate::reduction::{CustomReducers, RedData, Reductions};
 use crate::sweep::Sweeps;
 use crate::tree::TreeShape;
@@ -548,31 +548,12 @@ impl PeState {
                 self.broadcast_entry(coll, bytes, root)
             }
             EnvKind::FutureValue { fid, payload } => self.future_value(fid, payload),
-            kind @ (EnvKind::CreateCollection { .. }
-            | EnvKind::InsertElem { .. }
-            | EnvKind::DoneInserting { .. }
-            | EnvKind::SubtreeAdd { .. }) => self.on_collection(kind),
-            kind @ (EnvKind::RedPartial { .. } | EnvKind::RedBroadcast { .. }) => {
-                self.on_reduction(kind)
-            }
-            kind @ (EnvKind::MigrateChare { .. } | EnvKind::LocationUpdate { .. }) => {
-                self.on_location(kind)
-            }
-            kind @ (EnvKind::LbDoMigrate { .. }
-            | EnvKind::LbMigrated
-            | EnvKind::LbResume { .. }
-            | EnvKind::LbKick { .. }
-            | EnvKind::LbTreePoll { .. }
-            | EnvKind::LbTreeReport { .. }) => self.on_lb(kind),
-            kind @ (EnvKind::CkptSave { .. }
-            | EnvKind::CkptBuddy { .. }
-            | EnvKind::CkptAck { .. }
-            | EnvKind::RestoreColl { .. }) => self.on_checkpoint(src, kind),
-            kind @ (EnvKind::QdRequest { .. }
-            | EnvKind::QdProbe { .. }
-            | EnvKind::QdCounts { .. }
-            | EnvKind::TelemetryProbe { .. }
-            | EnvKind::TelemetryFrame { .. }) => self.on_sweep(kind),
+            EnvKind::Coll(msg) => self.on_collection(msg),
+            EnvKind::Red(msg) => self.on_reduction(msg),
+            EnvKind::Loc(msg) => self.on_location(msg),
+            EnvKind::Lb(msg) => self.on_lb(msg),
+            EnvKind::Ckpt(msg) => self.on_checkpoint(src, msg),
+            EnvKind::Sweep(msg) => self.on_sweep(msg),
             EnvKind::Bootstrap => self.bootstrap(),
             // `Halt` is the supervisor's teardown of a failed incarnation:
             // stop the scheduler loop; the driver salvages state for
@@ -654,7 +635,7 @@ impl PeState {
                     // of `seq`"), so that it holds the envelope if the
                     // chare has not landed yet instead of sending it round
                     // on an older record of its own.
-                    let knows = || EnvKind::LocationUpdate { id: to, pe, seq };
+                    let knows = || EnvKind::Loc(LocMsg::Update { id: to, pe, seq });
                     if src != self.pe && matches!(kind, EnvKind::Entry { .. }) {
                         self.locs.count_fwd_hop();
                         if src != pe {
@@ -980,7 +961,7 @@ impl PeState {
                 }
                 Op::CreateCollection { spec, init_bytes } => {
                     let (init, root) = (init_bytes, self.pe);
-                    self.emit(root, EnvKind::CreateCollection { spec, init, root });
+                    self.emit(root, EnvKind::Coll(CollMsg::Create { spec, init, root }));
                 }
                 Op::InsertElem {
                     coll,
@@ -996,20 +977,18 @@ impl PeState {
                     let placed = dest.is_some();
                     let dst = dest.unwrap_or(self.pe);
                     let init = self.encode_for(dst == self.pe, init);
-                    self.emit(
-                        dst,
-                        EnvKind::InsertElem {
-                            coll,
-                            index,
-                            init,
-                            on_pe,
-                            placed,
-                        },
-                    );
+                    let insert = CollMsg::Insert {
+                        coll,
+                        index,
+                        init,
+                        on_pe,
+                        placed,
+                    };
+                    self.emit(dst, EnvKind::Coll(insert));
                 }
                 Op::DoneInserting { coll } => {
                     for pe in 0..self.npes {
-                        self.emit(pe, EnvKind::DoneInserting { coll });
+                        self.emit(pe, EnvKind::Coll(CollMsg::DoneInserting { coll }));
                     }
                 }
                 Op::SendFuture { fid, payload } => self.send_future(fid, payload),
@@ -1034,7 +1013,7 @@ impl PeState {
                     // measured load see the charge on every backend.
                     self.charge_work(dt.as_nanos() as u64, this.as_ref(), WorkClass::Entry);
                 }
-                Op::StartQd { fid } => self.emit(0, EnvKind::QdRequest { fid }),
+                Op::StartQd { fid } => self.emit(0, EnvKind::Sweep(SweepMsg::QdRequest { fid })),
                 Op::Checkpoint { dir, fid } => self.start_manual_ckpt(dir, fid),
                 Op::Exit => {
                     for pe in 0..self.npes {
@@ -1177,7 +1156,7 @@ impl PeState {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             };
             self.entry_gate = Some(fid);
-            self.emit(0, EnvKind::QdRequest { fid });
+            self.emit(0, EnvKind::Sweep(SweepMsg::QdRequest { fid }));
             return;
         }
         self.launch_main();

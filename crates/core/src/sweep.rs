@@ -11,8 +11,7 @@
 //! telemetry sweep crossing this PE and, on PE 0, the waiters it holds and
 //! the retained series; plus the hot-chare sketch frames sample.
 //!
-//! **Envelopes:** `QdRequest`, `QdProbe`, `QdCounts`, `TelemetryProbe`,
-//! `TelemetryFrame` ([`PeState::on_sweep`]).
+//! **Envelopes:** [`SweepMsg`] ([`PeState::on_sweep`]).
 //!
 //! **Invariants:** quiescence is declared after two consecutive rounds
 //! with identical sums and `sent == processed` (the rule and its reasons:
@@ -162,13 +161,59 @@ impl Sweeps {
     }
 }
 
+/// The messages [`PeState::on_sweep`] takes.
+#[derive(Debug)]
+pub enum SweepMsg {
+    /// Ask PE 0 to run quiescence detection and complete `fid` when done.
+    QdRequest {
+        /// Future completed (with `()`) at quiescence.
+        fid: FutureId,
+    },
+    /// Quiescence-detection probe (PE0 → all, relayed).
+    QdProbe {
+        /// Probe round number.
+        round: u64,
+        /// Tree root (PE 0).
+        root: Pe,
+    },
+    /// Quiescence-detection counters (PE → PE0, combined up the tree).
+    QdCounts {
+        /// Probe round these counters answer.
+        round: u64,
+        /// Messages sent (subtree total).
+        sent: u64,
+        /// Messages processed (subtree total).
+        done: u64,
+        /// PEs covered.
+        pes: u64,
+    },
+    /// Telemetry sweep request (PE 0 → all, relayed down the PE tree).
+    /// Control traffic, never QD-counted: sweeps fire *at* quiescence
+    /// (while QD waiters are held), so the reduction sees a stable frame.
+    TelemetryProbe {
+        /// Sweep sequence number.
+        seq: u64,
+        /// Tree root (PE 0).
+        root: Pe,
+    },
+    /// A merged telemetry frame flowing up the PE tree to PE 0: each inner
+    /// node folds its children's frames into its own sample before
+    /// forwarding (the in-band metric reduction).
+    TelemetryFrame {
+        /// Sweep sequence number this frame answers.
+        seq: u64,
+        /// The (partially merged) metric frame.
+        frame: TelemetryBody,
+    },
+}
+
 impl PeState {
     /// The sweep slice of the dispatch switch.
-    pub(crate) fn on_sweep(&mut self, kind: EnvKind) {
-        match kind {
-            EnvKind::QdRequest { fid } => self.qd_request(fid),
-            EnvKind::QdProbe { round, root } => self.qd_probe(round, root),
-            EnvKind::QdCounts {
+    pub(crate) fn on_sweep(&mut self, msg: SweepMsg) {
+        match msg {
+            SweepMsg::QdRequest { fid } => self.qd_request(fid),
+            SweepMsg::QdProbe { round, root } => self.qd_probe(round, root),
+            SweepMsg::QdCounts {
                 round,
                 sent,
                 done,
@@ -182,15 +227,13 @@ impl PeState {
                     self.qd_maybe_reply();
                 }
             }
-            EnvKind::TelemetryProbe { seq, root } => self.telemetry_probe(seq, root),
-            EnvKind::TelemetryFrame { seq, frame } => {
+            SweepMsg::TelemetryProbe { seq, root } => self.telemetry_probe(seq, root),
+            SweepMsg::TelemetryFrame { seq, frame } => {
                 if let Some(acc) = self.sweeps.tel.answer(seq) {
                     acc.merge(&frame.0);
                 }
                 self.tel_maybe_send_up();
             }
-            #[expect(clippy::unreachable, reason = "panic: dispatch sends only these kinds")]
-            other => unreachable!("not a sweep envelope: {other:?}"),
         }
     }
 
@@ -208,12 +251,14 @@ impl PeState {
     fn qd_start_round(&mut self) {
         self.sweeps.central.round += 1;
         let round = self.sweeps.central.round;
-        self.emit(0, EnvKind::QdProbe { round, root: 0 });
+        self.emit(0, EnvKind::Sweep(SweepMsg::QdProbe { round, root: 0 }));
     }
 
     fn qd_probe(&mut self, round: u64, root: Pe) {
         self.flush_aggregation();
-        let owed = self.relay(self.cfg.tree, root, || EnvKind::QdProbe { round, root });
+        let owed = self.relay(self.cfg.tree, root, || {
+            EnvKind::Sweep(SweepMsg::QdProbe { round, root })
+        });
         let c = self.tracer.counters;
         let own = QdSums {
             sent: c.sent,
@@ -229,13 +274,13 @@ impl PeState {
             return;
         };
         if let Some(parent) = self.cfg.tree.parent(self.pe, root, self.npes) {
-            let counts = EnvKind::QdCounts {
+            let counts = SweepMsg::QdCounts {
                 round,
                 sent,
                 done,
                 pes,
             };
-            return self.emit(parent, counts);
+            return self.emit(parent, EnvKind::Sweep(counts));
         }
         // Root evaluates.
         let central = &mut self.sweeps.central;
@@ -298,9 +343,8 @@ impl PeState {
     /// machine is quiescent, so the counters are stable — and send the
     /// merged frame up once every child subtree has answered.
     fn telemetry_probe(&mut self, seq: u64, root: Pe) {
-        let owed = self.relay(self.cfg.tree, root, || EnvKind::TelemetryProbe {
-            seq,
-            root,
+        let owed = self.relay(self.cfg.tree, root, || {
+            EnvKind::Sweep(SweepMsg::TelemetryProbe { seq, root })
         });
         let frame = Box::new(self.sample_frame(seq));
         self.sweeps.tel.open(seq, root, owed, frame);
@@ -317,7 +361,10 @@ impl PeState {
         };
         if let Some(parent) = self.cfg.tree.parent(self.pe, root, self.npes) {
             let frame = TelemetryBody(frame);
-            return self.emit(parent, EnvKind::TelemetryFrame { seq, frame });
+            return self.emit(
+                parent,
+                EnvKind::Sweep(SweepMsg::TelemetryFrame { seq, frame }),
+            );
         }
         if let Some(sink) = self.cfg.telemetry.as_ref().and_then(|t| t.sink.as_ref()) {
             sink(&frame);

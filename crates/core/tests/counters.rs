@@ -10,7 +10,7 @@
 #[path = "../../trace/tests/common/counting_alloc.rs"]
 mod counting_alloc;
 
-use charm_core::msg::{EnvKind, Envelope, TelemetryBody};
+use charm_core::msg::{EnvKind, Envelope, SweepMsg, TelemetryBody};
 use charm_trace::counters::{Merge, Row, WrongLen};
 use charm_trace::{MetricFrame, PePerf, PeSummary, PeTrace, SummaryBin, TopItem, TraceReport};
 use charm_wire::Codec;
@@ -159,10 +159,10 @@ fn telemetry_envelope() -> Envelope {
     frame.top_cap = 8;
     let mut env = Envelope::new(
         2,
-        EnvKind::TelemetryFrame {
+        EnvKind::Sweep(SweepMsg::TelemetryFrame {
             seq: 5,
             frame: TelemetryBody(Box::new(frame)),
-        },
+        }),
     );
     env.epoch = 1;
     env
