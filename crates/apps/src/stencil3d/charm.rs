@@ -244,6 +244,7 @@ impl Chare for BlockChare {
 /// independent of the chare grid (that is the point — §V-B uses 4 chares
 /// per PE).
 pub fn run_charm(params: StencilParams, rt: Runtime) -> StencilResult {
+    params.check_backend(&rt);
     let out: StencilOut = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     let use_lb = params.lb_every.is_some();

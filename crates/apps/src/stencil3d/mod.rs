@@ -13,6 +13,7 @@ pub mod charm;
 pub mod kernel;
 pub mod mpi;
 
+use charm_core::Runtime;
 use charm_wire::wire_struct;
 
 pub use kernel::{Block, Face, FACES};
@@ -41,7 +42,8 @@ pub struct StencilParams {
     /// compute cost is *charged* (`ctx.charge`) and also drives the
     /// imbalance charge: on the sim, whose clock reads no host time, the
     /// charge is the kernel's only cost (the LB figure, where measured
-    /// noise × alpha would otherwise dominate).
+    /// noise × alpha would otherwise dominate). An imbalanced sim run needs
+    /// it; where it is unset, Threads measures the kernel.
     pub nominal_kernel_s: Option<f64>,
 }
 wire_struct! {
@@ -87,6 +89,16 @@ impl StencilParams {
     /// Row-major linear id of a block coordinate.
     pub fn linear(&self, c: [usize; 3]) -> usize {
         (c[0] * self.chares[1] + c[1]) * self.chares[2] + c[2]
+    }
+
+    /// Refuse a sim run that would read the host clock: the imbalance
+    /// charge is alpha x kernel time, and a kernel time not modeled by
+    /// `nominal_kernel_s` is measured, which on the sim is host time.
+    fn check_backend(&self, rt: &Runtime) {
+        assert!(
+            !rt.is_simulated() || self.imbalance.is_none() || self.nominal_kernel_s.is_some(),
+            "an imbalanced stencil on the sim needs nominal_kernel_s: a measured kernel is host time"
+        );
     }
 
     /// The coarse (MPI-equivalent) block a chare belongs to under the

@@ -115,6 +115,7 @@ pub fn run_mpi(params: StencilParams, rt: Runtime) -> StencilResult {
         params.num_blocks(),
         "mpi stencil needs exactly one rank per block"
     );
+    params.check_backend(&rt);
     let out: super::charm::StencilOut = Arc::new(Mutex::new(None));
     let out2 = Arc::clone(&out);
     let iters = params.iters.max(1) as f64;

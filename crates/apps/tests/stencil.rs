@@ -122,6 +122,8 @@ fn load_balancing_preserves_results() {
     let mut params = StencilParams::new([8, 8, 8], [2, 2, 2], 12);
     params.lb_every = Some(4);
     params.imbalance = Some(4);
+    // The 4^3-cell block's kernel at the ledger's 100 us per 4,096 cells.
+    params.nominal_kernel_s = Some(64.0 * 100e-6 / 4096.0);
     let want = {
         let mut p = params.clone();
         p.lb_every = None;
@@ -200,4 +202,24 @@ fn weak_scaling_time_roughly_flat_in_virtual_time() {
         t8 < t1 * 4.0,
         "weak scaling should be roughly flat: 1 PE {t1} ms vs 8 PEs {t8} ms"
     );
+}
+
+/// A sim run is a function of its config: the imbalance charge is alpha x
+/// kernel time, and on the sim a kernel time must be modeled, never
+/// measured, so both drivers refuse an imbalanced sim run without one.
+#[test]
+fn an_imbalanced_sim_run_needs_a_modeled_kernel() {
+    let mut params = StencilParams::new([8, 8, 8], [2, 2, 2], 2);
+    params.imbalance = Some(4);
+    for run in [run_charm as fn(_, _) -> _, run_mpi] {
+        let p = params.clone();
+        let Err(refused) = std::panic::catch_unwind(|| run(p, sim_rt(8))) else {
+            panic!("an imbalanced sim run without a modeled kernel ran");
+        };
+        let why = refused.downcast_ref::<&str>().copied();
+        assert!(
+            why.is_some_and(|w| w.contains("needs nominal_kernel_s")),
+            "{why:?}"
+        );
+    }
 }
